@@ -15,11 +15,11 @@ import numpy as np
 from scipy.stats import chi2
 
 from presim import synth, verify
-from presim.condsim import ConditionalSampler, PredictionSetup, UnconditionalSampler
+from presim.condsim import ConditionalSampler, PredictionSetup
 from presim.geometry import SiteGeometry
 from presim.rng import STAGE_SYNTH
 from presim.spectrum import KnotSet, SpectralModel
-from presim.whittle import forward_dft, inverse_dft
+from presim.whittle import SpectralField, forward_dft, inverse_dft
 
 
 def run(argv=None) -> int:
@@ -40,8 +40,14 @@ def run(argv=None) -> int:
         target_lats=lats[11:], target_lons=lons[11:],
         target_elevations=np.array([s.elevation for s in stations[11:]]),
     )
-    full = UnconditionalSampler(model, params, SiteGeometry(lats, lons),
-                                args.target_len)
+    # the full network, conditioned on zero sites
+    full_setup = PredictionSetup(
+        observed=SiteGeometry(np.array([]), np.array([])),
+        target_lats=lats, target_lons=lons,
+        target_elevations=np.array([s.elevation for s in stations]),
+    )
+    full = ConditionalSampler(model, params, full_setup,
+                              SpectralField(np.zeros((args.target_len, 0))))
     q99 = chi2.ppf(0.99, args.members)
 
     t0 = time.monotonic()

@@ -246,8 +246,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="presim")
     parser.add_argument("--config", required=True)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap; results do not depend on it")
     parser.add_argument("--out", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("fit")
@@ -263,8 +261,6 @@ def main(argv=None) -> int:
         config = RunConfig.from_yaml(args.config)
         if args.seed is not None:
             config.seed = args.seed
-        if args.threads is not None:
-            config.threads = args.threads
         out_base = Path(args.out) if args.out else Path(config.output_dir)
         if args.command == "fit":
             path = cmd_fit(config, out_base / "fit_report.json")

@@ -7,7 +7,8 @@ complex normal; the real-coefficient frequencies (0 and Nyquist) use the
 real-normal analog. Beyond the coherence cutoff the prediction sites are
 independent of the observations and are drawn unconditionally from the
 diagonal model. Negative frequencies are filled by conjugate symmetry so
-the inverse DFT is real.
+the inverse DFT is real. With zero observed sites every draw is
+unconditional, which is how synthetic truths are drawn.
 """
 
 import csv
@@ -28,10 +29,9 @@ from .spectrum import SpectralModel, SpectralParams
 from .whittle import (
     TWO_PI,
     FitResult,
+    FrequencyPlan,
     SpectralField,
-    fourier_frequencies,
     inverse_dft,
-    onesided_indices,
     sample_params,
 )
 
@@ -85,78 +85,78 @@ class PredictionSetup:
 
 
 class ConditionalSampler:
-    """Precomputed per-frequency conditional laws for one parameter vector."""
+    """Precomputed per-frequency conditional laws for one parameter vector.
+
+    With zero observed sites (an empty observed geometry and a (T, 0)
+    observed field) the conditional laws are the unconditional ones, so
+    the same sampler draws synthetic truths.
+    """
 
     def __init__(self, model: SpectralModel, params: SpectralParams,
                  setup: PredictionSetup, observed_field: SpectralField):
-        n, m = setup.n_observed, setup.n_targets
+        n = setup.n_observed
         if observed_field.n_sites != n:
             raise ValidationError("observed field does not match setup geometry")
         self.setup = setup
         self.T = observed_field.n_times
-        self.m = m
+        self.m = setup.n_targets
+        self.plan = plan = FrequencyPlan(self.T, model.knots.omega0)
         self.ridge_frequencies = []
 
-        idx, _ = onesided_indices(self.T)
-        omegas = fourier_frequencies(self.T)[idx]
-        low = omegas <= model.knots.omega0 + 1e-15
-        self.idx_low = idx[low]
-        self.idx_high = idx[~low]
-        self.is_real = np.isin(idx, [0, self.T // 2 if self.T % 2 == 0 else -1])
-
         scale = TWO_PI * self.T
-        f = model.cross_spectrum_stack(params, setup.combined, omegas[low])
-        J_o = observed_field.coeffs[self.idx_low]
-
-        self.means = np.empty((len(self.idx_low), m), dtype=complex)
-        self.chols = np.empty((len(self.idx_low), m, m), dtype=complex)
-        for k in range(len(self.idx_low)):
-            foo = f[k, :n, :n]
-            fpo = f[k, n:, :n]
-            fpp = f[k, n:, n:]
-            try:
-                np.linalg.cholesky(foo)
-            except np.linalg.LinAlgError:
-                foo = foo + np.eye(n) * (RIDGE_REL * np.trace(foo).real / n)
-                self.ridge_frequencies.append(int(self.idx_low[k]))
-            B = np.linalg.solve(foo.T, fpo.T).T
-            self.means[k] = B @ J_o[k]
-            cond = fpp - B @ fpo.conj().T
-            cond = 0.5 * (cond + cond.conj().T)
-            self.chols[k] = _psd_factor(scale * cond)
+        f = model.cross_spectrum_stack(params, setup.combined, plan.omega_low)
+        foo, fpo, fpp = f[:, :n, :n], f[:, n:, :n], f[:, n:, n:]
+        try:
+            np.linalg.cholesky(foo)
+        except np.linalg.LinAlgError:
+            for k in range(len(foo)):
+                try:
+                    np.linalg.cholesky(foo[k])
+                except np.linalg.LinAlgError:
+                    foo[k] = foo[k] + np.eye(n) * (RIDGE_REL * np.trace(foo[k]).real / n)
+                    self.ridge_frequencies.append(int(plan.idx_low[k]))
+        B = _mT(np.linalg.solve(_mT(foo), _mT(fpo)))
+        J_o = observed_field.coeffs[plan.idx_low]
+        self.means = (B @ J_o[..., None])[..., 0]
+        cond = fpp - B @ _mT(fpo).conj()
+        cond = 0.5 * (cond + _mT(cond).conj())
+        self.chols = _psd_factor(scale * cond)
 
         # diagonal block: unconditional marginal SDs per frequency
-        self.sd_high = np.sqrt(scale * model.eval_S(params, omegas[~low]))
+        self.sd_high = np.sqrt(scale * model.eval_S(params, plan.omega_high))
 
-    def draw(self, seed: int, member: int) -> SpectralField:
-        """One conditional draw of the target-site spectral field.
+    def draw(self, seed: int, member: int, stage: int = STAGE_CONDSIM) -> SpectralField:
+        """One draw of the target-site spectral field.
 
-        Conditional frequencies use substreams keyed by (member, Fourier
-        index); the unconditional diagonal block is drawn in fixed
-        frequency order from a single per-member substream.
+        Low-band frequencies use substreams keyed by (stage, member,
+        Fourier index). The diagonal high band is drawn in fixed frequency
+        order from one per-member substream, keyed (STAGE_CONDSIM_HIGH,
+        member) when conditioning and (STAGE_CONDSIM_HIGH, stage, member)
+        with zero observed sites; these keys fix every seeded ensemble and
+        synthetic dataset.
         """
-        T, m = self.T, self.m
+        T, m, plan = self.T, self.m, self.plan
         coeffs = np.zeros((T, m), dtype=complex)
 
-        for k, j in enumerate(self.idx_low):
-            rng = substream(seed, STAGE_CONDSIM, member, int(j))
+        for k, j in enumerate(plan.idx_low):
+            rng = substream(seed, stage, member, int(j))
             L = self.chols[k]
-            if self.is_real[k]:
+            if plan.real_low[k]:
                 z = rng.standard_normal(m)
                 coeffs[j] = self.means[k].real + L.real @ z
             else:
                 z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
                 coeffs[j] = self.means[k] + L @ z / np.sqrt(2.0)
 
-        rng_hi = substream(seed, STAGE_CONDSIM_HIGH, member)
-        kh = len(self.idx_high)
+        high_key = (member,) if self.setup.n_observed else (stage, member)
+        rng_hi = substream(seed, STAGE_CONDSIM_HIGH, *high_key)
+        kh = len(plan.idx_high)
         if kh:
-            real_hi = self.is_real[len(self.idx_low):]
             zr = rng_hi.standard_normal((kh, m))
             zi = rng_hi.standard_normal((kh, m))
             vals = self.sd_high[:, None] * (zr + 1j * zi) / np.sqrt(2.0)
-            vals[real_hi] = self.sd_high[real_hi, None] * zr[real_hi]
-            coeffs[self.idx_high] = vals
+            vals[plan.real_high] = self.sd_high[plan.real_high, None] * zr[plan.real_high]
+            coeffs[plan.idx_high] = vals
 
         # conjugate symmetry for the negative frequencies
         j_all = np.arange(1, (T + 1) // 2)
@@ -164,65 +164,24 @@ class ConditionalSampler:
         return SpectralField(coeffs=coeffs)
 
 
-def _psd_factor(mat: np.ndarray) -> np.ndarray:
-    """Cholesky-like factor of a Hermitian PSD matrix, tolerant of zeros."""
+def _mT(a: np.ndarray) -> np.ndarray:
+    """Transpose the last two axes of a matrix stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _psd_factor(mats: np.ndarray) -> np.ndarray:
+    """Cholesky-like factors of a stack of Hermitian PSD matrices.
+
+    Tolerant of zero eigenvalues: when the stacked Cholesky fails, each
+    matrix is factored on its own, by eigh where Cholesky fails.
+    """
     try:
-        return np.linalg.cholesky(mat)
+        return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(mat)
-        vals = np.maximum(vals.real, 0.0)
-        return vecs * np.sqrt(vals)[None, :]
-
-
-def conditional_draw(model: SpectralModel, params: SpectralParams,
-                     setup: PredictionSetup, observed_field: SpectralField,
-                     seed: int, member: int = 0) -> SpectralField:
-    """Single conditional draw (convenience wrapper around the sampler)."""
-    return ConditionalSampler(model, params, setup, observed_field).draw(seed, member)
-
-
-class UnconditionalSampler:
-    """Draws the full field with no conditioning (the n=0 degenerate setup)."""
-
-    def __init__(self, model: SpectralModel, params: SpectralParams,
-                 geometry: SiteGeometry, T: int):
-        self.T = T
-        self.m = geometry.n_sites
-        idx, _ = onesided_indices(T)
-        omegas = fourier_frequencies(T)[idx]
-        low = omegas <= model.knots.omega0 + 1e-15
-        self.idx_low = idx[low]
-        self.idx_high = idx[~low]
-        self.is_real = np.isin(idx, [0, T // 2 if T % 2 == 0 else -1])
-
-        scale = TWO_PI * T
-        f = model.cross_spectrum_stack(params, geometry, omegas[low])
-        self.chols = np.stack([_psd_factor(scale * fk) for fk in f])
-        self.sd_high = np.sqrt(scale * model.eval_S(params, omegas[~low]))
-
-    def draw(self, seed: int, member: int, stage: int = STAGE_CONDSIM) -> SpectralField:
-        T, m = self.T, self.m
-        coeffs = np.zeros((T, m), dtype=complex)
-        for k, j in enumerate(self.idx_low):
-            rng = substream(seed, stage, member, int(j))
-            L = self.chols[k]
-            if self.is_real[k]:
-                coeffs[j] = L.real @ rng.standard_normal(m)
-            else:
-                z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-                coeffs[j] = L @ z / np.sqrt(2.0)
-        rng_hi = substream(seed, STAGE_CONDSIM_HIGH, stage, member)
-        kh = len(self.idx_high)
-        if kh:
-            real_hi = self.is_real[len(self.idx_low):]
-            zr = rng_hi.standard_normal((kh, m))
-            zi = rng_hi.standard_normal((kh, m))
-            vals = self.sd_high[:, None] * (zr + 1j * zi) / np.sqrt(2.0)
-            vals[real_hi] = self.sd_high[real_hi, None] * zr[real_hi]
-            coeffs[self.idx_high] = vals
-        j_all = np.arange(1, (T + 1) // 2)
-        coeffs[T - j_all] = np.conj(coeffs[j_all])
-        return SpectralField(coeffs=coeffs)
+        if mats.ndim > 2:
+            return np.stack([_psd_factor(mat) for mat in mats])
+        vals, vecs = np.linalg.eigh(mats)
+        return vecs * np.sqrt(np.maximum(vals, 0.0))[None, :]
 
 
 # -- ensembles -----------------------------------------------------------

@@ -28,7 +28,6 @@ class RunConfig:
     variogram_policy: str = "auto"  # auto | nugget | linear
     held_out_ids: list = field(default_factory=list)
     seed: int | None = None
-    threads: int = 1
     fit_max_iter: int = 500
     fit_gtol: float = 1e-3
 

@@ -40,17 +40,18 @@ def local_plane(lats, lons) -> np.ndarray:
     """Antisymmetric matrix of planar displacement 2-vectors (east, north), km.
 
     displacements[j, k] = position(j) - position(k) in an equirectangular
-    projection about the centroid. Warns when the domain diameter exceeds
-    1000 km, where a flat-plane treatment starts to break down.
+    projection about the centroid (none for zero sites). Warns when the
+    domain diameter exceeds 1000 km, where a flat-plane treatment starts to
+    break down.
     """
     lats = np.asarray(lats, dtype=float)
     lons = np.asarray(lons, dtype=float)
-    lat0 = np.radians(lats.mean())
+    lat0 = np.radians(lats.mean()) if len(lats) else 0.0
     east = EARTH_RADIUS_KM * np.cos(lat0) * np.radians(lons)
     north = EARTH_RADIUS_KM * np.radians(lats)
     xy = np.stack([east, north], axis=-1)
     disp = xy[:, None, :] - xy[None, :, :]
-    diameter = np.linalg.norm(disp, axis=-1).max()
+    diameter = np.linalg.norm(disp, axis=-1).max(initial=0.0)
     if diameter > 1000.0:
         warnings.warn(
             f"domain diameter {diameter:.0f} km exceeds 1000 km; "

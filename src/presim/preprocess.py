@@ -305,8 +305,3 @@ def invert_stack(sim_A, stack: TransformStack, target_elevations, sim_means) -> 
     levels = np.concatenate([np.zeros((m, 1)), np.cumsum(diffs, axis=1)], axis=1)
     anchor = means - levels.mean(axis=1)
     return levels + anchor[:, None]
-
-
-def reconstructed_diffs(pressure) -> np.ndarray:
-    """First differences of reconstructed pressure (site-elevation units)."""
-    return difference(pressure)

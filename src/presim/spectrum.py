@@ -158,27 +158,17 @@ def matern32(r):
     return np.exp(-r) * (1.0 + r)
 
 
-def constrained_basis(kind, knots, endpoint_orders, zero_outside=True):
-    """Build a symmetric cubic-spline basis with endpoint constraints.
-
-    Thin wrapper kept as the public entry point; see splines.ConstrainedBasis.
-    """
-    return ConstrainedBasis(kind, knots, endpoint_orders, zero_outside=zero_outside)
-
-
 class SpectralModel:
     """Binds a KnotSet to its constrained bases and evaluates the model."""
 
     def __init__(self, knots: KnotSet):
         self.knots = knots
-        self.basis_S = constrained_basis(
-            "even", knots.s_knots, [1], zero_outside=False
-        )
-        self.basis_beta = constrained_basis(
+        self.basis_S = ConstrainedBasis("even", knots.s_knots, [1], zero_outside=False)
+        self.basis_beta = ConstrainedBasis(
             "even", knots.beta_knots, [1, 2], zero_outside=False
         )
-        self.basis_delta = constrained_basis("even", knots.delta_knots, [0, 1, 2])
-        self.basis_theta = constrained_basis("odd", knots.theta_knots, [0, 1, 2])
+        self.basis_delta = ConstrainedBasis("even", knots.delta_knots, [0, 1, 2])
+        self.basis_theta = ConstrainedBasis("odd", knots.theta_knots, [0, 1, 2])
 
     @property
     def dimensions(self) -> dict:
@@ -248,12 +238,9 @@ class SpectralModel:
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
         S = self.eval_S(params, omega)
         beta = self.eval_beta(params, omega)
-        # logistic(beta) computed stably on both tails
-        sig = np.where(
-            beta >= 0,
-            1.0 / (1.0 + np.exp(-beta)),
-            np.exp(beta) / (1.0 + np.exp(beta)),
-        )
+        # logistic(beta) from one exponential that cannot overflow
+        e = np.exp(-np.abs(beta))
+        sig = np.where(beta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         S1 = S * sig
         S0 = S - S1
         beyond = np.abs(omega) > self.knots.omega0

@@ -92,6 +92,8 @@ class ConstrainedBasis:
         the endpoint-constraint checks at w >= 0.
         """
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
+        if not len(omega):  # e.g. the empty high band of a cutoff at pi
+            return np.zeros((0, self.dimension))
         a = np.abs(omega)
         inside = a <= self.cutoff + 1e-12
         x = np.clip(a, 0.0, self.cutoff)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .condsim import UnconditionalSampler
+from .condsim import ConditionalSampler, PredictionSetup
 from .geometry import SiteGeometry
 from .ingest import StationMeta
 from .preprocess import (
@@ -26,7 +26,7 @@ from .preprocess import (
 )
 from .rng import STAGE_SYNTH, substream
 from .spectrum import KnotSet, SpectralModel, SpectralParams
-from .whittle import inverse_dft
+from .whittle import SpectralField, inverse_dft
 
 DEFAULT_START = datetime(2005, 10, 1, tzinfo=timezone.utc)
 
@@ -128,15 +128,20 @@ class SyntheticTruth:
 def generate(model: SpectralModel, params: SpectralParams, stations: list,
              stack: TransformStack, T: int, seed: int,
              member: int = 0) -> SyntheticTruth:
-    """Draw one synthetic realization of the network."""
-    geo = SiteGeometry(
-        np.array([s.latitude for s in stations]),
-        np.array([s.longitude for s in stations]),
+    """Draw one synthetic realization of the network.
+
+    The field is a conditional draw given zero observed sites.
+    """
+    elevations = np.array([s.elevation for s in stations])
+    setup = PredictionSetup(
+        observed=SiteGeometry(np.array([]), np.array([])),
+        target_lats=np.array([s.latitude for s in stations]),
+        target_lons=np.array([s.longitude for s in stations]),
+        target_elevations=elevations,
     )
-    sampler = UnconditionalSampler(model, params, geo, T)
+    sampler = ConditionalSampler(model, params, setup, SpectralField(np.zeros((T, 0))))
     field = sampler.draw(seed, member, stage=STAGE_SYNTH)
     A = inverse_dft(field)
-    elevations = np.array([s.elevation for s in stations])
     pressure = invert_stack(A, stack, elevations, stack.site_means)
     return SyntheticTruth(
         stations=stations, stack=stack, knots=model.knots, params=params,

@@ -80,21 +80,34 @@ def inverse_dft(spec: SpectralField, imag_tol: float = 1e-9) -> np.ndarray:
     return A.real
 
 
-def onesided_indices(T: int):
-    """One-sided Fourier index set, with half weights at real frequencies."""
-    half = T // 2
-    idx = np.arange(half + 1) if T % 2 == 0 else np.arange((T + 1) // 2)
-    weights = np.ones(len(idx))
-    weights[0] = 0.5
-    if T % 2 == 0:
-        weights[-1] = 0.5
-    return idx, weights
+class FrequencyPlan:
+    """One-sided Fourier frequencies of a length-T series, split at the cutoff.
+
+    Indices j = 0..floor(T/2) at w_j = 2 pi j / T, with weight 1 except 0.5
+    at the real-coefficient frequencies (0 and, for even T, the Nyquist).
+    The low band w_j <= omega0 carries cross-site coherence; the high band
+    beyond it is diagonal. A cutoff that lands on a Fourier frequency (up
+    to rounding) puts that frequency in the low band.
+    """
+
+    def __init__(self, T: int, omega0: float):
+        self.idx = np.arange(T // 2 + 1)
+        self.omegas = fourier_frequencies(T)[self.idx]
+        self.weights = np.ones(len(self.idx))
+        self.weights[0] = 0.5
+        if T % 2 == 0:
+            self.weights[-1] = 0.5
+        self.low = self.omegas <= omega0 + 1e-15
+        self.idx_low, self.idx_high = self.idx[self.low], self.idx[~self.low]
+        self.omega_low, self.omega_high = self.omegas[self.low], self.omegas[~self.low]
+        self.w_low, self.w_high = self.weights[self.low], self.weights[~self.low]
+        self.real_low, self.real_high = self.w_low == 0.5, self.w_high == 0.5
 
 
 class WhittleObjective:
     """Whittle log-likelihood for a fixed data field and geometry.
 
-    Precomputes the one-sided frequency split at construction so repeated
+    Precomputes the frequency plan at construction so repeated
     evaluations during optimization stay cheap. Evaluations accumulate in
     a fixed frequency order, so results are independent of any outer
     parallelism.
@@ -109,27 +122,19 @@ class WhittleObjective:
         self.T = spec.n_times
         self.n = spec.n_sites
 
-        idx, weights = onesided_indices(self.T)
-        omegas = fourier_frequencies(self.T)[idx]
-        low = omegas <= model.knots.omega0 + 1e-15
-        self.idx_low = idx[low]
-        self.idx_high = idx[~low]
-        self.w_low = weights[low]
-        self.w_high = weights[~low]
-        self.omega_low = omegas[low]
-        self.omega_high = omegas[~low]
-        self.J_low = spec.coeffs[self.idx_low]  # K x n
-        self.Q_high = np.sum(np.abs(spec.coeffs[self.idx_high]) ** 2, axis=1)
+        self.plan = FrequencyPlan(self.T, model.knots.omega0)
+        self.J_low = spec.coeffs[self.plan.idx_low]  # K x n
+        self.Q_high = np.sum(np.abs(spec.coeffs[self.plan.idx_high]) ** 2, axis=1)
 
     def loglik(self, params: SpectralParams) -> float:
-        m = self.model
+        m, plan = self.model, self.plan
         scale = TWO_PI * self.T
 
-        f = m.cross_spectrum_stack(params, self.geometry, self.omega_low)
+        f = m.cross_spectrum_stack(params, self.geometry, plan.omega_low)
         try:
             L = np.linalg.cholesky(f)
         except np.linalg.LinAlgError:
-            for k, om in enumerate(self.omega_low):
+            for k, om in enumerate(plan.omega_low):
                 try:
                     np.linalg.cholesky(f[k])
                 except np.linalg.LinAlgError:
@@ -140,21 +145,16 @@ class WhittleObjective:
         logdet = 2.0 * np.sum(np.log(np.einsum("kii->ki", L).real), axis=1)
         x = np.linalg.solve(f, self.J_low[..., None])[..., 0]
         quad = np.einsum("ki,ki->k", np.conj(self.J_low), x).real
-        ll = -np.sum(self.w_low * (logdet + quad / scale))
+        ll = -np.sum(plan.w_low * (logdet + quad / scale))
 
-        S_high = m.eval_S(params, self.omega_high)
+        S_high = m.eval_S(params, plan.omega_high)
         ll -= np.sum(
-            self.w_high * (self.n * np.log(S_high) + self.Q_high / (scale * S_high))
+            plan.w_high * (self.n * np.log(S_high) + self.Q_high / (scale * S_high))
         )
         return float(ll)
 
     def loglik_vec(self, vec) -> float:
         return self.loglik(self.model.unpack(vec))
-
-
-def whittle_loglik(model: SpectralModel, params: SpectralParams,
-                   spec: SpectralField, geometry: SiteGeometry) -> float:
-    return WhittleObjective(model, spec, geometry).loglik(params)
 
 
 # -- numerical derivatives ----------------------------------------------
@@ -297,13 +297,6 @@ def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
     )
 
 
-def hessian_at(model: SpectralModel, params: SpectralParams, spec: SpectralField,
-               geometry: SiteGeometry, rel_step: float = 1e-4) -> np.ndarray:
-    """Central-difference Hessian of the negative log-likelihood."""
-    obj = WhittleObjective(model, spec, geometry)
-    return numeric_hessian(lambda x: -obj.loglik_vec(x), params.pack(), rel_step=rel_step)
-
-
 def sample_params(model: SpectralModel, fit: FitResult, count: int, seed: int):
     """Draw parameter vectors from N(theta_hat, H^{-1}).
 
@@ -346,9 +339,9 @@ def initial_params(model: SpectralModel, spec: SpectralField,
     at 0 and u pointing west.
     """
     T = spec.n_times
-    idx, _ = onesided_indices(T)
-    omegas = fourier_frequencies(T)[idx]
-    J = spec.coeffs[idx]
+    plan = FrequencyPlan(T, model.knots.omega0)
+    omegas = plan.omegas
+    J = spec.coeffs[plan.idx]
     pgram = np.mean(np.abs(J) ** 2, axis=1) / (TWO_PI * T)
     logp = np.log(np.maximum(pgram, 1e-300))
     win = max(5, min(101, (len(logp) // 40) | 1))
@@ -361,17 +354,16 @@ def initial_params(model: SpectralModel, spec: SpectralField,
     d = geometry.distances + np.diag(np.full(geometry.n_sites, np.inf))
     jmin, kmin = np.unravel_index(np.argmin(d), d.shape)
     dmin = d[jmin, kmin]
-    omega0 = model.knots.omega0
-    in_band = (omegas > 0) & (omegas <= omega0)
+    in_band = plan.low & (omegas > 0)
     band_edges = np.quantile(omegas[in_band], [0.0, 0.25, 0.5, 0.75, 1.0])
     centers, targets = [], []
     for lo, hi in zip(band_edges[:-1], band_edges[1:]):
         sel = in_band & (omegas >= lo) & (omegas <= hi)
         if sel.sum() < 3:
             continue
-        cross = np.mean(spec.coeffs[idx][sel, jmin] * np.conj(spec.coeffs[idx][sel, kmin]))
-        p1 = np.mean(np.abs(spec.coeffs[idx][sel, jmin]) ** 2)
-        p2 = np.mean(np.abs(spec.coeffs[idx][sel, kmin]) ** 2)
+        cross = np.mean(J[sel, jmin] * np.conj(J[sel, kmin]))
+        p1 = np.mean(np.abs(J[sel, jmin]) ** 2)
+        p2 = np.mean(np.abs(J[sel, kmin]) ** 2)
         coh = min(abs(cross) / np.sqrt(p1 * p2), 0.95)
         # invert C(dmin/delta) * 0.5 = coh for delta, assuming an even split
         target_c = min(2.0 * coh, 0.98)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from presim.condsim import ConditionalSampler, PredictionSetup
 from presim.geometry import SiteGeometry
 from presim.spectrum import KnotSet, SpectralModel
+from presim.whittle import SpectralField
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +31,13 @@ def random_params(model, rng, scale=0.4):
 @pytest.fixture
 def rand_params():
     return random_params
+
+
+def unconditional_sampler(model, params, geometry, T):
+    """Sampler of the full field at `geometry`, conditioned on zero sites."""
+    setup = PredictionSetup(
+        observed=SiteGeometry(np.array([]), np.array([])),
+        target_lats=geometry.lats, target_lons=geometry.lons,
+        target_elevations=np.zeros(geometry.n_sites),
+    )
+    return ConditionalSampler(model, params, setup, SpectralField(np.zeros((T, 0))))

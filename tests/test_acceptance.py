@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import chi2, multivariate_normal
 
 from presim import synth, verify
-from presim.condsim import ConditionalSampler, PredictionSetup, UnconditionalSampler
+from presim.condsim import ConditionalSampler, PredictionSetup
 from presim.geometry import SiteGeometry
 from presim.meanfield import krige, reml_fit, sample_means
 from presim.preprocess import (
@@ -29,13 +29,13 @@ from presim.rng import STAGE_SYNTH
 from presim.spectrum import KnotSet, SpectralModel, SpectralParams, matern32
 from presim.whittle import (
     TWO_PI,
+    WhittleObjective,
     forward_dft,
     fourier_frequencies,
     inverse_dft,
-    whittle_loglik,
 )
 
-from conftest import random_params
+from conftest import random_params, unconditional_sampler
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -75,16 +75,15 @@ def test_01_frequency_likelihood_matches_exact_density(model, geometry3):
     T = 32
     rng = np.random.default_rng(101)
     gen = random_params(model, rng, scale=0.3)
-    A = inverse_dft(UnconditionalSampler(model, gen, geometry3, T).draw(5, 0))
+    A = inverse_dft(unconditional_sampler(model, gen, geometry3, T).draw(5, 0))
     spec = forward_dft(A)
+    obj = WhittleObjective(model, spec, geometry3)
 
     worst = 0.0
     for _ in range(20):
         p1 = random_params(model, rng, scale=0.3)
         p2 = random_params(model, rng, scale=0.3)
-        d_freq = whittle_loglik(model, p1, spec, geometry3) - whittle_loglik(
-            model, p2, spec, geometry3
-        )
+        d_freq = obj.loglik(p1) - obj.loglik(p2)
         d_exact = exact_series_loglik(model, p1, A, geometry3) - exact_series_loglik(
             model, p2, A, geometry3
         )
@@ -106,9 +105,9 @@ def test_02_conditional_simulation_moments(model):
         observed=obs, target_lats=[36.35], target_lons=[-97.05],
         target_elevations=[320.0],
     )
-    field = UnconditionalSampler(model, params, setup.observed, T).draw(7, 0)
+    field = unconditional_sampler(model, params, setup.observed, T).draw(7, 0)
     sampler = ConditionalSampler(model, params, setup, field)
-    idx_low = sampler.idx_low
+    idx_low = sampler.plan.idx_low
     om = fourier_frequencies(T)[idx_low]
     scale = TWO_PI * T
 
@@ -215,19 +214,19 @@ def test_05_likelihood_invariant_under_sign_symmetries(model, geometry3):
     rng = np.random.default_rng(105)
     T = 48
     A = 0.01 * rng.standard_normal((3, T))
-    spec = forward_dft(A)
+    obj = WhittleObjective(model, forward_dft(A), geometry3)
     worst = 0.0
     for _ in range(5):
         p = random_params(model, rng)
-        ll = whittle_loglik(model, p, spec, geometry3)
+        ll = obj.loglik(p)
         flip_delta = SpectralParams(p.s_coeffs, p.beta_coeffs, -p.delta_coeffs,
                                     p.theta_coeffs, p.u_angle)
         flip_theta = SpectralParams(p.s_coeffs, p.beta_coeffs, p.delta_coeffs,
                                     -p.theta_coeffs, p.u_angle + np.pi)
         worst = max(
             worst,
-            abs(whittle_loglik(model, flip_delta, spec, geometry3) - ll),
-            abs(whittle_loglik(model, flip_theta, spec, geometry3) - ll),
+            abs(obj.loglik(flip_delta) - ll),
+            abs(obj.loglik(flip_theta) - ll),
         )
     report("likelihood sign-symmetry invariance", worst < 1e-8,
            f"(max |change| = {worst:.2e})")
@@ -311,7 +310,7 @@ def test_08_ensemble_calibration_at_held_out_sites(model):
         target_lats=lats[11:], target_lons=lons[11:],
         target_elevations=np.array([s.elevation for s in stations[11:]]),
     )
-    full = UnconditionalSampler(model, params, SiteGeometry(lats, lons), T)
+    full = unconditional_sampler(model, params, SiteGeometry(lats, lons), T)
     q99 = chi2.ppf(0.99, K)
 
     pass_diff = pass_hourly = 0

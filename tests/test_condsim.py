@@ -9,8 +9,6 @@ from presim.condsim import (
     ConditionalSampler,
     Ensemble,
     PredictionSetup,
-    UnconditionalSampler,
-    conditional_draw,
     fit_hash,
     geometry_hash,
     run_ensemble,
@@ -19,17 +17,17 @@ from presim.condsim import (
 from presim.errors import ValidationError
 from presim.geometry import SiteGeometry
 from presim.preprocess import DiurnalModel, SeaLevelModel, TransformStack, VolatilitySeries
-from presim.spectrum import SpectralParams
+from presim.rng import STAGE_CONDSIM, STAGE_CONDSIM_HIGH, STAGE_SYNTH, substream
+from presim.spectrum import KnotSet, SpectralModel, SpectralParams
 from presim.whittle import (
     TWO_PI,
     FitResult,
-    forward_dft,
+    SpectralField,
     fourier_frequencies,
     inverse_dft,
-    onesided_indices,
 )
 
-from conftest import random_params
+from conftest import random_params, unconditional_sampler
 
 
 def fit_const(model, values, basis):
@@ -67,7 +65,7 @@ def make_setup(n_targets=1):
 
 
 def observed_field(model, params, setup, T, seed=0):
-    sampler = UnconditionalSampler(model, params, setup.observed, T)
+    sampler = unconditional_sampler(model, params, setup.observed, T)
     return sampler.draw(seed, 0)
 
 
@@ -106,7 +104,7 @@ def test_coincident_target_without_nugget_reproduces_observation(model):
     sampler = ConditionalSampler(model, params, setup, field)
     draw = sampler.draw(seed=2, member=0)
     om = fourier_frequencies(T)
-    for j in sampler.idx_low:
+    for j in sampler.plan.idx_low:
         if om[j] >= model.knots.omega0:  # coherence drops to 0 at the cutoff
             continue
         assert np.abs(draw.coeffs[j, 0] - field.coeffs[j, 0]) < 1e-8
@@ -134,9 +132,10 @@ def test_conditional_draw_deterministic(model):
     params = random_params(model, rng)
     setup = make_setup()
     field = observed_field(model, params, setup, T, seed=5)
-    d1 = conditional_draw(model, params, setup, field, seed=6, member=3)
-    d2 = conditional_draw(model, params, setup, field, seed=6, member=3)
-    d3 = conditional_draw(model, params, setup, field, seed=6, member=4)
+    sampler = ConditionalSampler(model, params, setup, field)
+    d1 = sampler.draw(seed=6, member=3)
+    d2 = ConditionalSampler(model, params, setup, field).draw(seed=6, member=3)
+    d3 = sampler.draw(seed=6, member=4)
     assert np.array_equal(d1.coeffs, d2.coeffs)
     assert not np.array_equal(d1.coeffs, d3.coeffs)
 
@@ -147,7 +146,7 @@ def test_conditional_draw_is_real_series(model):
     params = random_params(model, rng)
     setup = make_setup(2)
     field = observed_field(model, params, setup, T, seed=8)
-    draw = conditional_draw(model, params, setup, field, seed=9)
+    draw = ConditionalSampler(model, params, setup, field).draw(seed=9, member=0)
     A = inverse_dft(draw)  # raises if conjugate symmetry is broken
     assert A.shape == (2, T)
     assert np.all(np.isfinite(A))
@@ -161,22 +160,45 @@ def test_ridge_applied_on_singular_observed_block(model):
         target_elevations=[300.0],
     )
     params = nugget_free_params(model)
-    field = observed_field(model, params, setup, 24, seed=10)
+    T = 24
+    field = observed_field(model, params, setup, T, seed=10)
     sampler = ConditionalSampler(model, params, setup, field)
     assert len(sampler.ridge_frequencies) > 0
     draw = sampler.draw(seed=11, member=0)
     assert np.all(np.isfinite(draw.coeffs))
+
+    # the stacked build against the dense Schur complement, one frequency
+    # at a time, with the sampler's ridge at the frequencies it reports
+    plan = sampler.plan
+    f = model.cross_spectrum_stack(params, setup.combined, plan.omega_low)
+    for k, j in enumerate(plan.idx_low):
+        foo, fpo, fpp = f[k, :2, :2], f[k, 2:, :2], f[k, 2:, 2:]
+        if j in sampler.ridge_frequencies:
+            foo = foo + np.eye(2) * (1e-10 * np.trace(foo).real / 2)
+        B = np.linalg.solve(foo.T, fpo.T).T
+        cond = TWO_PI * T * (fpp - B @ fpo.conj().T)
+        L = sampler.chols[k]
+        tol = 1e-12 * np.abs(cond).max()
+        assert np.allclose(sampler.means[k], B @ field.coeffs[j], rtol=1e-12, atol=0)
+        assert np.allclose(L @ L.conj().T, cond, rtol=1e-12, atol=tol)
 
 
 # -- unconditional moments ------------------------------------------------
 
 
 def test_unconditional_periodogram_matches_spectrum(model, geometry3):
+    # zero observed sites: the conditional law is the unconditional one
     T, n_members = 128, 500
     rng = np.random.default_rng(12)
     params = random_params(model, rng, scale=0.3)
-    sampler = UnconditionalSampler(model, params, geometry3, T)
-    idx, _ = onesided_indices(T)
+    sampler = unconditional_sampler(model, params, geometry3, T)
+    assert sampler.setup.n_observed == 0
+    assert np.all(sampler.means == 0)
+    f = model.cross_spectrum_stack(params, geometry3, sampler.plan.omega_low)
+    chols = sampler.chols
+    assert np.allclose(chols @ np.conj(np.swapaxes(chols, 1, 2)), TWO_PI * T * f,
+                       rtol=1e-10, atol=0)
+    idx = sampler.plan.idx
     probes = idx[np.linspace(1, len(idx) - 2, 10).astype(int)]
     acc = np.zeros(len(probes))
     for k in range(n_members):
@@ -185,6 +207,53 @@ def test_unconditional_periodogram_matches_spectrum(model, geometry3):
     avg = acc / n_members
     S = model.eval_S(params, fourier_frequencies(T)[probes])
     assert np.max(np.abs(avg / (TWO_PI * T * S) - 1.0)) < 0.10
+
+
+def test_zero_site_substream_keys(model, geometry3):
+    # zero observed sites: low band keyed (stage, member, j), high band
+    # (STAGE_CONDSIM_HIGH, stage, member); conditioning drops the stage
+    # from the high-band key
+    T = 40
+    params = random_params(model, np.random.default_rng(30), scale=0.3)
+    sampler = unconditional_sampler(model, params, geometry3, T)
+    plan = sampler.plan
+    for stage in (STAGE_CONDSIM, STAGE_SYNTH):
+        coeffs = sampler.draw(seed=31, member=2, stage=stage).coeffs
+        j = plan.idx_low[3]
+        g = substream(31, stage, 2, j).standard_normal(6)
+        z = g[:3] + 1j * g[3:]
+        assert np.allclose(coeffs[j], sampler.chols[3] @ z / np.sqrt(2.0), rtol=1e-12)
+        zr = substream(31, STAGE_CONDSIM_HIGH, stage, 2).standard_normal((1, 3))
+        assert np.allclose(coeffs[plan.idx_high[0]].real * np.sqrt(2.0),
+                           sampler.sd_high[0] * zr[0], rtol=1e-12)
+
+    setup = make_setup()
+    field = observed_field(model, params, setup, T, seed=32)
+    cond = ConditionalSampler(model, params, setup, field)
+    coeffs = cond.draw(seed=31, member=2).coeffs
+    zr = substream(31, STAGE_CONDSIM_HIGH, 2).standard_normal((1, 1))
+    assert np.allclose(coeffs[plan.idx_high[0], 0].real * np.sqrt(2.0),
+                       cond.sd_high[0] * zr[0, 0], rtol=1e-12)
+
+
+def test_draw_with_cutoff_at_pi_has_no_high_band():
+    model = SpectralModel(KnotSet.default(4320))
+    T = 48
+    params = random_params(model, np.random.default_rng(33), scale=0.3)
+    setup = make_setup(2)
+    field = observed_field(model, params, setup, T, seed=34)
+    sampler = ConditionalSampler(model, params, setup, field)
+    assert len(sampler.plan.idx_high) == 0
+    assert len(sampler.plan.idx_low) == T // 2 + 1
+    A = inverse_dft(sampler.draw(seed=35, member=0))
+    assert A.shape == (2, T) and np.all(np.isfinite(A))
+
+
+def test_observed_field_must_match_setup(model):
+    setup = make_setup()
+    params = random_params(model, np.random.default_rng(36))
+    with pytest.raises(ValidationError, match="observed field"):
+        ConditionalSampler(model, params, setup, SpectralField(np.zeros((24, 0))))
 
 
 # -- ensembles ------------------------------------------------------------

@@ -106,3 +106,15 @@ def test_site_geometry_subset_and_combine():
     both = combine(sub, g.subset([1]))
     assert both.n_sites == 3
     assert both.distances[0, 2] == pytest.approx(g.distances[0, 1], abs=1e-12)
+
+
+def test_site_geometry_with_zero_sites():
+    empty = SiteGeometry(np.array([]), np.array([]))
+    assert empty.n_sites == 0
+    assert empty.distances.shape == (0, 0)
+    assert empty.displacements.shape == (0, 0, 2)
+    g = SiteGeometry(np.array([36.0, 36.5, 37.0]), np.array([-97.0, -96.5, -97.5]))
+    both = combine(empty, g)
+    assert np.array_equal(both.lats, g.lats)
+    assert np.array_equal(both.distances, g.distances)
+    assert np.array_equal(both.displacements, g.displacements)

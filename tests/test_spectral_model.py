@@ -11,10 +11,10 @@ from presim.spectrum import (
     KnotSet,
     SpectralModel,
     SpectralParams,
-    constrained_basis,
     matern32,
     params_from_json,
 )
+from presim.splines import ConstrainedBasis
 
 from conftest import random_params
 
@@ -80,11 +80,11 @@ def test_basis_spans_constants_when_allowed(model):
 
 def test_constrained_basis_bad_inputs():
     with pytest.raises(ConfigurationError):
-        constrained_basis("weird", [0.0, 1.0], [0])
+        ConstrainedBasis("weird", [0.0, 1.0], [0])
     with pytest.raises(ConfigurationError):
-        constrained_basis("even", [0.5, 1.0], [0])  # must start at 0
+        ConstrainedBasis("even", [0.5, 1.0], [0])  # must start at 0
     with pytest.raises(ConfigurationError):
-        constrained_basis("even", [0.0, 1.0, 1.0], [0])  # strictly increasing
+        ConstrainedBasis("even", [0.0, 1.0, 1.0], [0])  # strictly increasing
 
 
 # -- knot sets ------------------------------------------------------------

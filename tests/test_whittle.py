@@ -6,26 +6,23 @@ import pytest
 from presim.errors import ValidationError
 from presim.geometry import SiteGeometry
 from presim.rng import substream
-from presim.spectrum import SpectralParams
+from presim.spectrum import KNOT_UNIT, SpectralParams
 from presim.whittle import (
     TWO_PI,
     FitOptions,
     FitResult,
     WhittleObjective,
+    FrequencyPlan,
     fit_mle,
     forward_dft,
-    fourier_frequencies,
-    hessian_at,
     initial_params,
     inverse_dft,
     numeric_gradient,
     numeric_hessian,
-    onesided_indices,
     sample_params,
-    whittle_loglik,
 )
 
-from conftest import random_params
+from conftest import random_params, unconditional_sampler
 
 
 # -- DFT ------------------------------------------------------------------
@@ -106,12 +103,35 @@ def test_parseval_identity():
 
 
 def test_onesided_indices_weights():
-    idx, w = onesided_indices(8)
-    assert list(idx) == [0, 1, 2, 3, 4]
-    assert np.allclose(w, [0.5, 1, 1, 1, 0.5])
-    idx, w = onesided_indices(7)
-    assert list(idx) == [0, 1, 2, 3]
-    assert np.allclose(w, [0.5, 1, 1, 1])
+    plan = FrequencyPlan(8, np.pi)
+    assert list(plan.idx) == [0, 1, 2, 3, 4]
+    assert np.allclose(plan.weights, [0.5, 1, 1, 1, 0.5])
+    plan = FrequencyPlan(7, np.pi)
+    assert list(plan.idx) == [0, 1, 2, 3]
+    assert np.allclose(plan.weights, [0.5, 1, 1, 1])
+
+
+@pytest.mark.parametrize("T", [48, 49, 2880, 2881])
+@pytest.mark.parametrize("omega0_j", [1, 720, 4320])
+def test_frequency_plan_partitions_onesided_set(T, omega0_j):
+    plan = FrequencyPlan(T, omega0_j * KNOT_UNIT)
+    assert np.array_equal(
+        np.concatenate([plan.idx_low, plan.idx_high]), np.arange(T // 2 + 1)
+    )
+    assert np.all(plan.omega_high > omega0_j * KNOT_UNIT)
+    assert np.array_equal(np.concatenate([plan.w_low, plan.w_high]), plan.weights)
+    real = np.concatenate([plan.real_low, plan.real_high])
+    assert np.array_equal(real, plan.weights == 0.5)
+    assert list(np.flatnonzero(real)) == ([0, T // 2] if T % 2 == 0 else [0])
+
+
+def test_frequency_plan_cutoff_on_fourier_frequency_is_low():
+    # omega0_j = 720 is pi/6, which is Fourier index 240 of T = 2880
+    plan = FrequencyPlan(2880, 720 * KNOT_UNIT)
+    assert plan.idx_low[-1] == 240
+    assert plan.idx_high[0] == 241
+    # a cutoff at pi leaves the high band empty
+    assert len(FrequencyPlan(2880, 4320 * KNOT_UNIT).idx_high) == 0
 
 
 # -- likelihood -----------------------------------------------------------
@@ -125,12 +145,11 @@ def test_univariate_matches_scalar_formula(model):
     spec = forward_dft(A)
     p = random_params(model, rng)
 
-    idx, w = onesided_indices(T)
-    om = fourier_frequencies(T)[idx]
-    S = model.eval_S(p, om)
-    J = spec.coeffs[idx, 0]
-    expected = -np.sum(w * (np.log(S) + np.abs(J) ** 2 / (TWO_PI * T * S)))
-    assert whittle_loglik(model, p, spec, geo) == pytest.approx(expected, rel=1e-10)
+    plan = FrequencyPlan(T, model.knots.omega0)
+    S = model.eval_S(p, plan.omegas)
+    J = spec.coeffs[plan.idx, 0]
+    expected = -np.sum(plan.weights * (np.log(S) + np.abs(J) ** 2 / (TWO_PI * T * S)))
+    assert WhittleObjective(model, spec, geo).loglik(p) == pytest.approx(expected, rel=1e-10)
 
 
 def test_matches_naive_two_sided_sum(model, geometry3):
@@ -149,7 +168,7 @@ def test_matches_naive_two_sided_sum(model, geometry3):
         sign, logdet = np.linalg.slogdet(f[k])
         quad = (np.conj(Jk) @ np.linalg.solve(f[k], Jk)).real
         total += -0.5 * (logdet + quad / (TWO_PI * T))
-    assert whittle_loglik(model, p, spec, geometry3) == pytest.approx(total, rel=1e-9)
+    assert WhittleObjective(model, spec, geometry3).loglik(p) == pytest.approx(total, rel=1e-9)
 
 
 def test_scale_identity(model, geometry3):
@@ -165,9 +184,9 @@ def test_scale_identity(model, geometry3):
     p2 = SpectralParams(p.s_coeffs + c_log2, p.beta_coeffs, p.delta_coeffs,
                         p.theta_coeffs, p.u_angle)
 
-    ll_doubled = whittle_loglik(model, p2, forward_dft(A), geometry3)
-    ll_scaled = whittle_loglik(model, p, forward_dft(A / np.sqrt(2.0)), geometry3)
-    _, w = onesided_indices(T)
+    ll_doubled = WhittleObjective(model, forward_dft(A), geometry3).loglik(p2)
+    ll_scaled = WhittleObjective(model, forward_dft(A / np.sqrt(2.0)), geometry3).loglik(p)
+    w = FrequencyPlan(T, model.knots.omega0).weights
     assert ll_doubled == pytest.approx(ll_scaled - 3 * w.sum() * np.log(2.0), rel=1e-9)
 
 
@@ -179,10 +198,10 @@ def test_station_permutation_invariance(model):
     A = 0.01 * rng.standard_normal((4, T))
     p = random_params(model, rng)
     perm = np.array([2, 0, 3, 1])
-    ll1 = whittle_loglik(model, p, forward_dft(A), SiteGeometry(lats, lons))
-    ll2 = whittle_loglik(
-        model, p, forward_dft(A[perm]), SiteGeometry(lats[perm], lons[perm])
-    )
+    ll1 = WhittleObjective(model, forward_dft(A), SiteGeometry(lats, lons)).loglik(p)
+    ll2 = WhittleObjective(
+        model, forward_dft(A[perm]), SiteGeometry(lats[perm], lons[perm])
+    ).loglik(p)
     assert ll1 == pytest.approx(ll2, rel=1e-9)
 
 
@@ -192,13 +211,14 @@ def test_symmetry_invariances_on_loglik(model, geometry3):
     A = 0.01 * rng.standard_normal((3, T))
     spec = forward_dft(A)
     p = random_params(model, rng)
-    ll = whittle_loglik(model, p, spec, geometry3)
+    obj = WhittleObjective(model, spec, geometry3)
+    ll = obj.loglik(p)
     flip_delta = SpectralParams(p.s_coeffs, p.beta_coeffs, -p.delta_coeffs,
                                 p.theta_coeffs, p.u_angle)
     flip_theta = SpectralParams(p.s_coeffs, p.beta_coeffs, p.delta_coeffs,
                                 -p.theta_coeffs, p.u_angle + np.pi)
-    assert abs(whittle_loglik(model, flip_delta, spec, geometry3) - ll) < 1e-8
-    assert abs(whittle_loglik(model, flip_theta, spec, geometry3) - ll) < 1e-8
+    assert abs(obj.loglik(flip_delta) - ll) < 1e-8
+    assert abs(obj.loglik(flip_theta) - ll) < 1e-8
 
 
 def test_singular_spectral_matrix_names_frequency(model):
@@ -220,7 +240,7 @@ def test_singular_spectral_matrix_names_frequency(model):
     rng = np.random.default_rng(10)
     spec = forward_dft(0.01 * rng.standard_normal((2, 24)))
     with pytest.raises(ValidationError, match="frequency"):
-        whittle_loglik(model, p, spec, geo)
+        WhittleObjective(model, spec, geo).loglik(p)
 
 
 # -- derivatives ----------------------------------------------------------
@@ -252,7 +272,8 @@ def test_hessian_at_is_symmetric(model, geometry3):
     T = 40
     A = 0.01 * rng.standard_normal((3, T))
     p = random_params(model, rng, scale=0.1)
-    H = hessian_at(model, p, forward_dft(A), geometry3)
+    obj = WhittleObjective(model, forward_dft(A), geometry3)
+    H = numeric_hessian(lambda x: -obj.loglik_vec(x), p.pack())
     assert H.shape == (model.n_params, model.n_params)
     assert np.max(np.abs(H - H.T)) < 1e-8
 
@@ -261,11 +282,9 @@ def test_hessian_at_is_symmetric(model, geometry3):
 
 
 def make_synthetic_field(model, geometry, T, seed, scale=0.3):
-    from presim.condsim import UnconditionalSampler
-
     rng = np.random.default_rng(seed)
     truth = random_params(model, rng, scale=scale)
-    sampler = UnconditionalSampler(model, truth, geometry, T)
+    sampler = unconditional_sampler(model, truth, geometry, T)
     A = inverse_dft(sampler.draw(seed, 0))
     return truth, forward_dft(A)
 
@@ -302,7 +321,7 @@ def test_initial_params_give_finite_loglik(model, geometry3):
     A = 0.01 * rng.standard_normal((3, 600))
     spec = forward_dft(A)
     init = initial_params(model, spec, geometry3)
-    assert np.isfinite(whittle_loglik(model, init, spec, geometry3))
+    assert np.isfinite(WhittleObjective(model, spec, geometry3).loglik(init))
 
 
 def test_fit_result_json_round_trip(model, geometry3):
