@@ -108,14 +108,18 @@ class ConditionalSampler:
         foo, fpo, fpp = f[:, :n, :n], f[:, n:, :n], f[:, n:, n:]
         try:
             np.linalg.cholesky(foo)
+            B = _mT(np.linalg.solve(_mT(foo), _mT(fpo)))
         except np.linalg.LinAlgError:
+            # ridge where the Cholesky fails, and where rounding lets the
+            # Cholesky of an exactly singular block pass but not the solve
             for k in range(len(foo)):
                 try:
                     np.linalg.cholesky(foo[k])
+                    np.linalg.solve(_mT(foo[k]), _mT(fpo[k]))
                 except np.linalg.LinAlgError:
                     foo[k] = foo[k] + np.eye(n) * (RIDGE_REL * np.trace(foo[k]).real / n)
                     self.ridge_frequencies.append(int(plan.idx_low[k]))
-        B = _mT(np.linalg.solve(_mT(foo), _mT(fpo)))
+            B = _mT(np.linalg.solve(_mT(foo), _mT(fpo)))
         J_o = observed_field.coeffs[plan.idx_low]
         self.means = (B @ J_o[..., None])[..., 0]
         cond = fpp - B @ _mT(fpo).conj()
@@ -231,7 +235,10 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
 
     mean_draws is a (count, m) array of simulated monthly mean pressures
     (kPa at target elevations) from the mean-field module, one row per
-    member. With vary_params off, every member reuses the MLE.
+    member. With vary_params off, every member reuses the MLE. The
+    provenance records the fallbacks taken: whether the Hessian was
+    floored for the parameter draws, and the number of ridged frequencies
+    summed over all sampler builds.
     """
     mean_draws = np.atleast_2d(np.asarray(mean_draws, dtype=float))
     if mean_draws.shape != (count, setup.n_targets):
@@ -239,13 +246,16 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
 
     if vary_params:
         draws = sample_params(model, fit, count, seed)
+        ridged = 0
     else:
         sampler = ConditionalSampler(model, fit.params_hat, setup, observed_field)
+        ridged = len(sampler.ridge_frequencies)
 
     members = []
     for k in range(count):
         if vary_params:
             sampler = ConditionalSampler(model, draws[k], setup, observed_field)
+            ridged += len(sampler.ridge_frequencies)
         field = sampler.draw(seed, k)
         sim_A = inverse_dft(field)
         pressure = invert_stack(sim_A, stack, setup.target_elevations, mean_draws[k])
@@ -265,6 +275,8 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
             "fit_hash": fit_hash(fit),
             "observed_geometry_hash": geometry_hash(setup.observed),
             "vary_params": vary_params,
+            "hessian_floored": fit.hessian_floored,
+            "ridge_frequencies": ridged,
         },
     )
 

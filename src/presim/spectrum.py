@@ -150,6 +150,26 @@ class SpectralParams:
         )
 
 
+@dataclass(frozen=True)
+class CrossSpectrumTerms:
+    """f = S (1 - sig) I + S sig C o phase at K frequencies, with its factors.
+
+    Per frequency: S, sig = S1 / S, the signed delta and theta splines.
+    Per frequency and site pair: r = d / |delta| (0 where the coherence is
+    0), the Matern correlation C, the phase exp(i u.(x_j - x_k) theta) and
+    the matrix f itself.
+    """
+
+    S: np.ndarray
+    sig: np.ndarray
+    delta: np.ndarray
+    theta: np.ndarray
+    r: np.ndarray
+    C: np.ndarray
+    phase: np.ndarray
+    f: np.ndarray
+
+
 def matern32(r):
     """Matern correlation with smoothness 3/2: exp(-r) * (1 + r)."""
     r = np.asarray(r, dtype=float)
@@ -231,38 +251,52 @@ class SpectralModel:
     def split_S(self, params: SpectralParams, omega):
         """Logistic split of the marginal spectrum into (S0, S1).
 
-        S0 = S / (1 + exp(beta)), S1 = S - S0 exactly. Beyond the cutoff
+        S1 = S logistic(beta), S0 = S - S1 exactly. Beyond the cutoff
         the split is irrelevant (coherence is 0); all power is returned in
         the diagonal S0 term there.
         """
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
         S = self.eval_S(params, omega)
-        beta = self.eval_beta(params, omega)
+        S1 = S * self._coherent_share(self.eval_beta(params, omega), omega)
+        return S - S1, S1
+
+    def _coherent_share(self, beta, omega):
+        """S1 / S = logistic(beta), and 0 beyond the cutoff."""
         # logistic(beta) from one exponential that cannot overflow
         e = np.exp(-np.abs(beta))
         sig = np.where(beta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        S1 = S * sig
-        S0 = S - S1
-        beyond = np.abs(omega) > self.knots.omega0
-        S0 = np.where(beyond, S, S0)
-        S1 = np.where(beyond, 0.0, S1)
-        return S0, S1
+        return np.where(np.abs(omega) > self.knots.omega0, 0.0, sig)
 
     # -- matrix assembly -------------------------------------------------
 
-    def cross_spectrum_stack(self, params: SpectralParams, geometry: SiteGeometry,
-                             omegas) -> np.ndarray:
-        """Stack of n x n Hermitian cross-spectral matrices, one per frequency."""
+    def designs(self, omegas) -> tuple:
+        """Design matrices of the S, beta, delta and theta bases at `omegas`."""
+        return tuple(
+            b.design(omegas)
+            for b in (self.basis_S, self.basis_beta, self.basis_delta, self.basis_theta)
+        )
+
+    def cross_spectrum_terms(self, params: SpectralParams, geometry: SiteGeometry,
+                             omegas, designs=None) -> CrossSpectrumTerms:
+        """The stack of cross-spectral matrices with the factors it is built from.
+
+        `designs` are the matrices of `designs(omegas)`; callers that
+        evaluate the same frequencies repeatedly pass them in once computed.
+        """
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+        B_S, B_beta, B_delta, B_theta = designs or self.designs(omegas)
         n = geometry.n_sites
-        S0, S1 = self.split_S(params, omegas)
-        delta = np.abs(self.eval_delta(params, omegas))
-        theta = self.eval_theta(params, omegas)
+        S = np.exp(B_S @ params.s_coeffs)
+        sig = self._coherent_share(B_beta @ params.beta_coeffs, omegas)
+        S1 = S * sig
+        S0 = S - S1
+        delta = B_delta @ params.delta_coeffs
+        theta = B_theta @ params.theta_coeffs
         d = geometry.distances
         ux = geometry.displacements @ params.u
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = d[None, :, :] / delta[:, None, None]
+            r = d[None, :, :] / np.abs(delta)[:, None, None]
         # delta == 0: zero coherence at d > 0, full correlation at d = 0
         r = np.where(np.isfinite(r), r, np.inf)
         np.einsum("kii->ki", r)[:] = 0.0
@@ -274,7 +308,13 @@ class SpectralModel:
         phase = np.exp(1j * ux[None, :, :] * theta[:, None, None])
         f = S1[:, None, None] * C * phase
         f = f + S0[:, None, None] * np.eye(n)[None, :, :]
-        return f
+        return CrossSpectrumTerms(S=S, sig=sig, delta=delta, theta=theta,
+                                  r=r_fin, C=C, phase=phase, f=f)
+
+    def cross_spectrum_stack(self, params: SpectralParams, geometry: SiteGeometry,
+                             omegas) -> np.ndarray:
+        """Stack of n x n Hermitian cross-spectral matrices, one per frequency."""
+        return self.cross_spectrum_terms(params, geometry, omegas).f
 
     def cross_spectrum(self, params: SpectralParams, geometry: SiteGeometry,
                        omega: float) -> np.ndarray:

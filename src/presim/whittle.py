@@ -105,12 +105,12 @@ class FrequencyPlan:
 
 
 class WhittleObjective:
-    """Whittle log-likelihood for a fixed data field and geometry.
+    """Whittle log-likelihood and its score for a fixed data field and geometry.
 
-    Precomputes the frequency plan at construction so repeated
-    evaluations during optimization stay cheap. Evaluations accumulate in
-    a fixed frequency order, so results are independent of any outer
-    parallelism.
+    Precomputes the frequency plan and the spline design matrices at its
+    frequencies at construction, so repeated evaluations during
+    optimization stay cheap. Evaluations accumulate in a fixed frequency
+    order, so results are independent of any outer parallelism.
     """
 
     def __init__(self, model: SpectralModel, spec: SpectralField, geometry: SiteGeometry):
@@ -125,71 +125,105 @@ class WhittleObjective:
         self.plan = FrequencyPlan(self.T, model.knots.omega0)
         self.J_low = spec.coeffs[self.plan.idx_low]  # K x n
         self.Q_high = np.sum(np.abs(spec.coeffs[self.plan.idx_high]) ** 2, axis=1)
+        self.designs_low = model.designs(self.plan.omega_low)
+        self.design_S_high = model.basis_S.design(self.plan.omega_high)
+        # right-hand sides [J | I] of the one solve that also gives f^{-1}
+        eye = np.broadcast_to(np.eye(self.n), (len(self.J_low), self.n, self.n))
+        self._rhs = np.concatenate([self.J_low[..., None], eye], axis=-1)
+        d = geometry.distances
+        self._inv_d = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
 
-    def loglik(self, params: SpectralParams) -> float:
-        m, plan = self.model, self.plan
+    def loglik(self, params: SpectralParams, score: bool = False):
+        """Log-likelihood at `params`; with score=True, (log-likelihood, score).
+
+        The score is the gradient in the order of `SpectralParams.pack`:
+        d ll / d a = -sum_k w_k Re tr(G_k d_a f_k) with
+        G_k = f_k^{-1} - x_k x_k^* / (2 pi T) and x_k = f_k^{-1} J_k, plus
+        the diagonal band's -sum_k w_k dlogS_k/da (n - Q_k / (2 pi T S_k)).
+        """
+        plan, n = self.plan, self.n
         scale = TWO_PI * self.T
 
-        f = m.cross_spectrum_stack(params, self.geometry, plan.omega_low)
+        t = self.model.cross_spectrum_terms(params, self.geometry, plan.omega_low,
+                                            self.designs_low)
+        rhs = self._rhs if score else self.J_low[..., None]
         try:
-            L = np.linalg.cholesky(f)
+            L = np.linalg.cholesky(t.f)
+            sol = np.linalg.solve(t.f, rhs)
         except np.linalg.LinAlgError:
+            # rounding can let the Cholesky of an exactly singular f pass
             for k, om in enumerate(plan.omega_low):
                 try:
-                    np.linalg.cholesky(f[k])
+                    np.linalg.cholesky(t.f[k])
+                    np.linalg.solve(t.f[k], rhs[k])
                 except np.linalg.LinAlgError:
                     raise ValidationError(
                         f"singular spectral matrix at frequency {om:.6f}"
                     ) from None
             raise
         logdet = 2.0 * np.sum(np.log(np.einsum("kii->ki", L).real), axis=1)
-        x = np.linalg.solve(f, self.J_low[..., None])[..., 0]
+        x = sol[..., 0]
         quad = np.einsum("ki,ki->k", np.conj(self.J_low), x).real
         ll = -np.sum(plan.w_low * (logdet + quad / scale))
 
-        S_high = m.eval_S(params, plan.omega_high)
-        ll -= np.sum(
-            plan.w_high * (self.n * np.log(S_high) + self.Q_high / (scale * S_high))
-        )
-        return float(ll)
+        S_high = np.exp(self.design_S_high @ params.s_coeffs)
+        ll -= np.sum(plan.w_high * (n * np.log(S_high) + self.Q_high / (scale * S_high)))
+        if not score:
+            return float(ll)
 
-    def loglik_vec(self, vec) -> float:
-        return self.loglik(self.model.unpack(vec))
+        G = sol[..., 1:] - x[:, :, None] * np.conj(x)[:, None, :] / scale
+        M = np.conj(G) * t.phase  # Re tr(G D) = Re sum(conj(G) o D) for Hermitian D
+        CMi = t.C * M.imag
+        S1 = t.S * t.sig
+        disp = self.geometry.displacements
+        U = disp @ params.u
+        U_perp = disp @ np.array([-np.sin(params.u_angle), np.cos(params.u_angle)])
+        # dC/d|delta| = r^2 e^{-r} / |delta| = (r e^{-r/3})^3 / d, bounded for every r
+        dC = (t.r * np.exp(-t.r / 3.0)) ** 3 * self._inv_d
+
+        # per frequency, Re tr(G df/da) along log S, beta, delta, theta, u angle
+        tr_S = n - quad / scale  # tr(G f)
+        tr_high = n - self.Q_high / (scale * S_high)
+        tr_beta = S1 * (1.0 - t.sig) * (
+            np.sum(t.C * M.real, axis=(1, 2)) - np.einsum("kii->k", G).real
+        )
+        tr_delta = S1 * np.sign(t.delta) * np.sum(dC * M.real, axis=(1, 2))
+        tr_theta = -S1 * np.sum(U * CMi, axis=(1, 2))
+        tr_u = -t.theta * S1 * np.sum(U_perp * CMi, axis=(1, 2))
+
+        w = plan.w_low
+        B_S, B_beta, B_delta, B_theta = self.designs_low
+        grad = -np.concatenate([
+            B_S.T @ (w * tr_S) + self.design_S_high.T @ (plan.w_high * tr_high),
+            B_beta.T @ (w * tr_beta),
+            B_delta.T @ (w * tr_delta),
+            B_theta.T @ (w * tr_theta),
+            [np.sum(w * tr_u)],
+        ])
+        return float(ll), grad
+
+    def loglik_vec(self, vec, score: bool = False):
+        return self.loglik(self.model.unpack(vec), score=score)
 
 
 # -- numerical derivatives ----------------------------------------------
 
 
 def numeric_gradient(fun, x, rel_step: float = 1e-5) -> np.ndarray:
+    """Central differences of `fun` at `x` with a per-coordinate relative step.
+
+    For a scalar `fun` this is its gradient; for a vector-valued one, row
+    i holds the derivatives of every output with respect to x[i].
+    """
     x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
+    rows = []
     for i in range(len(x)):
         h = rel_step * max(1.0, abs(x[i]))
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        g[i] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return g
-
-
-def numeric_hessian(fun, x, rel_step: float = 1e-4) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    p = len(x)
-    h = rel_step * np.maximum(1.0, np.abs(x))
-    H = np.empty((p, p))
-    f0 = fun(x)
-    for i in range(p):
-        ei = np.zeros(p)
-        ei[i] = h[i]
-        H[i, i] = (fun(x + ei) - 2.0 * f0 + fun(x - ei)) / h[i] ** 2
-        for jj in range(i + 1, p):
-            ej = np.zeros(p)
-            ej[jj] = h[jj]
-            H[i, jj] = (
-                fun(x + ei + ej) - fun(x + ei - ej) - fun(x - ei + ej) + fun(x - ei - ej)
-            ) / (4.0 * h[i] * h[jj])
-    H = np.triu(H) + np.triu(H, 1).T
-    return 0.5 * (H + H.T)
+        rows.append((np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2.0 * h))
+    return np.array(rows)
 
 
 # -- fitting -------------------------------------------------------------
@@ -199,7 +233,6 @@ def numeric_hessian(fun, x, rel_step: float = 1e-4) -> np.ndarray:
 class FitOptions:
     max_iter: int = 500
     gtol: float = 1e-3
-    grad_rel_step: float = 1e-5
 
 
 @dataclass
@@ -248,9 +281,9 @@ def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
             compute_hessian: bool = True) -> FitResult:
     """Maximize the Whittle likelihood by quasi-Newton ascent.
 
-    Gradients are central differences with a per-coordinate relative step;
-    the returned Hessian is of the negative log-likelihood at the optimum.
-    Deterministic given inputs.
+    BFGS gets the analytic score with every value. The returned Hessian
+    is of the negative log-likelihood at the optimum: central differences
+    of the score, symmetrized. Deterministic given inputs.
     """
     options = options or FitOptions()
     obj = WhittleObjective(model, spec, geometry)
@@ -261,35 +294,35 @@ def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
 
     def neg(x):
         try:
-            return -obj.loglik_vec(x)
+            ll, score = obj.loglik_vec(x, score=True)
         except ValidationError:
-            return np.inf
-
-    def neg_grad(x):
-        return numeric_gradient(neg, x, rel_step=options.grad_rel_step)
+            return np.inf, np.full(len(x), np.nan)
+        return -ll, -score
 
     res = minimize(
-        neg, x0, jac=neg_grad, method="BFGS",
+        neg, x0, jac=True, method="BFGS",
         options={"maxiter": options.max_iter, "gtol": options.gtol},
     )
-    best = res.x if -res.fun >= f0 else x0
-    params_hat = model.unpack(best)
-    loglik = obj.loglik_vec(best)
+    improved = -res.fun >= f0
+    best = res.x if improved else x0
     convergence = {
         "status": "converged" if res.success else "max_iter_or_stalled",
         "iterations": int(res.nit),
+        "function_evals": int(res.nfev),
+        "gradient_evals": int(res.njev),
         "grad_inf_norm": float(np.max(np.abs(res.jac))) if res.jac is not None else float("nan"),
         "message": str(res.message),
     }
     if compute_hessian:
-        H = numeric_hessian(neg, best)
+        H = numeric_gradient(lambda x: neg(x)[1], best)
+        H = 0.5 * (H + H.T)
         min_eig = float(np.linalg.eigvalsh(H).min())
     else:
         H = np.full((model.n_params, model.n_params), np.nan)
         min_eig = float("nan")
     return FitResult(
-        params_hat=params_hat,
-        loglik=loglik,
+        params_hat=model.unpack(best),
+        loglik=float(-res.fun) if improved else f0,
         hessian=H,
         convergence=convergence,
         knots=model.knots,

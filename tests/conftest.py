@@ -33,6 +33,27 @@ def rand_params():
     return random_params
 
 
+def numeric_hessian(fun, x, rel_step: float = 1e-4) -> np.ndarray:
+    """Second central differences of a scalar `fun`: the oracle for Hessians."""
+    x = np.asarray(x, dtype=float)
+    p = len(x)
+    h = rel_step * np.maximum(1.0, np.abs(x))
+    H = np.empty((p, p))
+    f0 = fun(x)
+    for i in range(p):
+        ei = np.zeros(p)
+        ei[i] = h[i]
+        H[i, i] = (fun(x + ei) - 2.0 * f0 + fun(x - ei)) / h[i] ** 2
+        for jj in range(i + 1, p):
+            ej = np.zeros(p)
+            ej[jj] = h[jj]
+            H[i, jj] = (
+                fun(x + ei + ej) - fun(x + ei - ej) - fun(x - ei + ej) + fun(x - ei - ej)
+            ) / (4.0 * h[i] * h[jj])
+    H = np.triu(H) + np.triu(H, 1).T
+    return 0.5 * (H + H.T)
+
+
 def unconditional_sampler(model, params, geometry, T):
     """Sampler of the full field at `geometry`, conditioned on zero sites."""
     setup = PredictionSetup(

@@ -25,6 +25,7 @@ from presim.whittle import (
     SpectralField,
     fourier_frequencies,
     inverse_dft,
+    sample_params,
 )
 
 from conftest import random_params, unconditional_sampler
@@ -306,6 +307,42 @@ def test_run_ensemble_vary_params_ids(model):
                        field, np.full((3, 1), 97.0), count=3,
                        vary_params=True, seed=19)
     assert [m.param_draw_id for m in ens.members] == [0, 1, 2]
+
+
+def test_run_ensemble_records_fallbacks(model, tmp_path):
+    # coincident observed sites without a nugget make every build ridge
+    # (in some draws the Cholesky of the singular block passes and only
+    # the solve fails); an indefinite Hessian, here in the harmless u-angle
+    # direction, is floored
+    obs = SiteGeometry(np.array([36.2, 36.2]), np.array([-97.2, -97.2]))
+    setup = PredictionSetup(
+        observed=obs, target_lats=[36.4], target_lons=[-97.0],
+        target_elevations=[300.0], target_ids=("P0",),
+    )
+    params = nugget_free_params(model)
+    T = 24
+    field = observed_field(model, params, setup, T, seed=10)
+    args = (tiny_stack(T, 1), setup, field, np.full((3, 1), 97.0))
+
+    fit = make_fit(model, params)
+    ens = run_ensemble(model, fit, *args, count=3, vary_params=False, seed=27)
+    per_build = len(ConditionalSampler(model, params, setup, field).ridge_frequencies)
+    assert per_build > 0
+    assert ens.provenance["ridge_frequencies"] == per_build
+    assert ens.provenance["hessian_floored"] is False
+
+    fit.hessian[-1, -1] = -1.0
+    ens = run_ensemble(model, fit, *args, count=3, vary_params=True, seed=27)
+    ridged = sum(
+        len(ConditionalSampler(model, p, setup, field).ridge_frequencies)
+        for p in sample_params(model, fit, 3, 27)
+    )
+    assert ridged > 0
+    assert ens.provenance["ridge_frequencies"] == ridged
+    assert ens.provenance["hessian_floored"] is True
+    manifest = json.loads(write_ensemble(ens, tmp_path / "ens").read_text())
+    assert manifest["provenance"]["ridge_frequencies"] == ridged
+    assert manifest["provenance"]["hessian_floored"] is True
 
 
 def test_run_ensemble_mean_draw_shape_checked(model):

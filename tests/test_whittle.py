@@ -6,7 +6,7 @@ import pytest
 from presim.errors import ValidationError
 from presim.geometry import SiteGeometry
 from presim.rng import substream
-from presim.spectrum import KNOT_UNIT, SpectralParams
+from presim.spectrum import KNOT_UNIT, KnotSet, SpectralModel, SpectralParams
 from presim.whittle import (
     TWO_PI,
     FitOptions,
@@ -18,11 +18,10 @@ from presim.whittle import (
     initial_params,
     inverse_dft,
     numeric_gradient,
-    numeric_hessian,
     sample_params,
 )
 
-from conftest import random_params, unconditional_sampler
+from conftest import numeric_hessian, random_params, unconditional_sampler
 
 
 # -- DFT ------------------------------------------------------------------
@@ -242,6 +241,19 @@ def test_singular_spectral_matrix_names_frequency(model):
     with pytest.raises(ValidationError, match="frequency"):
         WhittleObjective(model, spec, geo).loglik(p)
 
+    # at some levels of S rounding lets the Cholesky of a singular matrix
+    # pass and only the solve fail; that must be named the same way
+    obj = WhittleObjective(model, spec, geo)
+    G_S = model.basis_S.design(np.linspace(0, np.pi, 50))
+    for level in np.linspace(0.05, 3.0, 60):
+        c_S, *_ = np.linalg.lstsq(G_S, np.full(50, level), rcond=None)
+        q = SpectralParams(c_S, c_beta, c_delta, p.theta_coeffs, p.u_angle)
+        for score in (False, True):
+            try:
+                obj.loglik(q, score=score)
+            except ValidationError as err:
+                assert "frequency" in str(err)
+
 
 # -- derivatives ----------------------------------------------------------
 
@@ -265,6 +277,56 @@ def test_numeric_hessian_on_quadratic():
     H = numeric_hessian(fun, rng.standard_normal(6))
     assert np.allclose(H, Q, rtol=1e-5, atol=1e-6)
     assert np.max(np.abs(H - H.T)) < 1e-8
+
+
+def test_numeric_gradient_of_vector_function():
+    rng = np.random.default_rng(30)
+    A = rng.standard_normal((4, 3))
+    jac = numeric_gradient(lambda x: A @ x + np.sin(x[0]), np.array([0.3, -1.2, 2.0]))
+    expected = A.T.copy()
+    expected[0] += np.cos(0.3)
+    assert jac.shape == (3, 4)
+    assert np.allclose(jac, expected, rtol=1e-8, atol=1e-9)
+
+
+def score_case_params(model, rng, delta_kind):
+    """Random parameters with nonzero theta and an arbitrary u angle.
+
+    delta_kind "mixed" makes the delta spline change sign in the coherent
+    band, "zero" takes the zero-coherence path at every d > 0, and "tiny"
+    puts r = d / |delta| near 1e200, where r^2 alone would overflow.
+    """
+    vec = rng.normal(scale=0.4, size=model.n_params)
+    d = model.dimensions
+    i0 = d["s"] + d["beta"]
+    scale = {"mixed": 30.0, "zero": 0.0, "tiny": 1e-200}[delta_kind]
+    vec[i0:i0 + d["delta"]] = scale * rng.standard_normal(d["delta"])
+    vec[-1] = rng.uniform(0.0, TWO_PI)
+    return vec
+
+
+@pytest.mark.parametrize(
+    "omega0_j, T, delta_kind",
+    [(720, 64, "mixed"), (720, 65, "mixed"), (720, 64, "zero"), (720, 65, "tiny"),
+     (4320, 64, "mixed"), (4320, 65, "zero")],
+)
+def test_score_matches_numeric_gradient(geometry3, omega0_j, T, delta_kind):
+    # omega0_j = 4320 puts the cutoff at pi: the diagonal band is empty
+    model = SpectralModel(KnotSet.default(omega0_j))
+    rng = np.random.default_rng(31 + T + omega0_j)
+    obj = WhittleObjective(model, forward_dft(rng.standard_normal((3, T))), geometry3)
+    vec = score_case_params(model, rng, delta_kind)
+    theta = model.eval_theta(model.unpack(vec), obj.plan.omega_low)
+    assert np.abs(theta).max() > 0
+    if delta_kind == "mixed":
+        delta = model.eval_delta(model.unpack(vec), obj.plan.omega_low)
+        assert delta.min() < 0 < delta.max()
+    assert (len(obj.plan.idx_high) == 0) == (omega0_j == 4320)
+
+    ll, score = obj.loglik_vec(vec, score=True)
+    assert ll == obj.loglik_vec(vec)
+    oracle = numeric_gradient(obj.loglik_vec, vec)
+    np.testing.assert_allclose(score, oracle, rtol=1e-6, atol=1e-7 * np.abs(oracle).max())
 
 
 def test_hessian_at_is_symmetric(model, geometry3):
@@ -306,6 +368,36 @@ def test_fit_is_deterministic(model, geometry3):
                  FitOptions(max_iter=10), compute_hessian=False)
     assert np.array_equal(f1.params_hat.pack(), f2.params_hat.pack())
     assert f1.loglik == f2.loglik
+
+
+def test_fit_hessian_matches_numeric_hessian(model, geometry3):
+    truth, spec = make_synthetic_field(model, geometry3, 96, seed=19)
+    fit = fit_mle(model, truth, spec, geometry3)
+    assert fit.convergence["status"] == "converged"
+    obj = WhittleObjective(model, spec, geometry3)
+    oracle = numeric_hessian(lambda x: -obj.loglik_vec(x), fit.params_hat.pack())
+    assert np.array_equal(fit.hessian, fit.hessian.T)
+    np.testing.assert_allclose(fit.hessian, oracle, rtol=1e-5, atol=1e-5 * np.abs(oracle).max())
+
+
+def test_fit_takes_the_analytic_score(model, geometry3, monkeypatch):
+    # a fit that differenced the likelihood would evaluate it 2 * n_params
+    # times per gradient; with the score it is about once per BFGS step
+    calls = []
+    loglik = WhittleObjective.loglik
+
+    def counted(self, params, score=False):
+        calls.append(score)
+        return loglik(self, params, score=score)
+
+    monkeypatch.setattr(WhittleObjective, "loglik", counted)
+    truth, spec = make_synthetic_field(model, geometry3, 96, seed=20)
+    fit = fit_mle(model, truth, spec, geometry3, FitOptions(max_iter=5))
+    conv = fit.convergence
+    assert conv["iterations"] == 5
+    assert 0 < conv["function_evals"] < len(calls)
+    assert 0 < conv["gradient_evals"] < len(calls)
+    assert len(calls) <= 3 * (conv["iterations"] + 1) + 2 * model.n_params
 
 
 def test_fit_rejects_nonfinite_start(model, geometry3):
