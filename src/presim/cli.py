@@ -1,14 +1,16 @@
 """Config-driven pipeline orchestration.
 
 Subcommands: fit, simulate, evaluate, synth. Each stage reads/writes
-serialized artifacts (fit report JSON, ensemble CSV directory, metrics
-JSON), so a run can resume from any stage. Exit code 0 on success;
+serialized artifacts (fit report JSON, ensemble directory of
+`manifest.json` and `pressure.npy`, metrics JSON), so a run can resume
+from any stage. Exit code 0 on success;
 failures exit nonzero with a stage-tagged diagnostic on stderr.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import condsim, meanfield, synth, verify
 from .config import RunConfig
-from .errors import PresimError, ValidationError
+from .errors import FormatError, PresimError, ValidationError
 from .geometry import SiteGeometry
 from .ingest import assemble_grid, block_average, fill_missing, load_observations, load_stations
 from .preprocess import TransformStack, apply_stack, difference, fit_stack, to_sea_level
@@ -146,40 +148,57 @@ def cmd_simulate(config: RunConfig, fit_report_path, out_dir) -> Path:
     return out
 
 
-def _read_ensemble_dir(ensemble_dir, target_ids):
+def _split_grid(grid, ids):
+    """The rows of `grid` whose station id is in `ids`, in grid order."""
+    wanted = set(ids)
+    keep = [i for i, s in enumerate(grid.stations) if s.id in wanted]
+    return replace(grid, stations=[grid.stations[i] for i in keep], values=grid.values[keep])
+
+
+def _read_ensemble(ensemble_dir, target_ids):
+    """Per target id, the (members, T+1) pressure rows of an ensemble directory."""
     out = Path(ensemble_dir)
     manifest = json.loads((out / "manifest.json").read_text())
-    members = []
-    for k in range(manifest["n_members"]):
-        path = out / f"member_{k:03d}.csv"
-        rows = {}
-        import csv as _csv
-
-        with open(path, newline="") as fh:
-            for row in _csv.DictReader(fh):
-                rows.setdefault(row["site_id"], []).append(float(row["pressure_kPa"]))
-        members.append(np.array([rows[t] for t in target_ids]))
-    return manifest, np.stack(members)  # (K, m, T+1)
+    path = out / "pressure.npy"
+    try:
+        pressure = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:  # truncated, corrupt or pickled
+        raise FormatError(f"{path}: not a readable .npy array ({exc})") from exc
+    if pressure.ndim != 3:
+        raise FormatError(f"{path}: shape {pressure.shape} is not (members, targets, times)")
+    ids = manifest["target_ids"]
+    if pressure.shape[:2] != (manifest["n_members"], len(ids)):
+        raise ValidationError(
+            f"{path}: shape {pressure.shape} does not match the manifest's "
+            f"{manifest['n_members']} members and {len(ids)} targets"
+        )
+    missing = [t for t in target_ids if t not in ids]
+    if missing:
+        raise ValidationError(f"held-out ids not in the ensemble: {missing}")
+    return [pressure[:, ids.index(t), :] for t in target_ids]
 
 
 def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> Path:
     report, stack, fit = _load_fit_report(fit_report_path)
     seed = config.require_seed()
-    truth_grid = _build_grid(config, config.held_out_ids)
+    grid = _build_grid(config, [*report["station_ids"], *config.held_out_ids])
+    truth_grid = _split_grid(grid, config.held_out_ids)
+    obs_grid = _split_grid(grid, report["station_ids"])
     target_ids = [s.id for s in truth_grid.stations]
-    manifest, pressures = _read_ensemble_dir(ensemble_dir, target_ids)
-    if pressures.shape[2] != truth_grid.n_times:
+    if not target_ids:
+        raise ValidationError("no held-out stations with observations")
+    members = _read_ensemble(ensemble_dir, target_ids)
+    if members[0].shape[1] != truth_grid.n_times:
         raise ValidationError("ensemble and truth lengths differ")
 
-    obs_grid = _build_grid(config, report["station_ids"])
     vol = stack.volatility.values
     hourly_width = max(1, int(round(3600.0 / truth_grid.step_seconds)))
 
-    metrics = {"targets": {}, "n_members": int(pressures.shape[0])}
+    metrics = {"targets": {}, "n_members": members[0].shape[0]}
     truths, preds_mean, preds_nn = {}, {}, {}
     for i, tid in enumerate(target_ids):
         truth_p = truth_grid.values[i]
-        members_p = pressures[:, i, :]
+        members_p = members[i]
         truth_d = np.diff(truth_p)
         members_d = np.diff(members_p, axis=1)
 
@@ -206,11 +225,15 @@ def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> 
         truths[tid] = truth_p
         preds_mean[tid] = members_p.mean(axis=0)
         preds_nn[tid] = nn
+        hists = {}
+        for h in (hist_all, hist_hourly, hist_vol):
+            chi2, point = h.chi_square(), h.chi_square_99()
+            hists[h.selector] = {"counts": h.counts.tolist(), "chi_square": chi2,
+                                 "chi_square_99": point, "uniform_at_99": chi2 <= point}
+            print(f"{tid}/{h.selector}: chi-square {chi2:.1f} vs 99% point {point:.1f}: "
+                  f"{'PASS' if chi2 <= point else 'FAIL'}")
         metrics["targets"][tid] = {
-            "rank_histograms": {
-                h.selector: {"counts": h.counts.tolist(), "chi_square": h.chi_square()}
-                for h in (hist_all, hist_hourly, hist_vol)
-            },
+            "rank_histograms": hists,
             "envelope": verify.envelope_coverage(truth_p, members_p),
             "min_max_diagnostic": verify.min_max_rank_diagnostic(truth_p, members_p),
         }

@@ -11,19 +11,17 @@ the inverse DFT is real. With zero observed sites every draw is
 unconditional, which is how synthetic truths are drawn.
 """
 
-import csv
 import hashlib
 import json
 import warnings
 from dataclasses import dataclass
-from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
 from .geometry import SiteGeometry, combine
-from .preprocess import TransformStack, difference, invert_stack
+from .preprocess import TransformStack, invert_stack
 from .rng import STAGE_CONDSIM, STAGE_CONDSIM_HIGH, substream
 from .spectrum import SpectralModel, SpectralParams
 from .whittle import (
@@ -192,30 +190,19 @@ def _psd_factor(mats: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class EnsembleMember:
-    param_draw_id: int  # -1 means the MLE was used
-    mean_field_draw: np.ndarray  # per-target kPa
-    pressure: np.ndarray  # m x (T+1)
-    diffs: np.ndarray  # m x T
-
-
-@dataclass
 class Ensemble:
-    members: list
+    """Simulated pressure at the target sites, one row per member."""
+
+    pressure: np.ndarray  # (members, targets, T+1) kPa
+    param_draw_ids: np.ndarray  # (members,); -1 means the MLE was used
+    mean_field_draws: np.ndarray  # (members, targets) kPa
     seed: int
     target_ids: tuple
     provenance: dict
 
     @property
     def n_members(self) -> int:
-        return len(self.members)
-
-    def pressure_stack(self) -> np.ndarray:
-        """(n_members, m, T+1) array of simulated pressure."""
-        return np.stack([mem.pressure for mem in self.members])
-
-    def diff_stack(self) -> np.ndarray:
-        return np.stack([mem.diffs for mem in self.members])
+        return self.pressure.shape[0]
 
 
 def fit_hash(fit: FitResult) -> str:
@@ -251,24 +238,17 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
         sampler = ConditionalSampler(model, fit.params_hat, setup, observed_field)
         ridged = len(sampler.ridge_frequencies)
 
-    members = []
+    pressure = []
     for k in range(count):
         if vary_params:
             sampler = ConditionalSampler(model, draws[k], setup, observed_field)
             ridged += len(sampler.ridge_frequencies)
-        field = sampler.draw(seed, k)
-        sim_A = inverse_dft(field)
-        pressure = invert_stack(sim_A, stack, setup.target_elevations, mean_draws[k])
-        members.append(
-            EnsembleMember(
-                param_draw_id=k if vary_params else -1,
-                mean_field_draw=mean_draws[k],
-                pressure=pressure,
-                diffs=difference(pressure),
-            )
-        )
+        sim_A = inverse_dft(sampler.draw(seed, k))
+        pressure.append(invert_stack(sim_A, stack, setup.target_elevations, mean_draws[k]))
     return Ensemble(
-        members=members,
+        pressure=np.stack(pressure),
+        param_draw_ids=np.arange(count) if vary_params else np.full(count, -1),
+        mean_field_draws=mean_draws,
         seed=seed,
         target_ids=setup.target_ids,
         provenance={
@@ -282,29 +262,24 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
 
 
 def write_ensemble(ensemble: Ensemble, out_dir, start_time=None, step_seconds=300.0):
-    """One CSV per member (`timestamp,site_id,pressure_kPa`) plus a manifest."""
+    """`pressure.npy` (the member x target x time array) plus `manifest.json`.
+
+    The manifest records the seed, the target and parameter-draw order of
+    the array's first two axes, the mean-field draws, the provenance and
+    the time axis (`start_time` of column 0, `step_seconds` between columns).
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n_times = ensemble.members[0].pressure.shape[1]
-    for k, mem in enumerate(ensemble.members):
-        path = out / f"member_{k:03d}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestamp", "site_id", "pressure_kPa"])
-            for t in range(n_times):
-                if start_time is not None:
-                    ts = (start_time + timedelta(seconds=step_seconds * t)).isoformat()
-                else:
-                    ts = str(t)
-                for s, sid in enumerate(ensemble.target_ids):
-                    writer.writerow([ts, sid, f"{mem.pressure[s, t]:.6f}"])
+    np.save(out / "pressure.npy", ensemble.pressure)
     manifest = {
         "seed": ensemble.seed,
         "n_members": ensemble.n_members,
         "target_ids": list(ensemble.target_ids),
         "provenance": ensemble.provenance,
-        "mean_field_draws": [m.mean_field_draw.tolist() for m in ensemble.members],
-        "param_draw_ids": [m.param_draw_id for m in ensemble.members],
+        "mean_field_draws": ensemble.mean_field_draws.tolist(),
+        "param_draw_ids": ensemble.param_draw_ids.tolist(),
+        "start_time": None if start_time is None else start_time.isoformat(),
+        "step_seconds": step_seconds,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return out / "manifest.json"

@@ -105,17 +105,22 @@ class TransformStack:
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> dict:
+        diurnal = {
+            "period": self.diurnal.period,
+            "n_harmonics": self.diurnal.n_harmonics,
+            "coefficients": self.diurnal.coefficients.tolist(),
+        }
+        # known only for a fitted stack; a stack given as truth (the
+        # synthetic truth.json) has none and writes no key for it
+        if self.diurnal.variance_removed is not None:
+            diurnal["variance_removed"] = self.diurnal.variance_removed.tolist()
         return {
             "sea_level": {
                 "log_p0": self.sea_level.log_p0,
                 "scale_height": self.sea_level.scale_height,
                 "r_squared": self.sea_level.r_squared,
             },
-            "diurnal": {
-                "period": self.diurnal.period,
-                "n_harmonics": self.diurnal.n_harmonics,
-                "coefficients": self.diurnal.coefficients.tolist(),
-            },
+            "diurnal": diurnal,
             "volatility": {
                 "values": self.volatility.values.tolist(),
                 "spline_df": self.volatility.spline_df,
@@ -136,6 +141,10 @@ class TransformStack:
                 period=d["diurnal"]["period"],
                 n_harmonics=d["diurnal"]["n_harmonics"],
                 coefficients=np.array(d["diurnal"]["coefficients"]),
+                variance_removed=(
+                    np.array(d["diurnal"]["variance_removed"])
+                    if "variance_removed" in d["diurnal"] else None
+                ),
             ),
             volatility=VolatilitySeries(
                 values=np.array(d["volatility"]["values"]),

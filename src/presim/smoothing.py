@@ -34,15 +34,11 @@ def _design_and_penalty(n: int, n_knots: int):
     P = np.zeros((nb, nb))
     gauss_x, gauss_w = np.polynomial.legendre.leggauss(3)
     spans = np.unique(t)
-    d2 = []
-    for i in range(nb):
-        c = np.zeros(nb)
-        c[i] = 1.0
-        d2.append(BSpline(t, c, DEGREE).derivative(2))
+    d2 = BSpline(t, np.eye(nb), DEGREE).derivative(2)
     for a, b in zip(spans[:-1], spans[1:]):
         mid, half = (a + b) / 2.0, (b - a) / 2.0
         pts = mid + half * gauss_x
-        V = np.array([f(pts) for f in d2])  # nb x 3
+        V = d2(pts).T  # nb x 3
         P += (V * gauss_w) @ V.T * half
     return B, P
 

@@ -248,18 +248,6 @@ class SpectralModel:
         """Odd phase slope (radians/km); exactly 0 beyond the cutoff."""
         return self.basis_theta.evaluate(params.theta_coeffs, omega)
 
-    def split_S(self, params: SpectralParams, omega):
-        """Logistic split of the marginal spectrum into (S0, S1).
-
-        S1 = S logistic(beta), S0 = S - S1 exactly. Beyond the cutoff
-        the split is irrelevant (coherence is 0); all power is returned in
-        the diagonal S0 term there.
-        """
-        omega = np.atleast_1d(np.asarray(omega, dtype=float))
-        S = self.eval_S(params, omega)
-        S1 = S * self._coherent_share(self.eval_beta(params, omega), omega)
-        return S - S1, S1
-
     def _coherent_share(self, beta, omega):
         """S1 / S = logistic(beta), and 0 beyond the cutoff."""
         # logistic(beta) from one exponential that cannot overflow

@@ -53,15 +53,12 @@ class ConstrainedBasis:
             [np.zeros(DEGREE), knots, np.full(DEGREE, self.cutoff)]
         )
         self._t = t
-        n_full = len(t) - DEGREE - 1
+        # vector-valued spline whose components are the full basis functions
+        self._full = BSpline(t, np.eye(len(t) - DEGREE - 1), DEGREE)
 
-        rows = []
-        if kind == "even":
-            rows.append(self._deriv_row(0.0, 1, n_full))
-        else:
-            rows.append(self._deriv_row(0.0, 0, n_full))
+        rows = [self._full.derivative(1 if kind == "even" else 0)([0.0])]
         for order in endpoint_orders:
-            rows.append(self._deriv_row(self.cutoff, int(order), n_full))
+            rows.append(self._full.derivative(int(order))([self.cutoff]))
         A = np.vstack(rows)
         if np.linalg.matrix_rank(A) < A.shape[0]:
             raise ConfigurationError("constraint system is rank-deficient")
@@ -69,18 +66,6 @@ class ConstrainedBasis:
         self.dimension = self._null.shape[1]
         if self.dimension == 0:
             raise ConfigurationError("constraints eliminate the whole spline space")
-
-    def _deriv_row(self, x, order, n_full):
-        row = np.empty(n_full)
-        for i in range(n_full):
-            c = np.zeros(n_full)
-            c[i] = 1.0
-            b = BSpline(self._t, c, DEGREE, extrapolate=False)
-            if order:
-                b = b.derivative(order)
-            v = b(np.array([x]))[0]
-            row[i] = 0.0 if np.isnan(v) else v
-        return row
 
     def design(self, omega, order=0) -> np.ndarray:
         """Design matrix of the constrained basis (and its derivatives).
@@ -100,14 +85,7 @@ class ConstrainedBasis:
         if order == 0:
             M = BSpline.design_matrix(x, self._t, DEGREE).toarray()
         else:
-            n_full = len(self._t) - DEGREE - 1
-            M = np.zeros((len(x), n_full))
-            for i in range(n_full):
-                c = np.zeros(n_full)
-                c[i] = 1.0
-                b = BSpline(self._t, c, DEGREE, extrapolate=False).derivative(order)
-                col = b(x)
-                M[:, i] = np.where(np.isnan(col), 0.0, col)
+            M = self._full.derivative(order)(x)
         G = M @ self._null
         if self.kind == "odd" and order == 0:
             G = G * np.sign(omega)[:, None]

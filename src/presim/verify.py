@@ -9,6 +9,7 @@ All functions are pure; outputs serialize to plot-ready JSON/CSV.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import chdtri
 
 from .errors import ValidationError
 from .geometry import great_circle
@@ -32,6 +33,10 @@ class RankHistogram:
         """Chi-square statistic against the uniform histogram."""
         expected = self.n_times / len(self.counts)
         return float(np.sum((self.counts - expected) ** 2 / expected))
+
+    def chi_square_99(self) -> float:
+        """99% point of chi-square with (bins - 1) degrees of freedom."""
+        return float(chdtri(len(self.counts) - 1, 0.01))
 
 
 @dataclass

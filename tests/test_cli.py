@@ -1,6 +1,10 @@
 """End-to-end pipeline runs through the command-line entry point."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -79,10 +83,13 @@ def test_ensemble_output(pipeline):
     assert manifest["target_ids"] == ["E12", "E13"]
     assert manifest["seed"] == SEED
     assert "mean_field" in manifest
-    lines = (out / "ensemble" / "member_000.csv").read_text().splitlines()
-    assert len(lines) == 1 + 2 * (T + 1)
+    assert manifest["step_seconds"] == 300.0
+    synth_truth = json.loads((out / "synthetic" / "truth.json").read_text())
+    assert manifest["start_time"] == synth_truth["start"]
+    assert sorted(p.name for p in (out / "ensemble").iterdir()) == ["manifest.json", "pressure.npy"]
+    vals = np.load(out / "ensemble" / "pressure.npy", allow_pickle=False)
+    assert vals.shape == (4, 2, T + 1)
     # simulated pressures are physically plausible surface values
-    vals = np.array([float(l.split(",")[2]) for l in lines[1:]])
     assert np.all((vals > 80.0) & (vals < 110.0))
 
 
@@ -96,6 +103,10 @@ def test_metrics_structure(pipeline):
         assert set(hists) == {"all", "hourly", "top_decile_volatility"}
         assert sum(hists["all"]["counts"]) == T
         assert len(hists["all"]["counts"]) == 5
+        for h in hists.values():
+            # 99% point of chi-square with 4 degrees of freedom
+            assert h["chi_square_99"] == pytest.approx(13.2767, abs=1e-4)
+            assert h["uniform_at_99"] is (h["chi_square"] <= h["chi_square_99"])
     methods = {row["method"] for row in metrics["score_table"]}
     assert methods == {"ensemble_mean", "nearest_neighbor"}
 
@@ -108,9 +119,83 @@ def test_simulate_is_bit_reproducible(pipeline, tmp_path):
         "simulate", "--fit-report", str(out / "fit_report.json"),
     ])
     assert code == 0
-    for name in ["manifest.json"] + [f"member_{k:03d}.csv" for k in range(4)]:
+    names = sorted(p.name for p in (rerun / "ensemble").iterdir())
+    assert names == ["manifest.json", "pressure.npy"]
+    for name in names:
         assert (rerun / "ensemble" / name).read_bytes() == \
             (out / "ensemble" / name).read_bytes()
+
+
+def evaluate(cfg, out, ensemble_dir, tmp_path):
+    return main([
+        "--config", str(cfg), "--out", str(tmp_path), "evaluate",
+        "--fit-report", str(out / "fit_report.json"), "--ensemble-dir", str(ensemble_dir),
+    ])
+
+
+def test_evaluate_prints_verdict_per_histogram(pipeline, tmp_path, capsys):
+    out, cfg = pipeline
+    assert evaluate(cfg, out, out / "ensemble", tmp_path) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if "chi-square" in l]
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    expected = [
+        f"{tid}/{label}: chi-square {h['chi_square']:.1f} vs 99% point "
+        f"{h['chi_square_99']:.1f}: {'PASS' if h['uniform_at_99'] else 'FAIL'}"
+        for tid, t in metrics["targets"].items()
+        for label, h in t["rank_histograms"].items()
+    ]
+    assert len(expected) == 6
+    assert sorted(lines) == sorted(expected)
+
+
+def _truncate(d):
+    data = (d / "pressure.npy").read_bytes()
+    (d / "pressure.npy").write_bytes(data[: len(data) // 2])
+
+
+def _pickle(d):
+    pressure = np.load(d / "pressure.npy")
+    np.save(d / "pressure.npy", pressure.astype(object), allow_pickle=True)
+
+
+def _flatten(d):
+    np.save(d / "pressure.npy", np.load(d / "pressure.npy").reshape(4, -1))
+
+
+def _edit_manifest(**changes):
+    def edit(d):
+        manifest = json.loads((d / "manifest.json").read_text())
+        manifest.update(changes)
+        (d / "manifest.json").write_text(json.dumps(manifest))
+    return edit
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_truncate, "pressure.npy"),
+    (_pickle, "pressure.npy"),
+    (_flatten, "not (members, targets, times)"),
+    (_edit_manifest(n_members=5), "5 members"),
+    (_edit_manifest(target_ids=["E12", "X99"]), "['E13']"),
+])
+def test_evaluate_rejects_damaged_ensemble(pipeline, tmp_path, capsys, damage, message):
+    out, cfg = pipeline
+    damaged = tmp_path / "ensemble"
+    shutil.copytree(out / "ensemble", damaged)
+    damage(damaged)
+    assert evaluate(cfg, out, damaged, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[evaluate] error:")
+    assert message in err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # every stage process pays for what `presim.cli` imports
+    code = "import sys, presim.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.strip() == "False"
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Per-frequency conditional simulation and ensemble assembly."""
 
 import json
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -278,7 +279,7 @@ def make_fit(model, params):
     )
 
 
-def test_run_ensemble_members_and_diffs(model):
+def test_run_ensemble_array_and_mean_draws(model):
     T = 40
     rng = np.random.default_rng(14)
     params = random_params(model, rng)
@@ -290,11 +291,10 @@ def test_run_ensemble_members_and_diffs(model):
     ens = run_ensemble(model, fit, stack, setup, field, mean_draws,
                        count=5, vary_params=False, seed=16)
     assert ens.n_members == 5
-    assert ens.pressure_stack().shape == (5, 2, T + 1)
-    for mem in ens.members:
-        assert mem.param_draw_id == -1
-        assert np.allclose(mem.diffs, np.diff(mem.pressure, axis=1), atol=0)
-        assert np.allclose(mem.pressure.mean(axis=1), mem.mean_field_draw, atol=1e-9)
+    assert ens.pressure.shape == (5, 2, T + 1)
+    assert ens.param_draw_ids.tolist() == [-1] * 5
+    assert np.array_equal(ens.mean_field_draws, mean_draws)
+    assert np.allclose(ens.pressure.mean(axis=2), mean_draws, atol=1e-9)
 
 
 def test_run_ensemble_vary_params_ids(model):
@@ -306,7 +306,7 @@ def test_run_ensemble_vary_params_ids(model):
     ens = run_ensemble(model, make_fit(model, params), tiny_stack(T, 1), setup,
                        field, np.full((3, 1), 97.0), count=3,
                        vary_params=True, seed=19)
-    assert [m.param_draw_id for m in ens.members] == [0, 1, 2]
+    assert ens.param_draw_ids.tolist() == [0, 1, 2]
 
 
 def test_run_ensemble_records_fallbacks(model, tmp_path):
@@ -362,18 +362,26 @@ def test_write_ensemble_round_trip(model, tmp_path):
     params = random_params(model, rng)
     setup = make_setup(2)
     field = observed_field(model, params, setup, T, seed=24)
+    mean_draws = 97.0 + 0.01 * rng.standard_normal((4, 2))
     ens = run_ensemble(model, make_fit(model, params), tiny_stack(T, 2), setup,
-                       field, np.full((4, 2), 97.0), count=4,
-                       vary_params=False, seed=25)
-    manifest_path = write_ensemble(ens, tmp_path / "ens")
+                       field, mean_draws, count=4, vary_params=True, seed=25)
+    start = datetime(2005, 10, 1, tzinfo=timezone.utc)
+    manifest_path = write_ensemble(ens, tmp_path / "ens", start_time=start, step_seconds=60.0)
+    assert sorted(p.name for p in (tmp_path / "ens").iterdir()) == ["manifest.json", "pressure.npy"]
     manifest = json.loads(manifest_path.read_text())
     assert manifest["n_members"] == 4
     assert manifest["target_ids"] == ["P0", "P1"]
     assert manifest["seed"] == 25
-    for k in range(4):
-        lines = (tmp_path / "ens" / f"member_{k:03d}.csv").read_text().splitlines()
-        assert lines[0] == "timestamp,site_id,pressure_kPa"
-        assert len(lines) == 1 + 2 * (T + 1)
+    assert manifest["param_draw_ids"] == [0, 1, 2, 3]
+    assert manifest["mean_field_draws"] == mean_draws.tolist()
+    assert manifest["start_time"] == "2005-10-01T00:00:00+00:00"
+    assert manifest["step_seconds"] == 60.0
+    pressure = np.load(tmp_path / "ens" / "pressure.npy", allow_pickle=False)
+    assert pressure.dtype == np.float64 and pressure.shape == (4, 2, T + 1)
+    assert pressure.tobytes() == ens.pressure.tobytes()
+    # each member's time mean is its mean-field draw
+    assert np.allclose(pressure.mean(axis=2), np.array(manifest["mean_field_draws"]), atol=1e-9)
+    assert json.loads(write_ensemble(ens, tmp_path / "idx").read_text())["start_time"] is None
 
 
 def test_ensemble_bit_reproducible(model, tmp_path):
@@ -391,6 +399,7 @@ def test_ensemble_bit_reproducible(model, tmp_path):
         outs.append(
             [(p.name, p.read_bytes()) for p in sorted((tmp_path / sub).iterdir())]
         )
+    assert [name for name, _ in outs[0]] == ["manifest.json", "pressure.npy"]
     assert outs[0] == outs[1]
 
 

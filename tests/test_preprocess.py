@@ -1,6 +1,7 @@
 """Transform stack: sea-level correction, differencing, diurnal removal,
 volatility standardization, and the exact round trip."""
 
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -301,7 +302,13 @@ def test_stack_json_round_trip():
     assert back.sea_level.scale_height == pytest.approx(stack.sea_level.scale_height)
     assert np.allclose(back.volatility.values, stack.volatility.values)
     assert np.allclose(back.diurnal.coefficients, stack.diurnal.coefficients)
+    assert len(stack.diurnal.variance_removed) == grid.n_stations
+    assert np.array_equal(back.diurnal.variance_removed, stack.diurnal.variance_removed)
     assert back.station_ids == stack.station_ids
     A1 = apply_stack(grid, stack)
     A2 = apply_stack(grid, back)
     assert np.allclose(A1, A2, atol=1e-12)
+    # a stack given as truth has no variance_removed and writes no key for it
+    given = replace(stack, diurnal=replace(stack.diurnal, variance_removed=None))
+    assert "variance_removed" not in given.to_dict()["diurnal"]
+    assert TransformStack.from_json(given.to_json()).diurnal.variance_removed is None

@@ -139,15 +139,21 @@ def test_eval_S_flat_at_pi(model):
     assert abs(dS[1]) < 1e-2
 
 
-def test_split_S_balanced_at_zero_beta(model):
+def split_S(model, params, omega, geometry):
+    """(S0, S1) = (S (1 - sig), S sig) from the cross-spectrum factors."""
+    t = model.cross_spectrum_terms(params, geometry, omega)
+    return t.S * (1.0 - t.sig), t.S * t.sig
+
+
+def test_split_S_balanced_at_zero_beta(model, geometry3):
     p = model.zero_params()
     om = np.array([0.01, 0.1, model.knots.omega0 * 0.9])
-    S0, S1 = model.split_S(p, om)
+    S0, S1 = split_S(model, p, om, geometry3)
     assert np.allclose(S0, S1)
     assert np.allclose(S0 + S1, model.eval_S(p, om))
 
 
-def test_split_S_saturates(model):
+def test_split_S_saturates(model, geometry3):
     # beta basis contains constants: find coefficients for beta = 30
     G = model.basis_beta.design(np.linspace(0, model.knots.omega0, 50))
     c, *_ = np.linalg.lstsq(G, np.full(50, 30.0), rcond=None)
@@ -158,11 +164,11 @@ def test_split_S_saturates(model):
         theta_coeffs=np.zeros(model.dimensions["theta"]),
         u_angle=0.0,
     )
-    S0, S1 = model.split_S(p, np.array([0.1]))
+    S0, S1 = split_S(model, p, np.array([0.1]), geometry3)
     assert S0[0] / (S0[0] + S1[0]) < 1e-12
 
 
-def test_split_S_low_coherence_bound(model):
+def test_split_S_low_coherence_bound(model, geometry3):
     # beta = -1.88 puts the squared-coherence cap at logistic(-1.88) ~ 0.132
     G = model.basis_beta.design(np.linspace(0, model.knots.omega0, 50))
     c, *_ = np.linalg.lstsq(G, np.full(50, -1.88), rcond=None)
@@ -173,15 +179,15 @@ def test_split_S_low_coherence_bound(model):
         theta_coeffs=np.zeros(model.dimensions["theta"]),
         u_angle=0.0,
     )
-    S0, S1 = model.split_S(p, np.array([0.05]))
+    S0, S1 = split_S(model, p, np.array([0.05]), geometry3)
     assert S1[0] / (S0[0] + S1[0]) == pytest.approx(0.13222, abs=5e-4)
 
 
-def test_split_S_beyond_cutoff_all_diagonal(model):
+def test_split_S_beyond_cutoff_all_diagonal(model, geometry3):
     rng = np.random.default_rng(4)
     p = random_params(model, rng)
     om = np.array([model.knots.omega0 * 1.01, 3.0])
-    S0, S1 = model.split_S(p, om)
+    S0, S1 = split_S(model, p, om, geometry3)
     assert np.allclose(S1, 0.0)
     assert np.allclose(S0, model.eval_S(p, om))
 
@@ -293,7 +299,7 @@ def test_coherence_bounded_by_split(model, geometry3):
     rng = np.random.default_rng(13)
     p = random_params(model, rng)
     om = 0.4 * model.knots.omega0
-    S0, S1 = model.split_S(p, om)
+    S0, S1 = split_S(model, p, om, geometry3)
     coh = model.coherence(p, geometry3, om, 0, 1)
     assert abs(coh) <= S1[0] / (S0[0] + S1[0]) + 1e-12
     assert abs(model.coherence(p, geometry3, 1.2 * model.knots.omega0, 0, 1)) == 0.0

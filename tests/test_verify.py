@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from presim.errors import ValidationError
 from presim.preprocess import SeaLevelModel
 from presim.verify import (
+    RankHistogram,
     aggregate_diffs,
     envelope_coverage,
     min_max_rank_diagnostic,
@@ -90,6 +91,11 @@ def test_rank_histogram_exchangeable_is_uniform():
         h = rank_histogram(data[0], data[1:], seed=rep)
         ok += h.chi_square() < q
     assert ok >= 18
+    # the verdict's threshold is the same quantile (134.64 for 99 members)
+    assert h.chi_square_99() == pytest.approx(q, rel=1e-10)
+    h99 = RankHistogram(counts=np.ones(100), n_times=100, selector="all")
+    assert h99.chi_square_99() == pytest.approx(chi2.ppf(0.99, 99), rel=1e-10)
+    assert h99.chi_square_99() == pytest.approx(134.642, abs=1e-3)
 
 
 def test_rank_histogram_length_mismatch():
