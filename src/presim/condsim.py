@@ -238,15 +238,14 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
         sampler = ConditionalSampler(model, fit.params_hat, setup, observed_field)
         ridged = len(sampler.ridge_frequencies)
 
-    pressure = []
+    sim_A = np.empty((count, setup.n_targets, observed_field.n_times))
     for k in range(count):
         if vary_params:
             sampler = ConditionalSampler(model, draws[k], setup, observed_field)
             ridged += len(sampler.ridge_frequencies)
-        sim_A = inverse_dft(sampler.draw(seed, k))
-        pressure.append(invert_stack(sim_A, stack, setup.target_elevations, mean_draws[k]))
+        sim_A[k] = inverse_dft(sampler.draw(seed, k))
     return Ensemble(
-        pressure=np.stack(pressure),
+        pressure=invert_stack(sim_A, stack, setup.target_elevations, mean_draws),
         param_draw_ids=np.arange(count) if vary_params else np.full(count, -1),
         mean_field_draws=mean_draws,
         seed=seed,
@@ -270,7 +269,7 @@ def write_ensemble(ensemble: Ensemble, out_dir, start_time=None, step_seconds=30
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    np.save(out / "pressure.npy", ensemble.pressure)
+    np.save(out / "pressure.npy", np.ascontiguousarray(ensemble.pressure))
     manifest = {
         "seed": ensemble.seed,
         "n_members": ensemble.n_members,

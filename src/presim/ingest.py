@@ -3,14 +3,16 @@
 Reads the station CSV (`id,latitude_deg,longitude_deg,elevation_m`) and
 long-format observation CSV (`timestamp,station_id,pressure_kPa`, missing
 encoded as an empty field), fills short gaps by linear interpolation,
-block-averages, and assembles the aligned data grid. Timestamps are UTC
-ISO-8601 in files; internally time is an integer index plus (start, step).
+block-averages, and assembles the aligned data grid. Timestamps are
+ISO-8601 in files, normalized to UTC; internally time is an integer index
+plus (start, step).
 """
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -83,30 +85,55 @@ class DataGrid:
         return np.array([s.elevation for s in self.stations])
 
 
+def _rows(path, expected):
+    """Yield (line number, fields) of each non-blank data row of a CSV.
+
+    The header must match `expected` and every row must have as many fields;
+    undecodable text and csv syntax errors are FormatErrors naming the path.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader, None)
+                if header is None or [c.strip() for c in header] != expected:
+                    raise FormatError(f"{path}: expected header {','.join(expected)}")
+                for row in reader:
+                    if len(row) != len(expected):
+                        if not row:
+                            continue  # blank line
+                        raise FormatError(
+                            f"{path}:{reader.line_num}: expected {len(expected)} fields, "
+                            f"got {len(row)}"
+                        )
+                    yield reader.line_num, row
+            except csv.Error as exc:
+                raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load_stations(path) -> list:
     """Parse the station CSV; duplicate ids are rejected."""
     stations = []
     seen = set()
-    expected = ["id", "latitude_deg", "longitude_deg", "elevation_m"]
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != expected:
-            raise FormatError(f"{path}: expected header {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                meta = StationMeta(
-                    id=row["id"].strip(),
-                    latitude=float(row["latitude_deg"]),
-                    longitude=float(row["longitude_deg"]),
-                    elevation=float(row["elevation_m"]),
-                )
-            except (TypeError, KeyError, ValueError) as exc:
-                raise FormatError(f"{path}:{lineno}: bad station row ({exc})") from exc
-            if meta.id in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate station id {meta.id!r}")
-            seen.add(meta.id)
-            stations.append(meta)
+    for lineno, (sid, lat, lon, elev) in _rows(
+        path, ["id", "latitude_deg", "longitude_deg", "elevation_m"]
+    ):
+        try:
+            meta = StationMeta(id=sid.strip(), latitude=float(lat), longitude=float(lon),
+                               elevation=float(elev))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad station row ({exc})") from exc
+        if meta.id in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate station id {meta.id!r}")
+        seen.add(meta.id)
+        stations.append(meta)
     return stations
+
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
 def _parse_time(text: str, path: str, lineno: int) -> datetime:
@@ -119,56 +146,85 @@ def _parse_time(text: str, path: str, lineno: int) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
+def _instant(micros) -> datetime:
+    """UTC datetime of integer microseconds since the epoch."""
+    return _EPOCH + timedelta(microseconds=int(micros))
+
+
 def load_observations(path, stations) -> list:
     """Parse the long-format observation CSV into one RawSeries per station.
 
-    Rows for each station must be contiguous in time with a constant step;
-    the empty pressure field marks a missing observation.
+    Rows may come in any order; each station's rows are sorted by time. The
+    step is the smallest interval between a station's timestamps and every
+    interval must be a whole multiple of it: a blank pressure field or an
+    omitted row is a missing value (NaN). One csv pass keeps two compact
+    arrays per requested station and parses each distinct timestamp once.
     """
     by_id = {s.id: s for s in stations}
-    rows = {s.id: [] for s in stations}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["timestamp", "station_id", "pressure_kPa"]
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != expected:
-            raise FormatError(f"{path}: expected header {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            sid = row["station_id"].strip()
-            if sid not in by_id:
-                continue  # rows for stations outside the requested set
-            ts = _parse_time(row["timestamp"].strip(), path, lineno)
-            raw = row["pressure_kPa"].strip()
-            if raw == "":
-                value = np.nan
-            else:
-                try:
-                    value = float(raw)
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: bad pressure {raw!r}") from exc
-            rows[sid].append((ts, value))
+    columns = {sid: (array("q"), array("d")) for sid in by_id}  # times, values
+    lanes = {}  # station field as written -> its columns, or None when not requested
+    instants = {}  # timestamp field as written -> microseconds since the epoch
+    for lineno, (text, sid, raw) in _rows(path, ["timestamp", "station_id", "pressure_kPa"]):
+        try:
+            lane = lanes[sid]
+        except KeyError:
+            lane = lanes[sid] = columns.get(sid.strip())
+        if lane is None:
+            continue  # rows for stations outside the requested set
+        micros = instants.get(text)
+        if micros is None:
+            ts = _parse_time(text.strip(), path, lineno)
+            micros = instants[text] = (ts - _EPOCH) // _MICROSECOND
+        try:
+            value = float(raw)
+        except ValueError as exc:
+            if raw.strip():
+                raise FormatError(f"{path}:{lineno}: bad pressure {raw.strip()!r}") from exc
+            value = math.nan
+        lane[0].append(micros)
+        lane[1].append(value)
+    return [
+        _station_series(path, by_id[sid], times, values)
+        for sid, (times, values) in columns.items()
+        if times
+    ]
 
-    series = []
-    for sid, recs in rows.items():
-        if not recs:
-            continue
-        recs.sort(key=lambda r: r[0])
-        times = [r[0] for r in recs]
-        if len(times) > 1:
-            step = (times[1] - times[0]).total_seconds()
-            for a, b in zip(times[:-1], times[1:]):
-                if abs((b - a).total_seconds() - step) > 1e-6:
-                    raise AlignmentError(f"{path}: station {sid}: uneven time step near {a.isoformat()}")
-        else:
-            step = 60.0
-        series.append(
-            RawSeries(
-                station=by_id[sid],
-                start_time=times[0],
-                step_seconds=step,
-                values=np.array([r[1] for r in recs]),
-            )
+
+def _station_series(path, station: StationMeta, times, values) -> RawSeries:
+    """Sort one station's rows and lay them on a regular grid, NaN where omitted."""
+    t = np.frombuffer(times, dtype=np.int64)
+    v = np.frombuffer(values, dtype=float)
+    order = np.argsort(t, kind="stable")
+    t, v = t[order], v[order]
+    if len(t) == 1:
+        return RawSeries(station=station, start_time=_instant(t[0]), step_seconds=60.0, values=v)
+    gaps = np.diff(t)
+    if not gaps.all():
+        at = t[np.argmin(gaps)]
+        raise AlignmentError(
+            f"{path}: station {station.id}: repeated timestamp {_instant(at).isoformat()}"
         )
-    return series
+    step = gaps.min()
+    uneven = gaps % step != 0
+    if uneven.any():
+        at = t[np.argmax(uneven)]
+        raise AlignmentError(
+            f"{path}: station {station.id}: uneven time step near {_instant(at).isoformat()}"
+        )
+    step_seconds = int(step) / 1_000_000
+    slots = (t - t[0]) // step
+    n_slots = int(slots[-1]) + 1
+    if n_slots > 2 * len(t):
+        raise AlignmentError(
+            f"{path}: station {station.id}: {len(t)} rows at a {step_seconds:g} s step "
+            f"leave {n_slots - len(t)} of {n_slots} slots omitted"
+        )
+    if n_slots != len(v):
+        full = np.full(n_slots, np.nan)
+        full[slots] = v
+        v = full
+    return RawSeries(station=station, start_time=_instant(t[0]), step_seconds=step_seconds,
+                     values=v)
 
 
 def fill_missing(series: RawSeries, max_gap: int) -> RawSeries:

@@ -252,11 +252,12 @@ def standardize(residuals, volatility: VolatilitySeries) -> np.ndarray:
     return residuals / volatility.values[None, :]
 
 
-def unstandardize(adjusted, volatility: VolatilitySeries) -> np.ndarray:
+def unstandardize(adjusted, volatility: VolatilitySeries, out=None) -> np.ndarray:
+    """Multiply by the volatility along the last (time) axis, into `out` if given."""
     adjusted = np.atleast_2d(np.asarray(adjusted, dtype=float))
-    if adjusted.shape[1] != len(volatility.values):
+    if adjusted.shape[-1] != len(volatility.values):
         raise ValidationError("adjusted field and volatility length mismatch")
-    return adjusted * volatility.values[None, :]
+    return np.multiply(adjusted, volatility.values, out=out)
 
 
 # -- full stack --------------------------------------------------------
@@ -298,19 +299,26 @@ def apply_stack(grid: DataGrid, stack: TransformStack) -> np.ndarray:
 def invert_stack(sim_A, stack: TransformStack, target_elevations, sim_means) -> np.ndarray:
     """Invert the stack: adjusted field -> pressure levels at target sites.
 
-    Returns an m x (T+1) pressure matrix whose first differences are the
-    reconstructed pressure changes; the integration constant is chosen so
-    the time mean of each series equals the supplied mean value.
+    sim_A is m x T, or members x m x T for a whole ensemble, which shares
+    one diurnal cycle; sim_means has the shape of sim_A without its time
+    axis. Returns pressure levels with T+1 columns whose first differences
+    are the reconstructed pressure changes; the integration constant is
+    chosen so the time mean of each series equals the supplied mean value.
     """
     sim_A = np.atleast_2d(np.asarray(sim_A, dtype=float))
     elev = np.atleast_1d(np.asarray(target_elevations, dtype=float))
     means = np.atleast_1d(np.asarray(sim_means, dtype=float))
-    m, T = sim_A.shape
-    if len(elev) != m or len(means) != m:
+    m, T = sim_A.shape[-2:]
+    if elev.shape != (m,) or means.shape != sim_A.shape[:-1]:
         raise ValidationError("target elevations/means do not match field shape")
-    resid = unstandardize(sim_A, stack.volatility)
-    diffs_sl = resid + stack.diurnal.predict(T)[None, :]
-    diffs = diffs_sl * np.exp(-elev / stack.sea_level.scale_height)[:, None]
-    levels = np.concatenate([np.zeros((m, 1)), np.cumsum(diffs, axis=1)], axis=1)
-    anchor = means - levels.mean(axis=1)
-    return levels + anchor[:, None]
+    # Time-major memory, like the inverse-DFT output: the time mean sums each
+    # series in time order whatever the input's layout, so a member inverted
+    # alone and in an ensemble gets the same bits.
+    pressure = np.moveaxis(np.zeros((T + 1,) + sim_A.shape[:-1]), 0, -1)
+    levels = pressure[..., 1:]
+    unstandardize(sim_A, stack.volatility, out=levels)
+    levels += stack.diurnal.predict(T)
+    levels *= np.exp(-elev / stack.sea_level.scale_height)[:, None]
+    np.cumsum(levels, axis=-1, out=levels)
+    pressure += (means - pressure.mean(axis=-1))[..., None]
+    return pressure

@@ -1,10 +1,15 @@
 """Shared fixtures for the test suite."""
 
+import csv
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
 from presim.condsim import ConditionalSampler, PredictionSetup
+from presim.errors import AlignmentError, FormatError
 from presim.geometry import SiteGeometry
+from presim.ingest import RawSeries
 from presim.spectrum import KnotSet, SpectralModel
 from presim.whittle import SpectralField
 
@@ -62,3 +67,64 @@ def unconditional_sampler(model, params, geometry, T):
         target_elevations=np.zeros(geometry.n_sites),
     )
     return ConditionalSampler(model, params, setup, SpectralField(np.zeros((T, 0))))
+
+
+def reference_load_observations(path, stations) -> list:
+    """Row-by-row observation parser: the oracle for `ingest.load_observations`.
+
+    One dict and one timezone-aware datetime per row; each station's rows
+    must be evenly spaced (no omitted rows).
+    """
+    def parse_time(text, lineno):
+        try:
+            ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad timestamp {text!r}") from exc
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=timezone.utc)
+        return ts.astimezone(timezone.utc)
+
+    by_id = {s.id: s for s in stations}
+    rows = {s.id: [] for s in stations}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        expected = ["timestamp", "station_id", "pressure_kPa"]
+        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != expected:
+            raise FormatError(f"{path}: expected header {','.join(expected)}")
+        for lineno, row in enumerate(reader, start=2):
+            sid = row["station_id"].strip()
+            if sid not in by_id:
+                continue
+            ts = parse_time(row["timestamp"].strip(), lineno)
+            raw = row["pressure_kPa"].strip()
+            if raw == "":
+                value = np.nan
+            else:
+                try:
+                    value = float(raw)
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: bad pressure {raw!r}") from exc
+            rows[sid].append((ts, value))
+
+    series = []
+    for sid, recs in rows.items():
+        if not recs:
+            continue
+        recs.sort(key=lambda r: r[0])
+        times = [r[0] for r in recs]
+        if len(times) > 1:
+            step = (times[1] - times[0]).total_seconds()
+            for a, b in zip(times[:-1], times[1:]):
+                if abs((b - a).total_seconds() - step) > 1e-6:
+                    raise AlignmentError(f"{path}: station {sid}: uneven time step near {a.isoformat()}")
+        else:
+            step = 60.0
+        series.append(
+            RawSeries(
+                station=by_id[sid],
+                start_time=times[0],
+                step_seconds=step,
+                values=np.array([r[1] for r in recs]),
+            )
+        )
+    return series

@@ -188,6 +188,26 @@ def test_evaluate_rejects_damaged_ensemble(pipeline, tmp_path, capsys, damage, m
     assert message in err
 
 
+@pytest.mark.parametrize("name, tail, message", [
+    ("observations.csv", b"2005-10-01T00:00:00+00:00,E01\n", "expected 3 fields, got 2"),
+    ("observations.csv", b"2005-10-01T00:00:00+00:00,E01,97.0,1\n", "expected 3 fields, got 4"),
+    ("stations.csv", b"E99,36.0,-97.0,300.0,1\n", "expected 4 fields, got 5"),
+    ("observations.csv", b"2005-10-01T00:00:00+00:00,E01,97\xb00\n", "not UTF-8"),
+    ("stations.csv", b"E\xe999,36.0,-97.0,300.0\n", "not UTF-8"),
+])
+def test_evaluate_rejects_malformed_inputs(pipeline, tmp_path, capsys, name, tail, message):
+    out, _ = pipeline
+    shutil.copytree(out / "synthetic", tmp_path / "synthetic")
+    damaged = tmp_path / "synthetic" / name
+    damaged.write_bytes(damaged.read_bytes() + tail)
+    cfg = write_config(tmp_path / "config.yaml", tmp_path)
+    assert evaluate(cfg, out, out / "ensemble", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[evaluate] error:")
+    where = str(damaged) if "UTF-8" in message else f"{damaged}:{len(damaged.read_bytes().splitlines())}"
+    assert f"{where}: {message}" in err
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # every stage process pays for what `presim.cli` imports
     code = "import sys, presim.cli; print('scipy.stats' in sys.modules)"

@@ -1,6 +1,7 @@
 """Per-frequency conditional simulation and ensemble assembly."""
 
 import json
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -297,6 +298,41 @@ def test_run_ensemble_array_and_mean_draws(model):
     assert np.allclose(ens.pressure.mean(axis=2), mean_draws, atol=1e-9)
 
 
+def member_by_member(sim_A, stack, elevations, means):
+    """One member's inversion with its time means summed in time order: the reference."""
+    m, T = sim_A.shape
+    diffs = sim_A * stack.volatility.values[None, :] + stack.diurnal.predict(T)[None, :]
+    diffs = diffs * np.exp(-np.asarray(elevations) / stack.sea_level.scale_height)[:, None]
+    levels = np.concatenate([np.zeros((m, 1)), np.cumsum(diffs, axis=1)], axis=1)
+    time_sum = sum(levels.T, np.zeros(m))
+    return levels + (means - time_sum / (T + 1))[:, None]
+
+
+def test_run_ensemble_shares_one_diurnal_cycle(model, monkeypatch):
+    T = 40
+    rng = np.random.default_rng(17)
+    params = random_params(model, rng)
+    setup = make_setup(2)
+    field = observed_field(model, params, setup, T, seed=18)
+    stack = replace(tiny_stack(T, 2), diurnal=DiurnalModel(
+        period=288, n_harmonics=3, coefficients=rng.normal(scale=0.01, size=6)))
+    mean_draws = 97.0 + 0.01 * rng.standard_normal((4, 2))
+    sampler = ConditionalSampler(model, params, setup, field)
+    members = [
+        member_by_member(inverse_dft(sampler.draw(19, k)), stack, setup.target_elevations,
+                         mean_draws[k])
+        for k in range(4)
+    ]
+    predict = DiurnalModel.predict
+    calls = []
+    monkeypatch.setattr(DiurnalModel, "predict", lambda self, n: calls.append(n) or predict(self, n))
+    ens = run_ensemble(model, make_fit(model, params), stack, setup, field, mean_draws,
+                       count=4, vary_params=False, seed=19)
+    assert calls == [T]
+    for k in range(4):
+        assert ens.pressure[k].tobytes() == members[k].tobytes()
+
+
 def test_run_ensemble_vary_params_ids(model):
     T = 24
     rng = np.random.default_rng(17)
@@ -382,6 +418,21 @@ def test_write_ensemble_round_trip(model, tmp_path):
     # each member's time mean is its mean-field draw
     assert np.allclose(pressure.mean(axis=2), np.array(manifest["mean_field_draws"]), atol=1e-9)
     assert json.loads(write_ensemble(ens, tmp_path / "idx").read_text())["start_time"] is None
+
+
+def test_write_ensemble_one_target_in_c_order(model, tmp_path):
+    # with one target the member x time array in memory is Fortran-contiguous
+    T = 20
+    rng = np.random.default_rng(26)
+    params = random_params(model, rng)
+    setup = make_setup(1)
+    field = observed_field(model, params, setup, T, seed=27)
+    ens = run_ensemble(model, make_fit(model, params), tiny_stack(T, 1), setup, field,
+                       np.full((3, 1), 97.0), count=3, vary_params=False, seed=28)
+    write_ensemble(ens, tmp_path)
+    pressure = np.load(tmp_path / "pressure.npy", allow_pickle=False)
+    assert pressure.flags.c_contiguous
+    assert pressure.tobytes() == ens.pressure.tobytes()
 
 
 def test_ensemble_bit_reproducible(model, tmp_path):

@@ -1,5 +1,6 @@
 """Station/observation ingest, gap filling, block averaging, grid assembly."""
 
+import re
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -22,6 +23,8 @@ from presim.ingest import (
     load_observations,
     load_stations,
 )
+
+from conftest import reference_load_observations
 
 T0 = datetime(2005, 10, 1, tzinfo=timezone.utc)
 
@@ -126,6 +129,163 @@ def test_load_observations_uneven_step_rejected(tmp_path):
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(AlignmentError, match="E01"):
         load_observations(p, [StationMeta("E01", 36.0, -97.0, 300.0)])
+
+
+E01 = StationMeta("E01", 36.0, -97.0, 300.0)
+E02 = StationMeta("E02", 36.5, -97.5, 400.0)
+HEADER = "timestamp,station_id,pressure_kPa"
+
+
+def write_lines(path, lines, header=HEADER):
+    path.write_text("\n".join([header] + lines) + "\n")
+
+
+def stamp(minutes, offset_hours=0):
+    tz = timezone(timedelta(hours=offset_hours))
+    return (T0 + timedelta(minutes=minutes)).astimezone(tz).isoformat()
+
+
+def test_load_observations_omitted_row_is_missing(tmp_path):
+    p = tmp_path / "obs.csv"
+    write_lines(p, [f"{stamp(m)},E01,{97.0 + m / 100}" for m in (0, 5, 15, 20)])
+    (series,) = load_observations(p, [E01])
+    assert series.step_seconds == 300.0
+    assert series.start_time == T0
+    assert np.array_equal(series.values, [97.0, 97.05, np.nan, 97.15, 97.2], equal_nan=True)
+    assert np.array_equal(fill_missing(series, max_gap=1).values[2], 97.1)
+
+
+@pytest.mark.parametrize("second", [stamp(5), stamp(5, offset_hours=2)])
+def test_load_observations_repeated_timestamp_rejected(tmp_path, second):
+    p = tmp_path / "obs.csv"
+    write_lines(p, [f"{stamp(0)},E01,97.0", f"{stamp(5)},E01,97.1", f"{second},E01,97.2"])
+    with pytest.raises(AlignmentError, match=re.escape(f"E01: repeated timestamp {stamp(5)}")):
+        load_observations(p, [E01])
+
+
+def test_load_observations_mostly_omitted_rejected(tmp_path):
+    # two rows a second apart make the step 1 s: a day of slots for five rows
+    p = tmp_path / "obs.csv"
+    lines = [f"{stamp(0)},E01,97.0"] + [f"{stamp(m)},E01,97.0" for m in (1 / 60, 5, 10, 1440)]
+    write_lines(p, lines)
+    with pytest.raises(AlignmentError, match="E01: 5 rows at a 1 s step"):
+        load_observations(p, [E01])
+
+
+@pytest.mark.parametrize("row", [f"{stamp(5)},E01", f"{stamp(5)},E01,97.1,extra", "97.1"])
+def test_load_observations_wrong_field_count_names_line(tmp_path, row):
+    p = tmp_path / "obs.csv"
+    write_lines(p, [f"{stamp(0)},E01,97.0", row, f"{stamp(10)},E01,97.2"])
+    with pytest.raises(FormatError, match=re.escape(f"{p}:3: expected 3 fields")):
+        load_observations(p, [E01])
+
+
+def test_load_observations_skips_blank_lines_and_counts_them(tmp_path):
+    p = tmp_path / "obs.csv"
+    write_lines(p, ["", f"{stamp(0)},E01,97.0", "", f"{stamp(5)},E01,97.1"])
+    (series,) = load_observations(p, [E01])
+    assert np.array_equal(series.values, [97.0, 97.1])
+    write_lines(p, ["", f"{stamp(0)},E01,97.0", "", f"{stamp(5)},E01,abc"])
+    with pytest.raises(FormatError, match=re.escape(f"{p}:5: bad pressure 'abc'")):
+        load_observations(p, [E01])
+
+
+def write_station_and_obs(tmp_path):
+    stations = tmp_path / "stations.csv"
+    write_station_csv(stations, ["E01,36.0,-97.0,300", "E02,36.5,-97.5,400"])
+    obs = tmp_path / "obs.csv"
+    write_lines(obs, [f"{stamp(0)},E01,97.0", f"{stamp(5)},E01,97.1"])
+    return stations, obs
+
+
+def load_both(stations, obs):
+    return load_observations(obs, load_stations(stations))
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_undecodable_input_is_format_error(tmp_path, which):
+    paths = write_station_and_obs(tmp_path)
+    paths[which].write_bytes(paths[which].read_bytes() + b"E0\xff,1,2,3\n")
+    with pytest.raises(FormatError, match=re.escape(f"{paths[which]}: not UTF-8")):
+        load_both(*paths)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_csv_syntax_error_is_format_error(tmp_path, which):
+    paths = write_station_and_obs(tmp_path)
+    with open(paths[which], "a") as fh:
+        fh.write("9" * 200_000 + "\n")  # over the csv module's field size limit
+    with pytest.raises(FormatError, match=re.escape(f"{paths[which]}:4: field larger")):
+        load_both(*paths)
+
+
+def test_load_stations_wrong_field_count_names_line(tmp_path):
+    p = tmp_path / "stations.csv"
+    write_station_csv(p, ["E01,36.0,-97.0,300", "E02,36.5,-97.5,400,extra"])
+    with pytest.raises(FormatError, match=re.escape(f"{p}:3: expected 4 fields, got 5")):
+        load_stations(p)
+    write_station_csv(p, ["E01,36.0,-97.0,300", "", "E02,36.5,-97.5"])
+    with pytest.raises(FormatError, match=re.escape(f"{p}:4: expected 4 fields, got 3")):
+        load_stations(p)
+
+
+# -- the streaming parser against the row-by-row oracle ------------------
+
+
+def generated_observations(path, seed, step_minutes):
+    """Shuffled rows with blanks, padding, mixed offsets and unrequested stations."""
+    rng = np.random.default_rng(seed)
+    n_times = 40
+    lines = []
+    for t in range(n_times):
+        minutes = step_minutes * t
+        for sid in ("E01", "E02", "X01"):
+            v = 97.0 + rng.normal(scale=0.3)
+            value = rng.choice(["", f"{v:.8f}", repr(v), "nan"], p=[0.1, 0.55, 0.3, 0.05])
+            ts = rng.choice([
+                stamp(minutes),
+                stamp(minutes, offset_hours=2),
+                stamp(minutes).replace("+00:00", "Z"),
+                stamp(minutes)[:-6],  # no offset: UTC
+            ])
+            pad = " " * int(rng.integers(0, 3))
+            lines.append(f"{pad}{ts}{pad},{pad}{sid}{pad},{pad}{value}{pad}")
+    lines.append("not-a-time,X02,97.0")  # unrequested: never parsed
+    lines = [lines[i] for i in rng.permutation(len(lines))]
+    write_lines(path, lines)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("step_minutes", [1, 5])
+def test_load_observations_matches_row_by_row_oracle(tmp_path, seed, step_minutes):
+    p = tmp_path / "obs.csv"
+    generated_observations(p, seed, step_minutes)
+    stations = [E02, E01]
+    fast = load_observations(p, stations)
+    slow = reference_load_observations(p, stations)
+    assert [s.station for s in fast] == [s.station for s in slow] == stations
+    for a, b in zip(fast, slow):
+        assert a.start_time == b.start_time == T0
+        assert a.start_time.tzinfo is b.start_time.tzinfo is timezone.utc
+        assert type(a.step_seconds) is type(b.step_seconds)
+        assert a.step_seconds == b.step_seconds == 60.0 * step_minutes
+        assert a.values.dtype == b.values.dtype
+        assert a.values.tobytes() == b.values.tobytes()
+        assert np.isnan(a.values).any()
+
+
+@pytest.mark.parametrize("bad_row, error, fragment", [
+    ("2005-10-01T00:99:00,E01,97.0", FormatError, ":6: bad timestamp"),
+    (f"{stamp(10)},E01,9 7.0", FormatError, ":6: bad pressure"),
+    (f"{stamp(11)},E01,97.0", AlignmentError, "station E01: uneven time step"),
+])
+def test_load_observations_errors_match_oracle(tmp_path, bad_row, error, fragment):
+    p = tmp_path / "obs.csv"
+    lines = [f"{stamp(5 * t)},{sid},97.0" for t in range(2) for sid in ("E01", "E02")]
+    write_lines(p, lines + [bad_row, f"{stamp(10)},E02,97.0"])
+    for parse in (load_observations, reference_load_observations):
+        with pytest.raises(error, match=re.escape(fragment)):
+            parse(p, [E01, E02])
 
 
 # -- fill_missing ---------------------------------------------------------

@@ -268,6 +268,21 @@ def test_invert_stack_anchors_time_mean():
     assert np.allclose(out.mean(axis=1), [97.0, 96.0], atol=1e-10)
 
 
+def test_invert_stack_members_axis_matches_each_member():
+    grid = synthetic_grid()
+    stack = fit_stack(grid, volatility_df=24.0)
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((3, 2, grid.n_times - 1))
+    means = 97.0 + rng.standard_normal((3, 2))
+    out = invert_stack(A, stack, [300.0, 400.0], means)
+    assert out.shape == (3, 2, grid.n_times)
+    for k in range(3):
+        member = invert_stack(A[k], stack, [300.0, 400.0], means[k])
+        assert out[k].tobytes() == member.tobytes()
+    with pytest.raises(ValidationError, match="means"):
+        invert_stack(A, stack, [300.0, 400.0], means[0])
+
+
 def test_apply_stack_constant_grid_zero_diurnal():
     grid = synthetic_grid()
     stack = fit_stack(grid, volatility_df=24.0)
