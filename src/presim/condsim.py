@@ -82,27 +82,52 @@ class PredictionSetup:
         return combine(self.observed, self.targets)
 
 
+class SamplerFrame:
+    """The parts of a sampler build that do not depend on the parameters.
+
+    The frequency plan, the combined (observed + target) geometry, the
+    spline designs at the low-band frequencies and of S at the high band,
+    and the observed low-band coefficients. One frame serves every
+    parameter draw of an ensemble.
+    """
+
+    def __init__(self, model: SpectralModel, setup: PredictionSetup,
+                 observed_field: SpectralField):
+        if observed_field.n_sites != setup.n_observed:
+            raise ValidationError("observed field does not match setup geometry")
+        self.T = observed_field.n_times
+        self.plan = plan = FrequencyPlan(self.T, model.knots.omega0)
+        self.geometry = setup.combined
+        self.designs_low = model.designs(plan.omega_low)
+        self.design_S_high = model.basis_S.design(plan.omega_high)
+        self.J_o = observed_field.coeffs[plan.idx_low]
+
+
 class ConditionalSampler:
     """Precomputed per-frequency conditional laws for one parameter vector.
 
     With zero observed sites (an empty observed geometry and a (T, 0)
     observed field) the conditional laws are the unconditional ones, so
-    the same sampler draws synthetic truths.
+    the same sampler draws synthetic truths. `frame` is the
+    `SamplerFrame` of `setup` and `observed_field`; callers that build
+    samplers for many parameter vectors pass it in once computed.
     """
 
     def __init__(self, model: SpectralModel, params: SpectralParams,
-                 setup: PredictionSetup, observed_field: SpectralField):
+                 setup: PredictionSetup, observed_field: SpectralField,
+                 frame: SamplerFrame | None = None):
+        if frame is None:
+            frame = SamplerFrame(model, setup, observed_field)
         n = setup.n_observed
-        if observed_field.n_sites != n:
-            raise ValidationError("observed field does not match setup geometry")
         self.setup = setup
-        self.T = observed_field.n_times
+        self.T = frame.T
         self.m = setup.n_targets
-        self.plan = plan = FrequencyPlan(self.T, model.knots.omega0)
+        self.plan = plan = frame.plan
         self.ridge_frequencies = []
 
         scale = TWO_PI * self.T
-        f = model.cross_spectrum_stack(params, setup.combined, plan.omega_low)
+        f = model.cross_spectrum_terms(params, frame.geometry, plan.omega_low,
+                                       frame.designs_low).f
         foo, fpo, fpp = f[:, :n, :n], f[:, n:, :n], f[:, n:, n:]
         try:
             np.linalg.cholesky(foo)
@@ -118,14 +143,13 @@ class ConditionalSampler:
                     foo[k] = foo[k] + np.eye(n) * (RIDGE_REL * np.trace(foo[k]).real / n)
                     self.ridge_frequencies.append(int(plan.idx_low[k]))
             B = _mT(np.linalg.solve(_mT(foo), _mT(fpo)))
-        J_o = observed_field.coeffs[plan.idx_low]
-        self.means = (B @ J_o[..., None])[..., 0]
+        self.means = (B @ frame.J_o[..., None])[..., 0]
         cond = fpp - B @ _mT(fpo).conj()
         cond = 0.5 * (cond + _mT(cond).conj())
         self.chols = _psd_factor(scale * cond)
 
         # diagonal block: unconditional marginal SDs per frequency
-        self.sd_high = np.sqrt(scale * model.eval_S(params, plan.omega_high))
+        self.sd_high = np.sqrt(scale * np.exp(frame.design_S_high @ params.s_coeffs))
 
     def draw(self, seed: int, member: int, stage: int = STAGE_CONDSIM) -> SpectralField:
         """One draw of the target-site spectral field.
@@ -231,17 +255,18 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
     if mean_draws.shape != (count, setup.n_targets):
         raise ValidationError("mean_draws must be (count, n_targets)")
 
+    frame = SamplerFrame(model, setup, observed_field)
     if vary_params:
         draws = sample_params(model, fit, count, seed)
         ridged = 0
     else:
-        sampler = ConditionalSampler(model, fit.params_hat, setup, observed_field)
+        sampler = ConditionalSampler(model, fit.params_hat, setup, observed_field, frame)
         ridged = len(sampler.ridge_frequencies)
 
     sim_A = np.empty((count, setup.n_targets, observed_field.n_times))
     for k in range(count):
         if vary_params:
-            sampler = ConditionalSampler(model, draws[k], setup, observed_field)
+            sampler = ConditionalSampler(model, draws[k], setup, observed_field, frame)
             ridged += len(sampler.ridge_frequencies)
         sim_A[k] = inverse_dft(sampler.draw(seed, k))
     return Ensemble(

@@ -11,6 +11,7 @@ from presim.condsim import (
     ConditionalSampler,
     Ensemble,
     PredictionSetup,
+    SamplerFrame,
     fit_hash,
     geometry_hash,
     run_ensemble,
@@ -21,6 +22,7 @@ from presim.geometry import SiteGeometry
 from presim.preprocess import DiurnalModel, SeaLevelModel, TransformStack, VolatilitySeries
 from presim.rng import STAGE_CONDSIM, STAGE_CONDSIM_HIGH, STAGE_SYNTH, substream
 from presim.spectrum import KnotSet, SpectralModel, SpectralParams
+from presim.splines import ConstrainedBasis
 from presim.whittle import (
     TWO_PI,
     FitResult,
@@ -237,6 +239,35 @@ def test_zero_site_substream_keys(model, geometry3):
     zr = substream(31, STAGE_CONDSIM_HIGH, 2).standard_normal((1, 1))
     assert np.allclose(coeffs[plan.idx_high[0], 0].real * np.sqrt(2.0),
                        cond.sd_high[0] * zr[0, 0], rtol=1e-12)
+
+
+def test_shared_frame_gives_the_same_sampler(model, monkeypatch):
+    # one frame reused across parameter vectors gives bitwise the sampler
+    # built from scratch, and run_ensemble computes the spline designs once
+    T = 40
+    rng = np.random.default_rng(37)
+    setup = make_setup(2)
+    field = observed_field(model, random_params(model, rng), setup, T, seed=38)
+    frame = SamplerFrame(model, setup, field)
+    for _ in range(2):
+        params = random_params(model, rng)
+        shared = ConditionalSampler(model, params, setup, field, frame)
+        alone = ConditionalSampler(model, params, setup, field)
+        for name in ("means", "chols", "sd_high"):
+            assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes()
+
+    design = ConstrainedBasis.design
+    calls = []
+    monkeypatch.setattr(ConstrainedBasis, "design",
+                        lambda self, *a, **k: calls.append(1) or design(self, *a, **k))
+    fit = make_fit(model, random_params(model, rng))
+    per_count = []
+    for count in (2, 4):
+        calls.clear()
+        run_ensemble(model, fit, tiny_stack(T, 2), setup, field, np.full((count, 2), 97.0),
+                     count=count, vary_params=True, seed=39)
+        per_count.append(len(calls))
+    assert per_count[0] == per_count[1] == 5
 
 
 def test_draw_with_cutoff_at_pi_has_no_high_band():
