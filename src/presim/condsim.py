@@ -155,34 +155,32 @@ class ConditionalSampler:
         """One draw of the target-site spectral field.
 
         Low-band frequencies use substreams keyed by (stage, member,
-        Fourier index). The diagonal high band is drawn in fixed frequency
-        order from one per-member substream, keyed (STAGE_CONDSIM_HIGH,
-        member) when conditioning and (STAGE_CONDSIM_HIGH, stage, member)
-        with zero observed sites; these keys fix every seeded ensemble and
-        synthetic dataset.
+        Fourier index); their normals are mapped through the conditional
+        laws in one stacked product. The diagonal high band is drawn in
+        fixed frequency order from one per-member substream, keyed
+        (STAGE_CONDSIM_HIGH, member) when conditioning and
+        (STAGE_CONDSIM_HIGH, stage, member) with zero observed sites; these
+        keys fix every seeded ensemble and synthetic dataset.
         """
         T, m, plan = self.T, self.m, self.plan
         coeffs = np.zeros((T, m), dtype=complex)
 
+        real = plan.real_low
+        z = np.zeros((len(plan.idx_low), 2, m))  # real and imaginary parts
         for k, j in enumerate(plan.idx_low):
-            rng = substream(seed, stage, member, int(j))
-            L = self.chols[k]
-            if plan.real_low[k]:
-                z = rng.standard_normal(m)
-                coeffs[j] = self.means[k].real + L.real @ z
-            else:
-                z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-                coeffs[j] = self.means[k] + L @ z / np.sqrt(2.0)
+            n_parts = 1 if real[k] else 2
+            z[k, :n_parts] = substream(seed, stage, member, int(j)).standard_normal((n_parts, m))
+        z_complex = z[:, 0] + 1j * z[:, 1]
+        low = self.means + (self.chols @ z_complex[..., None])[..., 0] / np.sqrt(2.0)
+        low[real] = self.means[real].real + (self.chols[real].real @ z[real, 0, :, None])[..., 0]
+        coeffs[plan.idx_low] = low
 
         high_key = (member,) if self.setup.n_observed else (stage, member)
         rng_hi = substream(seed, STAGE_CONDSIM_HIGH, *high_key)
-        kh = len(plan.idx_high)
-        if kh:
-            zr = rng_hi.standard_normal((kh, m))
-            zi = rng_hi.standard_normal((kh, m))
-            vals = self.sd_high[:, None] * (zr + 1j * zi) / np.sqrt(2.0)
-            vals[plan.real_high] = self.sd_high[plan.real_high, None] * zr[plan.real_high]
-            coeffs[plan.idx_high] = vals
+        zr, zi = rng_hi.standard_normal((2, len(plan.idx_high), m))
+        high = self.sd_high[:, None] * (zr + 1j * zi) / np.sqrt(2.0)
+        high[plan.real_high] = self.sd_high[plan.real_high, None] * zr[plan.real_high]
+        coeffs[plan.idx_high] = high
 
         # conjugate symmetry for the negative frequencies
         j_all = np.arange(1, (T + 1) // 2)
