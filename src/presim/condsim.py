@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import SiteGeometry, combine
 from .preprocess import TransformStack, invert_stack
-from .rng import STAGE_CONDSIM, STAGE_CONDSIM_HIGH, substream
+from .rng import RNG_LAYOUT, STAGE_CONDSIM, STAGE_CONDSIM_HIGH, substream
 from .spectrum import SpectralModel, SpectralParams
 from .whittle import (
     TWO_PI,
@@ -255,7 +255,7 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
 
     frame = SamplerFrame(model, setup, observed_field)
     if vary_params:
-        draws = sample_params(model, fit, count, seed)
+        draws = sample_params(fit, count, seed)
         ridged = 0
     else:
         sampler = ConditionalSampler(model, fit.params_hat, setup, observed_field, frame)
@@ -264,7 +264,8 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
     sim_A = np.empty((count, setup.n_targets, observed_field.n_times))
     for k in range(count):
         if vary_params:
-            sampler = ConditionalSampler(model, draws[k], setup, observed_field, frame)
+            sampler = ConditionalSampler(model, model.unpack(draws[k]), setup, observed_field,
+                                         frame)
             ridged += len(sampler.ridge_frequencies)
         sim_A[k] = inverse_dft(sampler.draw(seed, k))
     return Ensemble(
@@ -295,6 +296,7 @@ def write_ensemble(ensemble: Ensemble, out_dir, start_time=None, step_seconds=30
     np.save(out / "pressure.npy", np.ascontiguousarray(ensemble.pressure))
     manifest = {
         "seed": ensemble.seed,
+        "rng_layout": RNG_LAYOUT,
         "n_members": ensemble.n_members,
         "target_ids": list(ensemble.target_ids),
         "provenance": ensemble.provenance,

@@ -2,8 +2,22 @@
 
 All randomness in the pipeline flows from one 64-bit seed through named
 substreams, so runs are reproducible regardless of how work is scheduled.
-Substream keys are small integers: a stage code plus indices such as
-(member, frequency).
+A substream key is a stage code followed by small indices. `SeedSequence`
+pads a key of fewer than four words with zeros, so (seed, a, b) and
+(seed, a, b, 0) name the same stream.
+
+The layout, recorded as RNG_LAYOUT in every manifest:
+
+- (STAGE_PARAM_DRAW,): all parameter draws of an ensemble, one (count, p)
+  block whose row k is member k's;
+- (stage, member, j): low-band frequency j of a field draw, with stage
+  STAGE_CONDSIM for ensemble members and STAGE_SYNTH for a synthetic truth;
+- (STAGE_CONDSIM_HIGH, member) when conditioning and (STAGE_CONDSIM_HIGH,
+  stage, member) with zero observed sites: the high band of a field draw;
+- (STAGE_MEANFIELD, member): one mean-field draw;
+- (STAGE_SYNTH, 0): a synthetic transform stack's diurnal coefficients and
+  site-mean scatter;
+- (STAGE_EVAL, 0): rank tie-breaks.
 """
 
 import numpy as np
@@ -16,11 +30,14 @@ STAGE_SYNTH = 4
 STAGE_EVAL = 5
 STAGE_CONDSIM_HIGH = 6
 
+# names the layout above; a change to any seeded draw gives it a new name
+RNG_LAYOUT = "per-frequency-v2"
+
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Generator for the substream identified by (seed, *key).
 
     Deterministic: the same (seed, key) always yields the same stream, and
-    distinct keys yield statistically independent streams.
+    keys that differ after the zero padding yield independent streams.
     """
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))

@@ -24,7 +24,7 @@ from .preprocess import (
     VolatilitySeries,
     invert_stack,
 )
-from .rng import STAGE_SYNTH, substream
+from .rng import RNG_LAYOUT, STAGE_SYNTH, substream
 from .spectrum import KnotSet, SpectralModel, SpectralParams
 from .whittle import SpectralField, inverse_dft
 
@@ -173,6 +173,7 @@ def write_dataset(truth: SyntheticTruth, out_dir, start=DEFAULT_START,
 
     manifest = {
         "seed": truth.seed,
+        "rng_layout": RNG_LAYOUT,
         "knots": truth.knots.to_dict(),
         "params": truth.params.to_dict(),
         "stack": truth.stack.to_dict(),

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 from scipy.optimize import brentq, minimize
 
 from .errors import ValidationError
@@ -330,12 +331,16 @@ def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
     )
 
 
-def sample_params(model: SpectralModel, fit: FitResult, count: int, seed: int):
-    """Draw parameter vectors from N(theta_hat, H^{-1}).
+def sample_params(fit: FitResult, count: int, seed: int) -> np.ndarray:
+    """Draw `count` packed parameter vectors from N(theta_hat, H^{-1}).
 
-    If the Hessian is not positive definite it is projected by flooring
-    its eigenvalues at 1e-8 times the largest one; the draw list then
-    carries floored=True in the fit result.
+    One generator, keyed (STAGE_PARAM_DRAW,), gives a (count, p) block of
+    standard normals; one right-side triangular solve maps the block row by
+    row, so row k (member k's draw) is the same for every count (a
+    one-column left-side solve would differ in the last bit). If the
+    Hessian is not positive definite it is projected by flooring its
+    eigenvalues at 1e-8 times the largest one, and the fit result records
+    hessian_floored=True.
     """
     H = np.asarray(fit.hessian, dtype=float)
     try:
@@ -349,14 +354,9 @@ def sample_params(model: SpectralModel, fit: FitResult, count: int, seed: int):
         floored = True
     fit.hessian_floored = fit.hessian_floored or floored
     mean = fit.params_hat.pack()
-    draws = []
-    for k in range(count):
-        rng = substream(seed, STAGE_PARAM_DRAW, k)
-        z = rng.standard_normal(len(mean))
-        # cov of L'^{-1} z is (L L')^{-1} = H^{-1}
-        x = mean + np.linalg.solve(L.T, z)
-        draws.append(model.unpack(x))
-    return draws
+    z = substream(seed, STAGE_PARAM_DRAW).standard_normal((count, len(mean)))
+    # rows z L^{-1}: cov of L'^{-1} z' is (L L')^{-1} = H^{-1}
+    return mean + dtrsm(1.0, L, z, side=1, lower=1)
 
 
 # -- data-driven initialization ------------------------------------------

@@ -69,6 +69,17 @@ def unconditional_sampler(model, params, geometry, T):
     return ConditionalSampler(model, params, setup, SpectralField(np.zeros((T, 0))))
 
 
+def reference_low_band(sampler, z):
+    """Low-band draws one frequency at a time: the oracle for the stacked draw.
+
+    Row k is means[k] + chols[k] @ z[k] for the circular complex normals
+    z[k]; the real-coefficient frequencies keep the real part.
+    """
+    out = np.array([sampler.means[k] + sampler.chols[k] @ z[k] for k in range(len(z))])
+    out[sampler.plan.real_low] = out[sampler.plan.real_low].real
+    return out
+
+
 def reference_load_observations(path, stations) -> list:
     """Row-by-row observation parser: the oracle for `ingest.load_observations`.
 

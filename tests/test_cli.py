@@ -14,6 +14,7 @@ import yaml
 from presim.cli import main
 from presim.config import RunConfig
 from presim.errors import ConfigurationError
+from presim.rng import RNG_LAYOUT
 
 T = 576
 SEED = 11
@@ -60,7 +61,7 @@ def test_synth_writes_dataset(pipeline):
     out, _ = pipeline
     synth_dir = out / "synthetic"
     assert (synth_dir / "stations.csv").exists()
-    assert (synth_dir / "truth.json").exists()
+    assert json.loads((synth_dir / "truth.json").read_text())["rng_layout"] == RNG_LAYOUT
     obs_lines = (synth_dir / "observations.csv").read_text().splitlines()
     assert obs_lines[0] == "timestamp,station_id,pressure_kPa"
     assert len(obs_lines) == 1 + 13 * (T + 1)
@@ -82,6 +83,7 @@ def test_ensemble_output(pipeline):
     assert manifest["n_members"] == 4
     assert manifest["target_ids"] == ["E12", "E13"]
     assert manifest["seed"] == SEED
+    assert manifest["rng_layout"] == RNG_LAYOUT
     assert "mean_field" in manifest
     assert manifest["step_seconds"] == 300.0
     synth_truth = json.loads((out / "synthetic" / "truth.json").read_text())

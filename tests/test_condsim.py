@@ -20,7 +20,7 @@ from presim.condsim import (
 from presim.errors import ValidationError
 from presim.geometry import SiteGeometry
 from presim.preprocess import DiurnalModel, SeaLevelModel, TransformStack, VolatilitySeries
-from presim.rng import STAGE_CONDSIM, STAGE_CONDSIM_HIGH, STAGE_SYNTH, substream
+from presim.rng import RNG_LAYOUT, STAGE_CONDSIM, STAGE_CONDSIM_HIGH, STAGE_SYNTH, substream
 from presim.spectrum import KnotSet, SpectralModel, SpectralParams
 from presim.splines import ConstrainedBasis
 from presim.whittle import (
@@ -32,7 +32,7 @@ from presim.whittle import (
     sample_params,
 )
 
-from conftest import random_params, unconditional_sampler
+from conftest import random_params, reference_low_band, unconditional_sampler
 
 
 def fit_const(model, values, basis):
@@ -241,6 +241,52 @@ def test_zero_site_substream_keys(model, geometry3):
                        cond.sd_high[0] * zr[0, 0], rtol=1e-12)
 
 
+def low_band_normals(seed, stage, member, plan, m):
+    """Circular complex normals of one draw's low band, one substream per frequency.
+
+    A complex row is (zr + i zi) / sqrt(2) for two consecutive blocks of m
+    standard normals; a real-coefficient row is one block.
+    """
+    z = np.empty((len(plan.idx_low), m), dtype=complex)
+    for k, j in enumerate(plan.idx_low):
+        g = substream(seed, stage, member, j).standard_normal((1 if plan.real_low[k] else 2, m))
+        z[k] = g[0] if plan.real_low[k] else (g[0] + 1j * g[1]) / np.sqrt(2.0)
+    return z
+
+
+def test_stacked_low_band_matches_per_frequency_reference():
+    # cutoff at pi: the low band holds 0 and Nyquist, the real-coefficient rows
+    model = SpectralModel(KnotSet.default(4320))
+    T = 48
+    params = random_params(model, np.random.default_rng(40), scale=0.3)
+    setup = make_setup(2)
+    sampler = ConditionalSampler(model, params, setup,
+                                 observed_field(model, params, setup, T, seed=41))
+    plan = sampler.plan
+    assert plan.real_low.sum() == 2 and len(plan.idx_high) == 0
+    for member in range(4):
+        coeffs = sampler.draw(seed=42, member=member).coeffs
+        ref = reference_low_band(sampler, low_band_normals(42, STAGE_CONDSIM, member, plan, 2))
+        assert np.allclose(coeffs[plan.idx_low], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("omega0_j", [720, 4320])
+def test_real_coefficient_frequencies_are_real(omega0_j):
+    # 0 is always in the low band; the Nyquist is in the high band at the
+    # hourly cutoff and in the low band at a cutoff at pi
+    model = SpectralModel(KnotSet.default(omega0_j))
+    T = 48
+    params = random_params(model, np.random.default_rng(43), scale=0.3)
+    setup = make_setup(2)
+    field = observed_field(model, params, setup, T, seed=44)
+    for sampler in (ConditionalSampler(model, params, setup, field),
+                    unconditional_sampler(model, params, setup.combined, T)):
+        for member in range(3):
+            coeffs = sampler.draw(seed=45, member=member).coeffs
+            assert np.all(coeffs[[0, T // 2]].imag == 0.0)
+            assert np.all(coeffs[[0, T // 2]].real != 0.0)
+
+
 def test_shared_frame_gives_the_same_sampler(model, monkeypatch):
     # one frame reused across parameter vectors gives bitwise the sampler
     # built from scratch, and run_ensemble computes the spline designs once
@@ -364,6 +410,23 @@ def test_run_ensemble_shares_one_diurnal_cycle(model, monkeypatch):
         assert ens.pressure[k].tobytes() == members[k].tobytes()
 
 
+def test_member_draw_does_not_depend_on_ensemble_size(model):
+    T = 40
+    rng = np.random.default_rng(46)
+    params = random_params(model, rng, scale=0.2)
+    setup = make_setup(2)
+    field = observed_field(model, params, setup, T, seed=47)
+    fit = make_fit(model, params)
+    mean_draws = 97.0 + 0.01 * rng.standard_normal((5, 2))
+    for vary in (False, True):
+        small, large = (
+            run_ensemble(model, fit, tiny_stack(T, 2), setup, field, mean_draws[:count],
+                         count=count, vary_params=vary, seed=48)
+            for count in (3, 5)
+        )
+        assert small.pressure.tobytes() == large.pressure[:3].tobytes()
+
+
 def test_run_ensemble_vary_params_ids(model):
     T = 24
     rng = np.random.default_rng(17)
@@ -401,8 +464,8 @@ def test_run_ensemble_records_fallbacks(model, tmp_path):
     fit.hessian[-1, -1] = -1.0
     ens = run_ensemble(model, fit, *args, count=3, vary_params=True, seed=27)
     ridged = sum(
-        len(ConditionalSampler(model, p, setup, field).ridge_frequencies)
-        for p in sample_params(model, fit, 3, 27)
+        len(ConditionalSampler(model, model.unpack(x), setup, field).ridge_frequencies)
+        for x in sample_params(fit, 3, 27)
     )
     assert ridged > 0
     assert ens.provenance["ridge_frequencies"] == ridged
@@ -439,6 +502,7 @@ def test_write_ensemble_round_trip(model, tmp_path):
     assert manifest["n_members"] == 4
     assert manifest["target_ids"] == ["P0", "P1"]
     assert manifest["seed"] == 25
+    assert manifest["rng_layout"] == RNG_LAYOUT
     assert manifest["param_draw_ids"] == [0, 1, 2, 3]
     assert manifest["mean_field_draws"] == mean_draws.tolist()
     assert manifest["start_time"] == "2005-10-01T00:00:00+00:00"

@@ -434,22 +434,30 @@ def test_sample_params_count_and_determinism(model):
     p = model.zero_params()
     fit = FitResult(params_hat=p, loglik=0.0, hessian=np.eye(model.n_params),
                     convergence={}, knots=model.knots)
-    draws1 = sample_params(model, fit, 99, seed=7)
-    draws2 = sample_params(model, fit, 99, seed=7)
-    draws3 = sample_params(model, fit, 5, seed=8)
-    assert len(draws1) == 99
-    assert all(
-        np.array_equal(a.pack(), b.pack()) for a, b in zip(draws1, draws2)
-    )
-    assert not np.array_equal(draws1[0].pack(), draws3[0].pack())
+    draws1 = sample_params(fit, 99, seed=7)
+    draws2 = sample_params(fit, 99, seed=7)
+    draws3 = sample_params(fit, 5, seed=8)
+    assert draws1.shape == (99, model.n_params)
+    assert np.array_equal(draws1, draws2)
+    assert not np.array_equal(draws1[0], draws3[0])
+
+
+def test_sample_params_rows_do_not_depend_on_count(model):
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(model.n_params, model.n_params))
+    fit = FitResult(params_hat=random_params(model, rng), loglik=0.0,
+                    hessian=A @ A.T + np.eye(model.n_params),
+                    convergence={}, knots=model.knots)
+    block = sample_params(fit, 40, seed=12)
+    for count in (1, 2, 7, 39):
+        assert sample_params(fit, count, seed=12).tobytes() == block[:count].tobytes()
 
 
 def test_sample_params_identity_hessian_covariance(model):
     p = model.zero_params()
     fit = FitResult(params_hat=p, loglik=0.0, hessian=np.eye(model.n_params),
                     convergence={}, knots=model.knots)
-    draws = sample_params(model, fit, 100_000, seed=9)
-    X = np.stack([d.pack() for d in draws])
+    X = sample_params(fit, 100_000, seed=9)
     C = np.cov(X.T)
     assert np.max(np.abs(np.diag(C) - 1.0)) < 0.05
     off = C - np.diag(np.diag(C))
@@ -462,6 +470,6 @@ def test_sample_params_floors_indefinite_hessian(model):
     H[0, 0] = -1.0
     fit = FitResult(params_hat=p, loglik=0.0, hessian=H,
                     convergence={}, knots=model.knots)
-    draws = sample_params(model, fit, 3, seed=10)
+    draws = sample_params(fit, 3, seed=10)
     assert fit.hessian_floored
-    assert all(np.all(np.isfinite(d.pack())) for d in draws)
+    assert np.all(np.isfinite(draws))
