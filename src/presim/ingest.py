@@ -125,6 +125,8 @@ def load_stations(path) -> list:
                                elevation=float(elev))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: bad station row ({exc})") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
         if meta.id in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate station id {meta.id!r}")
         seen.add(meta.id)

@@ -283,9 +283,10 @@ class SpectralModel:
         d = geometry.distances
         ux = geometry.displacements @ params.u
 
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             r = d[None, :, :] / np.abs(delta)[:, None, None]
-        # delta == 0: zero coherence at d > 0, full correlation at d = 0
+        # delta == 0, or so small that r overflows: zero coherence at d > 0,
+        # full correlation at d = 0
         r = np.where(np.isfinite(r), r, np.inf)
         np.einsum("kii->ki", r)[:] = 0.0
         far = np.isinf(r)

@@ -72,6 +72,17 @@ def test_load_stations_bad_row_names_line(tmp_path):
         load_stations(p)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("E02,91.0,-97.5,400", "station E02: latitude 91.0 out of range"),
+    ("E02,36.5,-181.0,400", "station E02: longitude -181.0 out of range"),
+])
+def test_load_stations_coordinate_out_of_range_names_line(tmp_path, row, message):
+    p = tmp_path / "stations.csv"
+    write_station_csv(p, ["E01,36.0,-97.0,300", row])
+    with pytest.raises(ValidationError, match=f"stations.csv:3: {message}"):
+        load_stations(p)
+
+
 def test_load_stations_wrong_header_rejected(tmp_path):
     p = tmp_path / "stations.csv"
     p.write_text("name,lat,lon,elev\nE01,36,-97,300\n")

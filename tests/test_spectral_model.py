@@ -243,6 +243,18 @@ def test_cross_spectrum_diagonal_beyond_cutoff(model, geometry3):
     assert np.allclose(f, S * np.eye(3), atol=1e-14)
 
 
+def test_cross_spectrum_vanishing_delta_has_no_coherence(model, geometry3):
+    # a subnormal |delta| overflows d / |delta|: zero coherence, no warning
+    rng = np.random.default_rng(9)
+    p = random_params(model, rng)
+    p = SpectralParams(p.s_coeffs, p.beta_coeffs, np.full_like(p.delta_coeffs, 1e-310),
+                       p.theta_coeffs, p.u_angle)
+    om = np.linspace(0.01, 0.9, 7) * model.knots.omega0
+    f = model.cross_spectrum_stack(p, geometry3, om)
+    S = model.eval_S(p, om)
+    assert np.allclose(f, S[:, None, None] * np.eye(3), rtol=1e-14, atol=0)
+
+
 def test_cross_spectrum_real_when_theta_zero(model, geometry3):
     rng = np.random.default_rng(8)
     p = random_params(model, rng)
