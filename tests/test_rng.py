@@ -23,6 +23,14 @@ STAGES = (STAGE_PARAM_DRAW, STAGE_CONDSIM, STAGE_MEANFIELD, STAGE_SYNTH, STAGE_E
           STAGE_CONDSIM_HIGH)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("key", [(), (STAGE_SYNTH, 0), (STAGE_CONDSIM, 3, 2**32 - 1)])
+def test_substream_is_the_seed_sequence_of_the_key(seed, key):
+    reference = np.random.default_rng(np.random.SeedSequence([seed, *key]))
+    assert np.array_equal(substream(seed, *key).standard_normal(5),
+                          reference.standard_normal(5))
+
+
 def test_substream_pads_short_keys_with_zeros():
     # why the collision test below compares stream states, not key tuples
     assert np.array_equal(substream(3, STAGE_SYNTH).standard_normal(4),
