@@ -287,20 +287,27 @@ def test_real_coefficient_frequencies_are_real(omega0_j):
             assert np.all(coeffs[[0, T // 2]].real != 0.0)
 
 
-def test_shared_frame_gives_the_same_sampler(model, monkeypatch):
-    # one frame reused across parameter vectors gives bitwise the sampler
-    # built from scratch, and run_ensemble computes the spline designs once
+def test_shared_frame_builds_each_parameter_vectors_law(model, monkeypatch):
+    # one frame reused across parameter vectors gives each vector's
+    # conditional law, and run_ensemble computes the spline designs once
     T = 40
     rng = np.random.default_rng(37)
     setup = make_setup(2)
     field = observed_field(model, random_params(model, rng), setup, T, seed=38)
     frame = SamplerFrame(model, setup, field)
+    plan = frame.plan
     for _ in range(2):
         params = random_params(model, rng)
-        shared = ConditionalSampler(model, params, setup, field, frame)
-        alone = ConditionalSampler(model, params, setup, field)
-        for name in ("means", "chols", "sd_high"):
-            assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes()
+        sampler = ConditionalSampler(model, params, setup, field, frame)
+        sd_high = np.sqrt(TWO_PI * T * model.eval_S(params, plan.omega_high))
+        assert sampler.sd_high.tobytes() == sd_high.tobytes()
+        f = model.cross_spectrum_stack(params, setup.combined, plan.omega_low)
+        for k, j in enumerate(plan.idx_low):
+            B = np.linalg.solve(f[k, :2, :2].T, f[k, 2:, :2].T).T
+            cond = TWO_PI * T * (f[k, 2:, 2:] - B @ f[k, 2:, :2].conj().T)
+            L = sampler.chols[k]
+            assert np.allclose(sampler.means[k], B @ field.coeffs[j], rtol=1e-12, atol=0)
+            assert np.allclose(L @ L.conj().T, cond, rtol=1e-12, atol=1e-12 * np.abs(cond).max())
 
     design = ConstrainedBasis.design
     calls = []
