@@ -43,6 +43,7 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     words = (int(seed), *map(int, key))
     if 0 <= min(words) and max(words) < 2**32:
         # one uint32 word per value: the entropy SeedSequence builds from the
-        # list itself, without its per-item conversion (a third of its time)
+        # list itself, without its per-item conversion (about a third of the
+        # cost of a substream)
         words = np.array(words, dtype=np.uint32)
     return np.random.default_rng(np.random.SeedSequence(words))
