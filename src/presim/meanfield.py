@@ -13,12 +13,12 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import GeometryError, ValidationError
 from .geometry import SiteGeometry, distance_matrix
 from .preprocess import SeaLevelModel
 from .rng import STAGE_MEANFIELD, substream
+from .splines import null_space
 
 VARIOGRAMS = ("nugget", "linear")
 

@@ -12,10 +12,9 @@ least 4*df knots, so the basis never limits the requested flexibility.
 """
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigurationError
+from .splines import bspline_basis
 
 DEGREE = 3
 
@@ -26,7 +25,7 @@ def _design_and_penalty(n: int, n_knots: int):
     t = np.concatenate(
         [np.full(DEGREE, interior[0]), interior, np.full(DEGREE, interior[-1])]
     )
-    B = BSpline.design_matrix(x, t, DEGREE).toarray()
+    B = bspline_basis(t, DEGREE, x)
     nb = B.shape[1]
 
     # Gram matrix of second derivatives; exact via 3-point Gauss per span
@@ -34,12 +33,11 @@ def _design_and_penalty(n: int, n_knots: int):
     P = np.zeros((nb, nb))
     gauss_x, gauss_w = np.polynomial.legendre.leggauss(3)
     spans = np.unique(t)
-    d2 = BSpline(t, np.eye(nb), DEGREE).derivative(2)
-    for a, b in zip(spans[:-1], spans[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        pts = mid + half * gauss_x
-        V = d2(pts).T  # nb x 3
-        P += (V * gauss_w) @ V.T * half
+    mid, half = (spans[:-1] + spans[1:]) / 2.0, (spans[1:] - spans[:-1]) / 2.0
+    d2 = bspline_basis(t, DEGREE, (mid[:, None] + half[:, None] * gauss_x).ravel(), 2)
+    for i, h in enumerate(half):
+        V = d2[3 * i:3 * i + 3].T  # nb x 3
+        P += (V * gauss_w) @ V.T * h
     return B, P
 
 
@@ -54,10 +52,15 @@ class DfSpline:
         n_knots = min(n, max(int(np.ceil(4 * df)), 10))
         self.B, self.P = _design_and_penalty(n, n_knots)
         self.BtB = self.B.T @ self.B
+        # scipy.linalg is imported in the methods: of the CLI stages only `fit` smooths
+        from scipy.linalg import cho_factor
+
         self._lam = self._solve_lambda(df_tol)
         self._cho = cho_factor(self.BtB + self._lam * self.P)
 
     def _trace(self, lam: float) -> float:
+        from scipy.linalg import cho_factor, cho_solve
+
         cho = cho_factor(self.BtB + lam * self.P)
         return float(np.trace(cho_solve(cho, self.BtB)))
 
@@ -87,5 +90,7 @@ class DfSpline:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n,):
             raise ConfigurationError(f"expected series of length {self.n}")
+        from scipy.linalg import cho_solve
+
         c = cho_solve(self._cho, self.B.T @ y)
         return self.B @ c

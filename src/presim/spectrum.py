@@ -14,7 +14,6 @@ S is exp(spline) to guarantee positivity; all shape constraints live in
 the constrained spline bases, so the parameter space is unconstrained.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,26 +303,3 @@ class SpectralModel:
                              omegas) -> np.ndarray:
         """Stack of n x n Hermitian cross-spectral matrices, one per frequency."""
         return self.cross_spectrum_terms(params, geometry, omegas).f
-
-    def cross_spectrum(self, params: SpectralParams, geometry: SiteGeometry,
-                       omega: float) -> np.ndarray:
-        """Single-frequency n x n Hermitian cross-spectral matrix."""
-        return self.cross_spectrum_stack(params, geometry, [omega])[0]
-
-    def coherence(self, params: SpectralParams, geometry: SiteGeometry,
-                  omega: float, j: int, k: int) -> complex:
-        """Complex coherence f_jk / sqrt(f_jj f_kk) between two sites."""
-        f = self.cross_spectrum(params, geometry, omega)
-        return f[j, k] / np.sqrt(f[j, j].real * f[k, k].real)
-
-    # -- serialization -----------------------------------------------------
-
-    def params_to_json(self, params: SpectralParams) -> str:
-        return json.dumps(
-            {"knots": self.knots.to_dict(), "params": params.to_dict()}, indent=2
-        )
-
-
-def params_from_json(text: str):
-    d = json.loads(text)
-    return KnotSet.from_dict(d["knots"]), SpectralParams.from_dict(d["params"])

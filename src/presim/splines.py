@@ -10,15 +10,81 @@ spline g on [0, L] (L = the last knot), reduced by linear constraints:
 
 The constrained space is the null space of the constraint matrix in the
 full clamped B-spline basis; its dimension is reported by the evaluator.
+
+The B-spline values and the null space are computed here with numpy, in
+scipy's order of operations (`BSpline`, `splder`, `scipy.linalg.null_space`),
+so they equal scipy's bit for bit. Every CLI stage builds these bases, and
+importing `scipy.interpolate` for them cost each stage process about 0.4 s.
+Now only `fit` (optimizer and smoother) and `simulate` with parameter draws
+(one BLAS triangular solve) load scipy at all.
 """
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.linalg import null_space
 
 from .errors import ConfigurationError
 
 DEGREE = 3
+
+
+def _de_boor(t, k, x, ell):
+    """The k+1 degree-k B-splines nonzero at each x, t[ell] <= x < t[ell+1].
+
+    Column a holds B_{ell-k+a}; the Cox-de Boor recurrence runs in the
+    order of scipy's `_deBoor_D`, skipping empty knot spans.
+    """
+    h = np.zeros((len(x), k + 1))
+    h[:, 0] = 1.0
+    for j in range(1, k + 1):
+        hh = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for n in range(1, j + 1):
+            xb, xa = t[ell + n], t[ell + n - j]
+            span = xb != xa
+            w = np.divide(hh[:, n - 1], xb - xa, out=np.zeros(len(x)), where=span)
+            h[:, n - 1] = np.where(span, h[:, n - 1] + w * (xb - x), h[:, n - 1])
+            h[:, n] = np.where(span, w * (x - xa), 0.0)
+    return h
+
+
+def bspline_basis(t, k, x, nu=0) -> np.ndarray:
+    """Design matrix (len(x), len(t) - k - 1) of the degree-k B-splines on t.
+
+    Column i is the nu-th derivative of B_i at x, for x in [t[k], t[-k-1]].
+    Derivatives difference the identity coefficients as `splder` does and
+    sum the lower-degree values in order, as `BSpline.derivative(nu)(x)`.
+    """
+    t = np.asarray(t, dtype=float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    nb = len(t) - k - 1
+    c = np.eye(len(t), nb)  # coefficients padded to the knot count
+    for _ in range(nu):
+        dt = t[k + 1:-1] - t[1:-k - 1]
+        c = (c[1:-1 - k] - c[:-2 - k]) * k / dt[:, None]
+        c = np.concatenate([c, np.zeros((k, nb))])
+        t, k = t[1:-1], k - 1
+    # t[ell] <= x < t[ell + 1], with the last point in the last span
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, len(t) - k - 2)
+    h = _de_boor(t, k, x, ell)
+    out = np.zeros((len(x), nb))
+    if nu == 0:
+        out[np.arange(len(x))[:, None], ell[:, None] - k + np.arange(k + 1)] = h
+        return out
+    for a in range(k + 1):
+        out = out + c[ell + a - k] * h[:, a:a + 1]
+    return out
+
+
+def null_space(A) -> np.ndarray:
+    """Orthonormal basis of the null space of A, as `scipy.linalg.null_space`.
+
+    Row-major like scipy's (the transpose of its Fortran-ordered vh), so
+    products with it take the same BLAS path: a Fortran-ordered basis
+    moves some products by an ulp.
+    """
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(A.shape)
+    r = int(np.sum(s > tol))
+    return np.ascontiguousarray(vh[r:].T)
 
 
 class ConstrainedBasis:
@@ -53,12 +119,10 @@ class ConstrainedBasis:
             [np.zeros(DEGREE), knots, np.full(DEGREE, self.cutoff)]
         )
         self._t = t
-        # vector-valued spline whose components are the full basis functions
-        self._full = BSpline(t, np.eye(len(t) - DEGREE - 1), DEGREE)
 
-        rows = [self._full.derivative(1 if kind == "even" else 0)([0.0])]
+        rows = [bspline_basis(t, DEGREE, [0.0], 1 if kind == "even" else 0)]
         for order in endpoint_orders:
-            rows.append(self._full.derivative(int(order))([self.cutoff]))
+            rows.append(bspline_basis(t, DEGREE, [self.cutoff], int(order)))
         A = np.vstack(rows)
         if np.linalg.matrix_rank(A) < A.shape[0]:
             raise ConfigurationError("constraint system is rank-deficient")
@@ -82,11 +146,7 @@ class ConstrainedBasis:
         a = np.abs(omega)
         inside = a <= self.cutoff + 1e-12
         x = np.clip(a, 0.0, self.cutoff)
-        if order == 0:
-            M = BSpline.design_matrix(x, self._t, DEGREE).toarray()
-        else:
-            M = self._full.derivative(order)(x)
-        G = M @ self._null
+        G = bspline_basis(self._t, DEGREE, x, order) @ self._null
         if self.kind == "odd" and order == 0:
             G = G * np.sign(omega)[:, None]
         if self.zero_outside:

@@ -6,10 +6,10 @@ adjusted nearest-neighbor baseline, and temporal aggregation helpers.
 All functions are pure; outputs serialize to plot-ready JSON/CSV.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtri
 
 from .errors import ValidationError
 from .geometry import great_circle
@@ -36,7 +36,45 @@ class RankHistogram:
 
     def chi_square_99(self) -> float:
         """99% point of chi-square with (bins - 1) degrees of freedom."""
-        return float(chdtri(len(self.counts) - 1, 0.01))
+        return chi_square_99_point(len(self.counts) - 1)
+
+
+def _chi_square_sf(x: float, df: int) -> float:
+    """P(X > x) for X ~ chi-square with integer df >= 1 and x >= df.
+
+    In closed form with z = x/2: the Poisson sum of z^p e^-z / Gamma(p+1)
+    over p = 0..df/2-1 for even df; erfc(sqrt z) plus the same sum over
+    p = 1/2..df/2-1 for odd df. For x >= df the terms rise with p, so
+    they are formed downward from the largest, which cannot underflow
+    while the probability is representable.
+    """
+    z = 0.5 * x
+    p = 0.5 * df - 1.0
+    term = math.exp(p * math.log(z) - z - math.lgamma(p + 1.0))
+    terms = []
+    for _ in range(df // 2):
+        terms.append(term)
+        term *= p / z
+        p -= 1.0
+    head = math.erfc(math.sqrt(z)) if df % 2 else 0.0
+    return head + math.fsum(terms)
+
+
+def chi_square_99_point(df: int) -> float:
+    """99% point of chi-square with integer df >= 1, bisected to the last bit."""
+    if df < 1:
+        raise ValidationError("chi-square needs at least one degree of freedom")
+    lo, hi = float(df), 2.0 * df  # P(X > df) > 0.3 for every df
+    while _chi_square_sf(hi, df) > 0.01:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if _chi_square_sf(mid, df) > 0.01:
+            lo = mid
+        else:
+            hi = mid
 
 
 @dataclass

@@ -15,8 +15,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
-from scipy.optimize import brentq, minimize
 
 from .errors import ValidationError
 from .geometry import SiteGeometry
@@ -230,6 +228,10 @@ def numeric_gradient(fun, x, rel_step: float = 1e-5) -> np.ndarray:
 # -- fitting -------------------------------------------------------------
 
 
+# the fit report's convergence status, by scipy BFGS status code
+FIT_STATUS = {0: "converged", 1: "max_iter", 2: "precision_loss", 3: "nan"}
+
+
 @dataclass
 class FitOptions:
     max_iter: int = 500
@@ -285,7 +287,13 @@ def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
     BFGS gets the analytic score with every value. The returned Hessian
     is of the negative log-likelihood at the optimum: central differences
     of the score, symmetrized. Deterministic given inputs.
+
+    The convergence status maps `minimize`'s: "converged", "max_iter",
+    "precision_loss" (the line search could not improve the value, often
+    at the optimum below gtol's reach) or "nan" (a non-finite value).
     """
+    from scipy.optimize import minimize  # only the fit stage loads it
+
     options = options or FitOptions()
     obj = WhittleObjective(model, spec, geometry)
     x0 = initial.pack()
@@ -307,7 +315,7 @@ def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
     improved = -res.fun >= f0
     best = res.x if improved else x0
     convergence = {
-        "status": "converged" if res.success else "max_iter_or_stalled",
+        "status": FIT_STATUS[res.status],
         "iterations": int(res.nit),
         "function_evals": int(res.nfev),
         "gradient_evals": int(res.njev),
@@ -342,6 +350,8 @@ def sample_params(fit: FitResult, count: int, seed: int) -> np.ndarray:
     eigenvalues at 1e-8 times the largest one, and the fit result records
     hessian_floored=True.
     """
+    from scipy.linalg.blas import dtrsm
+
     H = np.asarray(fit.hessian, dtype=float)
     try:
         L = np.linalg.cholesky(H)
@@ -371,6 +381,8 @@ def initial_params(model: SpectralModel, spec: SpectralField,
     coarse coherence-range heuristic on the closest station pair, theta
     at 0 and u pointing west.
     """
+    from scipy.optimize import brentq
+
     T = spec.n_times
     plan = FrequencyPlan(T, model.knots.omega0)
     omegas = plan.omegas

@@ -38,6 +38,17 @@ def rand_params():
     return random_params
 
 
+def cross_spectrum(model, params, geometry, omega) -> np.ndarray:
+    """Single-frequency n x n cross-spectral matrix: one row of the stack."""
+    return model.cross_spectrum_stack(params, geometry, [omega])[0]
+
+
+def coherence(model, params, geometry, omega, j, k) -> complex:
+    """Complex coherence f_jk / sqrt(f_jj f_kk) between two sites."""
+    f = cross_spectrum(model, params, geometry, omega)
+    return f[j, k] / np.sqrt(f[j, j].real * f[k, k].real)
+
+
 def numeric_hessian(fun, x, rel_step: float = 1e-4) -> np.ndarray:
     """Second central differences of a scalar `fun`: the oracle for Hessians."""
     x = np.asarray(x, dtype=float)

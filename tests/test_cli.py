@@ -210,14 +210,46 @@ def test_evaluate_rejects_malformed_inputs(pipeline, tmp_path, capsys, name, tai
     assert f"{where}: {message}" in err
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # every stage process pays for what `presim.cli` imports
-    code = "import sys, presim.cli; print('scipy.stats' in sys.modules)"
+def scipy_modules_after(*argv) -> list:
+    """scipy modules loaded by a fresh process that imports `presim.cli`
+    and, given arguments, runs `presim <argv>`."""
+    code = (
+        "import sys, presim.cli\n"
+        "code = presim.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    res = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                          text=True, check=True)
-    assert res.stdout.strip() == "False"
+    code, *modules = res.stdout.splitlines()[-1].split()
+    assert code == "0", res.stderr
+    return modules
+
+
+def test_cli_import_loads_no_scipy():
+    # every stage process pays for what `presim.cli` imports
+    assert scipy_modules_after() == []
+
+
+def test_simulate_and_evaluate_leave_scipy_unloaded(pipeline, tmp_path):
+    out, cfg = pipeline
+    report = str(out / "fit_report.json")
+    assert scipy_modules_after("--config", str(cfg), "--out", str(tmp_path / "sim"),
+                               "simulate", "--fit-report", report) == []
+    assert scipy_modules_after("--config", str(cfg), "--out", str(tmp_path / "eval"),
+                               "evaluate", "--fit-report", report,
+                               "--ensemble-dir", str(out / "ensemble")) == []
+
+
+def test_parameter_draws_load_no_optimizer(pipeline, tmp_path):
+    # `vary_params` needs scipy's BLAS triangular solve, and nothing more
+    out, _ = pipeline
+    cfg = write_config(tmp_path / "vary.yaml", out, vary_params=True)
+    modules = scipy_modules_after("--config", str(cfg), "--out", str(tmp_path),
+                                  "simulate", "--fit-report", str(out / "fit_report.json"))
+    assert "scipy.linalg" in modules
+    assert not [m for m in modules if m.startswith(("scipy.optimize", "scipy.interpolate"))]
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

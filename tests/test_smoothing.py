@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from presim.errors import ConfigurationError
-from presim.smoothing import DfSpline
+from presim.smoothing import DEGREE, DfSpline
 
 
 def test_effective_df_hits_target():
@@ -56,3 +56,30 @@ def test_wrong_length_rejected():
     sm = DfSpline(50, 6.0)
     with pytest.raises(ConfigurationError):
         sm.smooth(np.zeros(49))
+
+
+def scipy_design_and_penalty(n, n_knots):
+    """B and P built with scipy's `BSpline`, span by span: the oracle."""
+    from scipy.interpolate import BSpline
+
+    interior = np.linspace(0, n - 1, n_knots)
+    t = np.concatenate([np.full(DEGREE, interior[0]), interior, np.full(DEGREE, interior[-1])])
+    B = BSpline.design_matrix(np.arange(n, dtype=float), t, DEGREE).toarray()
+    nb = B.shape[1]
+    P = np.zeros((nb, nb))
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(3)
+    spans = np.unique(t)
+    d2 = BSpline(t, np.eye(nb), DEGREE).derivative(2)
+    for a, b in zip(spans[:-1], spans[1:]):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        V = d2(mid + half * gauss_x).T
+        P += (V * gauss_w) @ V.T * half
+    return B, P
+
+
+@pytest.mark.parametrize("n, df", [(2880, 72.0), (8640, 12.0), (2881, 30.5), (100, 5.0)])
+def test_design_and_penalty_equal_scipy_built(n, df):
+    sm = DfSpline(n, df)
+    B, P = scipy_design_and_penalty(n, min(n, max(int(np.ceil(4 * df)), 10)))
+    assert np.array_equal(sm.B, B)
+    assert np.array_equal(sm.P, P)

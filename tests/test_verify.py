@@ -10,6 +10,7 @@ from presim.preprocess import SeaLevelModel
 from presim.verify import (
     RankHistogram,
     aggregate_diffs,
+    chi_square_99_point,
     envelope_coverage,
     min_max_rank_diagnostic,
     nearest_neighbor_baseline,
@@ -96,6 +97,16 @@ def test_rank_histogram_exchangeable_is_uniform():
     h99 = RankHistogram(counts=np.ones(100), n_times=100, selector="all")
     assert h99.chi_square_99() == pytest.approx(chi2.ppf(0.99, 99), rel=1e-10)
     assert h99.chi_square_99() == pytest.approx(134.642, abs=1e-3)
+
+
+def test_chi_square_99_point_matches_scipy():
+    from scipy.stats import chi2
+
+    df = np.arange(1, 1001)
+    point = np.array([chi_square_99_point(int(k)) for k in df])
+    np.testing.assert_allclose(point, chi2.ppf(0.99, df), rtol=1e-12, atol=0)
+    with pytest.raises(ValidationError):
+        chi_square_99_point(0)
 
 
 def test_rank_histogram_length_mismatch():

@@ -357,7 +357,16 @@ def test_fit_from_truth_does_not_decrease_loglik(model, geometry3):
     fit = fit_mle(model, truth, spec, geometry3,
                   FitOptions(max_iter=40), compute_hessian=False)
     assert fit.loglik >= obj.loglik(truth) - 1e-9
-    assert fit.convergence["status"] in ("converged", "max_iter_or_stalled")
+    assert fit.convergence["status"] in ("converged", "max_iter", "precision_loss")
+
+
+def test_fit_status_names_an_exhausted_iteration_budget(model, geometry3):
+    truth, spec = make_synthetic_field(model, geometry3, 96, seed=14)
+    fit = fit_mle(model, truth, spec, geometry3,
+                  FitOptions(max_iter=2), compute_hessian=False)
+    assert fit.convergence["status"] == "max_iter"
+    assert fit.convergence["iterations"] == 2
+    assert fit.convergence["message"] == "Maximum number of iterations has been exceeded."
 
 
 def test_fit_is_deterministic(model, geometry3):
