@@ -261,40 +261,55 @@ def test_06_round_trips():
     )
 
 
+# Data seeds of the replicated recovery check, fixed before any layout
+# change. On one realization a correct fit misses the bounds on about a
+# fifth of data seeds (19 of 90 at seeds 11-100); the median over seven
+# seeds misses them on about 1% of seed sets (see CHANGES.md).
+RECOVERY_SEEDS = tuple(range(11, 18))
+
+
 def test_07_parameter_recovery_from_synthetic_network(model):
     from presim.whittle import FitOptions, fit_mle, initial_params
 
     t0 = time.monotonic()
     T = 8640
     stations = synth.default_stations()[:11]
-    stack = synth.default_stack(T, [s.elevation for s in stations], seed=11)
-    truth = synth.generate(model, synth.default_true_params(model), stations,
-                           stack, T, seed=11)
     geo = SiteGeometry(
         np.array([s.latitude for s in stations]),
         np.array([s.longitude for s in stations]),
     )
-    spec = forward_dft(truth.adjusted)
-    init = initial_params(model, spec, geo)
-    fit = fit_mle(model, init, spec, geo, FitOptions(), compute_hessian=False)
-    elapsed = time.monotonic() - t0
-
     om0 = model.knots.omega0
     probes = np.array([om0 / 8, om0 / 2, 2 * om0, np.pi / 2])
-    err_S = np.abs(
-        model.eval_S(fit.params_hat, probes) / model.eval_S(truth.params, probes) - 1.0
-    )
     dgrid = np.array([om0 / 16, om0 / 8, om0 / 4, om0 / 2])
-    err_d = np.abs(
-        np.abs(model.eval_delta(fit.params_hat, dgrid))
-        / np.abs(model.eval_delta(truth.params, dgrid))
-        - 1.0
-    )
+    err_S, err_d = [], []
+    for seed in RECOVERY_SEEDS:
+        stack = synth.default_stack(T, [s.elevation for s in stations], seed=seed)
+        truth = synth.generate(model, synth.default_true_params(model), stations,
+                               stack, T, seed=seed)
+        spec = forward_dft(truth.adjusted)
+        init = initial_params(model, spec, geo)
+        fit = fit_mle(model, init, spec, geo, FitOptions(), compute_hessian=False)
+        err_S.append(np.abs(
+            model.eval_S(fit.params_hat, probes) / model.eval_S(truth.params, probes) - 1.0
+        ))
+        err_d.append(np.abs(
+            np.abs(model.eval_delta(fit.params_hat, dgrid))
+            / np.abs(model.eval_delta(truth.params, dgrid))
+            - 1.0
+        ))
+    elapsed = time.monotonic() - t0
+
+    # the median over seeds at each probe, then the worst probe
+    med_S = float(np.median(err_S, axis=0).max())
+    med_d = float(np.median(err_d, axis=0).max())
+    per_seed = ", ".join(f"{s}: {a.max():.3f}/{b.max():.3f}"
+                         for s, a, b in zip(RECOVERY_SEEDS, err_S, err_d))
     report(
         "spectrum and coherence-range recovery",
-        float(err_S.max()) < 0.15 and float(err_d.max()) < 0.25 and elapsed < 900.0,
-        f"(S err ≤ {err_S.max():.3f} @ 15%, |delta| err ≤ {err_d.max():.3f} @ 25%, "
-        f"fit {elapsed:.0f} s / 900 s)",
+        med_S < 0.15 and med_d < 0.25 and elapsed < 900.0,
+        f"(median over {len(RECOVERY_SEEDS)} data seeds: S err ≤ {med_S:.3f} @ 15%, "
+        f"|delta| err ≤ {med_d:.3f} @ 25%; per seed S/|delta| {per_seed}; "
+        f"fits {elapsed:.0f} s / 900 s)",
     )
 
 
