@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import SiteGeometry, combine
 from .preprocess import TransformStack, invert_stack
-from .rng import RNG_LAYOUT, STAGE_CONDSIM, STAGE_CONDSIM_HIGH, substream
+from .rng import RNG_LAYOUT, STAGE_CONDSIM, STAGE_FIELD_UNCOND, substream
 from .spectrum import SpectralModel, SpectralParams
 from .whittle import (
     TWO_PI,
@@ -154,33 +154,35 @@ class ConditionalSampler:
     def draw(self, seed: int, member: int, stage: int = STAGE_CONDSIM) -> SpectralField:
         """One draw of the target-site spectral field.
 
-        Low-band frequencies use substreams keyed by (stage, member,
-        Fourier index); their normals are mapped through the conditional
-        laws in one stacked product. The diagonal high band is drawn in
-        fixed frequency order from one per-member substream, keyed
-        (STAGE_CONDSIM_HIGH, member) when conditioning and
-        (STAGE_CONDSIM_HIGH, stage, member) with zero observed sites; these
-        keys fix every seeded ensemble and synthetic dataset.
+        One generator per draw, keyed (STAGE_CONDSIM, member) when
+        conditioning and (STAGE_FIELD_UNCOND, stage, member) with zero
+        observed sites; `stage` names what a zero-site draw is for, and a
+        conditional draw is always an ensemble member. The generator gives
+        the high band and then the low band, each a (2, K, m) block of real
+        parts then imaginary parts in frequency order; a real-coefficient
+        frequency uses its real part only. The low-band normals are mapped
+        through the conditional laws in one stacked product.
         """
         T, m, plan = self.T, self.m, self.plan
+        if self.setup.n_observed:
+            if stage != STAGE_CONDSIM:
+                raise ValidationError("a conditional draw is an ensemble member; "
+                                      "only zero-site draws take a stage")
+            rng = substream(seed, STAGE_CONDSIM, member)
+        else:
+            rng = substream(seed, STAGE_FIELD_UNCOND, stage, member)
         coeffs = np.zeros((T, m), dtype=complex)
 
-        real = plan.real_low
-        z = np.zeros((len(plan.idx_low), 2, m))  # real and imaginary parts
-        for k, j in enumerate(plan.idx_low):
-            n_parts = 1 if real[k] else 2
-            z[k, :n_parts] = substream(seed, stage, member, int(j)).standard_normal((n_parts, m))
-        z_complex = z[:, 0] + 1j * z[:, 1]
-        low = self.means + (self.chols @ z_complex[..., None])[..., 0] / np.sqrt(2.0)
-        low[real] = self.means[real].real + (self.chols[real].real @ z[real, 0, :, None])[..., 0]
-        coeffs[plan.idx_low] = low
-
-        high_key = (member,) if self.setup.n_observed else (stage, member)
-        rng_hi = substream(seed, STAGE_CONDSIM_HIGH, *high_key)
-        zr, zi = rng_hi.standard_normal((2, len(plan.idx_high), m))
+        zr, zi = rng.standard_normal((2, len(plan.idx_high), m))
         high = self.sd_high[:, None] * (zr + 1j * zi) / np.sqrt(2.0)
         high[plan.real_high] = self.sd_high[plan.real_high, None] * zr[plan.real_high]
         coeffs[plan.idx_high] = high
+
+        real = plan.real_low
+        zr, zi = rng.standard_normal((2, len(plan.idx_low), m))
+        low = self.means + (self.chols @ (zr + 1j * zi)[..., None])[..., 0] / np.sqrt(2.0)
+        low[real] = self.means[real].real + (self.chols[real].real @ zr[real, :, None])[..., 0]
+        coeffs[plan.idx_low] = low
 
         # conjugate symmetry for the negative frequencies
         j_all = np.arange(1, (T + 1) // 2)

@@ -10,10 +10,11 @@ The layout, recorded as RNG_LAYOUT in every manifest:
 
 - (STAGE_PARAM_DRAW,): all parameter draws of an ensemble, one (count, p)
   block whose row k is member k's;
-- (stage, member, j): low-band frequency j of a field draw, with stage
-  STAGE_CONDSIM for ensemble members and STAGE_SYNTH for a synthetic truth;
-- (STAGE_CONDSIM_HIGH, member) when conditioning and (STAGE_CONDSIM_HIGH,
-  stage, member) with zero observed sites: the high band of a field draw;
+- (STAGE_CONDSIM, member): one conditional field draw, an ensemble member;
+- (STAGE_FIELD_UNCOND, stage, member): one field draw with zero observed
+  sites, for the purpose `stage` names (STAGE_SYNTH for a synthetic truth);
+  a field draw's one generator gives the high band and then the low band,
+  each a (2, K, m) block of real parts then imaginary parts;
 - (STAGE_MEANFIELD, member): one mean-field draw;
 - (STAGE_SYNTH, 0): a synthetic transform stack's diurnal coefficients and
   site-mean scatter;
@@ -28,10 +29,10 @@ STAGE_CONDSIM = 2
 STAGE_MEANFIELD = 3
 STAGE_SYNTH = 4
 STAGE_EVAL = 5
-STAGE_CONDSIM_HIGH = 6
+STAGE_FIELD_UNCOND = 6
 
 # names the layout above; a change to any seeded draw gives it a new name
-RNG_LAYOUT = "per-frequency-v2"
+RNG_LAYOUT = "per-member-v3"
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

@@ -343,15 +343,12 @@ def sample_params(fit: FitResult, count: int, seed: int) -> np.ndarray:
     """Draw `count` packed parameter vectors from N(theta_hat, H^{-1}).
 
     One generator, keyed (STAGE_PARAM_DRAW,), gives a (count, p) block of
-    standard normals; one right-side triangular solve maps the block row by
-    row, so row k (member k's draw) is the same for every count (a
-    one-column left-side solve would differ in the last bit). If the
-    Hessian is not positive definite it is projected by flooring its
-    eigenvalues at 1e-8 times the largest one, and the fit result records
-    hessian_floored=True.
+    standard normals; a right-side back-substitution over the p columns
+    maps the block with elementwise column updates, so row k (member k's
+    draw) is the same for every count. If the Hessian is not positive
+    definite it is projected by flooring its eigenvalues at 1e-8 times the
+    largest one, and the fit result records hessian_floored=True.
     """
-    from scipy.linalg.blas import dtrsm
-
     H = np.asarray(fit.hessian, dtype=float)
     try:
         L = np.linalg.cholesky(H)
@@ -364,9 +361,13 @@ def sample_params(fit: FitResult, count: int, seed: int) -> np.ndarray:
         floored = True
     fit.hessian_floored = fit.hessian_floored or floored
     mean = fit.params_hat.pack()
-    z = substream(seed, STAGE_PARAM_DRAW).standard_normal((count, len(mean)))
-    # rows z L^{-1}: cov of L'^{-1} z' is (L L')^{-1} = H^{-1}
-    return mean + dtrsm(1.0, L, z, side=1, lower=1)
+    x = substream(seed, STAGE_PARAM_DRAW).standard_normal((count, len(mean)))
+    # rows z L^{-1}: cov of L'^{-1} z' is (L L')^{-1} = H^{-1}; solve x L = z
+    # from the last column back
+    for j in range(len(mean) - 1, -1, -1):
+        x[:, j] /= L[j, j]
+        x[:, :j] -= x[:, j, None] * L[j, :j]
+    return mean + x
 
 
 # -- data-driven initialization ------------------------------------------

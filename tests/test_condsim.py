@@ -7,6 +7,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from presim import condsim
 from presim.condsim import (
     ConditionalSampler,
     Ensemble,
@@ -20,7 +21,7 @@ from presim.condsim import (
 from presim.errors import ValidationError
 from presim.geometry import SiteGeometry
 from presim.preprocess import DiurnalModel, SeaLevelModel, TransformStack, VolatilitySeries
-from presim.rng import RNG_LAYOUT, STAGE_CONDSIM, STAGE_CONDSIM_HIGH, STAGE_SYNTH, substream
+from presim.rng import RNG_LAYOUT, STAGE_CONDSIM, STAGE_FIELD_UNCOND, STAGE_SYNTH, substream
 from presim.spectrum import KnotSet, SpectralModel, SpectralParams
 from presim.splines import ConstrainedBasis
 from presim.whittle import (
@@ -214,44 +215,62 @@ def test_unconditional_periodogram_matches_spectrum(model, geometry3):
     assert np.max(np.abs(avg / (TWO_PI * T * S) - 1.0)) < 0.10
 
 
+def field_normals(seed, key, plan, m):
+    """One draw's normals from its one generator: (high band, low band).
+
+    The generator gives the high band and then the low band, each a
+    (2, K, m) block of real then imaginary parts. A complex row is
+    (zr + i zi) / sqrt(2); a real-coefficient row is zr.
+    """
+    rng = substream(seed, *key)
+    bands = []
+    for real in (plan.real_high, plan.real_low):
+        zr, zi = rng.standard_normal((2, len(real), m))
+        bands.append(np.where(real[:, None], zr, (zr + 1j * zi) / np.sqrt(2.0)))
+    return bands
+
+
 def test_zero_site_substream_keys(model, geometry3):
-    # zero observed sites: low band keyed (stage, member, j), high band
-    # (STAGE_CONDSIM_HIGH, stage, member); conditioning drops the stage
-    # from the high-band key
+    # zero observed sites: one generator keyed (STAGE_FIELD_UNCOND, stage,
+    # member); conditioning keys it (STAGE_CONDSIM, member)
     T = 40
     params = random_params(model, np.random.default_rng(30), scale=0.3)
     sampler = unconditional_sampler(model, params, geometry3, T)
     plan = sampler.plan
     for stage in (STAGE_CONDSIM, STAGE_SYNTH):
         coeffs = sampler.draw(seed=31, member=2, stage=stage).coeffs
-        j = plan.idx_low[3]
-        g = substream(31, stage, 2, j).standard_normal(6)
-        z = g[:3] + 1j * g[3:]
-        assert np.allclose(coeffs[j], sampler.chols[3] @ z / np.sqrt(2.0), rtol=1e-12)
-        zr = substream(31, STAGE_CONDSIM_HIGH, stage, 2).standard_normal((1, 3))
-        assert np.allclose(coeffs[plan.idx_high[0]].real * np.sqrt(2.0),
-                           sampler.sd_high[0] * zr[0], rtol=1e-12)
+        high, low = field_normals(31, (STAGE_FIELD_UNCOND, stage, 2), plan, 3)
+        assert np.allclose(coeffs[plan.idx_high], sampler.sd_high[:, None] * high, rtol=1e-12)
+        ref = reference_low_band(sampler, low)
+        assert np.allclose(coeffs[plan.idx_low], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     setup = make_setup()
     field = observed_field(model, params, setup, T, seed=32)
     cond = ConditionalSampler(model, params, setup, field)
     coeffs = cond.draw(seed=31, member=2).coeffs
-    zr = substream(31, STAGE_CONDSIM_HIGH, 2).standard_normal((1, 1))
-    assert np.allclose(coeffs[plan.idx_high[0], 0].real * np.sqrt(2.0),
-                       cond.sd_high[0] * zr[0, 0], rtol=1e-12)
+    high, low = field_normals(31, (STAGE_CONDSIM, 2), plan, 1)
+    assert np.allclose(coeffs[plan.idx_high], cond.sd_high[:, None] * high, rtol=1e-12)
+    ref = reference_low_band(cond, low)
+    assert np.allclose(coeffs[plan.idx_low], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    with pytest.raises(ValidationError, match="ensemble member"):
+        cond.draw(seed=31, member=2, stage=STAGE_SYNTH)
 
 
-def low_band_normals(seed, stage, member, plan, m):
-    """Circular complex normals of one draw's low band, one substream per frequency.
-
-    A complex row is (zr + i zi) / sqrt(2) for two consecutive blocks of m
-    standard normals; a real-coefficient row is one block.
-    """
-    z = np.empty((len(plan.idx_low), m), dtype=complex)
-    for k, j in enumerate(plan.idx_low):
-        g = substream(seed, stage, member, j).standard_normal((1 if plan.real_low[k] else 2, m))
-        z[k] = g[0] if plan.real_low[k] else (g[0] + 1j * g[1]) / np.sqrt(2.0)
-    return z
+def test_each_draw_takes_one_substream(model, geometry3, monkeypatch):
+    T = 40
+    params = random_params(model, np.random.default_rng(30), scale=0.3)
+    setup = make_setup()
+    samplers = (unconditional_sampler(model, params, geometry3, T),
+                ConditionalSampler(model, params, setup,
+                                   observed_field(model, params, setup, T, seed=32)))
+    keys = []
+    monkeypatch.setattr(condsim, "substream",
+                        lambda seed, *key: keys.append(key) or substream(seed, *key))
+    for sampler in samplers:
+        for member in range(3):
+            keys.clear()
+            sampler.draw(seed=33, member=member)
+            assert len(keys) == 1
 
 
 def test_stacked_low_band_matches_per_frequency_reference():
@@ -266,7 +285,7 @@ def test_stacked_low_band_matches_per_frequency_reference():
     assert plan.real_low.sum() == 2 and len(plan.idx_high) == 0
     for member in range(4):
         coeffs = sampler.draw(seed=42, member=member).coeffs
-        ref = reference_low_band(sampler, low_band_normals(42, STAGE_CONDSIM, member, plan, 2))
+        ref = reference_low_band(sampler, field_normals(42, (STAGE_CONDSIM, member), plan, 2)[1])
         assert np.allclose(coeffs[plan.idx_low], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 

@@ -8,8 +8,8 @@ from presim.geometry import SiteGeometry
 from presim.preprocess import SeaLevelModel
 from presim.rng import (
     STAGE_CONDSIM,
-    STAGE_CONDSIM_HIGH,
     STAGE_EVAL,
+    STAGE_FIELD_UNCOND,
     STAGE_MEANFIELD,
     STAGE_PARAM_DRAW,
     STAGE_SYNTH,
@@ -20,7 +20,7 @@ from presim.whittle import FitResult, SpectralField
 from conftest import random_params, unconditional_sampler
 
 STAGES = (STAGE_PARAM_DRAW, STAGE_CONDSIM, STAGE_MEANFIELD, STAGE_SYNTH, STAGE_EVAL,
-          STAGE_CONDSIM_HIGH)
+          STAGE_FIELD_UNCOND)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1])
@@ -37,12 +37,6 @@ def test_substream_pads_short_keys_with_zeros():
                           substream(3, STAGE_SYNTH, 0).standard_normal(4))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the per-frequency field-draw layout shares streams: a conditional draw and a "
-    "zero-site draw of the default stage share every low-band stream; the high band of "
-    "conditional member s is that of the zero-site draw (stage s, member 0); low-band "
-    "frequency 0 of a zero-site draw (stage s, member k) is the stream (s, k) of another "
-    "purpose, e.g. a synthetic truth's and its transform stack's"))
 def test_substream_keys_are_pairwise_distinct(model, geometry3, monkeypatch):
     # each call below is one draw of its own (one seed, member, stage), so
     # no two of them may share a stream; keys are compared by the state

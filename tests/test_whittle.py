@@ -5,7 +5,7 @@ import pytest
 
 from presim.errors import ValidationError
 from presim.geometry import SiteGeometry
-from presim.rng import substream
+from presim.rng import STAGE_PARAM_DRAW, substream
 from presim.spectrum import KNOT_UNIT, KnotSet, SpectralModel, SpectralParams
 from presim.whittle import (
     TWO_PI,
@@ -460,6 +460,22 @@ def test_sample_params_rows_do_not_depend_on_count(model):
     block = sample_params(fit, 40, seed=12)
     for count in (1, 2, 7, 39):
         assert sample_params(fit, count, seed=12).tobytes() == block[:count].tobytes()
+
+
+def test_sample_params_back_substitution_matches_triangular_solve(model):
+    # oracle: scipy's left-side solve L' x' = z' of the same normals
+    from scipy.linalg import solve_triangular
+
+    rng = np.random.default_rng(13)
+    A = rng.normal(size=(model.n_params, model.n_params))
+    fit = FitResult(params_hat=random_params(model, rng), loglik=0.0,
+                    hessian=A @ A.T + np.eye(model.n_params),
+                    convergence={}, knots=model.knots)
+    z = substream(14, STAGE_PARAM_DRAW).standard_normal((50, model.n_params))
+    L = np.linalg.cholesky(fit.hessian)
+    ref = fit.params_hat.pack() + solve_triangular(L.T, z.T, lower=False).T
+    draws = sample_params(fit, 50, seed=14)
+    assert np.allclose(draws, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def test_sample_params_identity_hessian_covariance(model):
