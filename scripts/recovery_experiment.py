@@ -1,17 +1,15 @@
 #!/usr/bin/env python3
 """Parameter-recovery experiment on a synthetic network.
 
-Simulates one month of 5-minute data at 11 stations from known spectral
-parameters, refits by frequency-domain maximum likelihood, and reports
-relative errors of the marginal spectrum and coherence range at probe
-frequencies. With one data seed it prints a table per curve; with
-`--seeds` it prints one row of errors per data seed and a row of medians
-over the seeds, the statistic acceptance #7 bounds.
+For each data seed, simulates one month of 5-minute data at 11 stations
+from known spectral parameters, refits by frequency-domain maximum
+likelihood, and prints one row of relative errors of the marginal
+spectrum S and the coherence range |delta| at probe frequencies. The last
+row holds the medians over the seeds, the statistic acceptance #7 bounds.
 """
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
@@ -21,83 +19,44 @@ from presim.spectrum import KnotSet, SpectralModel
 from presim.whittle import FitOptions, fit_mle, forward_dft, initial_params
 
 
-def recover(model, seed: int, n_stations: int = 11, T: int = 8640):
-    """Fit one synthetic realization; (truth params, fit, probes, delta grid)."""
-    stations = synth.default_stations()[:n_stations]
-    stack = synth.default_stack(T, [s.elevation for s in stations], seed=seed)
-    truth = synth.generate(model, synth.default_true_params(model), stations, stack, T,
-                           seed=seed)
-    geo = SiteGeometry(
-        np.array([s.latitude for s in stations]),
-        np.array([s.longitude for s in stations]),
-    )
-    spec = forward_dft(truth.adjusted)
-    init = initial_params(model, spec, geo)
-    fit = fit_mle(model, init, spec, geo, FitOptions(), compute_hessian=False)
-    om0 = model.knots.omega0
-    probes = np.array([om0 / 8, om0 / 2, 2 * om0, np.pi / 2])
-    dgrid = np.array([om0 / 16, om0 / 8, om0 / 4, om0 / 2])
-    return truth.params, fit, probes, dgrid
-
-
-def errors(model, true_params, fit, probes, dgrid):
-    """Relative errors of S at `probes` and of |delta| at `dgrid`."""
-    err_S = np.abs(model.eval_S(fit.params_hat, probes) / model.eval_S(true_params, probes) - 1)
-    err_d = np.abs(np.abs(model.eval_delta(fit.params_hat, dgrid))
-                   / np.abs(model.eval_delta(true_params, dgrid)) - 1)
-    return err_S, err_d
-
-
-def single(model, args) -> None:
-    t0 = time.monotonic()
-    true_params, fit, probes, dgrid = recover(model, args.seed, args.stations, args.target_len)
-    print(f"fit: {time.monotonic() - t0:.0f} s, {fit.convergence}")
-
-    S_true = model.eval_S(true_params, probes)
-    S_hat = model.eval_S(fit.params_hat, probes)
-    print("\nomega        S true      S fitted    rel err")
-    for w, st, sh in zip(probes, S_true, S_hat):
-        print(f"{w:8.4f}  {st:10.4g}  {sh:10.4g}  {abs(sh / st - 1):8.3f}")
-
-    d_true = np.abs(model.eval_delta(true_params, dgrid))
-    d_hat = np.abs(model.eval_delta(fit.params_hat, dgrid))
-    print("\nomega     |delta| true  |delta| fitted  rel err")
-    for w, dt, dh in zip(dgrid, d_true, d_hat):
-        print(f"{w:8.4f}  {dt:12.2f}  {dh:14.2f}  {abs(dh / dt - 1):8.3f}")
-
-
-def replicated(model, args) -> None:
-    """One row per data seed: S errors at om0/8, om0/2, 2 om0, pi/2, then
-    |delta| errors at om0/16, om0/8, om0/4, om0/2, each group's maximum, and
-    the fit's iteration count; the last row holds the medians over seeds."""
-    head = ("seed   " + " ".join(f"S{i}   " for i in range(4)) + " S_max "
-            + " ".join(f"d{i}   " for i in range(4)) + " d_max  iters")
-    print(head, flush=True)
-    rows = []
-    for seed in args.seeds:
-        true_params, fit, probes, dgrid = recover(model, seed, args.stations, args.target_len)
-        err_S, err_d = errors(model, true_params, fit, probes, dgrid)
-        row = np.concatenate([err_S, [err_S.max()], err_d, [err_d.max()]])
-        rows.append(row)
-        print(f"{seed:<6d} " + " ".join(f"{v:.3f}" for v in row)
-              + f"  {fit.convergence.get('iterations', -1)}", flush=True)
-    print("median " + " ".join(f"{v:.3f}" for v in np.median(rows, axis=0)))
-
-
 def run(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--seeds", type=int, nargs="+",
-                    help="data seeds: one row of errors per seed, then the medians")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[11], help="data seeds")
     ap.add_argument("--stations", type=int, default=11)
     ap.add_argument("--target-len", type=int, default=8640)
     args = ap.parse_args(argv)
 
+    T = args.target_len
     model = SpectralModel(KnotSet.default())
-    if args.seeds:
-        replicated(model, args)
-    else:
-        single(model, args)
+    true_params = synth.default_true_params(model)
+    stations = synth.default_stations()[: args.stations]
+    geo = SiteGeometry(
+        np.array([s.latitude for s in stations]),
+        np.array([s.longitude for s in stations]),
+    )
+    om0 = model.knots.omega0
+    probes = np.array([om0 / 8, om0 / 2, 2 * om0, np.pi / 2])
+    dgrid = np.array([om0 / 16, om0 / 8, om0 / 4, om0 / 2])
+
+    print("S errors at om0/8, om0/2, 2 om0, pi/2; |delta| errors at om0/16, om0/8, "
+          "om0/4, om0/2; each group's maximum; BFGS iterations")
+    print("seed   " + " ".join(f"S{i}   " for i in range(4)) + " S_max "
+          + " ".join(f"d{i}   " for i in range(4)) + " d_max  iters", flush=True)
+    rows = []
+    for seed in args.seeds:
+        stack = synth.default_stack(T, [s.elevation for s in stations], seed=seed)
+        truth = synth.generate(model, true_params, stations, stack, T, seed=seed)
+        spec = forward_dft(truth.adjusted)
+        init = initial_params(model, spec, geo)
+        fit = fit_mle(model, init, spec, geo, FitOptions(), compute_hessian=False)
+        err_S = np.abs(model.eval_S(fit.params_hat, probes) / model.eval_S(true_params, probes)
+                       - 1)
+        err_d = np.abs(np.abs(model.eval_delta(fit.params_hat, dgrid))
+                       / np.abs(model.eval_delta(true_params, dgrid)) - 1)
+        rows.append(np.concatenate([err_S, [err_S.max()], err_d, [err_d.max()]]))
+        print(f"{seed:<6d} " + " ".join(f"{v:.3f}" for v in rows[-1])
+              + f"  {fit.convergence['iterations']}", flush=True)
+    print("median " + " ".join(f"{v:.3f}" for v in np.median(rows, axis=0)))
     return 0
 
 

@@ -13,12 +13,13 @@ The layout, recorded as RNG_LAYOUT in every manifest:
 - (STAGE_CONDSIM, member): one conditional field draw, an ensemble member;
 - (STAGE_FIELD_UNCOND, stage, member): one field draw with zero observed
   sites, for the purpose `stage` names (STAGE_SYNTH for a synthetic truth);
-  a field draw's one generator gives the high band and then the low band,
-  each a (2, K, m) block of real parts then imaginary parts;
 - (STAGE_MEANFIELD, member): one mean-field draw;
 - (STAGE_SYNTH, 0): a synthetic transform stack's diurnal coefficients and
   site-mean scatter;
 - (STAGE_EVAL, 0): rank tie-breaks.
+
+A field draw's generator gives the high band and then the low band, each a
+(2, K, m) block of real parts then imaginary parts in frequency order.
 """
 
 import numpy as np
