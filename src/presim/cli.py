@@ -44,13 +44,15 @@ def _build_grid(config: RunConfig, station_ids=None):
     return assemble_grid(processed, config.target_len)
 
 
-def _fit_station_ids(config: RunConfig):
+def _split_stations(config: RunConfig):
+    """(fitted, held-out) stations of the station file, each in file order."""
     stations = load_stations(config.stations_path)
     held = set(config.held_out_ids)
     unknown = held - {s.id for s in stations}
     if unknown:
         raise ValidationError(f"held-out ids not in station file: {sorted(unknown)}")
-    return [s.id for s in stations if s.id not in held]
+    return ([s for s in stations if s.id not in held],
+            [s for s in stations if s.id in held])
 
 
 def _grid_geometry(grid) -> SiteGeometry:
@@ -61,7 +63,8 @@ def _grid_geometry(grid) -> SiteGeometry:
 
 
 def cmd_fit(config: RunConfig, out_path) -> Path:
-    grid = _build_grid(config, _fit_station_ids(config))
+    fitted, _ = _split_stations(config)
+    grid = _build_grid(config, [s.id for s in fitted])
     stack = fit_stack(
         grid,
         diurnal_period=config.diurnal_period,
@@ -103,14 +106,13 @@ def _load_fit_report(path):
 def cmd_simulate(config: RunConfig, fit_report_path, out_dir) -> Path:
     report, stack, fit = _load_fit_report(fit_report_path)
     seed = config.require_seed()
+    _, targets = _split_stations(config)
     grid = _build_grid(config, report["station_ids"])
     geometry = _grid_geometry(grid)
     if condsim.geometry_hash(geometry) != report["geometry_hash"]:
         raise ValidationError(
             "geometry hash mismatch: fit report was produced from a different station set"
         )
-    stations = load_stations(config.stations_path)
-    targets = [s for s in stations if s.id in set(config.held_out_ids)]
     if not targets:
         raise ValidationError("no target stations: held_out_ids is empty")
 

@@ -4,7 +4,9 @@ At each one-sided Fourier frequency the joint cross-spectral matrix over
 (observed + prediction) sites is partitioned and the prediction-site DFT
 coefficients are drawn from the conditional (circularly symmetric)
 complex normal; the real-coefficient frequencies (0 and Nyquist) use the
-real-normal analog. Beyond the coherence cutoff the prediction sites are
+real-normal analog. The partition and the Schur complement are taken on
+the real R of f = D R D* (see `spectrum`) and rotated by the phase
+factors D afterwards. Beyond the coherence cutoff the prediction sites are
 independent of the observations and are drawn unconditionally from the
 diagonal model. Negative frequencies are filled by conjugate symmetry so
 the inverse DFT is real. With zero observed sites every draw is
@@ -106,6 +108,12 @@ class SamplerFrame:
 class ConditionalSampler:
     """Precomputed per-frequency conditional laws for one parameter vector.
 
+    With f = D R D* partitioned into observed (o) and prediction (p)
+    sites, the conditional mean is D_p R_po R_oo^{-1} (D_o* J_o) and the
+    conditional covariance D_p (R_pp - R_po R_oo^{-1} R_op) D_p*; its
+    Cholesky factor is D_p L D_p* for the real Cholesky factor L of the
+    real Schur complement. Only real matrices are solved and factored.
+
     With zero observed sites (an empty observed geometry and a (T, 0)
     observed field) the conditional laws are the unconditional ones, so
     the same sampler draws synthetic truths. `frame` is the
@@ -126,27 +134,30 @@ class ConditionalSampler:
         self.ridge_frequencies = []
 
         scale = TWO_PI * self.T
-        f = model.cross_spectrum_terms(params, frame.geometry, plan.omega_low,
-                                       frame.designs_low).f
-        foo, fpo, fpp = f[:, :n, :n], f[:, n:, :n], f[:, n:, n:]
+        t = model.cross_spectrum_terms(params, frame.geometry, plan.omega_low,
+                                       frame.designs_low)
+        Roo, Rpo, Rpp = t.R[:, :n, :n], t.R[:, n:, :n], t.R[:, n:, n:]
+        D_o, D_p = t.D[:, :n], t.D[:, n:]
         try:
-            np.linalg.cholesky(foo)
-            B = _mT(np.linalg.solve(_mT(foo), _mT(fpo)))
+            np.linalg.cholesky(Roo)
+            B = _mT(np.linalg.solve(Roo, _mT(Rpo)))
         except np.linalg.LinAlgError:
             # ridge where the Cholesky fails, and where rounding lets the
             # Cholesky of an exactly singular block pass but not the solve
-            for k in range(len(foo)):
+            for k in range(len(Roo)):
                 try:
-                    np.linalg.cholesky(foo[k])
-                    np.linalg.solve(_mT(foo[k]), _mT(fpo[k]))
+                    np.linalg.cholesky(Roo[k])
+                    np.linalg.solve(Roo[k], _mT(Rpo[k]))
                 except np.linalg.LinAlgError:
-                    foo[k] = foo[k] + np.eye(n) * (RIDGE_REL * np.trace(foo[k]).real / n)
+                    Roo[k] = Roo[k] + np.eye(n) * (RIDGE_REL * np.trace(Roo[k]) / n)
                     self.ridge_frequencies.append(int(plan.idx_low[k]))
-            B = _mT(np.linalg.solve(_mT(foo), _mT(fpo)))
-        self.means = (B @ frame.J_o[..., None])[..., 0]
-        cond = fpp - B @ _mT(fpo).conj()
-        cond = 0.5 * (cond + _mT(cond).conj())
-        self.chols = _psd_factor(scale * cond)
+            B = _mT(np.linalg.solve(Roo, _mT(Rpo)))
+        self.means = D_p * (B @ (np.conj(D_o) * frame.J_o)[..., None])[..., 0]
+        cond = Rpp - B @ _mT(Rpo)
+        cond = 0.5 * (cond + _mT(cond))
+        # D_p L D_p* is lower triangular with L's diagonal: the Cholesky
+        # factor of the complex conditional covariance D_p cond D_p*
+        self.chols = D_p[:, :, None] * _psd_factor(scale * cond) * np.conj(D_p)[:, None, :]
 
         # diagonal block: unconditional marginal SDs per frequency
         self.sd_high = np.sqrt(scale * np.exp(frame.design_S_high @ params.s_coeffs))
@@ -196,7 +207,7 @@ def _mT(a: np.ndarray) -> np.ndarray:
 
 
 def _psd_factor(mats: np.ndarray) -> np.ndarray:
-    """Cholesky-like factors of a stack of Hermitian PSD matrices.
+    """Cholesky-like factors of a stack of symmetric PSD matrices.
 
     Tolerant of zero eigenvalues: when the stacked Cholesky fails, each
     matrix is factored on its own, by eigh where Cholesky fails.

@@ -1,9 +1,10 @@
 """Pairwise spatial quantities for the monitoring network.
 
 Great-circle distances on a sphere of radius 6371 km, plus planar
-displacement vectors (east/north, km) from an equirectangular projection
-about the network centroid. The study domains are small (~150 km), so a
-locally accurate flat projection is all the phase term of the model needs.
+positions and displacement vectors (east/north, km) from an
+equirectangular projection about the network centroid. The study domains
+are small (~150 km), so a locally accurate flat projection is all the
+phase term of the model needs.
 """
 
 import warnings
@@ -36,20 +37,30 @@ def distance_matrix(lats, lons) -> np.ndarray:
     return d
 
 
-def local_plane(lats, lons) -> np.ndarray:
-    """Antisymmetric matrix of planar displacement 2-vectors (east, north), km.
+def plane_positions(lats, lons) -> np.ndarray:
+    """Planar site positions (east, north), km, as an (n, 2) array.
 
-    displacements[j, k] = position(j) - position(k) in an equirectangular
-    projection about the centroid (none for zero sites). Warns when the
-    domain diameter exceeds 1000 km, where a flat-plane treatment starts to
-    break down.
+    An equirectangular projection about the centroid, which sits at the
+    origin (none for zero sites).
     """
     lats = np.asarray(lats, dtype=float)
     lons = np.asarray(lons, dtype=float)
-    lat0 = np.radians(lats.mean()) if len(lats) else 0.0
-    east = EARTH_RADIUS_KM * np.cos(lat0) * np.radians(lons)
-    north = EARTH_RADIUS_KM * np.radians(lats)
-    xy = np.stack([east, north], axis=-1)
+    if not len(lats):
+        return np.zeros((0, 2))
+    lat0, lon0 = lats.mean(), lons.mean()
+    east = EARTH_RADIUS_KM * np.cos(np.radians(lat0)) * np.radians(lons - lon0)
+    north = EARTH_RADIUS_KM * np.radians(lats - lat0)
+    return np.stack([east, north], axis=-1)
+
+
+def local_plane(lats, lons) -> np.ndarray:
+    """Antisymmetric matrix of planar displacement 2-vectors (east, north), km.
+
+    displacements[j, k] = position(j) - position(k) for the positions of
+    `plane_positions`. Warns when the domain diameter exceeds 1000 km,
+    where a flat-plane treatment starts to break down.
+    """
+    xy = plane_positions(lats, lons)
     disp = xy[:, None, :] - xy[None, :, :]
     diameter = np.linalg.norm(disp, axis=-1).max(initial=0.0)
     if diameter > 1000.0:
@@ -62,10 +73,11 @@ def local_plane(lats, lons) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SiteGeometry:
-    """Locations plus derived pairwise distances and displacements."""
+    """Locations plus derived planar positions, distances and displacements."""
 
     lats: np.ndarray
     lons: np.ndarray
+    positions: np.ndarray = field(init=False)
     distances: np.ndarray = field(init=False)
     displacements: np.ndarray = field(init=False)
 
@@ -74,6 +86,7 @@ class SiteGeometry:
         lons = np.asarray(self.lons, dtype=float)
         object.__setattr__(self, "lats", lats)
         object.__setattr__(self, "lons", lons)
+        object.__setattr__(self, "positions", plane_positions(lats, lons))
         object.__setattr__(self, "distances", distance_matrix(lats, lons))
         object.__setattr__(self, "displacements", local_plane(lats, lons))
 

@@ -10,6 +10,15 @@ theta the phase slope and u a unit direction vector. delta and theta are
 identically zero beyond the cutoff frequency, where the matrix collapses
 to S(w) * I (zero cross-site coherence).
 
+The phase factor splits into a per-site factor and its conjugate, so
+
+    f(w) = D(w) R(w) D(w)*,  D = diag(exp(i theta(w) u.p_x)),
+    R(w) = S0(w) I + S1(w) C,
+
+with p_x the site's planar position: every matrix is a diagonal-unitary
+similarity of the real, symmetric, positive definite R. The likelihood
+and the sampler do all their linear algebra on R.
+
 S is exp(spline) to guarantee positivity; all shape constraints live in
 the constrained spline bases, so the parameter space is unconstrained.
 """
@@ -151,12 +160,13 @@ class SpectralParams:
 
 @dataclass(frozen=True)
 class CrossSpectrumTerms:
-    """f = S (1 - sig) I + S sig C o phase at K frequencies, with its factors.
+    """The factors of f = D R D* at K frequencies.
 
     Per frequency: S, sig = S1 / S, the signed delta and theta splines.
+    Per frequency and site: the phase factors D = exp(i theta u.p), (K, n).
     Per frequency and site pair: r = d / |delta| (0 where the coherence is
-    0), the Matern correlation C, the phase exp(i u.(x_j - x_k) theta) and
-    the matrix f itself.
+    0), the Matern correlation C and the real symmetric
+    R = S (1 - sig) I + S sig C, (K, n, n).
     """
 
     S: np.ndarray
@@ -165,8 +175,8 @@ class CrossSpectrumTerms:
     theta: np.ndarray
     r: np.ndarray
     C: np.ndarray
-    phase: np.ndarray
-    f: np.ndarray
+    R: np.ndarray
+    D: np.ndarray
 
 
 def matern32(r):
@@ -265,14 +275,13 @@ class SpectralModel:
 
     def cross_spectrum_terms(self, params: SpectralParams, geometry: SiteGeometry,
                              omegas, designs=None) -> CrossSpectrumTerms:
-        """The stack of cross-spectral matrices with the factors it is built from.
+        """The real matrices R and phase factors D of the cross-spectral stack.
 
         `designs` are the matrices of `designs(omegas)`; callers that
         evaluate the same frequencies repeatedly pass them in once computed.
         """
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
         B_S, B_beta, B_delta, B_theta = designs or self.designs(omegas)
-        n = geometry.n_sites
         S = np.exp(B_S @ params.s_coeffs)
         sig = self._coherent_share(B_beta @ params.beta_coeffs, omegas)
         S1 = S * sig
@@ -280,7 +289,6 @@ class SpectralModel:
         delta = B_delta @ params.delta_coeffs
         theta = B_theta @ params.theta_coeffs
         d = geometry.distances
-        ux = geometry.displacements @ params.u
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             r = d[None, :, :] / np.abs(delta)[:, None, None]
@@ -293,13 +301,14 @@ class SpectralModel:
         C = np.where(far, 0.0, np.exp(-r_fin) * (1.0 + r_fin))
         np.einsum("kii->ki", C)[:] = 1.0
 
-        phase = np.exp(1j * ux[None, :, :] * theta[:, None, None])
-        f = S1[:, None, None] * C * phase
-        f = f + S0[:, None, None] * np.eye(n)[None, :, :]
+        R = S1[:, None, None] * C
+        np.einsum("kii->ki", R)[:] += S0[:, None]
+        D = np.exp(1j * theta[:, None] * (geometry.positions @ params.u)[None, :])
         return CrossSpectrumTerms(S=S, sig=sig, delta=delta, theta=theta,
-                                  r=r_fin, C=C, phase=phase, f=f)
+                                  r=r_fin, C=C, R=R, D=D)
 
     def cross_spectrum_stack(self, params: SpectralParams, geometry: SiteGeometry,
                              omegas) -> np.ndarray:
-        """Stack of n x n Hermitian cross-spectral matrices, one per frequency."""
-        return self.cross_spectrum_terms(params, geometry, omegas).f
+        """Stack of n x n Hermitian cross-spectral matrices f = D R D*, one per frequency."""
+        t = self.cross_spectrum_terms(params, geometry, omegas)
+        return t.D[:, :, None] * t.R * np.conj(t.D)[:, None, :]

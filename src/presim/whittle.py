@@ -126,18 +126,24 @@ class WhittleObjective:
         self.Q_high = np.sum(np.abs(spec.coeffs[self.plan.idx_high]) ** 2, axis=1)
         self.designs_low = model.designs(self.plan.omega_low)
         self.design_S_high = model.basis_S.design(self.plan.omega_high)
-        # right-hand sides [J | I] of the one solve that also gives f^{-1}
-        eye = np.broadcast_to(np.eye(self.n), (len(self.J_low), self.n, self.n))
-        self._rhs = np.concatenate([self.J_low[..., None], eye], axis=-1)
+        # right-hand sides whose solve gives R^{-1} for the score
+        self._eye = np.broadcast_to(np.eye(self.n), (len(self.J_low), self.n, self.n))
         d = geometry.distances
         self._inv_d = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
 
     def loglik(self, params: SpectralParams, score: bool = False):
         """Log-likelihood at `params`; with score=True, (log-likelihood, score).
 
+        With f_k = D_k R_k D_k* (see `spectrum`), log det f_k = log det R_k
+        and J_k* f_k^{-1} J_k = z_k* y_k for z_k = D_k* J_k and
+        y_k = R_k^{-1} z_k, so every factorization and solve is real: the
+        real and imaginary parts of z_k are two right-hand sides.
+
         The score is the gradient in the order of `SpectralParams.pack`:
-        d ll / d a = -sum_k w_k Re tr(G_k d_a f_k) with
-        G_k = f_k^{-1} - x_k x_k^* / (2 pi T) and x_k = f_k^{-1} J_k, plus
+        d ll / d a = -sum_k w_k Re tr(H_k E_k) with
+        H_k = R_k^{-1} - y_k y_k^* / (2 pi T) and E_k = D_k* (d_a f_k) D_k,
+        which is d_a R_k along S, beta and delta and
+        i S1 C o d_a(theta u.(p_j - p_k)) along theta and the u angle; plus
         the diagonal band's -sum_k w_k dlogS_k/da (n - Q_k / (2 pi T S_k)).
         """
         plan, n = self.plan, self.n
@@ -145,24 +151,27 @@ class WhittleObjective:
 
         t = self.model.cross_spectrum_terms(params, self.geometry, plan.omega_low,
                                             self.designs_low)
-        rhs = self._rhs if score else self.J_low[..., None]
+        z = np.conj(t.D) * self.J_low
+        rhs = np.stack([z.real, z.imag], axis=-1)
+        if score:
+            rhs = np.concatenate([rhs, self._eye], axis=-1)
         try:
-            L = np.linalg.cholesky(t.f)
-            sol = np.linalg.solve(t.f, rhs)
+            L = np.linalg.cholesky(t.R)
+            sol = np.linalg.solve(t.R, rhs)
         except np.linalg.LinAlgError:
-            # rounding can let the Cholesky of an exactly singular f pass
+            # rounding can let the Cholesky of an exactly singular R pass
             for k, om in enumerate(plan.omega_low):
                 try:
-                    np.linalg.cholesky(t.f[k])
-                    np.linalg.solve(t.f[k], rhs[k])
+                    np.linalg.cholesky(t.R[k])
+                    np.linalg.solve(t.R[k], rhs[k])
                 except np.linalg.LinAlgError:
                     raise ValidationError(
                         f"singular spectral matrix at frequency {om:.6f}"
                     ) from None
             raise
-        logdet = 2.0 * np.sum(np.log(np.einsum("kii->ki", L).real), axis=1)
-        x = sol[..., 0]
-        quad = np.einsum("ki,ki->k", np.conj(self.J_low), x).real
+        logdet = 2.0 * np.sum(np.log(np.einsum("kii->ki", L)), axis=1)
+        y = sol[..., :2]  # real and imaginary parts of R^{-1} z
+        quad = np.einsum("kic,kic->k", rhs[..., :2], y)
         ll = -np.sum(plan.w_low * (logdet + quad / scale))
 
         S_high = np.exp(self.design_S_high @ params.s_coeffs)
@@ -170,25 +179,27 @@ class WhittleObjective:
         if not score:
             return float(ll)
 
-        G = sol[..., 1:] - x[:, :, None] * np.conj(x)[:, None, :] / scale
-        M = np.conj(G) * t.phase  # Re tr(G D) = Re sum(conj(G) o D) for Hermitian D
-        CMi = t.C * M.imag
+        H_re = sol[..., 2:] - y @ np.swapaxes(y, 1, 2) / scale  # Re H
         S1 = t.S * t.sig
-        disp = self.geometry.displacements
-        U = disp @ params.u
-        U_perp = disp @ np.array([-np.sin(params.u_angle), np.cos(params.u_angle)])
         # dC/d|delta| = r^2 e^{-r} / |delta| = (r e^{-r/3})^3 / d, bounded for every r
-        dC = (t.r * np.exp(-t.r / 3.0)) ** 3 * self._inv_d
+        q = t.r * np.exp(-t.r / 3.0)
+        dC = q * q * q * self._inv_d
+        # Im H = (yr yi^T - yi yr^T) / scale and u.p_j - u.p_k are both
+        # antisymmetric, so sum C o (u.p_j - u.p_k) o Im H = sum_j u.p_j v_j
+        Cy = t.C @ y
+        v = 2.0 * (y[..., 0] * Cy[..., 1] - y[..., 1] * Cy[..., 0]) / scale
+        pos = self.geometry.positions
+        u_perp = np.array([-np.sin(params.u_angle), np.cos(params.u_angle)])
 
-        # per frequency, Re tr(G df/da) along log S, beta, delta, theta, u angle
-        tr_S = n - quad / scale  # tr(G f)
+        # per frequency, Re tr(H E) along log S, beta, delta, theta, u angle
+        tr_S = n - quad / scale  # tr(H R)
         tr_high = n - self.Q_high / (scale * S_high)
         tr_beta = S1 * (1.0 - t.sig) * (
-            np.sum(t.C * M.real, axis=(1, 2)) - np.einsum("kii->k", G).real
+            np.einsum("kij,kij->k", t.C, H_re) - np.einsum("kii->k", H_re)
         )
-        tr_delta = S1 * np.sign(t.delta) * np.sum(dC * M.real, axis=(1, 2))
-        tr_theta = -S1 * np.sum(U * CMi, axis=(1, 2))
-        tr_u = -t.theta * S1 * np.sum(U_perp * CMi, axis=(1, 2))
+        tr_delta = S1 * np.sign(t.delta) * np.einsum("kij,kij->k", dC, H_re)
+        tr_theta = S1 * (v @ (pos @ params.u))
+        tr_u = t.theta * S1 * (v @ (pos @ u_perp))
 
         w = plan.w_low
         B_S, B_beta, B_delta, B_theta = self.designs_low

@@ -11,7 +11,7 @@ from presim.errors import AlignmentError, FormatError
 from presim.geometry import SiteGeometry
 from presim.ingest import RawSeries
 from presim.spectrum import KnotSet, SpectralModel
-from presim.whittle import SpectralField
+from presim.whittle import TWO_PI, SpectralField
 
 
 @pytest.fixture(scope="session")
@@ -68,6 +68,61 @@ def numeric_hessian(fun, x, rel_step: float = 1e-4) -> np.ndarray:
             ) / (4.0 * h[i] * h[jj])
     H = np.triu(H) + np.triu(H, 1).T
     return 0.5 * (H + H.T)
+
+
+def reference_loglik(obj, params):
+    """(log-likelihood, score) of a `WhittleObjective` in the complex form.
+
+    The oracle for `loglik`: f from `cross_spectrum_stack`, complex
+    Cholesky and solve, and the traces Re tr(G d_a f) with
+    G = f^{-1} - x x^* / (2 pi T), x = f^{-1} J, taken through
+    conj(G) o phase, the phase exp(i theta u.(x_j - x_k)) built from the
+    geometry's displacements.
+    """
+    model, geo, plan, n = obj.model, obj.geometry, obj.plan, obj.n
+    scale = TWO_PI * obj.T
+    t = model.cross_spectrum_terms(params, geo, plan.omega_low)
+    f = model.cross_spectrum_stack(params, geo, plan.omega_low)
+    J = obj.spec.coeffs[plan.idx_low]
+    L = np.linalg.cholesky(f)
+    logdet = 2.0 * np.sum(np.log(np.einsum("kii->ki", L).real), axis=1)
+    x = np.linalg.solve(f, J[..., None])[..., 0]
+    quad = np.einsum("ki,ki->k", np.conj(J), x).real
+    S_high = model.eval_S(params, plan.omega_high)
+    Q_high = np.sum(np.abs(obj.spec.coeffs[plan.idx_high]) ** 2, axis=1)
+    ll = -np.sum(plan.w_low * (logdet + quad / scale))
+    ll -= np.sum(plan.w_high * (n * np.log(S_high) + Q_high / (scale * S_high)))
+
+    G = np.linalg.inv(f) - x[:, :, None] * np.conj(x)[:, None, :] / scale
+    U = geo.displacements @ params.u
+    U_perp = geo.displacements @ np.array([-np.sin(params.u_angle), np.cos(params.u_angle)])
+    phase = np.exp(1j * U[None, :, :] * t.theta[:, None, None])
+    M = np.conj(G) * phase  # Re tr(G E) = Re sum(conj(G) o E) for Hermitian E
+    CMi = t.C * M.imag
+    S1 = t.S * t.sig
+    d = geo.distances
+    inv_d = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+    dC = (t.r * np.exp(-t.r / 3.0)) ** 3 * inv_d
+
+    tr_S = n - quad / scale
+    tr_high = n - Q_high / (scale * S_high)
+    tr_beta = S1 * (1.0 - t.sig) * (
+        np.sum(t.C * M.real, axis=(1, 2)) - np.einsum("kii->k", G).real
+    )
+    tr_delta = S1 * np.sign(t.delta) * np.sum(dC * M.real, axis=(1, 2))
+    tr_theta = -S1 * np.sum(U * CMi, axis=(1, 2))
+    tr_u = -t.theta * S1 * np.sum(U_perp * CMi, axis=(1, 2))
+
+    w = plan.w_low
+    B_S, B_beta, B_delta, B_theta = model.designs(plan.omega_low)
+    grad = -np.concatenate([
+        B_S.T @ (w * tr_S) + model.basis_S.design(plan.omega_high).T @ (plan.w_high * tr_high),
+        B_beta.T @ (w * tr_beta),
+        B_delta.T @ (w * tr_delta),
+        B_theta.T @ (w * tr_theta),
+        [np.sum(w * tr_u)],
+    ])
+    return float(ll), grad
 
 
 def unconditional_sampler(model, params, geometry, T):

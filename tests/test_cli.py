@@ -282,6 +282,20 @@ def test_geometry_hash_mismatch_fails_fast(pipeline, tmp_path, capsys):
     assert "geometry hash" in capsys.readouterr().err
 
 
+def test_simulate_rejects_unknown_held_out_id(pipeline, tmp_path, capsys):
+    # as fit does: no ensemble of the known targets with the unknown id dropped
+    out, _ = pipeline
+    cfg = write_config(tmp_path / "e99.yaml", out, held_out_ids=["E12", "E13", "E99"])
+    code = main([
+        "--config", str(cfg), "--out", str(tmp_path),
+        "simulate", "--fit-report", str(out / "fit_report.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "[simulate] error: held-out ids not in station file: ['E99']" in err
+    assert not (tmp_path / "ensemble").exists()
+
+
 def test_missing_input_file_exits_nonzero(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.yaml", tmp_path)  # no synthetic data
     assert main(["--config", str(cfg), "fit"]) == 1

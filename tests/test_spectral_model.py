@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from presim.condsim import PredictionSetup
 from presim.errors import ConfigurationError
 from presim.geometry import SiteGeometry
 from presim.spectrum import KnotSet, SpectralModel, SpectralParams, matern32
 from presim.splines import ConstrainedBasis
+from presim.synth import default_stations
 
 from conftest import coherence, cross_spectrum, random_params
 
@@ -249,6 +251,42 @@ def test_cross_spectrum_vanishing_delta_has_no_coherence(model, geometry3):
     f = model.cross_spectrum_stack(p, geometry3, om)
     S = model.eval_S(p, om)
     assert np.allclose(f, S[:, None, None] * np.eye(3), rtol=1e-14, atol=0)
+
+
+def test_cross_spectrum_stack_matches_paper_formula(model):
+    # D R D* against S0 I + S1 C o exp(i theta u.(x_j - x_k)) from the
+    # displacements, on a fit network and on a prediction geometry
+    stations = default_stations()
+    lats = np.array([s.latitude for s in stations])
+    lons = np.array([s.longitude for s in stations])
+    fit_geo = SiteGeometry(lats[:11], lons[:11])
+    combined = PredictionSetup(observed=fit_geo, target_lats=lats[11:], target_lons=lons[11:],
+                               target_elevations=np.zeros(2)).combined
+    rng = np.random.default_rng(14)
+    om = np.linspace(0.02, 0.98, 25) * model.knots.omega0
+    for geo in (fit_geo, combined):
+        vec = rng.normal(scale=0.4, size=model.n_params)
+        d = model.dimensions
+        i0 = d["s"] + d["beta"]
+        vec[i0:i0 + d["delta"]] = 30.0 * rng.standard_normal(d["delta"])
+        p = model.unpack(vec)
+        delta, theta = model.eval_delta(p, om), model.eval_theta(p, om)
+        assert delta.min() < 0 < delta.max() and np.all(delta != 0)
+        assert np.abs(theta).min() > 0
+
+        S = model.eval_S(p, om)
+        S1 = S / (1.0 + np.exp(-model.eval_beta(p, om)))
+        C = matern32(geo.distances[None, :, :] / np.abs(delta)[:, None, None])
+        U = geo.displacements @ p.u
+        expected = (S - S1)[:, None, None] * np.eye(geo.n_sites) + (
+            S1[:, None, None] * C * np.exp(1j * theta[:, None, None] * U[None, :, :])
+        )
+        f = model.cross_spectrum_stack(p, geo, om)
+        assert np.max(np.abs(f - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+        R = model.cross_spectrum_terms(p, geo, om).R
+        assert R.dtype == np.float64
+        assert np.array_equal(R, np.swapaxes(R, 1, 2))
 
 
 def test_cross_spectrum_real_when_theta_zero(model, geometry3):

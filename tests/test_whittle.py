@@ -7,6 +7,7 @@ from presim.errors import ValidationError
 from presim.geometry import SiteGeometry
 from presim.rng import STAGE_PARAM_DRAW, substream
 from presim.spectrum import KNOT_UNIT, KnotSet, SpectralModel, SpectralParams
+from presim.synth import default_stations
 from presim.whittle import (
     TWO_PI,
     FitOptions,
@@ -21,7 +22,7 @@ from presim.whittle import (
     sample_params,
 )
 
-from conftest import numeric_hessian, random_params, unconditional_sampler
+from conftest import numeric_hessian, random_params, reference_loglik, unconditional_sampler
 
 
 # -- DFT ------------------------------------------------------------------
@@ -327,6 +328,34 @@ def test_score_matches_numeric_gradient(geometry3, omega0_j, T, delta_kind):
     assert ll == obj.loglik_vec(vec)
     oracle = numeric_gradient(obj.loglik_vec, vec)
     np.testing.assert_allclose(score, oracle, rtol=1e-6, atol=1e-7 * np.abs(oracle).max())
+
+
+@pytest.mark.parametrize("omega0_j", [720, 4320])
+@pytest.mark.parametrize("T", [64, 65])
+@pytest.mark.parametrize("n_sites", [3, 11])
+def test_score_matches_complex_formulation(geometry3, omega0_j, T, n_sites):
+    # the real D R D* evaluation against the complex one, value and score
+    if n_sites == 3:
+        geo = geometry3
+    else:
+        stations = default_stations()[:n_sites]
+        geo = SiteGeometry(np.array([s.latitude for s in stations]),
+                           np.array([s.longitude for s in stations]))
+        assert np.all(geo.distances + np.eye(n_sites) > 0)
+    model = SpectralModel(KnotSet.default(omega0_j))
+    rng = np.random.default_rng(51 + T + omega0_j + n_sites)
+    obj = WhittleObjective(model, forward_dft(rng.standard_normal((n_sites, T))), geo)
+    for _ in range(3):
+        vec = score_case_params(model, rng, "mixed")
+        params = model.unpack(vec)
+        assert np.abs(model.eval_theta(params, obj.plan.omega_low)).max() > 0
+        assert model.eval_delta(params, obj.plan.omega_low).min() < 0
+
+        ll, score = obj.loglik(params, score=True)
+        ref_ll, ref_score = reference_loglik(obj, params)
+        assert ll == pytest.approx(ref_ll, rel=1e-12, abs=0)
+        np.testing.assert_allclose(score, ref_score, rtol=0,
+                                   atol=1e-9 * np.abs(ref_score).max())
 
 
 def test_hessian_at_is_symmetric(model, geometry3):
