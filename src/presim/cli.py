@@ -157,10 +157,19 @@ def _split_grid(grid, ids):
     return replace(grid, stations=[grid.stations[i] for i in keep], values=grid.values[keep])
 
 
-def _read_ensemble(ensemble_dir, target_ids):
-    """Per target id, the (members, T+1) pressure rows of an ensemble directory."""
+def _read_ensemble(ensemble_dir, target_ids, fit):
+    """Per target id, the (members, T+1) pressure rows of an ensemble directory.
+
+    The ensemble must have been simulated from `fit`.
+    """
     out = Path(ensemble_dir)
     manifest = json.loads((out / "manifest.json").read_text())
+    simulated_from, given = manifest["provenance"]["fit_hash"], condsim.fit_hash(fit)
+    if simulated_from != given:
+        raise ValidationError(
+            f"{out / 'manifest.json'}: ensemble was simulated from another fit "
+            f"(fit_hash {simulated_from}, the fit report's {given})"
+        )
     path = out / "pressure.npy"
     try:
         pressure = np.load(path, allow_pickle=False)
@@ -189,7 +198,7 @@ def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> 
     target_ids = [s.id for s in truth_grid.stations]
     if not target_ids:
         raise ValidationError("no held-out stations with observations")
-    members = _read_ensemble(ensemble_dir, target_ids)
+    members = _read_ensemble(ensemble_dir, target_ids, fit)
     if members[0].shape[1] != truth_grid.n_times:
         raise ValidationError("ensemble and truth lengths differ")
 

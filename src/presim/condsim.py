@@ -8,9 +8,9 @@ real-normal analog. The partition and the Schur complement are taken on
 the real R of f = D R D* (see `spectrum`) and rotated by the phase
 factors D afterwards. Beyond the coherence cutoff the prediction sites are
 independent of the observations and are drawn unconditionally from the
-diagonal model. Negative frequencies are filled by conjugate symmetry so
-the inverse DFT is real. With zero observed sites every draw is
-unconditional, which is how synthetic truths are drawn.
+diagonal model. A draw holds the one-sided frequencies only; the inverse
+DFT of a real series implies the negative ones. With zero observed sites
+every draw is unconditional, which is how synthetic truths are drawn.
 """
 
 import hashlib
@@ -102,7 +102,7 @@ class SamplerFrame:
         self.geometry = setup.combined
         self.designs_low = model.designs(plan.omega_low)
         self.design_S_high = model.basis_S.design(plan.omega_high)
-        self.J_o = observed_field.coeffs[plan.idx_low]
+        self.J_o = observed_field.coeffs[plan.low]
 
 
 class ConditionalSampler:
@@ -114,9 +114,9 @@ class ConditionalSampler:
     Cholesky factor is D_p L D_p* for the real Cholesky factor L of the
     real Schur complement. Only real matrices are solved and factored.
 
-    With zero observed sites (an empty observed geometry and a (T, 0)
-    observed field) the conditional laws are the unconditional ones, so
-    the same sampler draws synthetic truths. `frame` is the
+    With zero observed sites (an empty observed geometry and a
+    (floor(T/2)+1, 0) observed field) the conditional laws are the
+    unconditional ones, so the same sampler draws synthetic truths. `frame` is the
     `SamplerFrame` of `setup` and `observed_field`; callers that build
     samplers for many parameter vectors pass it in once computed.
     """
@@ -150,7 +150,7 @@ class ConditionalSampler:
                     np.linalg.solve(Roo[k], _mT(Rpo[k]))
                 except np.linalg.LinAlgError:
                     Roo[k] = Roo[k] + np.eye(n) * (RIDGE_REL * np.trace(Roo[k]) / n)
-                    self.ridge_frequencies.append(int(plan.idx_low[k]))
+                    self.ridge_frequencies.append(k)  # row k is frequency index k
             B = _mT(np.linalg.solve(Roo, _mT(Rpo)))
         self.means = D_p * (B @ (np.conj(D_o) * frame.J_o)[..., None])[..., 0]
         cond = Rpp - B @ _mT(Rpo)
@@ -163,7 +163,7 @@ class ConditionalSampler:
         self.sd_high = np.sqrt(scale * np.exp(frame.design_S_high @ params.s_coeffs))
 
     def draw(self, seed: int, member: int, stage: int = STAGE_CONDSIM) -> SpectralField:
-        """One draw of the target-site spectral field.
+        """One draw of the target-site one-sided spectral field.
 
         One generator per draw, keyed (STAGE_CONDSIM, member) when
         conditioning and (STAGE_FIELD_UNCOND, stage, member) with zero
@@ -172,9 +172,10 @@ class ConditionalSampler:
         the high band and then the low band, each a (2, K, m) block of real
         parts then imaginary parts in frequency order; a real-coefficient
         frequency uses its real part only. The low-band normals are mapped
-        through the conditional laws in one stacked product.
+        through the conditional laws in one stacked product, and the field
+        is the low-band rows followed by the high-band rows.
         """
-        T, m, plan = self.T, self.m, self.plan
+        m, plan = self.m, self.plan
         if self.setup.n_observed:
             if stage != STAGE_CONDSIM:
                 raise ValidationError("a conditional draw is an ensemble member; "
@@ -182,23 +183,16 @@ class ConditionalSampler:
             rng = substream(seed, STAGE_CONDSIM, member)
         else:
             rng = substream(seed, STAGE_FIELD_UNCOND, stage, member)
-        coeffs = np.zeros((T, m), dtype=complex)
 
-        zr, zi = rng.standard_normal((2, len(plan.idx_high), m))
+        zr, zi = rng.standard_normal((2, len(plan.omega_high), m))
         high = self.sd_high[:, None] * (zr + 1j * zi) / np.sqrt(2.0)
         high[plan.real_high] = self.sd_high[plan.real_high, None] * zr[plan.real_high]
-        coeffs[plan.idx_high] = high
 
         real = plan.real_low
-        zr, zi = rng.standard_normal((2, len(plan.idx_low), m))
+        zr, zi = rng.standard_normal((2, len(plan.omega_low), m))
         low = self.means + (self.chols @ (zr + 1j * zi)[..., None])[..., 0] / np.sqrt(2.0)
         low[real] = self.means[real].real + (self.chols[real].real @ zr[real, :, None])[..., 0]
-        coeffs[plan.idx_low] = low
-
-        # conjugate symmetry for the negative frequencies
-        j_all = np.arange(1, (T + 1) // 2)
-        coeffs[T - j_all] = np.conj(coeffs[j_all])
-        return SpectralField(coeffs=coeffs)
+        return SpectralField(coeffs=np.concatenate([low, high]), n_times=self.T)
 
 
 def _mT(a: np.ndarray) -> np.ndarray:
@@ -267,8 +261,9 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
         raise ValidationError("mean_draws must be (count, n_targets)")
 
     frame = SamplerFrame(model, setup, observed_field)
+    floored = False
     if vary_params:
-        draws = sample_params(fit, count, seed)
+        draws, floored = sample_params(fit, count, seed)
         ridged = 0
     else:
         sampler = ConditionalSampler(model, fit.params_hat, setup, observed_field, frame)
@@ -291,7 +286,7 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
             "fit_hash": fit_hash(fit),
             "observed_geometry_hash": geometry_hash(setup.observed),
             "vary_params": vary_params,
-            "hessian_floored": fit.hessian_floored,
+            "hessian_floored": floored,
             "ridge_frequencies": ridged,
         },
     )

@@ -1,8 +1,8 @@
 """Pairwise spatial quantities for the monitoring network.
 
 Great-circle distances on a sphere of radius 6371 km, plus planar
-positions and displacement vectors (east/north, km) from an
-equirectangular projection about the network centroid. The study domains
+positions (east/north, km) from an equirectangular projection about the
+network centroid. The study domains
 are small (~150 km), so a locally accurate flat projection is all the
 phase term of the model needs.
 """
@@ -41,7 +41,8 @@ def plane_positions(lats, lons) -> np.ndarray:
     """Planar site positions (east, north), km, as an (n, 2) array.
 
     An equirectangular projection about the centroid, which sits at the
-    origin (none for zero sites).
+    origin (none for zero sites). Warns when the domain diameter exceeds
+    1000 km, where a flat-plane treatment starts to break down.
     """
     lats = np.asarray(lats, dtype=float)
     lons = np.asarray(lons, dtype=float)
@@ -50,36 +51,24 @@ def plane_positions(lats, lons) -> np.ndarray:
     lat0, lon0 = lats.mean(), lons.mean()
     east = EARTH_RADIUS_KM * np.cos(np.radians(lat0)) * np.radians(lons - lon0)
     north = EARTH_RADIUS_KM * np.radians(lats - lat0)
-    return np.stack([east, north], axis=-1)
-
-
-def local_plane(lats, lons) -> np.ndarray:
-    """Antisymmetric matrix of planar displacement 2-vectors (east, north), km.
-
-    displacements[j, k] = position(j) - position(k) for the positions of
-    `plane_positions`. Warns when the domain diameter exceeds 1000 km,
-    where a flat-plane treatment starts to break down.
-    """
-    xy = plane_positions(lats, lons)
-    disp = xy[:, None, :] - xy[None, :, :]
-    diameter = np.linalg.norm(disp, axis=-1).max(initial=0.0)
+    xy = np.stack([east, north], axis=-1)
+    diameter = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=-1).max()
     if diameter > 1000.0:
         warnings.warn(
             f"domain diameter {diameter:.0f} km exceeds 1000 km; "
-            "flat-plane displacements may be inaccurate"
+            "flat-plane positions may be inaccurate"
         )
-    return disp
+    return xy
 
 
 @dataclass(frozen=True)
 class SiteGeometry:
-    """Locations plus derived planar positions, distances and displacements."""
+    """Locations plus derived planar positions and great-circle distances."""
 
     lats: np.ndarray
     lons: np.ndarray
     positions: np.ndarray = field(init=False)
     distances: np.ndarray = field(init=False)
-    displacements: np.ndarray = field(init=False)
 
     def __post_init__(self):
         lats = np.asarray(self.lats, dtype=float)
@@ -88,7 +77,6 @@ class SiteGeometry:
         object.__setattr__(self, "lons", lons)
         object.__setattr__(self, "positions", plane_positions(lats, lons))
         object.__setattr__(self, "distances", distance_matrix(lats, lons))
-        object.__setattr__(self, "displacements", local_plane(lats, lons))
 
     @property
     def n_sites(self) -> int:

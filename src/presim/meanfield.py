@@ -188,7 +188,7 @@ def _cross_distances(a: SiteGeometry, b: SiteGeometry) -> np.ndarray:
 
 def sample_means(model: MeanFieldModel, targets: SiteGeometry,
                  target_elevations, sea_level: SeaLevelModel, count: int,
-                 seed: int, df: float | None = None) -> np.ndarray:
+                 seed: int) -> np.ndarray:
     """Per-member mean-pressure draws at the targets, mapped off sea level.
 
     Draws predictor + multivariate-t deviate (df = n_fit - 1, scale matrix
@@ -201,8 +201,7 @@ def sample_means(model: MeanFieldModel, targets: SiteGeometry,
     elev = np.atleast_1d(np.asarray(target_elevations, dtype=float))
     if len(elev) != m:
         raise ValidationError("target elevations do not match target count")
-    if df is None:
-        df = model.n_fit - 1
+    df = model.n_fit - 1
     L = _safe_cholesky(cov)
     factor = np.exp(-elev / sea_level.scale_height)
     out = np.empty((count, m))

@@ -44,7 +44,7 @@ def _design_and_penalty(n: int, n_knots: int):
 class DfSpline:
     """Equispaced penalized-spline smoother with a fixed effective df."""
 
-    def __init__(self, n: int, df: float, df_tol: float = 0.1):
+    def __init__(self, n: int, df: float):
         if not (2.0 < df < n):
             raise ConfigurationError(f"df must lie in (2, n); got {df} with n={n}")
         self.n = n
@@ -55,7 +55,7 @@ class DfSpline:
         # scipy.linalg is imported in the methods: of the CLI stages only `fit` smooths
         from scipy.linalg import cho_factor
 
-        self._lam = self._solve_lambda(df_tol)
+        self._lam = self._solve_lambda()
         self._cho = cho_factor(self.BtB + self._lam * self.P)
 
     def _trace(self, lam: float) -> float:
@@ -64,7 +64,8 @@ class DfSpline:
         cho = cho_factor(self.BtB + lam * self.P)
         return float(np.trace(cho_solve(cho, self.BtB)))
 
-    def _solve_lambda(self, tol: float) -> float:
+    def _solve_lambda(self) -> float:
+        """The penalty whose effective df is within 0.05 of the target."""
         lo, hi = 1e-12, 1e12
         # trace decreases in lam; widen until bracketed
         while self._trace(lo) < self.df and lo > 1e-300:
@@ -74,7 +75,7 @@ class DfSpline:
         for _ in range(200):
             mid = np.sqrt(lo * hi)
             tr = self._trace(mid)
-            if abs(tr - self.df) <= tol / 2:
+            if abs(tr - self.df) <= 0.05:
                 return mid
             if tr > self.df:
                 lo = mid

@@ -31,15 +31,14 @@ from .whittle import SpectralField, inverse_dft
 DEFAULT_START = datetime(2005, 10, 1, tzinfo=timezone.utc)
 
 
-def default_true_params(model: SpectralModel, coherence_range_km: float = 60.0,
-                        beta_level: float = 1.5) -> SpectralParams:
+def default_true_params(model: SpectralModel) -> SpectralParams:
     """A smooth, realistic truth for simulation studies.
 
     S decays over two decades from low to high frequency, at a level that
     yields ~0.005 kPa five-minute pressure changes; delta is a
-    low-frequency bump peaking at coherence_range_km; beta is
-    near-constant (coherence cap logistic(beta)); theta is a small phase
-    slope; u points west.
+    low-frequency bump peaking at 60 km; beta is near-constant at 1.5
+    (coherence cap logistic(1.5)); theta is a small phase slope; u points
+    west.
     """
     omega0 = model.knots.omega0
 
@@ -54,11 +53,11 @@ def default_true_params(model: SpectralModel, coherence_range_km: float = 60.0,
     )
     delta_coeffs = fit_curve(
         model.basis_delta,
-        lambda w: coherence_range_km * np.clip(1 - (w / omega0) ** 2, 0, None) ** 3,
+        lambda w: 60.0 * np.clip(1 - (w / omega0) ** 2, 0, None) ** 3,
         0.0,
         omega0,
     )
-    beta_coeffs = fit_curve(model.basis_beta, lambda w: np.full_like(w, beta_level), 0.0, omega0)
+    beta_coeffs = fit_curve(model.basis_beta, lambda w: np.full_like(w, 1.5), 0.0, omega0)
     theta_coeffs = fit_curve(
         model.basis_theta,
         lambda w: 0.002 * (w / omega0) * np.clip(1 - (w / omega0) ** 2, 0, None) ** 3,
@@ -74,8 +73,9 @@ def default_true_params(model: SpectralModel, coherence_range_km: float = 60.0,
     )
 
 
-def default_stations(n: int = 13) -> list:
-    """A small irregular network in north-central Oklahoma coordinates."""
+def default_stations() -> list:
+    """A small irregular network of 13 stations in north-central Oklahoma coordinates."""
+    n = 13
     rng = np.random.default_rng(20051001)
     lats = 36.0 + rng.uniform(0.0, 1.3, n)
     lons = -98.0 + rng.uniform(0.0, 1.6, n)
@@ -87,8 +87,7 @@ def default_stations(n: int = 13) -> list:
     ]
 
 
-def default_stack(T: int, elevations, seed: int = 0,
-                  volatility_amplitude: float = 0.4) -> TransformStack:
+def default_stack(T: int, elevations, seed: int = 0) -> TransformStack:
     """Transform-stack truth used when none is supplied."""
     sea = SeaLevelModel(log_p0=float(np.log(101.89)), scale_height=8310.0)
     n_h = 15
@@ -96,10 +95,7 @@ def default_stack(T: int, elevations, seed: int = 0,
     coeffs = 0.0005 * rng.standard_normal(2 * n_h) / np.arange(1, 2 * n_h + 1)
     diurnal = DiurnalModel(period=288, n_harmonics=n_h, coefficients=coeffs)
     t = np.arange(T)
-    vol = np.exp(
-        volatility_amplitude
-        * (np.sin(2 * np.pi * t / T * 3.0) + 0.5 * np.cos(2 * np.pi * t / T * 7.0))
-    )
+    vol = np.exp(0.4 * (np.sin(2 * np.pi * t / T * 3.0) + 0.5 * np.cos(2 * np.pi * t / T * 7.0)))
     elevations = np.asarray(elevations, dtype=float)
     # small spatial scatter around the elevation curve, as in real networks
     means = sea.p0 * np.exp(
@@ -126,11 +122,11 @@ class SyntheticTruth:
 
 
 def generate(model: SpectralModel, params: SpectralParams, stations: list,
-             stack: TransformStack, T: int, seed: int,
-             member: int = 0) -> SyntheticTruth:
+             stack: TransformStack, T: int, seed: int) -> SyntheticTruth:
     """Draw one synthetic realization of the network.
 
-    The field is a conditional draw given zero observed sites.
+    The field is a conditional draw given zero observed sites, member 0 of
+    the synthetic stage.
     """
     elevations = np.array([s.elevation for s in stations])
     setup = PredictionSetup(
@@ -139,8 +135,8 @@ def generate(model: SpectralModel, params: SpectralParams, stations: list,
         target_lons=np.array([s.longitude for s in stations]),
         target_elevations=elevations,
     )
-    sampler = ConditionalSampler(model, params, setup, SpectralField(np.zeros((T, 0))))
-    field = sampler.draw(seed, member, stage=STAGE_SYNTH)
+    no_sites = SpectralField(np.zeros((T // 2 + 1, 0)), n_times=T)
+    field = ConditionalSampler(model, params, setup, no_sites).draw(seed, 0, stage=STAGE_SYNTH)
     A = inverse_dft(field)
     pressure = invert_stack(A, stack, elevations, stack.site_means)
     return SyntheticTruth(

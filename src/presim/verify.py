@@ -209,9 +209,9 @@ def aggregate_diffs(series, width: int) -> np.ndarray:
     return np.diff(means)
 
 
-def top_volatility_selector(volatility, fraction: float = 0.10) -> np.ndarray:
-    """Boolean mask for the times with the largest volatility values."""
+def top_volatility_selector(volatility) -> np.ndarray:
+    """Boolean mask for the tenth of the times with the largest volatility values."""
     v = np.asarray(volatility, dtype=float)
-    k = max(1, int(round(fraction * len(v))))
+    k = max(1, int(round(0.10 * len(v))))
     thresh = np.partition(v, -k)[-k]
     return v >= thresh

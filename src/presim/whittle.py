@@ -3,16 +3,18 @@
 Conventions (fixed here, validated by the dense-covariance oracle in the
 test suite): the DFT is J(w_j) = sum_{t=1..T} A(t) exp(i w_j t) with
 w_j = 2 pi j / T, and E[J J*] ~= 2 pi T f(w_j) under the covariance
-representation K(x,t) = int f(w) exp(i w t) dw. The log-likelihood is a
-one-sided sum over j = 0..floor(T/2): complex frequencies contribute the
-circular complex-normal term once, the real-coefficient frequencies
-(0 and, for even T, the Nyquist) contribute real-normal terms with a
-half weight. Frequencies beyond the coherence cutoff use the closed-form
-diagonal shortcut f = S * I.
+representation K(x,t) = int f(w) exp(i w t) dw. A real series has
+J(w_{T-j}) = conj(J(w_j)), so a spectral field holds only the one-sided
+frequencies j = 0..floor(T/2), row j at w_j. The log-likelihood is a sum
+over these rows: complex frequencies contribute the circular
+complex-normal term once, the real-coefficient frequencies (0 and, for
+even T, the Nyquist) contribute real-normal terms with a half weight.
+Frequencies beyond the coherence cutoff use the closed-form diagonal
+shortcut f = S * I.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +28,24 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Per-Fourier-frequency DFT coefficient vectors across sites.
+    """DFT coefficient vectors across sites at the one-sided frequencies.
 
-    coeffs[j, x] = J_x(w_j) for j = 0..T-1.
+    coeffs[j, x] = J_x(w_j) for j = 0..floor(T/2) with T = n_times; the
+    negative frequencies are the conjugates of these rows. T is kept
+    because the row count does not tell an even T from the next odd one.
     """
 
     coeffs: np.ndarray
+    n_times: int
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=complex)
         object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.ndim != 2:
-            raise ValidationError("coeffs must be (T, n_sites)")
-
-    @property
-    def n_times(self) -> int:
-        return self.coeffs.shape[0]
+        if coeffs.ndim != 2 or len(coeffs) != self.n_times // 2 + 1:
+            raise ValidationError(
+                f"coeffs must be (floor(T/2)+1, n_sites) for T = {self.n_times}; "
+                f"got shape {coeffs.shape}"
+            )
 
     @property
     def n_sites(self) -> int:
@@ -49,7 +53,8 @@ class SpectralField:
 
 
 def fourier_frequencies(T: int) -> np.ndarray:
-    return TWO_PI * np.arange(T) / T
+    """The one-sided Fourier frequencies w_j = 2 pi j / T, j = 0..floor(T/2)."""
+    return TWO_PI * np.arange(T // 2 + 1) / T
 
 
 def forward_dft(A) -> SpectralField:
@@ -58,48 +63,51 @@ def forward_dft(A) -> SpectralField:
     n, T = A.shape
     if T < 2:
         raise ValidationError("need T >= 2")
-    # sum_t A_t e^{i w_j t} = e^{i w_j} * sum_s A_{s+1} e^{i w_j s} = e^{i w_j} T ifft(A)_j
-    J = T * np.fft.ifft(A, axis=1) * np.exp(1j * fourier_frequencies(T))[None, :]
-    return SpectralField(coeffs=J.T)
+    # sum_t A_t e^{i w_j t} = e^{i w_j} * conj(sum_s A_{s+1} e^{-i w_j s}) for real A
+    J = np.exp(1j * fourier_frequencies(T))[:, None] * np.conj(np.fft.rfft(A, axis=1).T)
+    return SpectralField(coeffs=J, n_times=T)
 
 
-def inverse_dft(spec: SpectralField, imag_tol: float = 1e-9) -> np.ndarray:
-    """Invert forward_dft; asserts the result is real to within imag_tol."""
-    J = spec.coeffs.T  # n x T
-    T = J.shape[1]
-    X = J * np.exp(-1j * fourier_frequencies(T))[None, :]
-    A = np.fft.fft(X, axis=1) / T
-    scale = max(np.sqrt(np.mean(np.abs(A) ** 2)), 1e-300)
-    worst = np.abs(A.imag).max() / scale
-    if worst > imag_tol:
+def inverse_dft(spec: SpectralField) -> np.ndarray:
+    """Invert forward_dft: the real (n_sites, T) series of a spectral field.
+
+    The coefficients at frequency 0 and, for even T, the Nyquist must be
+    real to 1e-9 of the largest coefficient.
+    """
+    T = spec.n_times
+    J = spec.coeffs
+    real_rows = J[[0, T // 2]] if T % 2 == 0 else J[:1]
+    worst = np.abs(real_rows.imag).max(initial=0.0) / max(np.abs(J).max(initial=0.0), 1e-300)
+    if worst > 1e-9:
         raise ValidationError(
-            f"inverse DFT produced imaginary residual {worst:.2e} relative; "
-            "input is not conjugate-symmetric"
+            f"inverse DFT: coefficient at frequency 0 or Nyquist is not real "
+            f"(imaginary part {worst:.2e} relative)"
         )
-    return A.real
+    X = np.conj(J * np.exp(-1j * fourier_frequencies(T))[:, None])  # rfft of the series
+    return np.fft.irfft(X.T, n=T, axis=1)
 
 
 class FrequencyPlan:
-    """One-sided Fourier frequencies of a length-T series, split at the cutoff.
+    """The rows of a one-sided spectral field, split at the cutoff.
 
-    Indices j = 0..floor(T/2) at w_j = 2 pi j / T, with weight 1 except 0.5
-    at the real-coefficient frequencies (0 and, for even T, the Nyquist).
-    The low band w_j <= omega0 carries cross-site coherence; the high band
-    beyond it is diagonal. A cutoff that lands on a Fourier frequency (up
-    to rounding) puts that frequency in the low band.
+    Row j is the Fourier frequency w_j = 2 pi j / T, j = 0..floor(T/2),
+    with weight 1 except 0.5 at the real-coefficient rows (0 and, for even
+    T, the Nyquist). The low band, rows [:K] where w_j <= omega0, carries
+    cross-site coherence; the high band, rows [K:], is diagonal. A cutoff
+    that lands on a Fourier frequency (up to rounding) puts that frequency
+    in the low band. `low` and `high` are the slices of the two bands.
     """
 
     def __init__(self, T: int, omega0: float):
-        self.idx = np.arange(T // 2 + 1)
-        self.omegas = fourier_frequencies(T)[self.idx]
-        self.weights = np.ones(len(self.idx))
+        self.omegas = fourier_frequencies(T)
+        self.weights = np.ones(len(self.omegas))
         self.weights[0] = 0.5
         if T % 2 == 0:
             self.weights[-1] = 0.5
-        self.low = self.omegas <= omega0 + 1e-15
-        self.idx_low, self.idx_high = self.idx[self.low], self.idx[~self.low]
-        self.omega_low, self.omega_high = self.omegas[self.low], self.omegas[~self.low]
-        self.w_low, self.w_high = self.weights[self.low], self.weights[~self.low]
+        K = int(np.count_nonzero(self.omegas <= omega0 + 1e-15))
+        self.low, self.high = slice(0, K), slice(K, None)
+        self.omega_low, self.omega_high = self.omegas[self.low], self.omegas[self.high]
+        self.w_low, self.w_high = self.weights[self.low], self.weights[self.high]
         self.real_low, self.real_high = self.w_low == 0.5, self.w_high == 0.5
 
 
@@ -122,8 +130,8 @@ class WhittleObjective:
         self.n = spec.n_sites
 
         self.plan = FrequencyPlan(self.T, model.knots.omega0)
-        self.J_low = spec.coeffs[self.plan.idx_low]  # K x n
-        self.Q_high = np.sum(np.abs(spec.coeffs[self.plan.idx_high]) ** 2, axis=1)
+        self.J_low = spec.coeffs[self.plan.low]  # K x n
+        self.Q_high = np.sum(np.abs(spec.coeffs[self.plan.high]) ** 2, axis=1)
         self.designs_low = model.designs(self.plan.omega_low)
         self.design_S_high = model.basis_S.design(self.plan.omega_high)
         # right-hand sides whose solve gives R^{-1} for the score
@@ -219,8 +227,8 @@ class WhittleObjective:
 # -- numerical derivatives ----------------------------------------------
 
 
-def numeric_gradient(fun, x, rel_step: float = 1e-5) -> np.ndarray:
-    """Central differences of `fun` at `x` with a per-coordinate relative step.
+def numeric_gradient(fun, x) -> np.ndarray:
+    """Central differences of `fun` at `x` with a per-coordinate step 1e-5 max(1, |x_i|).
 
     For a scalar `fun` this is its gradient; for a vector-valued one, row
     i holds the derivatives of every output with respect to x[i].
@@ -228,7 +236,7 @@ def numeric_gradient(fun, x, rel_step: float = 1e-5) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     rows = []
     for i in range(len(x)):
-        h = rel_step * max(1.0, abs(x[i]))
+        h = 1e-5 * max(1.0, abs(x[i]))
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
@@ -257,7 +265,6 @@ class FitResult:
     convergence: dict
     knots: KnotSet
     hessian_min_eig: float = float("nan")
-    hessian_floored: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -267,7 +274,6 @@ class FitResult:
             "hessian": np.asarray(self.hessian).tolist(),
             "convergence": self.convergence,
             "hessian_min_eig": self.hessian_min_eig,
-            "hessian_floored": self.hessian_floored,
         }
 
     def to_json(self) -> str:
@@ -282,7 +288,6 @@ class FitResult:
             convergence=dict(d["convergence"]),
             knots=KnotSet.from_dict(d["knots"]),
             hessian_min_eig=float(d.get("hessian_min_eig", float("nan"))),
-            hessian_floored=bool(d.get("hessian_floored", False)),
         )
 
     @classmethod
@@ -350,15 +355,15 @@ def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
     )
 
 
-def sample_params(fit: FitResult, count: int, seed: int) -> np.ndarray:
-    """Draw `count` packed parameter vectors from N(theta_hat, H^{-1}).
+def sample_params(fit: FitResult, count: int, seed: int) -> tuple:
+    """(draws, floored): `count` packed parameter vectors from N(theta_hat, H^{-1}).
 
     One generator, keyed (STAGE_PARAM_DRAW,), gives a (count, p) block of
     standard normals; a right-side back-substitution over the p columns
     maps the block with elementwise column updates, so row k (member k's
     draw) is the same for every count. If the Hessian is not positive
     definite it is projected by flooring its eigenvalues at 1e-8 times the
-    largest one, and the fit result records hessian_floored=True.
+    largest one, and `floored` is True. `fit` is not modified.
     """
     H = np.asarray(fit.hessian, dtype=float)
     try:
@@ -370,7 +375,6 @@ def sample_params(fit: FitResult, count: int, seed: int) -> np.ndarray:
         vals = np.maximum(vals, floor)
         L = np.linalg.cholesky((vecs * vals) @ vecs.T)
         floored = True
-    fit.hessian_floored = fit.hessian_floored or floored
     mean = fit.params_hat.pack()
     x = substream(seed, STAGE_PARAM_DRAW).standard_normal((count, len(mean)))
     # rows z L^{-1}: cov of L'^{-1} z' is (L L')^{-1} = H^{-1}; solve x L = z
@@ -378,7 +382,7 @@ def sample_params(fit: FitResult, count: int, seed: int) -> np.ndarray:
     for j in range(len(mean) - 1, -1, -1):
         x[:, j] /= L[j, j]
         x[:, :j] -= x[:, j, None] * L[j, :j]
-    return mean + x
+    return mean + x, floored
 
 
 # -- data-driven initialization ------------------------------------------
@@ -397,25 +401,24 @@ def initial_params(model: SpectralModel, spec: SpectralField,
 
     T = spec.n_times
     plan = FrequencyPlan(T, model.knots.omega0)
-    omegas = plan.omegas
-    J = spec.coeffs[plan.idx]
-    pgram = np.mean(np.abs(J) ** 2, axis=1) / (TWO_PI * T)
+    pgram = np.mean(np.abs(spec.coeffs) ** 2, axis=1) / (TWO_PI * T)
     logp = np.log(np.maximum(pgram, 1e-300))
     win = max(5, min(101, (len(logp) // 40) | 1))
     kernel = np.ones(win) / win
     pad = np.concatenate([logp[:win][::-1], logp, logp[-win:][::-1]])
     smooth = np.convolve(pad, kernel, mode="same")[win:-win]
-    B = model.basis_S.design(omegas)
+    B = model.basis_S.design(plan.omegas)
     s_coeffs, *_ = np.linalg.lstsq(B, smooth, rcond=None)
 
     d = geometry.distances + np.diag(np.full(geometry.n_sites, np.inf))
     jmin, kmin = np.unravel_index(np.argmin(d), d.shape)
     dmin = d[jmin, kmin]
-    in_band = plan.low & (omegas > 0)
-    band_edges = np.quantile(omegas[in_band], [0.0, 0.25, 0.5, 0.75, 1.0])
+    # the coherent band without frequency 0
+    J, omegas = spec.coeffs[plan.low][1:], plan.omega_low[1:]
+    band_edges = np.quantile(omegas, [0.0, 0.25, 0.5, 0.75, 1.0])
     centers, targets = [], []
     for lo, hi in zip(band_edges[:-1], band_edges[1:]):
-        sel = in_band & (omegas >= lo) & (omegas <= hi)
+        sel = (omegas >= lo) & (omegas <= hi)
         if sel.sum() < 3:
             continue
         cross = np.mean(J[sel, jmin] * np.conj(J[sel, kmin]))

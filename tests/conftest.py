@@ -77,25 +77,26 @@ def reference_loglik(obj, params):
     Cholesky and solve, and the traces Re tr(G d_a f) with
     G = f^{-1} - x x^* / (2 pi T), x = f^{-1} J, taken through
     conj(G) o phase, the phase exp(i theta u.(x_j - x_k)) built from the
-    geometry's displacements.
+    differences of the geometry's planar positions.
     """
     model, geo, plan, n = obj.model, obj.geometry, obj.plan, obj.n
     scale = TWO_PI * obj.T
     t = model.cross_spectrum_terms(params, geo, plan.omega_low)
     f = model.cross_spectrum_stack(params, geo, plan.omega_low)
-    J = obj.spec.coeffs[plan.idx_low]
+    J = obj.spec.coeffs[plan.low]
     L = np.linalg.cholesky(f)
     logdet = 2.0 * np.sum(np.log(np.einsum("kii->ki", L).real), axis=1)
     x = np.linalg.solve(f, J[..., None])[..., 0]
     quad = np.einsum("ki,ki->k", np.conj(J), x).real
     S_high = model.eval_S(params, plan.omega_high)
-    Q_high = np.sum(np.abs(obj.spec.coeffs[plan.idx_high]) ** 2, axis=1)
+    Q_high = np.sum(np.abs(obj.spec.coeffs[plan.high]) ** 2, axis=1)
     ll = -np.sum(plan.w_low * (logdet + quad / scale))
     ll -= np.sum(plan.w_high * (n * np.log(S_high) + Q_high / (scale * S_high)))
 
     G = np.linalg.inv(f) - x[:, :, None] * np.conj(x)[:, None, :] / scale
-    U = geo.displacements @ params.u
-    U_perp = geo.displacements @ np.array([-np.sin(params.u_angle), np.cos(params.u_angle)])
+    disp = geo.positions[:, None, :] - geo.positions[None, :, :]
+    U = disp @ params.u
+    U_perp = disp @ np.array([-np.sin(params.u_angle), np.cos(params.u_angle)])
     phase = np.exp(1j * U[None, :, :] * t.theta[:, None, None])
     M = np.conj(G) * phase  # Re tr(G E) = Re sum(conj(G) o E) for Hermitian E
     CMi = t.C * M.imag
@@ -132,7 +133,8 @@ def unconditional_sampler(model, params, geometry, T):
         target_lats=geometry.lats, target_lons=geometry.lons,
         target_elevations=np.zeros(geometry.n_sites),
     )
-    return ConditionalSampler(model, params, setup, SpectralField(np.zeros((T, 0))))
+    return ConditionalSampler(model, params, setup,
+                              SpectralField(np.zeros((T // 2 + 1, 0)), n_times=T))
 
 
 def reference_low_band(sampler, z):

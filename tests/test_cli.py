@@ -210,6 +210,23 @@ def test_evaluate_rejects_malformed_inputs(pipeline, tmp_path, capsys, name, tai
     assert f"{where}: {message}" in err
 
 
+def test_evaluate_rejects_ensemble_of_another_fit(pipeline, tmp_path, capsys):
+    out, cfg = pipeline
+    report = json.loads((out / "fit_report.json").read_text())
+    report["fit"]["params"]["u_angle"] += 0.1
+    other = tmp_path / "other_fit_report.json"
+    other.write_text(json.dumps(report))
+    code = main([
+        "--config", str(cfg), "--out", str(tmp_path), "evaluate",
+        "--fit-report", str(other), "--ensemble-dir", str(out / "ensemble"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[evaluate] error:")
+    assert "simulated from another fit" in err
+    assert not (tmp_path / "metrics.json").exists()
+
+
 def scipy_modules_after(*argv) -> list:
     """scipy modules loaded by a fresh process that imports `presim.cli`
     and, given arguments, runs `presim <argv>`."""

@@ -7,7 +7,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from presim import condsim
+from presim import condsim, synth
 from presim.condsim import (
     ConditionalSampler,
     Ensemble,
@@ -28,7 +28,6 @@ from presim.whittle import (
     TWO_PI,
     FitResult,
     SpectralField,
-    fourier_frequencies,
     inverse_dft,
     sample_params,
 )
@@ -75,6 +74,29 @@ def observed_field(model, params, setup, T, seed=0):
     return sampler.draw(seed, 0)
 
 
+def check_dense_schur_law(model, params, setup, field, sampler):
+    """The sampler's conditional laws against the dense complex Schur complement.
+
+    One frequency at a time from `cross_spectrum_stack`, with the
+    sampler's ridge at the frequencies it reports. Returns the
+    conditional covariances.
+    """
+    n, T = setup.n_observed, field.n_times
+    f = model.cross_spectrum_stack(params, setup.combined, sampler.plan.omega_low)
+    conds = []
+    for k in range(len(f)):  # row k is frequency index k
+        foo, fpo, fpp = f[k, :n, :n], f[k, n:, :n], f[k, n:, n:]
+        if k in sampler.ridge_frequencies:
+            foo = foo + np.eye(n) * (1e-10 * np.trace(foo).real / n)
+        B = np.linalg.solve(foo.T, fpo.T).T
+        cond = TWO_PI * T * (fpp - B @ fpo.conj().T)
+        L = sampler.chols[k]
+        assert np.allclose(sampler.means[k], B @ field.coeffs[k], rtol=1e-12, atol=0)
+        assert np.allclose(L @ L.conj().T, cond, rtol=1e-12, atol=1e-12 * np.abs(cond).max())
+        conds.append(cond)
+    return np.array(conds)
+
+
 # -- setup validation -----------------------------------------------------
 
 
@@ -109,9 +131,8 @@ def test_coincident_target_without_nugget_reproduces_observation(model):
     field = observed_field(model, params, setup, T, seed=1)
     sampler = ConditionalSampler(model, params, setup, field)
     draw = sampler.draw(seed=2, member=0)
-    om = fourier_frequencies(T)
-    for j in sampler.plan.idx_low:
-        if om[j] >= model.knots.omega0:  # coherence drops to 0 at the cutoff
+    for j, om in enumerate(sampler.plan.omega_low):
+        if om >= model.knots.omega0:  # coherence drops to 0 at the cutoff
             continue
         assert np.abs(draw.coeffs[j, 0] - field.coeffs[j, 0]) < 1e-8
 
@@ -153,7 +174,7 @@ def test_conditional_draw_is_real_series(model):
     setup = make_setup(2)
     field = observed_field(model, params, setup, T, seed=8)
     draw = ConditionalSampler(model, params, setup, field).draw(seed=9, member=0)
-    A = inverse_dft(draw)  # raises if conjugate symmetry is broken
+    A = inverse_dft(draw)  # raises if a frequency-0 or Nyquist coefficient is not real
     assert A.shape == (2, T)
     assert np.all(np.isfinite(A))
 
@@ -173,20 +194,8 @@ def test_ridge_applied_on_singular_observed_block(model):
     draw = sampler.draw(seed=11, member=0)
     assert np.all(np.isfinite(draw.coeffs))
 
-    # the stacked build against the dense Schur complement, one frequency
-    # at a time, with the sampler's ridge at the frequencies it reports
-    plan = sampler.plan
-    f = model.cross_spectrum_stack(params, setup.combined, plan.omega_low)
-    for k, j in enumerate(plan.idx_low):
-        foo, fpo, fpp = f[k, :2, :2], f[k, 2:, :2], f[k, 2:, 2:]
-        if j in sampler.ridge_frequencies:
-            foo = foo + np.eye(2) * (1e-10 * np.trace(foo).real / 2)
-        B = np.linalg.solve(foo.T, fpo.T).T
-        cond = TWO_PI * T * (fpp - B @ fpo.conj().T)
-        L = sampler.chols[k]
-        tol = 1e-12 * np.abs(cond).max()
-        assert np.allclose(sampler.means[k], B @ field.coeffs[j], rtol=1e-12, atol=0)
-        assert np.allclose(L @ L.conj().T, cond, rtol=1e-12, atol=tol)
+    # the stacked build against the dense Schur complement
+    check_dense_schur_law(model, params, setup, field, sampler)
 
 
 # -- unconditional moments ------------------------------------------------
@@ -204,14 +213,13 @@ def test_unconditional_periodogram_matches_spectrum(model, geometry3):
     chols = sampler.chols
     assert np.allclose(chols @ np.conj(np.swapaxes(chols, 1, 2)), TWO_PI * T * f,
                        rtol=1e-10, atol=0)
-    idx = sampler.plan.idx
-    probes = idx[np.linspace(1, len(idx) - 2, 10).astype(int)]
+    probes = np.linspace(1, T // 2 - 1, 10).astype(int)
     acc = np.zeros(len(probes))
     for k in range(n_members):
         coeffs = sampler.draw(13, k).coeffs
         acc += np.mean(np.abs(coeffs[probes]) ** 2, axis=1)
     avg = acc / n_members
-    S = model.eval_S(params, fourier_frequencies(T)[probes])
+    S = model.eval_S(params, sampler.plan.omegas[probes])
     assert np.max(np.abs(avg / (TWO_PI * T * S) - 1.0)) < 0.10
 
 
@@ -240,18 +248,18 @@ def test_zero_site_substream_keys(model, geometry3):
     for stage in (STAGE_CONDSIM, STAGE_SYNTH):
         coeffs = sampler.draw(seed=31, member=2, stage=stage).coeffs
         high, low = field_normals(31, (STAGE_FIELD_UNCOND, stage, 2), plan, 3)
-        assert np.allclose(coeffs[plan.idx_high], sampler.sd_high[:, None] * high, rtol=1e-12)
+        assert np.allclose(coeffs[plan.high], sampler.sd_high[:, None] * high, rtol=1e-12)
         ref = reference_low_band(sampler, low)
-        assert np.allclose(coeffs[plan.idx_low], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert np.allclose(coeffs[plan.low], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     setup = make_setup()
     field = observed_field(model, params, setup, T, seed=32)
     cond = ConditionalSampler(model, params, setup, field)
     coeffs = cond.draw(seed=31, member=2).coeffs
     high, low = field_normals(31, (STAGE_CONDSIM, 2), plan, 1)
-    assert np.allclose(coeffs[plan.idx_high], cond.sd_high[:, None] * high, rtol=1e-12)
+    assert np.allclose(coeffs[plan.high], cond.sd_high[:, None] * high, rtol=1e-12)
     ref = reference_low_band(cond, low)
-    assert np.allclose(coeffs[plan.idx_low], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    assert np.allclose(coeffs[plan.low], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
     with pytest.raises(ValidationError, match="ensemble member"):
         cond.draw(seed=31, member=2, stage=STAGE_SYNTH)
 
@@ -282,11 +290,11 @@ def test_stacked_low_band_matches_per_frequency_reference():
     sampler = ConditionalSampler(model, params, setup,
                                  observed_field(model, params, setup, T, seed=41))
     plan = sampler.plan
-    assert plan.real_low.sum() == 2 and len(plan.idx_high) == 0
+    assert plan.real_low.sum() == 2 and len(plan.omega_high) == 0
     for member in range(4):
         coeffs = sampler.draw(seed=42, member=member).coeffs
         ref = reference_low_band(sampler, field_normals(42, (STAGE_CONDSIM, member), plan, 2)[1])
-        assert np.allclose(coeffs[plan.idx_low], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert np.allclose(coeffs[plan.low], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("omega0_j", [720, 4320])
@@ -320,13 +328,8 @@ def test_shared_frame_builds_each_parameter_vectors_law(model, monkeypatch):
         sampler = ConditionalSampler(model, params, setup, field, frame)
         sd_high = np.sqrt(TWO_PI * T * model.eval_S(params, plan.omega_high))
         assert sampler.sd_high.tobytes() == sd_high.tobytes()
-        f = model.cross_spectrum_stack(params, setup.combined, plan.omega_low)
-        for k, j in enumerate(plan.idx_low):
-            B = np.linalg.solve(f[k, :2, :2].T, f[k, 2:, :2].T).T
-            cond = TWO_PI * T * (f[k, 2:, 2:] - B @ f[k, 2:, :2].conj().T)
-            L = sampler.chols[k]
-            assert np.allclose(sampler.means[k], B @ field.coeffs[j], rtol=1e-12, atol=0)
-            assert np.allclose(L @ L.conj().T, cond, rtol=1e-12, atol=1e-12 * np.abs(cond).max())
+        assert not sampler.ridge_frequencies
+        check_dense_schur_law(model, params, setup, field, sampler)
 
     design = ConstrainedBasis.design
     calls = []
@@ -342,6 +345,26 @@ def test_shared_frame_builds_each_parameter_vectors_law(model, monkeypatch):
     assert per_count[0] == per_count[1] == 5
 
 
+def test_conditional_law_at_coherent_targets_matches_schur_law(model):
+    # the default truth on the default network: the two held-out targets
+    # are coherent with each other and with the observed sites, and theta
+    # is nonzero, so the dense complex Schur law sees the phase of `chols`
+    T = 288
+    stations = synth.default_stations()
+    lats = np.array([s.latitude for s in stations])
+    lons = np.array([s.longitude for s in stations])
+    setup = PredictionSetup(observed=SiteGeometry(lats[:11], lons[:11]), target_lats=lats[11:],
+                            target_lons=lons[11:], target_elevations=np.zeros(2))
+    params = synth.default_true_params(model)
+    field = observed_field(model, params, setup, T, seed=49)
+    sampler = ConditionalSampler(model, params, setup, field)
+    cond = check_dense_schur_law(model, params, setup, field, sampler)
+    # a rotation the wrong way round conjugates cond[:, 0, 1]: an error of
+    # 2 |Im cond[:, 0, 1]|, far beyond the 1e-12 tolerance
+    phase = np.abs(cond[:, 0, 1].imag) / np.sqrt(cond[:, 0, 0].real * cond[:, 1, 1].real)
+    assert phase.max() > 1e-4
+
+
 def test_draw_with_cutoff_at_pi_has_no_high_band():
     model = SpectralModel(KnotSet.default(4320))
     T = 48
@@ -349,8 +372,8 @@ def test_draw_with_cutoff_at_pi_has_no_high_band():
     setup = make_setup(2)
     field = observed_field(model, params, setup, T, seed=34)
     sampler = ConditionalSampler(model, params, setup, field)
-    assert len(sampler.plan.idx_high) == 0
-    assert len(sampler.plan.idx_low) == T // 2 + 1
+    assert len(sampler.plan.omega_high) == 0
+    assert len(sampler.plan.omega_low) == T // 2 + 1
     A = inverse_dft(sampler.draw(seed=35, member=0))
     assert A.shape == (2, T) and np.all(np.isfinite(A))
 
@@ -359,7 +382,7 @@ def test_observed_field_must_match_setup(model):
     setup = make_setup()
     params = random_params(model, np.random.default_rng(36))
     with pytest.raises(ValidationError, match="observed field"):
-        ConditionalSampler(model, params, setup, SpectralField(np.zeros((24, 0))))
+        ConditionalSampler(model, params, setup, SpectralField(np.zeros((13, 0)), n_times=24))
 
 
 # -- ensembles ------------------------------------------------------------
@@ -491,7 +514,7 @@ def test_run_ensemble_records_fallbacks(model, tmp_path):
     ens = run_ensemble(model, fit, *args, count=3, vary_params=True, seed=27)
     ridged = sum(
         len(ConditionalSampler(model, model.unpack(x), setup, field).ridge_frequencies)
-        for x in sample_params(fit, 3, 27)
+        for x in sample_params(fit, 3, 27)[0]
     )
     assert ridged > 0
     assert ens.provenance["ridge_frequencies"] == ridged
@@ -499,6 +522,24 @@ def test_run_ensemble_records_fallbacks(model, tmp_path):
     manifest = json.loads(write_ensemble(ens, tmp_path / "ens").read_text())
     assert manifest["provenance"]["ridge_frequencies"] == ridged
     assert manifest["provenance"]["hessian_floored"] is True
+
+
+def test_fit_hash_is_the_fits_with_a_floored_hessian(model):
+    # drawing the parameters does not modify the fit, so the manifest's
+    # fit_hash is that of the fit report the ensemble was simulated from
+    T = 24
+    params = random_params(model, np.random.default_rng(50), scale=0.2)
+    setup = make_setup()
+    field = observed_field(model, params, setup, T, seed=51)
+    fit = make_fit(model, params)
+    fit.hessian = np.eye(model.n_params)
+    fit.hessian[-1, -1] = -1.0
+    before = fit_hash(fit)
+    ens = run_ensemble(model, fit, tiny_stack(T, 1), setup, field, np.full((2, 1), 97.0),
+                       count=2, vary_params=True, seed=52)
+    assert ens.provenance["hessian_floored"] is True
+    assert ens.provenance["fit_hash"] == before
+    assert fit_hash(fit) == before
 
 
 def test_run_ensemble_mean_draw_shape_checked(model):

@@ -1,4 +1,4 @@
-"""Great-circle distances and local-plane displacement vectors."""
+"""Great-circle distances and local-plane positions."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from presim.geometry import (
     combine,
     distance_matrix,
     great_circle,
-    local_plane,
+    plane_positions,
 )
 
 # One degree of latitude on the R=6371 sphere.
@@ -73,29 +73,34 @@ def test_distances_invariant_to_longitude_rotation():
     assert np.max(np.abs(d0 - d1)) < 1e-9
 
 
-def test_local_plane_zero_and_antisymmetric():
+def test_plane_positions_coincide_and_center():
     lats = np.array([36.0, 36.0, 36.7])
     lons = np.array([-97.0, -97.0, -96.5])
-    disp = local_plane(lats, lons)
-    assert np.allclose(disp[0, 1], 0.0)
-    assert np.allclose(disp, -np.transpose(disp, (1, 0, 2)))
+    xy = plane_positions(lats, lons)
+    assert xy.shape == (3, 2)
+    assert np.array_equal(xy[0], xy[1])
+    assert np.allclose(xy.mean(axis=0), 0.0, atol=1e-12)
+    assert xy[2, 0] > xy[0, 0] and xy[2, 1] > xy[0, 1]  # east and north
 
 
-def test_local_plane_matches_great_circle_on_small_domain():
-    # ~150 km domain: planar displacement norms within 0.5% of great circle
+def test_plane_positions_match_great_circle_on_small_domain():
+    # ~150 km domain: planar separations within 0.5% of great circle
     rng = np.random.default_rng(8)
     lats = 36.2 + rng.uniform(0, 0.8, 13)
     lons = -97.8 + rng.uniform(0, 1.0, 13)
-    disp = local_plane(lats, lons)
+    xy = SiteGeometry(lats, lons).positions
     d = distance_matrix(lats, lons)
-    norms = np.linalg.norm(disp, axis=-1)
+    norms = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=-1)
     mask = (d > 0) & (d < 200.0)
     assert np.all(np.abs(norms[mask] / d[mask] - 1.0) < 0.005)
 
 
-def test_local_plane_warns_on_large_domain():
+def test_site_geometry_warns_on_large_domain():
+    lats, lons = np.array([30.0, 45.0]), np.array([-100.0, -80.0])
     with pytest.warns(UserWarning, match="1000 km"):
-        local_plane(np.array([30.0, 45.0]), np.array([-100.0, -80.0]))
+        plane_positions(lats, lons)
+    with pytest.warns(UserWarning, match="1000 km"):
+        SiteGeometry(lats, lons)
 
 
 def test_site_geometry_subset_and_combine():
@@ -112,9 +117,9 @@ def test_site_geometry_with_zero_sites():
     empty = SiteGeometry(np.array([]), np.array([]))
     assert empty.n_sites == 0
     assert empty.distances.shape == (0, 0)
-    assert empty.displacements.shape == (0, 0, 2)
+    assert empty.positions.shape == (0, 2)
     g = SiteGeometry(np.array([36.0, 36.5, 37.0]), np.array([-97.0, -96.5, -97.5]))
     both = combine(empty, g)
     assert np.array_equal(both.lats, g.lats)
     assert np.array_equal(both.distances, g.distances)
-    assert np.array_equal(both.displacements, g.displacements)
+    assert np.array_equal(both.positions, g.positions)

@@ -55,7 +55,7 @@ def test_substream_keys_are_pairwise_distinct(model, geometry3, monkeypatch):
         observed=geometry3.subset([0, 1]), target_lats=geometry3.lats[2:],
         target_lons=geometry3.lons[2:], target_elevations=[300.0],
     )
-    cond = condsim.ConditionalSampler(model, params, setup, SpectralField(np.zeros((T, 2))))
+    cond = condsim.ConditionalSampler(model, params, setup, SpectralField(np.zeros((T // 2 + 1, 2)), n_times=T))
     fit = FitResult(params_hat=params, loglik=0.0, hessian=np.eye(model.n_params),
                     convergence={}, knots=model.knots)
     mf = meanfield.reml_fit(101.0 + 0.05 * np.arange(5.0), SiteGeometry(

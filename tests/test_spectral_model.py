@@ -255,7 +255,8 @@ def test_cross_spectrum_vanishing_delta_has_no_coherence(model, geometry3):
 
 def test_cross_spectrum_stack_matches_paper_formula(model):
     # D R D* against S0 I + S1 C o exp(i theta u.(x_j - x_k)) from the
-    # displacements, on a fit network and on a prediction geometry
+    # differences of the planar positions, on a fit network and on a
+    # prediction geometry
     stations = default_stations()
     lats = np.array([s.latitude for s in stations])
     lons = np.array([s.longitude for s in stations])
@@ -277,7 +278,7 @@ def test_cross_spectrum_stack_matches_paper_formula(model):
         S = model.eval_S(p, om)
         S1 = S / (1.0 + np.exp(-model.eval_beta(p, om)))
         C = matern32(geo.distances[None, :, :] / np.abs(delta)[:, None, None])
-        U = geo.displacements @ p.u
+        U = (geo.positions[:, None, :] - geo.positions[None, :, :]) @ p.u
         expected = (S - S1)[:, None, None] * np.eye(geo.n_sites) + (
             S1[:, None, None] * C * np.exp(1j * theta[:, None, None] * U[None, :, :])
         )

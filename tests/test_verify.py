@@ -263,6 +263,6 @@ def test_aggregate_diffs_linear_ramp():
 def test_top_volatility_selector_fraction():
     rng = np.random.default_rng(9)
     v = rng.random(1000)
-    sel = top_volatility_selector(v, fraction=0.10)
+    sel = top_volatility_selector(v)
     assert sel.sum() == 100
     assert v[sel].min() >= v[~sel].max()

@@ -14,6 +14,7 @@ from presim.whittle import (
     FitResult,
     WhittleObjective,
     FrequencyPlan,
+    SpectralField,
     fit_mle,
     forward_dft,
     initial_params,
@@ -26,6 +27,13 @@ from conftest import numeric_hessian, random_params, reference_loglik, unconditi
 
 
 # -- DFT ------------------------------------------------------------------
+
+
+def direct_dft(A, j):
+    """sum_{t=1..T} A(t) exp(i w_j t) by a direct sum over t: the DFT oracle."""
+    T = A.shape[1]
+    t = np.arange(1, T + 1)
+    return np.sum(A * np.exp(1j * (2 * np.pi * j / T) * t)[None, :], axis=1)
 
 
 def test_forward_dft_dc_signal():
@@ -41,56 +49,71 @@ def test_forward_dft_single_tone():
     t = np.arange(1, T + 1)
     om1 = 2 * np.pi / T
     spec = forward_dft(np.cos(om1 * t)[None, :])
+    assert spec.coeffs.shape == (T // 2 + 1, 1) and spec.n_times == T
     assert abs(spec.coeffs[1, 0]) == pytest.approx(T / 2, abs=1e-9)
-    assert abs(spec.coeffs[T - 1, 0]) == pytest.approx(T / 2, abs=1e-9)
+    assert np.max(np.abs(np.delete(spec.coeffs[:, 0], 1))) < 1e-9
 
 
 def test_forward_dft_matches_direct_sum():
     rng = np.random.default_rng(0)
-    T = 48
-    A = rng.standard_normal((2, T))
-    spec = forward_dft(A)
-    t = np.arange(1, T + 1)
-    for j in range(T):
-        om = 2 * np.pi * j / T
-        direct = np.sum(A * np.exp(1j * om * t)[None, :], axis=1)
-        assert np.max(np.abs(spec.coeffs[j] - direct)) < 1e-10
+    for T in (48, 49):
+        A = rng.standard_normal((2, T))
+        spec = forward_dft(A)
+        assert spec.coeffs.shape == (T // 2 + 1, 2)
+        for j in range(T // 2 + 1):
+            assert np.max(np.abs(spec.coeffs[j] - direct_dft(A, j))) < 1e-10
 
 
 def test_dft_round_trip():
     rng = np.random.default_rng(1)
-    A = rng.standard_normal((3, 64))
-    back = inverse_dft(forward_dft(A))
-    assert np.max(np.abs(back - A)) < 1e-10
+    for T in (64, 63):
+        A = rng.standard_normal((3, T))
+        back = inverse_dft(forward_dft(A))
+        assert back.shape == (3, T)
+        assert np.max(np.abs(back - A)) < 1e-10
 
 
 def test_forward_dft_conjugate_symmetry():
+    # the negative frequencies a one-sided field leaves out are the
+    # conjugates of its rows; rows 0 and T/2 are real
     rng = np.random.default_rng(2)
     A = rng.standard_normal((2, 20))
     J = forward_dft(A).coeffs
     for j in range(1, 10):
-        assert np.max(np.abs(J[20 - j] - np.conj(J[j]))) < 1e-9
+        assert np.max(np.abs(direct_dft(A, 20 - j) - np.conj(J[j]))) < 1e-9
     assert np.max(np.abs(J[0].imag)) < 1e-9
     assert np.max(np.abs(J[10].imag)) < 1e-9
 
 
+def test_spectral_field_checks_row_count():
+    assert SpectralField(np.zeros((5, 2)), n_times=8).n_sites == 2
+    assert SpectralField(np.zeros((5, 0)), n_times=9).n_times == 9
+    for rows, T in ((8, 8), (4, 8), (6, 9)):
+        with pytest.raises(ValidationError, match="floor"):
+            SpectralField(np.zeros((rows, 2)), n_times=T)
+
+
 def test_inverse_dft_dc_only():
     T = 12
-    coeffs = np.zeros((T, 1), dtype=complex)
+    coeffs = np.zeros((T // 2 + 1, 1), dtype=complex)
     coeffs[0, 0] = T * 4.5
-    from presim.whittle import SpectralField
-
-    A = inverse_dft(SpectralField(coeffs=coeffs))
+    A = inverse_dft(SpectralField(coeffs=coeffs, n_times=T))
+    assert A.shape == (1, T)
     assert np.allclose(A, 4.5, atol=1e-12)
 
 
 def test_inverse_dft_rejects_asymmetric_input():
-    from presim.whittle import SpectralField
-
+    # a real series has real coefficients at frequency 0 and the Nyquist
     rng = np.random.default_rng(3)
-    coeffs = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
-    with pytest.raises(ValidationError, match="conjugate"):
-        inverse_dft(SpectralField(coeffs=coeffs))
+    coeffs = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+    with pytest.raises(ValidationError, match="not real"):
+        inverse_dft(SpectralField(coeffs=coeffs, n_times=16))
+    coeffs[[0, 8]] = coeffs[[0, 8]].real
+    assert inverse_dft(SpectralField(coeffs=coeffs, n_times=16)).shape == (2, 16)
+    assert inverse_dft(SpectralField(coeffs=coeffs, n_times=17)).shape == (2, 17)
+    coeffs[8, 1] += 1e-3j
+    with pytest.raises(ValidationError, match="not real"):
+        inverse_dft(SpectralField(coeffs=coeffs, n_times=16))
 
 
 def test_parseval_identity():
@@ -98,16 +121,19 @@ def test_parseval_identity():
     A = rng.standard_normal((1, 40))
     J = forward_dft(A).coeffs[:, 0]
     lhs = np.sum(A**2)
-    rhs = np.sum(np.abs(J) ** 2) / 40
+    # each row other than 0 and T/2 stands for itself and its conjugate
+    mult = np.full(21, 2.0)
+    mult[[0, 20]] = 1.0
+    rhs = np.sum(mult * np.abs(J) ** 2) / 40
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 def test_onesided_indices_weights():
     plan = FrequencyPlan(8, np.pi)
-    assert list(plan.idx) == [0, 1, 2, 3, 4]
+    assert np.array_equal(plan.omegas, 2 * np.pi * np.arange(5) / 8)
     assert np.allclose(plan.weights, [0.5, 1, 1, 1, 0.5])
     plan = FrequencyPlan(7, np.pi)
-    assert list(plan.idx) == [0, 1, 2, 3]
+    assert np.array_equal(plan.omegas, 2 * np.pi * np.arange(4) / 7)
     assert np.allclose(plan.weights, [0.5, 1, 1, 1])
 
 
@@ -115,9 +141,10 @@ def test_onesided_indices_weights():
 @pytest.mark.parametrize("omega0_j", [1, 720, 4320])
 def test_frequency_plan_partitions_onesided_set(T, omega0_j):
     plan = FrequencyPlan(T, omega0_j * KNOT_UNIT)
-    assert np.array_equal(
-        np.concatenate([plan.idx_low, plan.idx_high]), np.arange(T // 2 + 1)
-    )
+    rows = np.arange(T // 2 + 1)
+    assert np.array_equal(np.concatenate([rows[plan.low], rows[plan.high]]), rows)
+    assert np.array_equal(plan.omegas, 2 * np.pi * rows / T)
+    assert np.all(plan.omega_low <= omega0_j * KNOT_UNIT + 1e-15)
     assert np.all(plan.omega_high > omega0_j * KNOT_UNIT)
     assert np.array_equal(np.concatenate([plan.w_low, plan.w_high]), plan.weights)
     real = np.concatenate([plan.real_low, plan.real_high])
@@ -128,10 +155,10 @@ def test_frequency_plan_partitions_onesided_set(T, omega0_j):
 def test_frequency_plan_cutoff_on_fourier_frequency_is_low():
     # omega0_j = 720 is pi/6, which is Fourier index 240 of T = 2880
     plan = FrequencyPlan(2880, 720 * KNOT_UNIT)
-    assert plan.idx_low[-1] == 240
-    assert plan.idx_high[0] == 241
+    assert plan.low == slice(0, 241)
+    assert plan.high == slice(241, None)
     # a cutoff at pi leaves the high band empty
-    assert len(FrequencyPlan(2880, 4320 * KNOT_UNIT).idx_high) == 0
+    assert len(FrequencyPlan(2880, 4320 * KNOT_UNIT).omega_high) == 0
 
 
 # -- likelihood -----------------------------------------------------------
@@ -147,7 +174,7 @@ def test_univariate_matches_scalar_formula(model):
 
     plan = FrequencyPlan(T, model.knots.omega0)
     S = model.eval_S(p, plan.omegas)
-    J = spec.coeffs[plan.idx, 0]
+    J = spec.coeffs[:, 0]
     expected = -np.sum(plan.weights * (np.log(S) + np.abs(J) ** 2 / (TWO_PI * T * S)))
     assert WhittleObjective(model, spec, geo).loglik(p) == pytest.approx(expected, rel=1e-10)
 
@@ -164,7 +191,7 @@ def test_matches_naive_two_sided_sum(model, geometry3):
     f = model.cross_spectrum_stack(p, geometry3, om_signed)
     total = 0.0
     for k in range(T):
-        Jk = spec.coeffs[k]
+        Jk = direct_dft(A, k)
         sign, logdet = np.linalg.slogdet(f[k])
         quad = (np.conj(Jk) @ np.linalg.solve(f[k], Jk)).real
         total += -0.5 * (logdet + quad / (TWO_PI * T))
@@ -322,7 +349,7 @@ def test_score_matches_numeric_gradient(geometry3, omega0_j, T, delta_kind):
     if delta_kind == "mixed":
         delta = model.eval_delta(model.unpack(vec), obj.plan.omega_low)
         assert delta.min() < 0 < delta.max()
-    assert (len(obj.plan.idx_high) == 0) == (omega0_j == 4320)
+    assert (len(obj.plan.omega_high) == 0) == (omega0_j == 4320)
 
     ll, score = obj.loglik_vec(vec, score=True)
     assert ll == obj.loglik_vec(vec)
@@ -463,6 +490,9 @@ def test_fit_result_json_round_trip(model, geometry3):
     assert back.loglik == fit.loglik
     assert np.allclose(back.hessian, fit.hessian, atol=0)
     assert back.knots == fit.knots
+    # reports written while FitResult carried `hessian_floored` still load
+    old = dict(fit.to_dict(), hessian_floored=True)
+    assert FitResult.from_dict(old).to_json() == fit.to_json()
 
 
 # -- parameter sampling ---------------------------------------------------
@@ -472,9 +502,9 @@ def test_sample_params_count_and_determinism(model):
     p = model.zero_params()
     fit = FitResult(params_hat=p, loglik=0.0, hessian=np.eye(model.n_params),
                     convergence={}, knots=model.knots)
-    draws1 = sample_params(fit, 99, seed=7)
-    draws2 = sample_params(fit, 99, seed=7)
-    draws3 = sample_params(fit, 5, seed=8)
+    draws1, _ = sample_params(fit, 99, seed=7)
+    draws2, _ = sample_params(fit, 99, seed=7)
+    draws3, _ = sample_params(fit, 5, seed=8)
     assert draws1.shape == (99, model.n_params)
     assert np.array_equal(draws1, draws2)
     assert not np.array_equal(draws1[0], draws3[0])
@@ -486,9 +516,9 @@ def test_sample_params_rows_do_not_depend_on_count(model):
     fit = FitResult(params_hat=random_params(model, rng), loglik=0.0,
                     hessian=A @ A.T + np.eye(model.n_params),
                     convergence={}, knots=model.knots)
-    block = sample_params(fit, 40, seed=12)
+    block, _ = sample_params(fit, 40, seed=12)
     for count in (1, 2, 7, 39):
-        assert sample_params(fit, count, seed=12).tobytes() == block[:count].tobytes()
+        assert sample_params(fit, count, seed=12)[0].tobytes() == block[:count].tobytes()
 
 
 def test_sample_params_back_substitution_matches_triangular_solve(model):
@@ -503,7 +533,8 @@ def test_sample_params_back_substitution_matches_triangular_solve(model):
     z = substream(14, STAGE_PARAM_DRAW).standard_normal((50, model.n_params))
     L = np.linalg.cholesky(fit.hessian)
     ref = fit.params_hat.pack() + solve_triangular(L.T, z.T, lower=False).T
-    draws = sample_params(fit, 50, seed=14)
+    draws, floored = sample_params(fit, 50, seed=14)
+    assert not floored
     assert np.allclose(draws, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
@@ -511,7 +542,7 @@ def test_sample_params_identity_hessian_covariance(model):
     p = model.zero_params()
     fit = FitResult(params_hat=p, loglik=0.0, hessian=np.eye(model.n_params),
                     convergence={}, knots=model.knots)
-    X = sample_params(fit, 100_000, seed=9)
+    X, _ = sample_params(fit, 100_000, seed=9)
     C = np.cov(X.T)
     assert np.max(np.abs(np.diag(C) - 1.0)) < 0.05
     off = C - np.diag(np.diag(C))
@@ -524,6 +555,8 @@ def test_sample_params_floors_indefinite_hessian(model):
     H[0, 0] = -1.0
     fit = FitResult(params_hat=p, loglik=0.0, hessian=H,
                     convergence={}, knots=model.knots)
-    draws = sample_params(fit, 3, seed=10)
-    assert fit.hessian_floored
+    before = fit.to_json()
+    draws, floored = sample_params(fit, 3, seed=10)
+    assert floored
+    assert fit.to_json() == before  # the fit is not modified
     assert np.all(np.isfinite(draws))
