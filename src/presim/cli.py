@@ -22,7 +22,7 @@ from .errors import FormatError, PresimError, ValidationError
 from .geometry import SiteGeometry
 from .ingest import assemble_grid, block_average, fill_missing, load_observations, load_stations
 from .preprocess import TransformStack, apply_stack, difference, fit_stack, to_sea_level
-from .spectrum import KnotSet, SpectralModel, SpectralParams
+from .spectrum import SpectralModel
 from .whittle import FitOptions, FitResult, fit_mle, forward_dft, initial_params
 
 
@@ -145,7 +145,7 @@ def cmd_simulate(config: RunConfig, fit_report_path, out_dir) -> Path:
         step_seconds=report["step_seconds"],
     )
     extra = json.loads(manifest.read_text())
-    extra["mean_field"] = json.loads(meanfield.meanfield_to_json(mf_model, mf_fits))
+    extra["mean_field"] = meanfield.meanfield_to_dict(mf_model, mf_fits)
     manifest.write_text(json.dumps(extra, indent=2, sort_keys=True))
     return out
 
@@ -262,12 +262,7 @@ def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> 
 def cmd_synth(config: RunConfig, out_dir) -> Path:
     seed = config.require_seed()
     model = SpectralModel(config.knots())
-    truth_path = Path(config.output_dir) / "truth_params.json"
-    if truth_path.exists():
-        d = json.loads(truth_path.read_text())
-        params = SpectralParams.from_dict(d["params"])
-    else:
-        params = synth.default_true_params(model)
+    params = synth.default_true_params(model)
     stations = synth.default_stations()
     stack = synth.default_stack(config.target_len, [s.elevation for s in stations], seed=seed)
     truth = synth.generate(model, params, stations, stack, config.target_len, seed)

@@ -9,7 +9,6 @@ a multivariate t with n-1 degrees of freedom to propagate the
 uncertainty in theta.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,11 +221,8 @@ def _safe_cholesky(cov: np.ndarray) -> np.ndarray:
         return vecs * np.sqrt(np.maximum(vals, 0.0))[None, :]
 
 
-def meanfield_to_json(chosen: MeanFieldModel, fits: dict) -> str:
-    return json.dumps(
-        {
-            "chosen": chosen.to_dict(),
-            "reml_logliks": {k: f.reml_loglik for k, f in fits.items()},
-        },
-        indent=2,
-    )
+def meanfield_to_dict(chosen: MeanFieldModel, fits: dict) -> dict:
+    return {
+        "chosen": chosen.to_dict(),
+        "reml_logliks": {k: f.reml_loglik for k, f in fits.items()},
+    }

@@ -9,6 +9,16 @@ matrix of second derivatives. The penalty lam is chosen by bisection so
 the trace of the smoother matrix equals a requested df (within 0.1).
 Knots are placed at every k-th grid point with k small enough to leave at
 least 4*df knots, so the basis never limits the requested flexibility.
+
+lam comes from the Demmler-Reinsch eigenvalues (Demmler & Reinsch 1975;
+Ruppert, Wand & Carroll 2003, section 3): one basis W makes both B'B and P
+diagonal, W'B'BW = diag(g) and W'PW = diag(p), so the smoother's trace is
+sum g_i / (g_i + lam p_i) and every bisection step costs O(nb) for nb
+basis functions. W is L^{-T} U for the Cholesky factor L L' = B'B + mu P
+and the eigenvectors U of L^{-1} P L^{-T}, whose eigenvalues are p; then
+g = 1 - mu p. The shift mu = tr(B'B) / tr(P) balances the two terms; it
+keeps the factorization well conditioned where B'B alone is singular or
+nearly so, as it is with about one knot per point (df near n/4 or above).
 """
 
 import numpy as np
@@ -51,18 +61,18 @@ class DfSpline:
         self.df = float(df)
         n_knots = min(n, max(int(np.ceil(4 * df)), 10))
         self.B, self.P = _design_and_penalty(n, n_knots)
-        self.BtB = self.B.T @ self.B
-        # scipy.linalg is imported in the methods: of the CLI stages only `fit` smooths
-        from scipy.linalg import cho_factor
-
+        BtB = self.B.T @ self.B
+        mu = np.trace(BtB) / np.trace(self.P)
+        L = np.linalg.cholesky(BtB + mu * self.P)
+        M = np.linalg.solve(L, np.linalg.solve(L, self.P).T)  # L^{-1} P L^{-T}
+        p, U = np.linalg.eigh(0.5 * (M + M.T))
+        self._p = np.clip(p, 0.0, 1.0 / mu)
+        self._g = 1.0 - mu * self._p
+        self._W = np.linalg.solve(L.T, U)
         self._lam = self._solve_lambda()
-        self._cho = cho_factor(self.BtB + self._lam * self.P)
 
     def _trace(self, lam: float) -> float:
-        from scipy.linalg import cho_factor, cho_solve
-
-        cho = cho_factor(self.BtB + lam * self.P)
-        return float(np.trace(cho_solve(cho, self.BtB)))
+        return float(np.sum(self._g / (self._g + lam * self._p)))
 
     def _solve_lambda(self) -> float:
         """The penalty whose effective df is within 0.05 of the target."""
@@ -91,7 +101,6 @@ class DfSpline:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n,):
             raise ConfigurationError(f"expected series of length {self.n}")
-        from scipy.linalg import cho_solve
-
-        c = cho_solve(self._cho, self.B.T @ y)
+        # c = (B'B + lam P)^{-1} B'y = W diag(1 / (g + lam p)) W' B'y
+        c = self._W @ ((self._W.T @ (self.B.T @ y)) / (self._g + self._lam * self._p))
         return self.B @ c

@@ -37,6 +37,8 @@ DEFAULT_DELTA_J = (0, 5, 10, 15, 25, 40, 60, 90, 150, 240, 360, 480, 600, 720)
 DEFAULT_BETA_J = (0, 40, 120, 360, 720)
 DEFAULT_THETA_J = (0, 40, 120, 360, 720)
 KNOT_UNIT = np.pi / 4320.0
+# cap on r = d / |delta|: exp(-R_CAP) and R_CAP^3 exp(-R_CAP) are 0 in double precision
+R_CAP = 1e3
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,8 @@ class CrossSpectrumTerms:
 
     Per frequency: S, sig = S1 / S, the signed delta and theta splines.
     Per frequency and site: the phase factors D = exp(i theta u.p), (K, n).
-    Per frequency and site pair: r = d / |delta| (0 where the coherence is
-    0), the Matern correlation C and the real symmetric
+    Per frequency and site pair: r = d / |delta| capped at R_CAP (where
+    C is exactly 0), the Matern correlation C and the real symmetric
     R = S (1 - sig) I + S sig C, (K, n, n).
     """
 
@@ -290,22 +292,18 @@ class SpectralModel:
         theta = B_theta @ params.theta_coeffs
         d = geometry.distances
 
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = d[None, :, :] / np.abs(delta)[:, None, None]
-        # delta == 0, or so small that r overflows: zero coherence at d > 0,
-        # full correlation at d = 0
-        r = np.where(np.isfinite(r), r, np.inf)
-        np.einsum("kii->ki", r)[:] = 0.0
-        far = np.isinf(r)
-        r_fin = np.where(far, 0.0, r)
-        C = np.where(far, 0.0, np.exp(-r_fin) * (1.0 + r_fin))
-        np.einsum("kii->ki", C)[:] = 1.0
+        # r = d / |delta| capped at R_CAP, where C and dC/d|delta| are exactly 0:
+        # delta == 0 or so small that d / |delta| would overflow gives zero
+        # coherence at d > 0 and full correlation at d = 0
+        r = d / np.maximum(np.abs(delta), 1e-300)[:, None, None]
+        np.minimum(r, R_CAP, out=r)
+        C = np.exp(-r) * (1.0 + r)
 
         R = S1[:, None, None] * C
         np.einsum("kii->ki", R)[:] += S0[:, None]
         D = np.exp(1j * theta[:, None] * (geometry.positions @ params.u)[None, :])
         return CrossSpectrumTerms(S=S, sig=sig, delta=delta, theta=theta,
-                                  r=r_fin, C=C, R=R, D=D)
+                                  r=r, C=C, R=R, D=D)
 
     def cross_spectrum_stack(self, params: SpectralParams, geometry: SiteGeometry,
                              omegas) -> np.ndarray:

@@ -134,8 +134,6 @@ class WhittleObjective:
         self.Q_high = np.sum(np.abs(spec.coeffs[self.plan.high]) ** 2, axis=1)
         self.designs_low = model.designs(self.plan.omega_low)
         self.design_S_high = model.basis_S.design(self.plan.omega_high)
-        # right-hand sides whose solve gives R^{-1} for the score
-        self._eye = np.broadcast_to(np.eye(self.n), (len(self.J_low), self.n, self.n))
         d = geometry.distances
         self._inv_d = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
 
@@ -143,9 +141,13 @@ class WhittleObjective:
         """Log-likelihood at `params`; with score=True, (log-likelihood, score).
 
         With f_k = D_k R_k D_k* (see `spectrum`), log det f_k = log det R_k
-        and J_k* f_k^{-1} J_k = z_k* y_k for z_k = D_k* J_k and
-        y_k = R_k^{-1} z_k, so every factorization and solve is real: the
-        real and imaginary parts of z_k are two right-hand sides.
+        and J_k* f_k^{-1} J_k = |L_k^{-1} z_k|^2 for z_k = D_k* J_k and the
+        Cholesky factor R_k = L_k L_k^T, so one real factorization per
+        frequency gives both: the log-determinant from L_k's diagonal and
+        the quadratic form from a forward substitution of the real and
+        imaginary parts of z_k. The score substitutes the identity too, for
+        L_k^{-1}, and forms y_k = R_k^{-1} z_k and R_k^{-1} = L_k^{-T} L_k^{-1}
+        from it.
 
         The score is the gradient in the order of `SpectralParams.pack`:
         d ll / d a = -sum_k w_k Re tr(H_k E_k) with
@@ -159,27 +161,10 @@ class WhittleObjective:
 
         t = self.model.cross_spectrum_terms(params, self.geometry, plan.omega_low,
                                             self.designs_low)
-        z = np.conj(t.D) * self.J_low
-        rhs = np.stack([z.real, z.imag], axis=-1)
-        if score:
-            rhs = np.concatenate([rhs, self._eye], axis=-1)
-        try:
-            L = np.linalg.cholesky(t.R)
-            sol = np.linalg.solve(t.R, rhs)
-        except np.linalg.LinAlgError:
-            # rounding can let the Cholesky of an exactly singular R pass
-            for k, om in enumerate(plan.omega_low):
-                try:
-                    np.linalg.cholesky(t.R[k])
-                    np.linalg.solve(t.R[k], rhs[k])
-                except np.linalg.LinAlgError:
-                    raise ValidationError(
-                        f"singular spectral matrix at frequency {om:.6f}"
-                    ) from None
-            raise
+        L, inv_piv = _cholesky(t.R, plan.omega_low)
+        X = _substitute(L, inv_piv, np.conj(t.D) * self.J_low, inverse=score)
         logdet = 2.0 * np.sum(np.log(np.einsum("kii->ki", L)), axis=1)
-        y = sol[..., :2]  # real and imaginary parts of R^{-1} z
-        quad = np.einsum("kic,kic->k", rhs[..., :2], y)
+        quad = np.sum(X[..., 0] ** 2 + X[..., 1] ** 2, axis=1)  # z* R^{-1} z
         ll = -np.sum(plan.w_low * (logdet + quad / scale))
 
         S_high = np.exp(self.design_S_high @ params.s_coeffs)
@@ -187,11 +172,12 @@ class WhittleObjective:
         if not score:
             return float(ll)
 
-        H_re = sol[..., 2:] - y @ np.swapaxes(y, 1, 2) / scale  # Re H
+        # L^{-T} [L^{-1} z | L^{-1}] = [y | R^{-1}]
+        sol = np.swapaxes(X[..., 2:], 1, 2) @ X
+        y, R_inv = sol[..., :2], sol[..., 2:]  # y: real and imaginary parts of R^{-1} z
         S1 = t.S * t.sig
-        # dC/d|delta| = r^2 e^{-r} / |delta| = (r e^{-r/3})^3 / d, bounded for every r
-        q = t.r * np.exp(-t.r / 3.0)
-        dC = q * q * q * self._inv_d
+        # dC/d|delta| = r^2 e^{-r} / |delta| = r^3 C / ((1 + r) d); r <= R_CAP
+        dC = t.r * t.r * t.r * t.C / (1.0 + t.r) * self._inv_d
         # Im H = (yr yi^T - yi yr^T) / scale and u.p_j - u.p_k are both
         # antisymmetric, so sum C o (u.p_j - u.p_k) o Im H = sum_j u.p_j v_j
         Cy = t.C @ y
@@ -199,13 +185,17 @@ class WhittleObjective:
         pos = self.geometry.positions
         u_perp = np.array([-np.sin(params.u_angle), np.cos(params.u_angle)])
 
+        def re_tr_H(M, My):
+            """Re tr(H M) = tr(R^{-1} M) - tr(y^T M y) / scale for a real symmetric M."""
+            return (np.einsum("kij,kij->k", R_inv, M)
+                    - np.einsum("kic,kic->k", y, My) / scale)
+
         # per frequency, Re tr(H E) along log S, beta, delta, theta, u angle
         tr_S = n - quad / scale  # tr(H R)
         tr_high = n - self.Q_high / (scale * S_high)
-        tr_beta = S1 * (1.0 - t.sig) * (
-            np.einsum("kij,kij->k", t.C, H_re) - np.einsum("kii->k", H_re)
-        )
-        tr_delta = S1 * np.sign(t.delta) * np.einsum("kij,kij->k", dC, H_re)
+        tr_I = np.einsum("kii->k", R_inv) - np.einsum("kic,kic->k", y, y) / scale
+        tr_beta = S1 * (1.0 - t.sig) * (re_tr_H(t.C, Cy) - tr_I)
+        tr_delta = S1 * np.sign(t.delta) * re_tr_H(dC, dC @ y)
         tr_theta = S1 * (v @ (pos @ params.u))
         tr_u = t.theta * S1 * (v @ (pos @ u_perp))
 
@@ -222,6 +212,57 @@ class WhittleObjective:
 
     def loglik_vec(self, vec, score: bool = False):
         return self.loglik(self.model.unpack(vec), score=score)
+
+
+def _cholesky(R, omegas) -> tuple:
+    """(L, 1 / diag(L)): the Cholesky factors of the stack R and their reciprocal pivots.
+
+    A ValidationError names the first frequency whose factorization fails
+    or whose reciprocal pivot is zero or not finite, as it is where an
+    infinite entry of R lets the factorization pass.
+    """
+    try:
+        L = np.linalg.cholesky(R)
+    except np.linalg.LinAlgError:
+        # one frequency at a time, so that a failed factor reads NaN
+        L = np.stack([_cholesky_or_nan(Rk) for Rk in R])
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_piv = 1.0 / np.einsum("kii->ki", L)
+    good = np.all(np.isfinite(inv_piv) & (inv_piv != 0.0), axis=1)
+    if not good.all():
+        raise ValidationError(
+            f"singular spectral matrix at frequency {omegas[np.argmin(good)]:.6f}"
+        )
+    return L, inv_piv
+
+
+def _substitute(L, inv_piv, z, inverse: bool) -> np.ndarray:
+    """L^{-1} [Re z | Im z], with inverse=True L^{-1} [Re z | Im z | I], as (K, n, 2 or n + 2).
+
+    A forward substitution down the columns of the Cholesky factors L,
+    (K, n, n), with reciprocal pivots inv_piv, (K, n), for all K
+    frequencies at once. It runs with the frequency last, so that each
+    update runs along contiguous rows. Every update is elementwise, so the
+    z columns come out the same with or without the identity beside them.
+    """
+    K, n = inv_piv.shape
+    Lt, inv_piv = np.moveaxis(L, 0, -1).copy(), inv_piv.T
+    X = np.zeros((n, n + 2 if inverse else 2, K))
+    X[:, 0], X[:, 1] = z.real.T, z.imag.T
+    if inverse:
+        np.einsum("iik->ik", X[:, 2:])[:] = 1.0
+    for j in range(n):
+        c = slice(0, j + 3)  # row j of L^{-1} is 0 beyond column j
+        X[j, c] *= inv_piv[j]
+        X[j + 1:, c] -= Lt[j + 1:, j, None, :] * X[j, None, c, :]
+    return np.ascontiguousarray(np.moveaxis(X, -1, 0))
+
+
+def _cholesky_or_nan(R) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(R)
+    except np.linalg.LinAlgError:
+        return np.full_like(R, np.nan)
 
 
 # -- numerical derivatives ----------------------------------------------

@@ -67,6 +67,22 @@ def test_synth_writes_dataset(pipeline):
     assert len(obs_lines) == 1 + 13 * (T + 1)
 
 
+def test_synth_ignores_a_stray_truth_params_file(tmp_path):
+    # a truth_params.json in the config's output_dir is not an input
+    outputs = []
+    for name, stray in (("clean", False), ("stray", True)):
+        base = tmp_path / name
+        base.mkdir()
+        if stray:
+            params = {"s_coeffs": [0.5] * 8, "beta_coeffs": [1.0] * 4,
+                      "delta_coeffs": [2.0] * 12, "theta_coeffs": [0.1] * 3, "u_angle": 1.0}
+            (base / "truth_params.json").write_text(json.dumps({"params": params}))
+        cfg = write_config(base / "config.yaml", base)
+        assert main(["--config", str(cfg), "--out", str(base / "run"), "synth"]) == 0
+        outputs.append((base / "run" / "synthetic" / "observations.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_fit_report_contents(pipeline):
     out, _ = pipeline
     report = json.loads((out / "fit_report.json").read_text())
@@ -84,7 +100,7 @@ def test_ensemble_output(pipeline):
     assert manifest["target_ids"] == ["E12", "E13"]
     assert manifest["seed"] == SEED
     assert manifest["rng_layout"] == RNG_LAYOUT
-    assert "mean_field" in manifest
+    assert set(manifest["mean_field"]) == {"chosen", "reml_logliks"}
     assert manifest["step_seconds"] == 300.0
     synth_truth = json.loads((out / "synthetic" / "truth.json").read_text())
     assert manifest["start_time"] == synth_truth["start"]

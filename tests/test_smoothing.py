@@ -83,3 +83,36 @@ def test_design_and_penalty_equal_scipy_built(n, df):
     B, P = scipy_design_and_penalty(n, min(n, max(int(np.ceil(4 * df)), 10)))
     assert np.array_equal(sm.B, B)
     assert np.array_equal(sm.P, P)
+
+
+def dense_trace(sm, lam):
+    """tr((B'B + lam P)^{-1} B'B) by a dense solve: the oracle for the smoother's trace."""
+    BtB = sm.B.T @ sm.B
+    return np.trace(np.linalg.solve(BtB + lam * sm.P, BtB))
+
+
+def dense_smooth(sm, lam, y):
+    """B (B'B + lam P)^{-1} B'y by a dense solve: the oracle for `smooth`."""
+    return sm.B @ np.linalg.solve(sm.B.T @ sm.B + lam * sm.P, sm.B.T @ y)
+
+
+@pytest.mark.parametrize("n, df", [(2879, 72.0), (600, 15.0), (300, 72.0), (100, 30.0)])
+def test_trace_matches_dense_solve(n, df):
+    # (300, 72) and (100, 30) have about one knot per point; at (100, 30)
+    # B'B is singular
+    sm = DfSpline(n, df)
+    for lam in sm._lam * np.array([1e-3, 0.1, 1.0, 10.0, 1e3]):
+        # both sides solve B'B + lam P: their error grows with its condition number
+        cond = np.linalg.cond(sm.B.T @ sm.B + lam * sm.P)
+        rel = 10 * np.finfo(float).eps * cond
+        assert sm._trace(lam) == pytest.approx(dense_trace(sm, lam), rel=rel)
+    assert abs(sm.effective_df - df) <= 0.05
+
+
+@pytest.mark.parametrize("n, df", [(2879, 72.0), (8640, 72.0), (576, 12.0), (100, 30.0)])
+def test_smooth_matches_dense_solve(n, df):
+    sm = DfSpline(n, df)
+    rng = np.random.default_rng(n)
+    y = np.log(np.abs(rng.standard_normal(n)) + 0.1) + np.sin(np.arange(n) / 40.0)
+    want = dense_smooth(sm, sm._lam, y)
+    assert np.max(np.abs(sm.smooth(y) - want)) <= 1e-12 * np.max(np.abs(want))

@@ -12,7 +12,8 @@ from presim.errors import ConfigurationError
 from presim.geometry import SiteGeometry
 from presim.spectrum import KnotSet, SpectralModel, SpectralParams, matern32
 from presim.splines import ConstrainedBasis
-from presim.synth import default_stations
+from presim.synth import default_stations, default_true_params
+from presim.whittle import WhittleObjective, forward_dft
 
 from conftest import coherence, cross_spectrum, random_params
 
@@ -251,6 +252,64 @@ def test_cross_spectrum_vanishing_delta_has_no_coherence(model, geometry3):
     f = model.cross_spectrum_stack(p, geometry3, om)
     S = model.eval_S(p, om)
     assert np.allclose(f, S[:, None, None] * np.eye(3), rtol=1e-14, atol=0)
+
+
+def guarded_matern(d, delta):
+    """C built with masks for delta == 0 and an overflowing d / |delta|: the oracle."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = d[None, :, :] / np.abs(delta)[:, None, None]
+    r = np.where(np.isfinite(r), r, np.inf)
+    np.einsum("kii->ki", r)[:] = 0.0
+    far = np.isinf(r)
+    r_fin = np.where(far, 0.0, r)
+    C = np.where(far, 0.0, np.exp(-r_fin) * (1.0 + r_fin))
+    np.einsum("kii->ki", C)[:] = 1.0
+    return C
+
+
+def test_matern_build_equals_guarded_construction_on_default_network(model):
+    stations = default_stations()
+    geo = SiteGeometry(np.array([s.latitude for s in stations]),
+                       np.array([s.longitude for s in stations]))
+    omegas = np.arange(241) * 2 * np.pi / 2880  # the low band of T = 2880, cutoff included
+    rng = np.random.default_rng(21)
+    for p in [default_true_params(model)] + [random_params(model, rng) for _ in range(3)]:
+        t = model.cross_spectrum_terms(p, geo, omegas)
+        assert np.any(t.delta == 0.0) and np.any((t.C > 0) & (t.C < 1))
+        assert np.array_equal(t.C, guarded_matern(geo.distances, t.delta))
+
+
+def test_matern_build_at_vanishing_and_tiny_delta(model, geometry3):
+    # rows with delta 0, subnormal |delta|, a normal |delta| whose d / |delta|
+    # overflows, and an ordinary delta, in one call
+    delta = np.array([0.0, 5e-324, -1e-310, 2.5e-308, -1e-300, 30.0])
+    rng = np.random.default_rng(22)
+    p = random_params(model, rng, scale=0.3)
+    p = SpectralParams(p.s_coeffs, p.beta_coeffs, np.eye(len(p.delta_coeffs))[0],
+                       p.theta_coeffs, p.u_angle)
+    obj = WhittleObjective(model, forward_dft(rng.standard_normal((3, 64))), geometry3)
+    B_S, B_beta, B_delta, B_theta = obj.designs_low
+    assert len(B_delta) == len(delta)
+    obj.designs_low = (B_S, B_beta, np.outer(delta, p.delta_coeffs), B_theta)
+    t = model.cross_spectrum_terms(p, geometry3, obj.plan.omega_low, obj.designs_low)
+    off = ~np.eye(3, dtype=bool)
+    assert np.array_equal(t.delta, delta)
+    assert np.all(t.C[:-1][:, off] == 0.0)
+    assert np.all(np.einsum("kii->ki", t.C) == 1.0)
+    assert np.all((t.C[-1][off] > 0) & (t.C[-1][off] < 1))
+    ll, score = obj.loglik(p, score=True)
+    assert np.isfinite(ll) and np.all(np.isfinite(score))
+
+
+def test_coincident_sites_are_fully_correlated_at_vanishing_delta(model):
+    # d = 0 gives r = 0 for every delta, 0 included
+    geo = SiteGeometry(np.array([36.3, 36.3, 36.6]), np.array([-97.1, -97.1, -97.4]))
+    p = random_params(model, np.random.default_rng(23))
+    B_S, B_beta, B_delta, B_theta = model.designs([0.01, 0.02])
+    t = model.cross_spectrum_terms(p, geo, [0.01, 0.02],
+                                   (B_S, B_beta, np.zeros_like(B_delta), B_theta))
+    assert np.array_equal(t.C, np.broadcast_to([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                                                [0.0, 0.0, 1.0]], (2, 3, 3)))
 
 
 def test_cross_spectrum_stack_matches_paper_formula(model):

@@ -22,6 +22,7 @@ from presim.whittle import (
     numeric_gradient,
     sample_params,
 )
+from presim.whittle import _cholesky, _substitute
 
 from conftest import numeric_hessian, random_params, reference_loglik, unconditional_sampler
 
@@ -281,6 +282,62 @@ def test_singular_spectral_matrix_names_frequency(model):
                 obj.loglik(q, score=score)
             except ValidationError as err:
                 assert "frequency" in str(err)
+
+
+def random_spd_stack(rng, K, n, cond):
+    """K random symmetric positive definite n x n matrices of condition number `cond`."""
+    Q, _ = np.linalg.qr(rng.standard_normal((K, n, n)))
+    R = (Q * np.geomspace(1.0, 1.0 / cond, n)) @ np.swapaxes(Q, 1, 2)
+    return 0.5 * (R + np.swapaxes(R, 1, 2))
+
+
+@pytest.mark.parametrize("K, n, cond", [(1, 5, 10.0), (6, 1, 1.0), (9, 13, 1e3),
+                                        (9, 13, 1e10), (241, 11, 1e6)])
+def test_substitution_matches_dense_solve(K, n, cond):
+    rng = np.random.default_rng(K + n)
+    R = random_spd_stack(rng, K, n, cond)
+    z = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
+    Z = np.stack([z.real, z.imag], axis=-1)
+    L, inv_piv = _cholesky(R, np.arange(K))
+    X = _substitute(L, inv_piv, z, inverse=True)
+    w, L_inv = X[..., :2], X[..., 2:]
+    # the z columns do not depend on the identity beside them
+    assert np.array_equal(_substitute(L, inv_piv, z, inverse=False), w)
+
+    def close(got, want, cond):
+        # per frequency, relative to the oracle's largest entry; the bound
+        # is n eps times the condition number of the system solved
+        err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+        assert err.max() <= n * np.finfo(float).eps * cond
+
+    close(L_inv, np.linalg.inv(L), np.sqrt(cond))
+    close(w, np.linalg.solve(L, Z), np.sqrt(cond))
+    # the score forms y and R^{-1} as L^{-T} [L^{-1} z | L^{-1}]
+    sol = np.swapaxes(L_inv, 1, 2) @ X
+    close(sol[..., :2], np.linalg.solve(R, Z), cond)
+    close(sol[..., 2:], np.linalg.inv(R), cond)
+
+
+def test_cholesky_names_a_frequency_with_a_failed_or_infinite_pivot():
+    omegas = np.array([0.1, 0.2, 0.3])
+    eye = np.eye(2)
+    not_pd = np.array([[1.0, 2.0], [2.0, 1.0]])
+    infinite = np.array([[np.inf, 0.0], [0.0, 1.0]])  # factors, with pivot inf
+    for R, named in [((eye, not_pd, eye), "0.200000"), ((eye, eye, infinite), "0.300000")]:
+        with pytest.raises(ValidationError, match=f"frequency {named}"):
+            _cholesky(np.stack(R), omegas)
+
+
+@pytest.mark.parametrize("T", [576, 577])
+def test_value_equals_value_of_score_call_bitwise(model, T):
+    stations = default_stations()
+    geo = SiteGeometry(np.array([s.latitude for s in stations]),
+                       np.array([s.longitude for s in stations]))
+    rng = np.random.default_rng(T)
+    obj = WhittleObjective(model, forward_dft(rng.standard_normal((len(stations), T))), geo)
+    for _ in range(3):
+        p = random_params(model, rng, scale=0.3)
+        assert obj.loglik(p) == obj.loglik(p, score=True)[0]
 
 
 # -- derivatives ----------------------------------------------------------
