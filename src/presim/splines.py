@@ -15,7 +15,7 @@ The B-spline values and the null space are computed here with numpy, in
 scipy's order of operations (`BSpline`, `splder`, `scipy.linalg.null_space`),
 so they equal scipy's bit for bit. Every CLI stage builds these bases, and
 importing `scipy.interpolate` for them cost each stage process about 0.4 s.
-Now only `fit` (optimizer and smoother) loads scipy at all.
+No stage loads scipy now.
 """
 
 import numpy as np

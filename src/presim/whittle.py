@@ -288,10 +288,6 @@ def numeric_gradient(fun, x) -> np.ndarray:
 # -- fitting -------------------------------------------------------------
 
 
-# the fit report's convergence status, by scipy BFGS status code
-FIT_STATUS = {0: "converged", 1: "max_iter", 2: "precision_loss", 3: "nan"}
-
-
 @dataclass
 class FitOptions:
     max_iter: int = 500
@@ -339,23 +335,25 @@ class FitResult:
 def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
             geometry: SiteGeometry, options: FitOptions | None = None,
             compute_hessian: bool = True) -> FitResult:
-    """Maximize the Whittle likelihood by quasi-Newton ascent.
+    """Maximize the Whittle likelihood by BFGS (`_bfgs`) on the negative log-likelihood.
 
-    BFGS gets the analytic score with every value. The returned Hessian
-    is of the negative log-likelihood at the optimum: central differences
-    of the score, symmetrized. Deterministic given inputs.
+    Every objective call gives the value and the analytic score together;
+    `function_evals` and `gradient_evals` both count these calls, the one
+    at the start point included. A parameter vector the model rejects
+    reads as an infinite value, which the line search backs off from. The
+    returned Hessian is of the negative log-likelihood at the optimum:
+    central differences of the score, symmetrized. Deterministic given
+    inputs.
 
-    The convergence status maps `minimize`'s: "converged", "max_iter",
-    "precision_loss" (the line search could not improve the value, often
-    at the optimum below gtol's reach) or "nan" (a non-finite value).
+    The model is unchanged by (theta, u) -> (-theta, u + pi), so two fits
+    that differ only by this mirror are one fit; compare fits through S,
+    |delta| and theta * u.
     """
-    from scipy.optimize import minimize  # only the fit stage loads it
-
     options = options or FitOptions()
     obj = WhittleObjective(model, spec, geometry)
     x0 = initial.pack()
-    f0 = obj.loglik_vec(x0)
-    if not np.isfinite(f0):
+    ll0, score0 = obj.loglik_vec(x0, score=True)
+    if not np.isfinite(ll0):
         raise ValidationError("log-likelihood not finite at the initial point")
 
     def neg(x):
@@ -365,19 +363,14 @@ def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
             return np.inf, np.full(len(x), np.nan)
         return -ll, -score
 
-    res = minimize(
-        neg, x0, jac=True, method="BFGS",
-        options={"maxiter": options.max_iter, "gtol": options.gtol},
-    )
-    improved = -res.fun >= f0
-    best = res.x if improved else x0
+    best, f, g, status, iterations, calls = _bfgs(neg, x0, -ll0, -score0,
+                                                  options.gtol, options.max_iter)
     convergence = {
-        "status": FIT_STATUS[res.status],
-        "iterations": int(res.nit),
-        "function_evals": int(res.nfev),
-        "gradient_evals": int(res.njev),
-        "grad_inf_norm": float(np.max(np.abs(res.jac))) if res.jac is not None else float("nan"),
-        "message": str(res.message),
+        "status": status,
+        "iterations": iterations,
+        "function_evals": calls + 1,
+        "gradient_evals": calls + 1,
+        "grad_inf_norm": float(np.max(np.abs(g))),
     }
     if compute_hessian:
         H = numeric_gradient(lambda x: neg(x)[1], best)
@@ -388,12 +381,80 @@ def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
         min_eig = float("nan")
     return FitResult(
         params_hat=model.unpack(best),
-        loglik=float(-res.fun) if improved else f0,
+        loglik=float(-f),
         hessian=H,
         convergence=convergence,
         knots=model.knots,
         hessian_min_eig=min_eig,
     )
+
+
+# weak Wolfe constants: sufficient decrease and curvature
+WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
+# objective calls one line search may take before it gives up
+LINE_SEARCH_CALLS = 50
+
+
+def _bfgs(fun, x, f, g, gtol: float, max_iter: int) -> tuple:
+    """(x, f, g, status, iterations, calls): BFGS on `fun` from x, where fun(x) = (f, g).
+
+    The inverse Hessian starts at the identity and takes the standard
+    rank-two update after each step; the first trial step is scipy's guess
+    min(1, 2.02 (f - f_prev) / g.p), with f_prev = f + |g| / 2 before the
+    first step. The status is "converged" when max |g| <= gtol,
+    "max_iter" after `max_iter` steps, "precision_loss" when the line
+    search finds no step (often at the optimum, where rounding keeps the
+    gradient above gtol) and "nan" when the gradient is not finite.
+    `calls` counts the calls of `fun`; the start point's is not one.
+    """
+    H = np.eye(len(x))
+    f_prev = f + np.linalg.norm(g) / 2.0
+    calls = 0
+    for iterations in range(max_iter + 1):
+        if not np.all(np.isfinite(g)):
+            return x, f, g, "nan", iterations, calls
+        if np.max(np.abs(g)) <= gtol:
+            return x, f, g, "converged", iterations, calls
+        if iterations == max_iter:
+            return x, f, g, "max_iter", iterations, calls
+        p = -H @ g
+        slope = g @ p
+        if not slope < 0.0:  # rounding has made H indefinite
+            return x, f, g, "precision_loss", iterations, calls
+        guess = min(1.0, 2.02 * (f - f_prev) / slope)
+        step, f_new, g_new, n = _weak_wolfe_step(fun, x, f, slope, p, guess if guess > 0 else 1.0)
+        calls += n
+        if step is None:
+            return x, f, g, "precision_loss", iterations, calls
+        s, y = step * p, g_new - g
+        rho = 1.0 / (y @ s)  # > 0 by the curvature condition
+        Hy = H @ y
+        H += rho * ((1.0 + rho * (y @ Hy)) * np.outer(s, s) - np.outer(s, Hy) - np.outer(Hy, s))
+        x, f_prev, f, g = x + s, f, f_new, g_new
+
+
+def _weak_wolfe_step(fun, x, f, slope, p, step) -> tuple:
+    """(step, f, g, calls) at a step along p that meets the weak Wolfe conditions.
+
+    Expansion and bisection (Lewis & Overton 2013, Math. Prog. 141;
+    Nocedal & Wright 2006, sect. 3.1): a step whose value is not finite or
+    fails the sufficient decrease f(x + a p) <= f + c1 a slope is too
+    long; one that fails the curvature condition g(x + a p).p >= c2 slope
+    is too short. The step doubles until one is too long, then bisects
+    between the longest too-short and the shortest too-long. After
+    LINE_SEARCH_CALLS calls without a step it gives (None, f, None, calls).
+    """
+    lo, hi = 0.0, np.inf
+    for calls in range(1, LINE_SEARCH_CALLS + 1):
+        f_new, g_new = fun(x + step * p)
+        if not f_new <= f + WOLFE_C1 * step * slope:
+            hi = step
+        elif not g_new @ p >= WOLFE_C2 * slope:
+            lo = step
+        else:
+            return step, f_new, g_new, calls
+        step = 2.0 * step if hi == np.inf else 0.5 * (lo + hi)
+    return None, f, None, LINE_SEARCH_CALLS
 
 
 def sample_params(fit: FitResult, count: int, seed: int) -> tuple:
@@ -438,8 +499,6 @@ def initial_params(model: SpectralModel, spec: SpectralField,
     coarse coherence-range heuristic on the closest station pair, theta
     at 0 and u pointing west.
     """
-    from scipy.optimize import brentq
-
     T = spec.n_times
     plan = FrequencyPlan(T, model.knots.omega0)
     pgram = np.mean(np.abs(spec.coeffs) ** 2, axis=1) / (TWO_PI * T)
@@ -467,14 +526,8 @@ def initial_params(model: SpectralModel, spec: SpectralField,
         p2 = np.mean(np.abs(J[sel, kmin]) ** 2)
         coh = min(abs(cross) / np.sqrt(p1 * p2), 0.95)
         # invert C(dmin/delta) * 0.5 = coh for delta, assuming an even split
-        target_c = min(2.0 * coh, 0.98)
-        if target_c <= matern32(50.0):
-            delta_band = dmin / 50.0
-        else:
-            r = brentq(lambda rr: matern32(rr) - target_c, 1e-9, 50.0)
-            delta_band = dmin / r if r > 1e-8 else dmin * 10.0
         centers.append((lo + hi) / 2.0)
-        targets.append(delta_band)
+        targets.append(dmin / _matern32_root(min(2.0 * coh, 0.98)))
     if centers:
         Bd = model.basis_delta.design(np.array(centers))
         delta_coeffs, *_ = np.linalg.lstsq(Bd, np.array(targets), rcond=None)
@@ -488,3 +541,18 @@ def initial_params(model: SpectralModel, spec: SpectralField,
         theta_coeffs=np.zeros(model.basis_theta.dimension),
         u_angle=np.pi,
     )
+
+
+def _matern32_root(c: float) -> float:
+    """The r in (0, 50] where matern32(r) = c, to rounding; 50 where c <= matern32(50).
+
+    Bisection on [0, 50], where matern32 falls from 1; it ends at adjacent
+    floats lo < hi with matern32(lo) > c >= matern32(hi) and gives hi.
+    """
+    lo, hi = 0.0, 50.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if matern32(mid) > c:
+            lo = mid
+        else:
+            hi = mid
+    return hi

@@ -243,11 +243,11 @@ def test_evaluate_rejects_ensemble_of_another_fit(pipeline, tmp_path, capsys):
     assert not (tmp_path / "metrics.json").exists()
 
 
-def scipy_modules_after(*argv) -> list:
-    """scipy modules loaded by a fresh process that imports `presim.cli`
+def scipy_modules_after(*argv, imports: str = "presim.cli") -> list:
+    """scipy modules loaded by a fresh process that imports `imports`
     and, given arguments, runs `presim <argv>`."""
     code = (
-        "import sys, presim.cli\n"
+        f"import sys, {imports}\n"
         "code = presim.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
         "print(code, *sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
@@ -263,6 +263,14 @@ def scipy_modules_after(*argv) -> list:
 def test_cli_import_loads_no_scipy():
     # every stage process pays for what `presim.cli` imports
     assert scipy_modules_after() == []
+    assert scipy_modules_after(imports="presim.whittle") == []
+
+
+def test_fit_loads_no_scipy(pipeline, tmp_path):
+    # the optimizer and the start point's root finder are numpy's
+    _, cfg = pipeline
+    assert scipy_modules_after("--config", str(cfg), "--out", str(tmp_path), "fit") == []
+    assert (tmp_path / "fit_report.json").exists()
 
 
 def test_simulate_and_evaluate_leave_scipy_unloaded(pipeline, tmp_path):

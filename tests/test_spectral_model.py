@@ -349,6 +349,23 @@ def test_cross_spectrum_stack_matches_paper_formula(model):
         assert np.array_equal(R, np.swapaxes(R, 1, 2))
 
 
+def test_phase_factors_equal_the_complex_exponential(model):
+    # D is built from cos and sin of the phase; the complex exp is the oracle
+    stations = default_stations()
+    geo = SiteGeometry(np.array([s.latitude for s in stations]),
+                       np.array([s.longitude for s in stations]))
+    omegas = np.arange(241) * 2 * np.pi / 2880
+    rng = np.random.default_rng(24)
+    for scale in (0.4, 40.0, 4000.0):  # largest phase about 20, 1e3 and 6e4 rad
+        p = random_params(model, rng)
+        p = SpectralParams(p.s_coeffs, p.beta_coeffs, p.delta_coeffs,
+                           scale * rng.standard_normal(len(p.theta_coeffs)), p.u_angle)
+        t = model.cross_spectrum_terms(p, geo, omegas)
+        phase = t.theta[:, None] * (geo.positions @ p.u)[None, :]
+        assert np.abs(phase).max() > 10.0 * scale
+        assert np.array_equal(t.D, np.exp(1j * phase))
+
+
 def test_cross_spectrum_real_when_theta_zero(model, geometry3):
     rng = np.random.default_rng(8)
     p = random_params(model, rng)

@@ -6,8 +6,8 @@ import pytest
 from presim.errors import ValidationError
 from presim.geometry import SiteGeometry
 from presim.rng import STAGE_PARAM_DRAW, substream
-from presim.spectrum import KNOT_UNIT, KnotSet, SpectralModel, SpectralParams
-from presim.synth import default_stations
+from presim.spectrum import KNOT_UNIT, KnotSet, SpectralModel, SpectralParams, matern32
+from presim.synth import default_stations, default_true_params
 from presim.whittle import (
     TWO_PI,
     FitOptions,
@@ -22,7 +22,7 @@ from presim.whittle import (
     numeric_gradient,
     sample_params,
 )
-from presim.whittle import _cholesky, _substitute
+from presim.whittle import _bfgs, _cholesky, _matern32_root, _substitute
 
 from conftest import numeric_hessian, random_params, reference_loglik, unconditional_sampler
 
@@ -479,7 +479,6 @@ def test_fit_status_names_an_exhausted_iteration_budget(model, geometry3):
                   FitOptions(max_iter=2), compute_hessian=False)
     assert fit.convergence["status"] == "max_iter"
     assert fit.convergence["iterations"] == 2
-    assert fit.convergence["message"] == "Maximum number of iterations has been exceeded."
 
 
 def test_fit_is_deterministic(model, geometry3):
@@ -503,13 +502,13 @@ def test_fit_hessian_matches_numeric_hessian(model, geometry3):
 
 
 def test_fit_takes_the_analytic_score(model, geometry3, monkeypatch):
-    # a fit that differenced the likelihood would evaluate it 2 * n_params
-    # times per gradient; with the score it is about once per BFGS step
+    # every objective call gives the value and the score; the fit report
+    # counts them, the start point once, and the Hessian takes 2 * n_params more
     calls = []
     loglik = WhittleObjective.loglik
 
     def counted(self, params, score=False):
-        calls.append(score)
+        calls.append((score, params.pack()))
         return loglik(self, params, score=score)
 
     monkeypatch.setattr(WhittleObjective, "loglik", counted)
@@ -517,9 +516,135 @@ def test_fit_takes_the_analytic_score(model, geometry3, monkeypatch):
     fit = fit_mle(model, truth, spec, geometry3, FitOptions(max_iter=5))
     conv = fit.convergence
     assert conv["iterations"] == 5
-    assert 0 < conv["function_evals"] < len(calls)
-    assert 0 < conv["gradient_evals"] < len(calls)
+    assert all(score for score, _ in calls)
+    assert conv["function_evals"] == conv["gradient_evals"] == len(calls) - 2 * model.n_params
+    assert sum(np.array_equal(x, truth.pack()) for _, x in calls) == 1
     assert len(calls) <= 3 * (conv["iterations"] + 1) + 2 * model.n_params
+
+
+def fit_with_scipy_bfgs(obj, x0, options):
+    """The oracle: scipy's BFGS on the same objective and stopping rule."""
+    from scipy.optimize import minimize
+
+    def neg(x):
+        try:
+            ll, score = obj.loglik_vec(x, score=True)
+        except ValidationError:
+            return np.inf, np.full(len(x), np.nan)
+        return -ll, -score
+
+    return minimize(neg, x0, jac=True, method="BFGS",
+                    options={"maxiter": options.max_iter, "gtol": options.gtol})
+
+
+def orientation_free(model, params, probes):
+    """S, |delta| and theta u at `probes`: the same for (theta, u) and (-theta, u + pi)."""
+    return (model.eval_S(params, probes), np.abs(model.eval_delta(params, probes)),
+            model.eval_theta(params, probes)[:, None] * params.u[None, :])
+
+
+@pytest.mark.parametrize("n_sites,T", [(3, 2880), (3, 5760), (11, 577), (11, 1152)])
+def test_fit_reaches_the_scipy_bfgs_optimum(model, geometry3, n_sites, T):
+    # From the truth, so that both start in the basin of the global
+    # maximum: with 3 sites below T = 2880 the likelihood has several
+    # local maxima, and either optimizer may end in a lower one.
+    if n_sites == 3:
+        geo = geometry3
+    else:
+        stations = default_stations()[:n_sites]
+        geo = SiteGeometry(np.array([s.latitude for s in stations]),
+                           np.array([s.longitude for s in stations]))
+    truth = default_true_params(model)
+    probes = np.array([1 / 8, 1 / 4, 1 / 2]) * model.knots.omega0
+    sampler = unconditional_sampler(model, truth, geo, T)
+    for seed in (1, 2):
+        spec = forward_dft(inverse_dft(sampler.draw(seed, 0)))
+        fit = fit_mle(model, truth, spec, geo, compute_hessian=False)
+        ref = fit_with_scipy_bfgs(WhittleObjective(model, spec, geo), truth.pack(), FitOptions())
+        assert fit.convergence["status"] == "converged" and ref.status == 0
+        assert fit.loglik >= -ref.fun - 1e-6 * abs(ref.fun)
+        S, d, tu = orientation_free(model, fit.params_hat, probes)
+        S_ref, d_ref, tu_ref = orientation_free(model, model.unpack(ref.x), probes)
+        np.testing.assert_allclose(S, S_ref, rtol=1e-3)
+        np.testing.assert_allclose(d, d_ref, rtol=1e-2)
+        np.testing.assert_allclose(tu, tu_ref, rtol=0, atol=1e-3 * np.abs(tu_ref).max())
+
+
+def rosenbrock(x):
+    r = x[1] - x[0] ** 2
+    return 100.0 * r ** 2 + (1.0 - x[0]) ** 2, np.array([-400.0 * x[0] * r - 2.0 * (1.0 - x[0]),
+                                                         200.0 * r])
+
+
+def counting(fun):
+    calls = []
+
+    def counted(x):
+        calls.append(x.copy())
+        return fun(x)
+    return counted, calls
+
+
+def test_bfgs_converges_on_rosenbrock():
+    from scipy.optimize import minimize
+
+    x0 = np.array([-1.2, 1.0])
+    fun, calls = counting(rosenbrock)
+    x, f, g, status, iterations, n = _bfgs(fun, x0, *rosenbrock(x0), gtol=1e-8, max_iter=500)
+    assert status == "converged" and np.max(np.abs(g)) <= 1e-8
+    assert n == len(calls) and iterations <= n
+    assert f == rosenbrock(x)[0] and np.array_equal(g, rosenbrock(x)[1])
+    np.testing.assert_allclose(x, [1.0, 1.0], rtol=0, atol=1e-8)
+    ref = minimize(rosenbrock, x0, jac=True, method="BFGS", options={"gtol": 1e-8})
+    assert abs(iterations - ref.nit) <= 10
+
+
+def test_bfgs_reports_precision_loss_on_a_wrong_gradient():
+    # the negated gradient makes every direction an ascent: no step decreases the value
+    x0 = np.array([-1.2, 1.0])
+    f0, g0 = rosenbrock(x0)
+    fun, calls = counting(lambda x: (rosenbrock(x)[0], -rosenbrock(x)[1]))
+    x, f, g, status, iterations, n = _bfgs(fun, x0, f0, -g0, gtol=1e-8, max_iter=500)
+    assert (status, iterations, n) == ("precision_loss", 0, len(calls))
+    assert np.array_equal(x, x0) and f == f0
+
+
+@pytest.mark.parametrize("wall", [np.inf, np.nan])
+def test_bfgs_backs_off_from_a_nonfinite_region(wall):
+    # the minimum at 1 lies next to a region x > 1.2 where the value is not
+    # finite; the first trial step lands in it
+    def fun(x):
+        if x[0] > 1.2:
+            return wall, np.full(1, np.nan)
+        return 10.0 * (x[0] - 1.0) ** 2, 20.0 * (x - 1.0)
+
+    fun, calls = counting(fun)
+    x0 = np.array([0.5])
+    x, f, g, status, iterations, n = _bfgs(fun, x0, *fun(x0), gtol=1e-8, max_iter=50)
+    assert calls[1][0] > 1.2
+    assert status == "converged"
+    np.testing.assert_allclose(x, [1.0], rtol=0, atol=1e-8)
+
+
+def test_bfgs_reports_a_nonfinite_gradient():
+    x0 = np.array([-1.2, 1.0])
+    fun, calls = counting(rosenbrock)
+    x, f, g, status, iterations, n = _bfgs(fun, x0, 24.2, np.array([np.nan, 1.0]),
+                                           gtol=1e-8, max_iter=50)
+    assert (status, iterations, n, len(calls)) == ("nan", 0, 0, 0)
+
+
+def test_matern32_root_inverts_matern32():
+    from scipy.optimize import brentq
+
+    floor = float(matern32(50.0))
+    for c in np.concatenate([np.linspace(0.98, 1e-3, 400), np.geomspace(1e-3, 1.01 * floor, 200)]):
+        r = _matern32_root(c)
+        # r and the float below it bracket the root: matern32(r) = c to rounding
+        assert matern32(r) <= c < matern32(np.nextafter(r, 0.0))
+        assert abs(r - brentq(lambda x: matern32(x) - c, 1e-9, 50.0, xtol=1e-14)) <= 1e-12 * r
+    for c in (floor, 0.99 * floor, 1e-300, 0.0):
+        assert _matern32_root(c) == 50.0
 
 
 def test_fit_rejects_nonfinite_start(model, geometry3):
