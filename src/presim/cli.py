@@ -26,15 +26,23 @@ from .spectrum import SpectralModel
 from .whittle import FitOptions, FitResult, fit_mle, forward_dft, initial_params
 
 
-def _build_grid(config: RunConfig, station_ids=None):
-    stations = load_stations(config.stations_path)
-    if station_ids is not None:
-        wanted = set(station_ids)
-        stations = [s for s in stations if s.id in wanted]
-        missing = wanted - {s.id for s in stations}
-        if missing:
-            raise ValidationError(f"stations not in file: {sorted(missing)}")
+def _build_grid(config: RunConfig, stations, station_ids):
+    """The grid of the stations with `station_ids`, in station-file order.
+
+    Each must be in the station file and have rows in the observation file.
+    """
+    wanted = set(station_ids)
+    stations = [s for s in stations if s.id in wanted]
+    missing = wanted - {s.id for s in stations}
+    if missing:
+        raise ValidationError(f"stations not in file: {sorted(missing)}")
     series = load_observations(config.observations_path, stations)
+    if len(series) < len(stations):
+        found = {s.station.id for s in series}
+        raise ValidationError(
+            f"{config.observations_path}: no observation rows for stations "
+            f"{[s.id for s in stations if s.id not in found]}"
+        )
     processed = []
     for s in series:
         s = fill_missing(s, config.max_gap)
@@ -45,14 +53,13 @@ def _build_grid(config: RunConfig, station_ids=None):
 
 
 def _split_stations(config: RunConfig):
-    """(fitted, held-out) stations of the station file, each in file order."""
+    """(all, held-out) stations of the station file, each in file order."""
     stations = load_stations(config.stations_path)
     held = set(config.held_out_ids)
     unknown = held - {s.id for s in stations}
     if unknown:
         raise ValidationError(f"held-out ids not in station file: {sorted(unknown)}")
-    return ([s for s in stations if s.id not in held],
-            [s for s in stations if s.id in held])
+    return stations, [s for s in stations if s.id in held]
 
 
 def _grid_geometry(grid) -> SiteGeometry:
@@ -63,8 +70,8 @@ def _grid_geometry(grid) -> SiteGeometry:
 
 
 def cmd_fit(config: RunConfig, out_path) -> Path:
-    fitted, _ = _split_stations(config)
-    grid = _build_grid(config, [s.id for s in fitted])
+    stations, held = _split_stations(config)
+    grid = _build_grid(config, stations, [s.id for s in stations if s not in held])
     stack = fit_stack(
         grid,
         diurnal_period=config.diurnal_period,
@@ -106,15 +113,15 @@ def _load_fit_report(path):
 def cmd_simulate(config: RunConfig, fit_report_path, out_dir) -> Path:
     report, stack, fit = _load_fit_report(fit_report_path)
     seed = config.require_seed()
-    _, targets = _split_stations(config)
-    grid = _build_grid(config, report["station_ids"])
+    stations, targets = _split_stations(config)
+    if not targets:
+        raise ValidationError("no target stations: held_out_ids is empty")
+    grid = _build_grid(config, stations, report["station_ids"])
     geometry = _grid_geometry(grid)
     if condsim.geometry_hash(geometry) != report["geometry_hash"]:
         raise ValidationError(
             "geometry hash mismatch: fit report was produced from a different station set"
         )
-    if not targets:
-        raise ValidationError("no target stations: held_out_ids is empty")
 
     setup = condsim.PredictionSetup(
         observed=geometry,
@@ -192,12 +199,13 @@ def _read_ensemble(ensemble_dir, target_ids, fit):
 def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> Path:
     report, stack, fit = _load_fit_report(fit_report_path)
     seed = config.require_seed()
-    grid = _build_grid(config, [*report["station_ids"], *config.held_out_ids])
+    stations, targets = _split_stations(config)
+    if not targets:
+        raise ValidationError("no target stations: held_out_ids is empty")
+    grid = _build_grid(config, stations, [*report["station_ids"], *config.held_out_ids])
     truth_grid = _split_grid(grid, config.held_out_ids)
     obs_grid = _split_grid(grid, report["station_ids"])
     target_ids = [s.id for s in truth_grid.stations]
-    if not target_ids:
-        raise ValidationError("no held-out stations with observations")
     members = _read_ensemble(ensemble_dir, target_ids, fit)
     if members[0].shape[1] != truth_grid.n_times:
         raise ValidationError("ensemble and truth lengths differ")

@@ -6,13 +6,23 @@ encoded as an empty field), fills short gaps by linear interpolation,
 block-averages, and assembles the aligned data grid. Timestamps are
 ISO-8601 in files, normalized to UTC; internally time is an integer index
 plus (start, step).
+
+The observation file is read in blocks of whole lines, `BLOCK_BYTES` at a
+time. A plain block (no quote character, blank line or line over the csv
+field size limit, three fields on every line, and all lines ending in LF
+or all in CRLF) is split on commas and newlines into column lists;
+csv.reader tokenizes any other block, so quoted fields keep working and
+every error names its physical line. The station file is small and always
+goes through csv.reader.
 """
 
 import csv
+import io
 import math
 from array import array
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
+from itertools import chain, compress
 
 import numpy as np
 
@@ -85,6 +95,36 @@ class DataGrid:
         return np.array([s.elevation for s in self.stations])
 
 
+def _header(reader, path, expected):
+    """Read the header row of a csv reader; it must match `expected`."""
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
+    if header is None or [c.strip() for c in header] != expected:
+        raise FormatError(f"{path}: expected header {','.join(expected)}")
+
+
+def _csv_rows(reader, path, width, line=0):
+    """Yield (line number, fields) of each non-blank row a csv reader reads.
+
+    Every row must have `width` fields; a wrong field count and a csv syntax
+    error are FormatErrors naming the path and the physical line, which is
+    `line` plus the lines the reader has read.
+    """
+    try:
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue  # blank line
+                raise FormatError(
+                    f"{path}:{line + reader.line_num}: expected {width} fields, got {len(row)}"
+                )
+            yield line + reader.line_num, row
+    except csv.Error as exc:
+        raise FormatError(f"{path}:{line + reader.line_num}: {exc}") from exc
+
+
 def _rows(path, expected):
     """Yield (line number, fields) of each non-blank data row of a CSV.
 
@@ -94,21 +134,8 @@ def _rows(path, expected):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader, None)
-                if header is None or [c.strip() for c in header] != expected:
-                    raise FormatError(f"{path}: expected header {','.join(expected)}")
-                for row in reader:
-                    if len(row) != len(expected):
-                        if not row:
-                            continue  # blank line
-                        raise FormatError(
-                            f"{path}:{reader.line_num}: expected {len(expected)} fields, "
-                            f"got {len(row)}"
-                        )
-                    yield reader.line_num, row
-            except csv.Error as exc:
-                raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
+            _header(reader, path, expected)
+            yield from _csv_rows(reader, path, len(expected))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
@@ -136,21 +163,152 @@ def load_stations(path) -> list:
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
+_OBSERVATION_HEADER = ["timestamp", "station_id", "pressure_kPa"]
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\r\n")))  # translate() deletes these
+
+BLOCK_BYTES = 1 << 16  # the observation reader's read size
 
 
-def _parse_time(text: str, path: str, lineno: int) -> datetime:
-    try:
-        ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise FormatError(f"{path}:{lineno}: bad timestamp {text!r}") from exc
+def _micros(text: str) -> int:
+    """Microseconds since the epoch of an ISO-8601 field; no offset reads as UTC."""
+    ts = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    return (ts - _EPOCH) // _MICROSECOND
+
+
+def _pressure(text: str) -> float:
+    """The value of a pressure field; a blank one is missing (NaN)."""
+    try:
+        return float(text)
+    except ValueError:
+        if text.strip():
+            raise
+        return math.nan
 
 
 def _instant(micros) -> datetime:
     """UTC datetime of integer microseconds since the epoch."""
     return _EPOCH + timedelta(microseconds=int(micros))
+
+
+def _blocks(fh):
+    """Blocks of whole lines of a binary file, read BLOCK_BYTES at a time.
+
+    A block ends at a newline outside any quoted field (an even number of
+    quote characters before it) or at the end of the file.
+    """
+    rest = b""
+    while chunk := fh.read(BLOCK_BYTES):
+        rest += chunk
+        cut = rest.rfind(b"\n") + 1
+        if cut and rest.count(b'"', 0, cut) % 2 == 0:
+            yield rest[:cut]
+            rest = rest[cut:]
+    if rest:
+        yield rest
+
+
+def _tokens(block: bytes, path, line: int):
+    """Tokenize a block whose first line follows physical line `line`.
+
+    Returns the block's rows as columns (line numbers, timestamps, station
+    ids, pressures), its number of physical lines, and the FormatError at
+    which tokenizing stopped, or None. A plain block, with no quote
+    character, blank line or line over the csv field size limit, three
+    fields on every line and all lines ending in LF or all in CRLF, is
+    split on commas and newlines; csv.reader tokenizes any other.
+    """
+    plain = block if block.endswith(b"\n") else block + b"\n"
+    if b'"' not in plain and len(plain) <= csv.field_size_limit():
+        separators = plain.translate(None, _NOT_SEPARATORS)
+        pattern = b",,\r\n" if separators.endswith(b"\r\n") else b",,\n"
+        n = len(separators) // len(pattern)
+        if separators == pattern * n:  # all LF or all CRLF lines of three fields
+            # a CRLF line's CR stays on its pressure field, which float() strips
+            fields = plain.decode("utf-8").replace("\n", ",").split(",")
+            fields.pop()  # after the last newline
+            return (range(line + 1, line + n + 1), fields[0::3], fields[1::3], fields[2::3]), n, None
+    reader = csv.reader(io.StringIO(block.decode("utf-8"), newline=""))
+    rows, fault = [], None
+    try:
+        for lineno, row in _csv_rows(reader, path, 3, line):
+            rows.append((lineno, *row))
+    except FormatError as exc:
+        fault = exc
+    return [list(c) for c in zip(*rows)] or [[], [], [], []], reader.line_num, fault
+
+
+def _raise_first_fault(path, lines, times, raws):
+    """Raise the FormatError of the first row whose timestamp or pressure does not parse."""
+    for lineno, text, raw in zip(lines, times, raws):
+        try:
+            _micros(text)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad timestamp {text.strip()!r}") from exc
+        try:
+            _pressure(raw)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad pressure {raw.strip()!r}") from exc
+
+
+def _append(path, columns, rows, index):
+    """Parse a block's columns and append each requested row to `rows`.
+
+    `rows` holds the lane, time and value arrays; `index` maps a requested
+    station id to its lane. Rows of other stations are never parsed. Each
+    distinct timestamp field is parsed once. A row that does not parse
+    raises for the first such row in file order.
+    """
+    lines, times, sids, raws = columns
+    slots = {sid: index.get(sid.strip(), -1) for sid in set(sids)}  # -1: not requested
+    picks = np.fromiter(map(slots.__getitem__, sids), dtype=rows[0].typecode, count=len(sids))
+    if (picks < 0).any():
+        keep = picks >= 0
+        kept = keep.tolist()
+        picks = picks[keep]
+        lines, times, raws = (list(compress(c, kept)) for c in (lines, times, raws))
+    try:
+        instants = dict.fromkeys(times)
+        for text in instants:
+            instants[text] = _micros(text)
+        micros = np.fromiter(map(instants.__getitem__, times), dtype=np.int64, count=len(times))
+        try:
+            values = np.fromiter(map(float, raws), dtype=float, count=len(raws))
+        except ValueError:  # blank fields, or a bad one
+            values = np.fromiter(map(_pressure, raws), dtype=float, count=len(raws))
+    except ValueError:
+        _raise_first_fault(path, lines, times, raws)
+        raise  # not reached: some row above failed
+    for column, parsed in zip(rows, (picks, micros, values)):
+        column.frombytes(parsed.tobytes())
+
+
+def _read_rows(path, index):
+    """The lane, time and value arrays of the requested rows, in file order.
+
+    `index` maps each requested station id to its lane; a time is in
+    microseconds since the epoch and a blank value is NaN. The file is read
+    in blocks of whole lines (`_blocks`); each is tokenized (`_tokens`) and
+    its columns parsed (`_append`) before the next is read.
+    """
+    rows = (array("h" if len(index) < 2**15 else "i"), array("q"), array("d"))
+    try:
+        with open(path, "rb") as fh:
+            blocks = _blocks(fh)
+            first = io.StringIO(next(blocks, b"").decode("utf-8"), newline="")
+            reader = csv.reader(first)
+            _header(reader, path, _OBSERVATION_HEADER)
+            line = reader.line_num
+            for block in chain([first.read().encode("utf-8")], blocks):
+                columns, n_lines, fault = _tokens(block, path, line)
+                _append(path, columns, rows, index)
+                if fault is not None:
+                    raise fault
+                line += n_lines
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return rows
 
 
 def load_observations(path, stations) -> list:
@@ -159,36 +317,29 @@ def load_observations(path, stations) -> list:
     Rows may come in any order; each station's rows are sorted by time. The
     step is the smallest interval between a station's timestamps and every
     interval must be a whole multiple of it: a blank pressure field or an
-    omitted row is a missing value (NaN). One csv pass keeps two compact
-    arrays per requested station and parses each distinct timestamp once.
+    omitted row is a missing value (NaN).
+
+    The file is read in blocks of whole lines (`BLOCK_BYTES` at a time).
+    A plain block is split into three column lists and csv.reader
+    tokenizes any other (`_tokens`); either way the columns are parsed
+    together, each distinct timestamp of a block once, into three compact
+    arrays (station, time, value) that one stable sort by station splits
+    at the end. Nothing parsed outlives its block, and every error names
+    the first faulty row in file order.
     """
     by_id = {s.id: s for s in stations}
-    columns = {sid: (array("q"), array("d")) for sid in by_id}  # times, values
-    lanes = {}  # station field as written -> its columns, or None when not requested
-    instants = {}  # timestamp field as written -> microseconds since the epoch
-    for lineno, (text, sid, raw) in _rows(path, ["timestamp", "station_id", "pressure_kPa"]):
-        try:
-            lane = lanes[sid]
-        except KeyError:
-            lane = lanes[sid] = columns.get(sid.strip())
-        if lane is None:
-            continue  # rows for stations outside the requested set
-        micros = instants.get(text)
-        if micros is None:
-            ts = _parse_time(text.strip(), path, lineno)
-            micros = instants[text] = (ts - _EPOCH) // _MICROSECOND
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            if raw.strip():
-                raise FormatError(f"{path}:{lineno}: bad pressure {raw.strip()!r}") from exc
-            value = math.nan
-        lane[0].append(micros)
-        lane[1].append(value)
+    lanes, times, values = _read_rows(path, {sid: k for k, sid in enumerate(by_id)})
+    lane = np.frombuffer(lanes, dtype=lanes.typecode)
+    order = np.argsort(lane, kind="stable")  # file order within each station
+    ends = np.cumsum(np.bincount(lane, minlength=len(by_id))).tolist()
+    del lane, lanes
+    times = np.frombuffer(times, dtype=np.int64)[order]  # frees each column once sorted
+    values = np.frombuffer(values, dtype=float)[order]
+    del order
     return [
-        _station_series(path, by_id[sid], times, values)
-        for sid, (times, values) in columns.items()
-        if times
+        _station_series(path, station, times[start:end], values[start:end])
+        for station, start, end in zip(by_id.values(), [0, *ends], ends)
+        if end > start
     ]
 
 

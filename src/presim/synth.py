@@ -7,6 +7,7 @@ an exact reference.
 """
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -145,6 +146,13 @@ def generate(model: SpectralModel, params: SpectralParams, stations: list,
     )
 
 
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it inside a row: quoted where it must be."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def write_dataset(truth: SyntheticTruth, out_dir, start=DEFAULT_START,
                   step_seconds: float = 300.0):
     """Write station CSV, observation CSV, and the truth manifest."""
@@ -157,15 +165,17 @@ def write_dataset(truth: SyntheticTruth, out_dir, start=DEFAULT_START,
         for s in truth.stations:
             w.writerow([s.id, f"{s.latitude:.6f}", f"{s.longitude:.6f}", f"{s.elevation:.1f}"])
 
+    # the bytes csv.writer would write, one time step's rows per template
     obs_path = out / "observations.csv"
     n, n_times = truth.pressure.shape
+    rows = "".join(f"%s,{_csv_field(s.id).replace('%', '%%')},%.8f\r\n" for s in truth.stations)
+    fields = [None] * (2 * n)  # timestamp, pressure of each station in turn
     with open(obs_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", "station_id", "pressure_kPa"])
-        for t in range(n_times):
-            ts = (start + timedelta(seconds=step_seconds * t)).isoformat()
-            for i, s in enumerate(truth.stations):
-                w.writerow([ts, s.id, f"{truth.pressure[i, t]:.8f}"])
+        fh.write("timestamp,station_id,pressure_kPa\r\n")
+        for t, column in enumerate(truth.pressure.T):
+            fields[0::2] = [(start + timedelta(seconds=step_seconds * t)).isoformat()] * n
+            fields[1::2] = column.tolist()
+            fh.write(rows % tuple(fields))
 
     manifest = {
         "seed": truth.seed,

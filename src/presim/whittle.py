@@ -338,12 +338,11 @@ def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
     """Maximize the Whittle likelihood by BFGS (`_bfgs`) on the negative log-likelihood.
 
     Every objective call gives the value and the analytic score together;
-    `function_evals` and `gradient_evals` both count these calls, the one
-    at the start point included. A parameter vector the model rejects
-    reads as an infinite value, which the line search backs off from. The
-    returned Hessian is of the negative log-likelihood at the optimum:
-    central differences of the score, symmetrized. Deterministic given
-    inputs.
+    `objective_calls` counts these calls, the one at the start point
+    included. A parameter vector the model rejects reads as an infinite
+    value, which the line search backs off from. The returned Hessian is
+    of the negative log-likelihood at the optimum: central differences of
+    the score, symmetrized. Deterministic given inputs.
 
     The model is unchanged by (theta, u) -> (-theta, u + pi), so two fits
     that differ only by this mirror are one fit; compare fits through S,
@@ -368,8 +367,7 @@ def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
     convergence = {
         "status": status,
         "iterations": iterations,
-        "function_evals": calls + 1,
-        "gradient_evals": calls + 1,
+        "objective_calls": calls + 1,
         "grad_inf_norm": float(np.max(np.abs(g))),
     }
     if compute_hessian:

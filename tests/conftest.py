@@ -1,7 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import csv
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -165,7 +165,7 @@ def reference_load_observations(path, stations) -> list:
 
     by_id = {s.id: s for s in stations}
     rows = {s.id: [] for s in stations}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         expected = ["timestamp", "station_id", "pressure_kPa"]
         if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != expected:
@@ -207,3 +207,15 @@ def reference_load_observations(path, stations) -> list:
             )
         )
     return series
+
+
+def reference_write_observations(path, truth, start, step_seconds):
+    """One csv.writer row per observation: the oracle for `synth.write_dataset`."""
+    n, n_times = truth.pressure.shape
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["timestamp", "station_id", "pressure_kPa"])
+        for t in range(n_times):
+            ts = (start + timedelta(seconds=step_seconds * t)).isoformat()
+            for i, s in enumerate(truth.stations):
+                w.writerow([ts, s.id, f"{truth.pressure[i, t]:.8f}"])

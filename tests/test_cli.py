@@ -243,6 +243,32 @@ def test_evaluate_rejects_ensemble_of_another_fit(pipeline, tmp_path, capsys):
     assert not (tmp_path / "metrics.json").exists()
 
 
+def without_rows_of(out, tmp_path, sid):
+    """A config whose observation file is the pipeline's without station `sid`'s rows."""
+    shutil.copytree(out / "synthetic", tmp_path / "synthetic")
+    obs = tmp_path / "synthetic" / "observations.csv"
+    lines = obs.read_bytes().splitlines(keepends=True)
+    obs.write_bytes(b"".join(l for l in lines if f",{sid},".encode() not in l))
+    return write_config(tmp_path / "config.yaml", tmp_path), obs
+
+
+@pytest.mark.parametrize("stage, sid", [
+    ("fit", "E05"), ("simulate", "E05"), ("evaluate", "E05"), ("evaluate", "E13"),
+])
+def test_station_without_observation_rows_is_rejected(pipeline, tmp_path, capsys, stage, sid):
+    # a fitted or held-out station with no rows is named, not dropped
+    out, _ = pipeline
+    cfg, obs = without_rows_of(out, tmp_path, sid)
+    args = {"fit": [],
+            "simulate": ["--fit-report", str(out / "fit_report.json")],
+            "evaluate": ["--fit-report", str(out / "fit_report.json"),
+                         "--ensemble-dir", str(out / "ensemble")]}[stage]
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), stage, *args]) == 1
+    err = capsys.readouterr().err
+    assert f"[{stage}] error: {obs}: no observation rows for stations ['{sid}']" in err
+    assert not (tmp_path / "run").exists()
+
+
 def scipy_modules_after(*argv, imports: str = "presim.cli") -> list:
     """scipy modules loaded by a fresh process that imports `imports`
     and, given arguments, runs `presim <argv>`."""

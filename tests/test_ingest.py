@@ -1,6 +1,8 @@
 """Station/observation ingest, gap filling, block averaging, grid assembly."""
 
 import re
+import sys
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from presim import ingest
 from presim.errors import (
     AlignmentError,
     DataQualityError,
@@ -297,6 +300,157 @@ def test_load_observations_errors_match_oracle(tmp_path, bad_row, error, fragmen
     for parse in (load_observations, reference_load_observations):
         with pytest.raises(error, match=re.escape(fragment)):
             parse(p, [E01, E02])
+
+
+# -- the block reader at block boundaries, on both tokenizers -----------
+
+SMALL_BLOCK = 29  # bytes: rows, CRLF pairs and multibyte characters straddle reads
+BLOCK_SIZES = pytest.mark.parametrize(
+    "block", [SMALL_BLOCK, ingest.BLOCK_BYTES], ids=["small-blocks", "one-block"]
+)
+
+
+def assert_same_series(fast, slow):
+    assert [s.station for s in fast] == [s.station for s in slow]
+    for a, b in zip(fast, slow):
+        assert a.start_time == b.start_time
+        assert a.step_seconds == b.step_seconds
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+def crlf(data):
+    return data.replace(b"\n", b"\r\n")
+
+
+def quoted(data):
+    """Every third row's fields quoted, and a station id holding a comma,
+    a doubled quote and a newline."""
+    lines = data.split(b"\n")
+    for i in range(1, len(lines), 3):
+        if lines[i]:
+            lines[i] = b",".join(b'"' + f + b'"' for f in lines[i].split(b","))
+    lines.insert(len(lines) // 2, b'"2005-10-01T00:00:00","X,""1\n\n2",97.0')
+    return b"\n".join(lines)
+
+
+def blank_lines(data):
+    lines = data.split(b"\n")
+    for i in range(len(lines) - 1, 0, -7):
+        lines[i:i] = [b"", b""]
+    return b"\n".join(lines)
+
+
+def bare_cr(data):
+    return data.replace(b"\n", b"\r")
+
+
+def no_final_newline(data):
+    return data.rstrip(b"\n")
+
+
+def multibyte(data):
+    return data.replace(b"X01", "X\u20ac\u26031".encode())
+
+
+def header_only(data):
+    return data[: data.index(b"\n") + 1]
+
+
+@BLOCK_SIZES
+@pytest.mark.parametrize("edits", [
+    (), (crlf,), (quoted,), (quoted, crlf), (blank_lines,), (blank_lines, crlf), (bare_cr,),
+    (no_final_newline,), (multibyte,), (header_only,), (header_only, no_final_newline),
+], ids=lambda edits: "+".join(e.__name__ for e in edits) or "lf")
+def test_block_reader_matches_row_by_row_oracle(tmp_path, monkeypatch, edits, block):
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+    p = tmp_path / "obs.csv"
+    generated_observations(p, seed=3, step_minutes=1)
+    data = p.read_bytes()
+    for edit in edits:
+        data = edit(data)
+    p.write_bytes(data)
+    stations = [E02, E01]
+    fast = load_observations(p, stations)
+    assert_same_series(fast, reference_load_observations(p, stations))
+    assert [s.station for s in fast] == ([] if header_only in edits else stations)
+
+
+@BLOCK_SIZES
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_block_reader_counts_physical_lines(tmp_path, monkeypatch, block, newline):
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+    p = tmp_path / "obs.csv"
+    lines = [HEADER, "", f"{stamp(0)},E01,97.0", f'{stamp(0)},"X\n01",97.0', "",
+             f"{stamp(5)},E01,9 7.1"]
+    p.write_bytes(newline.join(lines).encode() + b"\n")
+    with pytest.raises(FormatError, match=re.escape(f"{p}:7: bad pressure '9 7.1'")):
+        load_observations(p, [E01])
+
+
+@BLOCK_SIZES
+def test_block_reader_ends_a_line_at_a_bare_cr(tmp_path, monkeypatch, block):
+    # as csv.reader does: CR CR LF is a line and a blank line
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+    p = tmp_path / "obs.csv"
+    p.write_bytes(f"{HEADER}\n{stamp(0)},E01,97.0\r\r\n{stamp(5)},E01,9 7.1\n".encode())
+    with pytest.raises(FormatError, match=re.escape(f"{p}:4: bad pressure '9 7.1'")):
+        load_observations(p, [E01])
+
+
+BAD_TIME = "2005-10-01T00:99:00,E01,97.0"
+BAD_PRESSURE = f"{stamp(10)},E01,9 7.0"
+SHORT_ROW = f"{stamp(15)},E01"
+
+
+@BLOCK_SIZES
+@pytest.mark.parametrize("first, second, message", [
+    (BAD_TIME, SHORT_ROW, "bad timestamp '2005-10-01T00:99:00'"),
+    (SHORT_ROW, BAD_TIME, "expected 3 fields, got 2"),
+    (BAD_PRESSURE, BAD_TIME, "bad pressure '9 7.0'"),
+    (BAD_TIME, BAD_PRESSURE, "bad timestamp '2005-10-01T00:99:00'"),
+])
+def test_block_reader_reports_the_first_fault_in_file_order(tmp_path, monkeypatch, block,
+                                                            first, second, message):
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+    p = tmp_path / "obs.csv"
+    write_lines(p, [f"{stamp(0)},E01,97.0", first, f"{stamp(20)},E01,97.2", second,
+                    f"{stamp(25)},E01,97.3"])
+    with pytest.raises(FormatError, match=re.escape(f"{p}:3: {message}")):
+        load_observations(p, [E01])
+
+
+@BLOCK_SIZES
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+def test_block_reader_parses_values_float_takes_only_as_text(tmp_path, monkeypatch, block,
+                                                              quote):
+    # float() reads these as str but not as bytes
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+    p = tmp_path / "obs.csv"
+    values = ["\u0661", "\u0669\u0667.\u0661", "\xa097.2\xa0", "\xa0", "97.4"]
+    write_lines(p, [f"{stamp(5 * t)},E01,{quote}{v}{quote}" for t, v in enumerate(values)])
+    (series,) = load_observations(p, [E01])
+    assert_same_series([series], reference_load_observations(p, [E01]))
+    assert np.array_equal(series.values, [1.0, 97.1, 97.2, np.nan, 97.4], equal_nan=True)
+
+
+def test_block_reader_memory_does_not_grow_with_the_file(tmp_path):
+    # the read's peak less the row arrays it returns grows by at most about
+    # one block when the file is four times longer: nothing parsed outlives
+    # its block
+    def working_peak(n_times):
+        p = tmp_path / f"obs{n_times}.csv"
+        values = 97.0 + np.random.default_rng(n_times).normal(size=(2, n_times))
+        write_obs_csv(p, ["E01", "E02"], values, step=60.0)
+        tracemalloc.start()
+        rows = ingest._read_rows(p, {"E01": 0, "E02": 1})
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(rows[0]) == 2 * n_times
+        return peak - sum(map(sys.getsizeof, rows))
+
+    working_peak(6000)  # a first call also counts what numpy loads lazily
+    # 6000 steps of two stations are about seven blocks
+    assert working_peak(24000) - working_peak(6000) <= ingest.BLOCK_BYTES
 
 
 # -- fill_missing ---------------------------------------------------------

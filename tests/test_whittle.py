@@ -517,7 +517,7 @@ def test_fit_takes_the_analytic_score(model, geometry3, monkeypatch):
     conv = fit.convergence
     assert conv["iterations"] == 5
     assert all(score for score, _ in calls)
-    assert conv["function_evals"] == conv["gradient_evals"] == len(calls) - 2 * model.n_params
+    assert conv["objective_calls"] == len(calls) - 2 * model.n_params
     assert sum(np.array_equal(x, truth.pack()) for _, x in calls) == 1
     assert len(calls) <= 3 * (conv["iterations"] + 1) + 2 * model.n_params
 
