@@ -19,36 +19,47 @@ and the eigenvectors U of L^{-1} P L^{-T}, whose eigenvalues are p; then
 g = 1 - mu p. The shift mu = tr(B'B) / tr(P) balances the two terms; it
 keeps the factorization well conditioned where B'B alone is singular or
 nearly so, as it is with about one knot per point (df near n/4 or above).
+
+A row of B has four nonzero values, so B is held as those values and the
+column of the first (a P-spline system is banded; Eilers & Marx 1996):
+B'B, B'y and B c cost O(n), and the smoother's memory is O(n + nb^2).
 """
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .splines import bspline_basis
+from .splines import bspline_bands
 
 DEGREE = 3
 
 
-def _design_and_penalty(n: int, n_knots: int):
-    x = np.arange(n, dtype=float)
-    interior = np.linspace(0, n - 1, n_knots)
-    t = np.concatenate(
-        [np.full(DEGREE, interior[0]), interior, np.full(DEGREE, interior[-1])]
-    )
-    B = bspline_basis(t, DEGREE, x)
-    nb = B.shape[1]
+def _penalty(t, interior) -> np.ndarray:
+    """Gram matrix of the second derivatives of the cubic B-splines on t.
 
-    # Gram matrix of second derivatives; exact via 3-point Gauss per span
-    # (integrand is piecewise quadratic).
-    P = np.zeros((nb, nb))
+    Exact by 3-point Gauss per knot span (the integrand is piecewise
+    quadratic). Four B-splines are nonzero on a span, so each span adds a
+    4 x 4 block. The second derivative of B_j is sum_m D[m, j - m] N_m over
+    the degree-1 B-splines N_m on t[2:-2], with the coefficients `splder`
+    differences out of the identity. Each value is summed as
+    `bspline_basis(t, 3, x, 2)` sums it and the blocks are added in span
+    order, so P equals, to the bit, the span-by-span Gram matrix of the full
+    second-derivative design.
+    """
+    g = DEGREE / (t[DEGREE + 1:-1] - t[1:-DEGREE - 1])
+    D = np.stack([g[:-1], -(g[:-1] + g[1:]), g[1:]], axis=1) * (DEGREE - 1)
+    D /= (t[DEGREE + 1:-2] - t[2:-DEGREE - 1])[:, None]
     gauss_x, gauss_w = np.polynomial.legendre.leggauss(3)
-    spans = np.unique(t)
-    mid, half = (spans[:-1] + spans[1:]) / 2.0, (spans[1:] - spans[:-1]) / 2.0
-    d2 = bspline_basis(t, DEGREE, (mid[:, None] + half[:, None] * gauss_x).ravel(), 2)
-    for i, h in enumerate(half):
-        V = d2[3 * i:3 * i + 3].T  # nb x 3
-        P += (V * gauss_w) @ V.T * h
-    return B, P
+    mid, half = (interior[:-1] + interior[1:]) / 2.0, (interior[1:] - interior[:-1]) / 2.0
+    h, m = bspline_bands(t[2:-2], 1, (mid[:, None] + half[:, None] * gauss_x).ravel())
+    V = np.zeros((len(h), DEGREE + 1))  # columns m .. m + 3 at each Gauss point
+    V[:, :-1] = D[m] * h[:, :1]
+    V[:, 1:] += D[m + 1] * h[:, 1:]
+    V = V.reshape(len(half), 3, DEGREE + 1).transpose(0, 2, 1)  # span, column, point
+    blocks = (V * gauss_w) @ V.transpose(0, 2, 1) * half[:, None, None]
+    cols = m[::3, None] + np.arange(DEGREE + 1)
+    P = np.zeros((len(t) - DEGREE - 1,) * 2)
+    np.add.at(P, (cols[:, :, None], cols[:, None, :]), blocks)
+    return P
 
 
 class DfSpline:
@@ -60,8 +71,20 @@ class DfSpline:
         self.n = n
         self.df = float(df)
         n_knots = min(n, max(int(np.ceil(4 * df)), 10))
-        self.B, self.P = _design_and_penalty(n, n_knots)
-        BtB = self.B.T @ self.B
+        interior = np.linspace(0, n - 1, n_knots)
+        t = np.concatenate(
+            [np.full(DEGREE, interior[0]), interior, np.full(DEGREE, interior[-1])]
+        )
+        # B held as its nonzero values: B[i, first[i] + a] = values[i, a]
+        self.values, self.first = bspline_bands(t, DEGREE, np.arange(n, dtype=float))
+        self.P = _penalty(t, interior)
+        nb = len(self.P)
+        BtB = np.zeros((nb, nb))
+        for d in range(DEGREE + 1):
+            band = sum(self._scatter(self.values[:, a] * self.values[:, a + d], a)
+                       for a in range(DEGREE + 1 - d))
+            r = np.arange(nb - d)
+            BtB[r, r + d] = BtB[r + d, r] = band[:nb - d]
         mu = np.trace(BtB) / np.trace(self.P)
         L = np.linalg.cholesky(BtB + mu * self.P)
         M = np.linalg.solve(L, np.linalg.solve(L, self.P).T)  # L^{-1} P L^{-T}
@@ -70,6 +93,10 @@ class DfSpline:
         self._g = 1.0 - mu * self._p
         self._W = np.linalg.solve(L.T, U)
         self._lam = self._solve_lambda()
+
+    def _scatter(self, w, a) -> np.ndarray:
+        """For each column j of B, the sum of w[i] over the rows i with first[i] + a = j."""
+        return np.bincount(self.first + a, w, len(self.P))
 
     def _trace(self, lam: float) -> float:
         return float(np.sum(self._g / (self._g + lam * self._p)))
@@ -102,5 +129,6 @@ class DfSpline:
         if y.shape != (self.n,):
             raise ConfigurationError(f"expected series of length {self.n}")
         # c = (B'B + lam P)^{-1} B'y = W diag(1 / (g + lam p)) W' B'y
-        c = self._W @ ((self._W.T @ (self.B.T @ y)) / (self._g + self._lam * self._p))
-        return self.B @ c
+        Bty = sum(self._scatter(self.values[:, a] * y, a) for a in range(DEGREE + 1))
+        c = self._W @ ((self._W.T @ Bty) / (self._g + self._lam * self._p))
+        return sum(self.values[:, a] * c[self.first + a] for a in range(DEGREE + 1))

@@ -45,6 +45,18 @@ def _de_boor(t, k, x, ell):
     return h
 
 
+def bspline_bands(t, k, x):
+    """The nonzero values of `bspline_basis(t, k, x)`, and their first column.
+
+    Row i of the design is values[i] in columns first[i] .. first[i] + k.
+    """
+    t = np.asarray(t, dtype=float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    # t[ell] <= x < t[ell + 1], with the last point in the last span
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, len(t) - k - 2)
+    return _de_boor(t, k, x, ell), ell - k
+
+
 def bspline_basis(t, k, x, nu=0) -> np.ndarray:
     """Design matrix (len(x), len(t) - k - 1) of the degree-k B-splines on t.
 
@@ -61,15 +73,13 @@ def bspline_basis(t, k, x, nu=0) -> np.ndarray:
         c = (c[1:-1 - k] - c[:-2 - k]) * k / dt[:, None]
         c = np.concatenate([c, np.zeros((k, nb))])
         t, k = t[1:-1], k - 1
-    # t[ell] <= x < t[ell + 1], with the last point in the last span
-    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, len(t) - k - 2)
-    h = _de_boor(t, k, x, ell)
+    h, first = bspline_bands(t, k, x)
     out = np.zeros((len(x), nb))
     if nu == 0:
-        out[np.arange(len(x))[:, None], ell[:, None] - k + np.arange(k + 1)] = h
+        out[np.arange(len(x))[:, None], first[:, None] + np.arange(k + 1)] = h
         return out
     for a in range(k + 1):
-        out = out + c[ell + a - k] * h[:, a:a + 1]
+        out = out + c[first + a] * h[:, a:a + 1]
     return out
 
 

@@ -513,7 +513,7 @@ def initial_params(model: SpectralModel, spec: SpectralField,
     dmin = d[jmin, kmin]
     # the coherent band without frequency 0
     J, omegas = spec.coeffs[plan.low][1:], plan.omega_low[1:]
-    band_edges = np.quantile(omegas, [0.0, 0.25, 0.5, 0.75, 1.0])
+    band_edges = _quartiles(omegas)
     centers, targets = [], []
     for lo, hi in zip(band_edges[:-1], band_edges[1:]):
         sel = (omegas >= lo) & (omegas <= hi)
@@ -539,6 +539,22 @@ def initial_params(model: SpectralModel, spec: SpectralField,
         theta_coeffs=np.zeros(model.basis_theta.dimension),
         u_angle=np.pi,
     )
+
+
+def _quartiles(x) -> np.ndarray:
+    """Minimum, quartiles and maximum of sorted x; none for empty x.
+
+    Equal to the bit to `np.quantile(x, [0, 0.25, 0.5, 0.75, 1])`: its
+    linear method, interpolated as numpy's `_lerp` does. `np.quantile`
+    itself calls `np.unique`, which imports numpy.ma.
+    """
+    if len(x) == 0:
+        return x
+    pos = (len(x) - 1) * np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    i = np.floor(pos).astype(np.intp)
+    a, b = x[i], x[np.minimum(i + 1, len(x) - 1)]
+    frac = pos - i
+    return np.where(frac >= 0.5, b - (b - a) * (1 - frac), a + (b - a) * frac)
 
 
 def _matern32_root(c: float) -> float:

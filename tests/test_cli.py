@@ -269,13 +269,13 @@ def test_station_without_observation_rows_is_rejected(pipeline, tmp_path, capsys
     assert not (tmp_path / "run").exists()
 
 
-def scipy_modules_after(*argv, imports: str = "presim.cli") -> list:
-    """scipy modules loaded by a fresh process that imports `imports`
-    and, given arguments, runs `presim <argv>`."""
+def modules_after(*argv, package: str = "scipy", imports: str = "presim.cli") -> list:
+    """`package` and its submodules as loaded by a fresh process that
+    imports `imports` and, given arguments, runs `presim <argv>`."""
     code = (
         f"import sys, {imports}\n"
         "code = presim.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print(code, *sorted(m for m in sys.modules if m.startswith('scipy')))"
+        f"print(code, *sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -288,33 +288,40 @@ def scipy_modules_after(*argv, imports: str = "presim.cli") -> list:
 
 def test_cli_import_loads_no_scipy():
     # every stage process pays for what `presim.cli` imports
-    assert scipy_modules_after() == []
-    assert scipy_modules_after(imports="presim.whittle") == []
+    assert modules_after() == []
+    assert modules_after(imports="presim.whittle") == []
 
 
 def test_fit_loads_no_scipy(pipeline, tmp_path):
     # the optimizer and the start point's root finder are numpy's
     _, cfg = pipeline
-    assert scipy_modules_after("--config", str(cfg), "--out", str(tmp_path), "fit") == []
+    assert modules_after("--config", str(cfg), "--out", str(tmp_path), "fit") == []
     assert (tmp_path / "fit_report.json").exists()
+
+
+def test_fit_loads_no_numpy_ma(pipeline, tmp_path):
+    # the smoother's knot spans and the start point's band edges need no np.unique
+    _, cfg = pipeline
+    assert modules_after("--config", str(cfg), "--out", str(tmp_path), "fit",
+                         package="numpy.ma") == []
 
 
 def test_simulate_and_evaluate_leave_scipy_unloaded(pipeline, tmp_path):
     out, cfg = pipeline
     report = str(out / "fit_report.json")
-    assert scipy_modules_after("--config", str(cfg), "--out", str(tmp_path / "sim"),
-                               "simulate", "--fit-report", report) == []
-    assert scipy_modules_after("--config", str(cfg), "--out", str(tmp_path / "eval"),
-                               "evaluate", "--fit-report", report,
-                               "--ensemble-dir", str(out / "ensemble")) == []
+    assert modules_after("--config", str(cfg), "--out", str(tmp_path / "sim"),
+                         "simulate", "--fit-report", report) == []
+    assert modules_after("--config", str(cfg), "--out", str(tmp_path / "eval"),
+                         "evaluate", "--fit-report", report,
+                         "--ensemble-dir", str(out / "ensemble")) == []
 
 
 def test_parameter_draws_load_no_optimizer(pipeline, tmp_path):
     # the parameter draws' triangular solve is numpy's
     out, _ = pipeline
     cfg = write_config(tmp_path / "vary.yaml", out, vary_params=True)
-    assert scipy_modules_after("--config", str(cfg), "--out", str(tmp_path),
-                               "simulate", "--fit-report", str(out / "fit_report.json")) == []
+    assert modules_after("--config", str(cfg), "--out", str(tmp_path),
+                         "simulate", "--fit-report", str(out / "fit_report.json")) == []
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Effective-df penalized spline smoother."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,23 +79,32 @@ def scipy_design_and_penalty(n, n_knots):
     return B, P
 
 
-@pytest.mark.parametrize("n, df", [(2880, 72.0), (8640, 12.0), (2881, 30.5), (100, 5.0)])
+def scipy_built(sm):
+    """`scipy_design_and_penalty` for the knots `DfSpline` places."""
+    return scipy_design_and_penalty(sm.n, min(sm.n, max(int(np.ceil(4 * sm.df)), 10)))
+
+
+@pytest.mark.parametrize("n, df", [(2880, 72.0), (8640, 12.0), (2881, 30.5), (100, 5.0),
+                                   (100, 30.0), (300, 72.0)])
 def test_design_and_penalty_equal_scipy_built(n, df):
+    # (100, 30) and (300, 72) have one knot per point
     sm = DfSpline(n, df)
-    B, P = scipy_design_and_penalty(n, min(n, max(int(np.ceil(4 * df)), 10)))
-    assert np.array_equal(sm.B, B)
+    B, P = scipy_built(sm)
+    dense = np.zeros_like(B)
+    dense[np.arange(n)[:, None], sm.first[:, None] + np.arange(DEGREE + 1)] = sm.values
+    assert np.array_equal(dense, B)
     assert np.array_equal(sm.P, P)
 
 
-def dense_trace(sm, lam):
+def dense_trace(B, P, lam):
     """tr((B'B + lam P)^{-1} B'B) by a dense solve: the oracle for the smoother's trace."""
-    BtB = sm.B.T @ sm.B
-    return np.trace(np.linalg.solve(BtB + lam * sm.P, BtB))
+    BtB = B.T @ B
+    return np.trace(np.linalg.solve(BtB + lam * P, BtB))
 
 
-def dense_smooth(sm, lam, y):
+def dense_smooth(B, P, lam, y):
     """B (B'B + lam P)^{-1} B'y by a dense solve: the oracle for `smooth`."""
-    return sm.B @ np.linalg.solve(sm.B.T @ sm.B + lam * sm.P, sm.B.T @ y)
+    return B @ np.linalg.solve(B.T @ B + lam * P, B.T @ y)
 
 
 @pytest.mark.parametrize("n, df", [(2879, 72.0), (600, 15.0), (300, 72.0), (100, 30.0)])
@@ -101,11 +112,12 @@ def test_trace_matches_dense_solve(n, df):
     # (300, 72) and (100, 30) have about one knot per point; at (100, 30)
     # B'B is singular
     sm = DfSpline(n, df)
+    B, P = scipy_built(sm)
     for lam in sm._lam * np.array([1e-3, 0.1, 1.0, 10.0, 1e3]):
         # both sides solve B'B + lam P: their error grows with its condition number
-        cond = np.linalg.cond(sm.B.T @ sm.B + lam * sm.P)
+        cond = np.linalg.cond(B.T @ B + lam * P)
         rel = 10 * np.finfo(float).eps * cond
-        assert sm._trace(lam) == pytest.approx(dense_trace(sm, lam), rel=rel)
+        assert sm._trace(lam) == pytest.approx(dense_trace(B, P, lam), rel=rel)
     assert abs(sm.effective_df - df) <= 0.05
 
 
@@ -114,5 +126,21 @@ def test_smooth_matches_dense_solve(n, df):
     sm = DfSpline(n, df)
     rng = np.random.default_rng(n)
     y = np.log(np.abs(rng.standard_normal(n)) + 0.1) + np.sin(np.arange(n) / 40.0)
-    want = dense_smooth(sm, sm._lam, y)
+    want = dense_smooth(*scipy_built(sm), sm._lam, y)
     assert np.max(np.abs(sm.smooth(y) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_peak_memory_holds_no_dense_design():
+    # the design is held as its four nonzero values per row: no n x nb array
+    def peak(n):
+        tracemalloc.start()
+        try:
+            DfSpline(n, 72.0).smooth(np.zeros(n))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    DfSpline(100, 5.0)  # lazy imports (numpy.polynomial) outside the measurement
+    big, small = peak(8640), peak(2880)
+    assert big <= 6e6
+    assert abs(big - small) <= 1e6

@@ -22,7 +22,7 @@ from presim.whittle import (
     numeric_gradient,
     sample_params,
 )
-from presim.whittle import _bfgs, _cholesky, _matern32_root, _substitute
+from presim.whittle import _bfgs, _cholesky, _matern32_root, _quartiles, _substitute
 
 from conftest import numeric_hessian, random_params, reference_loglik, unconditional_sampler
 
@@ -645,6 +645,26 @@ def test_matern32_root_inverts_matern32():
         assert abs(r - brentq(lambda x: matern32(x) - c, 1e-9, 50.0, xtol=1e-14)) <= 1e-12 * r
     for c in (floor, 0.99 * floor, 1e-300, 0.0):
         assert _matern32_root(c) == 50.0
+
+
+def test_quartiles_equal_numpy_quantile():
+    rng = np.random.default_rng(0)
+    for m in range(1, 200):
+        x = np.sort(rng.standard_normal(m))
+        assert np.array_equal(_quartiles(x), np.quantile(x, [0.0, 0.25, 0.5, 0.75, 1.0]))
+    for T in range(50, 5000, 7):
+        x = FrequencyPlan(T, KnotSet.default().omega0).omega_low[1:]
+        assert np.array_equal(_quartiles(x), np.quantile(x, [0.0, 0.25, 0.5, 0.75, 1.0]))
+    assert len(_quartiles(np.array([]))) == 0
+
+
+def test_initial_params_with_frequency_zero_alone_in_the_coherent_band(geometry3):
+    # 2 pi / T lies above the cutoff, so no coherence fixes delta's start
+    model = SpectralModel(KnotSet.default(omega0_j=50))
+    spec = forward_dft(np.random.default_rng(0).standard_normal((3, 100)))
+    assert FrequencyPlan(100, model.knots.omega0).omega_low.tolist() == [0.0]
+    start = initial_params(model, spec, geometry3)
+    assert np.array_equal(start.delta_coeffs, np.zeros(model.basis_delta.dimension))
 
 
 def test_fit_rejects_nonfinite_start(model, geometry3):
