@@ -21,7 +21,7 @@ from .config import RunConfig
 from .errors import FormatError, PresimError, ValidationError
 from .geometry import SiteGeometry
 from .ingest import assemble_grid, block_average, fill_missing, load_observations, load_stations
-from .preprocess import TransformStack, apply_stack, difference, fit_stack, to_sea_level
+from .preprocess import TransformStack, apply_stack, fit_stack, to_sea_level
 from .spectrum import SpectralModel
 from .whittle import FitOptions, FitResult, fit_mle, forward_dft, initial_params
 

@@ -157,7 +157,7 @@ class ConditionalSampler:
         cond = 0.5 * (cond + _mT(cond))
         # D_p L D_p* is lower triangular with L's diagonal: the Cholesky
         # factor of the complex conditional covariance D_p cond D_p*
-        self.chols = D_p[:, :, None] * _psd_factor(scale * cond) * np.conj(D_p)[:, None, :]
+        self.chols = D_p[:, :, None] * psd_factor(scale * cond) * np.conj(D_p)[:, None, :]
 
         # diagonal block: unconditional marginal SDs per frequency
         self.sd_high = np.sqrt(scale * np.exp(frame.design_S_high @ params.s_coeffs))
@@ -200,17 +200,19 @@ def _mT(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _psd_factor(mats: np.ndarray) -> np.ndarray:
-    """Cholesky-like factors of a stack of symmetric PSD matrices.
+def psd_factor(mats: np.ndarray) -> np.ndarray:
+    """Cholesky-like factors of a symmetric PSD matrix or a stack of them.
 
     Tolerant of zero eigenvalues: when the stacked Cholesky fails, each
-    matrix is factored on its own, by eigh where Cholesky fails.
+    matrix is factored on its own, by eigh where Cholesky fails. The
+    sampler factors its conditional covariances with it, and `meanfield`
+    its kriging covariance.
     """
     try:
         return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
         if mats.ndim > 2:
-            return np.stack([_psd_factor(mat) for mat in mats])
+            return np.stack([psd_factor(mat) for mat in mats])
         vals, vecs = np.linalg.eigh(mats)
         return vecs * np.sqrt(np.maximum(vals, 0.0))[None, :]
 

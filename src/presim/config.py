@@ -3,7 +3,6 @@
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .errors import ConfigurationError
@@ -31,6 +30,15 @@ class RunConfig:
     fit_max_iter: int = 500
     fit_gtol: float = 1e-3
 
+    def __post_init__(self):
+        # block 0 or below would run as block 1, a negative target_len
+        # would drop series ends, and ensemble_count 0 or below would write
+        # an empty ensemble or fail inside `simulate`
+        for name in ("block", "target_len", "ensemble_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigurationError(f"{name} must be a positive integer; got {value!r}")
+
     def knots(self) -> KnotSet:
         if not self.knot_j:
             return KnotSet.default(self.omega0_j)
@@ -53,7 +61,3 @@ class RunConfig:
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
-
-    def to_yaml(self) -> str:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        return yaml.safe_dump(d, sort_keys=True)

@@ -82,10 +82,6 @@ class SiteGeometry:
     def n_sites(self) -> int:
         return len(self.lats)
 
-    def subset(self, idx) -> "SiteGeometry":
-        idx = np.asarray(idx)
-        return SiteGeometry(self.lats[idx], self.lons[idx])
-
 
 def combine(a: SiteGeometry, b: SiteGeometry) -> SiteGeometry:
     """Geometry over the concatenation of two site sets (a first)."""

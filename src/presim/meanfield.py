@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .condsim import psd_factor
 from .errors import GeometryError, ValidationError
 from .geometry import SiteGeometry, distance_matrix
 from .preprocess import SeaLevelModel
@@ -41,17 +42,6 @@ class MeanFieldModel:
             "lats": self.geometry.lats.tolist(),
             "lons": self.geometry.lons.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MeanFieldModel":
-        return cls(
-            variogram=d["variogram"],
-            theta_hat=float(d["theta_hat"]),
-            reml_loglik=float(d["reml_loglik"]),
-            n_fit=int(d["n_fit"]),
-            values=np.array(d["values"], dtype=float),
-            geometry=SiteGeometry(np.array(d["lats"]), np.array(d["lons"])),
-        )
 
 
 def _variogram_matrix(kind: str, d: np.ndarray) -> np.ndarray:
@@ -162,15 +152,8 @@ def krige(model: MeanFieldModel, targets: SiteGeometry):
 
     # Cov(e_i, e_j) with e = Z(target) - lam' Z, coefficients summing to 0:
     # -sum a b gamma over the joint configuration.
-    cov = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            cov[i, j] = (
-                -G_tt[i, j]
-                + lam[:, j] @ G_ot[:, i]
-                + lam[:, i] @ G_ot[:, j]
-                - lam[:, i] @ G_oo @ lam[:, j]
-            )
+    X = G_ot.T @ lam  # X[i, j] = lam[:, j] . G_ot[:, i]
+    cov = -G_tt + X + X.T - lam.T @ G_oo @ lam
     cov = 0.5 * (cov + cov.T)
     # numerical floor: tiny negative eigenvalues from the solve
     vals, vecs = np.linalg.eigh(cov)
@@ -201,7 +184,7 @@ def sample_means(model: MeanFieldModel, targets: SiteGeometry,
     if len(elev) != m:
         raise ValidationError("target elevations do not match target count")
     df = model.n_fit - 1
-    L = _safe_cholesky(cov)
+    L = psd_factor(cov)
     factor = np.exp(-elev / sea_level.scale_height)
     out = np.empty((count, m))
     for k in range(count):
@@ -211,14 +194,6 @@ def sample_means(model: MeanFieldModel, targets: SiteGeometry,
         draw = pred + (L @ z) / np.sqrt(g)
         out[k] = draw * factor
     return out
-
-
-def _safe_cholesky(cov: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(cov)
-        return vecs * np.sqrt(np.maximum(vals, 0.0))[None, :]
 
 
 def meanfield_to_dict(chosen: MeanFieldModel, fits: dict) -> dict:

@@ -8,8 +8,7 @@ be inverted exactly, which is how simulated fields become pressure series
 again.
 """
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,13 +153,6 @@ class TransformStack:
             station_ids=list(d["station_ids"]),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TransformStack":
-        return cls.from_dict(json.loads(text))
-
 
 # -- individual transforms ----------------------------------------------
 
@@ -189,10 +181,6 @@ def fit_sea_level(site_means, elevations) -> SeaLevelModel:
 
 def to_sea_level(values, elevation, model: SeaLevelModel):
     return np.asarray(values, dtype=float) * np.exp(elevation / model.scale_height)
-
-
-def from_sea_level(values, elevation, model: SeaLevelModel):
-    return np.asarray(values, dtype=float) * np.exp(-elevation / model.scale_height)
 
 
 def difference(values) -> np.ndarray:

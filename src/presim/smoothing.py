@@ -23,6 +23,8 @@ nearly so, as it is with about one knot per point (df near n/4 or above).
 A row of B has four nonzero values, so B is held as those values and the
 column of the first (a P-spline system is banded; Eilers & Marx 1996):
 B'B, B'y and B c cost O(n), and the smoother's memory is O(n + nb^2).
+The second derivatives in P are the bands of the same function,
+`splines.bspline_bands` with nu = 2, at the Gauss points of each span.
 """
 
 import numpy as np
@@ -38,25 +40,17 @@ def _penalty(t, interior) -> np.ndarray:
 
     Exact by 3-point Gauss per knot span (the integrand is piecewise
     quadratic). Four B-splines are nonzero on a span, so each span adds a
-    4 x 4 block. The second derivative of B_j is sum_m D[m, j - m] N_m over
-    the degree-1 B-splines N_m on t[2:-2], with the coefficients `splder`
-    differences out of the identity. Each value is summed as
-    `bspline_basis(t, 3, x, 2)` sums it and the blocks are added in span
-    order, so P equals, to the bit, the span-by-span Gram matrix of the full
-    second-derivative design.
+    4 x 4 block of the second-derivative bands `bspline_bands(t, 3, x, 2)`
+    at its Gauss points. The blocks are added in span order, so P equals,
+    to the bit, the span-by-span Gram matrix of the full second-derivative
+    design.
     """
-    g = DEGREE / (t[DEGREE + 1:-1] - t[1:-DEGREE - 1])
-    D = np.stack([g[:-1], -(g[:-1] + g[1:]), g[1:]], axis=1) * (DEGREE - 1)
-    D /= (t[DEGREE + 1:-2] - t[2:-DEGREE - 1])[:, None]
     gauss_x, gauss_w = np.polynomial.legendre.leggauss(3)
     mid, half = (interior[:-1] + interior[1:]) / 2.0, (interior[1:] - interior[:-1]) / 2.0
-    h, m = bspline_bands(t[2:-2], 1, (mid[:, None] + half[:, None] * gauss_x).ravel())
-    V = np.zeros((len(h), DEGREE + 1))  # columns m .. m + 3 at each Gauss point
-    V[:, :-1] = D[m] * h[:, :1]
-    V[:, 1:] += D[m + 1] * h[:, 1:]
+    V, first = bspline_bands(t, DEGREE, (mid[:, None] + half[:, None] * gauss_x).ravel(), 2)
     V = V.reshape(len(half), 3, DEGREE + 1).transpose(0, 2, 1)  # span, column, point
     blocks = (V * gauss_w) @ V.transpose(0, 2, 1) * half[:, None, None]
-    cols = m[::3, None] + np.arange(DEGREE + 1)
+    cols = first[::3, None] + np.arange(DEGREE + 1)
     P = np.zeros((len(t) - DEGREE - 1,) * 2)
     np.add.at(P, (cols[:, :, None], cols[:, None, :]), blocks)
     return P

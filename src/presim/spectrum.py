@@ -23,7 +23,7 @@ S is exp(spline) to guarantee positivity; all shape constraints live in
 the constrained spline bases, so the parameter space is unconstrained.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -235,29 +235,15 @@ class SpectralModel:
             u_angle=vec[i],
         )
 
-    def zero_params(self) -> SpectralParams:
-        d = self.dimensions
-        return SpectralParams(
-            np.zeros(d["s"]), np.zeros(d["beta"]), np.zeros(d["delta"]),
-            np.zeros(d["theta"]), 0.0,
-        )
-
     # -- scalar spectral functions -------------------------------------
 
     def eval_S(self, params: SpectralParams, omega):
         """Marginal spectrum S(w) = exp(spline(|w|)); strictly positive."""
         return np.exp(self.basis_S.evaluate(params.s_coeffs, omega))
 
-    def eval_beta(self, params: SpectralParams, omega):
-        return self.basis_beta.evaluate(params.beta_coeffs, omega)
-
     def eval_delta(self, params: SpectralParams, omega):
         """Inverse coherence range; exactly 0 beyond the cutoff."""
         return self.basis_delta.evaluate(params.delta_coeffs, omega)
-
-    def eval_theta(self, params: SpectralParams, omega):
-        """Odd phase slope (radians/km); exactly 0 beyond the cutoff."""
-        return self.basis_theta.evaluate(params.theta_coeffs, omega)
 
     def _coherent_share(self, beta, omega):
         """S1 / S = logistic(beta), and 0 beyond the cutoff."""
@@ -307,9 +293,3 @@ class SpectralModel:
         D.real, D.imag = np.cos(phase), np.sin(phase)
         return CrossSpectrumTerms(S=S, sig=sig, delta=delta, theta=theta,
                                   r=r, C=C, R=R, D=D)
-
-    def cross_spectrum_stack(self, params: SpectralParams, geometry: SiteGeometry,
-                             omegas) -> np.ndarray:
-        """Stack of n x n Hermitian cross-spectral matrices f = D R D*, one per frequency."""
-        t = self.cross_spectrum_terms(params, geometry, omegas)
-        return t.D[:, :, None] * t.R * np.conj(t.D)[:, None, :]

@@ -13,9 +13,13 @@ full clamped B-spline basis; its dimension is reported by the evaluator.
 
 The B-spline values and the null space are computed here with numpy, in
 scipy's order of operations (`BSpline`, `splder`, `scipy.linalg.null_space`),
-so they equal scipy's bit for bit. Every CLI stage builds these bases, and
-importing `scipy.interpolate` for them cost each stage process about 0.4 s.
-No stage loads scipy now.
+so they equal scipy's bit for bit. Values and derivatives have one home,
+`bspline_bands`: the k+1 nonzero values of each row of the nu-th
+derivative design. `bspline_basis` scatters them into a dense design for
+the constrained bases, and the volatility smoother (`smoothing`) uses them
+as they are. Every CLI stage builds these bases, and importing
+`scipy.interpolate` for them cost each stage process about 0.4 s. No stage
+loads scipy now.
 """
 
 import numpy as np
@@ -45,41 +49,43 @@ def _de_boor(t, k, x, ell):
     return h
 
 
-def bspline_bands(t, k, x):
-    """The nonzero values of `bspline_basis(t, k, x)`, and their first column.
+def bspline_bands(t, k, x, nu=0):
+    """The nonzero values of `bspline_basis(t, k, x, nu)`, and their first column.
 
     Row i of the design is values[i] in columns first[i] .. first[i] + k.
+    The nu-th derivative differences the identity coefficients as `splder`
+    does, kept as a band: c[j, b] is the weight of the j-th B-spline of
+    degree k - nu in the nu-th derivative of B_{j+b}. Each value sums the
+    lower-degree values in order, as `BSpline.derivative(nu)(x)` does.
     """
     t = np.asarray(t, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    c = np.ones((len(t) - k - 1, 1))
+    for _ in range(nu):
+        # row j of the derivative: (c[j + 1] - c[j]) k / (t[j + k + 1] - t[j + 1])
+        d = np.zeros((len(c) - 1, c.shape[1] + 1))
+        d[:, 1:] = c[1:]
+        d[:, :-1] -= c[:-1]
+        c = d * k / (t[k + 1:-1] - t[1:-k - 1])[:, None]
+        t, k = t[1:-1], k - 1
     # t[ell] <= x < t[ell + 1], with the last point in the last span
     ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, len(t) - k - 2)
-    return _de_boor(t, k, x, ell), ell - k
+    h, first = _de_boor(t, k, x, ell), ell - k
+    values = np.zeros((len(x), k + nu + 1))
+    for a in range(k + 1):
+        values[:, a:a + nu + 1] += c[first + a] * h[:, a:a + 1]
+    return values, first
 
 
 def bspline_basis(t, k, x, nu=0) -> np.ndarray:
     """Design matrix (len(x), len(t) - k - 1) of the degree-k B-splines on t.
 
-    Column i is the nu-th derivative of B_i at x, for x in [t[k], t[-k-1]].
-    Derivatives difference the identity coefficients as `splder` does and
-    sum the lower-degree values in order, as `BSpline.derivative(nu)(x)`.
+    Column i is the nu-th derivative of B_i at x, for x in [t[k], t[-k-1]]:
+    the bands of `bspline_bands` scattered into their columns.
     """
-    t = np.asarray(t, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    nb = len(t) - k - 1
-    c = np.eye(len(t), nb)  # coefficients padded to the knot count
-    for _ in range(nu):
-        dt = t[k + 1:-1] - t[1:-k - 1]
-        c = (c[1:-1 - k] - c[:-2 - k]) * k / dt[:, None]
-        c = np.concatenate([c, np.zeros((k, nb))])
-        t, k = t[1:-1], k - 1
-    h, first = bspline_bands(t, k, x)
-    out = np.zeros((len(x), nb))
-    if nu == 0:
-        out[np.arange(len(x))[:, None], first[:, None] + np.arange(k + 1)] = h
-        return out
-    for a in range(k + 1):
-        out = out + c[first + a] * h[:, a:a + 1]
+    values, first = bspline_bands(t, k, x, nu)
+    out = np.zeros((len(values), len(t) - k - 1))
+    out[np.arange(len(values))[:, None], first[:, None] + np.arange(k + 1)] = values
     return out
 
 

@@ -327,10 +327,6 @@ class FitResult:
             hessian_min_eig=float(d.get("hessian_min_eig", float("nan"))),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "FitResult":
-        return cls.from_dict(json.loads(text))
-
 
 def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
             geometry: SiteGeometry, options: FitOptions | None = None,

@@ -38,9 +38,19 @@ def rand_params():
     return random_params
 
 
+def cross_spectrum_stack(model, params, geometry, omegas) -> np.ndarray:
+    """Stack of n x n Hermitian cross-spectral matrices f = D R D*, one per frequency.
+
+    The complex f that the likelihood and the sampler never form: the
+    oracle for their real-R algebra.
+    """
+    t = model.cross_spectrum_terms(params, geometry, omegas)
+    return t.D[:, :, None] * t.R * np.conj(t.D)[:, None, :]
+
+
 def cross_spectrum(model, params, geometry, omega) -> np.ndarray:
     """Single-frequency n x n cross-spectral matrix: one row of the stack."""
-    return model.cross_spectrum_stack(params, geometry, [omega])[0]
+    return cross_spectrum_stack(model, params, geometry, [omega])[0]
 
 
 def coherence(model, params, geometry, omega, j, k) -> complex:
@@ -82,7 +92,7 @@ def reference_loglik(obj, params):
     model, geo, plan, n = obj.model, obj.geometry, obj.plan, obj.n
     scale = TWO_PI * obj.T
     t = model.cross_spectrum_terms(params, geo, plan.omega_low)
-    f = model.cross_spectrum_stack(params, geo, plan.omega_low)
+    f = cross_spectrum_stack(model, params, geo, plan.omega_low)
     J = obj.spec.coeffs[plan.low]
     L = np.linalg.cholesky(f)
     logdet = 2.0 * np.sum(np.log(np.einsum("kii->ki", L).real), axis=1)

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -300,10 +301,17 @@ def test_fit_loads_no_scipy(pipeline, tmp_path):
 
 
 def test_fit_loads_no_numpy_ma(pipeline, tmp_path):
-    # the smoother's knot spans and the start point's band edges need no np.unique
-    _, cfg = pipeline
-    assert modules_after("--config", str(cfg), "--out", str(tmp_path), "fit",
+    # the smoother's knot spans and the start point's band edges need no
+    # np.unique, and neither do the later stages
+    out, cfg = pipeline
+    report = str(out / "fit_report.json")
+    assert modules_after("--config", str(cfg), "--out", str(tmp_path / "fit"), "fit",
                          package="numpy.ma") == []
+    assert modules_after("--config", str(cfg), "--out", str(tmp_path / "sim"),
+                         "simulate", "--fit-report", report, package="numpy.ma") == []
+    assert modules_after("--config", str(cfg), "--out", str(tmp_path / "eval"),
+                         "evaluate", "--fit-report", report,
+                         "--ensemble-dir", str(out / "ensemble"), package="numpy.ma") == []
 
 
 def test_simulate_and_evaluate_leave_scipy_unloaded(pipeline, tmp_path):
@@ -329,6 +337,27 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg.write_text(yaml.safe_dump({"target_len": 100, "banana": 3}))
     assert main(["--config", str(cfg), "synth"]) == 1
     assert "banana" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,stage", [
+    ("block", 0, "fit"),
+    ("block", -2, "fit"),
+    ("target_len", -5, "fit"),
+    ("ensemble_count", 0, "simulate"),
+    ("ensemble_count", -1, "simulate"),
+])
+def test_nonpositive_count_rejected(pipeline, tmp_path, capsys, key, value, stage):
+    # block <= 0 ran as block 1; target_len -5 fitted all but the last four
+    # steps; ensemble_count 0 wrote an empty ensemble, and -1 failed inside
+    # `simulate` with a bare ValueError
+    out, _ = pipeline
+    cfg = write_config(tmp_path / "bad.yaml", out, **{key: value})
+    args = ["--fit-report", str(out / "fit_report.json")] if stage == "simulate" else []
+    assert main(["--config", str(cfg), "--out", str(tmp_path), stage, *args]) == 1
+    err = capsys.readouterr().err
+    assert f"[{stage}] error: {key} must be a positive integer; got {value}" in err
+    assert not (tmp_path / "fit_report.json").exists()
+    assert not (tmp_path / "ensemble").exists()
 
 
 def test_missing_seed_rejected(pipeline, tmp_path, capsys):
@@ -379,7 +408,7 @@ def test_missing_input_file_exits_nonzero(tmp_path, capsys):
 def test_run_config_round_trip(tmp_path):
     cfg = RunConfig(seed=5, held_out_ids=["A"], block=2)
     path = tmp_path / "c.yaml"
-    path.write_text(cfg.to_yaml())
+    path.write_text(yaml.safe_dump(asdict(cfg)))
     loaded = RunConfig.from_yaml(path)
     assert loaded == cfg
 

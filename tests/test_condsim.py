@@ -32,7 +32,7 @@ from presim.whittle import (
     sample_params,
 )
 
-from conftest import random_params, reference_low_band, unconditional_sampler
+from conftest import cross_spectrum_stack, random_params, reference_low_band, unconditional_sampler
 
 
 def fit_const(model, values, basis):
@@ -82,7 +82,7 @@ def check_dense_schur_law(model, params, setup, field, sampler):
     conditional covariances.
     """
     n, T = setup.n_observed, field.n_times
-    f = model.cross_spectrum_stack(params, setup.combined, sampler.plan.omega_low)
+    f = cross_spectrum_stack(model, params, setup.combined, sampler.plan.omega_low)
     conds = []
     for k in range(len(f)):  # row k is frequency index k
         foo, fpo, fpp = f[k, :n, :n], f[k, n:, :n], f[k, n:, n:]
@@ -209,7 +209,7 @@ def test_unconditional_periodogram_matches_spectrum(model, geometry3):
     sampler = unconditional_sampler(model, params, geometry3, T)
     assert sampler.setup.n_observed == 0
     assert np.all(sampler.means == 0)
-    f = model.cross_spectrum_stack(params, geometry3, sampler.plan.omega_low)
+    f = cross_spectrum_stack(model, params, geometry3, sampler.plan.omega_low)
     chols = sampler.chols
     assert np.allclose(chols @ np.conj(np.swapaxes(chols, 1, 2)), TWO_PI * T * f,
                        rtol=1e-10, atol=0)

@@ -103,12 +103,10 @@ def test_site_geometry_warns_on_large_domain():
         SiteGeometry(lats, lons)
 
 
-def test_site_geometry_subset_and_combine():
+def test_site_geometry_combine():
     g = SiteGeometry(np.array([36.0, 36.5, 37.0]), np.array([-97.0, -96.5, -97.5]))
-    sub = g.subset([0, 2])
-    assert sub.n_sites == 2
-    assert sub.distances[0, 1] == pytest.approx(g.distances[0, 2], abs=1e-12)
-    both = combine(sub, g.subset([1]))
+    sub = SiteGeometry(g.lats[[0, 2]], g.lons[[0, 2]])
+    both = combine(sub, SiteGeometry(g.lats[[1]], g.lons[[1]]))
     assert both.n_sites == 3
     assert both.distances[0, 2] == pytest.approx(g.distances[0, 1], abs=1e-12)
 

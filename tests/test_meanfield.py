@@ -109,7 +109,7 @@ def test_nugget_krige_predictor_permutation_invariant():
     M = 101.0 + 0.05 * rng.standard_normal(7)
     perm = rng.permutation(7)
     m1 = reml_fit(M, geo, "nugget")
-    m2 = reml_fit(M[perm], geo.subset(perm), "nugget")
+    m2 = reml_fit(M[perm], SiteGeometry(geo.lats[perm], geo.lons[perm]), "nugget")
     t = random_geometry(1, 11)
     assert krige(m1, t)[0][0] == pytest.approx(krige(m2, t)[0][0], abs=1e-12)
 
@@ -119,7 +119,7 @@ def test_linear_krige_interpolates_at_stations():
     geo = random_geometry(6, 13)
     M = 101.0 + 0.05 * rng.standard_normal(6)
     model = reml_fit(M, geo, "linear")
-    targets = geo.subset([2])
+    targets = SiteGeometry(geo.lats[[2]], geo.lons[[2]])
     pred, cov = krige(model, targets)
     assert pred[0] == pytest.approx(M[2], abs=1e-8)
     assert abs(cov[0, 0]) < 1e-8
@@ -190,7 +190,7 @@ def test_sample_means_degenerate_covariance_returns_predictor():
     geo = random_geometry(6, 25)
     M = 101.0 + 0.05 * rng.standard_normal(6)
     model = reml_fit(M, geo, "linear")
-    t = geo.subset([3])  # coincident: kriging variance 0
+    t = SiteGeometry(geo.lats[[3]], geo.lons[[3]])  # coincident: kriging variance 0
     draws = sample_means(model, t, [0.0], SEA, count=10, seed=26)
     assert np.allclose(draws, M[3], atol=1e-7)
 

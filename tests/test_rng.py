@@ -52,7 +52,7 @@ def test_substream_keys_are_pairwise_distinct(model, geometry3, monkeypatch):
     params = random_params(model, np.random.default_rng(50), scale=0.3)
     uncond = unconditional_sampler(model, params, geometry3, T)
     setup = condsim.PredictionSetup(
-        observed=geometry3.subset([0, 1]), target_lats=geometry3.lats[2:],
+        observed=SiteGeometry(geometry3.lats[:2], geometry3.lons[:2]), target_lats=geometry3.lats[2:],
         target_lons=geometry3.lons[2:], target_elevations=[300.0],
     )
     cond = condsim.ConditionalSampler(model, params, setup, SpectralField(np.zeros((T // 2 + 1, 2)), n_times=T))

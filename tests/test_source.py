@@ -1,0 +1,57 @@
+"""Every function and method in `presim` has a caller outside the tests.
+
+A caller is a name or attribute reference in src/, scripts/ or perfbench/
+(not perfbench's own tests, and not a string such as the names the
+benchmark's tracer wraps). Names are matched, not bindings: a method
+shares the references of every function of its name.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "presim"
+CALLER_DIRS = ("src", "scripts", "perfbench")
+
+# name -> why it stays without a reference in src/, scripts/ or perfbench/
+ALLOWED = {}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_every_function_has_a_caller_outside_the_tests():
+    defs = {}  # name -> [(file, first line, last line)]
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(node.name, []).append((path, node.lineno, node.end_lineno))
+
+    referenced = set()
+    for d in CALLER_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            if path.name.startswith("test_"):  # perfbench's own tests are not callers
+                continue
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                # a use inside a def of the same name (recursion) is not a caller
+                if name in defs and not any(
+                    path == f and lo <= node.lineno <= hi for f, lo, hi in defs[name]
+                ):
+                    referenced.add(name)
+
+    unused = sorted(
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for name, places in defs.items()
+        if name not in referenced and name not in ALLOWED
+        and not (name.startswith("__") and name.endswith("__"))
+        for path, line, _ in places
+    )
+    assert not unused, "no caller in src/, scripts/ or perfbench/:\n" + "\n".join(unused)
+    assert set(ALLOWED) <= set(defs), "allowlisted names that no longer exist"

@@ -6,7 +6,7 @@ import scipy.linalg
 from scipy.interpolate import BSpline
 
 from presim.spectrum import KnotSet
-from presim.splines import DEGREE, ConstrainedBasis, bspline_basis, null_space
+from presim.splines import DEGREE, ConstrainedBasis, bspline_bands, bspline_basis, null_space
 from presim.whittle import fourier_frequencies
 
 # kind, knots and endpoint orders of the model's four bases
@@ -36,6 +36,15 @@ def scipy_basis(t, k, x, nu):
     return BSpline(t, np.eye(len(t) - k - 1), k).derivative(nu)(x)
 
 
+def dense_from_bands(t, k, x, nu):
+    """`bspline_bands` written column by column into a dense design."""
+    values, first = bspline_bands(t, k, x, nu)
+    out = np.zeros((len(values), len(t) - k - 1))
+    for a in range(k + 1):
+        out[np.arange(len(values)), first + a] = values[:, a]
+    return out
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_bspline_basis_equals_scipy(k):
     for basis, _ in model_bases():
@@ -43,10 +52,10 @@ def test_bspline_basis_equals_scipy(k):
         t = np.concatenate([np.zeros(k), knots, np.full(k, knots[-1])])
         for x in check_points(knots):
             for nu in range(k + 1):
-                got = bspline_basis(t, k, x, nu)
                 ref = scipy_basis(t, k, x, nu)
-                assert got.shape == ref.shape
-                assert np.array_equal(got, ref), (k, nu, len(knots))
+                for got in (bspline_basis(t, k, x, nu), dense_from_bands(t, k, x, nu)):
+                    assert got.shape == ref.shape
+                    assert np.array_equal(got, ref), (k, nu, len(knots))
 
 
 def test_bspline_basis_at_the_endpoints():
