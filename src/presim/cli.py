@@ -141,19 +141,13 @@ def cmd_simulate(config: RunConfig, fit_report_path, out_dir) -> Path:
     )
 
     model = SpectralModel(fit.knots)
-    ensemble = condsim.run_ensemble(
-        model, fit, stack, setup, spec, mean_draws,
-        config.ensemble_count, config.vary_params, seed,
-    )
     out = Path(out_dir)
-    manifest = condsim.write_ensemble(
-        ensemble, out,
-        start_time=datetime.fromisoformat(report["start_time"]),
-        step_seconds=report["step_seconds"],
+    condsim.run_ensemble(
+        model, fit, stack, setup, spec, mean_draws,
+        config.ensemble_count, config.vary_params, seed, out,
+        datetime.fromisoformat(report["start_time"]), report["step_seconds"],
+        meanfield.meanfield_to_dict(mf_model, mf_fits),
     )
-    extra = json.loads(manifest.read_text())
-    extra["mean_field"] = meanfield.meanfield_to_dict(mf_model, mf_fits)
-    manifest.write_text(json.dumps(extra, indent=2, sort_keys=True))
     return out
 
 

@@ -15,6 +15,7 @@ every draw is unconditional, which is how synthetic truths are drawn.
 
 import hashlib
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -220,22 +221,6 @@ def psd_factor(mats: np.ndarray) -> np.ndarray:
 # -- ensembles -----------------------------------------------------------
 
 
-@dataclass
-class Ensemble:
-    """Simulated pressure at the target sites, one row per member."""
-
-    pressure: np.ndarray  # (members, targets, T+1) kPa
-    param_draw_ids: np.ndarray  # (members,); -1 means the MLE was used
-    mean_field_draws: np.ndarray  # (members, targets) kPa
-    seed: int
-    target_ids: tuple
-    provenance: dict
-
-    @property
-    def n_members(self) -> int:
-        return self.pressure.shape[0]
-
-
 def fit_hash(fit: FitResult) -> str:
     return hashlib.sha256(fit.to_json().encode()).hexdigest()[:16]
 
@@ -247,16 +232,27 @@ def geometry_hash(geometry: SiteGeometry) -> str:
 
 def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
                  setup: PredictionSetup, observed_field: SpectralField,
-                 mean_draws: np.ndarray, count: int, vary_params: bool,
-                 seed: int) -> Ensemble:
-    """Generate `count` ensemble members at the prediction sites.
+                 mean_draws: np.ndarray, count: int, vary_params: bool, seed: int,
+                 out_dir, start_time, step_seconds: float, mean_field: dict) -> dict:
+    """Simulate `count` members at the prediction sites into the directory `out_dir`.
 
     mean_draws is a (count, m) array of simulated monthly mean pressures
     (kPa at target elevations) from the mean-field module, one row per
-    member. With vary_params off, every member reuses the MLE. The
-    provenance records the fallbacks taken: whether the Hessian was
-    floored for the parameter draws, and the number of ridged frequencies
-    summed over all sampler builds.
+    member. With vary_params off, every member reuses the MLE.
+
+    Writes `pressure.npy`, the (members, targets, T+1) float64 array, then
+    `manifest.json`, and returns the manifest. Members are streamed: each
+    is drawn, inverted and appended to `pressure.npy.partial`, so memory
+    holds one member, not the ensemble. The partial file replaces
+    `pressure.npy` after the last member and is removed if a member fails,
+    which leaves an earlier ensemble in `out_dir` as it was.
+
+    The manifest records the seed, the target and parameter-draw order of
+    the array's first two axes, the mean-field draws and the `mean_field`
+    model, the time axis (`start_time` of column 0, `step_seconds` between
+    columns) and the provenance: whether the Hessian was floored for the
+    parameter draws, and the number of ridged frequencies summed over all
+    sampler builds.
     """
     mean_draws = np.atleast_2d(np.asarray(mean_draws, dtype=float))
     if mean_draws.shape != (count, setup.n_targets):
@@ -271,49 +267,46 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
         sampler = ConditionalSampler(model, fit.params_hat, setup, observed_field, frame)
         ridged = len(sampler.ridge_frequencies)
 
-    sim_A = np.empty((count, setup.n_targets, observed_field.n_times))
-    for k in range(count):
-        if vary_params:
-            sampler = ConditionalSampler(model, model.unpack(draws[k]), setup, observed_field,
-                                         frame)
-            ridged += len(sampler.ridge_frequencies)
-        sim_A[k] = inverse_dft(sampler.draw(seed, k))
-    return Ensemble(
-        pressure=invert_stack(sim_A, stack, setup.target_elevations, mean_draws),
-        param_draw_ids=np.arange(count) if vary_params else np.full(count, -1),
-        mean_field_draws=mean_draws,
-        seed=seed,
-        target_ids=setup.target_ids,
-        provenance={
+    T = observed_field.n_times
+    diurnal = stack.diurnal.predict(T)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    partial = out / "pressure.npy.partial"
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+              "fortran_order": False, "shape": (count, setup.n_targets, T + 1)}
+    try:
+        with open(partial, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+            for k in range(count):
+                if vary_params:
+                    sampler = ConditionalSampler(model, model.unpack(draws[k]), setup,
+                                                 observed_field, frame)
+                    ridged += len(sampler.ridge_frequencies)
+                A = inverse_dft(sampler.draw(seed, k))
+                pressure = invert_stack(A, stack, setup.target_elevations, mean_draws[k], diurnal)
+                fh.write(np.ascontiguousarray(pressure))
+        os.replace(partial, out / "pressure.npy")
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+    manifest = {
+        "seed": seed,
+        "rng_layout": RNG_LAYOUT,
+        "n_members": count,
+        "target_ids": list(setup.target_ids),
+        "provenance": {
             "fit_hash": fit_hash(fit),
             "observed_geometry_hash": geometry_hash(setup.observed),
             "vary_params": vary_params,
             "hessian_floored": floored,
             "ridge_frequencies": ridged,
         },
-    )
-
-
-def write_ensemble(ensemble: Ensemble, out_dir, start_time=None, step_seconds=300.0):
-    """`pressure.npy` (the member x target x time array) plus `manifest.json`.
-
-    The manifest records the seed, the target and parameter-draw order of
-    the array's first two axes, the mean-field draws, the provenance and
-    the time axis (`start_time` of column 0, `step_seconds` between columns).
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    np.save(out / "pressure.npy", np.ascontiguousarray(ensemble.pressure))
-    manifest = {
-        "seed": ensemble.seed,
-        "rng_layout": RNG_LAYOUT,
-        "n_members": ensemble.n_members,
-        "target_ids": list(ensemble.target_ids),
-        "provenance": ensemble.provenance,
-        "mean_field_draws": ensemble.mean_field_draws.tolist(),
-        "param_draw_ids": ensemble.param_draw_ids.tolist(),
+        "mean_field_draws": mean_draws.tolist(),
+        "param_draw_ids": list(range(count)) if vary_params else [-1] * count,
         "start_time": None if start_time is None else start_time.isoformat(),
         "step_seconds": step_seconds,
+        "mean_field": mean_field,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return out / "manifest.json"
+    return manifest

@@ -284,7 +284,8 @@ def apply_stack(grid: DataGrid, stack: TransformStack) -> np.ndarray:
     return standardize(resid, stack.volatility)
 
 
-def invert_stack(sim_A, stack: TransformStack, target_elevations, sim_means) -> np.ndarray:
+def invert_stack(sim_A, stack: TransformStack, target_elevations, sim_means,
+                 diurnal=None) -> np.ndarray:
     """Invert the stack: adjusted field -> pressure levels at target sites.
 
     sim_A is m x T, or members x m x T for a whole ensemble, which shares
@@ -292,6 +293,8 @@ def invert_stack(sim_A, stack: TransformStack, target_elevations, sim_means) -> 
     axis. Returns pressure levels with T+1 columns whose first differences
     are the reconstructed pressure changes; the integration constant is
     chosen so the time mean of each series equals the supplied mean value.
+    `diurnal` is the cycle `stack.diurnal.predict(T)`, computed here when
+    not given; a caller that inverts members one at a time passes it in.
     """
     sim_A = np.atleast_2d(np.asarray(sim_A, dtype=float))
     elev = np.atleast_1d(np.asarray(target_elevations, dtype=float))
@@ -305,7 +308,7 @@ def invert_stack(sim_A, stack: TransformStack, target_elevations, sim_means) -> 
     pressure = np.moveaxis(np.zeros((T + 1,) + sim_A.shape[:-1]), 0, -1)
     levels = pressure[..., 1:]
     unstandardize(sim_A, stack.volatility, out=levels)
-    levels += stack.diurnal.predict(T)
+    levels += stack.diurnal.predict(T) if diurnal is None else diurnal
     levels *= np.exp(-elev / stack.sea_level.scale_height)[:, None]
     np.cumsum(levels, axis=-1, out=levels)
     pressure += (means - pressure.mean(axis=-1))[..., None]

@@ -13,8 +13,9 @@ import pytest
 import yaml
 
 from presim.cli import main
+from presim.condsim import ConditionalSampler
 from presim.config import RunConfig
-from presim.errors import ConfigurationError
+from presim.errors import ConfigurationError, ValidationError
 from presim.rng import RNG_LAYOUT
 
 T = 576
@@ -143,6 +144,32 @@ def test_simulate_is_bit_reproducible(pipeline, tmp_path):
     for name in names:
         assert (rerun / "ensemble" / name).read_bytes() == \
             (out / "ensemble" / name).read_bytes()
+
+
+def test_failed_simulate_leaves_no_partial_ensemble(pipeline, tmp_path, capsys, monkeypatch):
+    # a member that fails leaves no partial file, and leaves an earlier
+    # complete ensemble in the same directory as it was
+    out, cfg = pipeline
+    draw = ConditionalSampler.draw
+
+    def draw_failing_at_member_2(self, seed, member, *args, **kwargs):
+        if member == 2:
+            raise ValidationError("draw failed at member 2")
+        return draw(self, seed, member, *args, **kwargs)
+
+    monkeypatch.setattr(ConditionalSampler, "draw", draw_failing_at_member_2)
+    fresh, earlier = tmp_path / "fresh", tmp_path / "earlier"
+    shutil.copytree(out / "ensemble", earlier / "ensemble")
+    before = {p.name: p.read_bytes() for p in (earlier / "ensemble").iterdir()}
+    for base in (fresh, earlier):
+        code = main([
+            "--config", str(cfg), "--out", str(base),
+            "simulate", "--fit-report", str(out / "fit_report.json"),
+        ])
+        assert code == 1
+        assert "[simulate] error: draw failed at member 2" in capsys.readouterr().err
+    assert list((fresh / "ensemble").glob("*")) == []
+    assert {p.name: p.read_bytes() for p in (earlier / "ensemble").iterdir()} == before
 
 
 def evaluate(cfg, out, ensemble_dir, tmp_path):

@@ -1,6 +1,8 @@
 """Per-frequency conditional simulation and ensemble assembly."""
 
+import io
 import json
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -10,17 +12,21 @@ import pytest
 from presim import condsim, synth
 from presim.condsim import (
     ConditionalSampler,
-    Ensemble,
     PredictionSetup,
     SamplerFrame,
     fit_hash,
     geometry_hash,
     run_ensemble,
-    write_ensemble,
 )
 from presim.errors import ValidationError
 from presim.geometry import SiteGeometry
-from presim.preprocess import DiurnalModel, SeaLevelModel, TransformStack, VolatilitySeries
+from presim.preprocess import (
+    DiurnalModel,
+    SeaLevelModel,
+    TransformStack,
+    VolatilitySeries,
+    invert_stack,
+)
 from presim.rng import RNG_LAYOUT, STAGE_CONDSIM, STAGE_FIELD_UNCOND, STAGE_SYNTH, substream
 from presim.spectrum import KnotSet, SpectralModel, SpectralParams
 from presim.splines import ConstrainedBasis
@@ -314,7 +320,7 @@ def test_real_coefficient_frequencies_are_real(omega0_j):
             assert np.all(coeffs[[0, T // 2]].real != 0.0)
 
 
-def test_shared_frame_builds_each_parameter_vectors_law(model, monkeypatch):
+def test_shared_frame_builds_each_parameter_vectors_law(model, monkeypatch, tmp_path):
     # one frame reused across parameter vectors gives each vector's
     # conditional law, and run_ensemble computes the spline designs once
     T = 40
@@ -339,8 +345,8 @@ def test_shared_frame_builds_each_parameter_vectors_law(model, monkeypatch):
     per_count = []
     for count in (2, 4):
         calls.clear()
-        run_ensemble(model, fit, tiny_stack(T, 2), setup, field, np.full((count, 2), 97.0),
-                     count=count, vary_params=True, seed=39)
+        simulate(model, fit, tiny_stack(T, 2), setup, field, np.full((count, 2), 97.0),
+                 count=count, vary_params=True, seed=39, out_dir=tmp_path / str(count))
         per_count.append(len(calls))
     assert per_count[0] == per_count[1] == 5
 
@@ -406,7 +412,30 @@ def make_fit(model, params):
     )
 
 
-def test_run_ensemble_array_and_mean_draws(model):
+def simulate(model, fit, stack, setup, field, mean_draws, count, vary_params, seed, out_dir,
+             start_time=None, step_seconds=300.0):
+    """`run_ensemble` into `out_dir`: its manifest and `pressure.npy` read back."""
+    manifest = run_ensemble(model, fit, stack, setup, field, mean_draws, count, vary_params,
+                            seed, out_dir, start_time, step_seconds, mean_field={})
+    return manifest, np.load(out_dir / "pressure.npy", allow_pickle=False)
+
+
+def in_memory_ensemble(model, fit, stack, setup, field, mean_draws, count, vary_params, seed):
+    """The oracle of a streamed `pressure.npy`: the bytes of `np.save` of the
+    whole ensemble, drawn into one array and inverted at once."""
+    if vary_params:
+        samplers = [ConditionalSampler(model, model.unpack(x), setup, field)
+                    for x in sample_params(fit, count, seed)[0]]
+    else:
+        samplers = [ConditionalSampler(model, fit.params_hat, setup, field)] * count
+    sim_A = np.stack([inverse_dft(sampler.draw(seed, k)) for k, sampler in enumerate(samplers)])
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(
+        invert_stack(sim_A, stack, setup.target_elevations, mean_draws)))
+    return buf.getvalue()
+
+
+def test_run_ensemble_array_and_mean_draws(model, tmp_path):
     T = 40
     rng = np.random.default_rng(14)
     params = random_params(model, rng)
@@ -415,13 +444,13 @@ def test_run_ensemble_array_and_mean_draws(model):
     stack = tiny_stack(T, 2)
     fit = make_fit(model, params)
     mean_draws = 97.0 + 0.01 * rng.standard_normal((5, 2))
-    ens = run_ensemble(model, fit, stack, setup, field, mean_draws,
-                       count=5, vary_params=False, seed=16)
-    assert ens.n_members == 5
-    assert ens.pressure.shape == (5, 2, T + 1)
-    assert ens.param_draw_ids.tolist() == [-1] * 5
-    assert np.array_equal(ens.mean_field_draws, mean_draws)
-    assert np.allclose(ens.pressure.mean(axis=2), mean_draws, atol=1e-9)
+    manifest, pressure = simulate(model, fit, stack, setup, field, mean_draws,
+                                  count=5, vary_params=False, seed=16, out_dir=tmp_path)
+    assert manifest["n_members"] == 5
+    assert pressure.shape == (5, 2, T + 1)
+    assert manifest["param_draw_ids"] == [-1] * 5
+    assert np.array_equal(manifest["mean_field_draws"], mean_draws)
+    assert np.allclose(pressure.mean(axis=2), mean_draws, atol=1e-9)
 
 
 def member_by_member(sim_A, stack, elevations, means):
@@ -434,7 +463,7 @@ def member_by_member(sim_A, stack, elevations, means):
     return levels + (means - time_sum / (T + 1))[:, None]
 
 
-def test_run_ensemble_shares_one_diurnal_cycle(model, monkeypatch):
+def test_run_ensemble_shares_one_diurnal_cycle(model, monkeypatch, tmp_path):
     T = 40
     rng = np.random.default_rng(17)
     params = random_params(model, rng)
@@ -452,14 +481,14 @@ def test_run_ensemble_shares_one_diurnal_cycle(model, monkeypatch):
     predict = DiurnalModel.predict
     calls = []
     monkeypatch.setattr(DiurnalModel, "predict", lambda self, n: calls.append(n) or predict(self, n))
-    ens = run_ensemble(model, make_fit(model, params), stack, setup, field, mean_draws,
-                       count=4, vary_params=False, seed=19)
+    _, pressure = simulate(model, make_fit(model, params), stack, setup, field, mean_draws,
+                           count=4, vary_params=False, seed=19, out_dir=tmp_path)
     assert calls == [T]
     for k in range(4):
-        assert ens.pressure[k].tobytes() == members[k].tobytes()
+        assert pressure[k].tobytes() == members[k].tobytes()
 
 
-def test_member_draw_does_not_depend_on_ensemble_size(model):
+def test_member_draw_does_not_depend_on_ensemble_size(model, tmp_path):
     T = 40
     rng = np.random.default_rng(46)
     params = random_params(model, rng, scale=0.2)
@@ -469,23 +498,24 @@ def test_member_draw_does_not_depend_on_ensemble_size(model):
     mean_draws = 97.0 + 0.01 * rng.standard_normal((5, 2))
     for vary in (False, True):
         small, large = (
-            run_ensemble(model, fit, tiny_stack(T, 2), setup, field, mean_draws[:count],
-                         count=count, vary_params=vary, seed=48)
+            simulate(model, fit, tiny_stack(T, 2), setup, field, mean_draws[:count],
+                     count=count, vary_params=vary, seed=48,
+                     out_dir=tmp_path / f"{vary}-{count}")[1]
             for count in (3, 5)
         )
-        assert small.pressure.tobytes() == large.pressure[:3].tobytes()
+        assert small.tobytes() == large[:3].tobytes()
 
 
-def test_run_ensemble_vary_params_ids(model):
+def test_run_ensemble_vary_params_ids(model, tmp_path):
     T = 24
     rng = np.random.default_rng(17)
     params = random_params(model, rng, scale=0.2)
     setup = make_setup()
     field = observed_field(model, params, setup, T, seed=18)
-    ens = run_ensemble(model, make_fit(model, params), tiny_stack(T, 1), setup,
-                       field, np.full((3, 1), 97.0), count=3,
-                       vary_params=True, seed=19)
-    assert ens.param_draw_ids.tolist() == [0, 1, 2]
+    manifest, _ = simulate(model, make_fit(model, params), tiny_stack(T, 1), setup,
+                           field, np.full((3, 1), 97.0), count=3,
+                           vary_params=True, seed=19, out_dir=tmp_path)
+    assert manifest["param_draw_ids"] == [0, 1, 2]
 
 
 def test_run_ensemble_records_fallbacks(model, tmp_path):
@@ -504,27 +534,29 @@ def test_run_ensemble_records_fallbacks(model, tmp_path):
     args = (tiny_stack(T, 1), setup, field, np.full((3, 1), 97.0))
 
     fit = make_fit(model, params)
-    ens = run_ensemble(model, fit, *args, count=3, vary_params=False, seed=27)
+    ens, _ = simulate(model, fit, *args, count=3, vary_params=False, seed=27,
+                      out_dir=tmp_path / "mle")
     per_build = len(ConditionalSampler(model, params, setup, field).ridge_frequencies)
     assert per_build > 0
-    assert ens.provenance["ridge_frequencies"] == per_build
-    assert ens.provenance["hessian_floored"] is False
+    assert ens["provenance"]["ridge_frequencies"] == per_build
+    assert ens["provenance"]["hessian_floored"] is False
 
     fit.hessian[-1, -1] = -1.0
-    ens = run_ensemble(model, fit, *args, count=3, vary_params=True, seed=27)
+    ens, _ = simulate(model, fit, *args, count=3, vary_params=True, seed=27,
+                      out_dir=tmp_path / "ens")
     ridged = sum(
         len(ConditionalSampler(model, model.unpack(x), setup, field).ridge_frequencies)
         for x in sample_params(fit, 3, 27)[0]
     )
     assert ridged > 0
-    assert ens.provenance["ridge_frequencies"] == ridged
-    assert ens.provenance["hessian_floored"] is True
-    manifest = json.loads(write_ensemble(ens, tmp_path / "ens").read_text())
+    assert ens["provenance"]["ridge_frequencies"] == ridged
+    assert ens["provenance"]["hessian_floored"] is True
+    manifest = json.loads((tmp_path / "ens" / "manifest.json").read_text())
     assert manifest["provenance"]["ridge_frequencies"] == ridged
     assert manifest["provenance"]["hessian_floored"] is True
 
 
-def test_fit_hash_is_the_fits_with_a_floored_hessian(model):
+def test_fit_hash_is_the_fits_with_a_floored_hessian(model, tmp_path):
     # drawing the parameters does not modify the fit, so the manifest's
     # fit_hash is that of the fit report the ensemble was simulated from
     T = 24
@@ -535,22 +567,24 @@ def test_fit_hash_is_the_fits_with_a_floored_hessian(model):
     fit.hessian = np.eye(model.n_params)
     fit.hessian[-1, -1] = -1.0
     before = fit_hash(fit)
-    ens = run_ensemble(model, fit, tiny_stack(T, 1), setup, field, np.full((2, 1), 97.0),
-                       count=2, vary_params=True, seed=52)
-    assert ens.provenance["hessian_floored"] is True
-    assert ens.provenance["fit_hash"] == before
+    ens, _ = simulate(model, fit, tiny_stack(T, 1), setup, field, np.full((2, 1), 97.0),
+                      count=2, vary_params=True, seed=52, out_dir=tmp_path)
+    assert ens["provenance"]["hessian_floored"] is True
+    assert ens["provenance"]["fit_hash"] == before
     assert fit_hash(fit) == before
 
 
-def test_run_ensemble_mean_draw_shape_checked(model):
+def test_run_ensemble_mean_draw_shape_checked(model, tmp_path):
     T = 24
     rng = np.random.default_rng(20)
     params = random_params(model, rng)
     setup = make_setup()
     field = observed_field(model, params, setup, T, seed=21)
     with pytest.raises(ValidationError, match="mean_draws"):
-        run_ensemble(model, make_fit(model, params), tiny_stack(T, 1), setup,
-                     field, np.zeros((2, 1)), count=3, vary_params=False, seed=22)
+        simulate(model, make_fit(model, params), tiny_stack(T, 1), setup,
+                 field, np.zeros((2, 1)), count=3, vary_params=False, seed=22,
+                 out_dir=tmp_path / "ens")
+    assert not (tmp_path / "ens").exists()
 
 
 def test_write_ensemble_round_trip(model, tmp_path):
@@ -560,12 +594,13 @@ def test_write_ensemble_round_trip(model, tmp_path):
     setup = make_setup(2)
     field = observed_field(model, params, setup, T, seed=24)
     mean_draws = 97.0 + 0.01 * rng.standard_normal((4, 2))
-    ens = run_ensemble(model, make_fit(model, params), tiny_stack(T, 2), setup,
-                       field, mean_draws, count=4, vary_params=True, seed=25)
+    args = (model, make_fit(model, params), tiny_stack(T, 2), setup, field, mean_draws)
     start = datetime(2005, 10, 1, tzinfo=timezone.utc)
-    manifest_path = write_ensemble(ens, tmp_path / "ens", start_time=start, step_seconds=60.0)
+    returned, pressure = simulate(*args, count=4, vary_params=True, seed=25,
+                                  out_dir=tmp_path / "ens", start_time=start, step_seconds=60.0)
     assert sorted(p.name for p in (tmp_path / "ens").iterdir()) == ["manifest.json", "pressure.npy"]
-    manifest = json.loads(manifest_path.read_text())
+    manifest = json.loads((tmp_path / "ens" / "manifest.json").read_text())
+    assert manifest == returned
     assert manifest["n_members"] == 4
     assert manifest["target_ids"] == ["P0", "P1"]
     assert manifest["seed"] == 25
@@ -574,27 +609,71 @@ def test_write_ensemble_round_trip(model, tmp_path):
     assert manifest["mean_field_draws"] == mean_draws.tolist()
     assert manifest["start_time"] == "2005-10-01T00:00:00+00:00"
     assert manifest["step_seconds"] == 60.0
-    pressure = np.load(tmp_path / "ens" / "pressure.npy", allow_pickle=False)
+    assert manifest["mean_field"] == {}
     assert pressure.dtype == np.float64 and pressure.shape == (4, 2, T + 1)
-    assert pressure.tobytes() == ens.pressure.tobytes()
+    assert (tmp_path / "ens" / "pressure.npy").read_bytes() == in_memory_ensemble(
+        *args, count=4, vary_params=True, seed=25)
     # each member's time mean is its mean-field draw
     assert np.allclose(pressure.mean(axis=2), np.array(manifest["mean_field_draws"]), atol=1e-9)
-    assert json.loads(write_ensemble(ens, tmp_path / "idx").read_text())["start_time"] is None
+    idx, _ = simulate(*args, count=4, vary_params=True, seed=25, out_dir=tmp_path / "idx")
+    assert json.loads((tmp_path / "idx" / "manifest.json").read_text())["start_time"] is None
+    assert idx["start_time"] is None
 
 
 def test_write_ensemble_one_target_in_c_order(model, tmp_path):
-    # with one target the member x time array in memory is Fortran-contiguous
+    # with one target the whole-ensemble member x time array in memory is
+    # Fortran-contiguous; the file holds it in C order
     T = 20
     rng = np.random.default_rng(26)
     params = random_params(model, rng)
     setup = make_setup(1)
     field = observed_field(model, params, setup, T, seed=27)
-    ens = run_ensemble(model, make_fit(model, params), tiny_stack(T, 1), setup, field,
-                       np.full((3, 1), 97.0), count=3, vary_params=False, seed=28)
-    write_ensemble(ens, tmp_path)
-    pressure = np.load(tmp_path / "pressure.npy", allow_pickle=False)
+    args = (model, make_fit(model, params), tiny_stack(T, 1), setup, field, np.full((3, 1), 97.0))
+    _, pressure = simulate(*args, count=3, vary_params=False, seed=28, out_dir=tmp_path)
     assert pressure.flags.c_contiguous
-    assert pressure.tobytes() == ens.pressure.tobytes()
+    assert (tmp_path / "pressure.npy").read_bytes() == in_memory_ensemble(
+        *args, count=3, vary_params=False, seed=28)
+
+
+@pytest.mark.parametrize("vary_params", [False, True])
+@pytest.mark.parametrize("n_targets", [1, 2])
+def test_streamed_ensemble_matches_in_memory_oracle(model, tmp_path, n_targets, vary_params):
+    # the file streamed one member at a time, header included, is the
+    # np.save of the whole ensemble inverted at once
+    T = 30
+    rng = np.random.default_rng(53)
+    params = random_params(model, rng, scale=0.2)
+    setup = make_setup(n_targets)
+    field = observed_field(model, params, setup, T, seed=54)
+    mean_draws = 97.0 + 0.01 * rng.standard_normal((5, n_targets))
+    stack = replace(tiny_stack(T, n_targets), diurnal=DiurnalModel(
+        period=288, n_harmonics=3, coefficients=rng.normal(scale=0.01, size=6)))
+    args = (model, make_fit(model, params), stack, setup, field, mean_draws)
+    simulate(*args, count=5, vary_params=vary_params, seed=55, out_dir=tmp_path)
+    assert (tmp_path / "pressure.npy").read_bytes() == in_memory_ensemble(
+        *args, count=5, vary_params=vary_params, seed=55)
+
+
+def test_ensemble_peak_memory_does_not_grow_with_members(model, tmp_path):
+    # members are streamed to the file: the ensemble's tracemalloc peak at
+    # 64 members is that at 4 (a whole-ensemble array of 64 members at
+    # T = 2880 and two targets is 2.95 MB)
+    T = 2880
+    rng = np.random.default_rng(56)
+    params = random_params(model, rng, scale=0.2)
+    setup = make_setup(2)
+    field = observed_field(model, params, setup, T, seed=57)
+    fit = make_fit(model, params)
+    peaks = {}
+    for count in (4, 64):
+        tracemalloc.start()
+        try:
+            run_ensemble(model, fit, tiny_stack(T, 2), setup, field, np.full((count, 2), 97.0),
+                         count, False, 58, tmp_path / str(count), None, 300.0, {})
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[64] - peaks[4]) < 0.5e6, peaks
 
 
 def test_ensemble_bit_reproducible(model, tmp_path):
@@ -605,10 +684,9 @@ def test_ensemble_bit_reproducible(model, tmp_path):
     field = observed_field(model, params, setup, T, seed=27)
     outs = []
     for sub in ("a", "b"):
-        ens = run_ensemble(model, make_fit(model, params), tiny_stack(T, 1), setup,
-                           field, np.full((3, 1), 97.0), count=3,
-                           vary_params=True, seed=28)
-        write_ensemble(ens, tmp_path / sub)
+        simulate(model, make_fit(model, params), tiny_stack(T, 1), setup,
+                 field, np.full((3, 1), 97.0), count=3,
+                 vary_params=True, seed=28, out_dir=tmp_path / sub)
         outs.append(
             [(p.name, p.read_bytes()) for p in sorted((tmp_path / sub).iterdir())]
         )
