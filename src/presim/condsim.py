@@ -1,16 +1,16 @@
 """Per-frequency conditional simulation of the adjusted field at new sites.
 
-At each one-sided Fourier frequency the joint cross-spectral matrix over
-(observed + prediction) sites is partitioned and the prediction-site DFT
-coefficients are drawn from the conditional (circularly symmetric)
-complex normal; the real-coefficient frequencies (0 and Nyquist) use the
-real-normal analog. The partition and the Schur complement are taken on
-the real R of f = D R D* (see `spectrum`) and rotated by the phase
-factors D afterwards. Beyond the coherence cutoff the prediction sites are
-independent of the observations and are drawn unconditionally from the
-diagonal model. A draw holds the one-sided frequencies only; the inverse
-DFT of a real series implies the negative ones. With zero observed sites
-every draw is unconditional, which is how synthetic truths are drawn.
+At each one-sided Fourier frequency the prediction-site DFT coefficients
+are drawn from their conditional (circularly symmetric) complex normal
+given the observed sites; the real-coefficient frequencies (0 and
+Nyquist) use the real-normal analog. The law is taken on the real R of
+f = D R D* (see `spectrum`) in the Cholesky form of a Gaussian
+conditional (Rasmussen & Williams 2006, Alg. 2.1), with the factor and
+substitution of the Whittle likelihood, and rotated by the phase factors
+D. Beyond the coherence cutoff the prediction sites are drawn
+unconditionally from the diagonal model. A draw holds the one-sided
+frequencies only. With zero observed sites every draw is
+unconditional, which is how synthetic truths are drawn.
 """
 
 import hashlib
@@ -32,7 +32,10 @@ from .whittle import (
     FitResult,
     FrequencyPlan,
     SpectralField,
+    cholesky_factor,
+    forward_substitute,
     inverse_dft,
+    require_frequencies,
     sample_params,
 )
 
@@ -110,10 +113,13 @@ class ConditionalSampler:
     """Precomputed per-frequency conditional laws for one parameter vector.
 
     With f = D R D* partitioned into observed (o) and prediction (p)
-    sites, the conditional mean is D_p R_po R_oo^{-1} (D_o* J_o) and the
-    conditional covariance D_p (R_pp - R_po R_oo^{-1} R_op) D_p*; its
-    Cholesky factor is D_p L D_p* for the real Cholesky factor L of the
-    real Schur complement. Only real matrices are solved and factored.
+    sites, z_o = D_o* J_o, R_oo = L L^T and W = L^{-1} R_op (one
+    substitution of [Re z_o | Im z_o | R_op]), the conditional mean is
+    D_p W^T L^{-1} z_o and the covariance D_p (R_pp - W^T W) D_p*, whose
+    Cholesky factor is D_p F D_p* for the real factor F of R_pp - W^T W.
+    R_oo is ridged by RIDGE_REL times its mean diagonal where its factor
+    fails (`ridge_frequencies`); a law still not finite raises a
+    ValidationError naming its first frequency.
 
     With zero observed sites (an empty observed geometry and a
     (floor(T/2)+1, 0) observed field) the conditional laws are the
@@ -132,36 +138,35 @@ class ConditionalSampler:
         self.T = frame.T
         self.m = setup.n_targets
         self.plan = plan = frame.plan
-        self.ridge_frequencies = []
 
         scale = TWO_PI * self.T
         t = model.cross_spectrum_terms(params, frame.geometry, plan.omega_low,
                                        frame.designs_low)
-        Roo, Rpo, Rpp = t.R[:, :n, :n], t.R[:, n:, :n], t.R[:, n:, n:]
+        Roo, Rop, Rpp = t.R[:, :n, :n], t.R[:, :n, n:], t.R[:, n:, n:]
         D_o, D_p = t.D[:, :n], t.D[:, n:]
-        try:
-            np.linalg.cholesky(Roo)
-            B = _mT(np.linalg.solve(Roo, _mT(Rpo)))
-        except np.linalg.LinAlgError:
-            # ridge where the Cholesky fails, and where rounding lets the
-            # Cholesky of an exactly singular block pass but not the solve
-            for k in range(len(Roo)):
-                try:
-                    np.linalg.cholesky(Roo[k])
-                    np.linalg.solve(Roo[k], _mT(Rpo[k]))
-                except np.linalg.LinAlgError:
-                    Roo[k] = Roo[k] + np.eye(n) * (RIDGE_REL * np.trace(Roo[k]) / n)
-                    self.ridge_frequencies.append(k)  # row k is frequency index k
-            B = _mT(np.linalg.solve(Roo, _mT(Rpo)))
-        self.means = D_p * (B @ (np.conj(D_o) * frame.J_o)[..., None])[..., 0]
-        cond = Rpp - B @ _mT(Rpo)
-        cond = 0.5 * (cond + _mT(cond))
-        # D_p L D_p* is lower triangular with L's diagonal: the Cholesky
-        # factor of the complex conditional covariance D_p cond D_p*
-        self.chols = D_p[:, :, None] * psd_factor(scale * cond) * np.conj(D_p)[:, None, :]
-
+        del t  # frees C and r, (K, n + m, n + m) each, before the factorization
+        L, inv_piv, good = cholesky_factor(Roo)
+        self.ridge_frequencies = np.flatnonzero(~good).tolist()  # row k is frequency k
+        if self.ridge_frequencies:
+            diag = np.einsum("kii->ki", Roo)
+            diag[~good] += RIDGE_REL * diag[~good].sum(axis=1, keepdims=True) / n
+            L, inv_piv, good = cholesky_factor(Roo)
+        require_frequencies(good, plan.omega_low, "conditional law not finite")
+        z = np.conj(D_o) * frame.J_o
+        X = forward_substitute(L, inv_piv, np.dstack([z.real, z.imag, Rop]))
+        Wt = np.swapaxes(X[..., 2:], 1, 2)  # W^T = R_po L^{-T}
+        mean = Wt @ X[..., :2]  # R_po R_oo^{-1} z: real and imaginary parts
+        self.means = D_p * (mean[..., 0] + 1j * mean[..., 1])
+        cond = Rpp - Wt @ X[..., 2:]
+        cov = scale * (0.5 * (cond + np.swapaxes(cond, 1, 2)))
         # diagonal block: unconditional marginal SDs per frequency
         self.sd_high = np.sqrt(scale * np.exp(frame.design_S_high @ params.s_coeffs))
+        finite = np.isfinite(cov).all(axis=(1, 2)) & np.isfinite(self.means).all(axis=1)
+        require_frequencies(np.concatenate([finite, np.isfinite(self.sd_high)]), plan.omegas,
+                            "conditional law not finite")
+        # D_p F D_p* is lower triangular with F's diagonal: the Cholesky
+        # factor of the complex conditional covariance D_p cov D_p*
+        self.chols = D_p[:, :, None] * psd_factor(cov) * np.conj(D_p)[:, None, :]
 
     def draw(self, seed: int, member: int, stage: int = STAGE_CONDSIM) -> SpectralField:
         """One draw of the target-site one-sided spectral field.
@@ -196,26 +201,19 @@ class ConditionalSampler:
         return SpectralField(coeffs=np.concatenate([low, high]), n_times=self.T)
 
 
-def _mT(a: np.ndarray) -> np.ndarray:
-    """Transpose the last two axes of a matrix stack."""
-    return np.swapaxes(a, -1, -2)
-
-
 def psd_factor(mats: np.ndarray) -> np.ndarray:
     """Cholesky-like factors of a symmetric PSD matrix or a stack of them.
 
-    Tolerant of zero eigenvalues: when the stacked Cholesky fails, each
-    matrix is factored on its own, by eigh where Cholesky fails. The
-    sampler factors its conditional covariances with it, and `meanfield`
-    its kriging covariance.
+    Tolerant of zero eigenvalues: a matrix whose `cholesky_factor` fails
+    is factored by eigh. The sampler and `meanfield` factor covariances
+    with it.
     """
-    try:
-        return np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        if mats.ndim > 2:
-            return np.stack([psd_factor(mat) for mat in mats])
-        vals, vecs = np.linalg.eigh(mats)
-        return vecs * np.sqrt(np.maximum(vals, 0.0))[None, :]
+    stack = np.reshape(mats, (-1,) + np.shape(mats)[-2:])
+    L, _, good = cholesky_factor(stack)
+    if not good.all():
+        vals, vecs = np.linalg.eigh(stack[~good])
+        L[~good] = vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]
+    return L.reshape(np.shape(mats))
 
 
 # -- ensembles -----------------------------------------------------------

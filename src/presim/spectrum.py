@@ -262,14 +262,13 @@ class SpectralModel:
         )
 
     def cross_spectrum_terms(self, params: SpectralParams, geometry: SiteGeometry,
-                             omegas, designs=None) -> CrossSpectrumTerms:
+                             omegas, designs) -> CrossSpectrumTerms:
         """The real matrices R and phase factors D of the cross-spectral stack.
 
-        `designs` are the matrices of `designs(omegas)`; callers that
-        evaluate the same frequencies repeatedly pass them in once computed.
+        `designs` are the matrices of `designs(omegas)`, computed once by
+        callers that evaluate the same frequencies repeatedly.
         """
-        omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-        B_S, B_beta, B_delta, B_theta = designs or self.designs(omegas)
+        B_S, B_beta, B_delta, B_theta = designs
         S = np.exp(B_S @ params.s_coeffs)
         sig = self._coherent_share(B_beta @ params.beta_coeffs, omegas)
         S1 = S * sig

@@ -71,11 +71,13 @@ def forward_dft(A) -> SpectralField:
 def inverse_dft(spec: SpectralField) -> np.ndarray:
     """Invert forward_dft: the real (n_sites, T) series of a spectral field.
 
-    The coefficients at frequency 0 and, for even T, the Nyquist must be
-    real to 1e-9 of the largest coefficient.
+    Every coefficient must be finite, and those at frequency 0 and, for
+    even T, the Nyquist real to 1e-9 of the largest coefficient.
     """
     T = spec.n_times
     J = spec.coeffs
+    if not np.isfinite(J).all():
+        raise ValidationError("inverse DFT: a coefficient is not finite")
     real_rows = J[[0, T // 2]] if T % 2 == 0 else J[:1]
     worst = np.abs(real_rows.imag).max(initial=0.0) / max(np.abs(J).max(initial=0.0), 1e-300)
     if worst > 1e-9:
@@ -161,8 +163,11 @@ class WhittleObjective:
 
         t = self.model.cross_spectrum_terms(params, self.geometry, plan.omega_low,
                                             self.designs_low)
-        L, inv_piv = _cholesky(t.R, plan.omega_low)
-        X = _substitute(L, inv_piv, np.conj(t.D) * self.J_low, inverse=score)
+        L, inv_piv, good = cholesky_factor(t.R)
+        require_frequencies(good, plan.omega_low, "singular spectral matrix")
+        z = np.conj(t.D) * self.J_low
+        eye = [np.broadcast_to(np.eye(n), t.R.shape)] if score else []
+        X = forward_substitute(L, inv_piv, np.dstack([z.real, z.imag] + eye))
         logdet = 2.0 * np.sum(np.log(np.einsum("kii->ki", L)), axis=1)
         quad = np.sum(X[..., 0] ** 2 + X[..., 1] ** 2, axis=1)  # z* R^{-1} z
         ll = -np.sum(plan.w_low * (logdet + quad / scale))
@@ -214,11 +219,11 @@ class WhittleObjective:
         return self.loglik(self.model.unpack(vec), score=score)
 
 
-def _cholesky(R, omegas) -> tuple:
-    """(L, 1 / diag(L)): the Cholesky factors of the stack R and their reciprocal pivots.
+def cholesky_factor(R) -> tuple:
+    """(L, 1 / diag(L), good): the Cholesky factors of the stack R, (K, n, n).
 
-    A ValidationError names the first frequency whose factorization fails
-    or whose reciprocal pivot is zero or not finite, as it is where an
+    `good[k]` is False where frequency k's factor fails (row k of L is NaN)
+    or has a reciprocal pivot that is zero or not finite, as where an
     infinite entry of R lets the factorization pass.
     """
     try:
@@ -229,32 +234,29 @@ def _cholesky(R, omegas) -> tuple:
     with np.errstate(divide="ignore", over="ignore"):
         inv_piv = 1.0 / np.einsum("kii->ki", L)
     good = np.all(np.isfinite(inv_piv) & (inv_piv != 0.0), axis=1)
-    if not good.all():
-        raise ValidationError(
-            f"singular spectral matrix at frequency {omegas[np.argmin(good)]:.6f}"
-        )
-    return L, inv_piv
+    return L, inv_piv, good
 
 
-def _substitute(L, inv_piv, z, inverse: bool) -> np.ndarray:
-    """L^{-1} [Re z | Im z], with inverse=True L^{-1} [Re z | Im z | I], as (K, n, 2 or n + 2).
+def require_frequencies(ok, omegas, problem: str) -> None:
+    """Raise a ValidationError naming the first frequency where `ok` is False."""
+    if not ok.all():
+        raise ValidationError(f"{problem} at frequency {omegas[np.argmin(ok)]:.6f}")
+
+
+def forward_substitute(L, inv_piv, B) -> np.ndarray:
+    """L^{-1} B for the real right-hand block B, (K, n, c), as (K, n, c).
 
     A forward substitution down the columns of the Cholesky factors L,
     (K, n, n), with reciprocal pivots inv_piv, (K, n), for all K
     frequencies at once. It runs with the frequency last, so that each
-    update runs along contiguous rows. Every update is elementwise, so the
-    z columns come out the same with or without the identity beside them.
+    update runs along contiguous rows. Every update is elementwise, so a
+    column comes out the same whatever columns stand beside it.
     """
-    K, n = inv_piv.shape
     Lt, inv_piv = np.moveaxis(L, 0, -1).copy(), inv_piv.T
-    X = np.zeros((n, n + 2 if inverse else 2, K))
-    X[:, 0], X[:, 1] = z.real.T, z.imag.T
-    if inverse:
-        np.einsum("iik->ik", X[:, 2:])[:] = 1.0
-    for j in range(n):
-        c = slice(0, j + 3)  # row j of L^{-1} is 0 beyond column j
-        X[j, c] *= inv_piv[j]
-        X[j + 1:, c] -= Lt[j + 1:, j, None, :] * X[j, None, c, :]
+    X = np.moveaxis(B, 0, -1).copy()
+    for j in range(len(inv_piv)):
+        X[j] *= inv_piv[j]
+        X[j + 1:] -= Lt[j + 1:, j, None, :] * X[j, None]
     return np.ascontiguousarray(np.moveaxis(X, -1, 0))
 
 

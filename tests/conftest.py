@@ -44,7 +44,7 @@ def cross_spectrum_stack(model, params, geometry, omegas) -> np.ndarray:
     The complex f that the likelihood and the sampler never form: the
     oracle for their real-R algebra.
     """
-    t = model.cross_spectrum_terms(params, geometry, omegas)
+    t = model.cross_spectrum_terms(params, geometry, omegas, model.designs(omegas))
     return t.D[:, :, None] * t.R * np.conj(t.D)[:, None, :]
 
 
@@ -91,7 +91,7 @@ def reference_loglik(obj, params):
     """
     model, geo, plan, n = obj.model, obj.geometry, obj.plan, obj.n
     scale = TWO_PI * obj.T
-    t = model.cross_spectrum_terms(params, geo, plan.omega_low)
+    t = model.cross_spectrum_terms(params, geo, plan.omega_low, model.designs(plan.omega_low))
     f = cross_spectrum_stack(model, params, geo, plan.omega_low)
     J = obj.spec.coeffs[plan.low]
     L = np.linalg.cholesky(f)

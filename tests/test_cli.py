@@ -172,6 +172,28 @@ def test_failed_simulate_leaves_no_partial_ensemble(pipeline, tmp_path, capsys, 
     assert {p.name: p.read_bytes() for p in (earlier / "ensemble").iterdir()} == before
 
 
+def test_simulate_rejects_a_fit_whose_conditional_law_is_not_finite(pipeline, tmp_path, capsys):
+    # a marginal spectrum that overflows: simulate names the frequency and
+    # writes no ensemble, where it once wrote an all-NaN one
+    out, cfg = pipeline
+    report = json.loads((out / "fit_report.json").read_text())
+    report["fit"]["params"]["s_coeffs"] = [c + 800.0 for c in report["fit"]["params"]["s_coeffs"]]
+    bad = tmp_path / "bad_fit_report.json"
+    bad.write_text(json.dumps(report))
+    fresh, earlier = tmp_path / "fresh", tmp_path / "earlier"
+    shutil.copytree(out / "ensemble", earlier / "ensemble")
+    before = {p.name: p.read_bytes() for p in (earlier / "ensemble").iterdir()}
+    for base in (fresh, earlier):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["--config", str(cfg), "--out", str(base),
+                         "simulate", "--fit-report", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[simulate] error: conditional law not finite at frequency")
+    assert not (fresh / "ensemble" / "pressure.npy").exists()
+    assert {p.name: p.read_bytes() for p in (earlier / "ensemble").iterdir()} == before
+
+
 def evaluate(cfg, out, ensemble_dir, tmp_path):
     return main([
         "--config", str(cfg), "--out", str(tmp_path), "evaluate",

@@ -11,6 +11,7 @@ import pytest
 
 from presim import condsim, synth
 from presim.condsim import (
+    RIDGE_REL,
     ConditionalSampler,
     PredictionSetup,
     SamplerFrame,
@@ -33,6 +34,7 @@ from presim.splines import ConstrainedBasis
 from presim.whittle import (
     TWO_PI,
     FitResult,
+    FrequencyPlan,
     SpectralField,
     inverse_dft,
     sample_params,
@@ -202,6 +204,90 @@ def test_ridge_applied_on_singular_observed_block(model):
 
     # the stacked build against the dense Schur complement
     check_dense_schur_law(model, params, setup, field, sampler)
+
+
+def ridge_by_failed_solve(model, params, setup, field):
+    """(ridged, means, covs): the conditional laws under the ridge rule of an LU solve.
+
+    One frequency at a time: R_oo is ridged where `np.linalg.cholesky` or
+    `np.linalg.solve` fails, then R_po R_oo^{-1} is a dense solve. The
+    oracle for the sampler, which ridges only where its Cholesky factor
+    fails. `ridged` lists the ridged frequency indices; `means` and
+    `covs` are the complex conditional means and covariances.
+    """
+    n, T = setup.n_observed, field.n_times
+    plan = FrequencyPlan(T, model.knots.omega0)
+    t = model.cross_spectrum_terms(params, setup.combined, plan.omega_low,
+                                   model.designs(plan.omega_low))
+    ridged, means, covs = [], [], []
+    for k in range(len(t.R)):
+        Roo, Rpo, Rpp = t.R[k, :n, :n], t.R[k, n:, :n], t.R[k, n:, n:]
+        try:
+            np.linalg.cholesky(Roo)
+            np.linalg.solve(Roo, Rpo.T)
+        except np.linalg.LinAlgError:
+            Roo = Roo + np.eye(n) * (RIDGE_REL * np.trace(Roo) / n)
+            ridged.append(k)
+        B = np.linalg.solve(Roo, Rpo.T).T
+        D_o, D_p = t.D[k, :n], t.D[k, n:]
+        means.append(D_p * (B @ (np.conj(D_o) * field.coeffs[k])))
+        cond = TWO_PI * T * (Rpp - B @ Rpo.T)
+        covs.append(D_p[:, None] * cond * np.conj(D_p)[None, :])
+    return ridged, np.array(means), np.array(covs)
+
+
+def test_ridge_by_failed_factor_gives_the_laws_of_ridge_by_failed_solve(model):
+    # coincident observed sites without a nugget: R_oo is exactly singular,
+    # and rounding decides whether its Cholesky or an LU solve fails, so
+    # the two rules ridge different frequencies; the laws still agree
+    obs = SiteGeometry(np.array([36.2, 36.2]), np.array([-97.2, -97.2]))
+    setup = PredictionSetup(observed=obs, target_lats=[36.4], target_lons=[-97.0],
+                            target_elevations=[300.0])
+    params = nugget_free_params(model)
+    fit = make_fit(model, params)
+    fit.hessian[-1, -1] = -1.0
+    sets_differ = 0
+    for T in (24, 25, 48):
+        field = observed_field(model, params, setup, T, seed=10)
+        for seed in (27, 61, 62):
+            draws, floored = sample_params(fit, 12, seed)
+            assert floored
+            for x in draws:
+                p = model.unpack(x)
+                sampler = ConditionalSampler(model, p, setup, field)
+                ridged, means, covs = ridge_by_failed_solve(model, p, setup, field)
+                sets_differ += ridged != sampler.ridge_frequencies
+                sd = np.sqrt(np.einsum("kii->ki", covs).real)
+                assert np.all(np.abs(sampler.means - means) <= 1e-6 * sd)
+                got = sampler.chols @ np.conj(np.swapaxes(sampler.chols, 1, 2))
+                err = np.abs(got - covs).max(axis=(1, 2)) / np.abs(covs).max(axis=(1, 2))
+                assert err.max() <= 1e-8
+    assert sets_differ > 0
+
+
+def test_non_finite_conditional_law_is_rejected(model, geometry3):
+    # a spectrum that overflows makes the law NaN: the build names the
+    # first frequency where it is not finite, with and without observed
+    # sites, in the low band and in the high band
+    T = 48
+    params = random_params(model, np.random.default_rng(63), scale=0.3)
+    setup = make_setup(2)
+    field = observed_field(model, params, setup, T, seed=64)
+    plan = FrequencyPlan(T, model.knots.omega0)
+    low_bad = replace(params, s_coeffs=params.s_coeffs + 800.0)
+    # only the two basis functions that peak at pi: S overflows in the high band
+    high_bad = replace(params, s_coeffs=params.s_coeffs + np.r_[np.zeros(6), 2000.0, 2000.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        first_low = plan.omega_low[np.argmin(np.isfinite(model.eval_S(low_bad, plan.omega_low)))]
+        S_high = model.eval_S(high_bad, plan.omegas)
+        assert np.all(np.isfinite(S_high[plan.low]))
+        first_high = plan.omegas[np.argmin(np.isfinite(S_high))]
+        for bad, first in ((low_bad, first_low), (high_bad, first_high)):
+            for build in (lambda: ConditionalSampler(model, bad, setup, field),
+                          lambda: unconditional_sampler(model, bad, geometry3, T)):
+                with pytest.raises(ValidationError,
+                                   match=f"conditional law not finite at frequency {first:.6f}"):
+                    build()
 
 
 # -- unconditional moments ------------------------------------------------
@@ -520,9 +606,10 @@ def test_run_ensemble_vary_params_ids(model, tmp_path):
 
 def test_run_ensemble_records_fallbacks(model, tmp_path):
     # coincident observed sites without a nugget make every build ridge
-    # (in some draws the Cholesky of the singular block passes and only
-    # the solve fails); an indefinite Hessian, here in the harmless u-angle
-    # direction, is floored
+    # (where rounding lets the Cholesky of the singular block pass, that
+    # frequency is not ridged, and its law is the ridged law to rounding:
+    # see the ridge-rule oracle test); an indefinite Hessian, here in the
+    # harmless u-angle direction, is floored
     obs = SiteGeometry(np.array([36.2, 36.2]), np.array([-97.2, -97.2]))
     setup = PredictionSetup(
         observed=obs, target_lats=[36.4], target_lons=[-97.0],

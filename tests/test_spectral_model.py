@@ -140,7 +140,7 @@ def test_eval_S_flat_at_pi(model):
 
 def split_S(model, params, omega, geometry):
     """(S0, S1) = (S (1 - sig), S sig) from the cross-spectrum factors."""
-    t = model.cross_spectrum_terms(params, geometry, omega)
+    t = model.cross_spectrum_terms(params, geometry, omega, model.designs(omega))
     return t.S * (1.0 - t.sig), t.S * t.sig
 
 
@@ -274,7 +274,7 @@ def test_matern_build_equals_guarded_construction_on_default_network(model):
     omegas = np.arange(241) * 2 * np.pi / 2880  # the low band of T = 2880, cutoff included
     rng = np.random.default_rng(21)
     for p in [default_true_params(model)] + [random_params(model, rng) for _ in range(3)]:
-        t = model.cross_spectrum_terms(p, geo, omegas)
+        t = model.cross_spectrum_terms(p, geo, omegas, model.designs(omegas))
         assert np.any(t.delta == 0.0) and np.any((t.C > 0) & (t.C < 1))
         assert np.array_equal(t.C, guarded_matern(geo.distances, t.delta))
 
@@ -344,7 +344,7 @@ def test_cross_spectrum_stack_matches_paper_formula(model):
         f = cross_spectrum_stack(model, p, geo, om)
         assert np.max(np.abs(f - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-        R = model.cross_spectrum_terms(p, geo, om).R
+        R = model.cross_spectrum_terms(p, geo, om, model.designs(om)).R
         assert R.dtype == np.float64
         assert np.array_equal(R, np.swapaxes(R, 1, 2))
 
@@ -360,7 +360,7 @@ def test_phase_factors_equal_the_complex_exponential(model):
         p = random_params(model, rng)
         p = SpectralParams(p.s_coeffs, p.beta_coeffs, p.delta_coeffs,
                            scale * rng.standard_normal(len(p.theta_coeffs)), p.u_angle)
-        t = model.cross_spectrum_terms(p, geo, omegas)
+        t = model.cross_spectrum_terms(p, geo, omegas, model.designs(omegas))
         phase = t.theta[:, None] * (geo.positions @ p.u)[None, :]
         assert np.abs(phase).max() > 10.0 * scale
         assert np.array_equal(t.D, np.exp(1j * phase))

@@ -17,14 +17,17 @@ from presim.whittle import (
     WhittleObjective,
     FrequencyPlan,
     SpectralField,
+    cholesky_factor,
     fit_mle,
     forward_dft,
+    forward_substitute,
     initial_params,
     inverse_dft,
     numeric_gradient,
+    require_frequencies,
     sample_params,
 )
-from presim.whittle import _bfgs, _cholesky, _matern32_root, _quartiles, _substitute
+from presim.whittle import _bfgs, _matern32_root, _quartiles
 
 from conftest import (
     cross_spectrum_stack,
@@ -123,6 +126,18 @@ def test_inverse_dft_rejects_asymmetric_input():
     coeffs[8, 1] += 1e-3j
     with pytest.raises(ValidationError, match="not real"):
         inverse_dft(SpectralField(coeffs=coeffs, n_times=16))
+
+
+def test_inverse_dft_rejects_non_finite_input():
+    # NaN fails every comparison, so the realness check alone lets it pass
+    rng = np.random.default_rng(4)
+    coeffs = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+    coeffs[[0, 8]] = coeffs[[0, 8]].real
+    for bad in (np.nan, complex(np.nan, 0.0), np.inf):
+        field = coeffs.copy()
+        field[0, 1] = bad
+        with pytest.raises(ValidationError, match="a coefficient is not finite"):
+            inverse_dft(SpectralField(coeffs=field, n_times=16))
 
 
 def test_parseval_identity():
@@ -306,11 +321,12 @@ def test_substitution_matches_dense_solve(K, n, cond):
     R = random_spd_stack(rng, K, n, cond)
     z = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
     Z = np.stack([z.real, z.imag], axis=-1)
-    L, inv_piv = _cholesky(R, np.arange(K))
-    X = _substitute(L, inv_piv, z, inverse=True)
+    L, inv_piv, good = cholesky_factor(R)
+    assert good.all()
+    X = forward_substitute(L, inv_piv, np.dstack([Z, np.broadcast_to(np.eye(n), R.shape)]))
     w, L_inv = X[..., :2], X[..., 2:]
     # the z columns do not depend on the identity beside them
-    assert np.array_equal(_substitute(L, inv_piv, z, inverse=False), w)
+    assert np.array_equal(forward_substitute(L, inv_piv, Z), w)
 
     def close(got, want, cond):
         # per frequency, relative to the oracle's largest entry; the bound
@@ -331,9 +347,16 @@ def test_cholesky_names_a_frequency_with_a_failed_or_infinite_pivot():
     eye = np.eye(2)
     not_pd = np.array([[1.0, 2.0], [2.0, 1.0]])
     infinite = np.array([[np.inf, 0.0], [0.0, 1.0]])  # factors, with pivot inf
-    for R, named in [((eye, not_pd, eye), "0.200000"), ((eye, eye, infinite), "0.300000")]:
-        with pytest.raises(ValidationError, match=f"frequency {named}"):
-            _cholesky(np.stack(R), omegas)
+    cases = [((eye, not_pd, eye), [True, False, True], "0.200000"),
+             ((eye, eye, infinite), [True, True, False], "0.300000")]
+    for R, good_rows, named in cases:
+        good = cholesky_factor(np.stack(R))[2]
+        assert good.tolist() == good_rows
+        with pytest.raises(ValidationError, match=f"singular spectral matrix at frequency {named}"):
+            require_frequencies(good, omegas, "singular spectral matrix")
+    # a failed factor reads NaN, and the others are factored
+    L = cholesky_factor(np.stack(cases[0][0]))[0]
+    assert np.isnan(L[1]).all() and np.array_equal(L[[0, 2]], np.stack([eye, eye]))
 
 
 @pytest.mark.parametrize("T", [576, 577])
