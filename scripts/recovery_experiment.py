@@ -48,7 +48,7 @@ def run(argv=None) -> int:
         truth = synth.generate(model, true_params, stations, stack, T, seed=seed)
         spec = forward_dft(truth.adjusted)
         init = initial_params(model, spec, geo)
-        fit = fit_mle(model, init, spec, geo, FitOptions(), compute_hessian=False)
+        fit = fit_mle(model, init, spec, geo, FitOptions())
         err_S = np.abs(model.eval_S(fit.params_hat, probes) / model.eval_S(true_params, probes)
                        - 1)
         err_d = np.abs(np.abs(model.eval_delta(fit.params_hat, dgrid))

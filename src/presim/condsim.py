@@ -157,8 +157,8 @@ class ConditionalSampler:
         Wt = np.swapaxes(X[..., 2:], 1, 2)  # W^T = R_po L^{-T}
         mean = Wt @ X[..., :2]  # R_po R_oo^{-1} z: real and imaginary parts
         self.means = D_p * (mean[..., 0] + 1j * mean[..., 1])
-        cond = Rpp - Wt @ X[..., 2:]
-        cov = scale * (0.5 * (cond + np.swapaxes(cond, 1, 2)))
+        # psd_factor reads only the lower triangle, so cov need not be exactly symmetric
+        cov = scale * (Rpp - Wt @ X[..., 2:])
         # diagonal block: unconditional marginal SDs per frequency
         self.sd_high = np.sqrt(scale * np.exp(frame.design_S_high @ params.s_coeffs))
         finite = np.isfinite(cov).all(axis=(1, 2)) & np.isfinite(self.means).all(axis=1)

@@ -129,6 +129,11 @@ class SpectralParams:
         """Unit direction vector (east, north)."""
         return np.array([np.cos(self.u_angle), np.sin(self.u_angle)])
 
+    @property
+    def u_perp(self) -> np.ndarray:
+        """d u / d u_angle: u turned a quarter turn counter-clockwise."""
+        return np.array([-np.sin(self.u_angle), np.cos(self.u_angle)])
+
     def pack(self) -> np.ndarray:
         return np.concatenate(
             [

@@ -14,7 +14,7 @@ shortcut f = S * I.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,7 +114,7 @@ class FrequencyPlan:
 
 
 class WhittleObjective:
-    """Whittle log-likelihood and its score for a fixed data field and geometry.
+    """Whittle log-likelihood, its score and its Hessian for a fixed data field and geometry.
 
     Precomputes the frequency plan and the spline design matrices at its
     frequencies at construction, so repeated evaluations during
@@ -157,19 +157,12 @@ class WhittleObjective:
         which is d_a R_k along S, beta and delta and
         i S1 C o d_a(theta u.(p_j - p_k)) along theta and the u angle; plus
         the diagonal band's -sum_k w_k dlogS_k/da (n - Q_k / (2 pi T S_k)).
+        `hessian` gives the second derivatives from the same factor.
         """
         plan, n = self.plan, self.n
         scale = TWO_PI * self.T
 
-        t = self.model.cross_spectrum_terms(params, self.geometry, plan.omega_low,
-                                            self.designs_low)
-        L, inv_piv, good = cholesky_factor(t.R)
-        require_frequencies(good, plan.omega_low, "singular spectral matrix")
-        z = np.conj(t.D) * self.J_low
-        eye = [np.broadcast_to(np.eye(n), t.R.shape)] if score else []
-        X = forward_substitute(L, inv_piv, np.dstack([z.real, z.imag] + eye))
-        logdet = 2.0 * np.sum(np.log(np.einsum("kii->ki", L)), axis=1)
-        quad = np.sum(X[..., 0] ** 2 + X[..., 1] ** 2, axis=1)  # z* R^{-1} z
+        t, logdet, quad, y, R_inv = self._low_band(params, inverse=score)
         ll = -np.sum(plan.w_low * (logdet + quad / scale))
 
         S_high = np.exp(self.design_S_high @ params.s_coeffs)
@@ -177,18 +170,13 @@ class WhittleObjective:
         if not score:
             return float(ll)
 
-        # L^{-T} [L^{-1} z | L^{-1}] = [y | R^{-1}]
-        sol = np.swapaxes(X[..., 2:], 1, 2) @ X
-        y, R_inv = sol[..., :2], sol[..., 2:]  # y: real and imaginary parts of R^{-1} z
         S1 = t.S * t.sig
-        # dC/d|delta| = r^2 e^{-r} / |delta| = r^3 C / ((1 + r) d); r <= R_CAP
-        dC = t.r * t.r * t.r * t.C / (1.0 + t.r) * self._inv_d
+        dC = self._dC(t)
         # Im H = (yr yi^T - yi yr^T) / scale and u.p_j - u.p_k are both
         # antisymmetric, so sum C o (u.p_j - u.p_k) o Im H = sum_j u.p_j v_j
         Cy = t.C @ y
         v = 2.0 * (y[..., 0] * Cy[..., 1] - y[..., 1] * Cy[..., 0]) / scale
         pos = self.geometry.positions
-        u_perp = np.array([-np.sin(params.u_angle), np.cos(params.u_angle)])
 
         def re_tr_H(M, My):
             """Re tr(H M) = tr(R^{-1} M) - tr(y^T M y) / scale for a real symmetric M."""
@@ -202,7 +190,7 @@ class WhittleObjective:
         tr_beta = S1 * (1.0 - t.sig) * (re_tr_H(t.C, Cy) - tr_I)
         tr_delta = S1 * np.sign(t.delta) * re_tr_H(dC, dC @ y)
         tr_theta = S1 * (v @ (pos @ params.u))
-        tr_u = t.theta * S1 * (v @ (pos @ u_perp))
+        tr_u = t.theta * S1 * (v @ (pos @ params.u_perp))
 
         w = plan.w_low
         B_S, B_beta, B_delta, B_theta = self.designs_low
@@ -214,6 +202,121 @@ class WhittleObjective:
             [np.sum(w * tr_u)],
         ])
         return float(ll), grad
+
+    def hessian(self, params: SpectralParams) -> np.ndarray:
+        """The exact Hessian of the negative log-likelihood at `params`, in `pack` order.
+
+        Per low-band frequency, along the kind-level directions a, b of
+        log S, beta, delta, theta and the u angle, with the E_a, y and H of
+        `loglik` (one factor and substitution) and s = 2 pi T:
+
+            d2(-ll_k)/da db = Re tr(H E_ab) - tr(R^{-1} E_a R^{-1} E_b)
+                              + 2 Re(y^* E_a R^{-1} E_b y) / s,
+
+        where E_ab = D* (d_a d_b f) D. Each direction matrix is real (log S,
+        beta, delta) or i times a real antisymmetric matrix (theta, u), so
+        the middle term vanishes between the two groups. The kinds are
+        linear in their coefficients, so block (a, b) is
+        B_a^T diag(w h_ab) B_b; the diagonal band adds
+        w Q / (s S) B_S^T B_S along log S.
+        """
+        plan, n = self.plan, self.n
+        scale = TWO_PI * self.T
+        t, _, _, y, R_inv = self._low_band(params, inverse=True)
+        yr, yi = y[..., 0, None], y[..., 1, None]
+        s1 = (t.S * t.sig)[:, None, None]
+        theta = t.theta[:, None, None]
+        along, across = (self.geometry.positions @ np.stack([params.u, params.u_perp], axis=1)).T
+        U = along[:, None] - along[None, :]  # u.(p_j - p_k)
+        U_perp = across[:, None] - across[None, :]
+        dC = self._dC(t)
+        E_delta = s1 * np.sign(t.delta)[:, None, None] * dC
+
+        def re_tr_H(P=None, F=None):
+            """Re tr(H (P + i F)) for real P symmetric and F antisymmetric."""
+            out = np.zeros(len(y))
+            if P is not None:
+                out += (np.einsum("kij,kij->k", R_inv, P)
+                        - np.einsum("kic,kic->k", y, P @ y) / scale)
+            if F is not None:
+                out += 2.0 * np.einsum("kic,kic->k", yr, F @ yi) / scale
+            return out
+
+        # the directions: E_a = G_a along log S, beta and delta, i G_a along theta and u
+        G = [t.R,
+             s1 * (1.0 - t.sig)[:, None, None] * (t.C - np.eye(n)),
+             E_delta,
+             s1 * t.C * U,
+             theta * s1 * t.C * U_perp]
+        imag = (False, False, False, True, True)
+        tr = [re_tr_H(F=G[a]) if imag[a] else re_tr_H(P=G[a]) for a in range(5)]
+        RG = [R_inv @ G_a for G_a in G]
+        # E y and R^{-1} E y as real and imaginary parts, (K, n, 2)
+        Ey = [np.concatenate([-G[a] @ yi, G[a] @ yr], axis=2) if imag[a] else G[a] @ y
+              for a in range(5)]
+        REy = [R_inv @ v for v in Ey]
+        del G
+
+        # Re tr(H E_ab) by pair. d/dlog S scales every direction, so E_Sb = E_b;
+        # d sig/d beta = sig (1 - sig) gives E_beta,beta = (1 - 2 sig) E_beta
+        # and E_beta,x = (1 - sig) E_x
+        tr_ab = {(0, b): tr[b] for b in range(5)}
+        tr_ab[1, 1] = (1.0 - 2.0 * t.sig) * tr[1]
+        tr_ab.update({(1, b): (1.0 - t.sig) * tr[b] for b in (2, 3, 4)})
+        # d2C/d|delta|2 = r^4 (r - 3) e^{-r} / d^2; d/dtheta multiplies by i U and
+        # d/du by i theta U_perp, with dU/du = U_perp and dU_perp/du = -U
+        tr_ab[2, 2] = re_tr_H(P=s1 * dC * t.r * (t.r - 3.0) * self._inv_d)
+        tr_ab[2, 3] = re_tr_H(F=E_delta * U)
+        tr_ab[2, 4] = re_tr_H(F=theta * E_delta * U_perp)
+        tr_ab[3, 3] = re_tr_H(P=-s1 * t.C * U * U)
+        tr_ab[3, 4] = re_tr_H(P=-theta * s1 * t.C * U * U_perp, F=s1 * t.C * U_perp)
+        tr_ab[4, 4] = re_tr_H(P=-theta * theta * s1 * t.C * U_perp * U_perp,
+                              F=-theta * s1 * t.C * U)
+
+        w = plan.w_low
+        designs = list(self.designs_low) + [np.ones((len(w), 1))]
+        blocks = [[None] * 5 for _ in range(5)]
+        for (a, b), h in tr_ab.items():
+            # tr(R^{-1} E_a R^{-1} E_b) is real: zero between a real and an
+            # imaginary direction, and i^2 = -1 flips it between two imaginary ones
+            if imag[a] == imag[b]:
+                h = h + (1.0 if imag[a] else -1.0) * np.einsum("kij,kji->k", RG[a], RG[b])
+            h = h + 2.0 * np.einsum("kic,kic->k", Ey[a], REy[b]) / scale
+            blocks[a][b] = designs[a].T @ ((w * h)[:, None] * designs[b])
+            blocks[b][a] = blocks[a][b].T
+        H = np.block(blocks)
+
+        S_high = np.exp(self.design_S_high @ params.s_coeffs)
+        curv_high = plan.w_high * self.Q_high / (scale * S_high)
+        d_S = self.design_S_high.shape[1]
+        H[:d_S, :d_S] += self.design_S_high.T @ (curv_high[:, None] * self.design_S_high)
+        return 0.5 * (H + H.T)
+
+    def _low_band(self, params: SpectralParams, inverse: bool) -> tuple:
+        """(t, log det R_k, z_k* R_k^{-1} z_k, y, R^{-1}) over the low band.
+
+        t is the `CrossSpectrumTerms`. With `inverse`, y holds the real and
+        imaginary parts of y_k = R_k^{-1} z_k, (K, n, 2), and R^{-1} is
+        (K, n, n); without it both are None.
+        """
+        t = self.model.cross_spectrum_terms(params, self.geometry, self.plan.omega_low,
+                                            self.designs_low)
+        L, inv_piv, good = cholesky_factor(t.R)
+        require_frequencies(good, self.plan.omega_low, "singular spectral matrix")
+        z = np.conj(t.D) * self.J_low
+        eye = [np.broadcast_to(np.eye(self.n), t.R.shape)] if inverse else []
+        X = forward_substitute(L, inv_piv, np.dstack([z.real, z.imag] + eye))
+        logdet = 2.0 * np.sum(np.log(np.einsum("kii->ki", L)), axis=1)
+        quad = np.sum(X[..., 0] ** 2 + X[..., 1] ** 2, axis=1)  # z* R^{-1} z
+        if not inverse:
+            return t, logdet, quad, None, None
+        # L^{-T} [L^{-1} z | L^{-1}] = [y | R^{-1}]
+        sol = np.swapaxes(X[..., 2:], 1, 2) @ X
+        return t, logdet, quad, sol[..., :2], sol[..., 2:]
+
+    def _dC(self, t) -> np.ndarray:
+        """dC/d|delta| = r^2 e^{-r} / |delta| = r^3 C / ((1 + r) d); r <= R_CAP."""
+        return t.r * t.r * t.r * t.C / (1.0 + t.r) * self._inv_d
 
     def loglik_vec(self, vec, score: bool = False):
         return self.loglik(self.model.unpack(vec), score=score)
@@ -267,26 +370,6 @@ def _cholesky_or_nan(R) -> np.ndarray:
         return np.full_like(R, np.nan)
 
 
-# -- numerical derivatives ----------------------------------------------
-
-
-def numeric_gradient(fun, x) -> np.ndarray:
-    """Central differences of `fun` at `x` with a per-coordinate step 1e-5 max(1, |x_i|).
-
-    For a scalar `fun` this is its gradient; for a vector-valued one, row
-    i holds the derivatives of every output with respect to x[i].
-    """
-    x = np.asarray(x, dtype=float)
-    rows = []
-    for i in range(len(x)):
-        h = 1e-5 * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        rows.append((np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2.0 * h))
-    return np.array(rows)
-
-
 # -- fitting -------------------------------------------------------------
 
 
@@ -304,9 +387,10 @@ class FitResult:
     convergence: dict
     knots: KnotSet
     hessian_min_eig: float = float("nan")
+    hessian_eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "knots": self.knots.to_dict(),
             "params": self.params_hat.to_dict(),
             "loglik": self.loglik,
@@ -314,6 +398,11 @@ class FitResult:
             "convergence": self.convergence,
             "hessian_min_eig": self.hessian_min_eig,
         }
+        # without a spectrum (a report from before it was recorded, or one at
+        # the truth) the dict, and so the fit hash of its ensembles, is unchanged
+        if len(self.hessian_eigenvalues):
+            d["hessian_eigenvalues"] = np.asarray(self.hessian_eigenvalues).tolist()
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -327,20 +416,21 @@ class FitResult:
             convergence=dict(d["convergence"]),
             knots=KnotSet.from_dict(d["knots"]),
             hessian_min_eig=float(d.get("hessian_min_eig", float("nan"))),
+            hessian_eigenvalues=np.array(d.get("hessian_eigenvalues", []), dtype=float),
         )
 
 
 def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
-            geometry: SiteGeometry, options: FitOptions | None = None,
-            compute_hessian: bool = True) -> FitResult:
+            geometry: SiteGeometry, options: FitOptions | None = None) -> FitResult:
     """Maximize the Whittle likelihood by BFGS (`_bfgs`) on the negative log-likelihood.
 
     Every objective call gives the value and the analytic score together;
     `objective_calls` counts these calls, the one at the start point
     included. A parameter vector the model rejects reads as an infinite
     value, which the line search backs off from. The returned Hessian is
-    of the negative log-likelihood at the optimum: central differences of
-    the score, symmetrized. Deterministic given inputs.
+    the exact one of the negative log-likelihood at the optimum
+    (`WhittleObjective.hessian`), with its eigenvalues in ascending order.
+    Deterministic given inputs.
 
     The model is unchanged by (theta, u) -> (-theta, u + pi), so two fits
     that differ only by this mirror are one fit; compare fits through S,
@@ -368,20 +458,17 @@ def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
         "objective_calls": calls + 1,
         "grad_inf_norm": float(np.max(np.abs(g))),
     }
-    if compute_hessian:
-        H = numeric_gradient(lambda x: neg(x)[1], best)
-        H = 0.5 * (H + H.T)
-        min_eig = float(np.linalg.eigvalsh(H).min())
-    else:
-        H = np.full((model.n_params, model.n_params), np.nan)
-        min_eig = float("nan")
+    params_hat = model.unpack(best)
+    H = obj.hessian(params_hat)
+    eigenvalues = np.linalg.eigvalsh(H)
     return FitResult(
-        params_hat=model.unpack(best),
+        params_hat=params_hat,
         loglik=float(-f),
         hessian=H,
         convergence=convergence,
         knots=model.knots,
-        hessian_min_eig=min_eig,
+        hessian_min_eig=float(eigenvalues[0]),
+        hessian_eigenvalues=eigenvalues,
     )
 
 

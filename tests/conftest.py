@@ -59,6 +59,25 @@ def coherence(model, params, geometry, omega, j, k) -> complex:
     return f[j, k] / np.sqrt(f[j, j].real * f[k, k].real)
 
 
+def numeric_gradient(fun, x) -> np.ndarray:
+    """Central differences of `fun` at `x` with a per-coordinate step 1e-5 max(1, |x_i|).
+
+    For a scalar `fun` this is its gradient; for a vector-valued one, row
+    i holds the derivatives of every output with respect to x[i]. The
+    oracle for the analytic score and, applied to the score, for the
+    analytic Hessian.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = []
+    for i in range(len(x)):
+        h = 1e-5 * max(1.0, abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        rows.append((np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2.0 * h))
+    return np.array(rows)
+
+
 def numeric_hessian(fun, x, rel_step: float = 1e-4) -> np.ndarray:
     """Second central differences of a scalar `fun`: the oracle for Hessians."""
     x = np.asarray(x, dtype=float)

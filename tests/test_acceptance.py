@@ -289,7 +289,7 @@ def test_07_parameter_recovery_from_synthetic_network(model):
                                stack, T, seed=seed)
         spec = forward_dft(truth.adjusted)
         init = initial_params(model, spec, geo)
-        fit = fit_mle(model, init, spec, geo, FitOptions(), compute_hessian=False)
+        fit = fit_mle(model, init, spec, geo, FitOptions())
         err_S.append(np.abs(
             model.eval_S(fit.params_hat, probes) / model.eval_S(truth.params, probes) - 1.0
         ))

@@ -17,6 +17,7 @@ from presim.condsim import (
     SamplerFrame,
     fit_hash,
     geometry_hash,
+    psd_factor,
     run_ensemble,
 )
 from presim.errors import ValidationError
@@ -36,6 +37,7 @@ from presim.whittle import (
     FitResult,
     FrequencyPlan,
     SpectralField,
+    cholesky_factor,
     inverse_dft,
     sample_params,
 )
@@ -455,6 +457,19 @@ def test_conditional_law_at_coherent_targets_matches_schur_law(model):
     # 2 |Im cond[:, 0, 1]|, far beyond the 1e-12 tolerance
     phase = np.abs(cond[:, 0, 1].imag) / np.sqrt(cond[:, 0, 0].real * cond[:, 1, 1].real)
     assert phase.max() > 1e-4
+
+
+def test_psd_factor_reads_the_lower_triangle_only():
+    # the sampler factors its Schur complements as computed, unsymmetrized;
+    # the second matrix has rank one, so its factor comes from eigh
+    rng = np.random.default_rng(50)
+    A = rng.standard_normal((4, 4))
+    sym = np.stack([A @ A.T, np.outer([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])])
+    assert cholesky_factor(sym)[2].tolist() == [True, False]
+    upper = np.triu_indices(4, 1)
+    skewed = sym.copy()
+    skewed[:, upper[0], upper[1]] += 1e3 * rng.standard_normal((2, 6))
+    assert np.array_equal(psd_factor(skewed), psd_factor(sym))
 
 
 def test_draw_with_cutoff_at_pi_has_no_high_band():

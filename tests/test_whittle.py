@@ -1,5 +1,6 @@
 """DFT conventions, Whittle likelihood, MLE machinery, parameter sampling."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -23,7 +24,6 @@ from presim.whittle import (
     forward_substitute,
     initial_params,
     inverse_dft,
-    numeric_gradient,
     require_frequencies,
     sample_params,
 )
@@ -31,6 +31,7 @@ from presim.whittle import _bfgs, _matern32_root, _quartiles
 
 from conftest import (
     cross_spectrum_stack,
+    numeric_gradient,
     numeric_hessian,
     random_params,
     reference_loglik,
@@ -421,11 +422,19 @@ def score_case_params(model, rng, delta_kind):
     return vec
 
 
-@pytest.mark.parametrize(
-    "omega0_j, T, delta_kind",
-    [(720, 64, "mixed"), (720, 65, "mixed"), (720, 64, "zero"), (720, 65, "tiny"),
-     (4320, 64, "mixed"), (4320, 65, "zero")],
-)
+# cutoff, T and delta case of the derivative checks
+DERIVATIVE_CASES = [(720, 64, "mixed"), (720, 65, "mixed"), (720, 64, "zero"), (720, 65, "tiny"),
+                    (4320, 64, "mixed"), (4320, 65, "zero")]
+
+
+def station_geometry(n_sites):
+    """The first `n_sites` stations of the default network."""
+    stations = default_stations()[:n_sites]
+    return SiteGeometry(np.array([s.latitude for s in stations]),
+                        np.array([s.longitude for s in stations]))
+
+
+@pytest.mark.parametrize("omega0_j, T, delta_kind", DERIVATIVE_CASES)
 def test_score_matches_numeric_gradient(geometry3, omega0_j, T, delta_kind):
     # omega0_j = 4320 puts the cutoff at pi: the diagonal band is empty
     model = SpectralModel(KnotSet.default(omega0_j))
@@ -445,18 +454,41 @@ def test_score_matches_numeric_gradient(geometry3, omega0_j, T, delta_kind):
     np.testing.assert_allclose(score, oracle, rtol=1e-6, atol=1e-7 * np.abs(oracle).max())
 
 
+def score_differences(obj, vec):
+    """Central differences of the analytic score, negated: a Hessian oracle of the negative log-likelihood."""
+    return -numeric_gradient(lambda x: obj.loglik_vec(x, score=True)[1], vec)
+
+
+def check_hessian_by_score(obj, vec, H):
+    """H is symmetric and within 1e-7 of max |H| of the score differences."""
+    assert np.array_equal(H, H.T)
+    by_score = score_differences(obj, vec)
+    np.testing.assert_allclose(H, by_score, rtol=0, atol=1e-7 * np.abs(by_score).max())
+
+
+@pytest.mark.parametrize("n_sites", [3, 11])
+@pytest.mark.parametrize("omega0_j, T, delta_kind", DERIVATIVE_CASES)
+def test_hessian_matches_numeric_derivatives(geometry3, n_sites, omega0_j, T, delta_kind):
+    # the parameters of the score check; against the score differences and
+    # the value's second differences
+    geo = geometry3 if n_sites == 3 else station_geometry(n_sites)
+    model = SpectralModel(KnotSet.default(omega0_j))
+    rng = np.random.default_rng(31 + T + omega0_j)
+    obj = WhittleObjective(model, forward_dft(rng.standard_normal((n_sites, T))), geo)
+    vec = score_case_params(model, rng, delta_kind)
+    H = obj.hessian(model.unpack(vec))
+    check_hessian_by_score(obj, vec, H)
+    by_value = numeric_hessian(lambda x: -obj.loglik_vec(x), vec)
+    np.testing.assert_allclose(H, by_value, rtol=0, atol=1e-5 * np.abs(by_value).max())
+
+
 @pytest.mark.parametrize("omega0_j", [720, 4320])
 @pytest.mark.parametrize("T", [64, 65])
 @pytest.mark.parametrize("n_sites", [3, 11])
 def test_score_matches_complex_formulation(geometry3, omega0_j, T, n_sites):
     # the real D R D* evaluation against the complex one, value and score
-    if n_sites == 3:
-        geo = geometry3
-    else:
-        stations = default_stations()[:n_sites]
-        geo = SiteGeometry(np.array([s.latitude for s in stations]),
-                           np.array([s.longitude for s in stations]))
-        assert np.all(geo.distances + np.eye(n_sites) > 0)
+    geo = geometry3 if n_sites == 3 else station_geometry(n_sites)
+    assert np.all(geo.distances + np.eye(n_sites) > 0)
     model = SpectralModel(KnotSet.default(omega0_j))
     rng = np.random.default_rng(51 + T + omega0_j + n_sites)
     obj = WhittleObjective(model, forward_dft(rng.standard_normal((n_sites, T))), geo)
@@ -498,43 +530,76 @@ def make_synthetic_field(model, geometry, T, seed, scale=0.3):
 def test_fit_from_truth_does_not_decrease_loglik(model, geometry3):
     truth, spec = make_synthetic_field(model, geometry3, 96, seed=14)
     obj = WhittleObjective(model, spec, geometry3)
-    fit = fit_mle(model, truth, spec, geometry3,
-                  FitOptions(max_iter=40), compute_hessian=False)
+    fit = fit_mle(model, truth, spec, geometry3, FitOptions(max_iter=40))
     assert fit.loglik >= obj.loglik(truth) - 1e-9
     assert fit.convergence["status"] in ("converged", "max_iter", "precision_loss")
 
 
 def test_fit_status_names_an_exhausted_iteration_budget(model, geometry3):
     truth, spec = make_synthetic_field(model, geometry3, 96, seed=14)
-    fit = fit_mle(model, truth, spec, geometry3,
-                  FitOptions(max_iter=2), compute_hessian=False)
+    fit = fit_mle(model, truth, spec, geometry3, FitOptions(max_iter=2))
     assert fit.convergence["status"] == "max_iter"
     assert fit.convergence["iterations"] == 2
 
 
 def test_fit_is_deterministic(model, geometry3):
     truth, spec = make_synthetic_field(model, geometry3, 64, seed=15)
-    f1 = fit_mle(model, truth, spec, geometry3,
-                 FitOptions(max_iter=10), compute_hessian=False)
-    f2 = fit_mle(model, truth, spec, geometry3,
-                 FitOptions(max_iter=10), compute_hessian=False)
+    f1 = fit_mle(model, truth, spec, geometry3, FitOptions(max_iter=10))
+    f2 = fit_mle(model, truth, spec, geometry3, FitOptions(max_iter=10))
     assert np.array_equal(f1.params_hat.pack(), f2.params_hat.pack())
     assert f1.loglik == f2.loglik
+
+
+def check_fit_hessian(fit, obj):
+    """The fit's Hessian is the analytic one at its optimum, with that matrix's spectrum."""
+    assert fit.convergence["status"] == "converged"
+    assert np.array_equal(fit.hessian, obj.hessian(fit.params_hat))
+    assert np.array_equal(fit.hessian_eigenvalues, np.linalg.eigvalsh(fit.hessian))
+    assert fit.hessian_min_eig == fit.hessian_eigenvalues[0]
+    assert np.all(np.diff(fit.hessian_eigenvalues) >= 0)
 
 
 def test_fit_hessian_matches_numeric_hessian(model, geometry3):
     truth, spec = make_synthetic_field(model, geometry3, 96, seed=19)
     fit = fit_mle(model, truth, spec, geometry3)
-    assert fit.convergence["status"] == "converged"
     obj = WhittleObjective(model, spec, geometry3)
+    check_fit_hessian(fit, obj)
     oracle = numeric_hessian(lambda x: -obj.loglik_vec(x), fit.params_hat.pack())
     assert np.array_equal(fit.hessian, fit.hessian.T)
     np.testing.assert_allclose(fit.hessian, oracle, rtol=1e-5, atol=1e-5 * np.abs(oracle).max())
 
 
+@pytest.fixture(scope="module")
+def fit11(model):
+    """(fit, objective) of an 11-site field at T = 2880, fitted from the truth."""
+    geo = station_geometry(11)
+    truth = default_true_params(model)
+    spec = forward_dft(inverse_dft(unconditional_sampler(model, truth, geo, 2880).draw(1, 0)))
+    return fit_mle(model, truth, spec, geo), WhittleObjective(model, spec, geo)
+
+
+def test_fit_hessian_at_11_sites_matches_numeric_derivatives(fit11):
+    fit, obj = fit11
+    check_fit_hessian(fit, obj)
+    check_hessian_by_score(obj, fit.params_hat.pack(), fit.hessian)
+
+
+def test_parameter_draws_keep_their_law(fit11):
+    # draws from the analytic Hessian and from the score differences agree
+    # to 1e-6 of each parameter's SD: the law of the draws did not move
+    fit, obj = fit11
+    by_score = score_differences(obj, fit.params_hat.pack())
+    before = dataclasses.replace(fit, hessian=0.5 * (by_score + by_score.T))
+    draws, floored = sample_params(fit, 99, seed=3)
+    ref, ref_floored = sample_params(before, 99, seed=3)
+    assert not floored and not ref_floored
+    sd = np.sqrt(np.diag(np.linalg.inv(fit.hessian)))
+    assert np.all(np.abs(draws - ref) <= 1e-6 * sd)
+
+
 def test_fit_takes_the_analytic_score(model, geometry3, monkeypatch):
     # every objective call gives the value and the score; the fit report
-    # counts them, the start point once, and the Hessian takes 2 * n_params more
+    # counts them, the start point once, and the Hessian makes none
     calls = []
     loglik = WhittleObjective.loglik
 
@@ -548,9 +613,9 @@ def test_fit_takes_the_analytic_score(model, geometry3, monkeypatch):
     conv = fit.convergence
     assert conv["iterations"] == 5
     assert all(score for score, _ in calls)
-    assert conv["objective_calls"] == len(calls) - 2 * model.n_params
+    assert conv["objective_calls"] == len(calls)
     assert sum(np.array_equal(x, truth.pack()) for _, x in calls) == 1
-    assert len(calls) <= 3 * (conv["iterations"] + 1) + 2 * model.n_params
+    assert len(calls) <= 3 * (conv["iterations"] + 1)
 
 
 def fit_with_scipy_bfgs(obj, x0, options):
@@ -579,18 +644,13 @@ def test_fit_reaches_the_scipy_bfgs_optimum(model, geometry3, n_sites, T):
     # From the truth, so that both start in the basin of the global
     # maximum: with 3 sites below T = 2880 the likelihood has several
     # local maxima, and either optimizer may end in a lower one.
-    if n_sites == 3:
-        geo = geometry3
-    else:
-        stations = default_stations()[:n_sites]
-        geo = SiteGeometry(np.array([s.latitude for s in stations]),
-                           np.array([s.longitude for s in stations]))
+    geo = geometry3 if n_sites == 3 else station_geometry(n_sites)
     truth = default_true_params(model)
     probes = np.array([1 / 8, 1 / 4, 1 / 2]) * model.knots.omega0
     sampler = unconditional_sampler(model, truth, geo, T)
     for seed in (1, 2):
         spec = forward_dft(inverse_dft(sampler.draw(seed, 0)))
-        fit = fit_mle(model, truth, spec, geo, compute_hessian=False)
+        fit = fit_mle(model, truth, spec, geo)
         ref = fit_with_scipy_bfgs(WhittleObjective(model, spec, geo), truth.pack(), FitOptions())
         assert fit.convergence["status"] == "converged" and ref.status == 0
         assert fit.loglik >= -ref.fun - 1e-6 * abs(ref.fun)
@@ -716,16 +776,23 @@ def test_initial_params_give_finite_loglik(model, geometry3):
 
 def test_fit_result_json_round_trip(model, geometry3):
     truth, spec = make_synthetic_field(model, geometry3, 48, seed=18)
-    fit = fit_mle(model, truth, spec, geometry3,
-                  FitOptions(max_iter=5), compute_hessian=True)
+    fit = fit_mle(model, truth, spec, geometry3, FitOptions(max_iter=5))
     back = FitResult.from_dict(json.loads(fit.to_json()))
     assert np.allclose(back.params_hat.pack(), fit.params_hat.pack(), atol=0)
     assert back.loglik == fit.loglik
     assert np.allclose(back.hessian, fit.hessian, atol=0)
+    assert np.array_equal(back.hessian_eigenvalues, fit.hessian_eigenvalues)
     assert back.knots == fit.knots
     # reports written while FitResult carried `hessian_floored` still load
     old = dict(fit.to_dict(), hessian_floored=True)
     assert FitResult.from_dict(old).to_json() == fit.to_json()
+    # and so do reports written before the fit recorded the Hessian's
+    # spectrum, with the dict, and so the fit hash, they had
+    old = fit.to_dict()
+    del old["hessian_eigenvalues"]
+    back = FitResult.from_dict(old)
+    assert len(back.hessian_eigenvalues) == 0
+    assert back.to_dict() == old
 
 
 # -- parameter sampling ---------------------------------------------------
