@@ -16,7 +16,7 @@ import numpy as np
 from presim import synth
 from presim.geometry import SiteGeometry
 from presim.spectrum import KnotSet, SpectralModel
-from presim.whittle import FitOptions, fit_mle, forward_dft, initial_params
+from presim.whittle import FitOptions, WhittleObjective, fit_mle, forward_dft, initial_params
 
 
 def run(argv=None) -> int:
@@ -46,9 +46,8 @@ def run(argv=None) -> int:
     for seed in args.seeds:
         stack = synth.default_stack(T, [s.elevation for s in stations], seed=seed)
         truth = synth.generate(model, true_params, stations, stack, T, seed=seed)
-        spec = forward_dft(truth.adjusted)
-        init = initial_params(model, spec, geo)
-        fit = fit_mle(model, init, spec, geo, FitOptions())
+        obj = WhittleObjective(model, forward_dft(truth.adjusted), geo)
+        fit = fit_mle(obj, initial_params(obj), FitOptions())
         err_S = np.abs(model.eval_S(fit.params_hat, probes) / model.eval_S(true_params, probes)
                        - 1)
         err_d = np.abs(np.abs(model.eval_delta(fit.params_hat, dgrid))

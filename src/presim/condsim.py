@@ -18,6 +18,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -79,34 +80,14 @@ class PredictionSetup:
     def n_targets(self) -> int:
         return len(self.target_lats)
 
-    @property
+    @cached_property
     def targets(self) -> SiteGeometry:
         return SiteGeometry(self.target_lats, self.target_lons)
 
-    @property
+    @cached_property
     def combined(self) -> SiteGeometry:
+        """The observed sites, then the targets: computed once, shared by every sampler build."""
         return combine(self.observed, self.targets)
-
-
-class SamplerFrame:
-    """The parts of a sampler build that do not depend on the parameters.
-
-    The frequency plan, the combined (observed + target) geometry, the
-    spline designs at the low-band frequencies and of S at the high band,
-    and the observed low-band coefficients. One frame serves every
-    parameter draw of an ensemble.
-    """
-
-    def __init__(self, model: SpectralModel, setup: PredictionSetup,
-                 observed_field: SpectralField):
-        if observed_field.n_sites != setup.n_observed:
-            raise ValidationError("observed field does not match setup geometry")
-        self.T = observed_field.n_times
-        self.plan = plan = FrequencyPlan(self.T, model.knots.omega0)
-        self.geometry = setup.combined
-        self.designs_low = model.designs(plan.omega_low)
-        self.design_S_high = model.basis_S.design(plan.omega_high)
-        self.J_o = observed_field.coeffs[plan.low]
 
 
 class ConditionalSampler:
@@ -121,27 +102,29 @@ class ConditionalSampler:
     fails (`ridge_frequencies`); a law still not finite raises a
     ValidationError naming its first frequency.
 
-    With zero observed sites (an empty observed geometry and a
+    `plan` is the `FrequencyPlan` of the observed field's length; callers
+    that build samplers for many parameter vectors build it once. With
+    zero observed sites (an empty observed geometry and a
     (floor(T/2)+1, 0) observed field) the conditional laws are the
-    unconditional ones, so the same sampler draws synthetic truths. `frame` is the
-    `SamplerFrame` of `setup` and `observed_field`; callers that build
-    samplers for many parameter vectors pass it in once computed.
+    unconditional ones, so the same sampler draws synthetic truths.
     """
 
-    def __init__(self, model: SpectralModel, params: SpectralParams,
-                 setup: PredictionSetup, observed_field: SpectralField,
-                 frame: SamplerFrame | None = None):
-        if frame is None:
-            frame = SamplerFrame(model, setup, observed_field)
+    def __init__(self, plan: FrequencyPlan, params: SpectralParams,
+                 setup: PredictionSetup, observed_field: SpectralField):
+        if observed_field.n_sites != setup.n_observed:
+            raise ValidationError(f"observed field has {observed_field.n_sites} sites, "
+                                  f"the setup's observed geometry {setup.n_observed}")
+        if observed_field.n_times != plan.T:
+            raise ValidationError(f"frequency plan is for T = {plan.T}, "
+                                  f"the observed field for T = {observed_field.n_times}")
         n = setup.n_observed
         self.setup = setup
-        self.T = frame.T
+        self.T = plan.T
         self.m = setup.n_targets
-        self.plan = plan = frame.plan
+        self.plan = plan
 
         scale = TWO_PI * self.T
-        t = model.cross_spectrum_terms(params, frame.geometry, plan.omega_low,
-                                       frame.designs_low)
+        t = plan.terms(params, setup.combined)
         Roo, Rop, Rpp = t.R[:, :n, :n], t.R[:, :n, n:], t.R[:, n:, n:]
         D_o, D_p = t.D[:, :n], t.D[:, n:]
         del t  # frees C and r, (K, n + m, n + m) each, before the factorization
@@ -152,7 +135,7 @@ class ConditionalSampler:
             diag[~good] += RIDGE_REL * diag[~good].sum(axis=1, keepdims=True) / n
             L, inv_piv, good = cholesky_factor(Roo)
         require_frequencies(good, plan.omega_low, "conditional law not finite")
-        z = np.conj(D_o) * frame.J_o
+        z = np.conj(D_o) * observed_field.coeffs[plan.low]
         X = forward_substitute(L, inv_piv, np.dstack([z.real, z.imag, Rop]))
         Wt = np.swapaxes(X[..., 2:], 1, 2)  # W^T = R_po L^{-T}
         mean = Wt @ X[..., :2]  # R_po R_oo^{-1} z: real and imaginary parts
@@ -160,7 +143,7 @@ class ConditionalSampler:
         # psd_factor reads only the lower triangle, so cov need not be exactly symmetric
         cov = scale * (Rpp - Wt @ X[..., 2:])
         # diagonal block: unconditional marginal SDs per frequency
-        self.sd_high = np.sqrt(scale * np.exp(frame.design_S_high @ params.s_coeffs))
+        self.sd_high = np.sqrt(scale * plan.S_high(params))
         finite = np.isfinite(cov).all(axis=(1, 2)) & np.isfinite(self.means).all(axis=1)
         require_frequencies(np.concatenate([finite, np.isfinite(self.sd_high)]), plan.omegas,
                             "conditional law not finite")
@@ -256,13 +239,13 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
     if mean_draws.shape != (count, setup.n_targets):
         raise ValidationError("mean_draws must be (count, n_targets)")
 
-    frame = SamplerFrame(model, setup, observed_field)
+    plan = FrequencyPlan(observed_field.n_times, model)
     floored = False
     if vary_params:
         draws, floored = sample_params(fit, count, seed)
         ridged = 0
     else:
-        sampler = ConditionalSampler(model, fit.params_hat, setup, observed_field, frame)
+        sampler = ConditionalSampler(plan, fit.params_hat, setup, observed_field)
         ridged = len(sampler.ridge_frequencies)
 
     T = observed_field.n_times
@@ -277,8 +260,8 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
             np.lib.format.write_array_header_1_0(fh, header)
             for k in range(count):
                 if vary_params:
-                    sampler = ConditionalSampler(model, model.unpack(draws[k]), setup,
-                                                 observed_field, frame)
+                    sampler = ConditionalSampler(plan, model.unpack(draws[k]), setup,
+                                                 observed_field)
                     ridged += len(sampler.ridge_frequencies)
                 A = inverse_dft(sampler.draw(seed, k))
                 pressure = invert_stack(A, stack, setup.target_elevations, mean_draws[k], diurnal)

@@ -27,7 +27,7 @@ from .preprocess import (
 )
 from .rng import RNG_LAYOUT, STAGE_SYNTH, substream
 from .spectrum import KnotSet, SpectralModel, SpectralParams
-from .whittle import SpectralField, inverse_dft
+from .whittle import FrequencyPlan, SpectralField, inverse_dft
 
 DEFAULT_START = datetime(2005, 10, 1, tzinfo=timezone.utc)
 
@@ -137,7 +137,8 @@ def generate(model: SpectralModel, params: SpectralParams, stations: list,
         target_elevations=elevations,
     )
     no_sites = SpectralField(np.zeros((T // 2 + 1, 0)), n_times=T)
-    field = ConditionalSampler(model, params, setup, no_sites).draw(seed, 0, stage=STAGE_SYNTH)
+    sampler = ConditionalSampler(FrequencyPlan(T, model), params, setup, no_sites)
+    field = sampler.draw(seed, 0, stage=STAGE_SYNTH)
     A = inverse_dft(field)
     pressure = invert_stack(A, stack, elevations, stack.site_means)
     return SyntheticTruth(

@@ -15,13 +15,14 @@ shortcut f = S * I.
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError
 from .geometry import SiteGeometry
 from .rng import STAGE_PARAM_DRAW, substream
-from .spectrum import KnotSet, SpectralModel, SpectralParams, matern32
+from .spectrum import CrossSpectrumTerms, KnotSet, SpectralModel, SpectralParams, matern32
 
 TWO_PI = 2.0 * np.pi
 
@@ -90,7 +91,7 @@ def inverse_dft(spec: SpectralField) -> np.ndarray:
 
 
 class FrequencyPlan:
-    """The rows of a one-sided spectral field, split at the cutoff.
+    """The rows of a one-sided spectral field, split at the cutoff, with the model's designs.
 
     Row j is the Fourier frequency w_j = 2 pi j / T, j = 0..floor(T/2),
     with weight 1 except 0.5 at the real-coefficient rows (0 and, for even
@@ -98,56 +99,70 @@ class FrequencyPlan:
     cross-site coherence; the high band, rows [K:], is diagonal. A cutoff
     that lands on a Fourier frequency (up to rounding) puts that frequency
     in the low band. `low` and `high` are the slices of the two bands.
+
+    It also holds the designs of `model`: all four at the low band, S's at
+    the high band. A fit's objective and start point share one plan, and so
+    do all the samplers of an ensemble.
     """
 
-    def __init__(self, T: int, omega0: float):
+    def __init__(self, T: int, model: SpectralModel):
+        self.T = T
+        self.model = model
         self.omegas = fourier_frequencies(T)
         self.weights = np.ones(len(self.omegas))
         self.weights[0] = 0.5
         if T % 2 == 0:
             self.weights[-1] = 0.5
-        K = int(np.count_nonzero(self.omegas <= omega0 + 1e-15))
+        K = int(np.count_nonzero(self.omegas <= model.knots.omega0 + 1e-15))
         self.low, self.high = slice(0, K), slice(K, None)
         self.omega_low, self.omega_high = self.omegas[self.low], self.omegas[self.high]
         self.w_low, self.w_high = self.weights[self.low], self.weights[self.high]
         self.real_low, self.real_high = self.w_low == 0.5, self.w_high == 0.5
+        self.designs_low = model.designs(self.omega_low)
+        self.design_S_high = model.basis_S.design(self.omega_high)
+
+    def terms(self, params: SpectralParams, geometry: SiteGeometry) -> CrossSpectrumTerms:
+        """The factors of f = D R D* at the low-band frequencies."""
+        return self.model.cross_spectrum_terms(params, geometry, self.omega_low,
+                                               self.designs_low)
+
+    def S_high(self, params: SpectralParams) -> np.ndarray:
+        """The marginal spectrum S at the high-band frequencies."""
+        return np.exp(self.design_S_high @ params.s_coeffs)
 
 
 class WhittleObjective:
     """Whittle log-likelihood, its score and its Hessian for a fixed data field and geometry.
 
-    Precomputes the frequency plan and the spline design matrices at its
-    frequencies at construction, so repeated evaluations during
-    optimization stay cheap. Evaluations accumulate in a fixed frequency
-    order, so results are independent of any outer parallelism.
+    Builds the frequency plan, and with it the spline designs, once at
+    construction, so repeated evaluations during optimization stay cheap.
+    Evaluations accumulate in a fixed frequency order, so results are
+    independent of any outer parallelism.
     """
 
     def __init__(self, model: SpectralModel, spec: SpectralField, geometry: SiteGeometry):
         if spec.n_sites != geometry.n_sites:
             raise ValidationError("field and geometry site counts differ")
-        self.model = model
         self.spec = spec
         self.geometry = geometry
         self.T = spec.n_times
         self.n = spec.n_sites
 
-        self.plan = FrequencyPlan(self.T, model.knots.omega0)
+        self.plan = FrequencyPlan(self.T, model)
         self.J_low = spec.coeffs[self.plan.low]  # K x n
         self.Q_high = np.sum(np.abs(spec.coeffs[self.plan.high]) ** 2, axis=1)
-        self.designs_low = model.designs(self.plan.omega_low)
-        self.design_S_high = model.basis_S.design(self.plan.omega_high)
         d = geometry.distances
         self._inv_d = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
 
-    def loglik(self, params: SpectralParams, score: bool = False):
-        """Log-likelihood at `params`; with score=True, (log-likelihood, score).
+    def loglik(self, params: SpectralParams) -> tuple:
+        """(log-likelihood, score) at `params`.
 
         With f_k = D_k R_k D_k* (see `spectrum`), log det f_k = log det R_k
         and J_k* f_k^{-1} J_k = |L_k^{-1} z_k|^2 for z_k = D_k* J_k and the
         Cholesky factor R_k = L_k L_k^T, so one real factorization per
         frequency gives both: the log-determinant from L_k's diagonal and
         the quadratic form from a forward substitution of the real and
-        imaginary parts of z_k. The score substitutes the identity too, for
+        imaginary parts of z_k. The substitution takes the identity too, for
         L_k^{-1}, and forms y_k = R_k^{-1} z_k and R_k^{-1} = L_k^{-T} L_k^{-1}
         from it.
 
@@ -157,51 +172,19 @@ class WhittleObjective:
         which is d_a R_k along S, beta and delta and
         i S1 C o d_a(theta u.(p_j - p_k)) along theta and the u angle; plus
         the diagonal band's -sum_k w_k dlogS_k/da (n - Q_k / (2 pi T S_k)).
-        `hessian` gives the second derivatives from the same factor.
+        `hessian` gives the second derivatives from the same evaluation.
         """
-        plan, n = self.plan, self.n
-        scale = TWO_PI * self.T
-
-        t, logdet, quad, y, R_inv = self._low_band(params, inverse=score)
-        ll = -np.sum(plan.w_low * (logdet + quad / scale))
-
-        S_high = np.exp(self.design_S_high @ params.s_coeffs)
-        ll -= np.sum(plan.w_high * (n * np.log(S_high) + self.Q_high / (scale * S_high)))
-        if not score:
-            return float(ll)
-
-        S1 = t.S * t.sig
-        dC = self._dC(t)
-        # Im H = (yr yi^T - yi yr^T) / scale and u.p_j - u.p_k are both
-        # antisymmetric, so sum C o (u.p_j - u.p_k) o Im H = sum_j u.p_j v_j
-        Cy = t.C @ y
-        v = 2.0 * (y[..., 0] * Cy[..., 1] - y[..., 1] * Cy[..., 0]) / scale
-        pos = self.geometry.positions
-
-        def re_tr_H(M, My):
-            """Re tr(H M) = tr(R^{-1} M) - tr(y^T M y) / scale for a real symmetric M."""
-            return (np.einsum("kij,kij->k", R_inv, M)
-                    - np.einsum("kic,kic->k", y, My) / scale)
-
-        # per frequency, Re tr(H E) along log S, beta, delta, theta, u angle
-        tr_S = n - quad / scale  # tr(H R)
-        tr_high = n - self.Q_high / (scale * S_high)
-        tr_I = np.einsum("kii->k", R_inv) - np.einsum("kic,kic->k", y, y) / scale
-        tr_beta = S1 * (1.0 - t.sig) * (re_tr_H(t.C, Cy) - tr_I)
-        tr_delta = S1 * np.sign(t.delta) * re_tr_H(dC, dC @ y)
-        tr_theta = S1 * (v @ (pos @ params.u))
-        tr_u = t.theta * S1 * (v @ (pos @ params.u_perp))
-
-        w = plan.w_low
-        B_S, B_beta, B_delta, B_theta = self.designs_low
+        ll, (tr_S, tr_beta, tr_delta, tr_theta, tr_u), tr_high = self._evaluate(params)[:3]
+        plan, w = self.plan, self.plan.w_low
+        B_S, B_beta, B_delta, B_theta = plan.designs_low
         grad = -np.concatenate([
-            B_S.T @ (w * tr_S) + self.design_S_high.T @ (plan.w_high * tr_high),
+            B_S.T @ (w * tr_S) + plan.design_S_high.T @ (plan.w_high * tr_high),
             B_beta.T @ (w * tr_beta),
             B_delta.T @ (w * tr_delta),
             B_theta.T @ (w * tr_theta),
             [np.sum(w * tr_u)],
         ])
-        return float(ll), grad
+        return ll, grad
 
     def hessian(self, params: SpectralParams) -> np.ndarray:
         """The exact Hessian of the negative log-likelihood at `params`, in `pack` order.
@@ -222,7 +205,8 @@ class WhittleObjective:
         """
         plan, n = self.plan, self.n
         scale = TWO_PI * self.T
-        t, _, _, y, R_inv = self._low_band(params, inverse=True)
+        _, tr, _, t, y, R_inv = self._evaluate(params)
+        re_tr_H = partial(_re_tr_H, y, R_inv, scale)
         yr, yi = y[..., 0, None], y[..., 1, None]
         s1 = (t.S * t.sig)[:, None, None]
         theta = t.theta[:, None, None]
@@ -232,16 +216,6 @@ class WhittleObjective:
         dC = self._dC(t)
         E_delta = s1 * np.sign(t.delta)[:, None, None] * dC
 
-        def re_tr_H(P=None, F=None):
-            """Re tr(H (P + i F)) for real P symmetric and F antisymmetric."""
-            out = np.zeros(len(y))
-            if P is not None:
-                out += (np.einsum("kij,kij->k", R_inv, P)
-                        - np.einsum("kic,kic->k", y, P @ y) / scale)
-            if F is not None:
-                out += 2.0 * np.einsum("kic,kic->k", yr, F @ yi) / scale
-            return out
-
         # the directions: E_a = G_a along log S, beta and delta, i G_a along theta and u
         G = [t.R,
              s1 * (1.0 - t.sig)[:, None, None] * (t.C - np.eye(n)),
@@ -249,7 +223,6 @@ class WhittleObjective:
              s1 * t.C * U,
              theta * s1 * t.C * U_perp]
         imag = (False, False, False, True, True)
-        tr = [re_tr_H(F=G[a]) if imag[a] else re_tr_H(P=G[a]) for a in range(5)]
         RG = [R_inv @ G_a for G_a in G]
         # E y and R^{-1} E y as real and imaginary parts, (K, n, 2)
         Ey = [np.concatenate([-G[a] @ yi, G[a] @ yr], axis=2) if imag[a] else G[a] @ y
@@ -274,7 +247,7 @@ class WhittleObjective:
                               F=-theta * s1 * t.C * U)
 
         w = plan.w_low
-        designs = list(self.designs_low) + [np.ones((len(w), 1))]
+        designs = list(plan.designs_low) + [np.ones((len(w), 1))]
         blocks = [[None] * 5 for _ in range(5)]
         for (a, b), h in tr_ab.items():
             # tr(R^{-1} E_a R^{-1} E_b) is real: zero between a real and an
@@ -286,40 +259,68 @@ class WhittleObjective:
             blocks[b][a] = blocks[a][b].T
         H = np.block(blocks)
 
-        S_high = np.exp(self.design_S_high @ params.s_coeffs)
-        curv_high = plan.w_high * self.Q_high / (scale * S_high)
-        d_S = self.design_S_high.shape[1]
-        H[:d_S, :d_S] += self.design_S_high.T @ (curv_high[:, None] * self.design_S_high)
+        curv_high = plan.w_high * self.Q_high / (scale * plan.S_high(params))
+        d_S = plan.design_S_high.shape[1]
+        H[:d_S, :d_S] += plan.design_S_high.T @ (curv_high[:, None] * plan.design_S_high)
         return 0.5 * (H + H.T)
 
-    def _low_band(self, params: SpectralParams, inverse: bool) -> tuple:
-        """(t, log det R_k, z_k* R_k^{-1} z_k, y, R^{-1}) over the low band.
+    def _evaluate(self, params: SpectralParams) -> tuple:
+        """(ll, tr, tr_high, t, y, R^{-1}) at `params`, from one factor and substitution.
 
-        t is the `CrossSpectrumTerms`. With `inverse`, y holds the real and
-        imaginary parts of y_k = R_k^{-1} z_k, (K, n, 2), and R^{-1} is
-        (K, n, n); without it both are None.
+        The low band's factor gives log det R_k and, by substitution of
+        [Re z_k | Im z_k | I], z_k* R_k^{-1} z_k, y_k = R_k^{-1} z_k as real
+        and imaginary parts (K, n, 2) and R_k^{-1}. `tr` holds, per low-band
+        frequency, Re tr(H E_a) along log S, beta, delta, theta and the u
+        angle; `tr_high` the diagonal band's n - Q / (2 pi T S).
         """
-        t = self.model.cross_spectrum_terms(params, self.geometry, self.plan.omega_low,
-                                            self.designs_low)
+        plan, n = self.plan, self.n
+        scale = TWO_PI * self.T
+        t = plan.terms(params, self.geometry)
         L, inv_piv, good = cholesky_factor(t.R)
-        require_frequencies(good, self.plan.omega_low, "singular spectral matrix")
+        require_frequencies(good, plan.omega_low, "singular spectral matrix")
         z = np.conj(t.D) * self.J_low
-        eye = [np.broadcast_to(np.eye(self.n), t.R.shape)] if inverse else []
-        X = forward_substitute(L, inv_piv, np.dstack([z.real, z.imag] + eye))
+        eye = np.broadcast_to(np.eye(n), t.R.shape)
+        X = forward_substitute(L, inv_piv, np.dstack([z.real, z.imag, eye]))
         logdet = 2.0 * np.sum(np.log(np.einsum("kii->ki", L)), axis=1)
         quad = np.sum(X[..., 0] ** 2 + X[..., 1] ** 2, axis=1)  # z* R^{-1} z
-        if not inverse:
-            return t, logdet, quad, None, None
         # L^{-T} [L^{-1} z | L^{-1}] = [y | R^{-1}]
         sol = np.swapaxes(X[..., 2:], 1, 2) @ X
-        return t, logdet, quad, sol[..., :2], sol[..., 2:]
+        y, R_inv = sol[..., :2], sol[..., 2:]
+        ll = -np.sum(plan.w_low * (logdet + quad / scale))
+        S_high = plan.S_high(params)
+        ll -= np.sum(plan.w_high * (n * np.log(S_high) + self.Q_high / (scale * S_high)))
+
+        re_tr_H = partial(_re_tr_H, y, R_inv, scale)
+        S1 = t.S * t.sig
+        # Im H = (yr yi^T - yi yr^T) / scale and u.p_j - u.p_k are both
+        # antisymmetric, so sum C o (u.p_j - u.p_k) o Im H = sum_j u.p_j v_j
+        Cy = t.C @ y
+        v = 2.0 * (y[..., 0] * Cy[..., 1] - y[..., 1] * Cy[..., 0]) / scale
+        pos = self.geometry.positions
+        tr_I = np.einsum("kii->k", R_inv) - np.einsum("kic,kic->k", y, y) / scale
+        tr = (n - quad / scale,  # tr(H R)
+              S1 * (1.0 - t.sig) * (re_tr_H(P=t.C) - tr_I),
+              S1 * np.sign(t.delta) * re_tr_H(P=self._dC(t)),
+              S1 * (v @ (pos @ params.u)),
+              t.theta * S1 * (v @ (pos @ params.u_perp)))
+        return float(ll), tr, n - self.Q_high / (scale * S_high), t, y, R_inv
 
     def _dC(self, t) -> np.ndarray:
         """dC/d|delta| = r^2 e^{-r} / |delta| = r^3 C / ((1 + r) d); r <= R_CAP."""
         return t.r * t.r * t.r * t.C / (1.0 + t.r) * self._inv_d
 
-    def loglik_vec(self, vec, score: bool = False):
-        return self.loglik(self.model.unpack(vec), score=score)
+
+def _re_tr_H(y, R_inv, scale, P=None, F=None) -> np.ndarray:
+    """Re tr(H (P + i F)) per frequency for H = R^{-1} - y y^* / scale.
+
+    P is real symmetric and F real antisymmetric, (K, n, n) each.
+    """
+    out = np.zeros(len(y))
+    if P is not None:
+        out += np.einsum("kij,kij->k", R_inv, P) - np.einsum("kic,kic->k", y, P @ y) / scale
+    if F is not None:
+        out += 2.0 * np.einsum("kic,kic->k", y[..., 0, None], F @ y[..., 1, None]) / scale
+    return out
 
 
 def cholesky_factor(R) -> tuple:
@@ -420,9 +421,9 @@ class FitResult:
         )
 
 
-def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
-            geometry: SiteGeometry, options: FitOptions | None = None) -> FitResult:
-    """Maximize the Whittle likelihood by BFGS (`_bfgs`) on the negative log-likelihood.
+def fit_mle(obj: WhittleObjective, initial: SpectralParams,
+            options: FitOptions | None = None) -> FitResult:
+    """Maximize the Whittle likelihood of `obj` by BFGS (`_bfgs`) on the negative log-likelihood.
 
     Every objective call gives the value and the analytic score together;
     `objective_calls` counts these calls, the one at the start point
@@ -437,15 +438,15 @@ def fit_mle(model: SpectralModel, initial: SpectralParams, spec: SpectralField,
     |delta| and theta * u.
     """
     options = options or FitOptions()
-    obj = WhittleObjective(model, spec, geometry)
+    model = obj.plan.model
     x0 = initial.pack()
-    ll0, score0 = obj.loglik_vec(x0, score=True)
+    ll0, score0 = obj.loglik(initial)
     if not np.isfinite(ll0):
         raise ValidationError("log-likelihood not finite at the initial point")
 
     def neg(x):
         try:
-            ll, score = obj.loglik_vec(x, score=True)
+            ll, score = obj.loglik(model.unpack(x))
         except ValidationError:
             return np.inf, np.full(len(x), np.nan)
         return -ll, -score
@@ -546,20 +547,27 @@ def sample_params(fit: FitResult, count: int, seed: int) -> tuple:
     One generator, keyed (STAGE_PARAM_DRAW,), gives a (count, p) block of
     standard normals; a right-side back-substitution over the p columns
     maps the block with elementwise column updates, so row k (member k's
-    draw) is the same for every count. If the Hessian is not positive
-    definite it is projected by flooring its eigenvalues at 1e-8 times the
-    largest one, and `floored` is True. `fit` is not modified.
+    draw) is the same for every count. A Hessian that is singular to
+    rounding (smallest eigenvalue below p eps times the largest) or whose
+    Cholesky factorization fails is projected by flooring its eigenvalues
+    at 1e-8 times the largest one, and `floored` is True. A Hessian that
+    is not finite or has no positive eigenvalue raises a ValidationError.
+    `fit` is not modified.
     """
     H = np.asarray(fit.hessian, dtype=float)
-    try:
-        L = np.linalg.cholesky(H)
-        floored = False
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(H)
-        floor = 1e-8 * vals.max()
-        vals = np.maximum(vals, floor)
-        L = np.linalg.cholesky((vecs * vals) @ vecs.T)
-        floored = True
+    if not np.isfinite(H).all():
+        raise ValidationError("the fit's Hessian is not finite; parameter draws need it")
+    vals, vecs = np.linalg.eigh(H)
+    if not vals[-1] > 0.0:
+        raise ValidationError("the fit's Hessian has no positive eigenvalue")
+    floored = bool(vals[0] < len(H) * np.finfo(float).eps * vals[-1])
+    if not floored:
+        try:
+            L = np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            floored = True
+    if floored:
+        L = np.linalg.cholesky((vecs * np.maximum(vals, 1e-8 * vals[-1])) @ vecs.T)
     mean = fit.params_hat.pack()
     x = substream(seed, STAGE_PARAM_DRAW).standard_normal((count, len(mean)))
     # rows z L^{-1}: cov of L'^{-1} z' is (L L')^{-1} = H^{-1}; solve x L = z
@@ -573,31 +581,31 @@ def sample_params(fit: FitResult, count: int, seed: int) -> tuple:
 # -- data-driven initialization ------------------------------------------
 
 
-def initial_params(model: SpectralModel, spec: SpectralField,
-                   geometry: SiteGeometry) -> SpectralParams:
-    """Starting point for the optimizer.
+def initial_params(obj: WhittleObjective) -> SpectralParams:
+    """Starting point for the optimizer on the data and geometry of `obj`.
 
     S comes from a least-squares spline fit to the log of the smoothed
     average periodogram; beta starts at 0 (equal split), delta from a
     coarse coherence-range heuristic on the closest station pair, theta
     at 0 and u pointing west.
     """
-    T = spec.n_times
-    plan = FrequencyPlan(T, model.knots.omega0)
-    pgram = np.mean(np.abs(spec.coeffs) ** 2, axis=1) / (TWO_PI * T)
+    plan, spec, geometry = obj.plan, obj.spec, obj.geometry
+    model = plan.model
+    pgram = np.mean(np.abs(spec.coeffs) ** 2, axis=1) / (TWO_PI * plan.T)
     logp = np.log(np.maximum(pgram, 1e-300))
     win = max(5, min(101, (len(logp) // 40) | 1))
     kernel = np.ones(win) / win
     pad = np.concatenate([logp[:win][::-1], logp, logp[-win:][::-1]])
     smooth = np.convolve(pad, kernel, mode="same")[win:-win]
-    B = model.basis_S.design(plan.omegas)
+    # the S design at every frequency: the low band's rows, then the high band's
+    B = np.vstack([plan.designs_low[0], plan.design_S_high])
     s_coeffs, *_ = np.linalg.lstsq(B, smooth, rcond=None)
 
     d = geometry.distances + np.diag(np.full(geometry.n_sites, np.inf))
     jmin, kmin = np.unravel_index(np.argmin(d), d.shape)
     dmin = d[jmin, kmin]
     # the coherent band without frequency 0
-    J, omegas = spec.coeffs[plan.low][1:], plan.omega_low[1:]
+    J, omegas = obj.J_low[1:], plan.omega_low[1:]
     band_edges = _quartiles(omegas)
     centers, targets = [], []
     for lo, hi in zip(band_edges[:-1], band_edges[1:]):

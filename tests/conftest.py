@@ -11,7 +11,7 @@ from presim.errors import AlignmentError, FormatError
 from presim.geometry import SiteGeometry
 from presim.ingest import RawSeries
 from presim.spectrum import KnotSet, SpectralModel
-from presim.whittle import TWO_PI, SpectralField
+from presim.whittle import TWO_PI, FrequencyPlan, SpectralField
 
 
 @pytest.fixture(scope="session")
@@ -108,7 +108,7 @@ def reference_loglik(obj, params):
     conj(G) o phase, the phase exp(i theta u.(x_j - x_k)) built from the
     differences of the geometry's planar positions.
     """
-    model, geo, plan, n = obj.model, obj.geometry, obj.plan, obj.n
+    model, geo, plan, n = obj.plan.model, obj.geometry, obj.plan, obj.n
     scale = TWO_PI * obj.T
     t = model.cross_spectrum_terms(params, geo, plan.omega_low, model.designs(plan.omega_low))
     f = cross_spectrum_stack(model, params, geo, plan.omega_low)
@@ -162,7 +162,7 @@ def unconditional_sampler(model, params, geometry, T):
         target_lats=geometry.lats, target_lons=geometry.lons,
         target_elevations=np.zeros(geometry.n_sites),
     )
-    return ConditionalSampler(model, params, setup,
+    return ConditionalSampler(FrequencyPlan(T, model), params, setup,
                               SpectralField(np.zeros((T // 2 + 1, 0)), n_times=T))
 
 

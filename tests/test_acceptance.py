@@ -28,6 +28,7 @@ from presim.rng import STAGE_SYNTH
 from presim.spectrum import KnotSet, SpectralModel, SpectralParams, matern32
 from presim.whittle import (
     TWO_PI,
+    FrequencyPlan,
     WhittleObjective,
     forward_dft,
     inverse_dft,
@@ -81,7 +82,7 @@ def test_01_frequency_likelihood_matches_exact_density(model, geometry3):
     for _ in range(20):
         p1 = random_params(model, rng, scale=0.3)
         p2 = random_params(model, rng, scale=0.3)
-        d_freq = obj.loglik(p1) - obj.loglik(p2)
+        d_freq = obj.loglik(p1)[0] - obj.loglik(p2)[0]
         d_exact = exact_series_loglik(model, p1, A, geometry3) - exact_series_loglik(
             model, p2, A, geometry3
         )
@@ -104,7 +105,7 @@ def test_02_conditional_simulation_moments(model):
         target_elevations=[320.0],
     )
     field = unconditional_sampler(model, params, setup.observed, T).draw(7, 0)
-    sampler = ConditionalSampler(model, params, setup, field)
+    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
     om = sampler.plan.omega_low
     scale = TWO_PI * T
 
@@ -217,15 +218,15 @@ def test_05_likelihood_invariant_under_sign_symmetries(model, geometry3):
     worst = 0.0
     for _ in range(5):
         p = random_params(model, rng)
-        ll = obj.loglik(p)
+        ll = obj.loglik(p)[0]
         flip_delta = SpectralParams(p.s_coeffs, p.beta_coeffs, -p.delta_coeffs,
                                     p.theta_coeffs, p.u_angle)
         flip_theta = SpectralParams(p.s_coeffs, p.beta_coeffs, p.delta_coeffs,
                                     -p.theta_coeffs, p.u_angle + np.pi)
         worst = max(
             worst,
-            abs(obj.loglik(flip_delta) - ll),
-            abs(obj.loglik(flip_theta) - ll),
+            abs(obj.loglik(flip_delta)[0] - ll),
+            abs(obj.loglik(flip_theta)[0] - ll),
         )
     report("likelihood sign-symmetry invariance", worst < 1e-8,
            f"(max |change| = {worst:.2e})")
@@ -288,8 +289,8 @@ def test_07_parameter_recovery_from_synthetic_network(model):
         truth = synth.generate(model, synth.default_true_params(model), stations,
                                stack, T, seed=seed)
         spec = forward_dft(truth.adjusted)
-        init = initial_params(model, spec, geo)
-        fit = fit_mle(model, init, spec, geo, FitOptions())
+        obj = WhittleObjective(model, spec, geo)
+        fit = fit_mle(obj, initial_params(obj), FitOptions())
         err_S.append(np.abs(
             model.eval_S(fit.params_hat, probes) / model.eval_S(truth.params, probes) - 1.0
         ))
@@ -333,7 +334,7 @@ def test_08_ensemble_calibration_at_held_out_sites(model):
     for rep in range(20):
         seed = 1000 + rep
         A = inverse_dft(full.draw(seed, 0, stage=STAGE_SYNTH))
-        sampler = ConditionalSampler(model, params, setup, forward_dft(A[:11]))
+        sampler = ConditionalSampler(full.plan, params, setup, forward_dft(A[:11]))
         members = np.stack([inverse_dft(sampler.draw(seed, k)) for k in range(K)])
         ok_diff = ok_hourly = True
         for i in range(2):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+from presim import synth, whittle
 from presim.cli import main
 from presim.condsim import ConditionalSampler
 from presim.config import RunConfig
@@ -192,6 +193,44 @@ def test_simulate_rejects_a_fit_whose_conditional_law_is_not_finite(pipeline, tm
         assert err.startswith("[simulate] error: conditional law not finite at frequency")
     assert not (fresh / "ensemble" / "pressure.npy").exists()
     assert {p.name: p.read_bytes() for p in (earlier / "ensemble").iterdir()} == before
+
+
+def test_parameter_draws_reject_a_fit_whose_hessian_is_not_finite(pipeline, tmp_path, capsys):
+    # with vary_params on, a NaN in the Hessian is named before any member
+    # is drawn; it once gave NaN draws, which failed later as
+    # "s_coeffs contains non-finite values"
+    out, _ = pipeline
+    report = json.loads((out / "fit_report.json").read_text())
+    report["fit"]["hessian"][2][7] = report["fit"]["hessian"][7][2] = float("nan")
+    bad = tmp_path / "nan_hessian_report.json"
+    bad.write_text(json.dumps(report))
+    cfg = write_config(tmp_path / "vary.yaml", out, vary_params=True)
+    code = main(["--config", str(cfg), "--out", str(tmp_path), "simulate", "--fit-report", str(bad)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("[simulate] error: the fit's Hessian is not finite")
+    assert list((tmp_path / "ensemble").glob("*")) == []
+
+
+def test_each_stage_builds_one_frequency_plan(pipeline, tmp_path, monkeypatch):
+    # the split and the designs are computed once per stage: the fit's
+    # objective and start point share one plan, and every member of an
+    # ensemble, with parameter draws or without, shares another
+    out, cfg = pipeline
+    built = []
+    init = whittle.FrequencyPlan.__init__
+    monkeypatch.setattr(whittle.FrequencyPlan, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    generate = synth.generate
+    monkeypatch.setattr(synth, "generate", lambda *a, **k: built.append("generate") or generate(*a, **k))
+    report = str(out / "fit_report.json")
+    vary = write_config(tmp_path / "vary.yaml", out, vary_params=True)
+    for argv in ([str(cfg), "--out", str(tmp_path / "synth"), "synth"],
+                 [str(cfg), "--out", str(tmp_path / "fit"), "fit"],
+                 [str(cfg), "--out", str(tmp_path / "fixed"), "simulate", "--fit-report", report],
+                 [str(vary), "--out", str(tmp_path / "vary"), "simulate", "--fit-report", report]):
+        built.clear()
+        assert main(["--config", *argv]) == 0
+        assert built == (["generate", 1] if argv[-1] == "synth" else [1])
 
 
 def evaluate(cfg, out, ensemble_dir, tmp_path):

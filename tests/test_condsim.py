@@ -14,7 +14,6 @@ from presim.condsim import (
     RIDGE_REL,
     ConditionalSampler,
     PredictionSetup,
-    SamplerFrame,
     fit_hash,
     geometry_hash,
     psd_factor,
@@ -139,7 +138,7 @@ def test_coincident_target_without_nugget_reproduces_observation(model):
             target_elevations=[300.0],
         )
     field = observed_field(model, params, setup, T, seed=1)
-    sampler = ConditionalSampler(model, params, setup, field)
+    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
     draw = sampler.draw(seed=2, member=0)
     for j, om in enumerate(sampler.plan.omega_low):
         if om >= model.knots.omega0:  # coherence drops to 0 at the cutoff
@@ -159,7 +158,7 @@ def test_zero_coherence_gives_unconditional_draws(model):
     )
     setup = make_setup()
     field = observed_field(model, params, setup, T, seed=3)
-    sampler = ConditionalSampler(model, params, setup, field)
+    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
     assert np.max(np.abs(sampler.means)) < 1e-12
 
 
@@ -169,9 +168,9 @@ def test_conditional_draw_deterministic(model):
     params = random_params(model, rng)
     setup = make_setup()
     field = observed_field(model, params, setup, T, seed=5)
-    sampler = ConditionalSampler(model, params, setup, field)
+    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
     d1 = sampler.draw(seed=6, member=3)
-    d2 = ConditionalSampler(model, params, setup, field).draw(seed=6, member=3)
+    d2 = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field).draw(seed=6, member=3)
     d3 = sampler.draw(seed=6, member=4)
     assert np.array_equal(d1.coeffs, d2.coeffs)
     assert not np.array_equal(d1.coeffs, d3.coeffs)
@@ -183,7 +182,7 @@ def test_conditional_draw_is_real_series(model):
     params = random_params(model, rng)
     setup = make_setup(2)
     field = observed_field(model, params, setup, T, seed=8)
-    draw = ConditionalSampler(model, params, setup, field).draw(seed=9, member=0)
+    draw = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field).draw(seed=9, member=0)
     A = inverse_dft(draw)  # raises if a frequency-0 or Nyquist coefficient is not real
     assert A.shape == (2, T)
     assert np.all(np.isfinite(A))
@@ -199,7 +198,7 @@ def test_ridge_applied_on_singular_observed_block(model):
     params = nugget_free_params(model)
     T = 24
     field = observed_field(model, params, setup, T, seed=10)
-    sampler = ConditionalSampler(model, params, setup, field)
+    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
     assert len(sampler.ridge_frequencies) > 0
     draw = sampler.draw(seed=11, member=0)
     assert np.all(np.isfinite(draw.coeffs))
@@ -218,7 +217,7 @@ def ridge_by_failed_solve(model, params, setup, field):
     `covs` are the complex conditional means and covariances.
     """
     n, T = setup.n_observed, field.n_times
-    plan = FrequencyPlan(T, model.knots.omega0)
+    plan = FrequencyPlan(T, model)
     t = model.cross_spectrum_terms(params, setup.combined, plan.omega_low,
                                    model.designs(plan.omega_low))
     ridged, means, covs = [], [], []
@@ -256,7 +255,7 @@ def test_ridge_by_failed_factor_gives_the_laws_of_ridge_by_failed_solve(model):
             assert floored
             for x in draws:
                 p = model.unpack(x)
-                sampler = ConditionalSampler(model, p, setup, field)
+                sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), p, setup, field)
                 ridged, means, covs = ridge_by_failed_solve(model, p, setup, field)
                 sets_differ += ridged != sampler.ridge_frequencies
                 sd = np.sqrt(np.einsum("kii->ki", covs).real)
@@ -275,7 +274,7 @@ def test_non_finite_conditional_law_is_rejected(model, geometry3):
     params = random_params(model, np.random.default_rng(63), scale=0.3)
     setup = make_setup(2)
     field = observed_field(model, params, setup, T, seed=64)
-    plan = FrequencyPlan(T, model.knots.omega0)
+    plan = FrequencyPlan(T, model)
     low_bad = replace(params, s_coeffs=params.s_coeffs + 800.0)
     # only the two basis functions that peak at pi: S overflows in the high band
     high_bad = replace(params, s_coeffs=params.s_coeffs + np.r_[np.zeros(6), 2000.0, 2000.0])
@@ -285,7 +284,7 @@ def test_non_finite_conditional_law_is_rejected(model, geometry3):
         assert np.all(np.isfinite(S_high[plan.low]))
         first_high = plan.omegas[np.argmin(np.isfinite(S_high))]
         for bad, first in ((low_bad, first_low), (high_bad, first_high)):
-            for build in (lambda: ConditionalSampler(model, bad, setup, field),
+            for build in (lambda: ConditionalSampler(FrequencyPlan(field.n_times, model), bad, setup, field),
                           lambda: unconditional_sampler(model, bad, geometry3, T)):
                 with pytest.raises(ValidationError,
                                    match=f"conditional law not finite at frequency {first:.6f}"):
@@ -348,7 +347,7 @@ def test_zero_site_substream_keys(model, geometry3):
 
     setup = make_setup()
     field = observed_field(model, params, setup, T, seed=32)
-    cond = ConditionalSampler(model, params, setup, field)
+    cond = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
     coeffs = cond.draw(seed=31, member=2).coeffs
     high, low = field_normals(31, (STAGE_CONDSIM, 2), plan, 1)
     assert np.allclose(coeffs[plan.high], cond.sd_high[:, None] * high, rtol=1e-12)
@@ -363,7 +362,7 @@ def test_each_draw_takes_one_substream(model, geometry3, monkeypatch):
     params = random_params(model, np.random.default_rng(30), scale=0.3)
     setup = make_setup()
     samplers = (unconditional_sampler(model, params, geometry3, T),
-                ConditionalSampler(model, params, setup,
+                ConditionalSampler(FrequencyPlan(T, model), params, setup,
                                    observed_field(model, params, setup, T, seed=32)))
     keys = []
     monkeypatch.setattr(condsim, "substream",
@@ -381,7 +380,7 @@ def test_stacked_low_band_matches_per_frequency_reference():
     T = 48
     params = random_params(model, np.random.default_rng(40), scale=0.3)
     setup = make_setup(2)
-    sampler = ConditionalSampler(model, params, setup,
+    sampler = ConditionalSampler(FrequencyPlan(T, model), params, setup,
                                  observed_field(model, params, setup, T, seed=41))
     plan = sampler.plan
     assert plan.real_low.sum() == 2 and len(plan.omega_high) == 0
@@ -400,7 +399,7 @@ def test_real_coefficient_frequencies_are_real(omega0_j):
     params = random_params(model, np.random.default_rng(43), scale=0.3)
     setup = make_setup(2)
     field = observed_field(model, params, setup, T, seed=44)
-    for sampler in (ConditionalSampler(model, params, setup, field),
+    for sampler in (ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field),
                     unconditional_sampler(model, params, setup.combined, T)):
         for member in range(3):
             coeffs = sampler.draw(seed=45, member=member).coeffs
@@ -408,35 +407,39 @@ def test_real_coefficient_frequencies_are_real(omega0_j):
             assert np.all(coeffs[[0, T // 2]].real != 0.0)
 
 
-def test_shared_frame_builds_each_parameter_vectors_law(model, monkeypatch, tmp_path):
-    # one frame reused across parameter vectors gives each vector's
-    # conditional law, and run_ensemble computes the spline designs once
+def test_shared_plan_builds_each_parameter_vectors_law(model, monkeypatch, tmp_path):
+    # one plan reused across parameter vectors gives each vector's
+    # conditional law, and run_ensemble computes the spline designs and
+    # the combined geometry once, whatever the member count
     T = 40
     rng = np.random.default_rng(37)
     setup = make_setup(2)
     field = observed_field(model, random_params(model, rng), setup, T, seed=38)
-    frame = SamplerFrame(model, setup, field)
-    plan = frame.plan
+    plan = FrequencyPlan(T, model)
     for _ in range(2):
         params = random_params(model, rng)
-        sampler = ConditionalSampler(model, params, setup, field, frame)
+        sampler = ConditionalSampler(plan, params, setup, field)
         sd_high = np.sqrt(TWO_PI * T * model.eval_S(params, plan.omega_high))
         assert sampler.sd_high.tobytes() == sd_high.tobytes()
         assert not sampler.ridge_frequencies
         check_dense_schur_law(model, params, setup, field, sampler)
 
-    design = ConstrainedBasis.design
+    fit = make_fit(model, random_params(model, rng))
+    setups = {count: make_setup(2) for count in (2, 4)}  # each computes its geometry afresh
+    design, post_init = ConstrainedBasis.design, SiteGeometry.__post_init__
     calls = []
     monkeypatch.setattr(ConstrainedBasis, "design",
-                        lambda self, *a, **k: calls.append(1) or design(self, *a, **k))
-    fit = make_fit(model, random_params(model, rng))
+                        lambda self, *a, **k: calls.append("design") or design(self, *a, **k))
+    monkeypatch.setattr(SiteGeometry, "__post_init__",
+                        lambda self: calls.append("geometry") or post_init(self))
     per_count = []
-    for count in (2, 4):
+    for count, setup in setups.items():
         calls.clear()
         simulate(model, fit, tiny_stack(T, 2), setup, field, np.full((count, 2), 97.0),
                  count=count, vary_params=True, seed=39, out_dir=tmp_path / str(count))
-        per_count.append(len(calls))
-    assert per_count[0] == per_count[1] == 5
+        per_count.append((calls.count("design"), calls.count("geometry")))
+    # the targets' geometry and the combined one
+    assert per_count[0] == per_count[1] == (5, 2)
 
 
 def test_conditional_law_at_coherent_targets_matches_schur_law(model):
@@ -451,7 +454,7 @@ def test_conditional_law_at_coherent_targets_matches_schur_law(model):
                             target_lons=lons[11:], target_elevations=np.zeros(2))
     params = synth.default_true_params(model)
     field = observed_field(model, params, setup, T, seed=49)
-    sampler = ConditionalSampler(model, params, setup, field)
+    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
     cond = check_dense_schur_law(model, params, setup, field, sampler)
     # a rotation the wrong way round conjugates cond[:, 0, 1]: an error of
     # 2 |Im cond[:, 0, 1]|, far beyond the 1e-12 tolerance
@@ -478,7 +481,7 @@ def test_draw_with_cutoff_at_pi_has_no_high_band():
     params = random_params(model, np.random.default_rng(33), scale=0.3)
     setup = make_setup(2)
     field = observed_field(model, params, setup, T, seed=34)
-    sampler = ConditionalSampler(model, params, setup, field)
+    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
     assert len(sampler.plan.omega_high) == 0
     assert len(sampler.plan.omega_low) == T // 2 + 1
     A = inverse_dft(sampler.draw(seed=35, member=0))
@@ -488,8 +491,22 @@ def test_draw_with_cutoff_at_pi_has_no_high_band():
 def test_observed_field_must_match_setup(model):
     setup = make_setup()
     params = random_params(model, np.random.default_rng(36))
-    with pytest.raises(ValidationError, match="observed field"):
-        ConditionalSampler(model, params, setup, SpectralField(np.zeros((13, 0)), n_times=24))
+    with pytest.raises(ValidationError, match="observed field has 0 sites, "
+                                              "the setup's observed geometry 2"):
+        ConditionalSampler(FrequencyPlan(24, model), params, setup,
+                           SpectralField(np.zeros((13, 0)), n_times=24))
+
+
+@pytest.mark.parametrize("T_plan, T_field", [(24, 25), (25, 24), (48, 24)])
+def test_plan_must_be_for_the_observed_fields_length(model, T_plan, T_field):
+    # 24 and 25 have the same number of one-sided rows: the row count alone
+    # would not tell the plans apart
+    setup = make_setup()
+    params = random_params(model, np.random.default_rng(36))
+    field = SpectralField(np.zeros((T_field // 2 + 1, 2)), n_times=T_field)
+    with pytest.raises(ValidationError, match=f"frequency plan is for T = {T_plan}, "
+                                              f"the observed field for T = {T_field}"):
+        ConditionalSampler(FrequencyPlan(T_plan, model), params, setup, field)
 
 
 # -- ensembles ------------------------------------------------------------
@@ -524,11 +541,12 @@ def simulate(model, fit, stack, setup, field, mean_draws, count, vary_params, se
 def in_memory_ensemble(model, fit, stack, setup, field, mean_draws, count, vary_params, seed):
     """The oracle of a streamed `pressure.npy`: the bytes of `np.save` of the
     whole ensemble, drawn into one array and inverted at once."""
+    plan = FrequencyPlan(field.n_times, model)
     if vary_params:
-        samplers = [ConditionalSampler(model, model.unpack(x), setup, field)
+        samplers = [ConditionalSampler(plan, model.unpack(x), setup, field)
                     for x in sample_params(fit, count, seed)[0]]
     else:
-        samplers = [ConditionalSampler(model, fit.params_hat, setup, field)] * count
+        samplers = [ConditionalSampler(plan, fit.params_hat, setup, field)] * count
     sim_A = np.stack([inverse_dft(sampler.draw(seed, k)) for k, sampler in enumerate(samplers)])
     buf = io.BytesIO()
     np.save(buf, np.ascontiguousarray(
@@ -573,7 +591,7 @@ def test_run_ensemble_shares_one_diurnal_cycle(model, monkeypatch, tmp_path):
     stack = replace(tiny_stack(T, 2), diurnal=DiurnalModel(
         period=288, n_harmonics=3, coefficients=rng.normal(scale=0.01, size=6)))
     mean_draws = 97.0 + 0.01 * rng.standard_normal((4, 2))
-    sampler = ConditionalSampler(model, params, setup, field)
+    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
     members = [
         member_by_member(inverse_dft(sampler.draw(19, k)), stack, setup.target_elevations,
                          mean_draws[k])
@@ -638,7 +656,7 @@ def test_run_ensemble_records_fallbacks(model, tmp_path):
     fit = make_fit(model, params)
     ens, _ = simulate(model, fit, *args, count=3, vary_params=False, seed=27,
                       out_dir=tmp_path / "mle")
-    per_build = len(ConditionalSampler(model, params, setup, field).ridge_frequencies)
+    per_build = len(ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field).ridge_frequencies)
     assert per_build > 0
     assert ens["provenance"]["ridge_frequencies"] == per_build
     assert ens["provenance"]["hessian_floored"] is False
@@ -647,7 +665,7 @@ def test_run_ensemble_records_fallbacks(model, tmp_path):
     ens, _ = simulate(model, fit, *args, count=3, vary_params=True, seed=27,
                       out_dir=tmp_path / "ens")
     ridged = sum(
-        len(ConditionalSampler(model, model.unpack(x), setup, field).ridge_frequencies)
+        len(ConditionalSampler(FrequencyPlan(field.n_times, model), model.unpack(x), setup, field).ridge_frequencies)
         for x in sample_params(fit, 3, 27)[0]
     )
     assert ridged > 0

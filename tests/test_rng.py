@@ -55,7 +55,8 @@ def test_substream_keys_are_pairwise_distinct(model, geometry3, monkeypatch):
         observed=SiteGeometry(geometry3.lats[:2], geometry3.lons[:2]), target_lats=geometry3.lats[2:],
         target_lons=geometry3.lons[2:], target_elevations=[300.0],
     )
-    cond = condsim.ConditionalSampler(model, params, setup, SpectralField(np.zeros((T // 2 + 1, 2)), n_times=T))
+    cond = condsim.ConditionalSampler(uncond.plan, params, setup,
+                                      SpectralField(np.zeros((T // 2 + 1, 2)), n_times=T))
     fit = FitResult(params_hat=params, loglik=0.0, hessian=np.eye(model.n_params),
                     convergence={}, knots=model.knots)
     mf = meanfield.reml_fit(101.0 + 0.05 * np.arange(5.0), SiteGeometry(

@@ -1,9 +1,11 @@
-"""Every function and method in `presim` has a caller outside the tests.
+"""Every function, method and class in `presim` has a caller outside the tests.
 
 A caller is a name or attribute reference in src/, scripts/ or perfbench/
 (not perfbench's own tests, and not a string such as the names the
 benchmark's tracer wraps). Names are matched, not bindings: a method
-shares the references of every function of its name.
+shares the references of every function of its name. A class counts as
+called when its name is referenced: constructed, subclassed, or named in
+an annotation.
 """
 
 import ast
@@ -25,7 +27,7 @@ def test_every_function_has_a_caller_outside_the_tests():
     defs = {}  # name -> [(file, first line, last line)]
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(_parse(path)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs.setdefault(node.name, []).append((path, node.lineno, node.end_lineno))
 
     referenced = set()

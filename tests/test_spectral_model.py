@@ -288,16 +288,16 @@ def test_matern_build_at_vanishing_and_tiny_delta(model, geometry3):
     p = SpectralParams(p.s_coeffs, p.beta_coeffs, np.eye(len(p.delta_coeffs))[0],
                        p.theta_coeffs, p.u_angle)
     obj = WhittleObjective(model, forward_dft(rng.standard_normal((3, 64))), geometry3)
-    B_S, B_beta, B_delta, B_theta = obj.designs_low
+    B_S, B_beta, B_delta, B_theta = obj.plan.designs_low
     assert len(B_delta) == len(delta)
-    obj.designs_low = (B_S, B_beta, np.outer(delta, p.delta_coeffs), B_theta)
-    t = model.cross_spectrum_terms(p, geometry3, obj.plan.omega_low, obj.designs_low)
+    obj.plan.designs_low = (B_S, B_beta, np.outer(delta, p.delta_coeffs), B_theta)
+    t = obj.plan.terms(p, geometry3)
     off = ~np.eye(3, dtype=bool)
     assert np.array_equal(t.delta, delta)
     assert np.all(t.C[:-1][:, off] == 0.0)
     assert np.all(np.einsum("kii->ki", t.C) == 1.0)
     assert np.all((t.C[-1][off] > 0) & (t.C[-1][off] < 1))
-    ll, score = obj.loglik(p, score=True)
+    ll, score = obj.loglik(p)
     assert np.isfinite(ll) and np.all(np.isfinite(score))
 
 

@@ -22,6 +22,7 @@ from presim.whittle import (
     fit_mle,
     forward_dft,
     forward_substitute,
+    fourier_frequencies,
     initial_params,
     inverse_dft,
     require_frequencies,
@@ -153,11 +154,25 @@ def test_parseval_identity():
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+def model_with_cutoff(omega0_j):
+    """A model whose cutoff is omega0_j * KNOT_UNIT: the hourly default's knots, rescaled."""
+    hourly, omega0 = KnotSet.default(), omega0_j * KNOT_UNIT
+    shrink = omega0 / hourly.omega0
+    return SpectralModel(KnotSet(
+        s_knots=hourly.s_knots,
+        beta_knots=tuple(k * shrink for k in hourly.beta_knots),
+        delta_knots=tuple(k * shrink for k in hourly.delta_knots),
+        theta_knots=tuple(k * shrink for k in hourly.theta_knots),
+        omega0=omega0,
+    ))
+
+
 def test_onesided_indices_weights():
-    plan = FrequencyPlan(8, np.pi)
+    model = SpectralModel(KnotSet.default(4320))
+    plan = FrequencyPlan(8, model)
     assert np.array_equal(plan.omegas, 2 * np.pi * np.arange(5) / 8)
     assert np.allclose(plan.weights, [0.5, 1, 1, 1, 0.5])
-    plan = FrequencyPlan(7, np.pi)
+    plan = FrequencyPlan(7, model)
     assert np.array_equal(plan.omegas, 2 * np.pi * np.arange(4) / 7)
     assert np.allclose(plan.weights, [0.5, 1, 1, 1])
 
@@ -165,7 +180,8 @@ def test_onesided_indices_weights():
 @pytest.mark.parametrize("T", [48, 49, 2880, 2881])
 @pytest.mark.parametrize("omega0_j", [1, 720, 4320])
 def test_frequency_plan_partitions_onesided_set(T, omega0_j):
-    plan = FrequencyPlan(T, omega0_j * KNOT_UNIT)
+    model = model_with_cutoff(omega0_j)
+    plan = FrequencyPlan(T, model)
     rows = np.arange(T // 2 + 1)
     assert np.array_equal(np.concatenate([rows[plan.low], rows[plan.high]]), rows)
     assert np.array_equal(plan.omegas, 2 * np.pi * rows / T)
@@ -175,15 +191,23 @@ def test_frequency_plan_partitions_onesided_set(T, omega0_j):
     real = np.concatenate([plan.real_low, plan.real_high])
     assert np.array_equal(real, plan.weights == 0.5)
     assert list(np.flatnonzero(real)) == ([0, T // 2] if T % 2 == 0 else [0])
+    # the designs are the model's at the plan's two bands, and the S
+    # design's two bands stack to the design at every frequency
+    for B, basis in zip(plan.designs_low, (model.basis_S, model.basis_beta,
+                                           model.basis_delta, model.basis_theta)):
+        assert np.array_equal(B, basis.design(plan.omega_low))
+    assert np.array_equal(plan.design_S_high, model.basis_S.design(plan.omega_high))
+    assert np.array_equal(np.vstack([plan.designs_low[0], plan.design_S_high]),
+                          model.basis_S.design(plan.omegas))
 
 
 def test_frequency_plan_cutoff_on_fourier_frequency_is_low():
     # omega0_j = 720 is pi/6, which is Fourier index 240 of T = 2880
-    plan = FrequencyPlan(2880, 720 * KNOT_UNIT)
+    plan = FrequencyPlan(2880, SpectralModel(KnotSet.default(720)))
     assert plan.low == slice(0, 241)
     assert plan.high == slice(241, None)
     # a cutoff at pi leaves the high band empty
-    assert len(FrequencyPlan(2880, 4320 * KNOT_UNIT).omega_high) == 0
+    assert len(FrequencyPlan(2880, SpectralModel(KnotSet.default(4320))).omega_high) == 0
 
 
 # -- likelihood -----------------------------------------------------------
@@ -197,11 +221,11 @@ def test_univariate_matches_scalar_formula(model):
     spec = forward_dft(A)
     p = random_params(model, rng)
 
-    plan = FrequencyPlan(T, model.knots.omega0)
+    plan = FrequencyPlan(T, model)
     S = model.eval_S(p, plan.omegas)
     J = spec.coeffs[:, 0]
     expected = -np.sum(plan.weights * (np.log(S) + np.abs(J) ** 2 / (TWO_PI * T * S)))
-    assert WhittleObjective(model, spec, geo).loglik(p) == pytest.approx(expected, rel=1e-10)
+    assert WhittleObjective(model, spec, geo).loglik(p)[0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_matches_naive_two_sided_sum(model, geometry3):
@@ -220,7 +244,7 @@ def test_matches_naive_two_sided_sum(model, geometry3):
         sign, logdet = np.linalg.slogdet(f[k])
         quad = (np.conj(Jk) @ np.linalg.solve(f[k], Jk)).real
         total += -0.5 * (logdet + quad / (TWO_PI * T))
-    assert WhittleObjective(model, spec, geometry3).loglik(p) == pytest.approx(total, rel=1e-9)
+    assert WhittleObjective(model, spec, geometry3).loglik(p)[0] == pytest.approx(total, rel=1e-9)
 
 
 def test_scale_identity(model, geometry3):
@@ -236,9 +260,9 @@ def test_scale_identity(model, geometry3):
     p2 = SpectralParams(p.s_coeffs + c_log2, p.beta_coeffs, p.delta_coeffs,
                         p.theta_coeffs, p.u_angle)
 
-    ll_doubled = WhittleObjective(model, forward_dft(A), geometry3).loglik(p2)
-    ll_scaled = WhittleObjective(model, forward_dft(A / np.sqrt(2.0)), geometry3).loglik(p)
-    w = FrequencyPlan(T, model.knots.omega0).weights
+    ll_doubled = WhittleObjective(model, forward_dft(A), geometry3).loglik(p2)[0]
+    ll_scaled, _ = WhittleObjective(model, forward_dft(A / np.sqrt(2.0)), geometry3).loglik(p)
+    w = FrequencyPlan(T, model).weights
     assert ll_doubled == pytest.approx(ll_scaled - 3 * w.sum() * np.log(2.0), rel=1e-9)
 
 
@@ -250,10 +274,10 @@ def test_station_permutation_invariance(model):
     A = 0.01 * rng.standard_normal((4, T))
     p = random_params(model, rng)
     perm = np.array([2, 0, 3, 1])
-    ll1 = WhittleObjective(model, forward_dft(A), SiteGeometry(lats, lons)).loglik(p)
+    ll1 = WhittleObjective(model, forward_dft(A), SiteGeometry(lats, lons)).loglik(p)[0]
     ll2 = WhittleObjective(
         model, forward_dft(A[perm]), SiteGeometry(lats[perm], lons[perm])
-    ).loglik(p)
+    ).loglik(p)[0]
     assert ll1 == pytest.approx(ll2, rel=1e-9)
 
 
@@ -264,13 +288,13 @@ def test_symmetry_invariances_on_loglik(model, geometry3):
     spec = forward_dft(A)
     p = random_params(model, rng)
     obj = WhittleObjective(model, spec, geometry3)
-    ll = obj.loglik(p)
+    ll = obj.loglik(p)[0]
     flip_delta = SpectralParams(p.s_coeffs, p.beta_coeffs, -p.delta_coeffs,
                                 p.theta_coeffs, p.u_angle)
     flip_theta = SpectralParams(p.s_coeffs, p.beta_coeffs, p.delta_coeffs,
                                 -p.theta_coeffs, p.u_angle + np.pi)
-    assert abs(obj.loglik(flip_delta) - ll) < 1e-8
-    assert abs(obj.loglik(flip_theta) - ll) < 1e-8
+    assert abs(obj.loglik(flip_delta)[0] - ll) < 1e-8
+    assert abs(obj.loglik(flip_theta)[0] - ll) < 1e-8
 
 
 def test_singular_spectral_matrix_names_frequency(model):
@@ -301,11 +325,10 @@ def test_singular_spectral_matrix_names_frequency(model):
     for level in np.linspace(0.05, 3.0, 60):
         c_S, *_ = np.linalg.lstsq(G_S, np.full(50, level), rcond=None)
         q = SpectralParams(c_S, c_beta, c_delta, p.theta_coeffs, p.u_angle)
-        for score in (False, True):
-            try:
-                obj.loglik(q, score=score)
-            except ValidationError as err:
-                assert "frequency" in str(err)
+        try:
+            obj.loglik(q)
+        except ValidationError as err:
+            assert "frequency" in str(err)
 
 
 def random_spd_stack(rng, K, n, cond):
@@ -358,18 +381,6 @@ def test_cholesky_names_a_frequency_with_a_failed_or_infinite_pivot():
     # a failed factor reads NaN, and the others are factored
     L = cholesky_factor(np.stack(cases[0][0]))[0]
     assert np.isnan(L[1]).all() and np.array_equal(L[[0, 2]], np.stack([eye, eye]))
-
-
-@pytest.mark.parametrize("T", [576, 577])
-def test_value_equals_value_of_score_call_bitwise(model, T):
-    stations = default_stations()
-    geo = SiteGeometry(np.array([s.latitude for s in stations]),
-                       np.array([s.longitude for s in stations]))
-    rng = np.random.default_rng(T)
-    obj = WhittleObjective(model, forward_dft(rng.standard_normal((len(stations), T))), geo)
-    for _ in range(3):
-        p = random_params(model, rng, scale=0.3)
-        assert obj.loglik(p) == obj.loglik(p, score=True)[0]
 
 
 # -- derivatives ----------------------------------------------------------
@@ -448,15 +459,14 @@ def test_score_matches_numeric_gradient(geometry3, omega0_j, T, delta_kind):
         assert delta.min() < 0 < delta.max()
     assert (len(obj.plan.omega_high) == 0) == (omega0_j == 4320)
 
-    ll, score = obj.loglik_vec(vec, score=True)
-    assert ll == obj.loglik_vec(vec)
-    oracle = numeric_gradient(obj.loglik_vec, vec)
+    ll, score = obj.loglik(model.unpack(vec))
+    oracle = numeric_gradient(lambda x: obj.loglik(model.unpack(x))[0], vec)
     np.testing.assert_allclose(score, oracle, rtol=1e-6, atol=1e-7 * np.abs(oracle).max())
 
 
 def score_differences(obj, vec):
     """Central differences of the analytic score, negated: a Hessian oracle of the negative log-likelihood."""
-    return -numeric_gradient(lambda x: obj.loglik_vec(x, score=True)[1], vec)
+    return -numeric_gradient(lambda x: obj.loglik(obj.plan.model.unpack(x))[1], vec)
 
 
 def check_hessian_by_score(obj, vec, H):
@@ -478,7 +488,7 @@ def test_hessian_matches_numeric_derivatives(geometry3, n_sites, omega0_j, T, de
     vec = score_case_params(model, rng, delta_kind)
     H = obj.hessian(model.unpack(vec))
     check_hessian_by_score(obj, vec, H)
-    by_value = numeric_hessian(lambda x: -obj.loglik_vec(x), vec)
+    by_value = numeric_hessian(lambda x: -obj.loglik(model.unpack(x))[0], vec)
     np.testing.assert_allclose(H, by_value, rtol=0, atol=1e-5 * np.abs(by_value).max())
 
 
@@ -498,7 +508,7 @@ def test_score_matches_complex_formulation(geometry3, omega0_j, T, n_sites):
         assert np.abs(model.basis_theta.evaluate(params.theta_coeffs, obj.plan.omega_low)).max() > 0
         assert model.eval_delta(params, obj.plan.omega_low).min() < 0
 
-        ll, score = obj.loglik(params, score=True)
+        ll, score = obj.loglik(params)
         ref_ll, ref_score = reference_loglik(obj, params)
         assert ll == pytest.approx(ref_ll, rel=1e-12, abs=0)
         np.testing.assert_allclose(score, ref_score, rtol=0,
@@ -511,7 +521,7 @@ def test_hessian_at_is_symmetric(model, geometry3):
     A = 0.01 * rng.standard_normal((3, T))
     p = random_params(model, rng, scale=0.1)
     obj = WhittleObjective(model, forward_dft(A), geometry3)
-    H = numeric_hessian(lambda x: -obj.loglik_vec(x), p.pack())
+    H = numeric_hessian(lambda x: -obj.loglik(model.unpack(x))[0], p.pack())
     assert H.shape == (model.n_params, model.n_params)
     assert np.max(np.abs(H - H.T)) < 1e-8
 
@@ -530,22 +540,22 @@ def make_synthetic_field(model, geometry, T, seed, scale=0.3):
 def test_fit_from_truth_does_not_decrease_loglik(model, geometry3):
     truth, spec = make_synthetic_field(model, geometry3, 96, seed=14)
     obj = WhittleObjective(model, spec, geometry3)
-    fit = fit_mle(model, truth, spec, geometry3, FitOptions(max_iter=40))
-    assert fit.loglik >= obj.loglik(truth) - 1e-9
+    fit = fit_mle(obj, truth, FitOptions(max_iter=40))
+    assert fit.loglik >= obj.loglik(truth)[0] - 1e-9
     assert fit.convergence["status"] in ("converged", "max_iter", "precision_loss")
 
 
 def test_fit_status_names_an_exhausted_iteration_budget(model, geometry3):
     truth, spec = make_synthetic_field(model, geometry3, 96, seed=14)
-    fit = fit_mle(model, truth, spec, geometry3, FitOptions(max_iter=2))
+    fit = fit_mle(WhittleObjective(model, spec, geometry3), truth, FitOptions(max_iter=2))
     assert fit.convergence["status"] == "max_iter"
     assert fit.convergence["iterations"] == 2
 
 
 def test_fit_is_deterministic(model, geometry3):
     truth, spec = make_synthetic_field(model, geometry3, 64, seed=15)
-    f1 = fit_mle(model, truth, spec, geometry3, FitOptions(max_iter=10))
-    f2 = fit_mle(model, truth, spec, geometry3, FitOptions(max_iter=10))
+    f1 = fit_mle(WhittleObjective(model, spec, geometry3), truth, FitOptions(max_iter=10))
+    f2 = fit_mle(WhittleObjective(model, spec, geometry3), truth, FitOptions(max_iter=10))
     assert np.array_equal(f1.params_hat.pack(), f2.params_hat.pack())
     assert f1.loglik == f2.loglik
 
@@ -561,10 +571,10 @@ def check_fit_hessian(fit, obj):
 
 def test_fit_hessian_matches_numeric_hessian(model, geometry3):
     truth, spec = make_synthetic_field(model, geometry3, 96, seed=19)
-    fit = fit_mle(model, truth, spec, geometry3)
     obj = WhittleObjective(model, spec, geometry3)
+    fit = fit_mle(obj, truth)
     check_fit_hessian(fit, obj)
-    oracle = numeric_hessian(lambda x: -obj.loglik_vec(x), fit.params_hat.pack())
+    oracle = numeric_hessian(lambda x: -obj.loglik(model.unpack(x))[0], fit.params_hat.pack())
     assert np.array_equal(fit.hessian, fit.hessian.T)
     np.testing.assert_allclose(fit.hessian, oracle, rtol=1e-5, atol=1e-5 * np.abs(oracle).max())
 
@@ -575,7 +585,8 @@ def fit11(model):
     geo = station_geometry(11)
     truth = default_true_params(model)
     spec = forward_dft(inverse_dft(unconditional_sampler(model, truth, geo, 2880).draw(1, 0)))
-    return fit_mle(model, truth, spec, geo), WhittleObjective(model, spec, geo)
+    obj = WhittleObjective(model, spec, geo)
+    return fit_mle(obj, truth), obj
 
 
 def test_fit_hessian_at_11_sites_matches_numeric_derivatives(fit11):
@@ -603,18 +614,17 @@ def test_fit_takes_the_analytic_score(model, geometry3, monkeypatch):
     calls = []
     loglik = WhittleObjective.loglik
 
-    def counted(self, params, score=False):
-        calls.append((score, params.pack()))
-        return loglik(self, params, score=score)
+    def counted(self, params):
+        calls.append(params.pack())
+        return loglik(self, params)
 
     monkeypatch.setattr(WhittleObjective, "loglik", counted)
     truth, spec = make_synthetic_field(model, geometry3, 96, seed=20)
-    fit = fit_mle(model, truth, spec, geometry3, FitOptions(max_iter=5))
+    fit = fit_mle(WhittleObjective(model, spec, geometry3), truth, FitOptions(max_iter=5))
     conv = fit.convergence
     assert conv["iterations"] == 5
-    assert all(score for score, _ in calls)
     assert conv["objective_calls"] == len(calls)
-    assert sum(np.array_equal(x, truth.pack()) for _, x in calls) == 1
+    assert sum(np.array_equal(x, truth.pack()) for x in calls) == 1
     assert len(calls) <= 3 * (conv["iterations"] + 1)
 
 
@@ -624,7 +634,7 @@ def fit_with_scipy_bfgs(obj, x0, options):
 
     def neg(x):
         try:
-            ll, score = obj.loglik_vec(x, score=True)
+            ll, score = obj.loglik(obj.plan.model.unpack(x))
         except ValidationError:
             return np.inf, np.full(len(x), np.nan)
         return -ll, -score
@@ -650,8 +660,9 @@ def test_fit_reaches_the_scipy_bfgs_optimum(model, geometry3, n_sites, T):
     sampler = unconditional_sampler(model, truth, geo, T)
     for seed in (1, 2):
         spec = forward_dft(inverse_dft(sampler.draw(seed, 0)))
-        fit = fit_mle(model, truth, spec, geo)
-        ref = fit_with_scipy_bfgs(WhittleObjective(model, spec, geo), truth.pack(), FitOptions())
+        obj = WhittleObjective(model, spec, geo)
+        fit = fit_mle(obj, truth)
+        ref = fit_with_scipy_bfgs(obj, truth.pack(), FitOptions())
         assert fit.convergence["status"] == "converged" and ref.status == 0
         assert fit.loglik >= -ref.fun - 1e-6 * abs(ref.fun)
         S, d, tu = orientation_free(model, fit.params_hat, probes)
@@ -744,7 +755,8 @@ def test_quartiles_equal_numpy_quantile():
         x = np.sort(rng.standard_normal(m))
         assert np.array_equal(_quartiles(x), np.quantile(x, [0.0, 0.25, 0.5, 0.75, 1.0]))
     for T in range(50, 5000, 7):
-        x = FrequencyPlan(T, KnotSet.default().omega0).omega_low[1:]
+        # the coherent band of the hourly cutoff without frequency 0
+        x = fourier_frequencies(T)[1:T // 12 + 1]
         assert np.array_equal(_quartiles(x), np.quantile(x, [0.0, 0.25, 0.5, 0.75, 1.0]))
     assert len(_quartiles(np.array([]))) == 0
 
@@ -753,8 +765,9 @@ def test_initial_params_with_frequency_zero_alone_in_the_coherent_band(geometry3
     # 2 pi / T lies above the cutoff, so no coherence fixes delta's start
     model = SpectralModel(KnotSet.default(omega0_j=50))
     spec = forward_dft(np.random.default_rng(0).standard_normal((3, 100)))
-    assert FrequencyPlan(100, model.knots.omega0).omega_low.tolist() == [0.0]
-    start = initial_params(model, spec, geometry3)
+    obj = WhittleObjective(model, spec, geometry3)
+    assert obj.plan.omega_low.tolist() == [0.0]
+    start = initial_params(obj)
     assert np.array_equal(start.delta_coeffs, np.zeros(model.basis_delta.dimension))
 
 
@@ -763,20 +776,19 @@ def test_fit_rejects_nonfinite_start(model, geometry3):
     spec = forward_dft(0.01 * rng.standard_normal((3, 32)))
     bad = model.unpack(np.full(model.n_params, -5000.0))  # S underflows to 0
     with pytest.raises(ValidationError):
-        fit_mle(model, bad, spec, geometry3)
+        fit_mle(WhittleObjective(model, spec, geometry3), bad)
 
 
 def test_initial_params_give_finite_loglik(model, geometry3):
     rng = np.random.default_rng(17)
     A = 0.01 * rng.standard_normal((3, 600))
-    spec = forward_dft(A)
-    init = initial_params(model, spec, geometry3)
-    assert np.isfinite(WhittleObjective(model, spec, geometry3).loglik(init))
+    obj = WhittleObjective(model, forward_dft(A), geometry3)
+    assert np.isfinite(obj.loglik(initial_params(obj))[0])
 
 
 def test_fit_result_json_round_trip(model, geometry3):
     truth, spec = make_synthetic_field(model, geometry3, 48, seed=18)
-    fit = fit_mle(model, truth, spec, geometry3, FitOptions(max_iter=5))
+    fit = fit_mle(WhittleObjective(model, spec, geometry3), truth, FitOptions(max_iter=5))
     back = FitResult.from_dict(json.loads(fit.to_json()))
     assert np.allclose(back.params_hat.pack(), fit.params_hat.pack(), atol=0)
     assert back.loglik == fit.loglik
@@ -860,3 +872,51 @@ def test_sample_params_floors_indefinite_hessian(model):
     assert floored
     assert fit.to_json() == before  # the fit is not modified
     assert np.all(np.isfinite(draws))
+
+
+def test_sample_params_floors_a_hessian_singular_to_rounding(model):
+    # an 11-site fit from the truth at T = 577: the Hessian's smallest
+    # eigenvalue is zero to rounding (about 1e-19 against a largest of
+    # 4.8e4) and its Cholesky factor exists; drawn through that factor,
+    # parameters landed about 2e21 from the MLE
+    geo = station_geometry(11)
+    truth = default_true_params(model)
+    spec = forward_dft(inverse_dft(unconditional_sampler(model, truth, geo, 577).draw(1, 0)))
+    fit = fit_mle(WhittleObjective(model, spec, geo), truth)
+    vals = fit.hessian_eigenvalues
+    assert abs(vals[0]) < model.n_params * np.finfo(float).eps * vals[-1]
+    np.linalg.cholesky(fit.hessian)
+    draws, floored = sample_params(fit, 99, seed=3)
+    assert floored
+    # the floor, 1e-8 of the largest eigenvalue, bounds every parameter's SD
+    sd_bound = 1.0 / np.sqrt(1e-8 * vals[-1])
+    assert np.abs(draws - fit.params_hat.pack()).max() < 6.0 * sd_bound
+
+
+def test_sample_params_keeps_the_factor_above_the_rounding_threshold(model):
+    # weakest / largest eigenvalue 1e-12, above p eps: the draws go through
+    # the Hessian's own factor, unfloored
+    p = model.unpack(np.zeros(model.n_params))
+    vals = np.geomspace(1e-12, 1.0, model.n_params)
+    fit = FitResult(params_hat=p, loglik=0.0, hessian=np.diag(vals),
+                    convergence={}, knots=model.knots)
+    draws, floored = sample_params(fit, 20, seed=16)
+    assert not floored
+    z = substream(16, STAGE_PARAM_DRAW).standard_normal((20, model.n_params))
+    assert np.array_equal(draws, z / np.sqrt(vals))
+
+
+@pytest.mark.parametrize("entry, message", [
+    (np.nan, "Hessian is not finite"),
+    (np.inf, "Hessian is not finite"),
+    (None, "Hessian has no positive eigenvalue"),
+])
+def test_sample_params_rejects_a_hessian_it_cannot_draw_from(model, entry, message):
+    H = -np.eye(model.n_params)
+    if entry is not None:
+        H = np.eye(model.n_params)
+        H[3, 5] = H[5, 3] = entry
+    fit = FitResult(params_hat=model.unpack(np.zeros(model.n_params)), loglik=0.0,
+                    hessian=H, convergence={}, knots=model.knots)
+    with pytest.raises(ValidationError, match=message):
+        sample_params(fit, 3, seed=10)
