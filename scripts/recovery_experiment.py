@@ -16,7 +16,7 @@ import numpy as np
 from presim import synth
 from presim.geometry import SiteGeometry
 from presim.spectrum import KnotSet, SpectralModel
-from presim.whittle import FitOptions, WhittleObjective, fit_mle, forward_dft, initial_params
+from presim.whittle import WhittleObjective, fit_mle, forward_dft, initial_params
 
 
 def run(argv=None) -> int:
@@ -39,7 +39,7 @@ def run(argv=None) -> int:
     dgrid = np.array([om0 / 16, om0 / 8, om0 / 4, om0 / 2])
 
     print("S errors at om0/8, om0/2, 2 om0, pi/2; |delta| errors at om0/16, om0/8, "
-          "om0/4, om0/2; each group's maximum; BFGS iterations")
+          "om0/4, om0/2; each group's maximum; trust-region iterations")
     print("seed   " + " ".join(f"S{i}   " for i in range(4)) + " S_max "
           + " ".join(f"d{i}   " for i in range(4)) + " d_max  iters", flush=True)
     rows = []
@@ -47,7 +47,7 @@ def run(argv=None) -> int:
         stack = synth.default_stack(T, [s.elevation for s in stations], seed=seed)
         truth = synth.generate(model, true_params, stations, stack, T, seed=seed)
         obj = WhittleObjective(model, forward_dft(truth.adjusted), geo)
-        fit = fit_mle(obj, initial_params(obj), FitOptions())
+        fit = fit_mle(obj, initial_params(obj))
         err_S = np.abs(model.eval_S(fit.params_hat, probes) / model.eval_S(true_params, probes)
                        - 1)
         err_d = np.abs(np.abs(model.eval_delta(fit.params_hat, dgrid))

@@ -23,7 +23,7 @@ from .geometry import SiteGeometry
 from .ingest import assemble_grid, block_average, fill_missing, load_observations, load_stations
 from .preprocess import TransformStack, apply_stack, fit_stack, to_sea_level
 from .spectrum import SpectralModel
-from .whittle import FitOptions, FitResult, WhittleObjective, fit_mle, forward_dft, initial_params
+from .whittle import FitResult, WhittleObjective, fit_mle, forward_dft, initial_params
 
 
 def _build_grid(config: RunConfig, stations, station_ids):
@@ -83,8 +83,7 @@ def cmd_fit(config: RunConfig, out_path) -> Path:
     geometry = _grid_geometry(grid)
     model = SpectralModel(config.knots())
     obj = WhittleObjective(model, spec, geometry)
-    fit = fit_mle(obj, initial_params(obj),
-                  FitOptions(max_iter=config.fit_max_iter, gtol=config.fit_gtol))
+    fit = fit_mle(obj, initial_params(obj), config.fit_max_iter)
     report = {
         "stack": stack.to_dict(),
         "fit": fit.to_dict(),

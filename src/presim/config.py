@@ -7,6 +7,7 @@ import yaml
 
 from .errors import ConfigurationError
 from .spectrum import KNOT_UNIT, KnotSet
+from .whittle import FIT_MAX_ITER
 
 
 @dataclass
@@ -27,8 +28,7 @@ class RunConfig:
     variogram_policy: str = "auto"  # auto | nugget | linear
     held_out_ids: list = field(default_factory=list)
     seed: int | None = None
-    fit_max_iter: int = 500
-    fit_gtol: float = 1e-3
+    fit_max_iter: int = FIT_MAX_ITER
 
     def __post_init__(self):
         # block 0 or below would run as block 1, a negative target_len

@@ -223,12 +223,10 @@ class WhittleObjective:
              s1 * t.C * U,
              theta * s1 * t.C * U_perp]
         imag = (False, False, False, True, True)
-        RG = [R_inv @ G_a for G_a in G]
         # E y and R^{-1} E y as real and imaginary parts, (K, n, 2)
         Ey = [np.concatenate([-G[a] @ yi, G[a] @ yr], axis=2) if imag[a] else G[a] @ y
               for a in range(5)]
         REy = [R_inv @ v for v in Ey]
-        del G
 
         # Re tr(H E_ab) by pair. d/dlog S scales every direction, so E_Sb = E_b;
         # d sig/d beta = sig (1 - sig) gives E_beta,beta = (1 - 2 sig) E_beta
@@ -245,6 +243,11 @@ class WhittleObjective:
         tr_ab[3, 4] = re_tr_H(P=-theta * s1 * t.C * U * U_perp, F=s1 * t.C * U_perp)
         tr_ab[4, 4] = re_tr_H(P=-theta * theta * s1 * t.C * U_perp * U_perp,
                               F=-theta * s1 * t.C * U)
+        # R^{-1} G_a replaces G_a after the pair terms: the Hessian never
+        # holds both lists, nor R^{-1} G_a beside the pair terms' temporaries
+        RG = G
+        for a in range(5):
+            RG[a] = R_inv @ RG[a]
 
         w = plan.w_low
         designs = list(plan.designs_low) + [np.ones((len(w), 1))]
@@ -375,12 +378,6 @@ def _cholesky_or_nan(R) -> np.ndarray:
 
 
 @dataclass
-class FitOptions:
-    max_iter: int = 500
-    gtol: float = 1e-3
-
-
-@dataclass
 class FitResult:
     params_hat: SpectralParams
     loglik: float
@@ -421,25 +418,28 @@ class FitResult:
         )
 
 
-def fit_mle(obj: WhittleObjective, initial: SpectralParams,
-            options: FitOptions | None = None) -> FitResult:
-    """Maximize the Whittle likelihood of `obj` by BFGS (`_bfgs`) on the negative log-likelihood.
+GTOL = 1e-3  # converged when max |gradient| <= GTOL
+FIT_MAX_ITER = 500  # iteration cap, rejected steps included; RunConfig's default
 
-    Every objective call gives the value and the analytic score together;
-    `objective_calls` counts these calls, the one at the start point
+
+def fit_mle(obj: WhittleObjective, initial: SpectralParams,
+            max_iter: int = FIT_MAX_ITER) -> FitResult:
+    """Maximize the Whittle likelihood of `obj` by trust-region Newton (`_trust_region`).
+
+    Each trial point takes one objective call, which gives the value and
+    the analytic score; `objective_calls` counts them, the start point's
     included. A parameter vector the model rejects reads as an infinite
-    value, which the line search backs off from. The returned Hessian is
-    the exact one of the negative log-likelihood at the optimum
-    (`WhittleObjective.hessian`), with its eigenvalues in ascending order.
-    Deterministic given inputs.
+    value, a rejected step. The exact Hessian (`WhittleObjective.hessian`)
+    runs at every accepted point, and the last one's is the fit's, with its
+    eigenvalues in ascending order. `convergence.trace` holds one
+    [log-likelihood, max |score|, trust radius] entry for the start and one
+    per iteration. Deterministic given inputs.
 
     The model is unchanged by (theta, u) -> (-theta, u + pi), so two fits
     that differ only by this mirror are one fit; compare fits through S,
     |delta| and theta * u.
     """
-    options = options or FitOptions()
     model = obj.plan.model
-    x0 = initial.pack()
     ll0, score0 = obj.loglik(initial)
     if not np.isfinite(ll0):
         raise ValidationError("log-likelihood not finite at the initial point")
@@ -451,19 +451,18 @@ def fit_mle(obj: WhittleObjective, initial: SpectralParams,
             return np.inf, np.full(len(x), np.nan)
         return -ll, -score
 
-    best, f, g, status, iterations, calls = _bfgs(neg, x0, -ll0, -score0,
-                                                  options.gtol, options.max_iter)
+    x, f, g, H, status, iterations, calls, trace = _trust_region(
+        neg, lambda x: obj.hessian(model.unpack(x)), initial.pack(), -ll0, -score0, max_iter)
     convergence = {
         "status": status,
         "iterations": iterations,
         "objective_calls": calls + 1,
         "grad_inf_norm": float(np.max(np.abs(g))),
+        "trace": [[-f_k, g_k, radius] for f_k, g_k, radius in trace],
     }
-    params_hat = model.unpack(best)
-    H = obj.hessian(params_hat)
     eigenvalues = np.linalg.eigvalsh(H)
     return FitResult(
-        params_hat=params_hat,
+        params_hat=model.unpack(x),
         loglik=float(-f),
         hessian=H,
         convergence=convergence,
@@ -473,72 +472,72 @@ def fit_mle(obj: WhittleObjective, initial: SpectralParams,
     )
 
 
-# weak Wolfe constants: sufficient decrease and curvature
-WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
-# objective calls one line search may take before it gives up
-LINE_SEARCH_CALLS = 50
+def _trust_region(fun, hess, x, f, g, max_iter: int) -> tuple:
+    """(x, f, g, H, status, iterations, calls, trace): trust-region Newton on `fun` from x.
 
-
-def _bfgs(fun, x, f, g, gtol: float, max_iter: int) -> tuple:
-    """(x, f, g, status, iterations, calls): BFGS on `fun` from x, where fun(x) = (f, g).
-
-    The inverse Hessian starts at the identity and takes the standard
-    rank-two update after each step; the first trial step is scipy's guess
-    min(1, 2.02 (f - f_prev) / g.p), with f_prev = f + |g| / 2 before the
-    first step. The status is "converged" when max |g| <= gtol,
-    "max_iter" after `max_iter` steps, "precision_loss" when the line
-    search finds no step (often at the optimum, where rounding keeps the
-    gradient above gtol) and "nan" when the gradient is not finite.
-    `calls` counts the calls of `fun`; the start point's is not one.
+    fun(x) = (f, g), given at the start x; hess(x) is f's Hessian, taken at
+    the start and at every accepted point (Nocedal & Wright 2006, alg. 4.1).
+    Each iteration makes one call of `fun` at the `_trust_step` step within
+    the Euclidean radius, which starts at 1. With rho the actual over the
+    predicted decrease (-inf where the value or gradient is not finite),
+    the radius shrinks by 1/4 when rho < 1/4 and doubles when rho > 3/4 at
+    the boundary; the step is taken when rho > 1e-4. The status is
+    "converged" at max |g| <= GTOL, "max_iter", "radius_collapsed" when the
+    radius falls to the rounding of |x| (every step rejected, as with a
+    wrong gradient) or "nan" when g or H is not finite. `calls` leaves out
+    the start's; `trace` has one [f, max |g|, radius] entry for the start
+    and one per iteration.
     """
-    H = np.eye(len(x))
-    f_prev = f + np.linalg.norm(g) / 2.0
-    calls = 0
+    radius, calls, H = 1.0, 0, hess(x)
+    trace = [[float(f), float(np.max(np.abs(g))), radius]]
     for iterations in range(max_iter + 1):
-        if not np.all(np.isfinite(g)):
-            return x, f, g, "nan", iterations, calls
-        if np.max(np.abs(g)) <= gtol:
-            return x, f, g, "converged", iterations, calls
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+            return x, f, g, H, "nan", iterations, calls, trace
+        if np.max(np.abs(g)) <= GTOL:
+            return x, f, g, H, "converged", iterations, calls, trace
         if iterations == max_iter:
-            return x, f, g, "max_iter", iterations, calls
-        p = -H @ g
-        slope = g @ p
-        if not slope < 0.0:  # rounding has made H indefinite
-            return x, f, g, "precision_loss", iterations, calls
-        guess = min(1.0, 2.02 * (f - f_prev) / slope)
-        step, f_new, g_new, n = _weak_wolfe_step(fun, x, f, slope, p, guess if guess > 0 else 1.0)
-        calls += n
-        if step is None:
-            return x, f, g, "precision_loss", iterations, calls
-        s, y = step * p, g_new - g
-        rho = 1.0 / (y @ s)  # > 0 by the curvature condition
-        Hy = H @ y
-        H += rho * ((1.0 + rho * (y @ Hy)) * np.outer(s, s) - np.outer(s, Hy) - np.outer(Hy, s))
-        x, f_prev, f, g = x + s, f, f_new, g_new
+            return x, f, g, H, "max_iter", iterations, calls, trace
+        if radius <= np.finfo(float).eps * np.linalg.norm(x):
+            return x, f, g, H, "radius_collapsed", iterations, calls, trace
+        p, at_boundary = _trust_step(g, H, radius)
+        f_new, g_new = fun(x + p)
+        calls += 1
+        finite = np.isfinite(f_new) and np.all(np.isfinite(g_new))
+        rho = (f - f_new) / -(g @ p + 0.5 * p @ H @ p) if finite else -np.inf
+        if rho < 0.25:
+            radius *= 0.25
+        elif rho > 0.75 and at_boundary:
+            radius *= 2.0
+        if rho > 1e-4:
+            x, f, g, H = x + p, f_new, g_new, hess(x + p)
+        trace.append([float(f), float(np.max(np.abs(g))), radius])
 
 
-def _weak_wolfe_step(fun, x, f, slope, p, step) -> tuple:
-    """(step, f, g, calls) at a step along p that meets the weak Wolfe conditions.
+def _trust_step(g, H, radius) -> tuple:
+    """(p, at_boundary): the p that minimizes g.p + p.H p / 2 subject to |p| <= radius.
 
-    Expansion and bisection (Lewis & Overton 2013, Math. Prog. 141;
-    Nocedal & Wright 2006, sect. 3.1): a step whose value is not finite or
-    fails the sufficient decrease f(x + a p) <= f + c1 a slope is too
-    long; one that fails the curvature condition g(x + a p).p >= c2 slope
-    is too short. The step doubles until one is too long, then bisects
-    between the longest too-short and the shortest too-long. After
-    LINE_SEARCH_CALLS calls without a step it gives (None, f, None, calls).
+    Moré & Sorensen 1983 (SIAM J. Sci. Stat. Comput. 4) by one `eigh` of H
+    = V diag(lam) V^T: the Newton step if H is positive definite and the
+    step is within the radius, else p(s) = -V (V^T g / (lam + s)) on the
+    boundary, the shift s > max(0, -lam_min) found by bisection to adjacent
+    floats. In the hard case, g next to orthogonal to the lowest
+    eigenvector, p(s) may stay inside; it is not extended along it.
     """
-    lo, hi = 0.0, np.inf
-    for calls in range(1, LINE_SEARCH_CALLS + 1):
-        f_new, g_new = fun(x + step * p)
-        if not f_new <= f + WOLFE_C1 * step * slope:
-            hi = step
-        elif not g_new @ p >= WOLFE_C2 * slope:
-            lo = step
+    lam, V = np.linalg.eigh(H)
+    gv = V.T @ g
+    if lam[0] > 0.0:
+        p = -gv / lam
+        if np.linalg.norm(p) <= radius:
+            return V @ p, False
+    # |p(s)| falls with s, and is at most radius once s + lam_min >= |g| / radius
+    lo = max(0.0, -lam[0])
+    hi = lo + np.linalg.norm(g) / radius
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if np.linalg.norm(gv / (lam + mid)) > radius:
+            lo = mid
         else:
-            return step, f_new, g_new, calls
-        step = 2.0 * step if hi == np.inf else 0.5 * (lo + hi)
-    return None, f, None, LINE_SEARCH_CALLS
+            hi = mid
+    return V @ (-gv / (lam + hi)), True
 
 
 def sample_params(fit: FitResult, count: int, seed: int) -> tuple:

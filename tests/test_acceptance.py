@@ -271,7 +271,7 @@ RECOVERY_SEEDS = tuple(range(11, 18))
 
 
 def test_07_parameter_recovery_from_synthetic_network(model):
-    from presim.whittle import FitOptions, fit_mle, initial_params
+    from presim.whittle import fit_mle, initial_params
 
     t0 = time.monotonic()
     T = 8640
@@ -290,7 +290,7 @@ def test_07_parameter_recovery_from_synthetic_network(model):
                                stack, T, seed=seed)
         spec = forward_dft(truth.adjusted)
         obj = WhittleObjective(model, spec, geo)
-        fit = fit_mle(obj, initial_params(obj), FitOptions())
+        fit = fit_mle(obj, initial_params(obj))
         err_S.append(np.abs(
             model.eval_S(fit.params_hat, probes) / model.eval_S(truth.params, probes) - 1.0
         ))
