@@ -72,12 +72,8 @@ def _grid_geometry(grid) -> SiteGeometry:
 def cmd_fit(config: RunConfig, out_path) -> Path:
     stations, held = _split_stations(config)
     grid = _build_grid(config, stations, [s.id for s in stations if s not in held])
-    stack = fit_stack(
-        grid,
-        diurnal_period=config.diurnal_period,
-        n_harmonics=config.diurnal_harmonics,
-        volatility_df=config.volatility_df,
-    )
+    stack = fit_stack(grid, n_harmonics=config.diurnal_harmonics,
+                      volatility_df=config.volatility_df)
     A = apply_stack(grid, stack)
     spec = forward_dft(A)
     geometry = _grid_geometry(grid)
@@ -131,7 +127,7 @@ def cmd_simulate(config: RunConfig, fit_report_path, out_dir) -> Path:
     spec = forward_dft(A)
 
     M = to_sea_level(stack.site_means, grid.elevations, stack.sea_level)
-    mf_model, mf_fits = meanfield.select_model(M, geometry, config.variogram_policy)
+    mf_model, mf_fits = meanfield.select_model(M, geometry)
     mean_draws = meanfield.sample_means(
         mf_model, setup.targets, setup.target_elevations, stack.sea_level,
         config.ensemble_count, seed,
@@ -196,61 +192,49 @@ def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> 
     grid = _build_grid(config, stations, [*report["station_ids"], *config.held_out_ids])
     truth_grid = _split_grid(grid, config.held_out_ids)
     obs_grid = _split_grid(grid, report["station_ids"])
-    target_ids = [s.id for s in truth_grid.stations]
-    members = _read_ensemble(ensemble_dir, target_ids, fit)
+    members = _read_ensemble(ensemble_dir, [s.id for s in truth_grid.stations], fit)
     if members[0].shape[1] != truth_grid.n_times:
         raise ValidationError("ensemble and truth lengths differ")
 
-    vol = stack.volatility.values
+    top = verify.top_volatility_selector(stack.volatility.values)
     hourly_width = max(1, int(round(3600.0 / truth_grid.step_seconds)))
+    n_members = members[0].shape[0]
+    point = verify.chi_square_99_point(n_members)
 
-    metrics = {"targets": {}, "n_members": members[0].shape[0]}
+    metrics = {"targets": {}, "n_members": n_members}
     truths, preds_mean, preds_nn = {}, {}, {}
-    for i, tid in enumerate(target_ids):
-        truth_p = truth_grid.values[i]
-        members_p = members[i]
+    for target, truth_p, members_p in zip(truth_grid.stations, truth_grid.values, members):
         truth_d = np.diff(truth_p)
         members_d = np.diff(members_p, axis=1)
-
-        hist_all = verify.rank_histogram(truth_d, members_d, selector_label="all", seed=seed)
-        hourly_truth = verify.aggregate_diffs(truth_p, hourly_width)
-        hourly_members = np.array([verify.aggregate_diffs(p, hourly_width) for p in members_p])
-        hist_hourly = verify.rank_histogram(
-            hourly_truth, hourly_members, selector_label="hourly", seed=seed
-        )
-        top = verify.top_volatility_selector(vol)
-        hist_vol = verify.rank_histogram(
-            truth_d, members_d, selector=top, selector_label="top_decile_volatility", seed=seed
-        )
-        target = next(s for s in truth_grid.stations if s.id == tid)
-        nn = verify.nearest_neighbor_baseline(
-            obs_grid.values,
-            [s.latitude for s in obs_grid.stations],
-            [s.longitude for s in obs_grid.stations],
-            [s.elevation for s in obs_grid.stations],
-            target.latitude, target.longitude, target.elevation,
-            stack.sea_level,
-            station_ids=[s.id for s in obs_grid.stations],
-        )
-        truths[tid] = truth_p
-        preds_mean[tid] = members_p.mean(axis=0)
-        preds_nn[tid] = nn
+        quantities = {
+            "all": (truth_d, members_d),
+            "hourly": (
+                verify.aggregate_diffs(truth_p, hourly_width),
+                np.array([verify.aggregate_diffs(p, hourly_width) for p in members_p]),
+            ),
+            "top_decile_volatility": (truth_d[top], members_d[:, top]),
+        }
         hists = {}
-        for h in (hist_all, hist_hourly, hist_vol):
-            chi2, point = h.chi_square(), h.chi_square_99()
-            hists[h.selector] = {"counts": h.counts.tolist(), "chi_square": chi2,
-                                 "chi_square_99": point, "uniform_at_99": chi2 <= point}
-            print(f"{tid}/{h.selector}: chi-square {chi2:.1f} vs 99% point {point:.1f}: "
+        for label, (truth_q, members_q) in quantities.items():
+            counts = verify.rank_histogram(truth_q, members_q, seed=seed)
+            chi2 = verify.chi_square(counts)
+            hists[label] = {"counts": counts.tolist(), "chi_square": chi2,
+                            "chi_square_99": point, "uniform_at_99": chi2 <= point}
+            print(f"{target.id}/{label}: chi-square {chi2:.1f} vs 99% point {point:.1f}: "
                   f"{'PASS' if chi2 <= point else 'FAIL'}")
-        metrics["targets"][tid] = {
+        truths[target.id] = truth_p
+        preds_mean[target.id] = members_p.mean(axis=0)
+        preds_nn[target.id] = verify.nearest_neighbor_baseline(
+            obs_grid.values, obs_grid.stations, target, stack.sea_level
+        )
+        metrics["targets"][target.id] = {
             "rank_histograms": hists,
             "envelope": verify.envelope_coverage(truth_p, members_p),
             "min_max_diagnostic": verify.min_max_rank_diagnostic(truth_p, members_p),
         }
-    table = verify.score_table(
+    metrics["score_table"] = verify.score_table(
         truths, {"ensemble_mean": preds_mean, "nearest_neighbor": preds_nn}
     )
-    metrics["score_table"] = table.to_dicts()
     metrics["rank_ties"] = "randomized (seeded)"
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -6,7 +6,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigurationError
-from .spectrum import KNOT_UNIT, KnotSet
+from .spectrum import KnotSet
 from .whittle import FIT_MAX_ITER
 
 
@@ -18,14 +18,11 @@ class RunConfig:
     block: int = 5
     target_len: int = 8640
     max_gap: int = 8
-    diurnal_period: int = 288
     diurnal_harmonics: int = 15
     volatility_df: float = 72.0
     omega0_j: int = 720  # cutoff as a multiple of pi/4320; 4320 = pi
-    knot_j: dict = field(default_factory=dict)  # optional overrides per function
     ensemble_count: int = 99
     vary_params: bool = True
-    variogram_policy: str = "auto"  # auto | nugget | linear
     held_out_ids: list = field(default_factory=list)
     seed: int | None = None
     fit_max_iter: int = FIT_MAX_ITER
@@ -40,14 +37,7 @@ class RunConfig:
                 raise ConfigurationError(f"{name} must be a positive integer; got {value!r}")
 
     def knots(self) -> KnotSet:
-        if not self.knot_j:
-            return KnotSet.default(self.omega0_j)
-        base = KnotSet.default(self.omega0_j).to_dict()
-        for name in ("s", "beta", "delta", "theta"):
-            js = self.knot_j.get(name)
-            if js is not None:
-                base[f"{name}_knots"] = [j * KNOT_UNIT for j in js]
-        return KnotSet.from_dict(base)
+        return KnotSet.default(self.omega0_j)
 
     def require_seed(self) -> int:
         if self.seed is None:

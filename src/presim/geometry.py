@@ -15,16 +15,6 @@ import numpy as np
 EARTH_RADIUS_KM = 6371.0
 
 
-def great_circle(p, q) -> float:
-    """Haversine distance in km between (lat, lon) pairs in degrees."""
-    lat1, lon1 = np.radians(p)
-    lat2, lon2 = np.radians(q)
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    h = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
-    return float(2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0))))
-
-
 def distance_matrix(lats, lons) -> np.ndarray:
     """Symmetric great-circle distance matrix (km)."""
     lat = np.radians(np.asarray(lats, dtype=float))[:, None]

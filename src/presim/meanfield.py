@@ -15,7 +15,7 @@ import numpy as np
 
 from .condsim import psd_factor
 from .errors import GeometryError, ValidationError
-from .geometry import SiteGeometry, distance_matrix
+from .geometry import SiteGeometry, combine
 from .preprocess import SeaLevelModel
 from .rng import STAGE_MEANFIELD, substream
 from .splines import null_space
@@ -96,18 +96,13 @@ def reml_fit(values, geometry: SiteGeometry, kind: str) -> MeanFieldModel:
     )
 
 
-def select_model(values, geometry: SiteGeometry, policy: str = "auto"):
-    """Fit both variograms; pick per policy.
+def select_model(values, geometry: SiteGeometry):
+    """Fit both variograms; prefer the nugget unless the linear REML
+    log-likelihood is better by at least 2.
 
-    policy: "auto" prefers the nugget unless the linear REML log-likelihood
-    is better by at least 2; "nugget"/"linear" force the choice. Returns
-    (chosen model, {kind: model}).
+    Returns (chosen model, {kind: model}).
     """
     fits = {k: reml_fit(values, geometry, k) for k in VARIOGRAMS}
-    if policy in VARIOGRAMS:
-        return fits[policy], fits
-    if policy != "auto":
-        raise ValidationError(f"unknown variogram policy {policy!r}")
     if fits["linear"].reml_loglik - fits["nugget"].reml_loglik >= 2.0:
         return fits["linear"], fits
     return fits["nugget"], fits
@@ -131,7 +126,7 @@ def krige(model: MeanFieldModel, targets: SiteGeometry):
 
     d_oo = model.geometry.distances
     G_oo = theta * _variogram_matrix("linear", d_oo)
-    d_ot = _cross_distances(model.geometry, targets)
+    d_ot = combine(model.geometry, targets).distances[:n, n:]
     G_ot = theta * d_ot  # n x m
     d_tt = targets.distances
     G_tt = theta * d_tt
@@ -159,13 +154,6 @@ def krige(model: MeanFieldModel, targets: SiteGeometry):
     vals, vecs = np.linalg.eigh(cov)
     cov = (vecs * np.maximum(vals, 0.0)) @ vecs.T
     return pred, cov
-
-
-def _cross_distances(a: SiteGeometry, b: SiteGeometry) -> np.ndarray:
-    full = distance_matrix(
-        np.concatenate([a.lats, b.lats]), np.concatenate([a.lons, b.lons])
-    )
-    return full[: a.n_sites, a.n_sites :]
 
 
 def sample_means(model: MeanFieldModel, targets: SiteGeometry,

@@ -20,6 +20,8 @@ from .smoothing import DfSpline
 # measurement quantum before taking logs.
 SD_FLOOR_KPA = 0.005
 
+SECONDS_PER_DAY = 86400.0
+
 
 @dataclass(frozen=True)
 class SeaLevelModel:
@@ -42,8 +44,8 @@ class SeaLevelModel:
 class DiurnalModel:
     """Shared harmonic regression of the cross-site mean difference series."""
 
-    period: int = 288
-    n_harmonics: int = 15
+    period: int  # steps per day
+    n_harmonics: int
     coefficients: np.ndarray | None = None  # zeros when omitted
     variance_removed: np.ndarray | None = None
 
@@ -191,7 +193,7 @@ def difference(values) -> np.ndarray:
     return np.diff(values, axis=1)
 
 
-def fit_diurnal(diffs, period: int = 288, n_harmonics: int = 15) -> DiurnalModel:
+def fit_diurnal(diffs, period: int, n_harmonics: int) -> DiurnalModel:
     """Harmonic regression of the cross-site mean difference series.
 
     The fitted cycle is shared across sites; variance_removed reports the
@@ -220,7 +222,7 @@ def fit_diurnal(diffs, period: int = 288, n_harmonics: int = 15) -> DiurnalModel
     )
 
 
-def estimate_volatility(residuals, df: float = 72.0) -> VolatilitySeries:
+def estimate_volatility(residuals, df: float) -> VolatilitySeries:
     """Smooth the log cross-site SD with an effective-df spline, exponentiate."""
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
     n, T = residuals.shape
@@ -251,15 +253,23 @@ def unstandardize(adjusted, volatility: VolatilitySeries, out=None) -> np.ndarra
 # -- full stack --------------------------------------------------------
 
 
-def fit_stack(grid: DataGrid, diurnal_period: int = 288, n_harmonics: int = 15,
-              volatility_df: float = 72.0) -> TransformStack:
-    """Fit every component of the transform stack on a data grid."""
+def fit_stack(grid: DataGrid, n_harmonics: int, volatility_df: float) -> TransformStack:
+    """Fit every component of the transform stack on a data grid.
+
+    The diurnal period is one day in the grid's steps; a step that does not
+    divide a day is an error.
+    """
+    period = round(SECONDS_PER_DAY / grid.step_seconds)
+    if abs(period * grid.step_seconds - SECONDS_PER_DAY) > 1e-6:
+        raise ValidationError(
+            f"a {grid.step_seconds:g} s step does not divide a day into whole steps"
+        )
     elev = grid.elevations
     site_means = grid.values.mean(axis=1)
     sea = fit_sea_level(site_means, elev)
     at_sl = grid.values * np.exp(elev / sea.scale_height)[:, None]
     diffs = difference(at_sl)
-    diurnal = fit_diurnal(diffs, period=diurnal_period, n_harmonics=n_harmonics)
+    diurnal = fit_diurnal(diffs, period=period, n_harmonics=n_harmonics)
     resid = diffs - diurnal.predict(diffs.shape[1])[None, :]
     vol = estimate_volatility(resid, df=volatility_df)
     return TransformStack(

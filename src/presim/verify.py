@@ -7,36 +7,20 @@ All functions are pure; outputs serialize to plot-ready JSON/CSV.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import great_circle
+from .geometry import distance_matrix
 from .preprocess import SeaLevelModel
 from .rng import STAGE_EVAL, substream
 
 
-@dataclass
-class RankHistogram:
-    counts: np.ndarray  # length members+1
-    n_times: int
-    selector: str
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=int)
-        object.__setattr__(self, "counts", counts)
-        if counts.sum() != self.n_times:
-            raise ValidationError("rank counts must sum to the number of times")
-
-    def chi_square(self) -> float:
-        """Chi-square statistic against the uniform histogram."""
-        expected = self.n_times / len(self.counts)
-        return float(np.sum((self.counts - expected) ** 2 / expected))
-
-    def chi_square_99(self) -> float:
-        """99% point of chi-square with (bins - 1) degrees of freedom."""
-        return chi_square_99_point(len(self.counts) - 1)
+def chi_square(counts) -> float:
+    """Chi-square statistic of histogram counts against the uniform histogram."""
+    counts = np.asarray(counts)
+    expected = counts.sum() / len(counts)
+    return float(np.sum((counts - expected) ** 2 / expected))
 
 
 def _chi_square_sf(x: float, df: int) -> float:
@@ -77,44 +61,22 @@ def chi_square_99_point(df: int) -> float:
             hi = mid
 
 
-@dataclass
-class ScoreRow:
-    target: str
-    method: str
-    mean_error: float
-    error_sd: float
-    rmse: float
+def rank_histogram(truth, members, seed: int) -> np.ndarray:
+    """Counts of the rank of truth among {truth} + members, one bin per rank.
 
-
-@dataclass
-class ScoreTable:
-    rows: list = field(default_factory=list)
-
-    def to_dicts(self):
-        return [vars(r) for r in self.rows]
-
-
-def rank_histogram(truth, members, selector=None, selector_label: str = "all",
-                   seed: int = 0) -> RankHistogram:
-    """Rank of truth among {truth} + members at each selected time.
-
-    Ties are broken by seeded uniform randomization: discretized pressure
-    data produce exact ties, and midranking would bias uniformity tests.
+    Returns members + 1 counts that sum to the number of times. Ties are
+    broken by seeded uniform randomization: discretized pressure data
+    produce exact ties, and midranking would bias uniformity tests.
     """
     truth = np.asarray(truth, dtype=float)
     members = np.atleast_2d(np.asarray(members, dtype=float))
     if members.shape[1] != len(truth):
         raise ValidationError("truth and member series lengths differ")
-    if selector is None:
-        selector = np.ones(len(truth), dtype=bool)
-    selector = np.asarray(selector, dtype=bool)
-    K = members.shape[0]
     rng = substream(seed, STAGE_EVAL, 0)
-    below = np.sum(members[:, selector] < truth[selector][None, :], axis=0)
-    ties = np.sum(members[:, selector] == truth[selector][None, :], axis=0)
+    below = np.sum(members < truth[None, :], axis=0)
+    ties = np.sum(members == truth[None, :], axis=0)
     ranks = 1 + below + rng.integers(0, ties + 1)
-    counts = np.bincount(ranks - 1, minlength=K + 1)
-    return RankHistogram(counts=counts, n_times=int(selector.sum()), selector=selector_label)
+    return np.bincount(ranks - 1, minlength=members.shape[0] + 1)
 
 
 def envelope_coverage(truth, members) -> dict:
@@ -163,40 +125,33 @@ def score_errors(truth, predictor) -> tuple:
     return mean, sd, rmse
 
 
-def score_table(truths: dict, predictors: dict) -> ScoreTable:
-    """truths: {target: series}; predictors: {method: {target: series}}."""
-    table = ScoreTable()
+def score_table(truths: dict, predictors: dict) -> list:
+    """One row dict per method and target.
+
+    truths: {target: series}; predictors: {method: {target: series}}.
+    """
+    rows = []
     for method, per_target in predictors.items():
         for target, pred in per_target.items():
             mean, sd, rmse = score_errors(truths[target], pred)
-            table.rows.append(
-                ScoreRow(target=target, method=method, mean_error=mean,
-                         error_sd=sd, rmse=rmse)
-            )
-    return table
+            rows.append({"target": target, "method": method, "mean_error": mean,
+                         "error_sd": sd, "rmse": rmse})
+    return rows
 
 
-def nearest_neighbor_baseline(grid_values, station_lats, station_lons,
-                              station_elevs, target_lat, target_lon,
-                              target_elev, sea_level: SeaLevelModel,
-                              station_ids=None) -> np.ndarray:
+def nearest_neighbor_baseline(values, stations, target, sea_level: SeaLevelModel) -> np.ndarray:
     """Copy the closest station's series, elevation-adjusted to the target.
 
-    The series is lifted to sea level at the source elevation and brought
-    back down at the target elevation. Distance ties resolve to the
-    station earliest in id order (or input order without ids).
+    `values` holds one series per station record of `stations`; `target` is
+    a station record too. The series is lifted to sea level at the source
+    elevation and brought back down at the target elevation. Distance
+    ties resolve to the station earliest in id order.
     """
-    grid_values = np.atleast_2d(np.asarray(grid_values, dtype=float))
-    n = grid_values.shape[0]
-    dists = np.array(
-        [great_circle((station_lats[i], station_lons[i]), (target_lat, target_lon))
-         for i in range(n)]
-    )
-    if station_ids is None:
-        station_ids = [str(i) for i in range(n)]
-    best = min(range(n), key=lambda i: (dists[i], str(station_ids[i])))
-    ratio = np.exp((station_elevs[best] - target_elev) / sea_level.scale_height)
-    return grid_values[best] * ratio
+    sites = [*stations, target]
+    dists = distance_matrix([s.latitude for s in sites], [s.longitude for s in sites])[-1]
+    best = min(range(len(stations)), key=lambda i: (dists[i], stations[i].id))
+    ratio = np.exp((stations[best].elevation - target.elevation) / sea_level.scale_height)
+    return np.asarray(values, dtype=float)[best] * ratio
 
 
 def aggregate_diffs(series, width: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 
 from presim.condsim import ConditionalSampler, PredictionSetup
 from presim.errors import AlignmentError, FormatError
-from presim.geometry import SiteGeometry
+from presim.geometry import EARTH_RADIUS_KM, SiteGeometry
 from presim.ingest import RawSeries
 from presim.spectrum import KnotSet, SpectralModel
 from presim.whittle import TWO_PI, FrequencyPlan, SpectralField
@@ -26,6 +26,19 @@ def geometry3():
     return SiteGeometry(
         np.array([36.10, 36.45, 36.80]), np.array([-97.20, -96.90, -97.45])
     )
+
+
+def great_circle(p, q) -> float:
+    """Haversine distance in km between (lat, lon) pairs in degrees.
+
+    One pair at a time: the oracle for `distance_matrix`.
+    """
+    lat1, lon1 = np.radians(p)
+    lat2, lon2 = np.radians(q)
+    dlat = lat2 - lat1
+    dlon = lon2 - lon1
+    h = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
+    return float(2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0))))
 
 
 def random_params(model, rng, scale=0.4):

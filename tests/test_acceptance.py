@@ -241,7 +241,7 @@ def test_06_round_trips():
     base = 101.3 * np.exp(-elev / 8100.0)
     walk = np.cumsum(0.002 * rng.standard_normal((n, T + 1)), axis=1)
     grid = make_grid(base[:, None] + walk, elevations=elev)
-    stack = fit_stack(grid, volatility_df=24.0)
+    stack = fit_stack(grid, n_harmonics=15, volatility_df=24.0)
     A = apply_stack(grid, stack)
     back = invert_stack(A, stack, grid.elevations, stack.site_means)
     err_stack = float(np.max(np.abs(back - grid.values)))
@@ -338,16 +338,16 @@ def test_08_ensemble_calibration_at_held_out_sites(model):
         members = np.stack([inverse_dft(sampler.draw(seed, k)) for k in range(K)])
         ok_diff = ok_hourly = True
         for i in range(2):
-            h = verify.rank_histogram(
+            counts = verify.rank_histogram(
                 np.diff(A[11 + i]), np.diff(members[:, i, :], axis=1), seed=seed
             )
-            ok_diff &= h.chi_square() < q99
-            hh = verify.rank_histogram(
+            ok_diff &= verify.chi_square(counts) < q99
+            counts = verify.rank_histogram(
                 verify.aggregate_diffs(A[11 + i], 12),
                 np.array([verify.aggregate_diffs(p, 12) for p in members[:, i, :]]),
-                selector_label="hourly", seed=seed,
+                seed=seed,
             )
-            ok_hourly &= hh.chi_square() < q99
+            ok_hourly &= verify.chi_square(counts) < q99
         pass_diff += ok_diff
         pass_hourly += ok_hourly
     elapsed = time.monotonic() - t0
@@ -398,7 +398,7 @@ def test_10_field_dataset_smoke_checks():
     series = load_observations(os.path.join(data_dir, "observations.csv"), stations)
     series = [block_average(fill_missing(s, 8), 5) for s in series]
     grid = assemble_grid(series, 8640)
-    stack = fit_stack(grid)
+    stack = fit_stack(grid, n_harmonics=15, volatility_df=72.0)
 
     ok_sea = (
         stack.sea_level.r_squared >= 0.999

@@ -18,6 +18,7 @@ from presim.condsim import ConditionalSampler
 from presim.config import RunConfig
 from presim.errors import ConfigurationError, ValidationError
 from presim.rng import RNG_LAYOUT
+from presim.spectrum import KnotSet, SpectralModel
 
 T = 576
 SEED = 11
@@ -446,6 +447,29 @@ def test_nonpositive_count_rejected(pipeline, tmp_path, capsys, key, value, stag
     assert f"[{stage}] error: {key} must be a positive integer; got {value}" in err
     assert not (tmp_path / "fit_report.json").exists()
     assert not (tmp_path / "ensemble").exists()
+
+
+def test_fit_takes_the_diurnal_period_from_the_step(tmp_path):
+    # a day is 1440 one-minute steps
+    model = SpectralModel(KnotSet.default())
+    stations = synth.default_stations()
+    stack = synth.default_stack(T, [s.elevation for s in stations], seed=SEED)
+    truth = synth.generate(model, synth.default_true_params(model), stations, stack, T, SEED)
+    synth.write_dataset(truth, tmp_path / "synthetic", step_seconds=60.0)
+    cfg = write_config(tmp_path / "config.yaml", tmp_path, fit_max_iter=1)
+    assert main(["--config", str(cfg), "fit"]) == 0
+    report = json.loads((tmp_path / "fit_report.json").read_text())
+    assert report["step_seconds"] == 60.0
+    assert report["stack"]["diurnal"]["period"] == 1440
+
+
+def test_step_that_does_not_divide_a_day_is_rejected(pipeline, tmp_path, capsys):
+    # 7 five-minute steps are 2100 s, and a day is 41.14 of them
+    out, _ = pipeline
+    cfg = write_config(tmp_path / "block7.yaml", out, block=7, target_len=80)
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "fit"]) == 1
+    assert "[fit] error: a 2100 s step does not divide a day" in capsys.readouterr().err
+    assert not (tmp_path / "fit_report.json").exists()
 
 
 def test_missing_seed_rejected(pipeline, tmp_path, capsys):

@@ -10,9 +10,10 @@ from presim.geometry import (
     SiteGeometry,
     combine,
     distance_matrix,
-    great_circle,
     plane_positions,
 )
+
+from conftest import great_circle
 
 # One degree of latitude on the R=6371 sphere.
 ONE_DEG_KM = EARTH_RADIUS_KM * np.pi / 180.0

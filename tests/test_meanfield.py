@@ -77,14 +77,10 @@ def test_select_model_policies():
     rng = np.random.default_rng(4)
     geo = random_geometry(11, 5)
     M = 101.0 + 0.03 * rng.standard_normal(11)
-    chosen, fits = select_model(M, geo, "auto")
+    chosen, fits = select_model(M, geo)
     assert set(fits) == {"nugget", "linear"}
     if fits["linear"].reml_loglik - fits["nugget"].reml_loglik < 2.0:
         assert chosen.variogram == "nugget"
-    forced, _ = select_model(M, geo, "linear")
-    assert forced.variogram == "linear"
-    with pytest.raises(ValidationError):
-        select_model(M, geo, "bogus")
 
 
 # -- kriging --------------------------------------------------------------

@@ -225,7 +225,7 @@ def synthetic_grid(seed=9, n=6, T=900):
 
 def test_full_stack_round_trip():
     grid = synthetic_grid()
-    stack = fit_stack(grid, volatility_df=24.0)
+    stack = fit_stack(grid, n_harmonics=15, volatility_df=24.0)
     A = apply_stack(grid, stack)
     back = invert_stack(
         A, stack, grid.elevations, grid.values.mean(axis=1)
@@ -235,7 +235,7 @@ def test_full_stack_round_trip():
 
 def test_invert_stack_zero_field_constant_level():
     grid = synthetic_grid()
-    stack = fit_stack(grid, volatility_df=24.0)
+    stack = fit_stack(grid, n_harmonics=15, volatility_df=24.0)
     zero_diurnal = TransformStack(
         sea_level=stack.sea_level,
         diurnal=DiurnalModel(period=288, n_harmonics=15, coefficients=np.zeros(30)),
@@ -251,7 +251,7 @@ def test_invert_stack_zero_field_constant_level():
 
 def test_invert_stack_mean_shift_equivariance():
     grid = synthetic_grid()
-    stack = fit_stack(grid, volatility_df=24.0)
+    stack = fit_stack(grid, n_harmonics=15, volatility_df=24.0)
     rng = np.random.default_rng(10)
     A = rng.standard_normal((2, grid.n_times - 1))
     p0 = invert_stack(A, stack, [300.0, 400.0], [97.0, 96.0])
@@ -261,7 +261,7 @@ def test_invert_stack_mean_shift_equivariance():
 
 def test_invert_stack_anchors_time_mean():
     grid = synthetic_grid()
-    stack = fit_stack(grid, volatility_df=24.0)
+    stack = fit_stack(grid, n_harmonics=15, volatility_df=24.0)
     rng = np.random.default_rng(11)
     A = rng.standard_normal((2, grid.n_times - 1))
     out = invert_stack(A, stack, [300.0, 400.0], [97.0, 96.0])
@@ -270,7 +270,7 @@ def test_invert_stack_anchors_time_mean():
 
 def test_invert_stack_members_axis_matches_each_member():
     grid = synthetic_grid()
-    stack = fit_stack(grid, volatility_df=24.0)
+    stack = fit_stack(grid, n_harmonics=15, volatility_df=24.0)
     rng = np.random.default_rng(12)
     A = rng.standard_normal((3, 2, grid.n_times - 1))
     means = 97.0 + rng.standard_normal((3, 2))
@@ -285,7 +285,7 @@ def test_invert_stack_members_axis_matches_each_member():
 
 def test_apply_stack_constant_grid_zero_diurnal():
     grid = synthetic_grid()
-    stack = fit_stack(grid, volatility_df=24.0)
+    stack = fit_stack(grid, n_harmonics=15, volatility_df=24.0)
     const = make_grid(np.full((grid.n_stations, grid.n_times), 100.0),
                       grid.elevations)
     zero_diurnal = TransformStack(
@@ -303,7 +303,7 @@ def test_apply_stack_constant_grid_zero_diurnal():
 def test_standardized_field_has_unit_scale():
     # cross-site SD of A, re-smoothed the same way, should hover near 1
     grid = synthetic_grid(seed=12, n=11, T=2000)
-    stack = fit_stack(grid, volatility_df=24.0)
+    stack = fit_stack(grid, n_harmonics=15, volatility_df=24.0)
     A = apply_stack(grid, stack)
     resmoothed = estimate_volatility(A, df=24.0).values
     frac = np.mean((resmoothed > 1 / 1.5) & (resmoothed < 1.5))
@@ -312,7 +312,7 @@ def test_standardized_field_has_unit_scale():
 
 def test_stack_json_round_trip():
     grid = synthetic_grid()
-    stack = fit_stack(grid, volatility_df=24.0)
+    stack = fit_stack(grid, n_harmonics=15, volatility_df=24.0)
     back = TransformStack.from_dict(json.loads(json.dumps(stack.to_dict())))
     assert back.sea_level.scale_height == pytest.approx(stack.sea_level.scale_height)
     assert np.allclose(back.volatility.values, stack.volatility.values)

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from presim.errors import ValidationError
+from presim.ingest import StationMeta
 from presim.preprocess import SeaLevelModel
 from presim.verify import (
-    RankHistogram,
     aggregate_diffs,
+    chi_square,
     chi_square_99_point,
     envelope_coverage,
     min_max_rank_diagnostic,
@@ -30,18 +31,18 @@ def test_rank_histogram_counts_sum():
     rng = np.random.default_rng(0)
     truth = rng.standard_normal(200)
     members = rng.standard_normal((9, 200))
-    h = rank_histogram(truth, members, seed=1)
-    assert h.counts.sum() == 200
-    assert len(h.counts) == 10
+    counts = rank_histogram(truth, members, seed=1)
+    assert counts.sum() == 200
+    assert len(counts) == 10
 
 
 def test_rank_histogram_extreme_truth():
     rng = np.random.default_rng(1)
     members = rng.standard_normal((99, 50))
     truth = members.max(axis=0) + 1.0
-    h = rank_histogram(truth, members, seed=2)
-    assert h.counts[-1] == 50
-    assert h.counts[:-1].sum() == 0
+    counts = rank_histogram(truth, members, seed=2)
+    assert counts[-1] == 50
+    assert counts[:-1].sum() == 0
 
 
 def test_rank_histogram_tie_randomization_spreads_mass():
@@ -50,9 +51,9 @@ def test_rank_histogram_tie_randomization_spreads_mass():
     rng = np.random.default_rng(2)
     members = rng.standard_normal((3, 4000))
     truth = members[0].copy()
-    h = rank_histogram(truth, members, seed=3)
-    ranks = np.flatnonzero(h.counts)
-    assert h.counts.sum() == 4000
+    counts = rank_histogram(truth, members, seed=3)
+    ranks = np.flatnonzero(counts)
+    assert counts.sum() == 4000
     # each time has exactly one tie, so two adjacent ranks share the mass
     assert len(ranks) >= 2
 
@@ -61,22 +62,11 @@ def test_rank_histogram_seeded_determinism():
     rng = np.random.default_rng(3)
     truth = np.round(rng.standard_normal(300), 1)  # coarse: many ties
     members = np.round(rng.standard_normal((9, 300)), 1)
-    h1 = rank_histogram(truth, members, seed=4)
-    h2 = rank_histogram(truth, members, seed=4)
-    h3 = rank_histogram(truth, members, seed=5)
-    assert np.array_equal(h1.counts, h2.counts)
-    assert h1.counts.sum() == h3.counts.sum()
-
-
-def test_rank_histogram_selector_subsets():
-    rng = np.random.default_rng(4)
-    truth = rng.standard_normal(100)
-    members = rng.standard_normal((5, 100))
-    sel = np.zeros(100, dtype=bool)
-    sel[:30] = True
-    h = rank_histogram(truth, members, selector=sel, selector_label="first30", seed=6)
-    assert h.n_times == 30
-    assert h.selector == "first30"
+    c1 = rank_histogram(truth, members, seed=4)
+    c2 = rank_histogram(truth, members, seed=4)
+    c3 = rank_histogram(truth, members, seed=5)
+    assert np.array_equal(c1, c2)
+    assert c1.sum() == c3.sum()
 
 
 def test_rank_histogram_exchangeable_is_uniform():
@@ -89,14 +79,18 @@ def test_rank_histogram_exchangeable_is_uniform():
     for rep in range(20):
         rng = np.random.default_rng(700 + rep)
         data = rng.standard_normal((10, 2000))
-        h = rank_histogram(data[0], data[1:], seed=rep)
-        ok += h.chi_square() < q
+        ok += chi_square(rank_histogram(data[0], data[1:], seed=rep)) < q
     assert ok >= 18
     # the verdict's threshold is the same quantile (134.64 for 99 members)
-    assert h.chi_square_99() == pytest.approx(q, rel=1e-10)
-    h99 = RankHistogram(counts=np.ones(100), n_times=100, selector="all")
-    assert h99.chi_square_99() == pytest.approx(chi2.ppf(0.99, 99), rel=1e-10)
-    assert h99.chi_square_99() == pytest.approx(134.642, abs=1e-3)
+    assert chi_square_99_point(9) == pytest.approx(q, rel=1e-10)
+    assert chi_square_99_point(99) == pytest.approx(chi2.ppf(0.99, 99), rel=1e-10)
+    assert chi_square_99_point(99) == pytest.approx(134.642, abs=1e-3)
+
+
+def test_chi_square_against_uniform():
+    assert chi_square(np.full(10, 7)) == 0.0
+    # all 20 times in one of 4 bins: (15^2 + 3 * 5^2) / 5
+    assert chi_square(np.array([20, 0, 0, 0])) == pytest.approx(60.0)
 
 
 def test_chi_square_99_point_matches_scipy():
@@ -111,7 +105,7 @@ def test_chi_square_99_point_matches_scipy():
 
 def test_rank_histogram_length_mismatch():
     with pytest.raises(ValidationError):
-        rank_histogram(np.zeros(5), np.zeros((3, 6)))
+        rank_histogram(np.zeros(5), np.zeros((3, 6)), seed=0)
 
 
 # -- envelopes and extremes -----------------------------------------------
@@ -192,21 +186,30 @@ def test_score_table_layout():
         "m1": {"A": np.zeros(5), "B": np.ones(5)},
         "m2": {"A": np.ones(5), "B": np.zeros(5)},
     }
-    table = score_table(truths, preds)
-    rows = {(r.method, r.target): r for r in table.rows}
+    rows = {(r["method"], r["target"]): r for r in score_table(truths, preds)}
     assert len(rows) == 4
-    assert rows[("m1", "A")].rmse == 0.0
-    assert rows[("m2", "B")].rmse == pytest.approx(1.0)
+    assert rows[("m1", "A")]["rmse"] == 0.0
+    assert rows[("m2", "B")]["rmse"] == pytest.approx(1.0)
 
 
 # -- nearest neighbor -----------------------------------------------------
 
 
+def stations(lats, lons, elevs, ids=None):
+    ids = ids or [f"S{i}" for i in range(len(lats))]
+    return [StationMeta(id=i, latitude=la, longitude=lo, elevation=e)
+            for i, la, lo, e in zip(ids, lats, lons, elevs)]
+
+
+def site(lat, lon, elev):
+    return StationMeta(id="T", latitude=lat, longitude=lon, elevation=elev)
+
+
 def test_nearest_neighbor_coincident_copy():
     grid = np.vstack([np.linspace(97, 98, 20), np.linspace(99, 100, 20)])
     out = nearest_neighbor_baseline(
-        grid, [36.0, 36.8], [-97.0, -97.5], [300.0, 400.0],
-        36.0, -97.0, 300.0, SEA,
+        grid, stations([36.0, 36.8], [-97.0, -97.5], [300.0, 400.0]),
+        site(36.0, -97.0, 300.0), SEA,
     )
     assert np.allclose(out, grid[0], atol=1e-12)
 
@@ -214,7 +217,7 @@ def test_nearest_neighbor_coincident_copy():
 def test_nearest_neighbor_elevation_adjustment():
     grid = np.vstack([np.full(10, 100.0)])
     out = nearest_neighbor_baseline(
-        grid, [36.0], [-97.0], [500.0], 36.05, -97.0, 200.0, SEA
+        grid, stations([36.0], [-97.0], [500.0]), site(36.05, -97.0, 200.0), SEA
     )
     expected = 100.0 * np.exp((500.0 - 200.0) / SEA.scale_height)
     assert np.allclose(out, expected, rtol=1e-12)
@@ -224,10 +227,10 @@ def test_nearest_neighbor_elevation_shift_invariance():
     rng = np.random.default_rng(7)
     grid = 100.0 + 0.1 * rng.standard_normal((3, 15))
     args = ([36.0, 36.4, 36.8], [-97.0, -97.3, -96.8])
-    out1 = nearest_neighbor_baseline(grid, *args, [300.0, 350.0, 400.0],
-                                     36.5, -97.1, 320.0, SEA)
-    out2 = nearest_neighbor_baseline(grid, *args, [1300.0, 1350.0, 1400.0],
-                                     36.5, -97.1, 1320.0, SEA)
+    out1 = nearest_neighbor_baseline(grid, stations(*args, [300.0, 350.0, 400.0]),
+                                     site(36.5, -97.1, 320.0), SEA)
+    out2 = nearest_neighbor_baseline(grid, stations(*args, [1300.0, 1350.0, 1400.0]),
+                                     site(36.5, -97.1, 1320.0), SEA)
     assert np.allclose(out1, out2, rtol=1e-12)
 
 
@@ -235,8 +238,8 @@ def test_nearest_neighbor_tie_breaks_by_id():
     grid = np.vstack([np.full(5, 1.0), np.full(5, 2.0)])
     # two stations at the same location: distances are exactly equal
     out = nearest_neighbor_baseline(
-        grid, [36.0, 36.0], [-97.0, -97.0], [300.0, 300.0],
-        36.1, -97.0, 300.0, SEA, station_ids=["B2", "A1"],
+        grid, stations([36.0, 36.0], [-97.0, -97.0], [300.0, 300.0], ids=["B2", "A1"]),
+        site(36.1, -97.0, 300.0), SEA,
     )
     assert np.allclose(out, 2.0)  # station "A1" sorts first
 
