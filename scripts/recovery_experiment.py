@@ -30,10 +30,7 @@ def run(argv=None) -> int:
     model = SpectralModel(KnotSet.default())
     true_params = synth.default_true_params(model)
     stations = synth.default_stations()[: args.stations]
-    geo = SiteGeometry(
-        np.array([s.latitude for s in stations]),
-        np.array([s.longitude for s in stations]),
-    )
+    geo = SiteGeometry.of(stations)
     om0 = model.knots.omega0
     probes = np.array([om0 / 8, om0 / 2, 2 * om0, np.pi / 2])
     dgrid = np.array([om0 / 16, om0 / 8, om0 / 4, om0 / 2])

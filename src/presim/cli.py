@@ -62,13 +62,6 @@ def _split_stations(config: RunConfig):
     return stations, [s for s in stations if s.id in held]
 
 
-def _grid_geometry(grid) -> SiteGeometry:
-    return SiteGeometry(
-        np.array([s.latitude for s in grid.stations]),
-        np.array([s.longitude for s in grid.stations]),
-    )
-
-
 def cmd_fit(config: RunConfig, out_path) -> Path:
     stations, held = _split_stations(config)
     grid = _build_grid(config, stations, [s.id for s in stations if s not in held])
@@ -76,7 +69,7 @@ def cmd_fit(config: RunConfig, out_path) -> Path:
                       volatility_df=config.volatility_df)
     A = apply_stack(grid, stack)
     spec = forward_dft(A)
-    geometry = _grid_geometry(grid)
+    geometry = SiteGeometry.of(grid.stations)
     model = SpectralModel(config.knots())
     obj = WhittleObjective(model, spec, geometry)
     fit = fit_mle(obj, initial_params(obj), config.fit_max_iter)
@@ -97,9 +90,15 @@ def cmd_fit(config: RunConfig, out_path) -> Path:
 
 
 def _load_fit_report(path):
-    report = json.loads(Path(path).read_text())
-    stack = TransformStack.from_dict(report["stack"])
-    fit = FitResult.from_dict(report["fit"])
+    try:
+        report = json.loads(Path(path).read_text())
+        stack = TransformStack.from_dict(report["stack"])
+        fit = FitResult.from_dict(report["fit"])
+        missing = {"station_ids", "geometry_hash", "start_time", "step_seconds"} - report.keys()
+        if missing:
+            raise KeyError(*sorted(missing))
+    except (ValueError, KeyError, TypeError) as exc:  # truncated, or a key missing
+        raise FormatError(f"{path}: not a readable fit report ({exc!r})") from exc
     return report, stack, fit
 
 
@@ -110,34 +109,22 @@ def cmd_simulate(config: RunConfig, fit_report_path, out_dir) -> Path:
     if not targets:
         raise ValidationError("no target stations: held_out_ids is empty")
     grid = _build_grid(config, stations, report["station_ids"])
-    geometry = _grid_geometry(grid)
+    geometry = SiteGeometry.of(grid.stations)
     if condsim.geometry_hash(geometry) != report["geometry_hash"]:
         raise ValidationError(
             "geometry hash mismatch: fit report was produced from a different station set"
         )
 
-    setup = condsim.PredictionSetup(
-        observed=geometry,
-        target_lats=np.array([s.latitude for s in targets]),
-        target_lons=np.array([s.longitude for s in targets]),
-        target_elevations=np.array([s.elevation for s in targets]),
-        target_ids=tuple(s.id for s in targets),
-    )
     A = apply_stack(grid, stack)
     spec = forward_dft(A)
 
     M = to_sea_level(stack.site_means, grid.elevations, stack.sea_level)
     mf_model, mf_fits = meanfield.select_model(M, geometry)
-    mean_draws = meanfield.sample_means(
-        mf_model, setup.targets, setup.target_elevations, stack.sea_level,
-        config.ensemble_count, seed,
-    )
-
-    model = SpectralModel(fit.knots)
+    mean_draws = meanfield.sample_means(mf_model, targets, stack.sea_level,
+                                        config.ensemble_count, seed)
     out = Path(out_dir)
     condsim.run_ensemble(
-        model, fit, stack, setup, spec, mean_draws,
-        config.ensemble_count, config.vary_params, seed, out,
+        fit, stack, geometry, targets, spec, mean_draws, config.vary_params, seed, out,
         datetime.fromisoformat(report["start_time"]), report["step_seconds"],
         meanfield.meanfield_to_dict(mf_model, mf_fits),
     )
@@ -157,8 +144,14 @@ def _read_ensemble(ensemble_dir, target_ids, fit):
     The ensemble must have been simulated from `fit`.
     """
     out = Path(ensemble_dir)
-    manifest = json.loads((out / "manifest.json").read_text())
-    simulated_from, given = manifest["provenance"]["fit_hash"], condsim.fit_hash(fit)
+    try:
+        manifest = json.loads((out / "manifest.json").read_text())
+        simulated_from = manifest["provenance"]["fit_hash"]
+        ids, n_members = manifest["target_ids"], manifest["n_members"]
+    except (ValueError, KeyError, TypeError) as exc:  # truncated, or a key missing
+        raise FormatError(f"{out / 'manifest.json'}: not a readable ensemble manifest "
+                          f"({exc!r})") from exc
+    given = condsim.fit_hash(fit)
     if simulated_from != given:
         raise ValidationError(
             f"{out / 'manifest.json'}: ensemble was simulated from another fit "
@@ -171,11 +164,10 @@ def _read_ensemble(ensemble_dir, target_ids, fit):
         raise FormatError(f"{path}: not a readable .npy array ({exc})") from exc
     if pressure.ndim != 3:
         raise FormatError(f"{path}: shape {pressure.shape} is not (members, targets, times)")
-    ids = manifest["target_ids"]
-    if pressure.shape[:2] != (manifest["n_members"], len(ids)):
+    if pressure.shape[:2] != (n_members, len(ids)):
         raise ValidationError(
             f"{path}: shape {pressure.shape} does not match the manifest's "
-            f"{manifest['n_members']} members and {len(ids)} targets"
+            f"{n_members} members and {len(ids)} targets"
         )
     missing = [t for t in target_ids if t not in ids]
     if missing:

@@ -17,8 +17,6 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,53 +41,6 @@ from .whittle import (
 RIDGE_REL = 1e-10
 
 
-@dataclass(frozen=True)
-class PredictionSetup:
-    """Observed network plus target prediction sites."""
-
-    observed: SiteGeometry
-    target_lats: np.ndarray
-    target_lons: np.ndarray
-    target_elevations: np.ndarray
-    target_ids: tuple = ()
-
-    def __post_init__(self):
-        for name in ("target_lats", "target_lons", "target_elevations"):
-            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
-        if not (len(self.target_lats) == len(self.target_lons) == len(self.target_elevations)):
-            raise ValidationError("target coordinate arrays must have equal length")
-        if not self.target_ids:
-            object.__setattr__(
-                self, "target_ids", tuple(f"target{i}" for i in range(len(self.target_lats)))
-            )
-        for i, (la, lo) in enumerate(zip(self.target_lats, self.target_lons)):
-            same = (np.abs(self.observed.lats - la) < 1e-12) & (
-                np.abs(self.observed.lons - lo) < 1e-12
-            )
-            if same.any():
-                warnings.warn(
-                    f"target {self.target_ids[i]} coincides with an observed site; "
-                    "the simulation will reproduce that observation"
-                )
-
-    @property
-    def n_observed(self) -> int:
-        return self.observed.n_sites
-
-    @property
-    def n_targets(self) -> int:
-        return len(self.target_lats)
-
-    @cached_property
-    def targets(self) -> SiteGeometry:
-        return SiteGeometry(self.target_lats, self.target_lons)
-
-    @cached_property
-    def combined(self) -> SiteGeometry:
-        """The observed sites, then the targets: computed once, shared by every sampler build."""
-        return combine(self.observed, self.targets)
-
-
 class ConditionalSampler:
     """Precomputed per-frequency conditional laws for one parameter vector.
 
@@ -103,28 +54,30 @@ class ConditionalSampler:
     ValidationError naming its first frequency.
 
     `plan` is the `FrequencyPlan` of the observed field's length; callers
-    that build samplers for many parameter vectors build it once. With
-    zero observed sites (an empty observed geometry and a
-    (floor(T/2)+1, 0) observed field) the conditional laws are the
-    unconditional ones, so the same sampler draws synthetic truths.
+    that build samplers for many parameter vectors build it once, and
+    likewise the geometry `sites`: the observed sites, then the targets.
+    The first `observed_field.n_sites` of them are observed. With zero
+    observed sites (a (floor(T/2)+1, 0) observed field) the conditional
+    laws are the unconditional ones, so the same sampler draws synthetic
+    truths.
     """
 
     def __init__(self, plan: FrequencyPlan, params: SpectralParams,
-                 setup: PredictionSetup, observed_field: SpectralField):
-        if observed_field.n_sites != setup.n_observed:
-            raise ValidationError(f"observed field has {observed_field.n_sites} sites, "
-                                  f"the setup's observed geometry {setup.n_observed}")
+                 sites: SiteGeometry, observed_field: SpectralField):
+        n = observed_field.n_sites
+        if n >= sites.n_sites:
+            raise ValidationError(f"observed field has {n} sites, leaving no target "
+                                  f"among the {sites.n_sites} sites")
         if observed_field.n_times != plan.T:
             raise ValidationError(f"frequency plan is for T = {plan.T}, "
                                   f"the observed field for T = {observed_field.n_times}")
-        n = setup.n_observed
-        self.setup = setup
+        self.n_observed = n
         self.T = plan.T
-        self.m = setup.n_targets
+        self.m = sites.n_sites - n
         self.plan = plan
 
         scale = TWO_PI * self.T
-        t = plan.terms(params, setup.combined)
+        t = plan.terms(params, sites)
         Roo, Rop, Rpp = t.R[:, :n, :n], t.R[:, :n, n:], t.R[:, n:, n:]
         D_o, D_p = t.D[:, :n], t.D[:, n:]
         del t  # frees C and r, (K, n + m, n + m) each, before the factorization
@@ -165,7 +118,7 @@ class ConditionalSampler:
         is the low-band rows followed by the high-band rows.
         """
         m, plan = self.m, self.plan
-        if self.setup.n_observed:
+        if self.n_observed:
             if stage != STAGE_CONDSIM:
                 raise ValidationError("a conditional draw is an ensemble member; "
                                       "only zero-site draws take a stage")
@@ -211,15 +164,17 @@ def geometry_hash(geometry: SiteGeometry) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
-                 setup: PredictionSetup, observed_field: SpectralField,
-                 mean_draws: np.ndarray, count: int, vary_params: bool, seed: int,
-                 out_dir, start_time, step_seconds: float, mean_field: dict) -> dict:
-    """Simulate `count` members at the prediction sites into the directory `out_dir`.
+def run_ensemble(fit: FitResult, stack: TransformStack, observed: SiteGeometry, targets: list,
+                 observed_field: SpectralField, mean_draws: np.ndarray, vary_params: bool,
+                 seed: int, out_dir, start_time, step_seconds: float, mean_field: dict) -> dict:
+    """Simulate one member per row of `mean_draws` at `targets` into the directory `out_dir`.
 
-    mean_draws is a (count, m) array of simulated monthly mean pressures
-    (kPa at target elevations) from the mean-field module, one row per
-    member. With vary_params off, every member reuses the MLE.
+    `targets` are station records (`ingest.StationMeta`) and `observed`
+    the geometry of the observed field's sites. mean_draws is a
+    (members, m) array of simulated monthly mean pressures (kPa at target
+    elevations) from the mean-field module, one row per member. With
+    vary_params off, every member reuses the MLE. A target at an observed
+    site is simulated, with a warning, as a copy of that observation.
 
     Writes `pressure.npy`, the (members, targets, T+1) float64 array, then
     `manifest.json`, and returns the manifest. Members are streamed: each
@@ -235,17 +190,31 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
     parameter draws, and the number of ridged frequencies summed over all
     sampler builds.
     """
+    if observed_field.n_sites != observed.n_sites:
+        raise ValidationError(f"observed field has {observed_field.n_sites} sites, "
+                              f"the observed geometry {observed.n_sites}")
     mean_draws = np.atleast_2d(np.asarray(mean_draws, dtype=float))
-    if mean_draws.shape != (count, setup.n_targets):
-        raise ValidationError("mean_draws must be (count, n_targets)")
+    count = len(mean_draws)
+    if mean_draws.shape != (count, len(targets)):
+        raise ValidationError("mean_draws must be (members, n_targets)")
+    for s in targets:
+        same = (np.abs(observed.lats - s.latitude) < 1e-12) & (
+            np.abs(observed.lons - s.longitude) < 1e-12
+        )
+        if same.any():
+            warnings.warn(f"target {s.id} coincides with an observed site; "
+                          "the simulation will reproduce that observation")
+    sites = combine(observed, SiteGeometry.of(targets))  # shared by every sampler build
+    elevations = np.array([s.elevation for s in targets], dtype=float)
 
+    model = SpectralModel(fit.knots)
     plan = FrequencyPlan(observed_field.n_times, model)
     floored = False
     if vary_params:
         draws, floored = sample_params(fit, count, seed)
         ridged = 0
     else:
-        sampler = ConditionalSampler(plan, fit.params_hat, setup, observed_field)
+        sampler = ConditionalSampler(plan, fit.params_hat, sites, observed_field)
         ridged = len(sampler.ridge_frequencies)
 
     T = observed_field.n_times
@@ -254,17 +223,17 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
     out.mkdir(parents=True, exist_ok=True)
     partial = out / "pressure.npy.partial"
     header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
-              "fortran_order": False, "shape": (count, setup.n_targets, T + 1)}
+              "fortran_order": False, "shape": (count, len(targets), T + 1)}
     try:
         with open(partial, "wb") as fh:
             np.lib.format.write_array_header_1_0(fh, header)
             for k in range(count):
                 if vary_params:
-                    sampler = ConditionalSampler(plan, model.unpack(draws[k]), setup,
+                    sampler = ConditionalSampler(plan, model.unpack(draws[k]), sites,
                                                  observed_field)
                     ridged += len(sampler.ridge_frequencies)
                 A = inverse_dft(sampler.draw(seed, k))
-                pressure = invert_stack(A, stack, setup.target_elevations, mean_draws[k], diurnal)
+                pressure = invert_stack(A, stack, elevations, mean_draws[k], diurnal)
                 fh.write(np.ascontiguousarray(pressure))
         os.replace(partial, out / "pressure.npy")
     except BaseException:
@@ -275,10 +244,10 @@ def run_ensemble(model: SpectralModel, fit: FitResult, stack: TransformStack,
         "seed": seed,
         "rng_layout": RNG_LAYOUT,
         "n_members": count,
-        "target_ids": list(setup.target_ids),
+        "target_ids": [s.id for s in targets],
         "provenance": {
             "fit_hash": fit_hash(fit),
-            "observed_geometry_hash": geometry_hash(setup.observed),
+            "observed_geometry_hash": geometry_hash(observed),
             "vary_params": vary_params,
             "hessian_floored": floored,
             "ridge_frequencies": ridged,

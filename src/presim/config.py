@@ -6,7 +6,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigurationError
-from .spectrum import KnotSet
+from .spectrum import OMEGA0_J, KnotSet
 from .whittle import FIT_MAX_ITER
 
 
@@ -20,7 +20,7 @@ class RunConfig:
     max_gap: int = 8
     diurnal_harmonics: int = 15
     volatility_df: float = 72.0
-    omega0_j: int = 720  # cutoff as a multiple of pi/4320; 4320 = pi
+    omega0_j: int = OMEGA0_J  # cutoff as a multiple of pi/4320; 4320 = pi
     ensemble_count: int = 99
     vary_params: bool = True
     held_out_ids: list = field(default_factory=list)
@@ -29,9 +29,10 @@ class RunConfig:
 
     def __post_init__(self):
         # block 0 or below would run as block 1, a negative target_len
-        # would drop series ends, and ensemble_count 0 or below would write
-        # an empty ensemble or fail inside `simulate`
-        for name in ("block", "target_len", "ensemble_count"):
+        # would drop series ends, ensemble_count 0 or below would write an
+        # empty ensemble or fail inside `simulate`, and fit_max_iter 0 or
+        # below would end `fit` before its first iterate
+        for name in ("block", "target_len", "ensemble_count", "fit_max_iter"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigurationError(f"{name} must be a positive integer; got {value!r}")
@@ -42,7 +43,9 @@ class RunConfig:
     def require_seed(self) -> int:
         if self.seed is None:
             raise ConfigurationError("a seed is required for stochastic stages")
-        return int(self.seed)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer; got {self.seed!r}")
+        return self.seed
 
     @classmethod
     def from_yaml(cls, path) -> "RunConfig":

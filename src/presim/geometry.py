@@ -68,6 +68,12 @@ class SiteGeometry:
         object.__setattr__(self, "positions", plane_positions(lats, lons))
         object.__setattr__(self, "distances", distance_matrix(lats, lons))
 
+    @classmethod
+    def of(cls, stations) -> "SiteGeometry":
+        """Geometry of station records (`ingest.StationMeta`), in their order."""
+        return cls(np.array([s.latitude for s in stations], dtype=float),
+                   np.array([s.longitude for s in stations], dtype=float))
+
     @property
     def n_sites(self) -> int:
         return len(self.lats)

@@ -156,21 +156,18 @@ def krige(model: MeanFieldModel, targets: SiteGeometry):
     return pred, cov
 
 
-def sample_means(model: MeanFieldModel, targets: SiteGeometry,
-                 target_elevations, sea_level: SeaLevelModel, count: int,
-                 seed: int) -> np.ndarray:
-    """Per-member mean-pressure draws at the targets, mapped off sea level.
+def sample_means(model: MeanFieldModel, targets: list, sea_level: SeaLevelModel,
+                 count: int, seed: int) -> np.ndarray:
+    """Per-member mean-pressure draws at the target station records, mapped off sea level.
 
     Draws predictor + multivariate-t deviate (df = n_fit - 1, scale matrix
     = kriging covariance) on the sea-level M scale, then divides by the
     elevation factor to return kPa at the target elevations. Rows are
     keyed by member id, so draws are bit-reproducible per member.
     """
-    pred, cov = krige(model, targets)
-    m = targets.n_sites
-    elev = np.atleast_1d(np.asarray(target_elevations, dtype=float))
-    if len(elev) != m:
-        raise ValidationError("target elevations do not match target count")
+    pred, cov = krige(model, SiteGeometry.of(targets))
+    m = len(targets)
+    elev = np.array([s.elevation for s in targets], dtype=float)
     df = model.n_fit - 1
     L = psd_factor(cov)
     factor = np.exp(-elev / sea_level.scale_height)

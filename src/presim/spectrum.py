@@ -37,6 +37,7 @@ DEFAULT_DELTA_J = (0, 5, 10, 15, 25, 40, 60, 90, 150, 240, 360, 480, 600, 720)
 DEFAULT_BETA_J = (0, 40, 120, 360, 720)
 DEFAULT_THETA_J = (0, 40, 120, 360, 720)
 KNOT_UNIT = np.pi / 4320.0
+OMEGA0_J = 720  # default coherence cutoff, in KNOT_UNITs: the hourly pi/6
 # cap on r = d / |delta|: exp(-R_CAP) and R_CAP^3 exp(-R_CAP) are 0 in double precision
 R_CAP = 1e3
 
@@ -66,8 +67,8 @@ class KnotSet:
             raise ConfigurationError("omega0 must lie in (0, pi]")
 
     @classmethod
-    def default(cls, omega0_j: int = 720) -> "KnotSet":
-        """Default knots; omega0_j=720 gives the hourly cutoff pi/6.
+    def default(cls, omega0_j: int = OMEGA0_J) -> "KnotSet":
+        """Default knots; omega0_j=720 (`OMEGA0_J`) gives the hourly cutoff pi/6.
 
         omega0_j=4320 reproduces the 'cutoff at pi' variant: a knot at pi
         is appended to the delta/beta/theta lists, other knots unchanged.

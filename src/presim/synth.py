@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .condsim import ConditionalSampler, PredictionSetup
+from .condsim import ConditionalSampler
 from .geometry import SiteGeometry
 from .ingest import StationMeta
 from .preprocess import (
@@ -129,18 +129,12 @@ def generate(model: SpectralModel, params: SpectralParams, stations: list,
     The field is a conditional draw given zero observed sites, member 0 of
     the synthetic stage.
     """
-    elevations = np.array([s.elevation for s in stations])
-    setup = PredictionSetup(
-        observed=SiteGeometry(np.array([]), np.array([])),
-        target_lats=np.array([s.latitude for s in stations]),
-        target_lons=np.array([s.longitude for s in stations]),
-        target_elevations=elevations,
-    )
     no_sites = SpectralField(np.zeros((T // 2 + 1, 0)), n_times=T)
-    sampler = ConditionalSampler(FrequencyPlan(T, model), params, setup, no_sites)
+    sampler = ConditionalSampler(FrequencyPlan(T, model), params, SiteGeometry.of(stations),
+                                 no_sites)
     field = sampler.draw(seed, 0, stage=STAGE_SYNTH)
     A = inverse_dft(field)
-    pressure = invert_stack(A, stack, elevations, stack.site_means)
+    pressure = invert_stack(A, stack, [s.elevation for s in stations], stack.site_means)
     return SyntheticTruth(
         stations=stations, stack=stack, knots=model.knots, params=params,
         adjusted=A, pressure=pressure, seed=seed,

@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from presim.condsim import ConditionalSampler, PredictionSetup
+from presim.condsim import ConditionalSampler
 from presim.errors import AlignmentError, FormatError
 from presim.geometry import EARTH_RADIUS_KM, SiteGeometry
 from presim.ingest import RawSeries
@@ -170,12 +170,7 @@ def reference_loglik(obj, params):
 
 def unconditional_sampler(model, params, geometry, T):
     """Sampler of the full field at `geometry`, conditioned on zero sites."""
-    setup = PredictionSetup(
-        observed=SiteGeometry(np.array([]), np.array([])),
-        target_lats=geometry.lats, target_lons=geometry.lons,
-        target_elevations=np.zeros(geometry.n_sites),
-    )
-    return ConditionalSampler(FrequencyPlan(T, model), params, setup,
+    return ConditionalSampler(FrequencyPlan(T, model), params, geometry,
                               SpectralField(np.zeros((T // 2 + 1, 0)), n_times=T))
 
 

@@ -14,8 +14,9 @@ import pytest
 from scipy.stats import chi2, multivariate_normal
 
 from presim import synth, verify
-from presim.condsim import ConditionalSampler, PredictionSetup
+from presim.condsim import ConditionalSampler
 from presim.geometry import SiteGeometry
+from presim.ingest import StationMeta
 from presim.meanfield import krige, reml_fit, sample_means
 from presim.preprocess import (
     SeaLevelModel,
@@ -99,18 +100,16 @@ def test_02_conditional_simulation_moments(model):
     t0 = time.monotonic()
     T, N = 16, 100_000
     params = synth.default_true_params(model)
-    obs = SiteGeometry(np.array([36.2, 36.5]), np.array([-97.2, -96.9]))
-    setup = PredictionSetup(
-        observed=obs, target_lats=[36.35], target_lons=[-97.05],
-        target_elevations=[320.0],
-    )
-    field = unconditional_sampler(model, params, setup.observed, T).draw(7, 0)
-    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
+    # two observed sites, then the target
+    sites = SiteGeometry(np.array([36.2, 36.5, 36.35]), np.array([-97.2, -96.9, -97.05]))
+    obs = SiteGeometry(sites.lats[:2], sites.lons[:2])
+    field = unconditional_sampler(model, params, obs, T).draw(7, 0)
+    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, sites, field)
     om = sampler.plan.omega_low
     scale = TWO_PI * T
 
     # closed-form conditional law per retained frequency; row j is frequency index j
-    f = cross_spectrum_stack(model, params, setup.combined, om)
+    f = cross_spectrum_stack(model, params, sites, om)
     mean_cf = np.empty(len(om), dtype=complex)
     var_cf = np.empty(len(om))
     for j in range(len(om)):
@@ -319,22 +318,16 @@ def test_08_ensemble_calibration_at_held_out_sites(model):
     t0 = time.monotonic()
     T, K = 8640, 99
     params = synth.default_true_params(model)
-    stations = synth.default_stations()
-    lats = np.array([s.latitude for s in stations])
-    lons = np.array([s.longitude for s in stations])
-    setup = PredictionSetup(
-        observed=SiteGeometry(lats[:11], lons[:11]),
-        target_lats=lats[11:], target_lons=lons[11:],
-        target_elevations=np.array([s.elevation for s in stations[11:]]),
-    )
-    full = unconditional_sampler(model, params, SiteGeometry(lats, lons), T)
+    # the first 11 stations are observed, the last two the targets
+    sites = SiteGeometry.of(synth.default_stations())
+    full = unconditional_sampler(model, params, sites, T)
     q99 = chi2.ppf(0.99, K)
 
     pass_diff = pass_hourly = 0
     for rep in range(20):
         seed = 1000 + rep
         A = inverse_dft(full.draw(seed, 0, stage=STAGE_SYNTH))
-        sampler = ConditionalSampler(full.plan, params, setup, forward_dft(A[:11]))
+        sampler = ConditionalSampler(full.plan, params, sites, forward_dft(A[:11]))
         members = np.stack([inverse_dft(sampler.draw(seed, k)) for k in range(K)])
         ok_diff = ok_hourly = True
         for i in range(2):
@@ -372,7 +365,7 @@ def test_09_mean_field_closed_forms_and_t_scaling():
     err_var = abs(cov[0, 0] - mf.theta_hat * (1 + 1 / n))
 
     sea = SeaLevelModel(log_p0=np.log(101.0), scale_height=8310.0)
-    draws = sample_means(mf, target, [0.0], sea, count=100_000, seed=42)
+    draws = sample_means(mf, [StationMeta("T0", 36.4, -97.1, 0.0)], sea, count=100_000, seed=42)
     df = n - 1
     ratio = np.var(draws[:, 0], ddof=1) / (cov[0, 0] * df / (df - 2))
     report(

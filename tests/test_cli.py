@@ -270,6 +270,10 @@ def _flatten(d):
     np.save(d / "pressure.npy", np.load(d / "pressure.npy").reshape(4, -1))
 
 
+def _truncate_manifest(d):
+    (d / "manifest.json").write_text((d / "manifest.json").read_text()[:100])
+
+
 def _edit_manifest(**changes):
     def edit(d):
         manifest = json.loads((d / "manifest.json").read_text())
@@ -284,6 +288,7 @@ def _edit_manifest(**changes):
     (_flatten, "not (members, targets, times)"),
     (_edit_manifest(n_members=5), "5 members"),
     (_edit_manifest(target_ids=["E12", "X99"]), "['E13']"),
+    (_truncate_manifest, "manifest.json: not a readable ensemble manifest (JSONDecodeError("),
 ])
 def test_evaluate_rejects_damaged_ensemble(pipeline, tmp_path, capsys, damage, message):
     out, cfg = pipeline
@@ -294,6 +299,34 @@ def test_evaluate_rejects_damaged_ensemble(pipeline, tmp_path, capsys, damage, m
     err = capsys.readouterr().err
     assert err.startswith("[evaluate] error:")
     assert message in err
+
+
+def _without(key):
+    def drop(text):
+        return json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+    return drop
+
+
+@pytest.mark.parametrize("stage", ["simulate", "evaluate"])
+@pytest.mark.parametrize("damage, message", [
+    (lambda text: text[:300], "(JSONDecodeError("),
+    (lambda text: json.dumps({"stack": {}}), "(KeyError('sea_level'))"),
+    (_without("fit"), "(KeyError('fit'))"),
+    (_without("station_ids"), "(KeyError('station_ids'))"),
+], ids=["truncated", "empty_stack", "no_fit", "no_station_ids"])
+def test_damaged_fit_report_rejected(pipeline, tmp_path, capsys, stage, damage, message):
+    # each ended the stage in a bare JSONDecodeError or KeyError traceback
+    out, cfg = pipeline
+    report = tmp_path / "fit_report.json"
+    report.write_text(damage((out / "fit_report.json").read_text()))
+    extra = ["--ensemble-dir", str(out / "ensemble")] if stage == "evaluate" else []
+    code = main(["--config", str(cfg), "--out", str(tmp_path), stage,
+                 "--fit-report", str(report), *extra])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"[{stage}] error: {report}: not a readable fit report {message}")
+    assert not (tmp_path / "ensemble").exists()
+    assert not (tmp_path / "metrics.json").exists()
 
 
 @pytest.mark.parametrize("name, tail, message", [
@@ -434,11 +467,14 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ("target_len", -5, "fit"),
     ("ensemble_count", 0, "simulate"),
     ("ensemble_count", -1, "simulate"),
+    ("fit_max_iter", -1, "fit"),
+    ("fit_max_iter", 0, "fit"),
 ])
 def test_nonpositive_count_rejected(pipeline, tmp_path, capsys, key, value, stage):
     # block <= 0 ran as block 1; target_len -5 fitted all but the last four
     # steps; ensemble_count 0 wrote an empty ensemble, and -1 failed inside
-    # `simulate` with a bare ValueError
+    # `simulate` with a bare ValueError; fit_max_iter -1 failed inside `fit`
+    # with a bare TypeError
     out, _ = pipeline
     cfg = write_config(tmp_path / "bad.yaml", out, **{key: value})
     args = ["--fit-report", str(out / "fit_report.json")] if stage == "simulate" else []
@@ -529,3 +565,17 @@ def test_require_seed():
     with pytest.raises(ConfigurationError):
         RunConfig().require_seed()
     assert RunConfig(seed=7).require_seed() == 7
+    assert RunConfig(seed=0).require_seed() == 0
+    for bad in (-1, 2.5, 7.0, True, "7"):
+        with pytest.raises(ConfigurationError,
+                           match=f"seed must be a non-negative integer; got {bad!r}"):
+            RunConfig(seed=bad).require_seed()
+
+
+def test_negative_seed_rejected(tmp_path, capsys):
+    # numpy's SeedSequence ended the stage in a bare ValueError
+    cfg = write_config(tmp_path / "config.yaml", tmp_path)
+    assert main(["--config", str(cfg), "--seed", "-1", "synth"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[synth] error: seed must be a non-negative integer; got -1")
+    assert not (tmp_path / "synthetic").exists()

@@ -13,14 +13,14 @@ from presim import condsim, synth
 from presim.condsim import (
     RIDGE_REL,
     ConditionalSampler,
-    PredictionSetup,
     fit_hash,
     geometry_hash,
     psd_factor,
     run_ensemble,
 )
 from presim.errors import ValidationError
-from presim.geometry import SiteGeometry
+from presim.geometry import SiteGeometry, combine
+from presim.ingest import StationMeta
 from presim.preprocess import (
     DiurnalModel,
     SeaLevelModel,
@@ -68,30 +68,47 @@ def nugget_free_params(model, delta_km=50.0):
 
 
 def make_setup(n_targets=1):
+    """(observed geometry, target station records): two observed sites, targets P0, P1."""
     obs = SiteGeometry(np.array([36.2, 36.5]), np.array([-97.2, -96.9]))
-    lats = np.array([36.35, 36.65])[:n_targets]
-    lons = np.array([-97.05, -97.3])[:n_targets]
-    return PredictionSetup(
-        observed=obs, target_lats=lats, target_lons=lons,
-        target_elevations=np.full(n_targets, 320.0),
-        target_ids=tuple(f"P{i}" for i in range(n_targets)),
-    )
+    targets = [StationMeta(id=f"P{i}", latitude=lat, longitude=lon, elevation=320.0)
+               for i, (lat, lon) in enumerate([(36.35, -97.05), (36.65, -97.3)][:n_targets])]
+    return obs, targets
 
 
-def observed_field(model, params, setup, T, seed=0):
-    sampler = unconditional_sampler(model, params, setup.observed, T)
+def coincident_observed_setup():
+    """Two observed sites at one location and a target P0: R_oo is singular without a nugget."""
+    observed = SiteGeometry(np.array([36.2, 36.2]), np.array([-97.2, -97.2]))
+    return observed, [StationMeta(id="P0", latitude=36.4, longitude=-97.0, elevation=300.0)]
+
+
+def joint(observed, targets):
+    """The sampler's sites: the observed sites, then the target records'."""
+    return combine(observed, SiteGeometry.of(targets))
+
+
+def conditional_sampler(model, params, observed, targets, field):
+    """The sampler of `targets` given `field`, a draw at the `observed` sites."""
+    return ConditionalSampler(FrequencyPlan(field.n_times, model), params,
+                              joint(observed, targets), field)
+
+
+def observed_field(model, params, observed, T, seed=0):
+    sampler = unconditional_sampler(model, params, observed, T)
     return sampler.draw(seed, 0)
 
 
-def check_dense_schur_law(model, params, setup, field, sampler):
+def check_dense_schur_law(model, params, observed, targets, field, sampler):
     """The sampler's conditional laws against the dense complex Schur complement.
 
-    One frequency at a time from `cross_spectrum_stack`, with the
-    sampler's ridge at the frequencies it reports. Returns the
-    conditional covariances.
+    `observed` and `targets` are the geometries of the observed sites and
+    of the targets, in that order the rows and columns of f. One frequency
+    at a time from `cross_spectrum_stack`, with the sampler's ridge at the
+    frequencies it reports. Returns the conditional covariances.
     """
-    n, T = setup.n_observed, field.n_times
-    f = cross_spectrum_stack(model, params, setup.combined, sampler.plan.omega_low)
+    n, T = observed.n_sites, field.n_times
+    sites = SiteGeometry(np.concatenate([observed.lats, targets.lats]),
+                         np.concatenate([observed.lons, targets.lons]))
+    f = cross_spectrum_stack(model, params, sites, sampler.plan.omega_low)
     conds = []
     for k in range(len(f)):  # row k is frequency index k
         foo, fpo, fpp = f[k, :n, :n], f[k, n:, :n], f[k, n:, n:]
@@ -106,39 +123,16 @@ def check_dense_schur_law(model, params, setup, field, sampler):
     return np.array(conds)
 
 
-# -- setup validation -----------------------------------------------------
-
-
-def test_prediction_setup_warns_on_coincident_target():
-    obs = SiteGeometry(np.array([36.2, 36.5]), np.array([-97.2, -96.9]))
-    with pytest.warns(UserWarning, match="coincides"):
-        PredictionSetup(
-            observed=obs, target_lats=[36.2], target_lons=[-97.2],
-            target_elevations=[300.0],
-        )
-
-
-def test_prediction_setup_combined_order():
-    setup = make_setup(2)
-    assert setup.combined.n_sites == 4
-    assert np.allclose(setup.combined.lats[:2], setup.observed.lats)
-    assert np.allclose(setup.combined.lats[2:], setup.target_lats)
-
-
 # -- conditional draws ----------------------------------------------------
 
 
 def test_coincident_target_without_nugget_reproduces_observation(model):
     T = 48
     params = nugget_free_params(model)
-    obs = SiteGeometry(np.array([36.2, 36.5]), np.array([-97.2, -96.9]))
-    with pytest.warns(UserWarning, match="coincides"):
-        setup = PredictionSetup(
-            observed=obs, target_lats=[36.2], target_lons=[-97.2],
-            target_elevations=[300.0],
-        )
-    field = observed_field(model, params, setup, T, seed=1)
-    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
+    observed = SiteGeometry(np.array([36.2, 36.5]), np.array([-97.2, -96.9]))
+    targets = [StationMeta(id="P0", latitude=36.2, longitude=-97.2, elevation=300.0)]
+    field = observed_field(model, params, observed, T, seed=1)
+    sampler = conditional_sampler(model, params, observed, targets, field)
     draw = sampler.draw(seed=2, member=0)
     for j, om in enumerate(sampler.plan.omega_low):
         if om >= model.knots.omega0:  # coherence drops to 0 at the cutoff
@@ -156,9 +150,9 @@ def test_zero_coherence_gives_unconditional_draws(model):
         theta_coeffs=np.zeros(model.dimensions["theta"]),
         u_angle=0.0,
     )
-    setup = make_setup()
-    field = observed_field(model, params, setup, T, seed=3)
-    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
+    observed, targets = make_setup()
+    field = observed_field(model, params, observed, T, seed=3)
+    sampler = conditional_sampler(model, params, observed, targets, field)
     assert np.max(np.abs(sampler.means)) < 1e-12
 
 
@@ -166,11 +160,11 @@ def test_conditional_draw_deterministic(model):
     T = 36
     rng = np.random.default_rng(4)
     params = random_params(model, rng)
-    setup = make_setup()
-    field = observed_field(model, params, setup, T, seed=5)
-    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
+    observed, targets = make_setup()
+    field = observed_field(model, params, observed, T, seed=5)
+    sampler = conditional_sampler(model, params, observed, targets, field)
     d1 = sampler.draw(seed=6, member=3)
-    d2 = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field).draw(seed=6, member=3)
+    d2 = conditional_sampler(model, params, observed, targets, field).draw(seed=6, member=3)
     d3 = sampler.draw(seed=6, member=4)
     assert np.array_equal(d1.coeffs, d2.coeffs)
     assert not np.array_equal(d1.coeffs, d3.coeffs)
@@ -180,9 +174,9 @@ def test_conditional_draw_is_real_series(model):
     T = 50
     rng = np.random.default_rng(7)
     params = random_params(model, rng)
-    setup = make_setup(2)
-    field = observed_field(model, params, setup, T, seed=8)
-    draw = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field).draw(seed=9, member=0)
+    observed, targets = make_setup(2)
+    field = observed_field(model, params, observed, T, seed=8)
+    draw = conditional_sampler(model, params, observed, targets, field).draw(seed=9, member=0)
     A = inverse_dft(draw)  # raises if a frequency-0 or Nyquist coefficient is not real
     assert A.shape == (2, T)
     assert np.all(np.isfinite(A))
@@ -190,24 +184,20 @@ def test_conditional_draw_is_real_series(model):
 
 def test_ridge_applied_on_singular_observed_block(model):
     # coincident observed sites + no nugget: f_oo is exactly singular
-    obs = SiteGeometry(np.array([36.2, 36.2]), np.array([-97.2, -97.2]))
-    setup = PredictionSetup(
-        observed=obs, target_lats=[36.4], target_lons=[-97.0],
-        target_elevations=[300.0],
-    )
+    observed, targets = coincident_observed_setup()
     params = nugget_free_params(model)
     T = 24
-    field = observed_field(model, params, setup, T, seed=10)
-    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
+    field = observed_field(model, params, observed, T, seed=10)
+    sampler = conditional_sampler(model, params, observed, targets, field)
     assert len(sampler.ridge_frequencies) > 0
     draw = sampler.draw(seed=11, member=0)
     assert np.all(np.isfinite(draw.coeffs))
 
     # the stacked build against the dense Schur complement
-    check_dense_schur_law(model, params, setup, field, sampler)
+    check_dense_schur_law(model, params, observed, SiteGeometry.of(targets), field, sampler)
 
 
-def ridge_by_failed_solve(model, params, setup, field):
+def ridge_by_failed_solve(model, params, observed, targets, field):
     """(ridged, means, covs): the conditional laws under the ridge rule of an LU solve.
 
     One frequency at a time: R_oo is ridged where `np.linalg.cholesky` or
@@ -216,9 +206,9 @@ def ridge_by_failed_solve(model, params, setup, field):
     fails. `ridged` lists the ridged frequency indices; `means` and
     `covs` are the complex conditional means and covariances.
     """
-    n, T = setup.n_observed, field.n_times
+    n, T = observed.n_sites, field.n_times
     plan = FrequencyPlan(T, model)
-    t = model.cross_spectrum_terms(params, setup.combined, plan.omega_low,
+    t = model.cross_spectrum_terms(params, joint(observed, targets), plan.omega_low,
                                    model.designs(plan.omega_low))
     ridged, means, covs = [], [], []
     for k in range(len(t.R)):
@@ -241,22 +231,20 @@ def test_ridge_by_failed_factor_gives_the_laws_of_ridge_by_failed_solve(model):
     # coincident observed sites without a nugget: R_oo is exactly singular,
     # and rounding decides whether its Cholesky or an LU solve fails, so
     # the two rules ridge different frequencies; the laws still agree
-    obs = SiteGeometry(np.array([36.2, 36.2]), np.array([-97.2, -97.2]))
-    setup = PredictionSetup(observed=obs, target_lats=[36.4], target_lons=[-97.0],
-                            target_elevations=[300.0])
+    observed, targets = coincident_observed_setup()
     params = nugget_free_params(model)
     fit = make_fit(model, params)
     fit.hessian[-1, -1] = -1.0
     sets_differ = 0
     for T in (24, 25, 48):
-        field = observed_field(model, params, setup, T, seed=10)
+        field = observed_field(model, params, observed, T, seed=10)
         for seed in (27, 61, 62):
             draws, floored = sample_params(fit, 12, seed)
             assert floored
             for x in draws:
                 p = model.unpack(x)
-                sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), p, setup, field)
-                ridged, means, covs = ridge_by_failed_solve(model, p, setup, field)
+                sampler = conditional_sampler(model, p, observed, targets, field)
+                ridged, means, covs = ridge_by_failed_solve(model, p, observed, targets, field)
                 sets_differ += ridged != sampler.ridge_frequencies
                 sd = np.sqrt(np.einsum("kii->ki", covs).real)
                 assert np.all(np.abs(sampler.means - means) <= 1e-6 * sd)
@@ -272,8 +260,8 @@ def test_non_finite_conditional_law_is_rejected(model, geometry3):
     # sites, in the low band and in the high band
     T = 48
     params = random_params(model, np.random.default_rng(63), scale=0.3)
-    setup = make_setup(2)
-    field = observed_field(model, params, setup, T, seed=64)
+    observed, targets = make_setup(2)
+    field = observed_field(model, params, observed, T, seed=64)
     plan = FrequencyPlan(T, model)
     low_bad = replace(params, s_coeffs=params.s_coeffs + 800.0)
     # only the two basis functions that peak at pi: S overflows in the high band
@@ -284,7 +272,7 @@ def test_non_finite_conditional_law_is_rejected(model, geometry3):
         assert np.all(np.isfinite(S_high[plan.low]))
         first_high = plan.omegas[np.argmin(np.isfinite(S_high))]
         for bad, first in ((low_bad, first_low), (high_bad, first_high)):
-            for build in (lambda: ConditionalSampler(FrequencyPlan(field.n_times, model), bad, setup, field),
+            for build in (lambda: conditional_sampler(model, bad, observed, targets, field),
                           lambda: unconditional_sampler(model, bad, geometry3, T)):
                 with pytest.raises(ValidationError,
                                    match=f"conditional law not finite at frequency {first:.6f}"):
@@ -300,7 +288,7 @@ def test_unconditional_periodogram_matches_spectrum(model, geometry3):
     rng = np.random.default_rng(12)
     params = random_params(model, rng, scale=0.3)
     sampler = unconditional_sampler(model, params, geometry3, T)
-    assert sampler.setup.n_observed == 0
+    assert sampler.n_observed == 0
     assert np.all(sampler.means == 0)
     f = cross_spectrum_stack(model, params, geometry3, sampler.plan.omega_low)
     chols = sampler.chols
@@ -345,9 +333,9 @@ def test_zero_site_substream_keys(model, geometry3):
         ref = reference_low_band(sampler, low)
         assert np.allclose(coeffs[plan.low], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
-    setup = make_setup()
-    field = observed_field(model, params, setup, T, seed=32)
-    cond = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
+    observed, targets = make_setup()
+    field = observed_field(model, params, observed, T, seed=32)
+    cond = conditional_sampler(model, params, observed, targets, field)
     coeffs = cond.draw(seed=31, member=2).coeffs
     high, low = field_normals(31, (STAGE_CONDSIM, 2), plan, 1)
     assert np.allclose(coeffs[plan.high], cond.sd_high[:, None] * high, rtol=1e-12)
@@ -360,10 +348,10 @@ def test_zero_site_substream_keys(model, geometry3):
 def test_each_draw_takes_one_substream(model, geometry3, monkeypatch):
     T = 40
     params = random_params(model, np.random.default_rng(30), scale=0.3)
-    setup = make_setup()
+    observed, targets = make_setup()
     samplers = (unconditional_sampler(model, params, geometry3, T),
-                ConditionalSampler(FrequencyPlan(T, model), params, setup,
-                                   observed_field(model, params, setup, T, seed=32)))
+                ConditionalSampler(FrequencyPlan(T, model), params, joint(observed, targets),
+                                   observed_field(model, params, observed, T, seed=32)))
     keys = []
     monkeypatch.setattr(condsim, "substream",
                         lambda seed, *key: keys.append(key) or substream(seed, *key))
@@ -379,9 +367,9 @@ def test_stacked_low_band_matches_per_frequency_reference():
     model = SpectralModel(KnotSet.default(4320))
     T = 48
     params = random_params(model, np.random.default_rng(40), scale=0.3)
-    setup = make_setup(2)
-    sampler = ConditionalSampler(FrequencyPlan(T, model), params, setup,
-                                 observed_field(model, params, setup, T, seed=41))
+    observed, targets = make_setup(2)
+    sampler = ConditionalSampler(FrequencyPlan(T, model), params, joint(observed, targets),
+                                 observed_field(model, params, observed, T, seed=41))
     plan = sampler.plan
     assert plan.real_low.sum() == 2 and len(plan.omega_high) == 0
     for member in range(4):
@@ -397,10 +385,10 @@ def test_real_coefficient_frequencies_are_real(omega0_j):
     model = SpectralModel(KnotSet.default(omega0_j))
     T = 48
     params = random_params(model, np.random.default_rng(43), scale=0.3)
-    setup = make_setup(2)
-    field = observed_field(model, params, setup, T, seed=44)
-    for sampler in (ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field),
-                    unconditional_sampler(model, params, setup.combined, T)):
+    observed, targets = make_setup(2)
+    field = observed_field(model, params, observed, T, seed=44)
+    for sampler in (conditional_sampler(model, params, observed, targets, field),
+                    unconditional_sampler(model, params, joint(observed, targets), T)):
         for member in range(3):
             coeffs = sampler.draw(seed=45, member=member).coeffs
             assert np.all(coeffs[[0, T // 2]].imag == 0.0)
@@ -413,19 +401,20 @@ def test_shared_plan_builds_each_parameter_vectors_law(model, monkeypatch, tmp_p
     # the combined geometry once, whatever the member count
     T = 40
     rng = np.random.default_rng(37)
-    setup = make_setup(2)
-    field = observed_field(model, random_params(model, rng), setup, T, seed=38)
+    observed, targets = make_setup(2)
+    field = observed_field(model, random_params(model, rng), observed, T, seed=38)
     plan = FrequencyPlan(T, model)
     for _ in range(2):
         params = random_params(model, rng)
-        sampler = ConditionalSampler(plan, params, setup, field)
+        sampler = ConditionalSampler(plan, params, joint(observed, targets), field)
         sd_high = np.sqrt(TWO_PI * T * model.eval_S(params, plan.omega_high))
         assert sampler.sd_high.tobytes() == sd_high.tobytes()
         assert not sampler.ridge_frequencies
-        check_dense_schur_law(model, params, setup, field, sampler)
+        check_dense_schur_law(model, params, observed, SiteGeometry.of(targets), field, sampler)
 
     fit = make_fit(model, random_params(model, rng))
-    setups = {count: make_setup(2) for count in (2, 4)}  # each computes its geometry afresh
+    # each set-up's targets are fresh records, whose geometry run_ensemble computes
+    setups = {count: make_setup(2) for count in (2, 4)}
     design, post_init = ConstrainedBasis.design, SiteGeometry.__post_init__
     calls = []
     monkeypatch.setattr(ConstrainedBasis, "design",
@@ -433,10 +422,10 @@ def test_shared_plan_builds_each_parameter_vectors_law(model, monkeypatch, tmp_p
     monkeypatch.setattr(SiteGeometry, "__post_init__",
                         lambda self: calls.append("geometry") or post_init(self))
     per_count = []
-    for count, setup in setups.items():
+    for count, (observed, targets) in setups.items():
         calls.clear()
-        simulate(model, fit, tiny_stack(T, 2), setup, field, np.full((count, 2), 97.0),
-                 count=count, vary_params=True, seed=39, out_dir=tmp_path / str(count))
+        simulate(fit, tiny_stack(T, 2), observed, targets, field, np.full((count, 2), 97.0),
+                 vary_params=True, seed=39, out_dir=tmp_path / str(count))
         per_count.append((calls.count("design"), calls.count("geometry")))
     # the targets' geometry and the combined one
     assert per_count[0] == per_count[1] == (5, 2)
@@ -448,14 +437,11 @@ def test_conditional_law_at_coherent_targets_matches_schur_law(model):
     # is nonzero, so the dense complex Schur law sees the phase of `chols`
     T = 288
     stations = synth.default_stations()
-    lats = np.array([s.latitude for s in stations])
-    lons = np.array([s.longitude for s in stations])
-    setup = PredictionSetup(observed=SiteGeometry(lats[:11], lons[:11]), target_lats=lats[11:],
-                            target_lons=lons[11:], target_elevations=np.zeros(2))
+    observed, targets = SiteGeometry.of(stations[:11]), stations[11:]
     params = synth.default_true_params(model)
-    field = observed_field(model, params, setup, T, seed=49)
-    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
-    cond = check_dense_schur_law(model, params, setup, field, sampler)
+    field = observed_field(model, params, observed, T, seed=49)
+    sampler = conditional_sampler(model, params, observed, targets, field)
+    cond = check_dense_schur_law(model, params, observed, SiteGeometry.of(targets), field, sampler)
     # a rotation the wrong way round conjugates cond[:, 0, 1]: an error of
     # 2 |Im cond[:, 0, 1]|, far beyond the 1e-12 tolerance
     phase = np.abs(cond[:, 0, 1].imag) / np.sqrt(cond[:, 0, 0].real * cond[:, 1, 1].real)
@@ -479,34 +465,35 @@ def test_draw_with_cutoff_at_pi_has_no_high_band():
     model = SpectralModel(KnotSet.default(4320))
     T = 48
     params = random_params(model, np.random.default_rng(33), scale=0.3)
-    setup = make_setup(2)
-    field = observed_field(model, params, setup, T, seed=34)
-    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
+    observed, targets = make_setup(2)
+    field = observed_field(model, params, observed, T, seed=34)
+    sampler = conditional_sampler(model, params, observed, targets, field)
     assert len(sampler.plan.omega_high) == 0
     assert len(sampler.plan.omega_low) == T // 2 + 1
     A = inverse_dft(sampler.draw(seed=35, member=0))
     assert A.shape == (2, T) and np.all(np.isfinite(A))
 
 
-def test_observed_field_must_match_setup(model):
-    setup = make_setup()
+@pytest.mark.parametrize("n_field", [3, 4])
+def test_observed_field_must_leave_a_target(model, n_field):
+    observed, targets = make_setup()
     params = random_params(model, np.random.default_rng(36))
-    with pytest.raises(ValidationError, match="observed field has 0 sites, "
-                                              "the setup's observed geometry 2"):
-        ConditionalSampler(FrequencyPlan(24, model), params, setup,
-                           SpectralField(np.zeros((13, 0)), n_times=24))
+    with pytest.raises(ValidationError, match=f"observed field has {n_field} sites, "
+                                              "leaving no target among the 3 sites"):
+        ConditionalSampler(FrequencyPlan(24, model), params, joint(observed, targets),
+                           SpectralField(np.zeros((13, n_field)), n_times=24))
 
 
 @pytest.mark.parametrize("T_plan, T_field", [(24, 25), (25, 24), (48, 24)])
 def test_plan_must_be_for_the_observed_fields_length(model, T_plan, T_field):
     # 24 and 25 have the same number of one-sided rows: the row count alone
     # would not tell the plans apart
-    setup = make_setup()
+    observed, targets = make_setup()
     params = random_params(model, np.random.default_rng(36))
     field = SpectralField(np.zeros((T_field // 2 + 1, 2)), n_times=T_field)
     with pytest.raises(ValidationError, match=f"frequency plan is for T = {T_plan}, "
                                               f"the observed field for T = {T_field}"):
-        ConditionalSampler(FrequencyPlan(T_plan, model), params, setup, field)
+        ConditionalSampler(FrequencyPlan(T_plan, model), params, joint(observed, targets), field)
 
 
 # -- ensembles ------------------------------------------------------------
@@ -530,27 +517,29 @@ def make_fit(model, params):
     )
 
 
-def simulate(model, fit, stack, setup, field, mean_draws, count, vary_params, seed, out_dir,
+def simulate(fit, stack, observed, targets, field, mean_draws, vary_params, seed, out_dir,
              start_time=None, step_seconds=300.0):
     """`run_ensemble` into `out_dir`: its manifest and `pressure.npy` read back."""
-    manifest = run_ensemble(model, fit, stack, setup, field, mean_draws, count, vary_params,
+    manifest = run_ensemble(fit, stack, observed, targets, field, mean_draws, vary_params,
                             seed, out_dir, start_time, step_seconds, mean_field={})
     return manifest, np.load(out_dir / "pressure.npy", allow_pickle=False)
 
 
-def in_memory_ensemble(model, fit, stack, setup, field, mean_draws, count, vary_params, seed):
+def in_memory_ensemble(fit, stack, observed, targets, field, mean_draws, vary_params, seed):
     """The oracle of a streamed `pressure.npy`: the bytes of `np.save` of the
     whole ensemble, drawn into one array and inverted at once."""
+    model, count = SpectralModel(fit.knots), len(mean_draws)
     plan = FrequencyPlan(field.n_times, model)
+    sites = joint(observed, targets)
     if vary_params:
-        samplers = [ConditionalSampler(plan, model.unpack(x), setup, field)
+        samplers = [ConditionalSampler(plan, model.unpack(x), sites, field)
                     for x in sample_params(fit, count, seed)[0]]
     else:
-        samplers = [ConditionalSampler(plan, fit.params_hat, setup, field)] * count
+        samplers = [ConditionalSampler(plan, fit.params_hat, sites, field)] * count
     sim_A = np.stack([inverse_dft(sampler.draw(seed, k)) for k, sampler in enumerate(samplers)])
     buf = io.BytesIO()
     np.save(buf, np.ascontiguousarray(
-        invert_stack(sim_A, stack, setup.target_elevations, mean_draws)))
+        invert_stack(sim_A, stack, [s.elevation for s in targets], mean_draws)))
     return buf.getvalue()
 
 
@@ -558,13 +547,13 @@ def test_run_ensemble_array_and_mean_draws(model, tmp_path):
     T = 40
     rng = np.random.default_rng(14)
     params = random_params(model, rng)
-    setup = make_setup(2)
-    field = observed_field(model, params, setup, T, seed=15)
+    observed, targets = make_setup(2)
+    field = observed_field(model, params, observed, T, seed=15)
     stack = tiny_stack(T, 2)
     fit = make_fit(model, params)
     mean_draws = 97.0 + 0.01 * rng.standard_normal((5, 2))
-    manifest, pressure = simulate(model, fit, stack, setup, field, mean_draws,
-                                  count=5, vary_params=False, seed=16, out_dir=tmp_path)
+    manifest, pressure = simulate(fit, stack, observed, targets, field, mean_draws,
+                                  vary_params=False, seed=16, out_dir=tmp_path)
     assert manifest["n_members"] == 5
     assert pressure.shape == (5, 2, T + 1)
     assert manifest["param_draw_ids"] == [-1] * 5
@@ -586,22 +575,22 @@ def test_run_ensemble_shares_one_diurnal_cycle(model, monkeypatch, tmp_path):
     T = 40
     rng = np.random.default_rng(17)
     params = random_params(model, rng)
-    setup = make_setup(2)
-    field = observed_field(model, params, setup, T, seed=18)
+    observed, targets = make_setup(2)
+    field = observed_field(model, params, observed, T, seed=18)
     stack = replace(tiny_stack(T, 2), diurnal=DiurnalModel(
         period=288, n_harmonics=3, coefficients=rng.normal(scale=0.01, size=6)))
     mean_draws = 97.0 + 0.01 * rng.standard_normal((4, 2))
-    sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field)
+    sampler = conditional_sampler(model, params, observed, targets, field)
     members = [
-        member_by_member(inverse_dft(sampler.draw(19, k)), stack, setup.target_elevations,
+        member_by_member(inverse_dft(sampler.draw(19, k)), stack, [s.elevation for s in targets],
                          mean_draws[k])
         for k in range(4)
     ]
     predict = DiurnalModel.predict
     calls = []
     monkeypatch.setattr(DiurnalModel, "predict", lambda self, n: calls.append(n) or predict(self, n))
-    _, pressure = simulate(model, make_fit(model, params), stack, setup, field, mean_draws,
-                           count=4, vary_params=False, seed=19, out_dir=tmp_path)
+    _, pressure = simulate(make_fit(model, params), stack, observed, targets, field, mean_draws,
+                           vary_params=False, seed=19, out_dir=tmp_path)
     assert calls == [T]
     for k in range(4):
         assert pressure[k].tobytes() == members[k].tobytes()
@@ -611,14 +600,14 @@ def test_member_draw_does_not_depend_on_ensemble_size(model, tmp_path):
     T = 40
     rng = np.random.default_rng(46)
     params = random_params(model, rng, scale=0.2)
-    setup = make_setup(2)
-    field = observed_field(model, params, setup, T, seed=47)
+    observed, targets = make_setup(2)
+    field = observed_field(model, params, observed, T, seed=47)
     fit = make_fit(model, params)
     mean_draws = 97.0 + 0.01 * rng.standard_normal((5, 2))
     for vary in (False, True):
         small, large = (
-            simulate(model, fit, tiny_stack(T, 2), setup, field, mean_draws[:count],
-                     count=count, vary_params=vary, seed=48,
+            simulate(fit, tiny_stack(T, 2), observed, targets, field, mean_draws[:count],
+                     vary_params=vary, seed=48,
                      out_dir=tmp_path / f"{vary}-{count}")[1]
             for count in (3, 5)
         )
@@ -629,10 +618,10 @@ def test_run_ensemble_vary_params_ids(model, tmp_path):
     T = 24
     rng = np.random.default_rng(17)
     params = random_params(model, rng, scale=0.2)
-    setup = make_setup()
-    field = observed_field(model, params, setup, T, seed=18)
-    manifest, _ = simulate(model, make_fit(model, params), tiny_stack(T, 1), setup,
-                           field, np.full((3, 1), 97.0), count=3,
+    observed, targets = make_setup()
+    field = observed_field(model, params, observed, T, seed=18)
+    manifest, _ = simulate(make_fit(model, params), tiny_stack(T, 1), observed, targets,
+                           field, np.full((3, 1), 97.0),
                            vary_params=True, seed=19, out_dir=tmp_path)
     assert manifest["param_draw_ids"] == [0, 1, 2]
 
@@ -643,29 +632,25 @@ def test_run_ensemble_records_fallbacks(model, tmp_path):
     # frequency is not ridged, and its law is the ridged law to rounding:
     # see the ridge-rule oracle test); an indefinite Hessian, here in the
     # harmless u-angle direction, is floored
-    obs = SiteGeometry(np.array([36.2, 36.2]), np.array([-97.2, -97.2]))
-    setup = PredictionSetup(
-        observed=obs, target_lats=[36.4], target_lons=[-97.0],
-        target_elevations=[300.0], target_ids=("P0",),
-    )
+    observed, targets = coincident_observed_setup()
     params = nugget_free_params(model)
     T = 24
-    field = observed_field(model, params, setup, T, seed=10)
-    args = (tiny_stack(T, 1), setup, field, np.full((3, 1), 97.0))
+    field = observed_field(model, params, observed, T, seed=10)
+    args = (tiny_stack(T, 1), observed, targets, field, np.full((3, 1), 97.0))
 
     fit = make_fit(model, params)
-    ens, _ = simulate(model, fit, *args, count=3, vary_params=False, seed=27,
+    ens, _ = simulate(fit, *args, vary_params=False, seed=27,
                       out_dir=tmp_path / "mle")
-    per_build = len(ConditionalSampler(FrequencyPlan(field.n_times, model), params, setup, field).ridge_frequencies)
+    per_build = len(conditional_sampler(model, params, observed, targets, field).ridge_frequencies)
     assert per_build > 0
     assert ens["provenance"]["ridge_frequencies"] == per_build
     assert ens["provenance"]["hessian_floored"] is False
 
     fit.hessian[-1, -1] = -1.0
-    ens, _ = simulate(model, fit, *args, count=3, vary_params=True, seed=27,
+    ens, _ = simulate(fit, *args, vary_params=True, seed=27,
                       out_dir=tmp_path / "ens")
     ridged = sum(
-        len(ConditionalSampler(FrequencyPlan(field.n_times, model), model.unpack(x), setup, field).ridge_frequencies)
+        len(conditional_sampler(model, model.unpack(x), observed, targets, field).ridge_frequencies)
         for x in sample_params(fit, 3, 27)[0]
     )
     assert ridged > 0
@@ -681,14 +666,14 @@ def test_fit_hash_is_the_fits_with_a_floored_hessian(model, tmp_path):
     # fit_hash is that of the fit report the ensemble was simulated from
     T = 24
     params = random_params(model, np.random.default_rng(50), scale=0.2)
-    setup = make_setup()
-    field = observed_field(model, params, setup, T, seed=51)
+    observed, targets = make_setup()
+    field = observed_field(model, params, observed, T, seed=51)
     fit = make_fit(model, params)
     fit.hessian = np.eye(model.n_params)
     fit.hessian[-1, -1] = -1.0
     before = fit_hash(fit)
-    ens, _ = simulate(model, fit, tiny_stack(T, 1), setup, field, np.full((2, 1), 97.0),
-                      count=2, vary_params=True, seed=52, out_dir=tmp_path)
+    ens, _ = simulate(fit, tiny_stack(T, 1), observed, targets, field, np.full((2, 1), 97.0),
+                      vary_params=True, seed=52, out_dir=tmp_path)
     assert ens["provenance"]["hessian_floored"] is True
     assert ens["provenance"]["fit_hash"] == before
     assert fit_hash(fit) == before
@@ -698,25 +683,49 @@ def test_run_ensemble_mean_draw_shape_checked(model, tmp_path):
     T = 24
     rng = np.random.default_rng(20)
     params = random_params(model, rng)
-    setup = make_setup()
-    field = observed_field(model, params, setup, T, seed=21)
+    observed, targets = make_setup()
+    field = observed_field(model, params, observed, T, seed=21)
     with pytest.raises(ValidationError, match="mean_draws"):
-        simulate(model, make_fit(model, params), tiny_stack(T, 1), setup,
-                 field, np.zeros((2, 1)), count=3, vary_params=False, seed=22,
+        simulate(make_fit(model, params), tiny_stack(T, 1), observed, targets,
+                 field, np.zeros((2, 2)), vary_params=False, seed=22,
                  out_dir=tmp_path / "ens")
     assert not (tmp_path / "ens").exists()
+
+
+def test_run_ensemble_observed_field_must_match_observed_sites(model, tmp_path):
+    # a field of no site would be drawn from as unconditional
+    observed, targets = make_setup()
+    params = random_params(model, np.random.default_rng(36))
+    with pytest.raises(ValidationError, match="observed field has 0 sites, "
+                                              "the observed geometry 2"):
+        simulate(make_fit(model, params), tiny_stack(24, 1), observed, targets,
+                 SpectralField(np.zeros((13, 0)), n_times=24), np.full((1, 1), 97.0),
+                 vary_params=False, seed=22, out_dir=tmp_path / "ens")
+    assert not (tmp_path / "ens").exists()
+
+
+def test_run_ensemble_warns_on_coincident_target(model, tmp_path):
+    observed, _ = make_setup()
+    targets = [StationMeta(id="P0", latitude=36.2, longitude=-97.2, elevation=300.0),
+               StationMeta(id="P1", latitude=36.35, longitude=-97.05, elevation=300.0)]
+    params = random_params(model, np.random.default_rng(36), scale=0.2)
+    field = observed_field(model, params, observed, 24, seed=1)
+    with pytest.warns(UserWarning, match="coincides") as record:
+        simulate(make_fit(model, params), tiny_stack(24, 2), observed, targets, field,
+                 np.full((1, 2), 97.0), vary_params=False, seed=22, out_dir=tmp_path)
+    assert [str(w.message).split()[1] for w in record] == ["P0"]
 
 
 def test_write_ensemble_round_trip(model, tmp_path):
     T = 20
     rng = np.random.default_rng(23)
     params = random_params(model, rng)
-    setup = make_setup(2)
-    field = observed_field(model, params, setup, T, seed=24)
+    observed, targets = make_setup(2)
+    field = observed_field(model, params, observed, T, seed=24)
     mean_draws = 97.0 + 0.01 * rng.standard_normal((4, 2))
-    args = (model, make_fit(model, params), tiny_stack(T, 2), setup, field, mean_draws)
+    args = (make_fit(model, params), tiny_stack(T, 2), observed, targets, field, mean_draws)
     start = datetime(2005, 10, 1, tzinfo=timezone.utc)
-    returned, pressure = simulate(*args, count=4, vary_params=True, seed=25,
+    returned, pressure = simulate(*args, vary_params=True, seed=25,
                                   out_dir=tmp_path / "ens", start_time=start, step_seconds=60.0)
     assert sorted(p.name for p in (tmp_path / "ens").iterdir()) == ["manifest.json", "pressure.npy"]
     manifest = json.loads((tmp_path / "ens" / "manifest.json").read_text())
@@ -732,10 +741,10 @@ def test_write_ensemble_round_trip(model, tmp_path):
     assert manifest["mean_field"] == {}
     assert pressure.dtype == np.float64 and pressure.shape == (4, 2, T + 1)
     assert (tmp_path / "ens" / "pressure.npy").read_bytes() == in_memory_ensemble(
-        *args, count=4, vary_params=True, seed=25)
+        *args, vary_params=True, seed=25)
     # each member's time mean is its mean-field draw
     assert np.allclose(pressure.mean(axis=2), np.array(manifest["mean_field_draws"]), atol=1e-9)
-    idx, _ = simulate(*args, count=4, vary_params=True, seed=25, out_dir=tmp_path / "idx")
+    idx, _ = simulate(*args, vary_params=True, seed=25, out_dir=tmp_path / "idx")
     assert json.loads((tmp_path / "idx" / "manifest.json").read_text())["start_time"] is None
     assert idx["start_time"] is None
 
@@ -746,13 +755,14 @@ def test_write_ensemble_one_target_in_c_order(model, tmp_path):
     T = 20
     rng = np.random.default_rng(26)
     params = random_params(model, rng)
-    setup = make_setup(1)
-    field = observed_field(model, params, setup, T, seed=27)
-    args = (model, make_fit(model, params), tiny_stack(T, 1), setup, field, np.full((3, 1), 97.0))
-    _, pressure = simulate(*args, count=3, vary_params=False, seed=28, out_dir=tmp_path)
+    observed, targets = make_setup(1)
+    field = observed_field(model, params, observed, T, seed=27)
+    args = (make_fit(model, params), tiny_stack(T, 1), observed, targets, field,
+            np.full((3, 1), 97.0))
+    _, pressure = simulate(*args, vary_params=False, seed=28, out_dir=tmp_path)
     assert pressure.flags.c_contiguous
     assert (tmp_path / "pressure.npy").read_bytes() == in_memory_ensemble(
-        *args, count=3, vary_params=False, seed=28)
+        *args, vary_params=False, seed=28)
 
 
 @pytest.mark.parametrize("vary_params", [False, True])
@@ -763,15 +773,15 @@ def test_streamed_ensemble_matches_in_memory_oracle(model, tmp_path, n_targets, 
     T = 30
     rng = np.random.default_rng(53)
     params = random_params(model, rng, scale=0.2)
-    setup = make_setup(n_targets)
-    field = observed_field(model, params, setup, T, seed=54)
+    observed, targets = make_setup(n_targets)
+    field = observed_field(model, params, observed, T, seed=54)
     mean_draws = 97.0 + 0.01 * rng.standard_normal((5, n_targets))
     stack = replace(tiny_stack(T, n_targets), diurnal=DiurnalModel(
         period=288, n_harmonics=3, coefficients=rng.normal(scale=0.01, size=6)))
-    args = (model, make_fit(model, params), stack, setup, field, mean_draws)
-    simulate(*args, count=5, vary_params=vary_params, seed=55, out_dir=tmp_path)
+    args = (make_fit(model, params), stack, observed, targets, field, mean_draws)
+    simulate(*args, vary_params=vary_params, seed=55, out_dir=tmp_path)
     assert (tmp_path / "pressure.npy").read_bytes() == in_memory_ensemble(
-        *args, count=5, vary_params=vary_params, seed=55)
+        *args, vary_params=vary_params, seed=55)
 
 
 def test_ensemble_peak_memory_does_not_grow_with_members(model, tmp_path):
@@ -781,15 +791,16 @@ def test_ensemble_peak_memory_does_not_grow_with_members(model, tmp_path):
     T = 2880
     rng = np.random.default_rng(56)
     params = random_params(model, rng, scale=0.2)
-    setup = make_setup(2)
-    field = observed_field(model, params, setup, T, seed=57)
+    observed, targets = make_setup(2)
+    field = observed_field(model, params, observed, T, seed=57)
     fit = make_fit(model, params)
     peaks = {}
     for count in (4, 64):
         tracemalloc.start()
         try:
-            run_ensemble(model, fit, tiny_stack(T, 2), setup, field, np.full((count, 2), 97.0),
-                         count, False, 58, tmp_path / str(count), None, 300.0, {})
+            run_ensemble(fit, tiny_stack(T, 2), observed, targets, field,
+                         np.full((count, 2), 97.0), False, 58, tmp_path / str(count), None,
+                         300.0, {})
             peaks[count] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -800,12 +811,12 @@ def test_ensemble_bit_reproducible(model, tmp_path):
     T = 20
     rng = np.random.default_rng(26)
     params = random_params(model, rng)
-    setup = make_setup()
-    field = observed_field(model, params, setup, T, seed=27)
+    observed, targets = make_setup()
+    field = observed_field(model, params, observed, T, seed=27)
     outs = []
     for sub in ("a", "b"):
-        simulate(model, make_fit(model, params), tiny_stack(T, 1), setup,
-                 field, np.full((3, 1), 97.0), count=3,
+        simulate(make_fit(model, params), tiny_stack(T, 1), observed, targets,
+                 field, np.full((3, 1), 97.0),
                  vary_params=True, seed=28, out_dir=tmp_path / sub)
         outs.append(
             [(p.name, p.read_bytes()) for p in sorted((tmp_path / sub).iterdir())]

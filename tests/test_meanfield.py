@@ -5,6 +5,7 @@ import pytest
 
 from presim.errors import GeometryError, ValidationError
 from presim.geometry import SiteGeometry
+from presim.ingest import StationMeta
 from presim.meanfield import (
     krige,
     reml_fit,
@@ -19,6 +20,12 @@ SEA = SeaLevelModel(log_p0=np.log(101.0), scale_height=8310.0)
 def random_geometry(n, seed):
     rng = np.random.default_rng(seed)
     return SiteGeometry(36.0 + rng.uniform(0, 1.0, n), -97.5 + rng.uniform(0, 1.2, n))
+
+
+def records(geometry, elevations):
+    """Target station records at the sites of `geometry`."""
+    return [StationMeta(f"T{i}", lat, lon, elev)
+            for i, (lat, lon, elev) in enumerate(zip(geometry.lats, geometry.lons, elevations))]
 
 
 # -- REML -----------------------------------------------------------------
@@ -172,11 +179,11 @@ def test_sample_means_deterministic_and_elevation_mapped():
     model = reml_fit(M, geo, "nugget")
     t = random_geometry(2, 22)
     elevs = np.array([320.0, 410.0])
-    d1 = sample_means(model, t, elevs, SEA, count=6, seed=23)
-    d2 = sample_means(model, t, elevs, SEA, count=6, seed=23)
+    d1 = sample_means(model, records(t, elevs), SEA, count=6, seed=23)
+    d2 = sample_means(model, records(t, elevs), SEA, count=6, seed=23)
     assert np.array_equal(d1, d2)
     # same draw at sea level differs exactly by the elevation factor
-    d0 = sample_means(model, t, np.zeros(2), SEA, count=6, seed=23)
+    d0 = sample_means(model, records(t, np.zeros(2)), SEA, count=6, seed=23)
     factor = np.exp(-elevs / SEA.scale_height)
     assert np.allclose(d1, d0 * factor[None, :], atol=1e-12)
 
@@ -187,7 +194,7 @@ def test_sample_means_degenerate_covariance_returns_predictor():
     M = 101.0 + 0.05 * rng.standard_normal(6)
     model = reml_fit(M, geo, "linear")
     t = SiteGeometry(geo.lats[[3]], geo.lons[[3]])  # coincident: kriging variance 0
-    draws = sample_means(model, t, [0.0], SEA, count=10, seed=26)
+    draws = sample_means(model, records(t, [0.0]), SEA, count=10, seed=26)
     assert np.allclose(draws, M[3], atol=1e-7)
 
 
@@ -198,7 +205,7 @@ def test_sample_means_t_scaling():
     model = reml_fit(M, geo, "nugget")
     t = random_geometry(1, 29)
     pred, cov = krige(model, t)
-    draws = sample_means(model, t, [0.0], SEA, count=20000, seed=30)
+    draws = sample_means(model, records(t, [0.0]), SEA, count=20000, seed=30)
     df = model.n_fit - 1
     expected = cov[0, 0] * df / (df - 2)
     assert np.var(draws[:, 0], ddof=1) == pytest.approx(expected, rel=0.10)

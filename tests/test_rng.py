@@ -5,6 +5,7 @@ import pytest
 
 from presim import condsim, meanfield, synth, verify, whittle
 from presim.geometry import SiteGeometry
+from presim.ingest import StationMeta
 from presim.preprocess import SeaLevelModel
 from presim.rng import (
     STAGE_CONDSIM,
@@ -51,12 +52,10 @@ def test_substream_keys_are_pairwise_distinct(model, geometry3, monkeypatch):
     T, members = 16, range(6)
     params = random_params(model, np.random.default_rng(50), scale=0.3)
     uncond = unconditional_sampler(model, params, geometry3, T)
-    setup = condsim.PredictionSetup(
-        observed=SiteGeometry(geometry3.lats[:2], geometry3.lons[:2]), target_lats=geometry3.lats[2:],
-        target_lons=geometry3.lons[2:], target_elevations=[300.0],
-    )
-    cond = condsim.ConditionalSampler(uncond.plan, params, setup,
+    # the first two sites observed, the third the target
+    cond = condsim.ConditionalSampler(uncond.plan, params, geometry3,
                                       SpectralField(np.zeros((T // 2 + 1, 2)), n_times=T))
+    target = StationMeta("P0", geometry3.lats[2], geometry3.lons[2], 300.0)
     fit = FitResult(params_hat=params, loglik=0.0, hessian=np.eye(model.n_params),
                     convergence={}, knots=model.knots)
     mf = meanfield.reml_fit(101.0 + 0.05 * np.arange(5.0), SiteGeometry(
@@ -69,7 +68,7 @@ def test_substream_keys_are_pairwise_distinct(model, geometry3, monkeypatch):
             for stage in STAGES:
                 uncond.draw(seed, member, stage=stage)
         whittle.sample_params(fit, len(members), seed)
-        meanfield.sample_means(mf, setup.targets, [300.0], sea, len(members), seed)
+        meanfield.sample_means(mf, [target], sea, len(members), seed)
         verify.rank_histogram(np.zeros(T), np.ones((3, T)), seed=seed)
         synth.default_stack(T, [300.0, 400.0], seed=seed)
 

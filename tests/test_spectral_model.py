@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from presim.condsim import PredictionSetup
 from presim.errors import ConfigurationError
 from presim.geometry import SiteGeometry
 from presim.spectrum import KnotSet, SpectralModel, SpectralParams, matern32
@@ -317,11 +316,8 @@ def test_cross_spectrum_stack_matches_paper_formula(model):
     # differences of the planar positions, on a fit network and on a
     # prediction geometry
     stations = default_stations()
-    lats = np.array([s.latitude for s in stations])
-    lons = np.array([s.longitude for s in stations])
-    fit_geo = SiteGeometry(lats[:11], lons[:11])
-    combined = PredictionSetup(observed=fit_geo, target_lats=lats[11:], target_lons=lons[11:],
-                               target_elevations=np.zeros(2)).combined
+    fit_geo = SiteGeometry.of(stations[:11])
+    combined = SiteGeometry.of(stations)
     rng = np.random.default_rng(14)
     om = np.linspace(0.02, 0.98, 25) * model.knots.omega0
     for geo in (fit_geo, combined):
