@@ -172,7 +172,12 @@ def _read_ensemble(ensemble_dir, target_ids, fit):
     missing = [t for t in target_ids if t not in ids]
     if missing:
         raise ValidationError(f"held-out ids not in the ensemble: {missing}")
-    return [pressure[:, ids.index(t), :] for t in target_ids]
+    members = [pressure[:, ids.index(t), :] for t in target_ids]
+    for t, rows in zip(target_ids, members):
+        for m, row in enumerate(rows):  # one member at a time: no mask of the whole slice
+            if not np.isfinite(row).all():
+                raise ValidationError(f"{path}: target {t}, member {m} is not finite")
+    return members
 
 
 def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> Path:

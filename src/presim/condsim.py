@@ -185,10 +185,10 @@ def run_ensemble(fit: FitResult, stack: TransformStack, observed: SiteGeometry, 
 
     The manifest records the seed, the target and parameter-draw order of
     the array's first two axes, the mean-field draws and the `mean_field`
-    model, the time axis (`start_time` of column 0, `step_seconds` between
-    columns) and the provenance: whether the Hessian was floored for the
-    parameter draws, and the number of ridged frequencies summed over all
-    sampler builds.
+    model, the time axis (`start_time`, the datetime of column 0, and
+    `step_seconds` between columns) and the provenance: whether the Hessian
+    was floored for the parameter draws, and the number of ridged
+    frequencies summed over all sampler builds.
     """
     if observed_field.n_sites != observed.n_sites:
         raise ValidationError(f"observed field has {observed_field.n_sites} sites, "
@@ -254,7 +254,7 @@ def run_ensemble(fit: FitResult, stack: TransformStack, observed: SiteGeometry, 
         },
         "mean_field_draws": mean_draws.tolist(),
         "param_draw_ids": list(range(count)) if vary_params else [-1] * count,
-        "start_time": None if start_time is None else start_time.isoformat(),
+        "start_time": start_time.isoformat(),
         "step_seconds": step_seconds,
         "mean_field": mean_field,
     }

@@ -1,6 +1,6 @@
 """Run configuration: one YAML file drives every pipeline stage."""
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -28,14 +28,25 @@ class RunConfig:
     fit_max_iter: int = FIT_MAX_ITER
 
     def __post_init__(self):
+        # each value has its default's type, an int standing for a float and
+        # no bool for a number; `require_seed` checks the seed
+        for f in fields(self):
+            kind = type(f.default_factory() if f.default is MISSING else f.default)
+            value = getattr(self, f.name)
+            if f.name != "seed" and (not isinstance(value, (int, float) if kind is float else kind)
+                                     or isinstance(value, bool) and kind is not bool):
+                raise ConfigurationError(f"{f.name} must be of type {kind.__name__}; got {value!r}")
         # block 0 or below would run as block 1, a negative target_len
         # would drop series ends, ensemble_count 0 or below would write an
-        # empty ensemble or fail inside `simulate`, and fit_max_iter 0 or
-        # below would end `fit` before its first iterate
-        for name in ("block", "target_len", "ensemble_count", "fit_max_iter"):
+        # empty ensemble or fail inside `simulate`, fit_max_iter 0 or
+        # below would end `fit` before its first iterate, and a negative
+        # max_gap would run as 0
+        for name, low in (("block", 1), ("target_len", 1), ("ensemble_count", 1),
+                          ("fit_max_iter", 1), ("max_gap", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigurationError(f"{name} must be a positive integer; got {value!r}")
+            if value < low:
+                sign = "positive" if low else "non-negative"
+                raise ConfigurationError(f"{name} must be a {sign} integer; got {value!r}")
 
     def knots(self) -> KnotSet:
         return KnotSet.default(self.omega0_j)
@@ -49,8 +60,14 @@ class RunConfig:
 
     @classmethod
     def from_yaml(cls, path) -> "RunConfig":
-        raw = yaml.safe_load(Path(path).read_text()) or {}
+        try:
+            raw = yaml.safe_load(Path(path).read_text())
+        except yaml.YAMLError as exc:
+            raise ConfigurationError(f"{path}: not readable YAML ({exc})") from exc
+        raw = {} if raw is None else raw  # an empty file
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"{path}: not a mapping of config keys to values; got {raw!r}")
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigurationError(f"unknown config keys: {sorted(unknown, key=str)}")
         return cls(**raw)

@@ -155,7 +155,7 @@ class WhittleObjective:
         self._inv_d = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
 
     def loglik(self, params: SpectralParams) -> tuple:
-        """(log-likelihood, score) at `params`.
+        """(log-likelihood, score, hessian) at `params`, from one factor and substitution.
 
         With f_k = D_k R_k D_k* (see `spectrum`), log det f_k = log det R_k
         and J_k* f_k^{-1} J_k = |L_k^{-1} z_k|^2 for z_k = D_k* J_k and the
@@ -172,26 +172,56 @@ class WhittleObjective:
         which is d_a R_k along S, beta and delta and
         i S1 C o d_a(theta u.(p_j - p_k)) along theta and the u angle; plus
         the diagonal band's -sum_k w_k dlogS_k/da (n - Q_k / (2 pi T S_k)).
-        `hessian` gives the second derivatives from the same evaluation.
+        `hessian()` forms the exact Hessian of -ll from them (`_hessian`).
         """
-        ll, (tr_S, tr_beta, tr_delta, tr_theta, tr_u), tr_high = self._evaluate(params)[:3]
-        plan, w = self.plan, self.plan.w_low
-        B_S, B_beta, B_delta, B_theta = plan.designs_low
-        grad = -np.concatenate([
-            B_S.T @ (w * tr_S) + plan.design_S_high.T @ (plan.w_high * tr_high),
-            B_beta.T @ (w * tr_beta),
-            B_delta.T @ (w * tr_delta),
-            B_theta.T @ (w * tr_theta),
-            [np.sum(w * tr_u)],
-        ])
-        return ll, grad
+        plan, n = self.plan, self.n
+        scale = TWO_PI * self.T
+        t = plan.terms(params, self.geometry)
+        L, inv_piv, good = cholesky_factor(t.R)
+        require_frequencies(good, plan.omega_low, "singular spectral matrix")
+        z = np.conj(t.D) * self.J_low
+        eye = np.broadcast_to(np.eye(n), t.R.shape)
+        X = forward_substitute(L, inv_piv, np.dstack([z.real, z.imag, eye]))
+        logdet = 2.0 * np.sum(np.log(np.einsum("kii->ki", L)), axis=1)
+        quad = np.sum(X[..., 0] ** 2 + X[..., 1] ** 2, axis=1)  # z* R^{-1} z
+        # L^{-T} [L^{-1} z | L^{-1}] = [y | R^{-1}]
+        sol = np.swapaxes(X[..., 2:], 1, 2) @ X
+        y, R_inv = sol[..., :2], sol[..., 2:]
+        ll = -np.sum(plan.w_low * (logdet + quad / scale))
+        S_high = plan.S_high(params)
+        ll -= np.sum(plan.w_high * (n * np.log(S_high) + self.Q_high / (scale * S_high)))
 
-    def hessian(self, params: SpectralParams) -> np.ndarray:
+        re_tr_H = partial(_re_tr_H, y, R_inv, scale)
+        S1 = t.S * t.sig
+        # Im H = (yr yi^T - yi yr^T) / scale and u.p_j - u.p_k are both
+        # antisymmetric, so sum C o (u.p_j - u.p_k) o Im H = sum_j u.p_j v_j
+        Cy = t.C @ y
+        v = 2.0 * (y[..., 0] * Cy[..., 1] - y[..., 1] * Cy[..., 0]) / scale
+        pos = self.geometry.positions
+        tr_I = np.einsum("kii->k", R_inv) - np.einsum("kic,kic->k", y, y) / scale
+        tr = (n - quad / scale,  # tr(H R)
+              S1 * (1.0 - t.sig) * (re_tr_H(P=t.C) - tr_I),
+              S1 * np.sign(t.delta) * re_tr_H(P=self._dC(t)),
+              S1 * (v @ (pos @ params.u)),
+              t.theta * S1 * (v @ (pos @ params.u_perp)))
+        w = plan.w_low
+        B_S, B_beta, B_delta, B_theta = plan.designs_low
+        tr_high = n - self.Q_high / (scale * S_high)
+        grad = -np.concatenate([
+            B_S.T @ (w * tr[0]) + plan.design_S_high.T @ (plan.w_high * tr_high),
+            B_beta.T @ (w * tr[1]),
+            B_delta.T @ (w * tr[2]),
+            B_theta.T @ (w * tr[3]),
+            [np.sum(w * tr[4])],
+        ])
+        return float(ll), grad, partial(self._hessian, params, tr, t, y, R_inv)
+
+    def _hessian(self, params, tr, t, y, R_inv) -> np.ndarray:
         """The exact Hessian of the negative log-likelihood at `params`, in `pack` order.
 
         Per low-band frequency, along the kind-level directions a, b of
-        log S, beta, delta, theta and the u angle, with the E_a, y and H of
-        `loglik` (one factor and substitution) and s = 2 pi T:
+        log S, beta, delta, theta and the u angle, with the terms t, E_a, y,
+        H and traces `tr` of the `loglik` call at `params` and s = 2 pi T:
 
             d2(-ll_k)/da db = Re tr(H E_ab) - tr(R^{-1} E_a R^{-1} E_b)
                               + 2 Re(y^* E_a R^{-1} E_b y) / s,
@@ -205,7 +235,6 @@ class WhittleObjective:
         """
         plan, n = self.plan, self.n
         scale = TWO_PI * self.T
-        _, tr, _, t, y, R_inv = self._evaluate(params)
         re_tr_H = partial(_re_tr_H, y, R_inv, scale)
         yr, yi = y[..., 0, None], y[..., 1, None]
         s1 = (t.S * t.sig)[:, None, None]
@@ -266,47 +295,6 @@ class WhittleObjective:
         d_S = plan.design_S_high.shape[1]
         H[:d_S, :d_S] += plan.design_S_high.T @ (curv_high[:, None] * plan.design_S_high)
         return 0.5 * (H + H.T)
-
-    def _evaluate(self, params: SpectralParams) -> tuple:
-        """(ll, tr, tr_high, t, y, R^{-1}) at `params`, from one factor and substitution.
-
-        The low band's factor gives log det R_k and, by substitution of
-        [Re z_k | Im z_k | I], z_k* R_k^{-1} z_k, y_k = R_k^{-1} z_k as real
-        and imaginary parts (K, n, 2) and R_k^{-1}. `tr` holds, per low-band
-        frequency, Re tr(H E_a) along log S, beta, delta, theta and the u
-        angle; `tr_high` the diagonal band's n - Q / (2 pi T S).
-        """
-        plan, n = self.plan, self.n
-        scale = TWO_PI * self.T
-        t = plan.terms(params, self.geometry)
-        L, inv_piv, good = cholesky_factor(t.R)
-        require_frequencies(good, plan.omega_low, "singular spectral matrix")
-        z = np.conj(t.D) * self.J_low
-        eye = np.broadcast_to(np.eye(n), t.R.shape)
-        X = forward_substitute(L, inv_piv, np.dstack([z.real, z.imag, eye]))
-        logdet = 2.0 * np.sum(np.log(np.einsum("kii->ki", L)), axis=1)
-        quad = np.sum(X[..., 0] ** 2 + X[..., 1] ** 2, axis=1)  # z* R^{-1} z
-        # L^{-T} [L^{-1} z | L^{-1}] = [y | R^{-1}]
-        sol = np.swapaxes(X[..., 2:], 1, 2) @ X
-        y, R_inv = sol[..., :2], sol[..., 2:]
-        ll = -np.sum(plan.w_low * (logdet + quad / scale))
-        S_high = plan.S_high(params)
-        ll -= np.sum(plan.w_high * (n * np.log(S_high) + self.Q_high / (scale * S_high)))
-
-        re_tr_H = partial(_re_tr_H, y, R_inv, scale)
-        S1 = t.S * t.sig
-        # Im H = (yr yi^T - yi yr^T) / scale and u.p_j - u.p_k are both
-        # antisymmetric, so sum C o (u.p_j - u.p_k) o Im H = sum_j u.p_j v_j
-        Cy = t.C @ y
-        v = 2.0 * (y[..., 0] * Cy[..., 1] - y[..., 1] * Cy[..., 0]) / scale
-        pos = self.geometry.positions
-        tr_I = np.einsum("kii->k", R_inv) - np.einsum("kic,kic->k", y, y) / scale
-        tr = (n - quad / scale,  # tr(H R)
-              S1 * (1.0 - t.sig) * (re_tr_H(P=t.C) - tr_I),
-              S1 * np.sign(t.delta) * re_tr_H(P=self._dC(t)),
-              S1 * (v @ (pos @ params.u)),
-              t.theta * S1 * (v @ (pos @ params.u_perp)))
-        return float(ll), tr, n - self.Q_high / (scale * S_high), t, y, R_inv
 
     def _dC(self, t) -> np.ndarray:
         """dC/d|delta| = r^2 e^{-r} / |delta| = r^3 C / ((1 + r) d); r <= R_CAP."""
@@ -426,37 +414,39 @@ def fit_mle(obj: WhittleObjective, initial: SpectralParams,
             max_iter: int = FIT_MAX_ITER) -> FitResult:
     """Maximize the Whittle likelihood of `obj` by trust-region Newton (`_trust_region`).
 
-    Each trial point takes one objective call, which gives the value and
-    the analytic score; `objective_calls` counts them, the start point's
-    included. A parameter vector the model rejects reads as an infinite
-    value, a rejected step. The exact Hessian (`WhittleObjective.hessian`)
-    runs at every accepted point, and the last one's is the fit's, with its
-    eigenvalues in ascending order. `convergence.trace` holds one
-    [log-likelihood, max |score|, trust radius] entry for the start and one
-    per iteration. Deterministic given inputs.
+    Each trial point takes one `obj.loglik` call, which gives the value,
+    the analytic score and the exact Hessian's closure; `objective_calls`
+    counts them, the start point's included. A parameter vector the model
+    rejects reads as an infinite value, a rejected step. The Hessian is
+    formed at the start and at every accepted point, and the last one's is
+    the fit's, with its eigenvalues in ascending order. `convergence.trace`
+    holds one [log-likelihood, max |score|, trust radius] entry for the
+    start and one per iteration. Deterministic given inputs.
 
     The model is unchanged by (theta, u) -> (-theta, u + pi), so two fits
     that differ only by this mirror are one fit; compare fits through S,
     |delta| and theta * u.
     """
     model = obj.plan.model
-    ll0, score0 = obj.loglik(initial)
+    ll0, score0, hessian = obj.loglik(initial)
     if not np.isfinite(ll0):
         raise ValidationError("log-likelihood not finite at the initial point")
+    H0 = hessian()
+    del hessian  # the start's arrays go before the first trial point's come
 
     def neg(x):
         try:
-            ll, score = obj.loglik(model.unpack(x))
+            ll, score, hessian = obj.loglik(model.unpack(x))
         except ValidationError:
-            return np.inf, np.full(len(x), np.nan)
-        return -ll, -score
+            return np.inf, np.full(len(x), np.nan), None
+        return -ll, -score, hessian
 
-    x, f, g, H, status, iterations, calls, trace = _trust_region(
-        neg, lambda x: obj.hessian(model.unpack(x)), initial.pack(), -ll0, -score0, max_iter)
+    x, f, g, H, status, iterations, trace = _trust_region(
+        neg, initial.pack(), -ll0, -score0, H0, max_iter)
     convergence = {
         "status": status,
         "iterations": iterations,
-        "objective_calls": calls + 1,
+        "objective_calls": iterations + 1,
         "grad_inf_norm": float(np.max(np.abs(g))),
         "trace": [[-f_k, g_k, radius] for f_k, g_k, radius in trace],
     }
@@ -472,36 +462,36 @@ def fit_mle(obj: WhittleObjective, initial: SpectralParams,
     )
 
 
-def _trust_region(fun, hess, x, f, g, max_iter: int) -> tuple:
-    """(x, f, g, H, status, iterations, calls, trace): trust-region Newton on `fun` from x.
+def _trust_region(fun, x, f, g, H, max_iter: int) -> tuple:
+    """(x, f, g, H, status, iterations, trace): trust-region Newton on `fun` from x.
 
-    fun(x) = (f, g), given at the start x; hess(x) is f's Hessian, taken at
-    the start and at every accepted point (Nocedal & Wright 2006, alg. 4.1).
-    Each iteration makes one call of `fun` at the `_trust_step` step within
-    the Euclidean radius, which starts at 1. With rho the actual over the
-    predicted decrease (-inf where the value or gradient is not finite),
-    the radius shrinks by 1/4 when rho < 1/4 and doubles when rho > 3/4 at
-    the boundary; the step is taken when rho > 1e-4. The status is
+    fun(x) = (f, g, hessian), with f, g and f's Hessian H given at the
+    start x; hessian() gives the Hessian at x, and is called only where the
+    step is accepted (Nocedal & Wright 2006, alg. 4.1). Each iteration
+    makes one call of `fun` at the `_trust_step` step within the Euclidean
+    radius, which starts at 1. With rho the actual over the predicted
+    decrease (-inf where the value or gradient is not finite), the radius
+    shrinks by 1/4 when rho < 1/4 and doubles when rho > 3/4 at the
+    boundary; the step is taken when rho > 1e-4. The status is
     "converged" at max |g| <= GTOL, "max_iter", "radius_collapsed" when the
     radius falls to the rounding of |x| (every step rejected, as with a
-    wrong gradient) or "nan" when g or H is not finite. `calls` leaves out
-    the start's; `trace` has one [f, max |g|, radius] entry for the start
-    and one per iteration.
+    wrong gradient) or "nan" when g or H is not finite. `trace` has one
+    [f, max |g|, radius] entry for the start and one per iteration, which
+    makes one call of `fun` each.
     """
-    radius, calls, H = 1.0, 0, hess(x)
+    radius = 1.0
     trace = [[float(f), float(np.max(np.abs(g))), radius]]
     for iterations in range(max_iter + 1):
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
-            return x, f, g, H, "nan", iterations, calls, trace
+            return x, f, g, H, "nan", iterations, trace
         if np.max(np.abs(g)) <= GTOL:
-            return x, f, g, H, "converged", iterations, calls, trace
+            return x, f, g, H, "converged", iterations, trace
         if iterations == max_iter:
-            return x, f, g, H, "max_iter", iterations, calls, trace
+            return x, f, g, H, "max_iter", iterations, trace
         if radius <= np.finfo(float).eps * np.linalg.norm(x):
-            return x, f, g, H, "radius_collapsed", iterations, calls, trace
+            return x, f, g, H, "radius_collapsed", iterations, trace
         p, at_boundary = _trust_step(g, H, radius)
-        f_new, g_new = fun(x + p)
-        calls += 1
+        f_new, g_new, hessian = fun(x + p)
         finite = np.isfinite(f_new) and np.all(np.isfinite(g_new))
         rho = (f - f_new) / -(g @ p + 0.5 * p @ H @ p) if finite else -np.inf
         if rho < 0.25:
@@ -509,7 +499,8 @@ def _trust_region(fun, hess, x, f, g, max_iter: int) -> tuple:
         elif rho > 0.75 and at_boundary:
             radius *= 2.0
         if rho > 1e-4:
-            x, f, g, H = x + p, f_new, g_new, hess(x + p)
+            x, f, g, H = x + p, f_new, g_new, hessian()
+        del hessian  # a trial point's arrays go before the next one's come
         trace.append([float(f), float(np.max(np.abs(g))), radius])
 
 

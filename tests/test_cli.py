@@ -270,6 +270,15 @@ def _flatten(d):
     np.save(d / "pressure.npy", np.load(d / "pressure.npy").reshape(4, -1))
 
 
+def _not_finite(d):
+    # evaluate wrote NaN scores into metrics.json, which is not JSON
+    e13 = json.loads((d / "manifest.json").read_text())["target_ids"].index("E13")
+    pressure = np.load(d / "pressure.npy")
+    pressure[2, e13, 100:200] = np.nan
+    pressure[3, e13, 50] = -np.inf
+    np.save(d / "pressure.npy", pressure)
+
+
 def _truncate_manifest(d):
     (d / "manifest.json").write_text((d / "manifest.json").read_text()[:100])
 
@@ -286,6 +295,7 @@ def _edit_manifest(**changes):
     (_truncate, "pressure.npy"),
     (_pickle, "pressure.npy"),
     (_flatten, "not (members, targets, times)"),
+    (_not_finite, "pressure.npy: target E13, member 2 is not finite"),
     (_edit_manifest(n_members=5), "5 members"),
     (_edit_manifest(target_ids=["E12", "X99"]), "['E13']"),
     (_truncate_manifest, "manifest.json: not a readable ensemble manifest (JSONDecodeError("),
@@ -553,8 +563,41 @@ def test_missing_input_file_exits_nonzero(tmp_path, capsys):
     assert "[fit]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    # a bare TypeError: 'int' object is not iterable
+    ("5\n", "not a mapping of config keys to values; got 5"),
+    # yaml's bare ParserError
+    ("block: [1\n", "not readable YAML (while parsing a flow sequence"),
+    # a bare TypeError from sorting the unknown keys 1 and 'x'
+    ("1: 2\nx: 3\n", "unknown config keys: [1, 'x']"),
+    # a bare TypeError from a comparison, in `fit_stack` and `KnotSet.default`
+    ({"volatility_df": "abc"}, "volatility_df must be of type float; got 'abc'"),
+    ({"omega0_j": "x"}, "omega0_j must be of type int; got 'x'"),
+    # read as the characters 'E', '1' and '2'
+    ({"held_out_ids": "E12"}, "held_out_ids must be of type list; got 'E12'"),
+    # accepted, and the fit wrote a report
+    ({"max_gap": -1}, "max_gap must be a non-negative integer; got -1"),
+    # a bool is no number, and a number no bool
+    ({"block": True}, "block must be of type int; got True"),
+    ({"vary_params": 1}, "vary_params must be of type bool; got 1"),
+], ids=["not_a_mapping", "yaml_syntax", "unknown_keys", "volatility_df", "omega0_j",
+        "held_out_ids", "max_gap", "bool_block", "int_vary_params"])
+def test_bad_config_value_rejected(pipeline, tmp_path, capsys, text, message):
+    out, _ = pipeline
+    cfg = tmp_path / "bad.yaml"
+    if isinstance(text, str):
+        cfg.write_text(text)
+    else:
+        write_config(cfg, out, **text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "fit"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[fit] error:")
+    assert message in err
+    assert not (tmp_path / "fit_report.json").exists()
+
+
 def test_run_config_round_trip(tmp_path):
-    cfg = RunConfig(seed=5, held_out_ids=["A"], block=2)
+    cfg = RunConfig(seed=5, held_out_ids=["A"], block=2, volatility_df=12)  # an int for a float
     path = tmp_path / "c.yaml"
     path.write_text(yaml.safe_dump(asdict(cfg)))
     loaded = RunConfig.from_yaml(path)

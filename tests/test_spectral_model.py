@@ -296,7 +296,7 @@ def test_matern_build_at_vanishing_and_tiny_delta(model, geometry3):
     assert np.all(t.C[:-1][:, off] == 0.0)
     assert np.all(np.einsum("kii->ki", t.C) == 1.0)
     assert np.all((t.C[-1][off] > 0) & (t.C[-1][off] < 1))
-    ll, score = obj.loglik(p)
+    ll, score, _ = obj.loglik(p)
     assert np.isfinite(ll) and np.all(np.isfinite(score))
 
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from presim import whittle
 from presim.errors import ValidationError
 from presim.geometry import SiteGeometry
 from presim.rng import STAGE_PARAM_DRAW, substream
@@ -261,7 +262,7 @@ def test_scale_identity(model, geometry3):
                         p.theta_coeffs, p.u_angle)
 
     ll_doubled = WhittleObjective(model, forward_dft(A), geometry3).loglik(p2)[0]
-    ll_scaled, _ = WhittleObjective(model, forward_dft(A / np.sqrt(2.0)), geometry3).loglik(p)
+    ll_scaled = WhittleObjective(model, forward_dft(A / np.sqrt(2.0)), geometry3).loglik(p)[0]
     w = FrequencyPlan(T, model).weights
     assert ll_doubled == pytest.approx(ll_scaled - 3 * w.sum() * np.log(2.0), rel=1e-9)
 
@@ -459,7 +460,7 @@ def test_score_matches_numeric_gradient(geometry3, omega0_j, T, delta_kind):
         assert delta.min() < 0 < delta.max()
     assert (len(obj.plan.omega_high) == 0) == (omega0_j == 4320)
 
-    ll, score = obj.loglik(model.unpack(vec))
+    score = obj.loglik(model.unpack(vec))[1]
     oracle = numeric_gradient(lambda x: obj.loglik(model.unpack(x))[0], vec)
     np.testing.assert_allclose(score, oracle, rtol=1e-6, atol=1e-7 * np.abs(oracle).max())
 
@@ -486,7 +487,7 @@ def test_hessian_matches_numeric_derivatives(geometry3, n_sites, omega0_j, T, de
     rng = np.random.default_rng(31 + T + omega0_j)
     obj = WhittleObjective(model, forward_dft(rng.standard_normal((n_sites, T))), geo)
     vec = score_case_params(model, rng, delta_kind)
-    H = obj.hessian(model.unpack(vec))
+    H = obj.loglik(model.unpack(vec))[2]()
     check_hessian_by_score(obj, vec, H)
     by_value = numeric_hessian(lambda x: -obj.loglik(model.unpack(x))[0], vec)
     np.testing.assert_allclose(H, by_value, rtol=0, atol=1e-5 * np.abs(by_value).max())
@@ -508,7 +509,7 @@ def test_score_matches_complex_formulation(geometry3, omega0_j, T, n_sites):
         assert np.abs(model.basis_theta.evaluate(params.theta_coeffs, obj.plan.omega_low)).max() > 0
         assert model.eval_delta(params, obj.plan.omega_low).min() < 0
 
-        ll, score = obj.loglik(params)
+        ll, score, _ = obj.loglik(params)
         ref_ll, ref_score = reference_loglik(obj, params)
         assert ll == pytest.approx(ref_ll, rel=1e-12, abs=0)
         np.testing.assert_allclose(score, ref_score, rtol=0,
@@ -563,7 +564,7 @@ def test_fit_is_deterministic(model, geometry3):
 def check_fit_hessian(fit, obj):
     """The fit's Hessian is the analytic one at its optimum, with that matrix's spectrum."""
     assert fit.convergence["status"] == "converged"
-    assert np.array_equal(fit.hessian, obj.hessian(fit.params_hat))
+    assert np.array_equal(fit.hessian, obj.loglik(fit.params_hat)[2]())
     assert np.array_equal(fit.hessian_eigenvalues, np.linalg.eigvalsh(fit.hessian))
     assert fit.hessian_min_eig == fit.hessian_eigenvalues[0]
     assert np.all(np.diff(fit.hessian_eigenvalues) >= 0)
@@ -612,31 +613,53 @@ def test_parameter_draws_keep_their_law(fit11):
 
 
 def test_fit_takes_the_analytic_score(model, geometry3, monkeypatch):
-    # every objective call gives the value and the score, one per trial
-    # point; the fit report counts them, the start point once. The Hessian
-    # runs at the start and at each accepted point, and makes no call
-    calls, hessians = [], []
-    loglik, hessian = WhittleObjective.loglik, WhittleObjective.hessian
+    # every objective call gives the value, the score and the Hessian's
+    # closure, one per trial point; the fit report counts them, the start
+    # point once. The closure is called at the start and at each accepted
+    # point, and at no other
+    calls, formed = [], []
+    loglik = WhittleObjective.loglik
 
     def counted(self, params):
-        calls.append(params.pack())
-        return loglik(self, params)
+        x = params.pack()
+        calls.append(x)
+        ll, score, hessian = loglik(self, params)
 
-    def counted_hessian(self, params):
-        hessians.append(params.pack())
-        return hessian(self, params)
+        def counted_hessian():
+            formed.append(x)
+            return hessian()
+        return ll, score, counted_hessian
 
     monkeypatch.setattr(WhittleObjective, "loglik", counted)
-    monkeypatch.setattr(WhittleObjective, "hessian", counted_hessian)
     truth, spec = make_synthetic_field(model, geometry3, 96, seed=20)
     fit = fit_mle(WhittleObjective(model, spec, geometry3), truth, max_iter=5)
     conv = fit.convergence
     assert conv["iterations"] == 5
     assert conv["objective_calls"] == len(calls) == conv["iterations"] + 1
     assert sum(np.array_equal(x, truth.pack()) for x in calls) == 1
-    assert all(any(np.array_equal(h, x) for x in calls) for h in hessians)
-    assert np.array_equal(hessians[0], truth.pack())
-    assert np.array_equal(hessians[-1], fit.params_hat.pack())
+    # an accepted step raises the log-likelihood, a rejected one keeps it
+    lls = [entry[0] for entry in conv["trace"]]
+    accepted = [calls[k + 1] for k in range(len(lls) - 1) if lls[k + 1] != lls[k]]
+    assert len(formed) == 1 + len(accepted)
+    assert all(np.array_equal(h, x) for h, x in zip(formed, [truth.pack()] + accepted))
+    assert np.array_equal(formed[-1], fit.params_hat.pack())
+
+
+def test_fit_factors_once_per_objective_call(model, geometry3, monkeypatch):
+    # the Hessian reuses its point's evaluation: one Cholesky factorization
+    # per trial point, the start's included
+    factored = []
+
+    def counted(R):
+        factored.append(len(R))
+        return cholesky_factor(R)
+
+    monkeypatch.setattr(whittle, "cholesky_factor", counted)
+    truth, spec = make_synthetic_field(model, geometry3, 96, seed=19)
+    fit = fit_mle(WhittleObjective(model, spec, geometry3), truth)
+    assert fit.convergence["status"] == "converged"
+    assert fit.convergence["iterations"] > 1
+    assert len(factored) == fit.convergence["objective_calls"]
 
 
 def test_fit_records_its_trace(model, geometry3):
@@ -658,13 +681,13 @@ def test_fit_records_its_trace(model, geometry3):
 def fit_with_scipy(obj, x0, gtol, method="BFGS"):
     """The oracle: scipy's `method` on the same objective, from x0, to max |score| <= gtol.
 
-    BFGS builds its own curvature; trust-exact takes `obj.hessian`.
+    BFGS builds its own curvature; trust-exact takes the Hessian of `obj.loglik`.
     """
     from scipy.optimize import minimize
 
     def neg(x):
         try:
-            ll, score = obj.loglik(obj.plan.model.unpack(x))
+            ll, score, _ = obj.loglik(obj.plan.model.unpack(x))
         except ValidationError:
             return np.inf, np.full(len(x), np.nan)
         return -ll, -score
@@ -672,7 +695,7 @@ def fit_with_scipy(obj, x0, gtol, method="BFGS"):
     hess = None
     if method == "trust-exact":
         def hess(x):
-            return obj.hessian(obj.plan.model.unpack(x))
+            return obj.loglik(obj.plan.model.unpack(x))[2]()
 
     return minimize(neg, x0, jac=True, hess=hess, method=method,
                     options={"maxiter": 500, "gtol": gtol})
@@ -742,6 +765,22 @@ def counting(fun):
     return counted, calls
 
 
+def deferring(fun):
+    """(objective, formed): `fun`, which gives (f, g, H), as `_trust_region`
+    takes it, (f, g, hessian) with H behind hessian(); `formed` records each
+    x whose hessian() is called."""
+    formed = []
+
+    def objective(x):
+        f, g, H = fun(x)
+
+        def hessian():
+            formed.append(x.copy())
+            return H
+        return f, g, hessian
+    return objective, formed
+
+
 # scaled so that GTOL's 1e-3 is 1e-9 of the plain Rosenbrock gradient
 ROSENBROCK_SCALE = 1e6
 
@@ -756,21 +795,26 @@ def test_trust_region_converges_on_rosenbrock():
         return rosenbrock(x, ROSENBROCK_SCALE)[2]
 
     x0 = np.array([-1.2, 1.0])
-    fun, calls = counting(value_and_gradient)
-    hess, hess_calls = counting(hessian)
-    x, f, g, H, status, iterations, n, trace = _trust_region(fun, hess, x0, *fun(x0), max_iter=500)
+    objective, formed = deferring(lambda x: rosenbrock(x, ROSENBROCK_SCALE))
+    fun, calls = counting(objective)
+    f0, g0, _ = fun(x0)
+    x, f, g, H, status, iterations, trace = _trust_region(fun, x0, f0, g0, hessian(x0),
+                                                          max_iter=500)
     assert status == "converged" and np.max(np.abs(g)) <= GTOL
-    # one call per iteration, the start's included; the Hessian at the start and each accepted point
-    assert n + 1 == len(calls) == iterations + 1 == len(trace)
-    assert len(hess_calls) <= n + 1 and np.array_equal(hess_calls[0], x0)
+    # one call per iteration, the start's included
+    assert len(calls) == iterations + 1 == len(trace)
     # each trial point lies within the radius of the point it steps from;
-    # an accepted step lowers f, a rejected one keeps it
-    x_k = x0
+    # an accepted step lowers f, a rejected one keeps it; the Hessian is
+    # formed at each accepted point and at no other
+    x_k, accepted = x0, []
     for k in range(iterations):
         assert np.linalg.norm(calls[k + 1] - x_k) <= trace[k][2] * (1.0 + 1e-12)
         if trace[k + 1][0] != trace[k][0]:
             x_k = calls[k + 1]
+            accepted.append(x_k)
     assert np.array_equal(x_k, x)
+    assert len(formed) == len(accepted) < iterations
+    assert all(np.array_equal(h, a) for h, a in zip(formed, accepted))
     f_x, g_x = value_and_gradient(x)
     assert f == f_x and np.array_equal(g, g_x) and np.array_equal(H, hessian(x))
     np.testing.assert_allclose(x, [1.0, 1.0], rtol=0, atol=1e-8)
@@ -782,37 +826,41 @@ def test_trust_region_converges_on_rosenbrock():
 def test_trust_region_collapses_its_radius_on_a_wrong_gradient():
     # the negated gradient makes every model step an ascent: every trial is
     # rejected, and the radius shrinks until it reaches the rounding of x
+    def wrong_gradient(x):
+        f, g, H = rosenbrock(x)
+        return f, -g, H
+
     x0 = np.array([-1.2, 1.0])
-    f0, g0, _ = rosenbrock(x0)
-    fun, calls = counting(lambda x: (rosenbrock(x)[0], -rosenbrock(x)[1]))
-    x, f, g, H, status, iterations, n, trace = _trust_region(
-        fun, lambda x: rosenbrock(x)[2], x0, f0, -g0, max_iter=500)
-    assert (status, n) == ("radius_collapsed", len(calls))
-    assert iterations == n < 500
+    f0, g0, H0 = rosenbrock(x0)
+    objective, formed = deferring(wrong_gradient)
+    fun, calls = counting(objective)
+    x, f, g, H, status, iterations, trace = _trust_region(fun, x0, f0, -g0, H0, max_iter=500)
+    assert (status, iterations) == ("radius_collapsed", len(calls))
+    assert iterations < 500 and formed == []
     assert np.array_equal(x, x0) and f == f0
     radii = [r for *_, r in trace]
-    assert radii == [0.25 ** k for k in range(n + 1)]
+    assert radii == [0.25 ** k for k in range(iterations + 1)]
     assert radii[-1] <= np.finfo(float).eps * np.linalg.norm(x0) < radii[-2]
 
 
 @pytest.mark.parametrize("wall", [np.inf, np.nan])
 def test_trust_region_backs_off_from_a_nonfinite_region(wall):
     # 1e3 sqrt(1 + (x - 1)^2) has its minimum at 1, next to a region
-    # x > 1.2 where the value is not finite; the first Newton step from 0.4,
-    # 0.6 (1 + 0.6^2) = 0.816 long, lands in it. (The scale puts GTOL at
-    # 1e-6 of the unscaled gradient.)
+    # x > 1.2 where the value is not finite and there is no Hessian, as
+    # where `fit_mle` meets a parameter vector the model rejects; the first
+    # Newton step from 0.4, 0.6 (1 + 0.6^2) = 0.816 long, lands in it. (The
+    # scale puts GTOL at 1e-6 of the unscaled gradient.)
     def fun(x):
         if x[0] > 1.2:
-            return wall, np.full(1, np.nan)
+            return wall, np.full(1, np.nan), None
         d = x - 1.0
-        return 1e3 * np.sqrt(1.0 + d[0] ** 2), 1e3 * d / np.sqrt(1.0 + d ** 2)
-
-    def hess(x):
-        return 1e3 * np.atleast_2d((1.0 + (x[0] - 1.0) ** 2) ** -1.5)
+        H = 1e3 * np.atleast_2d((1.0 + d[0] ** 2) ** -1.5)
+        return 1e3 * np.sqrt(1.0 + d[0] ** 2), 1e3 * d / np.sqrt(1.0 + d ** 2), lambda: H
 
     fun, calls = counting(fun)
     x0 = np.array([0.4])
-    x, f, g, H, status, iterations, n, trace = _trust_region(fun, hess, x0, *fun(x0), max_iter=50)
+    f0, g0, hessian = fun(x0)
+    x, f, g, H, status, iterations, trace = _trust_region(fun, x0, f0, g0, hessian(), max_iter=50)
     assert calls[1][0] > 1.2
     assert trace[1] == trace[0][:2] + [0.25]
     assert status == "converged"
@@ -821,10 +869,10 @@ def test_trust_region_backs_off_from_a_nonfinite_region(wall):
 
 def test_trust_region_reports_a_nonfinite_gradient():
     x0 = np.array([-1.2, 1.0])
-    fun, calls = counting(lambda x: rosenbrock(x)[:2])
-    x, f, g, H, status, iterations, n, trace = _trust_region(
-        fun, lambda x: rosenbrock(x)[2], x0, 24.2, np.array([np.nan, 1.0]), max_iter=50)
-    assert (status, iterations, n, len(calls)) == ("nan", 0, 0, 0)
+    fun, calls = counting(deferring(rosenbrock)[0])
+    x, f, g, H, status, iterations, trace = _trust_region(
+        fun, x0, 24.2, np.array([np.nan, 1.0]), rosenbrock(x0)[2], max_iter=50)
+    assert (status, iterations, len(calls)) == ("nan", 0, 0)
     assert np.array_equal(x, x0) and len(trace) == 1
 
 
