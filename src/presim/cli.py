@@ -3,7 +3,10 @@
 Subcommands: fit, simulate, evaluate, synth. Each stage reads/writes
 serialized artifacts (fit report JSON, ensemble directory of
 `manifest.json` and `pressure.npy`, metrics JSON), so a run can resume
-from any stage. Exit code 0 on success;
+from any stage. Beside them, `observations.npz` holds the parse of the
+observation file, keyed by its content and the station ids, so that
+later stages with the same output directory need not parse it again;
+deleting it is always safe. Exit code 0 on success;
 failures exit nonzero with a stage-tagged diagnostic on stderr.
 """
 
@@ -20,28 +23,82 @@ from . import condsim, meanfield, synth, verify
 from .config import RunConfig
 from .errors import FormatError, PresimError, ValidationError
 from .geometry import SiteGeometry
-from .ingest import assemble_grid, block_average, fill_missing, load_observations, load_stations
+from .ingest import (RawSeries, assemble_grid, block_average, fill_missing, load_observations,
+                     load_stations)
 from .preprocess import TransformStack, apply_stack, fit_stack, to_sea_level
 from .spectrum import SpectralModel
 from .whittle import FitResult, WhittleObjective, fit_mle, forward_dft, initial_params
 
 
-def _build_grid(config: RunConfig, stations, station_ids):
+def _parsed_observations(path, stations, cache: Path):
+    """`load_observations(path, stations)`, or that parse as `cache` holds it.
+
+    The cache is keyed by the SHA-256 of the observation file's bytes and
+    the ordered ids of `stations`; one that is missing, unreadable or keyed
+    otherwise is a miss. Station records always come from `stations`.
+    Returns the series and, on a miss, a zero-argument function that
+    writes them to `cache` (None on a hit).
+    """
+    import hashlib  # the three are loaded with numpy and condsim: no import cost
+    import os
+    import zipfile
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):  # 1 MiB at a time: flat memory
+            digest.update(chunk)
+    key = [digest.hexdigest(), [s.id for s in stations]]
+    try:  # given a path, np.load leaves the file open when the zip is bad
+        with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            index = json.loads(str(npz["index"]))
+            if index["key"] == key:
+                by_id = {s.id: s for s in stations}
+                parts = np.split(npz["values"], npz["ends"][:-1])
+                return [RawSeries(by_id[sid], datetime.fromisoformat(start), step, values)
+                        for (sid, start, step), values in zip(index["series"], parts)], None
+    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
+        pass  # missing, damaged or foreign (a .npy loads as an array: TypeError)
+    series = load_observations(path, stations)
+
+    def write():
+        index = {"key": key, "series": [[s.station.id, s.start_time.isoformat(), s.step_seconds]
+                                        for s in series]}
+        cache.parent.mkdir(parents=True, exist_ok=True)
+        partial = cache.with_name(f"{cache.name}.{os.getpid()}.partial")
+        try:
+            with open(partial, "wb") as fh:  # np.savez would add .npz to a bare path
+                np.savez(fh, index=np.array(json.dumps(index)),
+                         values=np.concatenate([s.values for s in series]),
+                         ends=np.cumsum([len(s.values) for s in series]))
+            os.replace(partial, cache)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
+
+    return series, write
+
+
+def _build_grid(config: RunConfig, stations, station_ids, out_base):
     """The grid of the stations with `station_ids`, in station-file order.
 
     Each must be in the station file and have rows in the observation file.
+    The observation file is parsed for every station of the station file,
+    so that every stage shares one parse: it is read from
+    `<out_base>/observations.npz` when that holds it, and written there
+    once the grid is assembled otherwise.
     """
     wanted = set(station_ids)
-    stations = [s for s in stations if s.id in wanted]
     missing = wanted - {s.id for s in stations}
     if missing:
         raise ValidationError(f"stations not in file: {sorted(missing)}")
-    series = load_observations(config.observations_path, stations)
-    if len(series) < len(stations):
+    parsed, write = _parsed_observations(config.observations_path, stations,
+                                         Path(out_base) / "observations.npz")
+    series = [s for s in parsed if s.station.id in wanted]
+    if len(series) < len(wanted):
         found = {s.station.id for s in series}
         raise ValidationError(
             f"{config.observations_path}: no observation rows for stations "
-            f"{[s.id for s in stations if s.id not in found]}"
+            f"{[s.id for s in stations if s.id in wanted and s.id not in found]}"
         )
     processed = []
     for s in series:
@@ -49,7 +106,10 @@ def _build_grid(config: RunConfig, stations, station_ids):
         if config.block > 1:
             s = block_average(s, config.block)
         processed.append(s)
-    return assemble_grid(processed, config.target_len)
+    grid = assemble_grid(processed, config.target_len)
+    if write is not None:
+        write()
+    return grid
 
 
 def _split_stations(config: RunConfig):
@@ -64,7 +124,8 @@ def _split_stations(config: RunConfig):
 
 def cmd_fit(config: RunConfig, out_path) -> Path:
     stations, held = _split_stations(config)
-    grid = _build_grid(config, stations, [s.id for s in stations if s not in held])
+    grid = _build_grid(config, stations, [s.id for s in stations if s not in held],
+                       Path(out_path).parent)
     stack = fit_stack(grid, n_harmonics=config.diurnal_harmonics,
                       volatility_df=config.volatility_df)
     A = apply_stack(grid, stack)
@@ -108,7 +169,7 @@ def cmd_simulate(config: RunConfig, fit_report_path, out_dir) -> Path:
     stations, targets = _split_stations(config)
     if not targets:
         raise ValidationError("no target stations: held_out_ids is empty")
-    grid = _build_grid(config, stations, report["station_ids"])
+    grid = _build_grid(config, stations, report["station_ids"], Path(out_dir).parent)
     geometry = SiteGeometry.of(grid.stations)
     if condsim.geometry_hash(geometry) != report["geometry_hash"]:
         raise ValidationError(
@@ -186,7 +247,8 @@ def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> 
     stations, targets = _split_stations(config)
     if not targets:
         raise ValidationError("no target stations: held_out_ids is empty")
-    grid = _build_grid(config, stations, [*report["station_ids"], *config.held_out_ids])
+    grid = _build_grid(config, stations, [*report["station_ids"], *config.held_out_ids],
+                       Path(out_path).parent)
     truth_grid = _split_grid(grid, config.held_out_ids)
     obs_grid = _split_grid(grid, report["station_ids"])
     members = _read_ensemble(ensemble_dir, [s.id for s in truth_grid.stations], fit)

@@ -36,6 +36,10 @@ class RunConfig:
             if f.name != "seed" and (not isinstance(value, (int, float) if kind is float else kind)
                                      or isinstance(value, bool) and kind is not bool):
                 raise ConfigurationError(f"{f.name} must be of type {kind.__name__}; got {value!r}")
+        # station ids are strings; a number among them cannot be sorted with them
+        for sid in self.held_out_ids:
+            if not isinstance(sid, str):
+                raise ConfigurationError(f"held_out_ids must hold station ids (str); got {sid!r}")
         # block 0 or below would run as block 1, a negative target_len
         # would drop series ends, ensemble_count 0 or below would write an
         # empty ensemble or fail inside `simulate`, fit_max_iter 0 or
@@ -61,7 +65,9 @@ class RunConfig:
     @classmethod
     def from_yaml(cls, path) -> "RunConfig":
         try:
-            raw = yaml.safe_load(Path(path).read_text())
+            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
         except yaml.YAMLError as exc:
             raise ConfigurationError(f"{path}: not readable YAML ({exc})") from exc
         raw = {} if raw is None else raw  # an empty file

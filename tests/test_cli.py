@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from presim import synth, whittle
+from presim import cli, synth, whittle
 from presim.cli import main
 from presim.condsim import ConditionalSampler
 from presim.config import RunConfig
@@ -109,6 +109,7 @@ def test_ensemble_output(pipeline):
     synth_truth = json.loads((out / "synthetic" / "truth.json").read_text())
     assert manifest["start_time"] == synth_truth["start"]
     assert sorted(p.name for p in (out / "ensemble").iterdir()) == ["manifest.json", "pressure.npy"]
+    assert (out / "observations.npz").is_file()  # beside the ensemble, not in it
     vals = np.load(out / "ensemble" / "pressure.npy", allow_pickle=False)
     assert vals.shape == (4, 2, T + 1)
     # simulated pressures are physically plausible surface values
@@ -402,6 +403,145 @@ def test_station_without_observation_rows_is_rejected(pipeline, tmp_path, capsys
     assert not (tmp_path / "run").exists()
 
 
+def stage_argvs(cfg, base):
+    """presim arguments of fit, simulate and evaluate, each writing under `base`."""
+    report = str(base / "fit_report.json")
+    common = ["--config", str(cfg), "--out", str(base)]
+    return [[*common, "fit"],
+            [*common, "simulate", "--fit-report", report],
+            [*common, "evaluate", "--fit-report", report, "--ensemble-dir", str(base / "ensemble")]]
+
+
+def counting_parses(monkeypatch):
+    """A list that gains one entry per parse of the observation file."""
+    parsed = []
+    load = cli.load_observations
+    monkeypatch.setattr(cli, "load_observations", lambda *a: parsed.append(a[0]) or load(*a))
+    return parsed
+
+
+def test_observation_cache_changes_no_output(pipeline, tmp_path, monkeypatch):
+    # the stages after the first read its parse from observations.npz; a
+    # run that parses in every stage writes the same bytes
+    _, cfg = pipeline
+    parsed = counting_parses(monkeypatch)
+    outputs = {}
+    for run, parses in (("cold", 3), ("warm", 1)):
+        base = tmp_path / run
+        parsed.clear()
+        for argv in stage_argvs(cfg, base):
+            if run == "cold":
+                (base / "observations.npz").unlink(missing_ok=True)
+            assert main(argv) == 0
+        assert len(parsed) == parses
+        assert sorted(p.name for p in (base / "ensemble").iterdir()) == \
+            ["manifest.json", "pressure.npy"]
+        outputs[run] = [(base / name).read_bytes() for name in (
+            "fit_report.json", "ensemble/pressure.npy", "ensemble/manifest.json", "metrics.json")]
+    assert outputs["cold"] == outputs["warm"]
+
+
+def test_observation_cache_is_keyed_by_content(pipeline, tmp_path, monkeypatch):
+    # one pressure changed in place, with the file's size and mtime kept
+    out, _ = pipeline
+    shutil.copytree(out / "synthetic", tmp_path / "synthetic")
+    cfg = write_config(tmp_path / "config.yaml", tmp_path)
+    fit, simulate, _ = stage_argvs(cfg, tmp_path)
+    assert main(fit) == 0
+    obs = tmp_path / "synthetic" / "observations.csv"
+    before = obs.stat()
+    lines = obs.read_bytes().splitlines(keepends=True)
+    _, sid, old = lines[1].decode().strip().split(",")
+    new = f"{float(old) + 0.5:.8f}"
+    lines[1] = lines[1].replace(old.encode(), new.encode())
+    obs.write_bytes(b"".join(lines))
+    os.utime(obs, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert (obs.stat().st_size, obs.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+    parsed = counting_parses(monkeypatch)
+    grids = []
+    assemble = cli.assemble_grid
+    monkeypatch.setattr(cli, "assemble_grid", lambda *a: grids.append(assemble(*a)) or grids[-1])
+    assert main(simulate) == 0
+    assert len(parsed) == 1
+    assert grids[0].stations[0].id == sid
+    assert grids[0].values[0, 0] == float(new) != float(old)
+
+
+def _drop_e05(lines):
+    return [l for l in lines if not l.startswith(b"E05,")]
+
+
+def _swap_e01_e02(lines):
+    return [lines[0], lines[2], lines[1], *lines[3:]]
+
+
+@pytest.mark.parametrize("edit", [_drop_e05, _swap_e01_e02])
+def test_observation_cache_is_keyed_by_the_station_ids(pipeline, tmp_path, monkeypatch, edit):
+    # the ids in station-file order: the parse lists its series in that order
+    out, _ = pipeline
+    shutil.copytree(out / "synthetic", tmp_path / "synthetic")
+    shutil.copy(out / "observations.npz", tmp_path / "observations.npz")
+    cfg = write_config(tmp_path / "config.yaml", tmp_path, fit_max_iter=1)
+    fit = stage_argvs(cfg, tmp_path)[0]
+    parsed = counting_parses(monkeypatch)
+    assert main(fit) == 0
+    assert parsed == []  # the same bytes and station ids: the pipeline's parse
+    stations = tmp_path / "synthetic" / "stations.csv"
+    lines = edit(stations.read_bytes().splitlines(keepends=True))
+    stations.write_bytes(b"".join(lines))
+    assert main(fit) == 0
+    assert len(parsed) == 1
+    fitted = [l.split(b",")[0].decode() for l in lines[1:] if not l.startswith((b"E12", b"E13"))]
+    assert json.loads((tmp_path / "fit_report.json").read_text())["station_ids"] == fitted
+    assert main(fit) == 0
+    assert len(parsed) == 1  # the replaced cache holds the new station file's parse
+
+
+def _write_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+    lambda p: p.write_bytes(b""),
+    lambda p: p.write_bytes(b"not a zip file\n"),
+    _write_npy,
+    lambda p: np.savez(p, values=np.zeros(3)),
+    lambda p: np.savez(p, index=np.array([{"key": None}], dtype=object)),
+], ids=["truncated", "empty", "not_a_zip", "npy", "no_index", "pickled"])
+def test_damaged_observation_cache_is_parsed_again(pipeline, tmp_path, monkeypatch, damage):
+    out, cfg = pipeline
+    cache = tmp_path / "observations.npz"
+    shutil.copy(out / "observations.npz", cache)
+    damage(cache)
+    parsed = counting_parses(monkeypatch)
+    assert main(["--config", str(cfg), "--out", str(tmp_path),
+                 "simulate", "--fit-report", str(out / "fit_report.json")]) == 0
+    assert len(parsed) == 1
+    with np.load(cache, allow_pickle=False) as got, \
+            np.load(out / "observations.npz", allow_pickle=False) as want:
+        assert sorted(got) == sorted(want) == ["ends", "index", "values"]
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ensemble", "observations.npz"]
+
+
+def test_fit_parses_the_held_out_stations_rows(pipeline, tmp_path, capsys):
+    # every stage parses every station of the station file, so that one
+    # parse serves them all: a held-out station's bad row fails `fit` too
+    out, _ = pipeline
+    shutil.copytree(out / "synthetic", tmp_path / "synthetic")
+    obs = tmp_path / "synthetic" / "observations.csv"
+    obs.write_bytes(obs.read_bytes() + b"2005-10-01T00:00:00+00:00,E13,97.x\n")
+    cfg = write_config(tmp_path / "config.yaml", tmp_path)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "fit"]) == 1
+    line = len(obs.read_bytes().splitlines())
+    assert capsys.readouterr().err.startswith(f"[fit] error: {obs}:{line}: bad pressure '97.x'")
+    assert not (tmp_path / "run").exists()
+
+
 def modules_after(*argv, package: str = "scipy", imports: str = "presim.cli") -> list:
     """`package` and its submodules as loaded by a fresh process that
     imports `imports` and, given arguments, runs `presim <argv>`."""
@@ -580,15 +720,20 @@ def test_missing_input_file_exits_nonzero(tmp_path, capsys):
     # a bool is no number, and a number no bool
     ({"block": True}, "block must be of type int; got True"),
     ({"vary_params": 1}, "vary_params must be of type bool; got 1"),
+    # a bare UnicodeDecodeError
+    (b"block: 1\n\xe9", "bad.yaml: not UTF-8 text (unexpected end of data)"),
+    # a bare TypeError from sorting the unknown ids 5 and 'X99'
+    ({"held_out_ids": [5, "X99"]}, "held_out_ids must hold station ids (str); got 5"),
 ], ids=["not_a_mapping", "yaml_syntax", "unknown_keys", "volatility_df", "omega0_j",
-        "held_out_ids", "max_gap", "bool_block", "int_vary_params"])
+        "held_out_ids", "max_gap", "bool_block", "int_vary_params", "not_utf8",
+        "numeric_held_out_id"])
 def test_bad_config_value_rejected(pipeline, tmp_path, capsys, text, message):
     out, _ = pipeline
     cfg = tmp_path / "bad.yaml"
-    if isinstance(text, str):
-        cfg.write_text(text)
-    else:
+    if isinstance(text, dict):
         write_config(cfg, out, **text)
+    else:
+        cfg.write_bytes(text.encode() if isinstance(text, str) else text)
     assert main(["--config", str(cfg), "--out", str(tmp_path), "fit"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("[fit] error:")
