@@ -151,6 +151,7 @@ def cmd_fit(config: RunConfig, out_path) -> Path:
 
 
 def _load_fit_report(path):
+    """The report, its transform stack and fit, and its time axis (start, step)."""
     try:
         report = json.loads(Path(path).read_text())
         stack = TransformStack.from_dict(report["stack"])
@@ -158,18 +159,30 @@ def _load_fit_report(path):
         missing = {"station_ids", "geometry_hash", "start_time", "step_seconds"} - report.keys()
         if missing:
             raise KeyError(*sorted(missing))
-    except (ValueError, KeyError, TypeError) as exc:  # truncated, or a key missing
+        time_axis = datetime.fromisoformat(report["start_time"]), float(report["step_seconds"])
+    except (ValueError, KeyError, TypeError) as exc:  # truncated, a key missing or bad
         raise FormatError(f"{path}: not a readable fit report ({exc!r})") from exc
-    return report, stack, fit
+    return report, stack, fit, time_axis
+
+
+def _require_time_axis(grid, start, step_seconds):
+    """The grid must start and step as the fit's: its stack belongs to that window."""
+    if grid.start_time != start or abs(grid.step_seconds - step_seconds) > 1e-9:
+        raise ValidationError(
+            f"observations start at {grid.start_time.isoformat()} with a "
+            f"{grid.step_seconds:g} s step, the fit report's at {start.isoformat()} "
+            f"with a {step_seconds:g} s step"
+        )
 
 
 def cmd_simulate(config: RunConfig, fit_report_path, out_dir) -> Path:
-    report, stack, fit = _load_fit_report(fit_report_path)
+    report, stack, fit, time_axis = _load_fit_report(fit_report_path)
     seed = config.require_seed()
     stations, targets = _split_stations(config)
     if not targets:
         raise ValidationError("no target stations: held_out_ids is empty")
     grid = _build_grid(config, stations, report["station_ids"], Path(out_dir).parent)
+    _require_time_axis(grid, *time_axis)
     geometry = SiteGeometry.of(grid.stations)
     if condsim.geometry_hash(geometry) != report["geometry_hash"]:
         raise ValidationError(
@@ -186,7 +199,7 @@ def cmd_simulate(config: RunConfig, fit_report_path, out_dir) -> Path:
     out = Path(out_dir)
     condsim.run_ensemble(
         fit, stack, geometry, targets, spec, mean_draws, config.vary_params, seed, out,
-        datetime.fromisoformat(report["start_time"]), report["step_seconds"],
+        *time_axis,
         meanfield.meanfield_to_dict(mf_model, mf_fits),
     )
     return out
@@ -242,13 +255,14 @@ def _read_ensemble(ensemble_dir, target_ids, fit):
 
 
 def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> Path:
-    report, stack, fit = _load_fit_report(fit_report_path)
+    report, stack, fit, time_axis = _load_fit_report(fit_report_path)
     seed = config.require_seed()
     stations, targets = _split_stations(config)
     if not targets:
         raise ValidationError("no target stations: held_out_ids is empty")
     grid = _build_grid(config, stations, [*report["station_ids"], *config.held_out_ids],
                        Path(out_path).parent)
+    _require_time_axis(grid, *time_axis)
     truth_grid = _split_grid(grid, config.held_out_ids)
     obs_grid = _split_grid(grid, report["station_ids"])
     members = _read_ensemble(ensemble_dir, [s.id for s in truth_grid.stations], fit)
@@ -269,7 +283,7 @@ def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> 
             "all": (truth_d, members_d),
             "hourly": (
                 verify.aggregate_diffs(truth_p, hourly_width),
-                np.array([verify.aggregate_diffs(p, hourly_width) for p in members_p]),
+                verify.aggregate_diffs(members_p, hourly_width),
             ),
             "top_decile_volatility": (truth_d[top], members_d[:, top]),
         }

@@ -32,6 +32,7 @@ class MeanFieldModel:
     values: np.ndarray  # fitted M values (sea-level kPa)
     geometry: SiteGeometry
 
+    # Not a `records.Record`: the geometry is written as `lats` and `lons`.
     def to_dict(self) -> dict:
         return {
             "variogram": self.variogram,

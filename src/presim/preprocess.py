@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .ingest import DataGrid
+from .records import Record
 from .smoothing import DfSpline
 
 # Pressure is recorded to 0.01 kPa; cross-site SDs are floored at half the
@@ -24,7 +25,7 @@ SECONDS_PER_DAY = 86400.0
 
 
 @dataclass(frozen=True)
-class SeaLevelModel:
+class SeaLevelModel(Record):
     """p(a) = p0 * exp(-a / scale_height), fitted on log means vs elevation."""
 
     log_p0: float
@@ -41,13 +42,13 @@ class SeaLevelModel:
 
 
 @dataclass(frozen=True)
-class DiurnalModel:
+class DiurnalModel(Record):
     """Shared harmonic regression of the cross-site mean difference series."""
 
     period: int  # steps per day
     n_harmonics: int
     coefficients: np.ndarray | None = None  # zeros when omitted
-    variance_removed: np.ndarray | None = None
+    variance_removed: np.ndarray | None = None  # fitted only: a truth stack has none
 
     def __post_init__(self):
         if self.coefficients is None:
@@ -76,7 +77,7 @@ class DiurnalModel:
 
 
 @dataclass(frozen=True)
-class VolatilitySeries:
+class VolatilitySeries(Record):
     values: np.ndarray
     spline_df: float
 
@@ -88,7 +89,7 @@ class VolatilitySeries:
 
 
 @dataclass(frozen=True)
-class TransformStack:
+class TransformStack(Record):
     """Everything needed to run the preprocessing forward or backward."""
 
     sea_level: SeaLevelModel
@@ -102,58 +103,6 @@ class TransformStack:
         object.__setattr__(self, "site_means", means)
         if len(means) != len(self.station_ids):
             raise ValidationError("site_means and station_ids length mismatch")
-
-    # -- serialization --------------------------------------------------
-
-    def to_dict(self) -> dict:
-        diurnal = {
-            "period": self.diurnal.period,
-            "n_harmonics": self.diurnal.n_harmonics,
-            "coefficients": self.diurnal.coefficients.tolist(),
-        }
-        # known only for a fitted stack; a stack given as truth (the
-        # synthetic truth.json) has none and writes no key for it
-        if self.diurnal.variance_removed is not None:
-            diurnal["variance_removed"] = self.diurnal.variance_removed.tolist()
-        return {
-            "sea_level": {
-                "log_p0": self.sea_level.log_p0,
-                "scale_height": self.sea_level.scale_height,
-                "r_squared": self.sea_level.r_squared,
-            },
-            "diurnal": diurnal,
-            "volatility": {
-                "values": self.volatility.values.tolist(),
-                "spline_df": self.volatility.spline_df,
-            },
-            "site_means": self.site_means.tolist(),
-            "station_ids": list(self.station_ids),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TransformStack":
-        return cls(
-            sea_level=SeaLevelModel(
-                log_p0=d["sea_level"]["log_p0"],
-                scale_height=d["sea_level"]["scale_height"],
-                r_squared=d["sea_level"].get("r_squared", float("nan")),
-            ),
-            diurnal=DiurnalModel(
-                period=d["diurnal"]["period"],
-                n_harmonics=d["diurnal"]["n_harmonics"],
-                coefficients=np.array(d["diurnal"]["coefficients"]),
-                variance_removed=(
-                    np.array(d["diurnal"]["variance_removed"])
-                    if "variance_removed" in d["diurnal"] else None
-                ),
-            ),
-            volatility=VolatilitySeries(
-                values=np.array(d["volatility"]["values"]),
-                spline_df=d["volatility"]["spline_df"],
-            ),
-            site_means=np.array(d["site_means"]),
-            station_ids=list(d["station_ids"]),
-        )
 
 
 # -- individual transforms ----------------------------------------------

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .geometry import SiteGeometry
+from .records import Record
 from .splines import ConstrainedBasis
 
 # Appendix-style default knots, as integer multiples j of pi/4320.
@@ -43,7 +44,7 @@ R_CAP = 1e3
 
 
 @dataclass(frozen=True)
-class KnotSet:
+class KnotSet(Record):
     """Positive knot frequencies (radians/step) for the four spline bases.
 
     Each array starts at 0; the delta/theta/beta arrays end at the cutoff
@@ -86,28 +87,9 @@ class KnotSet:
             omega0=omega0_j * KNOT_UNIT,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "s_knots": list(self.s_knots),
-            "beta_knots": list(self.beta_knots),
-            "delta_knots": list(self.delta_knots),
-            "theta_knots": list(self.theta_knots),
-            "omega0": self.omega0,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KnotSet":
-        return cls(
-            s_knots=tuple(d["s_knots"]),
-            beta_knots=tuple(d["beta_knots"]),
-            delta_knots=tuple(d["delta_knots"]),
-            theta_knots=tuple(d["theta_knots"]),
-            omega0=float(d["omega0"]),
-        )
-
 
 @dataclass(frozen=True)
-class SpectralParams:
+class SpectralParams(Record):
     """Coefficients of the four constrained splines plus the direction angle."""
 
     s_coeffs: np.ndarray
@@ -144,25 +126,6 @@ class SpectralParams:
                 self.theta_coeffs,
                 [self.u_angle],
             ]
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "s_coeffs": self.s_coeffs.tolist(),
-            "beta_coeffs": self.beta_coeffs.tolist(),
-            "delta_coeffs": self.delta_coeffs.tolist(),
-            "theta_coeffs": self.theta_coeffs.tolist(),
-            "u_angle": float(self.u_angle),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpectralParams":
-        return cls(
-            s_coeffs=np.array(d["s_coeffs"], dtype=float),
-            beta_coeffs=np.array(d["beta_coeffs"], dtype=float),
-            delta_coeffs=np.array(d["delta_coeffs"], dtype=float),
-            theta_coeffs=np.array(d["theta_coeffs"], dtype=float),
-            u_angle=float(d["u_angle"]),
         )
 
 

@@ -155,13 +155,13 @@ def nearest_neighbor_baseline(values, stations, target, sea_level: SeaLevelModel
 
 
 def aggregate_diffs(series, width: int) -> np.ndarray:
-    """First differences of non-overlapping block means of the series."""
+    """First differences of non-overlapping block means along the last (time) axis."""
     if width < 1:
         raise ValidationError("width must be >= 1")
     series = np.asarray(series, dtype=float)
-    nblocks = len(series) // width
-    means = series[: nblocks * width].reshape(nblocks, width).mean(axis=1)
-    return np.diff(means)
+    nblocks = series.shape[-1] // width
+    blocks = series[..., : nblocks * width].reshape(*series.shape[:-1], nblocks, width)
+    return np.diff(blocks.mean(axis=-1), axis=-1)
 
 
 def top_volatility_selector(volatility) -> np.ndarray:

@@ -375,6 +375,9 @@ class FitResult:
     hessian_min_eig: float = float("nan")
     hessian_eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0))
 
+    # Not a `records.Record`: `params_hat` is written as `params`, the key
+    # order (which `condsim.fit_hash` hashes unsorted) is not the field order,
+    # empty eigenvalues are left out and legacy keys are ignored on reading.
     def to_dict(self) -> dict:
         d = {
             "knots": self.knots.to_dict(),

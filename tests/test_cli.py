@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from dataclasses import asdict
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -324,9 +325,11 @@ def _without(key):
     (lambda text: json.dumps({"stack": {}}), "(KeyError('sea_level'))"),
     (_without("fit"), "(KeyError('fit'))"),
     (_without("station_ids"), "(KeyError('station_ids'))"),
-], ids=["truncated", "empty_stack", "no_fit", "no_station_ids"])
+    (lambda text: text.replace('"start_time": "2005-10-', '"start_time": "2005-13-'),
+     "(ValueError('month must be in 1..12'))"),
+], ids=["truncated", "empty_stack", "no_fit", "no_station_ids", "bad_start_time"])
 def test_damaged_fit_report_rejected(pipeline, tmp_path, capsys, stage, damage, message):
-    # each ended the stage in a bare JSONDecodeError or KeyError traceback
+    # each ended the stage in a bare JSONDecodeError, KeyError or ValueError traceback
     out, cfg = pipeline
     report = tmp_path / "fit_report.json"
     report.write_text(damage((out / "fit_report.json").read_text()))
@@ -401,6 +404,44 @@ def test_station_without_observation_rows_is_rejected(pipeline, tmp_path, capsys
     err = capsys.readouterr().err
     assert f"[{stage}] error: {obs}: no observation rows for stations ['{sid}']" in err
     assert not (tmp_path / "run").exists()
+
+
+def shifted_observations(tmp_path, out, days):
+    """A copy of the pipeline's observation file with every timestamp `days` later."""
+    shutil.copytree(out / "synthetic", tmp_path / "synthetic")
+    obs = tmp_path / "synthetic" / "observations.csv"
+    header, *rows = obs.read_text().splitlines()
+    moved = []
+    for row in rows:
+        stamp, rest = row.split(",", 1)
+        stamp = (datetime.fromisoformat(stamp) + timedelta(days=days)).isoformat()
+        moved.append(f"{stamp},{rest}")
+    obs.write_text("\n".join([header, *moved]) + "\n")
+
+
+@pytest.mark.parametrize("stage, days, overrides, grid_axis", [
+    ("simulate", 3, {}, "2005-10-04T00:00:00+00:00 with a 300 s step"),
+    ("evaluate", 3, {}, "2005-10-04T00:00:00+00:00 with a 300 s step"),
+    ("simulate", 0, {"block": 2, "target_len": T // 2 - 1},
+     "2005-10-01T00:00:00+00:00 with a 600 s step"),
+], ids=["simulate_3_days_later", "evaluate_3_days_later", "simulate_10_minute_blocks"])
+def test_observations_on_another_time_axis_rejected(pipeline, tmp_path, capsys, stage, days,
+                                                     overrides, grid_axis):
+    # the stack's volatility series and diurnal phase belong to the fit's
+    # window; apply_stack checks only the length, so a shifted copy of the
+    # observations ran both stages to exit 0
+    out, _ = pipeline
+    shifted_observations(tmp_path, out, days)
+    cfg = write_config(tmp_path / "config.yaml", tmp_path, **overrides)
+    extra = ["--ensemble-dir", str(out / "ensemble")] if stage == "evaluate" else []
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "run"), stage,
+                 "--fit-report", str(out / "fit_report.json"), *extra])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"[{stage}] error: observations start at {grid_axis}, the fit "
+                          "report's at 2005-10-01T00:00:00+00:00 with a 300 s step")
+    assert not (tmp_path / "run" / "ensemble").exists()
+    assert not (tmp_path / "run" / "metrics.json").exists()
 
 
 def stage_argvs(cfg, base):

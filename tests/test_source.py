@@ -6,6 +6,9 @@ benchmark's tracer wraps). Names are matched, not bindings: a method
 shares the references of every function of its name. A class counts as
 called when its name is referenced: constructed, subclassed, or named in
 an annotation.
+
+And only `records.Record` and the classes in `OWN_MAPPERS` define
+`to_dict` or `from_dict`: every other record goes through the one codec.
 """
 
 import ast
@@ -57,3 +60,27 @@ def test_every_function_has_a_caller_outside_the_tests():
     )
     assert not unused, "no caller in src/, scripts/ or perfbench/:\n" + "\n".join(unused)
     assert set(ALLOWED) <= set(defs), "allowlisted names that no longer exist"
+
+
+# class -> why it keeps a JSON mapper of its own instead of `records.Record`'s
+OWN_MAPPERS = {
+    "Record": "the codec itself",
+    "FitResult": "writes `params_hat` as `params`, in a key order that `condsim.fit_hash` "
+                 "hashes unsorted, leaves out empty eigenvalues and ignores legacy keys",
+    "MeanFieldModel": "writes its geometry as `lats` and `lons`",
+}
+
+
+def test_only_the_codec_and_listed_classes_map_records_to_json():
+    own = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        owner = {id(item): node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for item in node.body}
+        own += [
+            f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in ("to_dict", "from_dict") and owner.get(id(node)) not in OWN_MAPPERS
+        ]
+    assert not own, "define a record's JSON through records.Record:\n" + "\n".join(own)

@@ -263,6 +263,17 @@ def test_aggregate_diffs_linear_ramp():
     assert np.allclose(out, 0.5 * 12)
 
 
+def test_aggregate_diffs_works_along_the_last_axis():
+    # a (members, times) ensemble in one call equals its rows one at a time,
+    # bit for bit, also on a strided per-target slice like evaluate's
+    rng = np.random.default_rng(10)
+    for times, width in ((2881, 12), (577, 12), (2881, 5), (14401, 60)):
+        ensemble = rng.standard_normal((99, 2, times)).cumsum(axis=-1)[:, 1, :]
+        rows = np.array([aggregate_diffs(p, width) for p in ensemble])
+        whole = aggregate_diffs(ensemble, width)
+        assert whole.shape == rows.shape and whole.tobytes() == rows.tobytes()
+
+
 def test_top_volatility_selector_fraction():
     rng = np.random.default_rng(9)
     v = rng.random(1000)
