@@ -10,7 +10,6 @@ same entry point as the installed `presim` command.
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 import yaml

@@ -175,6 +175,16 @@ def _require_time_axis(grid, start, step_seconds):
         )
 
 
+def _require_geometry(stations, geometry_hash) -> SiteGeometry:
+    """The geometry of the fit's stations, which must hash as the fit report's."""
+    geometry = SiteGeometry.of(stations)
+    if condsim.geometry_hash(geometry) != geometry_hash:
+        raise ValidationError(
+            "geometry hash mismatch: fit report was produced from a different station set"
+        )
+    return geometry
+
+
 def cmd_simulate(config: RunConfig, fit_report_path, out_dir) -> Path:
     report, stack, fit, time_axis = _load_fit_report(fit_report_path)
     seed = config.require_seed()
@@ -183,11 +193,7 @@ def cmd_simulate(config: RunConfig, fit_report_path, out_dir) -> Path:
         raise ValidationError("no target stations: held_out_ids is empty")
     grid = _build_grid(config, stations, report["station_ids"], Path(out_dir).parent)
     _require_time_axis(grid, *time_axis)
-    geometry = SiteGeometry.of(grid.stations)
-    if condsim.geometry_hash(geometry) != report["geometry_hash"]:
-        raise ValidationError(
-            "geometry hash mismatch: fit report was produced from a different station set"
-        )
+    geometry = _require_geometry(grid.stations, report["geometry_hash"])
 
     A = apply_stack(grid, stack)
     spec = forward_dft(A)
@@ -265,6 +271,7 @@ def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> 
     _require_time_axis(grid, *time_axis)
     truth_grid = _split_grid(grid, config.held_out_ids)
     obs_grid = _split_grid(grid, report["station_ids"])
+    _require_geometry(obs_grid.stations, report["geometry_hash"])
     members = _read_ensemble(ensemble_dir, [s.id for s in truth_grid.stations], fit)
     if members[0].shape[1] != truth_grid.n_times:
         raise ValidationError("ensemble and truth lengths differ")

@@ -17,6 +17,7 @@ from .condsim import psd_factor
 from .errors import GeometryError, ValidationError
 from .geometry import SiteGeometry, combine
 from .preprocess import SeaLevelModel
+from .records import Record
 from .rng import STAGE_MEANFIELD, substream
 from .splines import null_space
 
@@ -24,25 +25,16 @@ VARIOGRAMS = ("nugget", "linear")
 
 
 @dataclass
-class MeanFieldModel:
+class MeanFieldModel(Record):
+    """A REML fit of one variogram; the manifest's `mean_field.chosen`."""
+
     variogram: str
     theta_hat: float
     reml_loglik: float
     n_fit: int
     values: np.ndarray  # fitted M values (sea-level kPa)
-    geometry: SiteGeometry
-
-    # Not a `records.Record`: the geometry is written as `lats` and `lons`.
-    def to_dict(self) -> dict:
-        return {
-            "variogram": self.variogram,
-            "theta_hat": self.theta_hat,
-            "reml_loglik": self.reml_loglik,
-            "n_fit": self.n_fit,
-            "values": self.values.tolist(),
-            "lats": self.geometry.lats.tolist(),
-            "lons": self.geometry.lons.tolist(),
-        }
+    lats: np.ndarray  # of the fitted stations, in degrees
+    lons: np.ndarray
 
 
 def _variogram_matrix(kind: str, d: np.ndarray) -> np.ndarray:
@@ -93,7 +85,8 @@ def reml_fit(values, geometry: SiteGeometry, kind: str) -> MeanFieldModel:
         reml_loglik=float(loglik),
         n_fit=n,
         values=values,
-        geometry=geometry,
+        lats=geometry.lats,
+        lons=geometry.lons,
     )
 
 
@@ -125,9 +118,9 @@ def krige(model: MeanFieldModel, targets: SiteGeometry):
         cov = np.full((m, m), theta / n) + theta * np.eye(m)
         return pred, cov
 
-    d_oo = model.geometry.distances
-    G_oo = theta * _variogram_matrix("linear", d_oo)
-    d_ot = combine(model.geometry, targets).distances[:n, n:]
+    fitted = SiteGeometry(model.lats, model.lons)
+    G_oo = theta * _variogram_matrix("linear", fitted.distances)
+    d_ot = combine(fitted, targets).distances[:n, n:]
     G_ot = theta * d_ot  # n x m
     d_tt = targets.distances
     G_tt = theta * d_tt

@@ -42,10 +42,4 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     Deterministic: the same (seed, key) always yields the same stream, and
     keys that differ after the zero padding yield independent streams.
     """
-    words = (int(seed), *map(int, key))
-    if 0 <= min(words) and max(words) < 2**32:
-        # one uint32 word per value: the entropy SeedSequence builds from the
-        # list itself, without its per-item conversion (about a third of the
-        # cost of a substream)
-        words = np.array(words, dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence(words))
+    return np.random.default_rng(np.random.SeedSequence((int(seed), *map(int, key))))

@@ -255,9 +255,7 @@ class SpectralModel:
 
         R = S1[:, None, None] * C
         np.einsum("kii->ki", R)[:] += S0[:, None]
-        # D = exp(i phase) written as cos + i sin: the same bits, in about half the time
         phase = theta[:, None] * (geometry.positions @ params.u)[None, :]
-        D = np.empty(phase.shape, dtype=complex)
-        D.real, D.imag = np.cos(phase), np.sin(phase)
+        D = np.exp(1j * phase)
         return CrossSpectrumTerms(S=S, sig=sig, delta=delta, theta=theta,
                                   r=r, C=C, R=R, D=D)

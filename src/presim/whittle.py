@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import SiteGeometry
+from .records import Record
 from .rng import STAGE_PARAM_DRAW, substream
 from .spectrum import CrossSpectrumTerms, KnotSet, SpectralModel, SpectralParams, matern32
 
@@ -366,47 +367,19 @@ def _cholesky_or_nan(R) -> np.ndarray:
 
 
 @dataclass
-class FitResult:
-    params_hat: SpectralParams
+class FitResult(Record):
+    """`fit_report.json`'s `fit`; a fit at the truth has no eigenvalues."""
+
+    knots: KnotSet
+    params_hat: SpectralParams = field(metadata={"key": "params"})
     loglik: float
     hessian: np.ndarray
     convergence: dict
-    knots: KnotSet
     hessian_min_eig: float = float("nan")
-    hessian_eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    # Not a `records.Record`: `params_hat` is written as `params`, the key
-    # order (which `condsim.fit_hash` hashes unsorted) is not the field order,
-    # empty eigenvalues are left out and legacy keys are ignored on reading.
-    def to_dict(self) -> dict:
-        d = {
-            "knots": self.knots.to_dict(),
-            "params": self.params_hat.to_dict(),
-            "loglik": self.loglik,
-            "hessian": np.asarray(self.hessian).tolist(),
-            "convergence": self.convergence,
-            "hessian_min_eig": self.hessian_min_eig,
-        }
-        # without a spectrum (a report from before it was recorded, or one at
-        # the truth) the dict, and so the fit hash of its ensembles, is unchanged
-        if len(self.hessian_eigenvalues):
-            d["hessian_eigenvalues"] = np.asarray(self.hessian_eigenvalues).tolist()
-        return d
+    hessian_eigenvalues: np.ndarray | None = None
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitResult":
-        return cls(
-            params_hat=SpectralParams.from_dict(d["params"]),
-            loglik=float(d["loglik"]),
-            hessian=np.array(d["hessian"]),
-            convergence=dict(d["convergence"]),
-            knots=KnotSet.from_dict(d["knots"]),
-            hessian_min_eig=float(d.get("hessian_min_eig", float("nan"))),
-            hessian_eigenvalues=np.array(d.get("hessian_eigenvalues", []), dtype=float),
-        )
 
 
 GTOL = 1e-3  # converged when max |gradient| <= GTOL

@@ -710,18 +710,30 @@ def test_missing_seed_rejected(pipeline, tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_geometry_hash_mismatch_fails_fast(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("change", ["zeroed_hash", "moved_station"])
+@pytest.mark.parametrize("stage", ["simulate", "evaluate"])
+def test_geometry_hash_mismatch_fails_fast(pipeline, tmp_path, capsys, stage, change):
     out, cfg = pipeline
-    report = json.loads((out / "fit_report.json").read_text())
-    report["geometry_hash"] = "0" * len(report["geometry_hash"])
-    tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(report))
-    code = main([
-        "--config", str(cfg), "--out", str(tmp_path),
-        "simulate", "--fit-report", str(tampered),
-    ])
+    report = out / "fit_report.json"
+    if change == "zeroed_hash":
+        tampered = json.loads(report.read_text())
+        tampered["geometry_hash"] = "0" * len(tampered["geometry_hash"])
+        report = tmp_path / "tampered.json"
+        report.write_text(json.dumps(tampered))
+    else:  # E01, a fit station, 0.1 degrees north of where it was fitted
+        lines = (out / "synthetic" / "stations.csv").read_text().splitlines()
+        sid, lat, rest = lines[1].split(",", 2)
+        assert sid == "E01"
+        lines[1] = f"{sid},{float(lat) + 0.1},{rest}"
+        moved = tmp_path / "stations.csv"
+        moved.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "moved.yaml", out, stations_path=str(moved))
+    extra = ["--ensemble-dir", str(out / "ensemble")] if stage == "evaluate" else []
+    code = main(["--config", str(cfg), "--out", str(tmp_path),
+                 stage, "--fit-report", str(report), *extra])
     assert code == 1
-    assert "geometry hash" in capsys.readouterr().err
+    assert f"[{stage}] error: geometry hash mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "ensemble").exists() and not (tmp_path / "metrics.json").exists()
 
 
 def test_simulate_rejects_unknown_held_out_id(pipeline, tmp_path, capsys):

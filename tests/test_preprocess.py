@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from presim.errors import ValidationError
 from presim.ingest import DataGrid, StationMeta
 from presim.preprocess import (
-    SD_FLOOR_KPA,
     DiurnalModel,
     SeaLevelModel,
     TransformStack,

@@ -8,32 +8,51 @@ import numpy as np
 import pytest
 
 from conftest import random_params
-from presim import synth
+from presim import condsim, meanfield, synth
+from presim.geometry import SiteGeometry
 from presim.ingest import DataGrid
-from presim.preprocess import fit_stack
+from presim.preprocess import apply_stack, fit_stack, to_sea_level
 from presim.records import Record
 from presim.spectrum import KnotSet, SpectralModel
+from presim.whittle import FitResult, WhittleObjective, fit_mle, forward_dft, initial_params
 
 T = 576
 
 
-def _stacks():
-    """The synthetic truth's stack (no `variance_removed`) and one fitted to its data."""
+def _cases():
+    """Every record kind.
+
+    The synthetic truth's stack (no `variance_removed`); a stack, a fit (with
+    eigenvalues) and both mean-field models from its data; and a fit at the
+    truth as the benchmark writes one (NaN likelihood and Hessian, no
+    eigenvalues).
+    """
     model = SpectralModel(KnotSet.default())
     stations = synth.default_stations()
+    truth_params = synth.default_true_params(model)
     given = synth.default_stack(T, [s.elevation for s in stations], seed=3)
-    truth = synth.generate(model, synth.default_true_params(model), stations, given, T, seed=3)
+    truth = synth.generate(model, truth_params, stations, given, T, seed=3)
     grid = DataGrid(stations, datetime(2005, 10, 1, tzinfo=timezone.utc), 300.0, truth.pressure)
-    return {"truth": given, "fitted": fit_stack(grid, n_harmonics=3, volatility_df=12.0)}
+    fitted = fit_stack(grid, n_harmonics=3, volatility_df=12.0)
+    geometry = SiteGeometry.of(stations)
+    obj = WhittleObjective(model, forward_dft(apply_stack(grid, fitted)), geometry)
+    _, mean_fields = meanfield.select_model(
+        to_sea_level(fitted.site_means, grid.elevations, fitted.sea_level), geometry)
 
-
-def _cases():
     cases = {"knots_720": KnotSet.default(720), "knots_4320": KnotSet.default(4320),
-             "params": random_params(SpectralModel(KnotSet.default()), np.random.default_rng(5))}
-    for name, stack in _stacks().items():
+             "params": random_params(model, np.random.default_rng(5))}
+    for name, stack in (("truth", given), ("fitted", fitted)):
         cases[f"{name}_stack"] = stack
         for part in ("sea_level", "diurnal", "volatility"):
             cases[f"{name}_{part}"] = getattr(stack, part)
+    cases["fit"] = fit_mle(obj, initial_params(obj), max_iter=2)
+    cases["fit_at_truth"] = FitResult(
+        knots=model.knots, params_hat=truth_params, loglik=float("nan"),
+        hessian=np.full((model.n_params, model.n_params), np.nan),
+        convergence={"status": "truth", "iterations": 0, "grad_inf_norm": float("nan")},
+    )
+    for kind, fit in mean_fields.items():
+        cases[f"mean_field_{kind}"] = fit
     return cases
 
 
@@ -50,25 +69,56 @@ def test_record_json_codec(record):
     d = record.to_dict()
     back = kind.from_dict(json.loads(json.dumps(d)))
     assert type(back) is kind and _json(back) == _json(record)
-    assert list(d) == [f.name for f in fields(record) if getattr(record, f.name) is not None]
+    keys = {f.name: f.metadata.get("key", f.name) for f in fields(record)}
+    assert list(d) == [keys[f.name] for f in fields(record)
+                       if getattr(record, f.name) is not None]
+    # each key without a default is required: `fit` without `params` is KeyError('params')
     for f in fields(record):
-        if f.name not in d:
+        if keys[f.name] not in d:
             continue
-        rest = {k: v for k, v in d.items() if k != f.name}
+        rest = {k: v for k, v in d.items() if k != keys[f.name]}
         if f.default is MISSING:
             with pytest.raises(KeyError) as exc:
                 kind.from_dict(rest)
-            assert exc.value.args == (f.name,)
-        else:  # r_squared, coefficients, variance_removed
+            assert exc.value.args == (keys[f.name],)
+        else:  # r_squared, coefficients, variance_removed, hessian_min_eig, hessian_eigenvalues
             assert _json(kind.from_dict(rest)) == _json(replace(record, **{f.name: f.default}))
 
 
-def test_the_six_records_are_cases():
-    kinds = {type(r).__name__ for r in CASES.values()}
-    assert kinds == {"KnotSet", "SpectralParams", "SeaLevelModel", "DiurnalModel",
-                     "VolatilitySeries", "TransformStack"}
+def test_every_record_is_a_case():
+    kinds = {type(r) for r in CASES.values()}
+    assert kinds == set(Record.__subclasses__())
+    assert {k.__name__ for k in kinds} == {
+        "KnotSet", "SpectralParams", "SeaLevelModel", "DiurnalModel", "VolatilitySeries",
+        "TransformStack", "FitResult", "MeanFieldModel"}
     assert CASES["truth_diurnal"].variance_removed is None
     assert CASES["fitted_diurnal"].variance_removed is not None
+    assert len(CASES["fit"].hessian_eigenvalues) == len(CASES["fit"].hessian)
+    assert CASES["fit_at_truth"].hessian_eigenvalues is None
+    assert CASES["mean_field_nugget"].variogram == "nugget"
+    assert CASES["mean_field_linear"].variogram == "linear"
+
+
+_FIT_KEYS = ["knots", "params", "loglik", "hessian", "convergence", "hessian_min_eig"]
+_MEAN_FIELD_KEYS = ["variogram", "theta_hat", "reml_loglik", "n_fit", "values", "lats", "lons"]
+KEY_ORDERS = {"fit": [*_FIT_KEYS, "hessian_eigenvalues"], "fit_at_truth": _FIT_KEYS,
+              "mean_field_nugget": _MEAN_FIELD_KEYS, "mean_field_linear": _MEAN_FIELD_KEYS}
+
+
+@pytest.mark.parametrize("name", KEY_ORDERS)
+def test_key_order_is_pinned(name):
+    # `condsim.fit_hash` hashes a fit's JSON unsorted: its key order is part of every manifest
+    assert list(CASES[name].to_dict()) == KEY_ORDERS[name]
+
+
+def test_fit_hash_of_a_fixed_fit_is_pinned():
+    model = SpectralModel(KnotSet.default())
+    vals = np.arange(1.0, model.n_params + 1)
+    fit = FitResult(knots=model.knots, params_hat=model.unpack(np.arange(model.n_params) / 8 - 1),
+                    loglik=-1234.5, hessian=np.diag(vals),
+                    convergence={"status": "converged", "iterations": 7, "trace": [[-1.5, 0.25]]},
+                    hessian_min_eig=1.0, hessian_eigenvalues=vals)
+    assert condsim.fit_hash(fit) == "2ea8272a7fb79c92"
 
 
 def test_int_knot_is_written_as_an_int():

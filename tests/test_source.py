@@ -9,6 +9,9 @@ an annotation.
 
 And only `records.Record` and the classes in `OWN_MAPPERS` define
 `to_dict` or `from_dict`: every other record goes through the one codec.
+
+And every name a module in src/, scripts/ or tests/ imports is referenced
+in that module (`__init__.py` re-exports aside).
 """
 
 import ast
@@ -63,12 +66,7 @@ def test_every_function_has_a_caller_outside_the_tests():
 
 
 # class -> why it keeps a JSON mapper of its own instead of `records.Record`'s
-OWN_MAPPERS = {
-    "Record": "the codec itself",
-    "FitResult": "writes `params_hat` as `params`, in a key order that `condsim.fit_hash` "
-                 "hashes unsorted, leaves out empty eigenvalues and ignores legacy keys",
-    "MeanFieldModel": "writes its geometry as `lats` and `lons`",
-}
+OWN_MAPPERS = {"Record": "the codec itself"}
 
 
 def test_only_the_codec_and_listed_classes_map_records_to_json():
@@ -84,3 +82,23 @@ def test_only_the_codec_and_listed_classes_map_records_to_json():
             and node.name in ("to_dict", "from_dict") and owner.get(id(node)) not in OWN_MAPPERS
         ]
     assert not own, "define a record's JSON through records.Record:\n" + "\n".join(own)
+
+
+def test_every_import_is_referenced():
+    unused = []
+    for d in ("src", "scripts", "tests"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            if path.name == "__init__.py":  # re-exports
+                continue
+            tree = _parse(path)
+            imported = {}  # bound name -> line
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update({a.asname or a.name.split(".")[0]: node.lineno
+                                     for a in node.names})
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    imported.update({a.asname or a.name: node.lineno for a in node.names})
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                       for name, line in imported.items() if name not in used]
+    assert not unused, "imported and never referenced:\n" + "\n".join(sorted(unused))
