@@ -219,9 +219,13 @@ def _split_grid(grid, ids):
 
 
 def _read_ensemble(ensemble_dir, target_ids, fit):
-    """Per target id, the (members, T+1) pressure rows of an ensemble directory.
+    """The (members, targets, T+1) shape of an ensemble and a reader of its targets.
 
-    The ensemble must have been simulated from `fit`.
+    The ensemble must have been simulated from `fit`, and `pressure.npy`
+    must have `condsim.run_ensemble`'s layout. All of that is checked from
+    the manifest and the `.npy` header, without reading the data.
+    `read_target(id)` then reads one target's (members, T+1) block
+    (`condsim.open_pressure`) and checks that each member's row is finite.
     """
     out = Path(ensemble_dir)
     try:
@@ -238,26 +242,24 @@ def _read_ensemble(ensemble_dir, target_ids, fit):
             f"(fit_hash {simulated_from}, the fit report's {given})"
         )
     path = out / "pressure.npy"
-    try:
-        pressure = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError) as exc:  # truncated, corrupt or pickled
-        raise FormatError(f"{path}: not a readable .npy array ({exc})") from exc
-    if pressure.ndim != 3:
-        raise FormatError(f"{path}: shape {pressure.shape} is not (members, targets, times)")
-    if pressure.shape[:2] != (n_members, len(ids)):
+    shape, read_rows = condsim.open_pressure(path)
+    if shape[:2] != (n_members, len(ids)):
         raise ValidationError(
-            f"{path}: shape {pressure.shape} does not match the manifest's "
+            f"{path}: shape {shape} does not match the manifest's "
             f"{n_members} members and {len(ids)} targets"
         )
     missing = [t for t in target_ids if t not in ids]
     if missing:
         raise ValidationError(f"held-out ids not in the ensemble: {missing}")
-    members = [pressure[:, ids.index(t), :] for t in target_ids]
-    for t, rows in zip(target_ids, members):
-        for m, row in enumerate(rows):  # one member at a time: no mask of the whole slice
+
+    def read_target(t):
+        block = read_rows(ids.index(t))
+        for m, row in enumerate(block):  # one member at a time: no mask of the whole block
             if not np.isfinite(row).all():
                 raise ValidationError(f"{path}: target {t}, member {m} is not finite")
-    return members
+        return block
+
+    return shape, read_target
 
 
 def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> Path:
@@ -272,18 +274,19 @@ def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> 
     truth_grid = _split_grid(grid, config.held_out_ids)
     obs_grid = _split_grid(grid, report["station_ids"])
     _require_geometry(obs_grid.stations, report["geometry_hash"])
-    members = _read_ensemble(ensemble_dir, [s.id for s in truth_grid.stations], fit)
-    if members[0].shape[1] != truth_grid.n_times:
+    (n_members, _, n_times), read_target = _read_ensemble(
+        ensemble_dir, [s.id for s in truth_grid.stations], fit)
+    if n_times != truth_grid.n_times:
         raise ValidationError("ensemble and truth lengths differ")
 
     top = verify.top_volatility_selector(stack.volatility.values)
     hourly_width = max(1, int(round(3600.0 / truth_grid.step_seconds)))
-    n_members = members[0].shape[0]
     point = verify.chi_square_99_point(n_members)
 
-    metrics = {"targets": {}, "n_members": n_members}
-    truths, preds_mean, preds_nn = {}, {}, {}
-    for target, truth_p, members_p in zip(truth_grid.stations, truth_grid.values, members):
+    def score(target, truth_p):
+        """A target's metrics, ensemble mean and verdict lines; its members
+        are read here and dropped on return, before the next target's."""
+        members_p = read_target(target.id)
         truth_d = np.diff(truth_p)
         members_d = np.diff(members_p, axis=1)
         quantities = {
@@ -294,24 +297,31 @@ def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> 
             ),
             "top_decile_volatility": (truth_d[top], members_d[:, top]),
         }
-        hists = {}
+        hists, lines = {}, []
         for label, (truth_q, members_q) in quantities.items():
             counts = verify.rank_histogram(truth_q, members_q, seed=seed)
             chi2 = verify.chi_square(counts)
             hists[label] = {"counts": counts.tolist(), "chi_square": chi2,
                             "chi_square_99": point, "uniform_at_99": chi2 <= point}
-            print(f"{target.id}/{label}: chi-square {chi2:.1f} vs 99% point {point:.1f}: "
-                  f"{'PASS' if chi2 <= point else 'FAIL'}")
-        truths[target.id] = truth_p
-        preds_mean[target.id] = members_p.mean(axis=0)
-        preds_nn[target.id] = verify.nearest_neighbor_baseline(
-            obs_grid.values, obs_grid.stations, target, stack.sea_level
-        )
-        metrics["targets"][target.id] = {
+            lines.append(f"{target.id}/{label}: chi-square {chi2:.1f} vs 99% point "
+                         f"{point:.1f}: {'PASS' if chi2 <= point else 'FAIL'}")
+        entry = {
             "rank_histograms": hists,
             "envelope": verify.envelope_coverage(truth_p, members_p),
             "min_max_diagnostic": verify.min_max_rank_diagnostic(truth_p, members_p),
         }
+        return entry, members_p.mean(axis=0), lines
+
+    metrics = {"targets": {}, "n_members": n_members}
+    truths, preds_mean, preds_nn, verdicts = {}, {}, {}, []
+    for target, truth_p in zip(truth_grid.stations, truth_grid.values):
+        metrics["targets"][target.id], preds_mean[target.id], lines = score(target, truth_p)
+        verdicts += lines  # printed once every target has been read and scored
+        truths[target.id] = truth_p
+        preds_nn[target.id] = verify.nearest_neighbor_baseline(
+            obs_grid.values, obs_grid.stations, target, stack.sea_level
+        )
+    print("\n".join(verdicts))
     metrics["score_table"] = verify.score_table(
         truths, {"ensemble_mean": preds_mean, "nearest_neighbor": preds_nn}
     )

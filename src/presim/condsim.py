@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 from .geometry import SiteGeometry, combine
 from .preprocess import TransformStack, invert_stack
 from .rng import RNG_LAYOUT, STAGE_CONDSIM, STAGE_FIELD_UNCOND, substream
@@ -164,6 +164,11 @@ def geometry_hash(geometry: SiteGeometry) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
+# the one layout of `pressure.npy`: a version 1.0 header, then (members,
+# targets, T+1) little-endian float64 in C order, and nothing after
+PRESSURE_DTYPE = np.dtype("<f8")
+
+
 def run_ensemble(fit: FitResult, stack: TransformStack, observed: SiteGeometry, targets: list,
                  observed_field: SpectralField, mean_draws: np.ndarray, vary_params: bool,
                  seed: int, out_dir, start_time, step_seconds: float, mean_field: dict) -> dict:
@@ -222,8 +227,8 @@ def run_ensemble(fit: FitResult, stack: TransformStack, observed: SiteGeometry, 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     partial = out / "pressure.npy.partial"
-    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
-              "fortran_order": False, "shape": (count, len(targets), T + 1)}
+    header = {"descr": PRESSURE_DTYPE.str, "fortran_order": False,
+              "shape": (count, len(targets), T + 1)}
     try:
         with open(partial, "wb") as fh:
             np.lib.format.write_array_header_1_0(fh, header)
@@ -234,7 +239,7 @@ def run_ensemble(fit: FitResult, stack: TransformStack, observed: SiteGeometry, 
                     ridged += len(sampler.ridge_frequencies)
                 A = inverse_dft(sampler.draw(seed, k))
                 pressure = invert_stack(A, stack, elevations, mean_draws[k], diurnal)
-                fh.write(np.ascontiguousarray(pressure))
+                fh.write(np.ascontiguousarray(pressure, dtype=PRESSURE_DTYPE))
         os.replace(partial, out / "pressure.npy")
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -260,3 +265,45 @@ def run_ensemble(fit: FitResult, stack: TransformStack, observed: SiteGeometry, 
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
+
+
+def open_pressure(path):
+    """The (members, targets, T+1) shape of a `pressure.npy` and a reader of its targets.
+
+    The file must have the layout `run_ensemble` writes (`PRESSURE_DTYPE`);
+    that is checked from its header and length, without reading the data.
+    `read_target(j)` then reads target j's (members, T+1) block, one
+    member's row per file read, so memory holds one target, never the
+    whole array.
+    """
+    path = Path(path)
+    with open(path, "rb") as fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):
+                raise ValueError(f"version {version}, not (1, 0)")
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        except (ValueError, EOFError) as exc:  # truncated, corrupt or pickled
+            raise FormatError(f"{path}: not a readable .npy array ({exc})") from exc
+        offset, size = fh.tell(), os.fstat(fh.fileno()).st_size
+    if dtype.str != PRESSURE_DTYPE.str or fortran_order:
+        raise FormatError(f"{path}: dtype {dtype.str}"
+                          f"{' in Fortran order' if fortran_order else ''} is not "
+                          f"little-endian float64 in C order")
+    if len(shape) != 3:
+        raise FormatError(f"{path}: shape {shape} is not (members, targets, times)")
+    row_bytes = shape[2] * PRESSURE_DTYPE.itemsize
+    if size != offset + shape[0] * shape[1] * row_bytes:
+        raise FormatError(f"{path}: {size} bytes, not the {offset}-byte header and the "
+                          f"data of shape {shape}")
+
+    def read_target(j):
+        block = np.empty((shape[0], shape[2]), dtype=PRESSURE_DTYPE)
+        with open(path, "rb") as fh:
+            for m, row in enumerate(block):
+                fh.seek(offset + (m * shape[1] + j) * row_bytes)
+                if fh.readinto(row) != row_bytes:
+                    raise FormatError(f"{path}: target {j}, member {m} is cut short")
+        return block
+
+    return shape, read_target

@@ -5,10 +5,11 @@ At each frequency w the n x n cross-spectral matrix is
     f_jk(w) = S0(w) 1{j=k} + S1(w) C(d_jk / |delta(w)|) exp(i u.(x_j - x_k) theta(w))
 
 with C the Matern-3/2 correlation, S = S0 + S1 the marginal spectrum,
-beta = log(S1/S0) the logistic split, delta the inverse coherence range,
-theta the phase slope and u a unit direction vector. delta and theta are
-identically zero beyond the cutoff frequency, where the matrix collapses
-to S(w) * I (zero cross-site coherence).
+beta = log(S1/S0) the logistic split, delta the coherence range in km
+(C takes r = d / |delta|), theta the phase slope and u a unit direction
+vector. delta and theta are identically zero beyond the cutoff
+frequency, where the matrix collapses to S(w) * I (zero cross-site
+coherence).
 
 The phase factor splits into a per-site factor and its conjugate, so
 
@@ -211,7 +212,7 @@ class SpectralModel:
         return np.exp(self.basis_S.evaluate(params.s_coeffs, omega))
 
     def eval_delta(self, params: SpectralParams, omega):
-        """Inverse coherence range; exactly 0 beyond the cutoff."""
+        """Coherence range in km (r = d / |delta|); exactly 0 beyond the cutoff."""
         return self.basis_delta.evaluate(params.delta_coeffs, omega)
 
     def _coherent_share(self, beta, omega):

@@ -101,17 +101,15 @@ def min_max_rank_diagnostic(truth, members) -> dict:
     """How many of the members+1 series are never the pointwise min or max."""
     truth = np.asarray(truth, dtype=float)
     members = np.atleast_2d(np.asarray(members, dtype=float))
-    stack = np.vstack([truth[None, :], members])
-    lo = stack.min(axis=0)
-    hi = stack.max(axis=0)
-    ever_extreme = np.any((stack == lo[None, :]) | (stack == hi[None, :]), axis=1)
-    never = ~ever_extreme
+    lo = np.minimum(truth, members.min(axis=0))
+    hi = np.maximum(truth, members.max(axis=0))
+    truth_extreme = (truth == lo) | (truth == hi)
+    truth_never = not truth_extreme.any()
+    members_never = ~np.any((members == lo) | (members == hi), axis=1)
     return {
-        "never_extreme_count": int(never.sum()),
-        "truth_never_extreme": bool(never[0]),
-        "truth_extreme_times": int(
-            np.sum((stack[0] == lo) | (stack[0] == hi))
-        ),
+        "never_extreme_count": int(members_never.sum()) + truth_never,
+        "truth_never_extreme": truth_never,
+        "truth_extreme_times": int(truth_extreme.sum()),
     }
 
 

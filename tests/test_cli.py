@@ -5,7 +5,8 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import asdict
+import tracemalloc
+from dataclasses import asdict, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -13,11 +14,11 @@ import numpy as np
 import pytest
 import yaml
 
-from presim import cli, synth, whittle
+from presim import cli, condsim, synth, whittle
 from presim.cli import main
 from presim.condsim import ConditionalSampler
 from presim.config import RunConfig
-from presim.errors import ConfigurationError, ValidationError
+from presim.errors import ConfigurationError, FormatError, ValidationError
 from presim.rng import RNG_LAYOUT
 from presim.spectrum import KnotSet, SpectralModel
 
@@ -272,6 +273,23 @@ def _flatten(d):
     np.save(d / "pressure.npy", np.load(d / "pressure.npy").reshape(4, -1))
 
 
+def _float32(d):
+    np.save(d / "pressure.npy", np.load(d / "pressure.npy").astype(np.float32))
+
+
+def _fortran(d):
+    np.save(d / "pressure.npy", np.asfortranarray(np.load(d / "pressure.npy")))
+
+
+def _big_endian(d):
+    np.save(d / "pressure.npy", np.load(d / "pressure.npy").astype(">f8"))
+
+
+def _trailing_bytes(d):
+    with open(d / "pressure.npy", "ab") as fh:
+        fh.write(b"\0" * 8)
+
+
 def _not_finite(d):
     # evaluate wrote NaN scores into metrics.json, which is not JSON
     e13 = json.loads((d / "manifest.json").read_text())["target_ids"].index("E13")
@@ -297,6 +315,11 @@ def _edit_manifest(**changes):
     (_truncate, "pressure.npy"),
     (_pickle, "pressure.npy"),
     (_flatten, "not (members, targets, times)"),
+    # np.load reads the next four, but evaluate's row reads need simulate's layout
+    (_float32, "pressure.npy: dtype <f4 is not little-endian float64 in C order"),
+    (_fortran, "pressure.npy: dtype <f8 in Fortran order is not little-endian"),
+    (_big_endian, "pressure.npy: dtype >f8 is not little-endian float64"),
+    (_trailing_bytes, "pressure.npy: 37064 bytes, not the 128-byte header and"),
     (_not_finite, "pressure.npy: target E13, member 2 is not finite"),
     (_edit_manifest(n_members=5), "5 members"),
     (_edit_manifest(target_ids=["E12", "X99"]), "['E13']"),
@@ -308,9 +331,56 @@ def test_evaluate_rejects_damaged_ensemble(pipeline, tmp_path, capsys, damage, m
     shutil.copytree(out / "ensemble", damaged)
     damage(damaged)
     assert evaluate(cfg, out, damaged, tmp_path) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("[evaluate] error:")
-    assert message in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("[evaluate] error:")
+    assert message in captured.err
+    # no verdict before every target is read: under _not_finite, E12 is whole
+    assert "chi-square" not in captured.out
+    assert not (tmp_path / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("damage", [_float32, _fortran, _big_endian, _trailing_bytes])
+def test_pressure_header_damage_is_a_format_error(pipeline, tmp_path, damage):
+    # np.load reads these four, so the header check alone rejects them
+    out, _ = pipeline
+    shutil.copytree(out / "ensemble", tmp_path / "ensemble")
+    damage(tmp_path / "ensemble")
+    with pytest.raises(FormatError, match="pressure.npy"):
+        condsim.open_pressure(tmp_path / "ensemble" / "pressure.npy")
+
+
+def test_evaluate_holds_one_target_of_the_ensemble(pipeline, tmp_path):
+    # 8 targets, of which E12 and E13 are held out: evaluate reads those two
+    # and writes the metrics of a 2-target ensemble. The fixture's 4 members
+    # are tiled to 400, so that the array (14.8 MB) outweighs the stage's
+    # other allocations (about 1.5 MB).
+    out, cfg = pipeline
+    pressure = np.tile(np.load(out / "ensemble" / "pressure.npy"), (100, 1, 1))
+    manifest = json.loads((out / "ensemble" / "manifest.json").read_text())
+    rows = dict(zip(manifest["target_ids"], pressure.transpose(1, 0, 2)))
+    ids = ["C0", "E12", "C1", "C2", "E13", "C3", "C4", "C5"]
+    wide = np.stack([rows.get(t, rows["E12"] if i % 2 else rows["E13"])
+                     for i, t in enumerate(ids)], axis=1)
+    config = RunConfig.from_yaml(cfg)
+    metrics, peaks = {}, {}
+    for name, data, target_ids in [("narrow", pressure, manifest["target_ids"]),
+                                   ("wide", wide, ids)]:
+        d = tmp_path / name
+        shutil.copytree(out / "ensemble", d / "ensemble")
+        np.save(d / "ensemble" / "pressure.npy", data)
+        (d / "ensemble" / "manifest.json").write_text(
+            json.dumps(dict(manifest, n_members=400, target_ids=target_ids)))
+        shutil.copy(out / "observations.npz", d)  # the parse is not what is measured
+        tracemalloc.start()
+        try:
+            cli.cmd_evaluate(config, out / "fit_report.json", d / "ensemble", d / "metrics.json")
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        metrics[name] = (d / "metrics.json").read_bytes()
+    assert metrics["wide"] == metrics["narrow"]
+    assert json.loads(metrics["wide"])["n_members"] == 400
+    assert peaks["wide"] < wide.nbytes / 2
 
 
 def _without(key):
@@ -677,10 +747,11 @@ def test_nonpositive_count_rejected(pipeline, tmp_path, capsys, key, value, stag
 
 
 def test_fit_takes_the_diurnal_period_from_the_step(tmp_path):
-    # a day is 1440 one-minute steps
+    # a day is 1440 one-minute steps, for the truth and for the fit
     model = SpectralModel(KnotSet.default())
     stations = synth.default_stations()
     stack = synth.default_stack(T, [s.elevation for s in stations], seed=SEED)
+    stack = replace(stack, diurnal=replace(stack.diurnal, period=1440))
     truth = synth.generate(model, synth.default_true_params(model), stations, stack, T, SEED)
     synth.write_dataset(truth, tmp_path / "synthetic", step_seconds=60.0)
     cfg = write_config(tmp_path / "config.yaml", tmp_path, fit_max_iter=1)

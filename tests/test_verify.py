@@ -155,6 +155,22 @@ def test_min_max_exchangeable_band():
     assert 10 < diag["never_extreme_count"] < 80
 
 
+@pytest.mark.parametrize("seed", [7, 8, 10])  # truth extreme 0, 1 and 2 times
+def test_min_max_matches_the_stacked_oracle(seed):
+    # the K+1 series stacked into one array, as the diagnostic was first
+    # written; 30 series of 20 values tie with the truth and each other
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, 20, size=(30, 8)).astype(float)
+    lo, hi = stack.min(axis=0), stack.max(axis=0)
+    never = ~np.any((stack == lo) | (stack == hi), axis=1)
+    diag = min_max_rank_diagnostic(stack[0], stack[1:])
+    assert diag == {
+        "never_extreme_count": int(never.sum()),
+        "truth_never_extreme": bool(never[0]),
+        "truth_extreme_times": int(np.sum((stack[0] == lo) | (stack[0] == hi))),
+    }
+
+
 # -- scores ---------------------------------------------------------------
 
 
