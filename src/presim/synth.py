@@ -9,6 +9,7 @@ an exact reference.
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .condsim import ConditionalSampler
+from .errors import ValidationError
 from .geometry import SiteGeometry
 from .ingest import StationMeta
 from .preprocess import (
@@ -30,6 +32,7 @@ from .spectrum import KnotSet, SpectralModel, SpectralParams
 from .whittle import FrequencyPlan, SpectralField, inverse_dft
 
 DEFAULT_START = datetime(2005, 10, 1, tzinfo=timezone.utc)
+BLOCK_STEPS = 64  # time steps of observation rows formatted per write
 
 
 def default_true_params(model: SpectralModel) -> SpectralParams:
@@ -148,39 +151,87 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
+def _step_microseconds(step_seconds: float) -> int:
+    """The step as a positive whole number of microseconds, a timestamp's resolution."""
+    try:
+        step = timedelta(seconds=step_seconds)
+    except (TypeError, ValueError, OverflowError):
+        step = None
+    if step is None or step <= timedelta(0) or step.total_seconds() != step_seconds:
+        raise ValidationError(
+            f"step_seconds={step_seconds!r} is not a positive whole number of microseconds"
+        )
+    return step // timedelta(microseconds=1)
+
+
+def _write_stations(fh, stations: list) -> None:
+    w = csv.writer(fh)
+    w.writerow(["id", "latitude_deg", "longitude_deg", "elevation_m"])
+    for s in stations:
+        w.writerow([s.id, f"{s.latitude:.6f}", f"{s.longitude:.6f}", f"{s.elevation:.1f}"])
+
+
+def _write_observations(fh, truth: SyntheticTruth, start: datetime, step_us: int) -> None:
+    """The bytes csv.writer would write, one block of time steps per `%` and `write`."""
+    n = len(truth.stations)
+    rows = "".join(f"%s,{_csv_field(s.id).replace('%', '%%')},%.8f\r\n" for s in truth.stations)
+    wall = start.replace(tzinfo=None)
+    suffix = start.isoformat()[len(wall.isoformat()):]  # the UTC offset, if any
+    origin = np.datetime64(wall, "us")
+    fh.write("timestamp,station_id,pressure_kPa\r\n")
+    for t0 in range(0, truth.pressure.shape[1], BLOCK_STEPS):
+        block = truth.pressure[:, t0 : t0 + BLOCK_STEPS]
+        steps = block.shape[1]
+        text = np.datetime_as_string(origin + np.arange(t0, t0 + steps) * step_us, unit="us")
+        # isoformat leaves out a zero microsecond field
+        stamps = [(s[:-7] if s.endswith(".000000") else s) + suffix for s in text.tolist()]
+        fields = [None] * (2 * n * steps)  # timestamp, pressure of each row in turn
+        for i in range(n):
+            fields[2 * i :: 2 * n] = stamps
+        fields[1::2] = block.T.ravel().tolist()
+        fh.write(rows * steps % tuple(fields))
+
+
 def write_dataset(truth: SyntheticTruth, out_dir, start=DEFAULT_START,
                   step_seconds: float = 300.0):
-    """Write station CSV, observation CSV, and the truth manifest."""
+    """Write station CSV, observation CSV, and the truth manifest.
+
+    The observation rows are in time order, and within a time step in
+    station-file order, as csv.writer writes them: CRLF line ends,
+    pressure as `%.8f` kPa, and every timestamp `start + t * step` in
+    `isoformat` with the start's UTC offset (none for a naive start).
+    `step_seconds` must be a positive whole number of microseconds, or
+    ValidationError is raised before anything is written. Each file is
+    written to `<name>.partial` and moved into place once all three are
+    whole, so a failure leaves an earlier dataset in `out_dir` as it was.
+    Memory holds one block of `BLOCK_STEPS` time steps, not the file.
+    """
+    step_us = _step_microseconds(step_seconds)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stations_path = out / "stations.csv"
-    with open(stations_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "latitude_deg", "longitude_deg", "elevation_m"])
-        for s in truth.stations:
-            w.writerow([s.id, f"{s.latitude:.6f}", f"{s.longitude:.6f}", f"{s.elevation:.1f}"])
-
-    # the bytes csv.writer would write, one time step's rows per template
-    obs_path = out / "observations.csv"
-    n, n_times = truth.pressure.shape
-    rows = "".join(f"%s,{_csv_field(s.id).replace('%', '%%')},%.8f\r\n" for s in truth.stations)
-    fields = [None] * (2 * n)  # timestamp, pressure of each station in turn
-    with open(obs_path, "w", newline="") as fh:
-        fh.write("timestamp,station_id,pressure_kPa\r\n")
-        for t, column in enumerate(truth.pressure.T):
-            fields[0::2] = [(start + timedelta(seconds=step_seconds * t)).isoformat()] * n
-            fields[1::2] = column.tolist()
-            fh.write(rows % tuple(fields))
-
     manifest = {
         "seed": truth.seed,
         "rng_layout": RNG_LAYOUT,
         "knots": truth.knots.to_dict(),
         "params": truth.params.to_dict(),
         "stack": truth.stack.to_dict(),
-        "n_times": int(n_times),
+        "n_times": int(truth.pressure.shape[1]),
         "step_seconds": step_seconds,
         "start": start.isoformat(),
     }
-    (out / "truth.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return stations_path, obs_path, out / "truth.json"
+
+    names = ("stations.csv", "observations.csv", "truth.json")
+    partials = [out / f"{name}.partial" for name in names]
+    try:
+        with open(partials[0], "w", newline="") as fh:
+            _write_stations(fh, truth.stations)
+        with open(partials[1], "w", newline="") as fh:
+            _write_observations(fh, truth, start, step_us)
+        partials[2].write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        for partial, name in zip(partials, names):
+            os.replace(partial, out / name)
+    except BaseException:
+        for partial in partials:
+            partial.unlink(missing_ok=True)
+        raise
+    return out / "stations.csv", out / "observations.csv", out / "truth.json"
