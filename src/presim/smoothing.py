@@ -6,7 +6,7 @@ Fits y(t) on an equispaced index grid by minimizing
 
 where B is a cubic B-spline design matrix on thinned knots and P the Gram
 matrix of second derivatives. The penalty lam is chosen by bisection so
-the trace of the smoother matrix equals a requested df (within 0.1).
+the trace of the smoother matrix equals a requested df (within 0.05).
 Knots are placed at every k-th grid point with k small enough to leave at
 least 4*df knots, so the basis never limits the requested flexibility.
 
@@ -14,11 +14,12 @@ lam comes from the Demmler-Reinsch eigenvalues (Demmler & Reinsch 1975;
 Ruppert, Wand & Carroll 2003, section 3): one basis W makes both B'B and P
 diagonal, W'B'BW = diag(g) and W'PW = diag(p), so the smoother's trace is
 sum g_i / (g_i + lam p_i) and every bisection step costs O(nb) for nb
-basis functions. W is L^{-T} U for the Cholesky factor L L' = B'B + mu P
-and the eigenvectors U of L^{-1} P L^{-T}, whose eigenvalues are p; then
-g = 1 - mu p. The shift mu = tr(B'B) / tr(P) balances the two terms; it
-keeps the factorization well conditioned where B'B alone is singular or
-nearly so, as it is with about one knot per point (df near n/4 or above).
+basis functions. Only the eigenvalues are formed, not W: p are those of
+L^{-1} P L^{-T} for the Cholesky factor L L' = B'B + mu P, and g = 1 - mu p.
+The shift mu = tr(B'B) / tr(P) balances the two terms; it keeps the
+factorization well conditioned where B'B alone is singular or nearly so,
+as it is with about one knot per point (df near n/4 or above). Once lam
+is found, B'B + lam P is kept, and `smooth` is one solve of it.
 
 A row of B has four nonzero values, so B is held as those values and the
 column of the first (a P-spline system is banded; Eilers & Marx 1996):
@@ -80,13 +81,12 @@ class DfSpline:
             r = np.arange(nb - d)
             BtB[r, r + d] = BtB[r + d, r] = band[:nb - d]
         mu = np.trace(BtB) / np.trace(self.P)
-        L = np.linalg.cholesky(BtB + mu * self.P)
-        M = np.linalg.solve(L, np.linalg.solve(L, self.P).T)  # L^{-1} P L^{-T}
-        p, U = np.linalg.eigh(0.5 * (M + M.T))
-        self._p = np.clip(p, 0.0, 1.0 / mu)
+        Linv = np.linalg.inv(np.linalg.cholesky(BtB + mu * self.P))
+        self._p = np.clip(np.linalg.eigvalsh(Linv @ self.P @ Linv.T), 0.0, 1.0 / mu)
         self._g = 1.0 - mu * self._p
-        self._W = np.linalg.solve(L.T, U)
         self._lam = self._solve_lambda()
+        BtB += self._lam * self.P
+        self._A = BtB  # B'B + lam P
 
     def _scatter(self, w, a) -> np.ndarray:
         """For each column j of B, the sum of w[i] over the rows i with first[i] + a = j."""
@@ -122,7 +122,6 @@ class DfSpline:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n,):
             raise ConfigurationError(f"expected series of length {self.n}")
-        # c = (B'B + lam P)^{-1} B'y = W diag(1 / (g + lam p)) W' B'y
         Bty = sum(self._scatter(self.values[:, a] * y, a) for a in range(DEGREE + 1))
-        c = self._W @ ((self._W.T @ Bty) / (self._g + self._lam * self._p))
+        c = np.linalg.solve(self._A, Bty)  # (B'B + lam P)^{-1} B'y
         return sum(self.values[:, a] * c[self.first + a] for a in range(DEGREE + 1))

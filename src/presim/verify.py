@@ -3,7 +3,7 @@
 Rank histograms (with seeded tie randomization), envelope coverage,
 min/max extremeness diagnostics, error score tables, the elevation-
 adjusted nearest-neighbor baseline, and temporal aggregation helpers.
-All functions are pure; outputs serialize to plot-ready JSON/CSV.
+All functions are pure; outputs serialize to plot-ready JSON.
 """
 
 import math

@@ -391,9 +391,9 @@ def fit_mle(obj: WhittleObjective, initial: SpectralParams,
     """Maximize the Whittle likelihood of `obj` by trust-region Newton (`_trust_region`).
 
     Each trial point takes one `obj.loglik` call, which gives the value,
-    the analytic score and the exact Hessian's closure; `objective_calls`
-    counts them, the start point's included. A parameter vector the model
-    rejects reads as an infinite value, a rejected step. The Hessian is
+    the analytic score and the exact Hessian's closure, so a fit makes
+    `iterations + 1` calls, the start point's included. A parameter vector
+    the model rejects reads as an infinite value, a rejected step. The Hessian is
     formed at the start and at every accepted point, and the last one's is
     the fit's, with its eigenvalues in ascending order. `convergence.trace`
     holds one [log-likelihood, max |score|, trust radius] entry for the
@@ -422,7 +422,6 @@ def fit_mle(obj: WhittleObjective, initial: SpectralParams,
     convergence = {
         "status": status,
         "iterations": iterations,
-        "objective_calls": iterations + 1,
         "grad_inf_norm": float(np.max(np.abs(g))),
         "trace": [[-f_k, g_k, radius] for f_k, g_k, radius in trace],
     }

@@ -873,6 +873,21 @@ def test_run_config_round_trip(tmp_path):
     assert loaded == cfg
 
 
+def test_readme_config_table_lists_every_key_with_its_default():
+    # README's config table: one `| key | default | meaning |` row per
+    # RunConfig field, in field order; "none" is YAML's null
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Key | Default | Meaning |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in table.splitlines()]
+    documented = {key: None if default == "none" else yaml.safe_load(default)
+                  for key, default, _ in rows}
+    defaults = asdict(RunConfig())
+    assert list(documented) == list(defaults)
+    assert {k: (type(v), v) for k, v in documented.items()} == {
+        k: (type(v), v) for k, v in defaults.items()}
+
+
 def test_require_seed():
     with pytest.raises(ConfigurationError):
         RunConfig().require_seed()

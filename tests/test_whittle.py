@@ -635,7 +635,7 @@ def test_fit_takes_the_analytic_score(model, geometry3, monkeypatch):
     fit = fit_mle(WhittleObjective(model, spec, geometry3), truth, max_iter=5)
     conv = fit.convergence
     assert conv["iterations"] == 5
-    assert conv["objective_calls"] == len(calls) == conv["iterations"] + 1
+    assert len(calls) == conv["iterations"] + 1
     assert sum(np.array_equal(x, truth.pack()) for x in calls) == 1
     # an accepted step raises the log-likelihood, a rejected one keeps it
     lls = [entry[0] for entry in conv["trace"]]
@@ -659,7 +659,7 @@ def test_fit_factors_once_per_objective_call(model, geometry3, monkeypatch):
     fit = fit_mle(WhittleObjective(model, spec, geometry3), truth)
     assert fit.convergence["status"] == "converged"
     assert fit.convergence["iterations"] > 1
-    assert len(factored) == fit.convergence["objective_calls"]
+    assert len(factored) == fit.convergence["iterations"] + 1
 
 
 def test_fit_records_its_trace(model, geometry3):
