@@ -146,14 +146,14 @@ def cmd_fit(config: RunConfig, out_path) -> Path:
     }
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(report, indent=2, sort_keys=True))
+    out_path.write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
     return out_path
 
 
 def _load_fit_report(path):
     """The report, its transform stack and fit, and its time axis (start, step)."""
     try:
-        report = json.loads(Path(path).read_text())
+        report = json.loads(Path(path).read_text(encoding="utf-8"))
         stack = TransformStack.from_dict(report["stack"])
         fit = FitResult.from_dict(report["fit"])
         missing = {"station_ids", "geometry_hash", "start_time", "step_seconds"} - report.keys()
@@ -229,7 +229,7 @@ def _read_ensemble(ensemble_dir, target_ids, fit):
     """
     out = Path(ensemble_dir)
     try:
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         simulated_from = manifest["provenance"]["fit_hash"]
         ids, n_members = manifest["target_ids"], manifest["n_members"]
     except (ValueError, KeyError, TypeError) as exc:  # truncated, or a key missing
@@ -328,7 +328,7 @@ def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> 
     metrics["rank_ties"] = "randomized (seeded)"
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(metrics, indent=2, sort_keys=True))
+    out_path.write_text(json.dumps(metrics, indent=2, sort_keys=True), encoding="utf-8")
     return out_path
 
 

@@ -263,7 +263,8 @@ def run_ensemble(fit: FitResult, stack: TransformStack, observed: SiteGeometry, 
         "step_seconds": step_seconds,
         "mean_field": mean_field,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True),
+                                       encoding="utf-8")
     return manifest
 
 

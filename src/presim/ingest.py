@@ -2,10 +2,10 @@
 
 Reads the station CSV (`id,latitude_deg,longitude_deg,elevation_m`) and
 long-format observation CSV (`timestamp,station_id,pressure_kPa`, missing
-encoded as an empty field), fills short gaps by linear interpolation,
-block-averages, and assembles the aligned data grid. Timestamps are
-ISO-8601 in files, normalized to UTC; internally time is an integer index
-plus (start, step).
+encoded as an empty field or `nan`; a field reading ±inf is an error),
+fills short gaps by linear interpolation, block-averages, and assembles
+the aligned data grid. Timestamps are ISO-8601 in files, normalized to
+UTC; internally time is an integer index plus (start, step).
 
 The observation file is read in blocks of whole lines, `BLOCK_BYTES` at a
 time. A plain block (no quote character, blank line or line over the csv
@@ -178,13 +178,16 @@ def _micros(text: str) -> int:
 
 
 def _pressure(text: str) -> float:
-    """The value of a pressure field; a blank one is missing (NaN)."""
+    """The value of a pressure field; a blank one is missing (NaN), and ±inf is an error."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         if text.strip():
             raise
         return math.nan
+    if math.isinf(value):
+        raise ValueError(f"infinite pressure {text!r}")
+    return value
 
 
 def _instant(micros) -> datetime:
@@ -277,6 +280,8 @@ def _append(path, columns, rows, index):
             values = np.fromiter(map(float, raws), dtype=float, count=len(raws))
         except ValueError:  # blank fields, or a bad one
             values = np.fromiter(map(_pressure, raws), dtype=float, count=len(raws))
+        if np.isinf(values).any():
+            raise ValueError("an infinite pressure")
     except ValueError:
         _raise_first_fault(path, lines, times, raws)
         raise  # not reached: some row above failed
@@ -316,8 +321,9 @@ def load_observations(path, stations) -> list:
 
     Rows may come in any order; each station's rows are sorted by time. The
     step is the smallest interval between a station's timestamps and every
-    interval must be a whole multiple of it: a blank pressure field or an
-    omitted row is a missing value (NaN).
+    interval must be a whole multiple of it: a blank or `nan` pressure
+    field or an omitted row is a missing value (NaN). A pressure that reads
+    as ±inf (`inf`, `1e400`) is a FormatError.
 
     The file is read in blocks of whole lines (`BLOCK_BYTES` at a time).
     A plain block is split into three column lists and csv.reader

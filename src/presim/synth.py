@@ -7,6 +7,7 @@ an exact reference.
 """
 
 import csv
+import functools
 import io
 import json
 import os
@@ -32,7 +33,7 @@ from .spectrum import KnotSet, SpectralModel, SpectralParams
 from .whittle import FrequencyPlan, SpectralField, inverse_dft
 
 DEFAULT_START = datetime(2005, 10, 1, tzinfo=timezone.utc)
-BLOCK_STEPS = 64  # time steps of observation rows formatted per write
+BLOCK_STEPS = 256  # time steps of observation rows formatted per write
 
 
 def default_true_params(model: SpectralModel) -> SpectralParams:
@@ -171,42 +172,120 @@ def _write_stations(fh, stations: list) -> None:
         w.writerow([s.id, f"{s.latitude:.6f}", f"{s.longitude:.6f}", f"{s.elevation:.1f}"])
 
 
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """The ASCII digits of 0000-9999, each group of four read as one uint32."""
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    return digits.astype(np.uint8).view(np.uint32).ravel()
+
+
+_POWERS = 10 ** np.arange(1, 8)  # a whole part of k + 1 digits is at least 10**k
+_VALUE_WIDTH = 18  # sign, 8 whole digits, point, 8 decimals
+
+
+def _format_values(x: np.ndarray):
+    """`'%.8f' % v` of each value as bytes, right-aligned in rows of one width.
+
+    Returns the (len(x), width) uint8 rows, as wide as the longest value,
+    and each value's length. The digits are those of
+    n = rint(|x| 1e8), looked up four at a time, and the sign is signbit's.
+    That is %.8f's rounding of the exact value unless |x| 1e8 lies within
+    its rounding error of a half-integer. Such a value goes through
+    `'%.8f' % v` instead, as does NaN and any |x| 1e8 of 2**51 or more,
+    where the margin for that error reaches 0.5.
+    """
+    scaled = np.abs(x) * 1e8
+    n = np.rint(scaled)
+    # 2**-52 |x| 1e8 is at least the spacing of floats there: twice the rounding error
+    exact = np.abs(scaled - n) < 0.5 - scaled * 2.0**-52  # False for NaN
+    fallback = np.flatnonzero(~exact)
+    texts = [b"%.8f" % v for v in x[fallback].tolist()]
+    width = max([_VALUE_WIDTH, *map(len, texts)])
+    whole, frac = np.divmod(np.where(exact, n, 0).astype(np.int64), 10**8)
+    groups = np.stack(np.divmod(whole, 10**4) + np.divmod(frac, 10**4), axis=1)
+    digits = _digit_groups()[groups].view(np.uint8)  # 8 whole digits, then 8 decimals
+    out = np.empty((len(x), width), np.uint8)
+    out[:, -17:-9] = digits[:, :8]
+    out[:, -9] = ord(".")
+    out[:, -8:] = digits[:, 8:]
+    n_whole = 1 + np.searchsorted(_POWERS, whole, side="right")
+    negative = np.signbit(x)
+    rows = np.flatnonzero(negative)
+    out[rows, width - 10 - n_whole[rows]] = ord("-")  # just before the first digit kept
+    lengths = n_whole + 9 + negative
+    for i, text in zip(fallback.tolist(), texts):
+        out[i, width - len(text):] = np.frombuffer(text, np.uint8)
+        lengths[i] = len(text)
+    return out[:, width - lengths.max(initial=0):], lengths
+
+
 def _write_observations(fh, truth: SyntheticTruth, start: datetime, step_us: int) -> None:
-    """The bytes csv.writer would write, one block of time steps per `%` and `write`."""
+    """Write the bytes csv.writer would write to the binary file `fh`.
+
+    Each block of `BLOCK_STEPS` time steps is built with numpy as one
+    (steps, stations, width) byte array of fields, each as wide as its
+    longest in the block: the timestamp; the UTC offset, station field and
+    commas; the pressure (`_format_values`); CRLF. A mask built from each
+    field's known length picks the field's own bytes, and the picked
+    bytes, in order, are the block's rows, written with one `write`. The
+    station fields and CRLF stay in place from one block to the next of
+    the same layout.
+    """
     n = len(truth.stations)
-    rows = "".join(f"%s,{_csv_field(s.id).replace('%', '%%')},%.8f\r\n" for s in truth.stations)
     wall = start.replace(tzinfo=None)
     suffix = start.isoformat()[len(wall.isoformat()):]  # the UTC offset, if any
     origin = np.datetime64(wall, "us")
-    fh.write("timestamp,station_id,pressure_kPa\r\n")
+    between = [f"{suffix},{_csv_field(s.id)},".encode("utf-8") for s in truth.stations]
+    id_width = max(map(len, between), default=0)
+    id_bytes = np.frombuffer(b"".join(t.ljust(id_width, b"\0") for t in between), np.uint8)
+    id_mask = np.arange(id_width) < np.array([len(t) for t in between])[:, None]
+    fh.write(b"timestamp,station_id,pressure_kPa\r\n")
+    layout = None
     for t0 in range(0, truth.pressure.shape[1], BLOCK_STEPS):
-        block = truth.pressure[:, t0 : t0 + BLOCK_STEPS]
+        # an array of another kind than float (objects) raises TypeError
+        block = truth.pressure[:, t0 : t0 + BLOCK_STEPS].astype(np.float64, casting="same_kind")
         steps = block.shape[1]
-        text = np.datetime_as_string(origin + np.arange(t0, t0 + steps) * step_us, unit="us")
+        times = origin + np.arange(t0, t0 + steps) * step_us
+        text = np.datetime_as_string(times, unit="us")  # ASCII, padded with NUL
+        stamps = text.view(np.uint32).reshape(steps, -1).astype(np.uint8)
         # isoformat leaves out a zero microsecond field
-        stamps = [(s[:-7] if s.endswith(".000000") else s) + suffix for s in text.tolist()]
-        fields = [None] * (2 * n * steps)  # timestamp, pressure of each row in turn
-        for i in range(n):
-            fields[2 * i :: 2 * n] = stamps
-        fields[1::2] = block.T.ravel().tolist()
-        fh.write(rows * steps % tuple(fields))
+        stamp_len = np.count_nonzero(stamps, axis=1) - 7 * (times.astype(np.int64) % 10**6 == 0)
+        stamps = stamps[:, : stamp_len.max(initial=0)]
+        values, value_len = _format_values(block.T.ravel())
+        if layout != (steps, stamps.shape[1], values.shape[1]):
+            layout = (steps, stamps.shape[1], values.shape[1])
+            # fields end at a (timestamp), b (offset, station), c (pressure), then CRLF
+            a, b = stamps.shape[1], stamps.shape[1] + id_width
+            c = b + values.shape[1]
+            rows = np.empty((steps, n, c + 2), np.uint8)
+            mask = np.empty(rows.shape, bool)
+            rows[:, :, a:b], mask[:, :, a:b] = id_bytes.reshape(n, id_width), id_mask
+            rows[:, :, c:], mask[:, :, c:] = np.frombuffer(b"\r\n", np.uint8), True
+        rows[:, :, :a] = stamps[:, None, :]
+        mask[:, :, :a] = (np.arange(a) < stamp_len[:, None])[:, None, :]
+        rows[:, :, b:c] = values.reshape(steps, n, c - b)
+        mask[:, :, b:c] = (np.arange(c - b) >= c - b - value_len[:, None]).reshape(steps, n, c - b)
+        fh.write(rows[mask])
 
 
 def write_dataset(truth: SyntheticTruth, out_dir, start=DEFAULT_START,
                   step_seconds: float = 300.0):
-    """Write station CSV, observation CSV, and the truth manifest.
+    """Write station CSV, observation CSV, and the truth manifest, as UTF-8.
 
     The observation rows are in time order, and within a time step in
     station-file order, as csv.writer writes them: CRLF line ends,
-    pressure as `%.8f` kPa, and every timestamp `start + t * step` in
-    `isoformat` with the start's UTC offset (none for a naive start).
-    `step_seconds` must be a positive whole number of microseconds, or
+    pressure as `%.8f` kPa (NaN as `nan`, which ingest reads as missing),
+    and every timestamp `start + t * step` in `isoformat` with the start's
+    UTC offset (none for a naive start). `step_seconds` must be a positive
+    whole number of microseconds and no pressure may be ±inf, or
     ValidationError is raised before anything is written. Each file is
     written to `<name>.partial` and moved into place once all three are
     whole, so a failure leaves an earlier dataset in `out_dir` as it was.
     Memory holds one block of `BLOCK_STEPS` time steps, not the file.
     """
     step_us = _step_microseconds(step_seconds)
+    if np.isinf(np.asarray(truth.pressure, dtype=float)).any():
+        raise ValidationError("a pressure is infinite, which ingest rejects")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -223,11 +302,11 @@ def write_dataset(truth: SyntheticTruth, out_dir, start=DEFAULT_START,
     names = ("stations.csv", "observations.csv", "truth.json")
     partials = [out / f"{name}.partial" for name in names]
     try:
-        with open(partials[0], "w", newline="") as fh:
+        with open(partials[0], "w", newline="", encoding="utf-8") as fh:
             _write_stations(fh, truth.stations)
-        with open(partials[1], "w", newline="") as fh:
+        with open(partials[1], "wb") as fh:
             _write_observations(fh, truth, start, step_us)
-        partials[2].write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        partials[2].write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
         for partial, name in zip(partials, names):
             os.replace(partial, out / name)
     except BaseException:

@@ -218,6 +218,8 @@ def reference_load_observations(path, stations) -> list:
             else:
                 try:
                     value = float(raw)
+                    if np.isinf(value):
+                        raise ValueError(raw)
                 except ValueError as exc:
                     raise FormatError(f"{path}:{lineno}: bad pressure {raw!r}") from exc
             rows[sid].append((ts, value))

@@ -169,6 +169,21 @@ def test_load_observations_omitted_row_is_missing(tmp_path):
     assert np.array_equal(fill_missing(series, max_gap=1).values[2], 97.1)
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "csv-reader"])
+@pytest.mark.parametrize("raw", ["inf", "-inf", "1e400", "-1E999", "Infinity"])
+def test_load_observations_rejects_an_infinite_pressure(tmp_path, raw, quoted):
+    # a quoted station field sends the block through csv.reader
+    sid = '"E02"' if quoted else "E02"
+    p = tmp_path / "obs.csv"
+    write_lines(p, [f"{stamp(0)},E01,97.0", f"{stamp(0)},{sid},97.0",
+                    f"{stamp(5)},E01,97.1", f"{stamp(5)},E02,{raw}"])
+    for parse in (load_observations, reference_load_observations):
+        with pytest.raises(FormatError, match=re.escape(f"{p}:5: bad pressure {raw!r}")):
+            parse(p, [E01, E02])
+    # a station not asked for is never parsed
+    assert load_observations(p, [E01])[0].values.tolist() == [97.0, 97.1]
+
+
 @pytest.mark.parametrize("second", [stamp(5), stamp(5, offset_hours=2)])
 def test_load_observations_repeated_timestamp_rejected(tmp_path, second):
     p = tmp_path / "obs.csv"

@@ -12,6 +12,9 @@ And only `records.Record` and the classes in `OWN_MAPPERS` define
 
 And every name a module in src/, scripts/ or tests/ imports is referenced
 in that module (`__init__.py` re-exports aside).
+
+And every text-mode `open`, `read_text` and `write_text` in src/ names
+`encoding="utf-8"`, whatever the locale's encoding.
 """
 
 import ast
@@ -102,3 +105,28 @@ def test_every_import_is_referenced():
             unused += [f"{path.relative_to(ROOT)}:{line} {name}"
                        for name, line in imported.items() if name not in used]
     assert not unused, "imported and never referenced:\n" + "\n".join(sorted(unused))
+
+
+def _text_mode(call: ast.Call) -> bool:
+    """Whether an `open` call opens text: its mode, positional or named, has no "b"."""
+    position = 1 if isinstance(call.func, ast.Name) else 0  # open(file, mode), Path.open(mode)
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    modes += call.args[position : position + 1]
+    return not any(isinstance(m, ast.Constant) and "b" in str(m.value) for m in modes)
+
+
+def test_every_text_file_is_opened_as_utf8():
+    # the inputs ingest reads are UTF-8, and so is every file presim writes
+    unnamed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("read_text", "write_text") or (name == "open" and _text_mode(node)):
+                encoding = [kw.value for kw in node.keywords if kw.arg == "encoding"]
+                if not (encoding and isinstance(encoding[0], ast.Constant)
+                        and encoding[0].value == "utf-8"):
+                    unnamed.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not unnamed, 'text I/O without encoding="utf-8":\n' + "\n".join(unnamed)

@@ -1,7 +1,13 @@
 """The synthetic dataset writer: bytes against the row-by-row csv.writer oracle,
-its step check, whole-file writes and memory."""
+its digits against %.8f, its step and value checks, UTF-8 output, whole-file
+writes and memory."""
 
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -10,7 +16,7 @@ import pytest
 
 from presim import synth
 from presim.errors import ValidationError
-from presim.ingest import load_observations
+from presim.ingest import load_observations, load_stations
 
 from conftest import reference_load_observations, reference_write_observations
 
@@ -90,8 +96,9 @@ def test_a_failed_write_leaves_no_partial_file_and_the_earlier_dataset(model, tm
     out = tmp_path / "out"
     synth.write_dataset(_truth(model, 100, seed=1), out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    # a value that %.8f cannot format, in the second block of time steps
-    failing = _truth(model, 100, seed=2)
+    # an object array, which the writer cannot read as float64, with a None in the
+    # second block of time steps (one that %.8f cannot format either)
+    failing = _truth(model, synth.BLOCK_STEPS + 36, seed=2)
     failing = replace(failing, pressure=failing.pressure.astype(object))
     failing.pressure[3, synth.BLOCK_STEPS + 5] = None
     with pytest.raises(TypeError):
@@ -113,3 +120,75 @@ def test_write_dataset_holds_one_block_of_rows(model, tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "observations.csv").stat().st_size > 8_000_000
     assert peak < 2_000_000
+
+
+def formatted(values) -> list:
+    """The writer's text of each value."""
+    rows, lengths = synth._format_values(np.asarray(values, dtype=float))
+    return [bytes(row[len(row) - k:]).decode() for row, k in zip(rows, lengths)]
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param([0.0, -0.0, -1e-10, 5e-9, 1.5e-8, 2.5e-8, 99.999999995, 99.9999999999],
+                 id="zeros_and_rounding"),
+    # x 1e8 exactly k + 1/2: %.8f rounds the exact tie to even
+    pytest.param([m / 512 * s for m in (1, 3, 5, 1001, 2**20 + 1) for s in (1, -1)],
+                 id="exact_half_integers"),
+    pytest.param([9999.99999999, 10000.0, -10000.0, 99999999.0, 12345678.87654321],
+                 id="second_whole_group"),
+    pytest.param([4.5e7, -4.5e7, 1e12, -1e12, 2.0**52, 1e300], id="fallback"),
+    pytest.param([np.nan, 98.0, np.nan], id="nan"),
+])
+def test_values_are_formatted_as_percent_8f(values):
+    assert formatted(values) == ["%.8f" % v for v in values]
+
+
+def test_random_values_are_formatted_as_percent_8f():
+    rng = np.random.default_rng(7)
+    n = 300_000
+    values = rng.standard_normal(n) * 10.0 ** rng.uniform(-10.0, 7.5, n)
+    values[: n // 3] = 98.0 + rng.standard_normal(n // 3)  # pressures in kPa
+    assert formatted(values) == ["%.8f" % v for v in values.tolist()]
+
+
+def test_a_minute_record_with_gaps_reads_back(model, tmp_path):
+    truth = _truth(model, 3 * synth.BLOCK_STEPS + 7, seed=3)
+    pressure = truth.pressure.copy()
+    pressure[0, :5] = pressure[2, 100:140] = pressure[12, -3:] = np.nan
+    pressure[4] = -pressure[4]
+    truth = replace(truth, pressure=pressure)
+    _, written, _ = synth.write_dataset(truth, tmp_path, step_seconds=60.0)
+    series = load_observations(written, truth.stations)
+    assert [s.step_seconds for s in series] == [60.0] * len(truth.stations)
+    values = np.array([s.values for s in series])
+    assert np.array_equal(np.isnan(values), np.isnan(pressure))
+    assert np.nanmax(np.abs(values - pressure)) <= 5e-9
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_write_dataset_rejects_an_infinite_pressure(model, tmp_path, bad):
+    truth = _truth(model, synth.BLOCK_STEPS + 10)
+    truth.pressure[7, synth.BLOCK_STEPS + 3] = bad
+    with pytest.raises(ValidationError, match="infinite"):
+        synth.write_dataset(truth, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_write_dataset_writes_utf8_under_a_c_locale(model, tmp_path):
+    truth = _truth(model, 5)
+    truth = replace(truth, stations=[replace(truth.stations[0], id="Ö1"), *truth.stations[1:]])
+    (tmp_path / "truth.pkl").write_bytes(pickle.dumps(truth))
+    code = ("import pickle, sys\n"
+            "from presim import synth\n"
+            "with open(sys.argv[1], 'rb') as fh:\n"
+            "    synth.write_dataset(pickle.load(fh), sys.argv[2])\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    # an ASCII locale encoding: no UTF-8 mode and no coercion of the C locale
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    res = subprocess.run([sys.executable, "-c", code, tmp_path / "truth.pkl", tmp_path / "out"],
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    stations = load_stations(tmp_path / "out" / "stations.csv")
+    assert [s.id for s in stations] == [s.id for s in truth.stations]
+    (first,) = load_observations(tmp_path / "out" / "observations.csv", stations[:1])
+    assert np.abs(first.values - truth.pressure[0]).max() <= 5e-9
