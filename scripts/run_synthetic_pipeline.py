@@ -54,10 +54,11 @@ def run(argv=None) -> int:
             return code
 
     metrics = json.loads((out / "metrics.json").read_text())
-    print("\nrank-histogram chi-square (uniform target ~ df =", args.members, ")")
+    print(f"\nrank-histogram chi-square and coverage rank (of {args.members + 1}; "
+          f"high: ensemble too wide, low: too narrow)")
     for tid, t in metrics["targets"].items():
-        for label, h in t["rank_histograms"].items():
-            print(f"  {tid} {label:>24}: {h['chi_square']:8.1f}")
+        for label, v in [("levels", t["levels"]), *t["rank_histograms"].items()]:
+            print(f"  {tid} {label:>24}: {v['chi_square']:8.1f}  {v['coverage_rank']:4d}")
     print("\nRMSE (kPa)")
     for row in metrics["score_table"]:
         print(f"  {row['target']} {row['method']:>18}: {row['rmse']:.4f}")

@@ -281,36 +281,29 @@ def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> 
 
     top = verify.top_volatility_selector(stack.volatility.values)
     hourly_width = max(1, int(round(3600.0 / truth_grid.step_seconds)))
-    point = verify.chi_square_99_point(n_members)
 
     def score(target, truth_p):
         """A target's metrics, ensemble mean and verdict lines; its members
         are read here and dropped on return, before the next target's."""
         members_p = read_target(target.id)
+        entry = {"levels": verify.verdicts(truth_p, members_p, seed=seed)}
+        mean = members_p.mean(axis=0)
+        hourly = (verify.aggregate_diffs(truth_p, hourly_width),
+                  verify.aggregate_diffs(members_p, hourly_width))
         truth_d = np.diff(truth_p)
         members_d = np.diff(members_p, axis=1)
+        del members_p  # the verdicts' sorted copy takes its place in memory
         quantities = {
             "all": (truth_d, members_d),
-            "hourly": (
-                verify.aggregate_diffs(truth_p, hourly_width),
-                verify.aggregate_diffs(members_p, hourly_width),
-            ),
+            "hourly": hourly,
             "top_decile_volatility": (truth_d[top], members_d[:, top]),
         }
-        hists, lines = {}, []
-        for label, (truth_q, members_q) in quantities.items():
-            counts = verify.rank_histogram(truth_q, members_q, seed=seed)
-            chi2 = verify.chi_square(counts)
-            hists[label] = {"counts": counts.tolist(), "chi_square": chi2,
-                            "chi_square_99": point, "uniform_at_99": chi2 <= point}
-            lines.append(f"{target.id}/{label}: chi-square {chi2:.1f} vs 99% point "
-                         f"{point:.1f}: {'PASS' if chi2 <= point else 'FAIL'}")
-        entry = {
-            "rank_histograms": hists,
-            "envelope": verify.envelope_coverage(truth_p, members_p),
-            "min_max_diagnostic": verify.min_max_rank_diagnostic(truth_p, members_p),
-        }
-        return entry, members_p.mean(axis=0), lines
+        entry["rank_histograms"] = {label: verify.verdicts(*q, seed=seed)
+                                    for label, q in quantities.items()}
+        lines = [f"{target.id}/{label}: chi-square {v['chi_square']:.1f}, "
+                 f"coverage rank {v['coverage_rank']} of {n_members + 1}"
+                 for label, v in [("levels", entry["levels"]), *entry["rank_histograms"].items()]]
+        return entry, mean, lines
 
     metrics = {"targets": {}, "n_members": n_members}
     truths, preds_mean, preds_nn, verdicts = {}, {}, {}, []

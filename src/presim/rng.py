@@ -16,7 +16,9 @@ The layout, recorded as RNG_LAYOUT in every manifest:
 - (STAGE_MEANFIELD, member): one mean-field draw;
 - (STAGE_SYNTH, 0): a synthetic transform stack's diurnal coefficients and
   site-mean scatter;
-- (STAGE_EVAL, 0): rank tie-breaks.
+- (STAGE_EVAL, 0): the tie-breaks of one quantity's verdicts, drawn anew
+  for each quantity (`verify.verdicts`): the truth's rank at each time,
+  then its coverage rank.
 
 A field draw's generator gives the high band and then the low band, each a
 (2, K, m) block of real parts then imaginary parts in frequency order.

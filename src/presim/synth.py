@@ -277,13 +277,21 @@ def write_dataset(truth: SyntheticTruth, out_dir, start=DEFAULT_START,
     pressure as `%.8f` kPa (NaN as `nan`, which ingest reads as missing),
     and every timestamp `start + t * step` in `isoformat` with the start's
     UTC offset (none for a naive start). `step_seconds` must be a positive
-    whole number of microseconds and no pressure may be ±inf, or
-    ValidationError is raised before anything is written. Each file is
-    written to `<name>.partial` and moved into place once all three are
-    whole, so a failure leaves an earlier dataset in `out_dir` as it was.
+    whole number of microseconds, the last timestamp must fall in year 9999
+    or earlier and no pressure may be ±inf, or ValidationError is raised
+    before anything is written. Each file is written to `<name>.partial`
+    and moved into place once all three are whole, so a failure leaves an
+    earlier dataset in `out_dir` as it was.
     Memory holds one block of `BLOCK_STEPS` time steps, not the file.
     """
     step_us = _step_microseconds(step_seconds)
+    try:  # the wall clock of the last step must be a datetime, which ingest can read
+        start + timedelta(microseconds=step_us) * max(truth.pressure.shape[1] - 1, 0)
+    except OverflowError:
+        raise ValidationError(
+            f"the last of {truth.pressure.shape[1]} steps of {step_seconds} s from "
+            f"{start.isoformat()} falls after year {datetime.max.year}"
+        ) from None
     if np.isinf(np.asarray(truth.pressure, dtype=float)).any():
         raise ValidationError("a pressure is infinite, which ingest rejects")
     out = Path(out_dir)

@@ -1,12 +1,12 @@
 """Ensemble verification against held-out truth.
 
-Rank histograms (with seeded tie randomization), envelope coverage,
-min/max extremeness diagnostics, error score tables, the elevation-
-adjusted nearest-neighbor baseline, and temporal aggregation helpers.
+One pass per quantity gives every calibration verdict (`verdicts`: the
+rank histogram with seeded tie randomization, envelope coverage, min/max
+extremes and the coverage rank); beside it, error score tables, the
+elevation-adjusted nearest-neighbor baseline, and temporal aggregation
+helpers.
 All functions are pure; outputs serialize to plot-ready JSON.
 """
-
-import math
 
 import numpy as np
 
@@ -23,93 +23,82 @@ def chi_square(counts) -> float:
     return float(np.sum((counts - expected) ** 2 / expected))
 
 
-def _chi_square_sf(x: float, df: int) -> float:
-    """P(X > x) for X ~ chi-square with integer df >= 1 and x >= df.
-
-    In closed form with z = x/2: the Poisson sum of z^p e^-z / Gamma(p+1)
-    over p = 0..df/2-1 for even df; erfc(sqrt z) plus the same sum over
-    p = 1/2..df/2-1 for odd df. For x >= df the terms rise with p, so
-    they are formed downward from the largest, which cannot underflow
-    while the probability is representable.
-    """
-    z = 0.5 * x
-    p = 0.5 * df - 1.0
-    term = math.exp(p * math.log(z) - z - math.lgamma(p + 1.0))
-    terms = []
-    for _ in range(df // 2):
-        terms.append(term)
-        term *= p / z
-        p -= 1.0
-    head = math.erfc(math.sqrt(z)) if df % 2 else 0.0
-    return head + math.fsum(terms)
+def _row_position(s, v, compare) -> np.ndarray:
+    """How many entries of each row of the row-sorted s compare true
+    against v's entry (np.less: are below it), by bisecting all rows at once."""
+    N, n = s.shape
+    flat, last = s.ravel(), np.arange(N) * n - 1
+    pos = np.zeros(N, dtype=np.intp)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        take = pos + step
+        pos += step * (compare(flat[last + np.minimum(take, n)], v) & (take <= n))
+        step >>= 1
+    return pos
 
 
-def chi_square_99_point(df: int) -> float:
-    """99% point of chi-square with integer df >= 1, bisected to the last bit."""
-    if df < 1:
-        raise ValidationError("chi-square needs at least one degree of freedom")
-    lo, hi = float(df), 2.0 * df  # P(X > df) > 0.3 for every df
-    while _chi_square_sf(hi, df) > 0.01:
-        lo, hi = hi, 2.0 * hi
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return hi
-        if _chi_square_sf(mid, df) > 0.01:
-            lo = mid
-        else:
-            hi = mid
+def verdicts(truth, members, seed: int) -> dict:
+    """Every calibration verdict of one quantity, from one sort of its
+    (members+1)-series stack at each time.
 
+    - `counts`: the truth's rank histogram, members + 1 bins summing to
+      the number of times. Ties are broken by seeded uniform
+      randomization: discretized pressure data produce exact ties, and
+      midranking would bias uniformity tests. `chi_square` is its χ².
+    - `n_above`, `n_below`, `n_outside`: times the truth lies outside the
+      pointwise member envelope; `mean_width` is the envelope's mean width.
+    - `never_extreme_count`: how many of the members+1 series are never
+      the pointwise min or max; `truth_never_extreme` and
+      `truth_extreme_times` say the same of the truth.
+    - `coverage_rank`: the truth's rank, 1..members+1, among the shares of
+      times each series lies inside the order statistics s[a] and s[K-a]
+      of the whole stack (K members, a = (K+1)//4), so inside its central
+      half. Under calibration the series are exchangeable and the rank is
+      uniform whatever the serial dependence. A high rank means the
+      truth is too often central: the ensemble is too wide.
 
-def rank_histogram(truth, members, seed: int) -> np.ndarray:
-    """Counts of the rank of truth among {truth} + members, one bin per rank.
-
-    Returns members + 1 counts that sum to the number of times. Ties are
-    broken by seeded uniform randomization: discretized pressure data
-    produce exact ties, and midranking would bias uniformity tests.
+    Ties in the coverage shares are broken from the same generator after
+    the histogram's draws. The result serializes to JSON as it is.
     """
     truth = np.asarray(truth, dtype=float)
     members = np.atleast_2d(np.asarray(members, dtype=float))
-    if members.shape[1] != len(truth):
+    K, N = members.shape
+    if N != len(truth):
         raise ValidationError("truth and member series lengths differ")
+    s = np.empty((N, K + 1))  # one row per time, sorted along the row
+    s[:, 0] = truth
+    s[:, 1:] = members.T
+    s.sort(axis=1)
+    a = (K + 1) // 4
+    lo, lo2, c_lo, c_hi, hi2, hi = s[:, [0, 1, a, K - a, K - 1, K]].T.copy()
+
     rng = substream(seed, STAGE_EVAL, 0)
-    below = np.sum(members < truth[None, :], axis=0)
-    ties = np.sum(members == truth[None, :], axis=0)
-    ranks = 1 + below + rng.integers(0, ties + 1)
-    return np.bincount(ranks - 1, minlength=members.shape[0] + 1)
+    below = _row_position(s, truth, np.less)
+    ties = _row_position(s, truth, np.less_equal) - below - 1  # members equal to the truth
+    counts = np.bincount(below + rng.integers(0, ties + 1), minlength=K + 1)
 
+    inside = np.count_nonzero((members >= c_lo) & (members <= c_hi), axis=1)
+    truth_inside = np.count_nonzero((truth >= c_lo) & (truth <= c_hi))
+    coverage_rank = (1 + np.count_nonzero(inside < truth_inside)
+                     + rng.integers(0, np.count_nonzero(inside == truth_inside) + 1))
 
-def envelope_coverage(truth, members) -> dict:
-    """Counts of truth outside the pointwise member envelope."""
-    truth = np.asarray(truth, dtype=float)
-    members = np.atleast_2d(np.asarray(members, dtype=float))
-    lo = members.min(axis=0)
-    hi = members.max(axis=0)
-    above = int(np.sum(truth > hi))
-    below = int(np.sum(truth < lo))
-    K = members.shape[0]
+    above = truth > hi2  # the truth alone is the stack's max, so hi2 is the members'
+    under = truth < lo2
+    width = np.where(above, hi2, hi) - np.where(under, lo2, lo)
+    members_ever = ((members == lo) | (members == hi)).any(axis=1)
+    truth_extreme = int(np.count_nonzero((truth == lo) | (truth == hi)))
+    n_above, n_below = int(above.sum()), int(under.sum())
     return {
-        "n_outside": above + below,
-        "n_above": above,
-        "n_below": below,
-        "expected_outside": 2.0 * len(truth) / (K + 1),
-        "mean_width": float(np.mean(hi - lo)),
-    }
-
-
-def min_max_rank_diagnostic(truth, members) -> dict:
-    """How many of the members+1 series are never the pointwise min or max."""
-    truth = np.asarray(truth, dtype=float)
-    members = np.atleast_2d(np.asarray(members, dtype=float))
-    lo = np.minimum(truth, members.min(axis=0))
-    hi = np.maximum(truth, members.max(axis=0))
-    truth_extreme = (truth == lo) | (truth == hi)
-    truth_never = not truth_extreme.any()
-    members_never = ~np.any((members == lo) | (members == hi), axis=1)
-    return {
-        "never_extreme_count": int(members_never.sum()) + truth_never,
-        "truth_never_extreme": truth_never,
-        "truth_extreme_times": int(truth_extreme.sum()),
+        "counts": counts.tolist(),
+        "chi_square": chi_square(counts),
+        "coverage_rank": int(coverage_rank),
+        "n_outside": n_above + n_below,
+        "n_above": n_above,
+        "n_below": n_below,
+        "mean_width": float(np.mean(width)),
+        "never_extreme_count": K - int(members_ever.sum()) + (truth_extreme == 0),
+        "truth_never_extreme": truth_extreme == 0,
+        "truth_extreme_times": truth_extreme,
     }
 
 

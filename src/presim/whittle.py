@@ -375,7 +375,6 @@ class FitResult(Record):
     loglik: float
     hessian: np.ndarray
     convergence: dict
-    hessian_min_eig: float = float("nan")
     hessian_eigenvalues: np.ndarray | None = None
 
     def to_json(self) -> str:
@@ -432,7 +431,6 @@ def fit_mle(obj: WhittleObjective, initial: SpectralParams,
         hessian=H,
         convergence=convergence,
         knots=model.knots,
-        hessian_min_eig=float(eigenvalues[0]),
         hessian_eigenvalues=eigenvalues,
     )
 

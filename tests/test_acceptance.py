@@ -331,15 +331,15 @@ def test_08_ensemble_calibration_at_held_out_sites(model):
         members = np.stack([inverse_dft(sampler.draw(seed, k)) for k in range(K)])
         ok_diff = ok_hourly = True
         for i in range(2):
-            counts = verify.rank_histogram(
+            counts = verify.verdicts(
                 np.diff(A[11 + i]), np.diff(members[:, i, :], axis=1), seed=seed
-            )
+            )["counts"]
             ok_diff &= verify.chi_square(counts) < q99
-            counts = verify.rank_histogram(
+            counts = verify.verdicts(
                 verify.aggregate_diffs(A[11 + i], 12),
                 np.array([verify.aggregate_diffs(p, 12) for p in members[:, i, :]]),
                 seed=seed,
-            )
+            )["counts"]
             ok_hourly &= verify.chi_square(counts) < q99
         pass_diff += ok_diff
         pass_hourly += ok_hourly

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs through the command-line entry point."""
 
+import importlib.util
 import json
 import os
 import shutil
@@ -24,6 +25,7 @@ from presim.spectrum import KnotSet, SpectralModel
 
 T = 576
 SEED = 11
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(path: Path, out_dir: Path, **overrides) -> Path:
@@ -118,6 +120,11 @@ def test_ensemble_output(pipeline):
     assert np.all((vals > 80.0) & (vals < 110.0))
 
 
+VERDICT_KEYS = {"counts", "chi_square", "coverage_rank", "n_outside", "n_above", "n_below",
+                "mean_width", "never_extreme_count", "truth_never_extreme",
+                "truth_extreme_times"}
+
+
 def test_metrics_structure(pipeline):
     out, _ = pipeline
     metrics = json.loads((out / "metrics.json").read_text())
@@ -128,10 +135,12 @@ def test_metrics_structure(pipeline):
         assert set(hists) == {"all", "hourly", "top_decile_volatility"}
         assert sum(hists["all"]["counts"]) == T
         assert len(hists["all"]["counts"]) == 5
-        for h in hists.values():
-            # 99% point of chi-square with 4 degrees of freedom
-            assert h["chi_square_99"] == pytest.approx(13.2767, abs=1e-4)
-            assert h["uniform_at_99"] is (h["chi_square"] <= h["chi_square_99"])
+        levels = tgt["levels"]
+        assert sum(levels["counts"]) == T + 1
+        assert levels["n_outside"] == levels["n_above"] + levels["n_below"]
+        for v in [levels, *hists.values()]:
+            assert set(v) == VERDICT_KEYS
+            assert 1 <= v["coverage_rank"] <= 5
     methods = {row["method"] for row in metrics["score_table"]}
     assert methods == {"ensemble_mean", "nearest_neighbor"}
 
@@ -250,13 +259,28 @@ def test_evaluate_prints_verdict_per_histogram(pipeline, tmp_path, capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if "chi-square" in l]
     metrics = json.loads((tmp_path / "metrics.json").read_text())
     expected = [
-        f"{tid}/{label}: chi-square {h['chi_square']:.1f} vs 99% point "
-        f"{h['chi_square_99']:.1f}: {'PASS' if h['uniform_at_99'] else 'FAIL'}"
+        f"{tid}/{label}: chi-square {v['chi_square']:.1f}, coverage rank {v['coverage_rank']} of 5"
         for tid, t in metrics["targets"].items()
-        for label, h in t["rank_histograms"].items()
+        for label, v in [("levels", t["levels"]), *t["rank_histograms"].items()]
     ]
-    assert len(expected) == 6
+    assert len(expected) == 8
     assert sorted(lines) == sorted(expected)
+
+
+def test_metrics_meet_the_benchmark_contract(pipeline):
+    # perfbench/checks.py reads metrics.json by these keys; a change that
+    # broke them would make every benchmark run of the program fail
+    spec = importlib.util.spec_from_file_location("perfbench_checks",
+                                                  ROOT / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    out, _ = pipeline
+    report, metrics = out / "fit_report.json", out / "metrics.json"
+    n_times = checks.expected_counts(report, T)
+    assert checks.check_metrics(metrics, ["E12", "E13"], 4, n_times) == []
+    fingerprint = checks.fingerprint(report, metrics)
+    assert set(fingerprint) == {"fit_params", "rank_counts", "score_table"}
+    assert all(len(digest) == 64 for digest in fingerprint.values())
 
 
 def _truncate(d):

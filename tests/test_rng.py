@@ -69,7 +69,7 @@ def test_substream_keys_are_pairwise_distinct(model, geometry3, monkeypatch):
                 uncond.draw(seed, member, stage=stage)
         whittle.sample_params(fit, len(members), seed)
         meanfield.sample_means(mf, [target], sea, len(members), seed)
-        verify.rank_histogram(np.zeros(T), np.ones((3, T)), seed=seed)
+        verify.verdicts(np.zeros(T), np.ones((3, T)), seed=seed)
         synth.default_stack(T, [300.0, 400.0], seed=seed)
 
     assert {k[0] for k in keys} == {"presim.condsim", "presim.whittle", "presim.meanfield",

@@ -92,6 +92,20 @@ def test_write_dataset_rejects_a_step_that_is_not_whole_microseconds(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("start", [datetime(9999, 12, 31, 22, tzinfo=UTC),
+                                   datetime(9999, 12, 31, 22)])
+def test_write_dataset_rejects_a_stamp_after_year_9999(model, tmp_path, start):
+    # the third hourly stamp would be written as 10000-01-01T00:00:00, which ingest rejects
+    with pytest.raises(ValidationError, match="after year 9999"):
+        synth.write_dataset(_truth(model, 3), tmp_path / "out", start=start, step_seconds=3600)
+    assert not (tmp_path / "out").exists()
+    # one step fewer ends at 23:00 and reads back
+    truth = _truth(model, 2)
+    _, written, _ = synth.write_dataset(truth, tmp_path / "out", start=start, step_seconds=3600)
+    series = load_observations(written, truth.stations)
+    assert [len(s.values) for s in series] == [2] * len(truth.stations)
+
+
 def test_a_failed_write_leaves_no_partial_file_and_the_earlier_dataset(model, tmp_path):
     out = tmp_path / "out"
     synth.write_dataset(_truth(model, 100, seed=1), out)

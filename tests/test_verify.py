@@ -1,4 +1,6 @@
-"""Rank histograms, coverage, scores, baselines, and aggregation."""
+"""Calibration verdicts, scores, baselines, and aggregation."""
+
+import json
 
 import numpy as np
 import pytest
@@ -8,17 +10,15 @@ from hypothesis import strategies as st
 from presim.errors import ValidationError
 from presim.ingest import StationMeta
 from presim.preprocess import SeaLevelModel
+from presim.rng import STAGE_EVAL, substream
 from presim.verify import (
     aggregate_diffs,
     chi_square,
-    chi_square_99_point,
-    envelope_coverage,
-    min_max_rank_diagnostic,
     nearest_neighbor_baseline,
-    rank_histogram,
     score_errors,
     score_table,
     top_volatility_selector,
+    verdicts,
 )
 
 SEA = SeaLevelModel(log_p0=np.log(101.0), scale_height=8310.0)
@@ -27,22 +27,80 @@ SEA = SeaLevelModel(log_p0=np.log(101.0), scale_height=8310.0)
 # -- rank histograms ------------------------------------------------------
 
 
+def rank_histogram(truth, members, seed):
+    """The truth's rank histogram as `evaluate` first computed it, in its own
+    pass, and the generator after its draws."""
+    members = np.atleast_2d(members)
+    rng = substream(seed, STAGE_EVAL, 0)
+    below = np.sum(members < truth[None, :], axis=0)
+    ties = np.sum(members == truth[None, :], axis=0)
+    ranks = 1 + below + rng.integers(0, ties + 1)
+    return np.bincount(ranks - 1, minlength=members.shape[0] + 1), rng
+
+
+def coverage_shares(stack):
+    """Each series' count of times with at least (K+1)//4 of the K others
+    on each side of it, ties counted on both: a loop over the series."""
+    K = stack.shape[0] - 1
+    a = (K + 1) // 4
+    shares = []
+    for i, x in enumerate(stack):
+        others = np.delete(stack, i, axis=0)
+        shares.append(int(np.sum((np.sum(others <= x, axis=0) >= a)
+                                 & (np.sum(others >= x, axis=0) >= a))))
+    return np.array(shares)
+
+
+def counts(truth, members, seed):
+    return np.array(verdicts(truth, members, seed)["counts"])
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 9, 19, 99])
+@pytest.mark.parametrize("decimals", [None, 1, 0])  # exact input, then coarser grids
+def test_verdicts_match_brute_force_oracles(K, decimals):
+    rng = np.random.default_rng(100 + K)
+    stack = rng.standard_normal((K + 1, 120)).cumsum(axis=1)
+    if decimals is not None:
+        stack = np.round(stack, decimals)
+    truth, members = stack[0], stack[1:]
+    v = verdicts(truth, members, seed=K)
+
+    hist, hist_rng = rank_histogram(truth, members, seed=K)
+    assert v["counts"] == hist.tolist()
+    assert v["chi_square"] == chi_square(hist)
+
+    shares = coverage_shares(stack)
+    ties = np.sum(shares[1:] == shares[0])
+    assert v["coverage_rank"] == 1 + np.sum(shares[1:] < shares[0]) + hist_rng.integers(0, ties + 1)
+
+    above = truth > members.max(axis=0)
+    below = truth < members.min(axis=0)
+    assert (v["n_above"], v["n_below"], v["n_outside"]) == (
+        above.sum(), below.sum(), above.sum() + below.sum())
+    assert v["mean_width"] == np.mean(members.max(axis=0) - members.min(axis=0))
+    lo, hi = stack.min(axis=0), stack.max(axis=0)
+    never = ~np.any((stack == lo) | (stack == hi), axis=1)
+    assert (v["never_extreme_count"], v["truth_never_extreme"], v["truth_extreme_times"]) == (
+        never.sum(), never[0], np.sum((truth == lo) | (truth == hi)))
+    assert json.loads(json.dumps(v)) == v
+
+
 def test_rank_histogram_counts_sum():
     rng = np.random.default_rng(0)
     truth = rng.standard_normal(200)
     members = rng.standard_normal((9, 200))
-    counts = rank_histogram(truth, members, seed=1)
-    assert counts.sum() == 200
-    assert len(counts) == 10
+    c = counts(truth, members, seed=1)
+    assert c.sum() == 200
+    assert len(c) == 10
 
 
 def test_rank_histogram_extreme_truth():
     rng = np.random.default_rng(1)
     members = rng.standard_normal((99, 50))
     truth = members.max(axis=0) + 1.0
-    counts = rank_histogram(truth, members, seed=2)
-    assert counts[-1] == 50
-    assert counts[:-1].sum() == 0
+    c = counts(truth, members, seed=2)
+    assert c[-1] == 50
+    assert c[:-1].sum() == 0
 
 
 def test_rank_histogram_tie_randomization_spreads_mass():
@@ -51,9 +109,9 @@ def test_rank_histogram_tie_randomization_spreads_mass():
     rng = np.random.default_rng(2)
     members = rng.standard_normal((3, 4000))
     truth = members[0].copy()
-    counts = rank_histogram(truth, members, seed=3)
-    ranks = np.flatnonzero(counts)
-    assert counts.sum() == 4000
+    c = counts(truth, members, seed=3)
+    ranks = np.flatnonzero(c)
+    assert c.sum() == 4000
     # each time has exactly one tie, so two adjacent ranks share the mass
     assert len(ranks) >= 2
 
@@ -62,11 +120,11 @@ def test_rank_histogram_seeded_determinism():
     rng = np.random.default_rng(3)
     truth = np.round(rng.standard_normal(300), 1)  # coarse: many ties
     members = np.round(rng.standard_normal((9, 300)), 1)
-    c1 = rank_histogram(truth, members, seed=4)
-    c2 = rank_histogram(truth, members, seed=4)
-    c3 = rank_histogram(truth, members, seed=5)
-    assert np.array_equal(c1, c2)
-    assert c1.sum() == c3.sum()
+    c1 = verdicts(truth, members, seed=4)
+    c2 = verdicts(truth, members, seed=4)
+    c3 = verdicts(truth, members, seed=5)
+    assert c1 == c2
+    assert sum(c1["counts"]) == sum(c3["counts"])
 
 
 def test_rank_histogram_exchangeable_is_uniform():
@@ -79,12 +137,8 @@ def test_rank_histogram_exchangeable_is_uniform():
     for rep in range(20):
         rng = np.random.default_rng(700 + rep)
         data = rng.standard_normal((10, 2000))
-        ok += chi_square(rank_histogram(data[0], data[1:], seed=rep)) < q
+        ok += verdicts(data[0], data[1:], seed=rep)["chi_square"] < q
     assert ok >= 18
-    # the verdict's threshold is the same quantile (134.64 for 99 members)
-    assert chi_square_99_point(9) == pytest.approx(q, rel=1e-10)
-    assert chi_square_99_point(99) == pytest.approx(chi2.ppf(0.99, 99), rel=1e-10)
-    assert chi_square_99_point(99) == pytest.approx(134.642, abs=1e-3)
 
 
 def test_chi_square_against_uniform():
@@ -93,19 +147,50 @@ def test_chi_square_against_uniform():
     assert chi_square(np.array([20, 0, 0, 0])) == pytest.approx(60.0)
 
 
-def test_chi_square_99_point_matches_scipy():
-    from scipy.stats import chi2
-
-    df = np.arange(1, 1001)
-    point = np.array([chi_square_99_point(int(k)) for k in df])
-    np.testing.assert_allclose(point, chi2.ppf(0.99, df), rtol=1e-12, atol=0)
-    with pytest.raises(ValidationError):
-        chi_square_99_point(0)
-
-
 def test_rank_histogram_length_mismatch():
     with pytest.raises(ValidationError):
-        rank_histogram(np.zeros(5), np.zeros((3, 6)), seed=0)
+        verdicts(np.zeros(5), np.zeros((3, 6)), seed=0)
+
+
+# -- coverage rank --------------------------------------------------------
+
+
+def ar1_stacks(reps, K, T, seed, phi=0.9):
+    """reps stacks of K + 1 exchangeable AR(1) series of length T."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((reps, K + 1, T))
+    for t in range(1, T):
+        x[..., t] += phi * x[..., t - 1]
+    return x
+
+
+@pytest.mark.parametrize("T", [400, 4])  # at T = 4 most series tie with others' shares
+def test_coverage_rank_is_uniform_for_exchangeable_series(T):
+    # the truth is one more AR(1) series, on the raw values in half the
+    # replications and on a coarse grid (many ties) in the other half
+    from scipy.stats import chi2
+
+    K, reps = 19, 300
+    stacks = ar1_stacks(reps, K, T, seed=35)
+    stacks[reps // 2:] = np.round(stacks[reps // 2:])
+    ranks = np.array([verdicts(x[0], x[1:], seed=rep)["coverage_rank"]
+                      for rep, x in enumerate(stacks)])
+    assert ranks.min() >= 1 and ranks.max() <= K + 1
+    # the mean of 300 uniform ranks on 1..20 has SD 0.33 about 10.5
+    assert abs(ranks.mean() - 10.5) < 1.2
+    quintiles = np.bincount((ranks - 1) // 4, minlength=5)
+    assert chi_square(quintiles) < chi2.ppf(0.999, 4)
+
+
+@pytest.mark.parametrize("scale, low, high", [(1.5, 17, 20), (0.67, 1, 4)])
+def test_coverage_rank_reads_the_ensemble_spread(scale, low, high):
+    # members too wide leave the truth central too often: high ranks;
+    # members too narrow leave it outside: low ranks
+    K = 19
+    stacks = ar1_stacks(40, K, 400, seed=36)
+    ranks = [verdicts(x[0], scale * x[1:], seed=rep)["coverage_rank"]
+             for rep, x in enumerate(stacks)]
+    assert low <= np.mean(ranks) <= high
 
 
 # -- envelopes and extremes -----------------------------------------------
@@ -114,15 +199,14 @@ def test_rank_histogram_length_mismatch():
 def test_envelope_coverage_degenerate_wide():
     truth = np.zeros(50)
     members = np.vstack([np.full(50, -1e9), np.full(50, 1e9)])
-    cov = envelope_coverage(truth, members)
+    cov = verdicts(truth, members, seed=0)
     assert cov["n_outside"] == 0
-    assert cov["expected_outside"] == pytest.approx(2 * 50 / 3)
 
 
 def test_envelope_coverage_counts_sides():
     truth = np.array([-2.0, 0.0, 2.0])
     members = np.vstack([np.full(3, -1.0), np.full(3, 1.0)])
-    cov = envelope_coverage(truth, members)
+    cov = verdicts(truth, members, seed=0)
     assert cov["n_below"] == 1
     assert cov["n_above"] == 1
     assert cov["n_outside"] == 2
@@ -133,14 +217,14 @@ def test_min_max_two_series():
     rng = np.random.default_rng(5)
     truth = rng.standard_normal(40)
     members = rng.standard_normal((1, 40))
-    diag = min_max_rank_diagnostic(truth, members)
+    diag = verdicts(truth, members, seed=0)
     assert diag["never_extreme_count"] == 0
 
 
 def test_min_max_truth_straddled():
     truth = np.zeros(30)
     members = np.vstack([np.full(30, -1.0), np.full(30, 1.0)])
-    diag = min_max_rank_diagnostic(truth, members)
+    diag = verdicts(truth, members, seed=0)
     assert diag["truth_never_extreme"]
     assert diag["never_extreme_count"] == 1
     assert diag["truth_extreme_times"] == 0
@@ -151,7 +235,7 @@ def test_min_max_exchangeable_band():
     # extreme appearance, so roughly e^{-1} of them are never extreme
     rng = np.random.default_rng(6)
     data = rng.standard_normal((100, 50))
-    diag = min_max_rank_diagnostic(data[0], data[1:])
+    diag = verdicts(data[0], data[1:], seed=0)
     assert 10 < diag["never_extreme_count"] < 80
 
 
@@ -163,8 +247,9 @@ def test_min_max_matches_the_stacked_oracle(seed):
     stack = rng.integers(0, 20, size=(30, 8)).astype(float)
     lo, hi = stack.min(axis=0), stack.max(axis=0)
     never = ~np.any((stack == lo) | (stack == hi), axis=1)
-    diag = min_max_rank_diagnostic(stack[0], stack[1:])
-    assert diag == {
+    diag = verdicts(stack[0], stack[1:], seed=0)
+    assert {k: diag[k] for k in ("never_extreme_count", "truth_never_extreme",
+                                 "truth_extreme_times")} == {
         "never_extreme_count": int(never.sum()),
         "truth_never_extreme": bool(never[0]),
         "truth_extreme_times": int(np.sum((stack[0] == lo) | (stack[0] == hi))),

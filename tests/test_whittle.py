@@ -566,7 +566,6 @@ def check_fit_hessian(fit, obj):
     assert fit.convergence["status"] == "converged"
     assert np.array_equal(fit.hessian, obj.loglik(fit.params_hat)[2]())
     assert np.array_equal(fit.hessian_eigenvalues, np.linalg.eigvalsh(fit.hessian))
-    assert fit.hessian_min_eig == fit.hessian_eigenvalues[0]
     assert np.all(np.diff(fit.hessian_eigenvalues) >= 0)
 
 
