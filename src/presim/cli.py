@@ -254,9 +254,10 @@ def _read_ensemble(ensemble_dir, target_ids, fit):
 
     def read_target(t):
         block = read_rows(ids.index(t))
-        for m, row in enumerate(block):  # one member at a time: no mask of the whole block
-            if not np.isfinite(row).all():
-                raise ValidationError(f"{path}: target {t}, member {m} is not finite")
+        # a member's row is finite if its min and max are: no mask of the whole block
+        finite = np.isfinite(block.min(axis=1)) & np.isfinite(block.max(axis=1))
+        if not finite.all():
+            raise ValidationError(f"{path}: target {t}, member {np.argmin(finite)} is not finite")
         return block
 
     return shape, read_target
@@ -291,8 +292,11 @@ def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> 
         hourly = (verify.aggregate_diffs(truth_p, hourly_width),
                   verify.aggregate_diffs(members_p, hourly_width))
         truth_d = np.diff(truth_p)
-        members_d = np.diff(members_p, axis=1)
-        del members_p  # the verdicts' sorted copy takes its place in memory
+        # the levels are done with: their changes overwrite them row by row,
+        # so no second (members, T+1) array is made
+        for row in members_p:
+            row[1:] = np.diff(row)
+        members_d = members_p[:, 1:]
         quantities = {
             "all": (truth_d, members_d),
             "hourly": hourly,

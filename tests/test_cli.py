@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import yaml
 
-from presim import cli, condsim, synth, whittle
+from presim import cli, condsim, synth, verify, whittle
 from presim.cli import main
 from presim.condsim import ConditionalSampler
 from presim.config import RunConfig
@@ -267,6 +267,31 @@ def test_evaluate_prints_verdict_per_histogram(pipeline, tmp_path, capsys):
     assert sorted(lines) == sorted(expected)
 
 
+def test_evaluate_scores_the_members_and_their_changes(pipeline, tmp_path, monkeypatch):
+    # score overwrites each target's member levels with their changes, in
+    # place: every quantity must still see what the whole-array differences,
+    # hourly aggregates and top-decile columns of the ensemble give
+    out, cfg = pipeline
+    seen, verdicts = [], verify.verdicts
+    monkeypatch.setattr(verify, "verdicts", lambda truth, members, seed: seen.append(
+        (np.array(truth), np.array(members))) or verdicts(truth, members, seed))
+    assert evaluate(cfg, out, out / "ensemble", tmp_path) == 0
+    pressure = np.load(out / "ensemble" / "pressure.npy")
+    ids = json.loads((out / "ensemble" / "manifest.json").read_text())["target_ids"]
+    assert len(seen) == 8
+    for k, target in enumerate(["E12", "E13"]):
+        levels = pressure[:, ids.index(target)]
+        (truth, members), changes, hourly, top = seen[4 * k:4 * k + 4]
+        assert np.array_equal(members, levels)
+        assert np.array_equal(changes[0], np.diff(truth))
+        assert np.array_equal(changes[1], np.diff(levels, axis=1))
+        assert np.array_equal(hourly[0], verify.aggregate_diffs(truth, 12))  # 5-minute steps
+        assert np.array_equal(hourly[1], verify.aggregate_diffs(levels, 12))
+        columns = {tuple(c) for c in changes[1].T}
+        assert top[1].shape == (4, round(0.1 * T))
+        assert all(tuple(c) in columns for c in top[1].T)
+
+
 def test_metrics_meet_the_benchmark_contract(pipeline):
     # perfbench/checks.py reads metrics.json by these keys; a change that
     # broke them would make every benchmark run of the program fail
@@ -323,6 +348,15 @@ def _not_finite(d):
     np.save(d / "pressure.npy", pressure)
 
 
+def _infinite_member(d):
+    # a member of +inf only, ahead of _not_finite's: its min is not finite either
+    _not_finite(d)
+    e13 = json.loads((d / "manifest.json").read_text())["target_ids"].index("E13")
+    pressure = np.load(d / "pressure.npy")
+    pressure[1, e13] = np.inf
+    np.save(d / "pressure.npy", pressure)
+
+
 def _truncate_manifest(d):
     (d / "manifest.json").write_text((d / "manifest.json").read_text()[:100])
 
@@ -345,6 +379,7 @@ def _edit_manifest(**changes):
     (_big_endian, "pressure.npy: dtype >f8 is not little-endian float64"),
     (_trailing_bytes, "pressure.npy: 37064 bytes, not the 128-byte header and"),
     (_not_finite, "pressure.npy: target E13, member 2 is not finite"),
+    (_infinite_member, "pressure.npy: target E13, member 1 is not finite"),
     (_edit_manifest(n_members=5), "5 members"),
     (_edit_manifest(target_ids=["E12", "X99"]), "['E13']"),
     (_truncate_manifest, "manifest.json: not a readable ensemble manifest (JSONDecodeError("),
@@ -377,7 +412,11 @@ def test_evaluate_holds_one_target_of_the_ensemble(pipeline, tmp_path):
     # 8 targets, of which E12 and E13 are held out: evaluate reads those two
     # and writes the metrics of a 2-target ensemble. The fixture's 4 members
     # are tiled to 400, so that the array (14.8 MB) outweighs the stage's
-    # other allocations (about 1.5 MB).
+    # other allocations: on the fixture's own ensemble its peak is 1.45 MB.
+    # Scoring a target holds its (members, T+1) block (1.85 MB), a tenth of
+    # it for the top-decile changes and one block of the verdict pass: at
+    # one whole extra block (a copy of the changes or a sort of the whole
+    # stack) the peak read 2.7 blocks, 5.0 MB, against the bound's 4.3 MB.
     out, cfg = pipeline
     pressure = np.tile(np.load(out / "ensemble" / "pressure.npy"), (100, 1, 1))
     manifest = json.loads((out / "ensemble" / "manifest.json").read_text())
@@ -405,6 +444,7 @@ def test_evaluate_holds_one_target_of_the_ensemble(pipeline, tmp_path):
     assert metrics["wide"] == metrics["narrow"]
     assert json.loads(metrics["wide"])["n_members"] == 400
     assert peaks["wide"] < wide.nbytes / 2
+    assert peaks["wide"] < 1.5 * wide.nbytes / len(ids) + 1.5e6
 
 
 def _without(key):

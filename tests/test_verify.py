@@ -12,6 +12,7 @@ from presim.ingest import StationMeta
 from presim.preprocess import SeaLevelModel
 from presim.rng import STAGE_EVAL, substream
 from presim.verify import (
+    BLOCK_VALUES,
     aggregate_diffs,
     chi_square,
     nearest_neighbor_baseline,
@@ -59,30 +60,33 @@ def counts(truth, members, seed):
 @pytest.mark.parametrize("decimals", [None, 1, 0])  # exact input, then coarser grids
 def test_verdicts_match_brute_force_oracles(K, decimals):
     rng = np.random.default_rng(100 + K)
-    stack = rng.standard_normal((K + 1, 120)).cumsum(axis=1)
-    if decimals is not None:
-        stack = np.round(stack, decimals)
-    truth, members = stack[0], stack[1:]
-    v = verdicts(truth, members, seed=K)
+    block = BLOCK_VALUES // (K + 1)  # times per block of the verdict pass
+    for N in [1, block - 1, block, block + 1, 2 * block + 17]:  # on and across its boundaries
+        stack = rng.standard_normal((K + 1, N)).cumsum(axis=1)
+        if decimals is not None:
+            stack = np.round(stack, decimals)
+        truth, members = stack[0], stack[1:]
+        v = verdicts(truth, members, seed=K)
 
-    hist, hist_rng = rank_histogram(truth, members, seed=K)
-    assert v["counts"] == hist.tolist()
-    assert v["chi_square"] == chi_square(hist)
+        hist, hist_rng = rank_histogram(truth, members, seed=K)
+        assert v["counts"] == hist.tolist()
+        assert v["chi_square"] == chi_square(hist)
 
-    shares = coverage_shares(stack)
-    ties = np.sum(shares[1:] == shares[0])
-    assert v["coverage_rank"] == 1 + np.sum(shares[1:] < shares[0]) + hist_rng.integers(0, ties + 1)
+        shares = coverage_shares(stack)
+        ties = np.sum(shares[1:] == shares[0])
+        assert v["coverage_rank"] == (1 + np.sum(shares[1:] < shares[0])
+                                      + hist_rng.integers(0, ties + 1))
 
-    above = truth > members.max(axis=0)
-    below = truth < members.min(axis=0)
-    assert (v["n_above"], v["n_below"], v["n_outside"]) == (
-        above.sum(), below.sum(), above.sum() + below.sum())
-    assert v["mean_width"] == np.mean(members.max(axis=0) - members.min(axis=0))
-    lo, hi = stack.min(axis=0), stack.max(axis=0)
-    never = ~np.any((stack == lo) | (stack == hi), axis=1)
-    assert (v["never_extreme_count"], v["truth_never_extreme"], v["truth_extreme_times"]) == (
-        never.sum(), never[0], np.sum((truth == lo) | (truth == hi)))
-    assert json.loads(json.dumps(v)) == v
+        above = truth > members.max(axis=0)
+        below = truth < members.min(axis=0)
+        assert (v["n_above"], v["n_below"], v["n_outside"]) == (
+            above.sum(), below.sum(), above.sum() + below.sum())
+        assert v["mean_width"] == np.mean(members.max(axis=0) - members.min(axis=0))
+        lo, hi = stack.min(axis=0), stack.max(axis=0)
+        never = ~np.any((stack == lo) | (stack == hi), axis=1)
+        assert (v["never_extreme_count"], v["truth_never_extreme"], v["truth_extreme_times"]) == (
+            never.sum(), never[0], np.sum((truth == lo) | (truth == hi)))
+        assert json.loads(json.dumps(v)) == v
 
 
 def test_rank_histogram_counts_sum():
@@ -150,6 +154,12 @@ def test_chi_square_against_uniform():
 def test_rank_histogram_length_mismatch():
     with pytest.raises(ValidationError):
         verdicts(np.zeros(5), np.zeros((3, 6)), seed=0)
+
+
+def test_verdicts_reject_an_empty_series():
+    # its chi-square was 0/0, a NaN that metrics.json cannot hold
+    with pytest.raises(ValidationError, match="empty"):
+        verdicts(np.zeros(0), np.zeros((3, 0)), seed=0)
 
 
 # -- coverage rank --------------------------------------------------------
