@@ -45,7 +45,7 @@ def _parsed_observations(path, stations, cache: Path):
 
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):  # 1 MiB at a time: flat memory
+        for chunk in iter(lambda: fh.read(1 << 16), b""):  # 64 KiB at a time: flat memory
             digest.update(chunk)
     key = [digest.hexdigest(), [s.id for s in stations]]
     try:  # given a path, np.load leaves the file open when the zip is bad

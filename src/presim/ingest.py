@@ -7,22 +7,17 @@ fills short gaps by linear interpolation, block-averages, and assembles
 the aligned data grid. Timestamps are ISO-8601 in files, normalized to
 UTC; internally time is an integer index plus (start, step).
 
-The observation file is read in blocks of whole lines, `BLOCK_BYTES` at a
-time. A plain block (no quote character, blank line or line over the csv
-field size limit, three fields on every line, and all lines ending in LF
-or all in CRLF) is split on commas and newlines into column lists;
-csv.reader tokenizes any other block, so quoted fields keep working and
-every error names its physical line. The station file is small and always
-goes through csv.reader.
+Both CSVs are read by one csv.reader row loop (`_rows`), so quoted fields
+keep working and every error names its physical line. The observation
+file is parsed once per output directory (the CLI keeps the parse in
+`observations.npz`), so its cost is paid by the first stage that reads it.
 """
 
 import csv
-import io
 import math
 from array import array
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from itertools import chain, compress
 
 import numpy as np
 
@@ -95,47 +90,30 @@ class DataGrid:
         return np.array([s.elevation for s in self.stations])
 
 
-def _header(reader, path, expected):
-    """Read the header row of a csv reader; it must match `expected`."""
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
-    if header is None or [c.strip() for c in header] != expected:
-        raise FormatError(f"{path}: expected header {','.join(expected)}")
-
-
-def _csv_rows(reader, path, width, line=0):
-    """Yield (line number, fields) of each non-blank row a csv reader reads.
-
-    Every row must have `width` fields; a wrong field count and a csv syntax
-    error are FormatErrors naming the path and the physical line, which is
-    `line` plus the lines the reader has read.
-    """
-    try:
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue  # blank line
-                raise FormatError(
-                    f"{path}:{line + reader.line_num}: expected {width} fields, got {len(row)}"
-                )
-            yield line + reader.line_num, row
-    except csv.Error as exc:
-        raise FormatError(f"{path}:{line + reader.line_num}: {exc}") from exc
-
-
 def _rows(path, expected):
     """Yield (line number, fields) of each non-blank data row of a CSV.
 
-    The header must match `expected` and every row must have as many fields;
-    undecodable text and csv syntax errors are FormatErrors naming the path.
+    The header must match `expected` and every row must have as many fields.
+    A wrong field count, a csv syntax error and undecodable text are
+    FormatErrors naming the path and, for the first two, the physical line.
     """
+    width = len(expected)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            _header(reader, path, expected)
-            yield from _csv_rows(reader, path, len(expected))
+            header = next(reader, None)
+            if header is None or [c.strip() for c in header] != expected:
+                raise FormatError(f"{path}: expected header {','.join(expected)}")
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue  # blank line
+                    raise FormatError(
+                        f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
+                    )
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
@@ -164,9 +142,6 @@ def load_stations(path) -> list:
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 _OBSERVATION_HEADER = ["timestamp", "station_id", "pressure_kPa"]
-_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\r\n")))  # translate() deletes these
-
-BLOCK_BYTES = 1 << 16  # the observation reader's read size
 
 
 def _micros(text: str) -> int:
@@ -195,124 +170,36 @@ def _instant(micros) -> datetime:
     return _EPOCH + timedelta(microseconds=int(micros))
 
 
-def _blocks(fh):
-    """Blocks of whole lines of a binary file, read BLOCK_BYTES at a time.
-
-    A block ends at a newline outside any quoted field (an even number of
-    quote characters before it) or at the end of the file.
-    """
-    rest = b""
-    while chunk := fh.read(BLOCK_BYTES):
-        rest += chunk
-        cut = rest.rfind(b"\n") + 1
-        if cut and rest.count(b'"', 0, cut) % 2 == 0:
-            yield rest[:cut]
-            rest = rest[cut:]
-    if rest:
-        yield rest
-
-
-def _tokens(block: bytes, path, line: int):
-    """Tokenize a block whose first line follows physical line `line`.
-
-    Returns the block's rows as columns (line numbers, timestamps, station
-    ids, pressures), its number of physical lines, and the FormatError at
-    which tokenizing stopped, or None. A plain block, with no quote
-    character, blank line or line over the csv field size limit, three
-    fields on every line and all lines ending in LF or all in CRLF, is
-    split on commas and newlines; csv.reader tokenizes any other.
-    """
-    plain = block if block.endswith(b"\n") else block + b"\n"
-    if b'"' not in plain and len(plain) <= csv.field_size_limit():
-        separators = plain.translate(None, _NOT_SEPARATORS)
-        pattern = b",,\r\n" if separators.endswith(b"\r\n") else b",,\n"
-        n = len(separators) // len(pattern)
-        if separators == pattern * n:  # all LF or all CRLF lines of three fields
-            # a CRLF line's CR stays on its pressure field, which float() strips
-            fields = plain.decode("utf-8").replace("\n", ",").split(",")
-            fields.pop()  # after the last newline
-            return (range(line + 1, line + n + 1), fields[0::3], fields[1::3], fields[2::3]), n, None
-    reader = csv.reader(io.StringIO(block.decode("utf-8"), newline=""))
-    rows, fault = [], None
-    try:
-        for lineno, row in _csv_rows(reader, path, 3, line):
-            rows.append((lineno, *row))
-    except FormatError as exc:
-        fault = exc
-    return [list(c) for c in zip(*rows)] or [[], [], [], []], reader.line_num, fault
-
-
-def _raise_first_fault(path, lines, times, raws):
-    """Raise the FormatError of the first row whose timestamp or pressure does not parse."""
-    for lineno, text, raw in zip(lines, times, raws):
-        try:
-            _micros(text)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: bad timestamp {text.strip()!r}") from exc
-        try:
-            _pressure(raw)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: bad pressure {raw.strip()!r}") from exc
-
-
-def _append(path, columns, rows, index):
-    """Parse a block's columns and append each requested row to `rows`.
-
-    `rows` holds the lane, time and value arrays; `index` maps a requested
-    station id to its lane. Rows of other stations are never parsed. Each
-    distinct timestamp field is parsed once. A row that does not parse
-    raises for the first such row in file order.
-    """
-    lines, times, sids, raws = columns
-    slots = {sid: index.get(sid.strip(), -1) for sid in set(sids)}  # -1: not requested
-    picks = np.fromiter(map(slots.__getitem__, sids), dtype=rows[0].typecode, count=len(sids))
-    if (picks < 0).any():
-        keep = picks >= 0
-        kept = keep.tolist()
-        picks = picks[keep]
-        lines, times, raws = (list(compress(c, kept)) for c in (lines, times, raws))
-    try:
-        instants = dict.fromkeys(times)
-        for text in instants:
-            instants[text] = _micros(text)
-        micros = np.fromiter(map(instants.__getitem__, times), dtype=np.int64, count=len(times))
-        try:
-            values = np.fromiter(map(float, raws), dtype=float, count=len(raws))
-        except ValueError:  # blank fields, or a bad one
-            values = np.fromiter(map(_pressure, raws), dtype=float, count=len(raws))
-        if np.isinf(values).any():
-            raise ValueError("an infinite pressure")
-    except ValueError:
-        _raise_first_fault(path, lines, times, raws)
-        raise  # not reached: some row above failed
-    for column, parsed in zip(rows, (picks, micros, values)):
-        column.frombytes(parsed.tobytes())
-
-
 def _read_rows(path, index):
     """The lane, time and value arrays of the requested rows, in file order.
 
     `index` maps each requested station id to its lane; a time is in
-    microseconds since the epoch and a blank value is NaN. The file is read
-    in blocks of whole lines (`_blocks`); each is tokenized (`_tokens`) and
-    its columns parsed (`_append`) before the next is read.
+    microseconds since the epoch and a blank value is NaN. One csv.reader
+    loop (`_rows`) reads the file a row at a time. A row of a station not
+    in `index` is never parsed, and a timestamp is parsed only when its
+    text differs from that of the row parsed before. The first row that
+    does not parse is a FormatError naming its physical line.
     """
-    rows = (array("h" if len(index) < 2**15 else "i"), array("q"), array("d"))
-    try:
-        with open(path, "rb") as fh:
-            blocks = _blocks(fh)
-            first = io.StringIO(next(blocks, b"").decode("utf-8"), newline="")
-            reader = csv.reader(first)
-            _header(reader, path, _OBSERVATION_HEADER)
-            line = reader.line_num
-            for block in chain([first.read().encode("utf-8")], blocks):
-                columns, n_lines, fault = _tokens(block, path, line)
-                _append(path, columns, rows, index)
-                if fault is not None:
-                    raise fault
-                line += n_lines
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    lanes, times, values = rows = (array("h" if len(index) < 2**15 else "i"), array("q"),
+                                   array("d"))
+    last, micros = None, 0
+    for lineno, (text, sid, raw) in _rows(path, _OBSERVATION_HEADER):
+        lane = index.get(sid.strip())
+        if lane is None:
+            continue
+        if text != last:
+            try:
+                micros = _micros(text)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: bad timestamp {text.strip()!r}") from exc
+            last = text
+        try:
+            value = _pressure(raw)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad pressure {raw.strip()!r}") from exc
+        lanes.append(lane)
+        times.append(micros)
+        values.append(value)
     return rows
 
 
@@ -325,13 +212,9 @@ def load_observations(path, stations) -> list:
     field or an omitted row is a missing value (NaN). A pressure that reads
     as ±inf (`inf`, `1e400`) is a FormatError.
 
-    The file is read in blocks of whole lines (`BLOCK_BYTES` at a time).
-    A plain block is split into three column lists and csv.reader
-    tokenizes any other (`_tokens`); either way the columns are parsed
-    together, each distinct timestamp of a block once, into three compact
-    arrays (station, time, value) that one stable sort by station splits
-    at the end. Nothing parsed outlives its block, and every error names
-    the first faulty row in file order.
+    The file is read one row at a time (`_read_rows`) into three compact
+    arrays (station, time, value) that one stable sort by station splits at
+    the end. Every error names the first faulty row in file order.
     """
     by_id = {s.id: s for s in stations}
     lanes, times, values = _read_rows(path, {sid: k for k, sid in enumerate(by_id)})
@@ -351,10 +234,8 @@ def load_observations(path, stations) -> list:
 
 def _station_series(path, station: StationMeta, times, values) -> RawSeries:
     """Sort one station's rows and lay them on a regular grid, NaN where omitted."""
-    t = np.frombuffer(times, dtype=np.int64)
-    v = np.frombuffer(values, dtype=float)
-    order = np.argsort(t, kind="stable")
-    t, v = t[order], v[order]
+    order = np.argsort(times, kind="stable")
+    t, v = times[order], values[order]
     if len(t) == 1:
         return RawSeries(station=station, start_time=_instant(t[0]), step_seconds=60.0, values=v)
     gaps = np.diff(t)

@@ -172,7 +172,7 @@ def test_load_observations_omitted_row_is_missing(tmp_path):
 @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "csv-reader"])
 @pytest.mark.parametrize("raw", ["inf", "-inf", "1e400", "-1E999", "Infinity"])
 def test_load_observations_rejects_an_infinite_pressure(tmp_path, raw, quoted):
-    # a quoted station field sends the block through csv.reader
+    # csv.reader unquotes a quoted station field before its id is looked up
     sid = '"E02"' if quoted else "E02"
     p = tmp_path / "obs.csv"
     write_lines(p, [f"{stamp(0)},E01,97.0", f"{stamp(0)},{sid},97.0",
@@ -317,12 +317,26 @@ def test_load_observations_errors_match_oracle(tmp_path, bad_row, error, fragmen
             parse(p, [E01, E02])
 
 
-# -- the block reader at block boundaries, on both tokenizers -----------
+# -- the row reader with rows straddling its reads ------------------------
 
 SMALL_BLOCK = 29  # bytes: rows, CRLF pairs and multibyte characters straddle reads
 BLOCK_SIZES = pytest.mark.parametrize(
-    "block", [SMALL_BLOCK, ingest.BLOCK_BYTES], ids=["small-blocks", "one-block"]
+    "block", [SMALL_BLOCK, None], ids=["small-blocks", "one-block"]
 )
+
+
+def read_in_blocks(monkeypatch, block):
+    """Have the text files ingest opens read `block` bytes at a time.
+
+    None keeps the default read size, in which a test's file is one read.
+    """
+    if block is not None:
+        def small_reads(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            fh._CHUNK_SIZE = block  # the text layer's read size
+            return fh
+
+        monkeypatch.setattr(ingest, "open", small_reads, raising=False)
 
 
 def assert_same_series(fast, slow):
@@ -377,7 +391,7 @@ def header_only(data):
     (no_final_newline,), (multibyte,), (header_only,), (header_only, no_final_newline),
 ], ids=lambda edits: "+".join(e.__name__ for e in edits) or "lf")
 def test_block_reader_matches_row_by_row_oracle(tmp_path, monkeypatch, edits, block):
-    monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+    read_in_blocks(monkeypatch, block)
     p = tmp_path / "obs.csv"
     generated_observations(p, seed=3, step_minutes=1)
     data = p.read_bytes()
@@ -393,7 +407,7 @@ def test_block_reader_matches_row_by_row_oracle(tmp_path, monkeypatch, edits, bl
 @BLOCK_SIZES
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_block_reader_counts_physical_lines(tmp_path, monkeypatch, block, newline):
-    monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+    read_in_blocks(monkeypatch, block)
     p = tmp_path / "obs.csv"
     lines = [HEADER, "", f"{stamp(0)},E01,97.0", f'{stamp(0)},"X\n01",97.0', "",
              f"{stamp(5)},E01,9 7.1"]
@@ -405,7 +419,7 @@ def test_block_reader_counts_physical_lines(tmp_path, monkeypatch, block, newlin
 @BLOCK_SIZES
 def test_block_reader_ends_a_line_at_a_bare_cr(tmp_path, monkeypatch, block):
     # as csv.reader does: CR CR LF is a line and a blank line
-    monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+    read_in_blocks(monkeypatch, block)
     p = tmp_path / "obs.csv"
     p.write_bytes(f"{HEADER}\n{stamp(0)},E01,97.0\r\r\n{stamp(5)},E01,9 7.1\n".encode())
     with pytest.raises(FormatError, match=re.escape(f"{p}:4: bad pressure '9 7.1'")):
@@ -426,7 +440,7 @@ SHORT_ROW = f"{stamp(15)},E01"
 ])
 def test_block_reader_reports_the_first_fault_in_file_order(tmp_path, monkeypatch, block,
                                                             first, second, message):
-    monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+    read_in_blocks(monkeypatch, block)
     p = tmp_path / "obs.csv"
     write_lines(p, [f"{stamp(0)},E01,97.0", first, f"{stamp(20)},E01,97.2", second,
                     f"{stamp(25)},E01,97.3"])
@@ -439,7 +453,7 @@ def test_block_reader_reports_the_first_fault_in_file_order(tmp_path, monkeypatc
 def test_block_reader_parses_values_float_takes_only_as_text(tmp_path, monkeypatch, block,
                                                               quote):
     # float() reads these as str but not as bytes
-    monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+    read_in_blocks(monkeypatch, block)
     p = tmp_path / "obs.csv"
     values = ["\u0661", "\u0669\u0667.\u0661", "\xa097.2\xa0", "\xa0", "97.4"]
     write_lines(p, [f"{stamp(5 * t)},E01,{quote}{v}{quote}" for t, v in enumerate(values)])
@@ -449,9 +463,8 @@ def test_block_reader_parses_values_float_takes_only_as_text(tmp_path, monkeypat
 
 
 def test_block_reader_memory_does_not_grow_with_the_file(tmp_path):
-    # the read's peak less the row arrays it returns grows by at most about
-    # one block when the file is four times longer: nothing parsed outlives
-    # its block
+    # the read's peak less the row arrays it returns grows by at most 64 KiB
+    # when the file is four times longer: nothing parsed outlives its row
     def working_peak(n_times):
         p = tmp_path / f"obs{n_times}.csv"
         values = 97.0 + np.random.default_rng(n_times).normal(size=(2, n_times))
@@ -464,8 +477,7 @@ def test_block_reader_memory_does_not_grow_with_the_file(tmp_path):
         return peak - sum(map(sys.getsizeof, rows))
 
     working_peak(6000)  # a first call also counts what numpy loads lazily
-    # 6000 steps of two stations are about seven blocks
-    assert working_peak(24000) - working_peak(6000) <= ingest.BLOCK_BYTES
+    assert working_peak(24000) - working_peak(6000) <= 1 << 16
 
 
 # -- fill_missing ---------------------------------------------------------
