@@ -26,6 +26,7 @@ from .geometry import SiteGeometry
 from .ingest import (RawSeries, assemble_grid, block_average, fill_missing, load_observations,
                      load_stations)
 from .preprocess import TransformStack, apply_stack, fit_stack, to_sea_level
+from .records import replacing
 from .spectrum import SpectralModel
 from .whittle import FitResult, WhittleObjective, fit_mle, forward_dft, initial_params
 
@@ -39,8 +40,7 @@ def _parsed_observations(path, stations, cache: Path):
     Returns the series and, on a miss, a zero-argument function that
     writes them to `cache` (None on a hit).
     """
-    import hashlib  # the three are loaded with numpy and condsim: no import cost
-    import os
+    import hashlib  # the two are loaded with numpy and condsim: no import cost
     import zipfile
 
     digest = hashlib.sha256()
@@ -63,17 +63,11 @@ def _parsed_observations(path, stations, cache: Path):
     def write():
         index = {"key": key, "series": [[s.station.id, s.start_time.isoformat(), s.step_seconds]
                                         for s in series]}
-        cache.parent.mkdir(parents=True, exist_ok=True)
-        partial = cache.with_name(f"{cache.name}.{os.getpid()}.partial")
-        try:
-            with open(partial, "wb") as fh:  # np.savez would add .npz to a bare path
-                np.savez(fh, index=np.array(json.dumps(index)),
-                         values=np.concatenate([s.values for s in series]),
-                         ends=np.cumsum([len(s.values) for s in series]))
-            os.replace(partial, cache)
-        except BaseException:
-            partial.unlink(missing_ok=True)
-            raise
+        # np.savez would add .npz to a bare path, so it is given an open file
+        with replacing(cache.parent, cache.name) as (partial,), open(partial, "wb") as fh:
+            np.savez(fh, index=np.array(json.dumps(index)),
+                     values=np.concatenate([s.values for s in series]),
+                     ends=np.cumsum([len(s.values) for s in series]))
 
     return series, write
 
@@ -144,9 +138,14 @@ def cmd_fit(config: RunConfig, out_path) -> Path:
         "start_time": grid.start_time.isoformat(),
         "step_seconds": grid.step_seconds,
     }
+    return _write_json(report, out_path)
+
+
+def _write_json(record: dict, out_path) -> Path:
+    """Write `record` to `out_path` as sorted, indented UTF-8 JSON, whole or not at all."""
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
+    with replacing(out_path.parent, out_path.name) as (partial,):
+        partial.write_text(json.dumps(record, indent=2, sort_keys=True), encoding="utf-8")
     return out_path
 
 
@@ -218,51 +217,6 @@ def _split_grid(grid, ids):
     return replace(grid, stations=[grid.stations[i] for i in keep], values=grid.values[keep])
 
 
-def _read_ensemble(ensemble_dir, target_ids, fit):
-    """The (members, targets, T+1) shape of an ensemble and a reader of its targets.
-
-    The ensemble must have been simulated from `fit`, and `pressure.npy`
-    must have `condsim.run_ensemble`'s layout. All of that is checked from
-    the manifest and the `.npy` header, without reading the data.
-    `read_target(id)` then reads one target's (members, T+1) block
-    (`condsim.open_pressure`) and checks that each member's row is finite.
-    """
-    out = Path(ensemble_dir)
-    try:
-        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-        simulated_from = manifest["provenance"]["fit_hash"]
-        ids, n_members = manifest["target_ids"], manifest["n_members"]
-    except (ValueError, KeyError, TypeError) as exc:  # truncated, or a key missing
-        raise FormatError(f"{out / 'manifest.json'}: not a readable ensemble manifest "
-                          f"({exc!r})") from exc
-    given = condsim.fit_hash(fit)
-    if simulated_from != given:
-        raise ValidationError(
-            f"{out / 'manifest.json'}: ensemble was simulated from another fit "
-            f"(fit_hash {simulated_from}, the fit report's {given})"
-        )
-    path = out / "pressure.npy"
-    shape, read_rows = condsim.open_pressure(path)
-    if shape[:2] != (n_members, len(ids)):
-        raise ValidationError(
-            f"{path}: shape {shape} does not match the manifest's "
-            f"{n_members} members and {len(ids)} targets"
-        )
-    missing = [t for t in target_ids if t not in ids]
-    if missing:
-        raise ValidationError(f"held-out ids not in the ensemble: {missing}")
-
-    def read_target(t):
-        block = read_rows(ids.index(t))
-        # a member's row is finite if its min and max are: no mask of the whole block
-        finite = np.isfinite(block.min(axis=1)) & np.isfinite(block.max(axis=1))
-        if not finite.all():
-            raise ValidationError(f"{path}: target {t}, member {np.argmin(finite)} is not finite")
-        return block
-
-    return shape, read_target
-
-
 def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> Path:
     report, stack, fit, time_axis = _load_fit_report(fit_report_path)
     seed = config.require_seed()
@@ -275,8 +229,10 @@ def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> 
     truth_grid = _split_grid(grid, config.held_out_ids)
     obs_grid = _split_grid(grid, report["station_ids"])
     _require_geometry(obs_grid.stations, report["geometry_hash"])
-    (n_members, _, n_times), read_target = _read_ensemble(
-        ensemble_dir, [s.id for s in truth_grid.stations], fit)
+    ids, (n_members, _, n_times), read_target = condsim.open_ensemble(ensemble_dir, fit)
+    missing = [s.id for s in truth_grid.stations if s.id not in ids]
+    if missing:
+        raise ValidationError(f"held-out ids not in the ensemble: {missing}")
     if n_times != truth_grid.n_times:
         raise ValidationError("ensemble and truth lengths differ")
 
@@ -323,10 +279,7 @@ def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> 
         truths, {"ensemble_mean": preds_mean, "nearest_neighbor": preds_nn}
     )
     metrics["rank_ties"] = "randomized (seeded)"
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(metrics, indent=2, sort_keys=True), encoding="utf-8")
-    return out_path
+    return _write_json(metrics, out_path)
 
 
 def cmd_synth(config: RunConfig, out_dir) -> Path:

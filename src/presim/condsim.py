@@ -24,6 +24,7 @@ import numpy as np
 from .errors import FormatError, ValidationError
 from .geometry import SiteGeometry, combine
 from .preprocess import TransformStack, invert_stack
+from .records import replacing
 from .rng import RNG_LAYOUT, STAGE_CONDSIM, STAGE_FIELD_UNCOND, substream
 from .spectrum import SpectralModel, SpectralParams
 from .whittle import (
@@ -181,12 +182,13 @@ def run_ensemble(fit: FitResult, stack: TransformStack, observed: SiteGeometry, 
     vary_params off, every member reuses the MLE. A target at an observed
     site is simulated, with a warning, as a copy of that observation.
 
-    Writes `pressure.npy`, the (members, targets, T+1) float64 array, then
-    `manifest.json`, and returns the manifest. Members are streamed: each
-    is drawn, inverted and appended to `pressure.npy.partial`, so memory
-    holds one member, not the ensemble. The partial file replaces
-    `pressure.npy` after the last member and is removed if a member fails,
-    which leaves an earlier ensemble in `out_dir` as it was.
+    Writes `pressure.npy`, the (members, targets, T+1) float64 array, and
+    `manifest.json` as one pair (`records.replacing`), and returns the
+    manifest. Members are streamed: each is drawn, inverted and appended
+    to the partial `pressure.npy`, so memory holds one member, not the
+    ensemble. Both files are put in place once the manifest is written
+    too, and neither is if anything fails, which leaves an earlier
+    ensemble in `out_dir` as it was.
 
     The manifest records the seed, the target and parameter-draw order of
     the array's first two axes, the mean-field draws and the `mean_field`
@@ -224,13 +226,10 @@ def run_ensemble(fit: FitResult, stack: TransformStack, observed: SiteGeometry, 
 
     T = observed_field.n_times
     diurnal = stack.diurnal.predict(T)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    partial = out / "pressure.npy.partial"
     header = {"descr": PRESSURE_DTYPE.str, "fortran_order": False,
               "shape": (count, len(targets), T + 1)}
-    try:
-        with open(partial, "wb") as fh:
+    with replacing(out_dir, "pressure.npy", "manifest.json") as (pressure_path, manifest_path):
+        with open(pressure_path, "wb") as fh:
             np.lib.format.write_array_header_1_0(fh, header)
             for k in range(count):
                 if vary_params:
@@ -240,44 +239,56 @@ def run_ensemble(fit: FitResult, stack: TransformStack, observed: SiteGeometry, 
                 A = inverse_dft(sampler.draw(seed, k))
                 pressure = invert_stack(A, stack, elevations, mean_draws[k], diurnal)
                 fh.write(np.ascontiguousarray(pressure, dtype=PRESSURE_DTYPE))
-        os.replace(partial, out / "pressure.npy")
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-
-    manifest = {
-        "seed": seed,
-        "rng_layout": RNG_LAYOUT,
-        "n_members": count,
-        "target_ids": [s.id for s in targets],
-        "provenance": {
-            "fit_hash": fit_hash(fit),
-            "observed_geometry_hash": geometry_hash(observed),
-            "vary_params": vary_params,
-            "hessian_floored": floored,
-            "ridge_frequencies": ridged,
-        },
-        "mean_field_draws": mean_draws.tolist(),
-        "param_draw_ids": list(range(count)) if vary_params else [-1] * count,
-        "start_time": start_time.isoformat(),
-        "step_seconds": step_seconds,
-        "mean_field": mean_field,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True),
-                                       encoding="utf-8")
+        manifest = {
+            "seed": seed,
+            "rng_layout": RNG_LAYOUT,
+            "n_members": count,
+            "target_ids": [s.id for s in targets],
+            "provenance": {
+                "fit_hash": fit_hash(fit),
+                "observed_geometry_hash": geometry_hash(observed),
+                "vary_params": vary_params,
+                "hessian_floored": floored,
+                "ridge_frequencies": ridged,
+            },
+            "mean_field_draws": mean_draws.tolist(),
+            "param_draw_ids": list(range(count)) if vary_params else [-1] * count,
+            "start_time": start_time.isoformat(),
+            "step_seconds": step_seconds,
+            "mean_field": mean_field,
+        }
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True),
+                                 encoding="utf-8")
     return manifest
 
 
-def open_pressure(path):
-    """The (members, targets, T+1) shape of a `pressure.npy` and a reader of its targets.
+def open_ensemble(ensemble_dir, fit: FitResult):
+    """The target ids, the (members, targets, T+1) shape and a reader of an ensemble.
 
-    The file must have the layout `run_ensemble` writes (`PRESSURE_DTYPE`);
-    that is checked from its header and length, without reading the data.
-    `read_target(j)` then reads target j's (members, T+1) block, one
-    member's row per file read, so memory holds one target, never the
+    The ensemble must have been simulated from `fit` (its manifest's
+    `fit_hash`), and `pressure.npy` must have the layout `run_ensemble`
+    writes (`PRESSURE_DTYPE`) and the manifest's member and target counts.
+    All of that is checked from the manifest and the `.npy` header and
+    length, without reading the data. `read_target(id)` then reads that
+    target's (members, T+1) block, one member's row per file read, and
+    checks that each row is finite, so memory holds one target, never the
     whole array.
     """
-    path = Path(path)
+    out = Path(ensemble_dir)
+    try:
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        simulated_from = manifest["provenance"]["fit_hash"]
+        ids, n_members = manifest["target_ids"], manifest["n_members"]
+    except (ValueError, KeyError, TypeError) as exc:  # truncated, or a key missing
+        raise FormatError(f"{out / 'manifest.json'}: not a readable ensemble manifest "
+                          f"({exc!r})") from exc
+    given = fit_hash(fit)
+    if simulated_from != given:
+        raise ValidationError(
+            f"{out / 'manifest.json'}: ensemble was simulated from another fit "
+            f"(fit_hash {simulated_from}, the fit report's {given})"
+        )
+    path = out / "pressure.npy"
     with open(path, "rb") as fh:
         try:
             version = np.lib.format.read_magic(fh)
@@ -297,14 +308,24 @@ def open_pressure(path):
     if size != offset + shape[0] * shape[1] * row_bytes:
         raise FormatError(f"{path}: {size} bytes, not the {offset}-byte header and the "
                           f"data of shape {shape}")
+    if shape[:2] != (n_members, len(ids)):
+        raise ValidationError(
+            f"{path}: shape {shape} does not match the manifest's "
+            f"{n_members} members and {len(ids)} targets"
+        )
 
-    def read_target(j):
+    def read_target(t):
+        j = ids.index(t)
         block = np.empty((shape[0], shape[2]), dtype=PRESSURE_DTYPE)
         with open(path, "rb") as fh:
             for m, row in enumerate(block):
                 fh.seek(offset + (m * shape[1] + j) * row_bytes)
                 if fh.readinto(row) != row_bytes:
                     raise FormatError(f"{path}: target {j}, member {m} is cut short")
+        # a member's row is finite if its min and max are: no mask of the whole block
+        finite = np.isfinite(block.min(axis=1)) & np.isfinite(block.max(axis=1))
+        if not finite.all():
+            raise ValidationError(f"{path}: target {t}, member {np.argmin(finite)} is not finite")
         return block
 
-    return shape, read_target
+    return ids, shape, read_target

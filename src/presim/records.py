@@ -1,6 +1,10 @@
-"""One JSON codec for the dataclasses the stages hand each other."""
+"""One JSON codec for the dataclasses the stages hand each other, and one
+writer that puts every artifact in place whole or not at all."""
 
+import os
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -54,3 +58,26 @@ class Record:
                 value = kind(value)
             kwargs[f.name] = value
         return cls(**kwargs)
+
+
+@contextmanager
+def replacing(directory, *names):
+    """Write the files `names` of `directory` together, whole or not at all.
+
+    Makes the directory and yields one `<name>.<pid>.partial` path in it
+    per name, for the block to write. When the block ends normally each
+    partial replaces its file, in the order of `names`; when it raises,
+    every partial is removed and the exception goes on, so the files an
+    earlier run left in `directory` stay as they were.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    partials = [directory / f"{name}.{os.getpid()}.partial" for name in names]
+    try:
+        yield partials
+        for partial, name in zip(partials, names):
+            os.replace(partial, directory / name)
+    except BaseException:
+        for partial in partials:
+            partial.unlink(missing_ok=True)
+        raise

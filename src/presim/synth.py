@@ -10,7 +10,6 @@ import csv
 import functools
 import io
 import json
-import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -28,6 +27,7 @@ from .preprocess import (
     VolatilitySeries,
     invert_stack,
 )
+from .records import replacing
 from .rng import RNG_LAYOUT, STAGE_SYNTH, substream
 from .spectrum import KnotSet, SpectralModel, SpectralParams
 from .whittle import FrequencyPlan, SpectralField, inverse_dft
@@ -279,9 +279,9 @@ def write_dataset(truth: SyntheticTruth, out_dir, start=DEFAULT_START,
     UTC offset (none for a naive start). `step_seconds` must be a positive
     whole number of microseconds, the last timestamp must fall in year 9999
     or earlier and no pressure may be ±inf, or ValidationError is raised
-    before anything is written. Each file is written to `<name>.partial`
-    and moved into place once all three are whole, so a failure leaves an
-    earlier dataset in `out_dir` as it was.
+    before anything is written. The three files are written together
+    (`records.replacing`): all are put in place once all are whole, so a
+    failure leaves an earlier dataset in `out_dir` as it was.
     Memory holds one block of `BLOCK_STEPS` time steps, not the file.
     """
     step_us = _step_microseconds(step_seconds)
@@ -294,8 +294,6 @@ def write_dataset(truth: SyntheticTruth, out_dir, start=DEFAULT_START,
         ) from None
     if np.isinf(np.asarray(truth.pressure, dtype=float)).any():
         raise ValidationError("a pressure is infinite, which ingest rejects")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "seed": truth.seed,
         "rng_layout": RNG_LAYOUT,
@@ -308,17 +306,10 @@ def write_dataset(truth: SyntheticTruth, out_dir, start=DEFAULT_START,
     }
 
     names = ("stations.csv", "observations.csv", "truth.json")
-    partials = [out / f"{name}.partial" for name in names]
-    try:
-        with open(partials[0], "w", newline="", encoding="utf-8") as fh:
+    with replacing(out_dir, *names) as (stations, observations, truth_json):
+        with open(stations, "w", newline="", encoding="utf-8") as fh:
             _write_stations(fh, truth.stations)
-        with open(partials[1], "wb") as fh:
+        with open(observations, "wb") as fh:
             _write_observations(fh, truth, start, step_us)
-        partials[2].write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
-        for partial, name in zip(partials, names):
-            os.replace(partial, out / name)
-    except BaseException:
-        for partial in partials:
-            partial.unlink(missing_ok=True)
-        raise
-    return out / "stations.csv", out / "observations.csv", out / "truth.json"
+        truth_json.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    return tuple(Path(out_dir) / name for name in names)

@@ -30,20 +30,6 @@ def chi_square(counts) -> float:
     return float(np.sum((counts - expected) ** 2 / expected))
 
 
-def _row_position(s, v, compare) -> np.ndarray:
-    """How many entries of each row of the row-sorted s compare true
-    against v's entry (np.less: are below it), by bisecting all rows at once."""
-    N, n = s.shape
-    flat, last = s.ravel(), np.arange(N) * n - 1
-    pos = np.zeros(N, dtype=np.intp)
-    step = 1 << (n.bit_length() - 1)
-    while step:
-        take = pos + step
-        pos += step * (compare(flat[last + np.minimum(take, n)], v) & (take <= n))
-        step >>= 1
-    return pos
-
-
 def verdicts(truth, members, seed: int) -> dict:
     """Every calibration verdict of one quantity, from one sort of its
     (members+1)-series stack at each time. The stack is built, sorted and
@@ -93,8 +79,8 @@ def verdicts(truth, members, seed: int) -> dict:
         b[:, 1:] = m.T
         b.sort(axis=1)
         lo, lo2, c_lo, c_hi, hi2, hi = b[:, [0, 1, a, K - a, K - 1, K]].T
-        below[i:j] = _row_position(b, t, np.less)
-        ties[i:j] = _row_position(b, t, np.less_equal) - below[i:j] - 1  # members tied with t
+        below[i:j] = np.count_nonzero(m < t, axis=0)
+        ties[i:j] = np.count_nonzero(m == t, axis=0)  # members tied with t
         above = t > hi2  # the truth alone is the stack's max, so hi2 is the members'
         under = t < lo2
         width[i:j] = np.where(above, hi2, hi) - np.where(under, lo2, lo)

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs through the command-line entry point."""
 
+import errno
 import importlib.util
 import json
 import os
@@ -184,6 +185,40 @@ def test_failed_simulate_leaves_no_partial_ensemble(pipeline, tmp_path, capsys, 
         assert "[simulate] error: draw failed at member 2" in capsys.readouterr().err
     assert list((fresh / "ensemble").glob("*")) == []
     assert {p.name: p.read_bytes() for p in (earlier / "ensemble").iterdir()} == before
+
+
+@pytest.mark.parametrize("artifact, stage", [
+    ("fit_report.json", "fit"), ("manifest.json", "simulate"), ("metrics.json", "evaluate"),
+])
+def test_a_failed_artifact_write_leaves_the_earlier_artifacts(pipeline, tmp_path, capsys,
+                                                               monkeypatch, artifact, stage):
+    # the disk fills halfway through the artifact's text: the stage exits 1
+    # and every earlier artifact stays as it was. For the manifest that takes
+    # in pressure.npy too, which a seed-2 simulate would change: a new array
+    # beside the old manifest is a record of a draw it does not describe.
+    out, cfg = pipeline
+    base = tmp_path / "run"
+    base.mkdir()
+    for name in ("observations.npz", "fit_report.json", "metrics.json"):
+        shutil.copy(out / name, base / name)
+    shutil.copytree(out / "ensemble", base / "ensemble")
+    earlier = {p.relative_to(base): p.read_bytes() for p in base.rglob("*") if p.is_file()}
+    write_text = Path.write_text
+
+    def fill_the_disk(self, data, *args, **kwargs):
+        if not self.name.startswith(artifact):
+            return write_text(self, data, *args, **kwargs)
+        write_text(self, data[:len(data) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+
+    monkeypatch.setattr(Path, "write_text", fill_the_disk)
+    argv = dict(zip(("fit", "simulate", "evaluate"), stage_argvs(cfg, base)))[stage]
+    assert main(["--seed", "2", *argv]) == 1
+    assert capsys.readouterr().err.startswith(f"[{stage}] I/O error: [Errno {errno.ENOSPC}]")
+    assert list(base.rglob("*.partial")) == []
+    pressure = Path("ensemble", "pressure.npy")
+    assert (base / pressure).read_bytes() == earlier[pressure]
+    assert {p.relative_to(base): p.read_bytes() for p in base.rglob("*") if p.is_file()} == earlier
 
 
 def test_simulate_rejects_a_fit_whose_conditional_law_is_not_finite(pipeline, tmp_path, capsys):
@@ -404,8 +439,9 @@ def test_pressure_header_damage_is_a_format_error(pipeline, tmp_path, damage):
     out, _ = pipeline
     shutil.copytree(out / "ensemble", tmp_path / "ensemble")
     damage(tmp_path / "ensemble")
+    fit = cli._load_fit_report(out / "fit_report.json")[2]
     with pytest.raises(FormatError, match="pressure.npy"):
-        condsim.open_pressure(tmp_path / "ensemble" / "pressure.npy")
+        condsim.open_ensemble(tmp_path / "ensemble", fit)
 
 
 def test_evaluate_holds_one_target_of_the_ensemble(pipeline, tmp_path):

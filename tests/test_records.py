@@ -1,4 +1,5 @@
-"""The JSON codec of the artifact records (`presim.records.Record`)."""
+"""The JSON codec of the artifact records (`presim.records.Record`) and the
+writer that puts every artifact in place (`presim.records.replacing`)."""
 
 import json
 from dataclasses import MISSING, fields, replace
@@ -12,7 +13,7 @@ from presim import condsim, meanfield, synth
 from presim.geometry import SiteGeometry
 from presim.ingest import DataGrid
 from presim.preprocess import apply_stack, fit_stack, to_sea_level
-from presim.records import Record
+from presim.records import Record, replacing
 from presim.spectrum import KnotSet, SpectralModel
 from presim.whittle import FitResult, WhittleObjective, fit_mle, forward_dft, initial_params
 
@@ -128,3 +129,29 @@ def test_int_knot_is_written_as_an_int():
     assert type(d["s_knots"][0]) is int and type(d["s_knots"][1]) is float
     assert json.dumps(d).startswith('{"s_knots": [0, ')
     assert KnotSet.from_dict(d) == with_int
+
+
+# -- the writer ----------------------------------------------------------
+
+
+def test_replacing_puts_every_file_in_place_at_the_end(tmp_path):
+    out = tmp_path / "new" / "dir"
+    with replacing(out, "a.json", "b.npy") as (a, b):
+        assert out.is_dir() and a.parent == out
+        a.write_text("A", encoding="utf-8")
+        b.write_bytes(b"B")
+        assert sorted(p.name for p in out.iterdir()) == sorted([a.name, b.name])
+    assert sorted(p.name for p in out.iterdir()) == ["a.json", "b.npy"]
+    assert (out / "a.json").read_text(encoding="utf-8") == "A"
+    assert (out / "b.npy").read_bytes() == b"B"
+
+
+@pytest.mark.parametrize("failure", [OSError, KeyboardInterrupt])
+def test_replacing_leaves_earlier_files_when_the_block_fails(tmp_path, failure):
+    (tmp_path / "a.json").write_text("earlier", encoding="utf-8")
+    with pytest.raises(failure):
+        with replacing(tmp_path, "a.json", "b.npy") as (a, b):
+            a.write_text("later", encoding="utf-8")
+            raise failure("the block failed before b was written")
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+    assert (tmp_path / "a.json").read_text(encoding="utf-8") == "earlier"

@@ -15,6 +15,11 @@ in that module (`__init__.py` re-exports aside).
 
 And every text-mode `open`, `read_text` and `write_text` in src/ names
 `encoding="utf-8"`, whatever the locale's encoding.
+
+And every file src/ writes goes through the one writer,
+`records.replacing`: `os.replace` is called only inside it, and every
+`write_text`, `write_bytes` and write-mode `open` sits inside a `with`
+of it.
 """
 
 import ast
@@ -107,12 +112,28 @@ def test_every_import_is_referenced():
     assert not unused, "imported and never referenced:\n" + "\n".join(sorted(unused))
 
 
-def _text_mode(call: ast.Call) -> bool:
-    """Whether an `open` call opens text: its mode, positional or named, has no "b"."""
+def _called(call: ast.Call):
+    """The name a call calls: `f` of `f(...)` and of `x.f(...)`."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _modes(call: ast.Call) -> list:
+    """The mode arguments, positional or named, of an `open` call."""
     position = 1 if isinstance(call.func, ast.Name) else 0  # open(file, mode), Path.open(mode)
     modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
-    modes += call.args[position : position + 1]
-    return not any(isinstance(m, ast.Constant) and "b" in str(m.value) for m in modes)
+    return modes + call.args[position : position + 1]
+
+
+def _text_mode(call: ast.Call) -> bool:
+    """Whether an `open` call opens text: its mode has no "b"."""
+    return not any(isinstance(m, ast.Constant) and "b" in str(m.value) for m in _modes(call))
+
+
+def _write_mode(call: ast.Call) -> bool:
+    """Whether an `open` call opens for writing: its mode has "w", "a", "x" or "+"."""
+    return any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+")
+               for m in _modes(call))
 
 
 def test_every_text_file_is_opened_as_utf8():
@@ -122,11 +143,43 @@ def test_every_text_file_is_opened_as_utf8():
         for node in ast.walk(_parse(path)):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = _called(node)
             if name in ("read_text", "write_text") or (name == "open" and _text_mode(node)):
                 encoding = [kw.value for kw in node.keywords if kw.arg == "encoding"]
                 if not (encoding and isinstance(encoding[0], ast.Constant)
                         and encoding[0].value == "utf-8"):
                     unnamed.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unnamed, 'text I/O without encoding="utf-8":\n' + "\n".join(unnamed)
+
+
+def test_every_file_is_written_through_the_one_writer():
+    # a file written in place is left half written by a failure, beside
+    # files that no longer match it: each write goes to a partial of
+    # `records.replacing`, which alone puts files in place
+    stray, writers = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        in_writer, in_with = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "replacing":
+                writers.append(path.name)
+                in_writer |= {id(n) for n in ast.walk(node)}
+            elif isinstance(node, ast.With) and any(
+                isinstance(item.context_expr, ast.Call) and _called(item.context_expr) == "replacing"
+                for item in node.items
+            ):
+                in_with |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _called(node)
+            func = node.func
+            if (name == "replace" and isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name) and func.value.id == "os"):
+                if id(node) not in in_writer:
+                    stray.append(f"{path.relative_to(ROOT)}:{node.lineno} os.replace")
+            elif name in ("write_text", "write_bytes") or (name == "open" and _write_mode(node)):
+                if id(node) not in in_with:
+                    stray.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert writers == ["records.py"]
+    assert not stray, "write through records.replacing:\n" + "\n".join(stray)
