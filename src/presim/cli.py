@@ -26,7 +26,7 @@ from .geometry import SiteGeometry
 from .ingest import (RawSeries, assemble_grid, block_average, fill_missing, load_observations,
                      load_stations)
 from .preprocess import TransformStack, apply_stack, fit_stack, to_sea_level
-from .records import replacing
+from .records import json_text, replacing
 from .spectrum import SpectralModel
 from .whittle import FitResult, WhittleObjective, fit_mle, forward_dft, initial_params
 
@@ -142,10 +142,10 @@ def cmd_fit(config: RunConfig, out_path) -> Path:
 
 
 def _write_json(record: dict, out_path) -> Path:
-    """Write `record` to `out_path` as sorted, indented UTF-8 JSON, whole or not at all."""
+    """Write `record` to `out_path` as a JSON artifact, whole or not at all."""
     out_path = Path(out_path)
     with replacing(out_path.parent, out_path.name) as (partial,):
-        partial.write_text(json.dumps(record, indent=2, sort_keys=True), encoding="utf-8")
+        partial.write_text(json_text(record), encoding="utf-8")
     return out_path
 
 
@@ -164,35 +164,38 @@ def _load_fit_report(path):
     return report, stack, fit, time_axis
 
 
-def _require_time_axis(grid, start, step_seconds):
-    """The grid must start and step as the fit's: its stack belongs to that window."""
+def _load_fitted_run(config: RunConfig, fit_report_path, out_base, truth_ids):
+    """The report, stack, fit, time axis, seed, targets, grid and fit geometry of a run.
+
+    The grid holds the fit's stations and `truth_ids`. It must start and step
+    as the fit's, whose stack belongs to that window, and the fit's stations
+    must hash as the report's geometry.
+    """
+    report, stack, fit, (start, step_seconds) = _load_fit_report(fit_report_path)
+    seed = config.require_seed()
+    stations, targets = _split_stations(config)
+    if not targets:
+        raise ValidationError("no target stations: held_out_ids is empty")
+    grid = _build_grid(config, stations, [*report["station_ids"], *truth_ids], out_base)
     if grid.start_time != start or abs(grid.step_seconds - step_seconds) > 1e-9:
         raise ValidationError(
             f"observations start at {grid.start_time.isoformat()} with a "
             f"{grid.step_seconds:g} s step, the fit report's at {start.isoformat()} "
             f"with a {step_seconds:g} s step"
         )
-
-
-def _require_geometry(stations, geometry_hash) -> SiteGeometry:
-    """The geometry of the fit's stations, which must hash as the fit report's."""
-    geometry = SiteGeometry.of(stations)
-    if condsim.geometry_hash(geometry) != geometry_hash:
+    fitted = set(report["station_ids"])
+    geometry = SiteGeometry.of([s for s in grid.stations if s.id in fitted])
+    if condsim.geometry_hash(geometry) != report["geometry_hash"]:
         raise ValidationError(
             "geometry hash mismatch: fit report was produced from a different station set"
         )
-    return geometry
+    return report, stack, fit, (start, step_seconds), seed, targets, grid, geometry
 
 
 def cmd_simulate(config: RunConfig, fit_report_path, out_dir) -> Path:
-    report, stack, fit, time_axis = _load_fit_report(fit_report_path)
-    seed = config.require_seed()
-    stations, targets = _split_stations(config)
-    if not targets:
-        raise ValidationError("no target stations: held_out_ids is empty")
-    grid = _build_grid(config, stations, report["station_ids"], Path(out_dir).parent)
-    _require_time_axis(grid, *time_axis)
-    geometry = _require_geometry(grid.stations, report["geometry_hash"])
+    out = Path(out_dir)
+    _, stack, fit, time_axis, seed, targets, grid, geometry = _load_fitted_run(
+        config, fit_report_path, out.parent, ())
 
     A = apply_stack(grid, stack)
     spec = forward_dft(A)
@@ -201,7 +204,6 @@ def cmd_simulate(config: RunConfig, fit_report_path, out_dir) -> Path:
     mf_model, mf_fits = meanfield.select_model(M, geometry)
     mean_draws = meanfield.sample_means(mf_model, targets, stack.sea_level,
                                         config.ensemble_count, seed)
-    out = Path(out_dir)
     condsim.run_ensemble(
         fit, stack, geometry, targets, spec, mean_draws, config.vary_params, seed, out,
         *time_axis,
@@ -218,17 +220,10 @@ def _split_grid(grid, ids):
 
 
 def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> Path:
-    report, stack, fit, time_axis = _load_fit_report(fit_report_path)
-    seed = config.require_seed()
-    stations, targets = _split_stations(config)
-    if not targets:
-        raise ValidationError("no target stations: held_out_ids is empty")
-    grid = _build_grid(config, stations, [*report["station_ids"], *config.held_out_ids],
-                       Path(out_path).parent)
-    _require_time_axis(grid, *time_axis)
+    report, stack, fit, _, seed, _, grid, _ = _load_fitted_run(
+        config, fit_report_path, Path(out_path).parent, config.held_out_ids)
     truth_grid = _split_grid(grid, config.held_out_ids)
     obs_grid = _split_grid(grid, report["station_ids"])
-    _require_geometry(obs_grid.stations, report["geometry_hash"])
     ids, (n_members, _, n_times), read_target = condsim.open_ensemble(ensemble_dir, fit)
     missing = [s.id for s in truth_grid.stations if s.id not in ids]
     if missing:
@@ -294,19 +289,25 @@ def cmd_synth(config: RunConfig, out_dir) -> Path:
     return out
 
 
+# command -> (stage, its output under the output directory, the paths it is given)
+COMMANDS = {
+    "fit": (cmd_fit, "fit_report.json", ()),
+    "simulate": (cmd_simulate, "ensemble", ("--fit-report",)),
+    "evaluate": (cmd_evaluate, "metrics.json", ("--fit-report", "--ensemble-dir")),
+    "synth": (cmd_synth, "synthetic", ()),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="presim")
     parser.add_argument("--config", required=True)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("fit")
-    p_sim = sub.add_parser("simulate")
-    p_sim.add_argument("--fit-report", required=True)
-    p_eval = sub.add_parser("evaluate")
-    p_eval.add_argument("--fit-report", required=True)
-    p_eval.add_argument("--ensemble-dir", required=True)
-    sub.add_parser("synth")
+    for name, (_, _, flags) in COMMANDS.items():
+        command = sub.add_parser(name)
+        for flag in flags:
+            command.add_argument(flag, required=True)
 
     args = parser.parse_args(argv)
     try:
@@ -314,20 +315,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config.seed = args.seed
         out_base = Path(args.out) if args.out else Path(config.output_dir)
-        if args.command == "fit":
-            path = cmd_fit(config, out_base / "fit_report.json")
-            print(f"wrote {path}")
-        elif args.command == "simulate":
-            path = cmd_simulate(config, args.fit_report, out_base / "ensemble")
-            print(f"wrote {path}")
-        elif args.command == "evaluate":
-            path = cmd_evaluate(
-                config, args.fit_report, args.ensemble_dir, out_base / "metrics.json"
-            )
-            print(f"wrote {path}")
-        elif args.command == "synth":
-            path = cmd_synth(config, out_base / "synthetic")
-            print(f"wrote {path}")
+        stage, output, flags = COMMANDS[args.command]
+        paths = [vars(args)[flag[2:].replace("-", "_")] for flag in flags]
+        print(f"wrote {stage(config, *paths, out_base / output)}")
     except PresimError as exc:
         print(f"[{args.command}] error: {exc}", file=sys.stderr)
         return 1

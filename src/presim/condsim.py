@@ -24,7 +24,7 @@ import numpy as np
 from .errors import FormatError, ValidationError
 from .geometry import SiteGeometry, combine
 from .preprocess import TransformStack, invert_stack
-from .records import replacing
+from .records import json_text, replacing
 from .rng import RNG_LAYOUT, STAGE_CONDSIM, STAGE_FIELD_UNCOND, substream
 from .spectrum import SpectralModel, SpectralParams
 from .whittle import (
@@ -257,8 +257,7 @@ def run_ensemble(fit: FitResult, stack: TransformStack, observed: SiteGeometry, 
             "step_seconds": step_seconds,
             "mean_field": mean_field,
         }
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True),
-                                 encoding="utf-8")
+        manifest_path.write_text(json_text(manifest), encoding="utf-8")
     return manifest
 
 

@@ -1,6 +1,7 @@
-"""One JSON codec for the dataclasses the stages hand each other, and one
-writer that puts every artifact in place whole or not at all."""
+"""One JSON codec and one JSON text for the records the stages hand each
+other, and one writer that puts every artifact in place whole or not at all."""
 
+import json
 import os
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
@@ -58,6 +59,11 @@ class Record:
                 value = kind(value)
             kwargs[f.name] = value
         return cls(**kwargs)
+
+
+def json_text(record) -> str:
+    """A JSON artifact's text, keys sorted and indented; its writer writes it as UTF-8."""
+    return json.dumps(record, indent=2, sort_keys=True)
 
 
 @contextmanager

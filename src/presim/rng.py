@@ -38,7 +38,8 @@ STAGE_FIELD_UNCOND = 6
 RNG_LAYOUT = "per-member-v3"
 
 
-def substream(seed: int, *key: int) -> np.random.Generator:
+# a string annotation: numpy.random then loads at the first draw, and `fit` draws none
+def substream(seed: int, *key: int) -> "np.random.Generator":
     """Generator for the substream identified by (seed, *key).
 
     Deterministic: the same (seed, key) always yields the same stream, and

@@ -9,7 +9,6 @@ an exact reference.
 import csv
 import functools
 import io
-import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -27,7 +26,7 @@ from .preprocess import (
     VolatilitySeries,
     invert_stack,
 )
-from .records import replacing
+from .records import json_text, replacing
 from .rng import RNG_LAYOUT, STAGE_SYNTH, substream
 from .spectrum import KnotSet, SpectralModel, SpectralParams
 from .whittle import FrequencyPlan, SpectralField, inverse_dft
@@ -311,5 +310,5 @@ def write_dataset(truth: SyntheticTruth, out_dir, start=DEFAULT_START,
             _write_stations(fh, truth.stations)
         with open(observations, "wb") as fh:
             _write_observations(fh, truth, start, step_us)
-        truth_json.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+        truth_json.write_text(json_text(manifest), encoding="utf-8")
     return tuple(Path(out_dir) / name for name in names)

@@ -817,6 +817,15 @@ def test_fit_loads_no_numpy_ma(pipeline, tmp_path):
                          "--ensemble-dir", str(out / "ensemble"), package="numpy.ma") == []
 
 
+def test_cli_import_and_fit_load_no_numpy_random(pipeline, tmp_path):
+    # `fit` draws nothing, so no stage should pay for loading the generators
+    # before its first draw
+    _, cfg = pipeline
+    assert modules_after(package="numpy.random") == []
+    assert modules_after("--config", str(cfg), "--out", str(tmp_path), "fit",
+                         package="numpy.random") == []
+
+
 def test_simulate_and_evaluate_leave_scipy_unloaded(pipeline, tmp_path):
     out, cfg = pipeline
     report = str(out / "fit_report.json")

@@ -20,6 +20,9 @@ And every file src/ writes goes through the one writer,
 `records.replacing`: `os.replace` is called only inside it, and every
 `write_text`, `write_bytes` and write-mode `open` sits inside a `with`
 of it.
+
+And every JSON artifact's text comes from `records.json_text`: only it
+and the functions in `OWN_JSON_TEXT` call `json.dumps`.
 """
 
 import ast
@@ -183,3 +186,37 @@ def test_every_file_is_written_through_the_one_writer():
                     stray.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert writers == ["records.py"]
     assert not stray, "write through records.replacing:\n" + "\n".join(stray)
+
+
+# function -> why it calls json.dumps itself instead of `records.json_text`
+OWN_JSON_TEXT = {
+    "records.json_text": "the artifact text format itself",
+    "whittle.FitResult.to_json": "the fit_hash input, in field order and unsorted, "
+                                 "which a pinned hash fixes",
+    "cli._parsed_observations": "the observations.npz cache index, a string inside the "
+                                "cache's arrays and no artifact's text",
+}
+
+
+def test_only_the_artifact_text_format_calls_json_dumps():
+    # one sorted, indented text for every JSON artifact, spelled once
+    own, callers = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        scope = {}  # node id -> qualified name of the module-level def or method it is in
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef)]
+            else:
+                defs = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
+            for name, d in defs:
+                scope.update({id(n): f"{path.stem}.{name}" for n in ast.walk(d)})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called(node) == "dumps":
+                name = scope.get(id(node), f"{path.stem}.<module>")
+                callers.add(name)
+                if name not in OWN_JSON_TEXT:
+                    own.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not own, "write a JSON artifact's text with records.json_text:\n" + "\n".join(own)
+    assert set(OWN_JSON_TEXT) <= callers, "listed functions that no longer call json.dumps"
