@@ -16,6 +16,7 @@ import sys
 from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from . import condsim, meanfield, synth, verify
 from .config import RunConfig
 from .errors import FormatError, PresimError, ValidationError
 from .geometry import SiteGeometry
-from .ingest import (RawSeries, assemble_grid, block_average, fill_missing, load_observations,
-                     load_stations)
+from .ingest import (DataGrid, RawSeries, assemble_grid, block_average, fill_missing,
+                     load_observations, load_stations)
 from .preprocess import TransformStack, apply_stack, fit_stack, to_sea_level
 from .records import json_text, replacing
 from .spectrum import SpectralModel
@@ -149,39 +150,44 @@ def _write_json(record: dict, out_path) -> Path:
     return out_path
 
 
-def _load_fit_report(path):
-    """The report, its transform stack and fit, and its time axis (start, step)."""
+class FittedRun(NamedTuple):
+    """A fit report's run, checked against the observations it is simulated or scored on."""
+
+    report: dict
+    stack: TransformStack
+    fit: FitResult
+    time_axis: tuple  # (start, step seconds)
+    seed: int
+    targets: list  # the held-out stations, in file order
+    grid: DataGrid  # the fit's stations, then any truth stations asked for
+    geometry: SiteGeometry  # of the fit's stations
+
+
+def _load_fitted_run(config: RunConfig, fit_report_path, out_base, truth_ids) -> FittedRun:
+    """The run of the fit report at `fit_report_path`, its grid holding the
+    fit's stations and `truth_ids`. The grid must start and step as the
+    fit's, whose stack belongs to that window, and the fit's stations must
+    hash as the report's geometry."""
     try:
-        report = json.loads(Path(path).read_text(encoding="utf-8"))
+        report = json.loads(Path(fit_report_path).read_text(encoding="utf-8"))
         stack = TransformStack.from_dict(report["stack"])
         fit = FitResult.from_dict(report["fit"])
         missing = {"station_ids", "geometry_hash", "start_time", "step_seconds"} - report.keys()
         if missing:
             raise KeyError(*sorted(missing))
-        time_axis = datetime.fromisoformat(report["start_time"]), float(report["step_seconds"])
+        start, step = datetime.fromisoformat(report["start_time"]), float(report["step_seconds"])
     except (ValueError, KeyError, TypeError) as exc:  # truncated, a key missing or bad
-        raise FormatError(f"{path}: not a readable fit report ({exc!r})") from exc
-    return report, stack, fit, time_axis
-
-
-def _load_fitted_run(config: RunConfig, fit_report_path, out_base, truth_ids):
-    """The report, stack, fit, time axis, seed, targets, grid and fit geometry of a run.
-
-    The grid holds the fit's stations and `truth_ids`. It must start and step
-    as the fit's, whose stack belongs to that window, and the fit's stations
-    must hash as the report's geometry.
-    """
-    report, stack, fit, (start, step_seconds) = _load_fit_report(fit_report_path)
+        raise FormatError(f"{fit_report_path}: not a readable fit report ({exc!r})") from exc
     seed = config.require_seed()
     stations, targets = _split_stations(config)
     if not targets:
         raise ValidationError("no target stations: held_out_ids is empty")
     grid = _build_grid(config, stations, [*report["station_ids"], *truth_ids], out_base)
-    if grid.start_time != start or abs(grid.step_seconds - step_seconds) > 1e-9:
+    if grid.start_time != start or abs(grid.step_seconds - step) > 1e-9:
         raise ValidationError(
             f"observations start at {grid.start_time.isoformat()} with a "
             f"{grid.step_seconds:g} s step, the fit report's at {start.isoformat()} "
-            f"with a {step_seconds:g} s step"
+            f"with a {step:g} s step"
         )
     fitted = set(report["station_ids"])
     geometry = SiteGeometry.of([s for s in grid.stations if s.id in fitted])
@@ -189,24 +195,22 @@ def _load_fitted_run(config: RunConfig, fit_report_path, out_base, truth_ids):
         raise ValidationError(
             "geometry hash mismatch: fit report was produced from a different station set"
         )
-    return report, stack, fit, (start, step_seconds), seed, targets, grid, geometry
+    return FittedRun(report, stack, fit, (start, step), seed, targets, grid, geometry)
 
 
 def cmd_simulate(config: RunConfig, fit_report_path, out_dir) -> Path:
     out = Path(out_dir)
-    _, stack, fit, time_axis, seed, targets, grid, geometry = _load_fitted_run(
-        config, fit_report_path, out.parent, ())
+    run = _load_fitted_run(config, fit_report_path, out.parent, ())
 
-    A = apply_stack(grid, stack)
-    spec = forward_dft(A)
+    spec = forward_dft(apply_stack(run.grid, run.stack))
 
-    M = to_sea_level(stack.site_means, grid.elevations, stack.sea_level)
-    mf_model, mf_fits = meanfield.select_model(M, geometry)
-    mean_draws = meanfield.sample_means(mf_model, targets, stack.sea_level,
-                                        config.ensemble_count, seed)
+    M = to_sea_level(run.stack.site_means, run.grid.elevations, run.stack.sea_level)
+    mf_model, mf_fits = meanfield.select_model(M, run.geometry)
+    mean_draws = meanfield.sample_means(mf_model, run.targets, run.stack.sea_level,
+                                        config.ensemble_count, run.seed)
     condsim.run_ensemble(
-        fit, stack, geometry, targets, spec, mean_draws, config.vary_params, seed, out,
-        *time_axis,
+        run.fit, run.stack, run.geometry, run.targets, spec, mean_draws, config.vary_params,
+        run.seed, out, *run.time_axis,
         meanfield.meanfield_to_dict(mf_model, mf_fits),
     )
     return out
@@ -220,25 +224,24 @@ def _split_grid(grid, ids):
 
 
 def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> Path:
-    report, stack, fit, _, seed, _, grid, _ = _load_fitted_run(
-        config, fit_report_path, Path(out_path).parent, config.held_out_ids)
-    truth_grid = _split_grid(grid, config.held_out_ids)
-    obs_grid = _split_grid(grid, report["station_ids"])
-    ids, (n_members, _, n_times), read_target = condsim.open_ensemble(ensemble_dir, fit)
+    run = _load_fitted_run(config, fit_report_path, Path(out_path).parent, config.held_out_ids)
+    truth_grid = _split_grid(run.grid, config.held_out_ids)
+    obs_grid = _split_grid(run.grid, run.report["station_ids"])
+    ids, (n_members, _, n_times), read_target = condsim.open_ensemble(ensemble_dir, run.fit)
     missing = [s.id for s in truth_grid.stations if s.id not in ids]
     if missing:
         raise ValidationError(f"held-out ids not in the ensemble: {missing}")
     if n_times != truth_grid.n_times:
         raise ValidationError("ensemble and truth lengths differ")
 
-    top = verify.top_volatility_selector(stack.volatility.values)
+    top = verify.top_volatility_selector(run.stack.volatility.values)
     hourly_width = max(1, int(round(3600.0 / truth_grid.step_seconds)))
 
     def score(target, truth_p):
         """A target's metrics, ensemble mean and verdict lines; its members
         are read here and dropped on return, before the next target's."""
         members_p = read_target(target.id)
-        entry = {"levels": verify.verdicts(truth_p, members_p, seed=seed)}
+        entry = {"levels": verify.verdicts(truth_p, members_p, seed=run.seed)}
         mean = members_p.mean(axis=0)
         hourly = (verify.aggregate_diffs(truth_p, hourly_width),
                   verify.aggregate_diffs(members_p, hourly_width))
@@ -253,7 +256,7 @@ def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> 
             "hourly": hourly,
             "top_decile_volatility": (truth_d[top], members_d[:, top]),
         }
-        entry["rank_histograms"] = {label: verify.verdicts(*q, seed=seed)
+        entry["rank_histograms"] = {label: verify.verdicts(*q, seed=run.seed)
                                     for label, q in quantities.items()}
         lines = [f"{target.id}/{label}: chi-square {v['chi_square']:.1f}, "
                  f"coverage rank {v['coverage_rank']} of {n_members + 1}"
@@ -267,7 +270,7 @@ def cmd_evaluate(config: RunConfig, fit_report_path, ensemble_dir, out_path) -> 
         verdicts += lines  # printed once every target has been read and scored
         truths[target.id] = truth_p
         preds_nn[target.id] = verify.nearest_neighbor_baseline(
-            obs_grid.values, obs_grid.stations, target, stack.sea_level
+            obs_grid.values, obs_grid.stations, target, run.stack.sea_level
         )
     print("\n".join(verdicts))
     metrics["score_table"] = verify.score_table(
@@ -289,25 +292,19 @@ def cmd_synth(config: RunConfig, out_dir) -> Path:
     return out
 
 
-# command -> (stage, its output under the output directory, the paths it is given)
-COMMANDS = {
-    "fit": (cmd_fit, "fit_report.json", ()),
-    "simulate": (cmd_simulate, "ensemble", ("--fit-report",)),
-    "evaluate": (cmd_evaluate, "metrics.json", ("--fit-report", "--ensemble-dir")),
-    "synth": (cmd_synth, "synthetic", ()),
-}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="presim")
     parser.add_argument("--config", required=True)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, flags) in COMMANDS.items():
-        command = sub.add_parser(name)
-        for flag in flags:
-            command.add_argument(flag, required=True)
+    sub.add_parser("fit")
+    p_sim = sub.add_parser("simulate")
+    p_sim.add_argument("--fit-report", required=True)
+    p_eval = sub.add_parser("evaluate")
+    p_eval.add_argument("--fit-report", required=True)
+    p_eval.add_argument("--ensemble-dir", required=True)
+    sub.add_parser("synth")
 
     args = parser.parse_args(argv)
     try:
@@ -315,9 +312,16 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config.seed = args.seed
         out_base = Path(args.out) if args.out else Path(config.output_dir)
-        stage, output, flags = COMMANDS[args.command]
-        paths = [vars(args)[flag[2:].replace("-", "_")] for flag in flags]
-        print(f"wrote {stage(config, *paths, out_base / output)}")
+        if args.command == "fit":
+            path = cmd_fit(config, out_base / "fit_report.json")
+        elif args.command == "simulate":
+            path = cmd_simulate(config, args.fit_report, out_base / "ensemble")
+        elif args.command == "evaluate":
+            path = cmd_evaluate(config, args.fit_report, args.ensemble_dir,
+                                out_base / "metrics.json")
+        else:
+            path = cmd_synth(config, out_base / "synthetic")
+        print(f"wrote {path}")
     except PresimError as exc:
         print(f"[{args.command}] error: {exc}", file=sys.stderr)
         return 1

@@ -439,7 +439,7 @@ def test_pressure_header_damage_is_a_format_error(pipeline, tmp_path, damage):
     out, _ = pipeline
     shutil.copytree(out / "ensemble", tmp_path / "ensemble")
     damage(tmp_path / "ensemble")
-    fit = cli._load_fit_report(out / "fit_report.json")[2]
+    fit = whittle.FitResult.from_dict(json.loads((out / "fit_report.json").read_text())["fit"])
     with pytest.raises(FormatError, match="pressure.npy"):
         condsim.open_ensemble(tmp_path / "ensemble", fit)
 
@@ -641,6 +641,26 @@ def stage_argvs(cfg, base):
     return [[*common, "fit"],
             [*common, "simulate", "--fit-report", report],
             [*common, "evaluate", "--fit-report", report, "--ensemble-dir", str(base / "ensemble")]]
+
+
+@pytest.mark.parametrize("stage, tail, output", [
+    ("fit", [], "fit_report.json"),
+    ("simulate", ["--fit-report", "r.json"], "ensemble"),
+    ("evaluate", ["--fit-report", "r.json", "--ensemble-dir", "e"], "metrics.json"),
+    ("synth", [], "synthetic"),
+])
+def test_main_calls_the_stage_by_its_module_name(tmp_path, capsys, monkeypatch, stage, tail,
+                                                 output):
+    # a stage replaced on the module after import, as a tracer replaces it,
+    # is the one that runs
+    calls = []
+    monkeypatch.setattr(cli, f"cmd_{stage}", lambda *a: calls.append(a) or a[-1])
+    cfg = write_config(tmp_path / "config.yaml", tmp_path)
+    assert main(["--config", str(cfg), "--out", str(tmp_path), stage, *tail]) == 0
+    [(config, *paths, out)] = calls
+    assert isinstance(config, RunConfig) and config.seed == SEED
+    assert paths == tail[1::2] and out == tmp_path / output
+    assert capsys.readouterr().out == f"wrote {tmp_path / output}\n"
 
 
 def counting_parses(monkeypatch):
