@@ -26,7 +26,7 @@ from .errors import FormatError, PresimError, ValidationError
 from .geometry import SiteGeometry
 from .ingest import (DataGrid, RawSeries, assemble_grid, block_average, fill_missing,
                      load_observations, load_stations)
-from .preprocess import TransformStack, apply_stack, fit_stack, to_sea_level
+from .preprocess import TransformStack, apply_stack, fit_stack
 from .records import json_text, replacing
 from .spectrum import SpectralModel
 from .whittle import FitResult, WhittleObjective, fit_mle, forward_dft, initial_params
@@ -176,7 +176,8 @@ def _load_fitted_run(config: RunConfig, fit_report_path, out_base, truth_ids) ->
         if missing:
             raise KeyError(*sorted(missing))
         start, step = datetime.fromisoformat(report["start_time"]), float(report["step_seconds"])
-    except (ValueError, KeyError, TypeError) as exc:  # truncated, a key missing or bad
+    except (ValueError, KeyError, TypeError, ValidationError) as exc:
+        # truncated, a key missing or bad, or a record's value out of its range
         raise FormatError(f"{fit_report_path}: not a readable fit report ({exc!r})") from exc
     seed = config.require_seed()
     stations, targets = _split_stations(config)
@@ -204,7 +205,7 @@ def cmd_simulate(config: RunConfig, fit_report_path, out_dir) -> Path:
 
     spec = forward_dft(apply_stack(run.grid, run.stack))
 
-    M = to_sea_level(run.stack.site_means, run.grid.elevations, run.stack.sea_level)
+    M = run.stack.site_means * run.stack.sea_level.ratio(run.grid.elevations)
     mf_model, mf_fits = meanfield.select_model(M, run.geometry)
     mean_draws = meanfield.sample_means(mf_model, run.targets, run.stack.sea_level,
                                         config.ensemble_count, run.seed)

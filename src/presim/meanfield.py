@@ -155,16 +155,16 @@ def sample_means(model: MeanFieldModel, targets: list, sea_level: SeaLevelModel,
     """Per-member mean-pressure draws at the target station records, mapped off sea level.
 
     Draws predictor + multivariate-t deviate (df = n_fit - 1, scale matrix
-    = kriging covariance) on the sea-level M scale, then divides by the
-    elevation factor to return kPa at the target elevations. Rows are
-    keyed by member id, so draws are bit-reproducible per member.
+    = kriging covariance) on the sea-level M scale, then multiplies by the
+    elevation factor exp(-a / H) to return kPa at the target elevations.
+    Rows are keyed by member id, so draws are bit-reproducible per member.
     """
     pred, cov = krige(model, SiteGeometry.of(targets))
     m = len(targets)
     elev = np.array([s.elevation for s in targets], dtype=float)
     df = model.n_fit - 1
     L = psd_factor(cov)
-    factor = np.exp(-elev / sea_level.scale_height)
+    factor = sea_level.ratio(0.0, elev)
     out = np.empty((count, m))
     for k in range(count):
         rng = substream(seed, STAGE_MEANFIELD, k)

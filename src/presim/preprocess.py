@@ -30,15 +30,22 @@ class SeaLevelModel(Record):
 
     log_p0: float
     scale_height: float
-    r_squared: float = float("nan")
+    r_squared: float = float("nan")  # fitted only: a truth stack has none
 
     def __post_init__(self):
-        if self.scale_height <= 0:
-            raise ValidationError("scale_height must be positive")
+        if not np.isfinite(self.log_p0):
+            raise ValidationError("log_p0 must be finite")
+        if not (np.isfinite(self.scale_height) and self.scale_height > 0):
+            raise ValidationError("scale_height must be finite and positive")
 
     @property
     def p0(self) -> float:
         return float(np.exp(self.log_p0))
+
+    def ratio(self, from_elevation, to_elevation=0.0):
+        """p(to) / p(from) = exp((from - to) / H), the one map between elevations:
+        `ratio(a)` lifts pressure at a to sea level, `ratio(0.0, a)` brings it down."""
+        return np.exp((from_elevation - to_elevation) / self.scale_height)
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,8 @@ class DiurnalModel(Record):
             raise ValidationError("2*n_harmonics must be < period")
         if coeffs.shape != (2 * self.n_harmonics,):
             raise ValidationError("coefficient vector has wrong length")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValidationError("diurnal coefficients must be finite")
 
     def design(self, n_times: int) -> np.ndarray:
         t = np.arange(1, n_times + 1)
@@ -84,8 +93,8 @@ class VolatilitySeries(Record):
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if np.any(values <= 0):
-            raise ValidationError("volatility must be strictly positive")
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise ValidationError("volatility must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -103,6 +112,8 @@ class TransformStack(Record):
         object.__setattr__(self, "site_means", means)
         if len(means) != len(self.station_ids):
             raise ValidationError("site_means and station_ids length mismatch")
+        if not np.all(np.isfinite(means)):
+            raise ValidationError("site_means must be finite")
 
 
 # -- individual transforms ----------------------------------------------
@@ -128,18 +139,6 @@ def fit_sea_level(site_means, elevations) -> SeaLevelModel:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     return SeaLevelModel(log_p0=float(intercept), scale_height=float(-1.0 / slope), r_squared=r2)
-
-
-def to_sea_level(values, elevation, model: SeaLevelModel):
-    return np.asarray(values, dtype=float) * np.exp(elevation / model.scale_height)
-
-
-def difference(values) -> np.ndarray:
-    """First differences along time: out[:, t] = in[:, t+1] - in[:, t]."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[1] < 2:
-        raise ValidationError("need at least 2 time steps to difference")
-    return np.diff(values, axis=1)
 
 
 def fit_diurnal(diffs, period: int, n_harmonics: int) -> DiurnalModel:
@@ -184,21 +183,6 @@ def estimate_volatility(residuals, df: float) -> VolatilitySeries:
     return VolatilitySeries(values=np.exp(log_v), spline_df=smoother.effective_df)
 
 
-def standardize(residuals, volatility: VolatilitySeries) -> np.ndarray:
-    residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
-    if residuals.shape[1] != len(volatility.values):
-        raise ValidationError("residuals and volatility length mismatch")
-    return residuals / volatility.values[None, :]
-
-
-def unstandardize(adjusted, volatility: VolatilitySeries, out=None) -> np.ndarray:
-    """Multiply by the volatility along the last (time) axis, into `out` if given."""
-    adjusted = np.atleast_2d(np.asarray(adjusted, dtype=float))
-    if adjusted.shape[-1] != len(volatility.values):
-        raise ValidationError("adjusted field and volatility length mismatch")
-    return np.multiply(adjusted, volatility.values, out=out)
-
-
 # -- full stack --------------------------------------------------------
 
 
@@ -213,14 +197,11 @@ def fit_stack(grid: DataGrid, n_harmonics: int, volatility_df: float) -> Transfo
         raise ValidationError(
             f"a {grid.step_seconds:g} s step does not divide a day into whole steps"
         )
-    elev = grid.elevations
     site_means = grid.values.mean(axis=1)
-    sea = fit_sea_level(site_means, elev)
-    at_sl = grid.values * np.exp(elev / sea.scale_height)[:, None]
-    diffs = difference(at_sl)
+    sea = fit_sea_level(site_means, grid.elevations)
+    diffs = np.diff(grid.values * sea.ratio(grid.elevations)[:, None], axis=1)
     diurnal = fit_diurnal(diffs, period=period, n_harmonics=n_harmonics)
-    resid = diffs - diurnal.predict(diffs.shape[1])[None, :]
-    vol = estimate_volatility(resid, df=volatility_df)
+    vol = estimate_volatility(diffs - diurnal.predict(diffs.shape[1]), df=volatility_df)
     return TransformStack(
         sea_level=sea,
         diurnal=diurnal,
@@ -236,11 +217,8 @@ def apply_stack(grid: DataGrid, stack: TransformStack) -> np.ndarray:
         raise ValidationError("grid and stack station counts differ")
     if grid.n_times - 1 != len(stack.volatility.values):
         raise ValidationError("grid length inconsistent with fitted volatility")
-    elev = grid.elevations
-    at_sl = grid.values * np.exp(elev / stack.sea_level.scale_height)[:, None]
-    diffs = difference(at_sl)
-    resid = diffs - stack.diurnal.predict(diffs.shape[1])[None, :]
-    return standardize(resid, stack.volatility)
+    diffs = np.diff(grid.values * stack.sea_level.ratio(grid.elevations)[:, None], axis=1)
+    return (diffs - stack.diurnal.predict(diffs.shape[1])) / stack.volatility.values
 
 
 def invert_stack(sim_A, stack: TransformStack, target_elevations, sim_means,
@@ -261,14 +239,16 @@ def invert_stack(sim_A, stack: TransformStack, target_elevations, sim_means,
     m, T = sim_A.shape[-2:]
     if elev.shape != (m,) or means.shape != sim_A.shape[:-1]:
         raise ValidationError("target elevations/means do not match field shape")
-    # Time-major memory, like the inverse-DFT output: the time mean sums each
-    # series in time order whatever the input's layout, so a member inverted
-    # alone and in an ensemble gets the same bits.
+    if T != len(stack.volatility.values):
+        raise ValidationError("adjusted field and volatility length mismatch")
+    # Time-major memory, like the inverse-DFT output: the time mean then sums
+    # each series in time order, and that summation order fixes the bits
+    # written to pressure.npy.
     pressure = np.moveaxis(np.zeros((T + 1,) + sim_A.shape[:-1]), 0, -1)
     levels = pressure[..., 1:]
-    unstandardize(sim_A, stack.volatility, out=levels)
+    np.multiply(sim_A, stack.volatility.values, out=levels)
     levels += stack.diurnal.predict(T) if diurnal is None else diurnal
-    levels *= np.exp(-elev / stack.sea_level.scale_height)[:, None]
+    levels *= stack.sea_level.ratio(0.0, elev)[:, None]
     np.cumsum(levels, axis=-1, out=levels)
     pressure += (means - pressure.mean(axis=-1))[..., None]
     return pressure

@@ -145,7 +145,7 @@ def nearest_neighbor_baseline(values, stations, target, sea_level: SeaLevelModel
     sites = [*stations, target]
     dists = distance_matrix([s.latitude for s in sites], [s.longitude for s in sites])[-1]
     best = min(range(len(stations)), key=lambda i: (dists[i], stations[i].id))
-    ratio = np.exp((stations[best].elevation - target.elevation) / sea_level.scale_height)
+    ratio = sea_level.ratio(stations[best].elevation, target.elevation)
     return np.asarray(values, dtype=float)[best] * ratio
 
 

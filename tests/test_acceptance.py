@@ -23,7 +23,6 @@ from presim.preprocess import (
     apply_stack,
     fit_stack,
     invert_stack,
-    to_sea_level,
 )
 from presim.rng import STAGE_SYNTH
 from presim.spectrum import KnotSet, SpectralModel, SpectralParams, matern32
@@ -251,8 +250,8 @@ def test_06_round_trips():
     sea = SeaLevelModel(log_p0=np.log(101.4), scale_height=8200.0)
     p = 80.0 + 30.0 * rng.random(50)
     e = 1000.0 * rng.random(50)
-    # back off sea level as `invert_stack` does
-    back = to_sea_level(p, e, sea) * np.exp(-e / sea.scale_height)
+    # up to sea level as `apply_stack` goes, back down as `invert_stack` does
+    back = p * sea.ratio(e) * sea.ratio(0.0, e)
     err_sea = float(np.max(np.abs(back / p - 1.0)))
 
     report(

@@ -509,6 +509,19 @@ def _without(key):
     return drop
 
 
+def _stack_value(*path, value):
+    """A damage setting the stack's entry at `path` (keys, then an index) to `value`."""
+    def damage(text):
+        report = json.loads(text)
+        *parents, last = path
+        node = report["stack"]
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        return json.dumps(report)  # non-finite floats as JSON's Infinity and NaN
+    return damage
+
+
 @pytest.mark.parametrize("stage", ["simulate", "evaluate"])
 @pytest.mark.parametrize("damage, message", [
     (lambda text: text[:300], "(JSONDecodeError("),
@@ -517,9 +530,25 @@ def _without(key):
     (_without("station_ids"), "(KeyError('station_ids'))"),
     (lambda text: text.replace('"start_time": "2005-10-', '"start_time": "2005-13-'),
      "(ValueError('month must be in 1..12'))"),
-], ids=["truncated", "empty_stack", "no_fit", "no_station_ids", "bad_start_time"])
+    (_stack_value("sea_level", "scale_height", value=float("inf")),
+     "(ValidationError('scale_height must be finite and positive'))"),
+    (_stack_value("sea_level", "scale_height", value=0),
+     "(ValidationError('scale_height must be finite and positive'))"),
+    (_stack_value("sea_level", "log_p0", value=float("nan")),
+     "(ValidationError('log_p0 must be finite'))"),
+    (_stack_value("volatility", "values", 5, value=float("inf")),
+     "(ValidationError('volatility must be finite and strictly positive'))"),
+    (_stack_value("diurnal", "coefficients", 0, value=float("nan")),
+     "(ValidationError('diurnal coefficients must be finite'))"),
+    (_stack_value("site_means", 2, value=float("nan")),
+     "(ValidationError('site_means must be finite'))"),
+], ids=["truncated", "empty_stack", "no_fit", "no_station_ids", "bad_start_time",
+        "infinite_scale_height", "zero_scale_height", "nan_log_p0", "infinite_volatility",
+        "nan_diurnal", "nan_site_mean"])
 def test_damaged_fit_report_rejected(pipeline, tmp_path, capsys, stage, damage, message):
-    # each ended the stage in a bare JSONDecodeError, KeyError or ValueError traceback
+    # each ended the stage in a bare JSONDecodeError, KeyError or ValueError
+    # traceback, an error naming no file, or (an infinite scale height or
+    # volatility) an ensemble written from the damaged stack
     out, cfg = pipeline
     report = tmp_path / "fit_report.json"
     report.write_text(damage((out / "fit_report.json").read_text()))
@@ -632,6 +661,18 @@ def test_observations_on_another_time_axis_rejected(pipeline, tmp_path, capsys, 
                           "report's at 2005-10-01T00:00:00+00:00 with a 300 s step")
     assert not (tmp_path / "run" / "ensemble").exists()
     assert not (tmp_path / "run" / "metrics.json").exists()
+
+
+def test_simulate_rejects_another_target_len(pipeline, tmp_path, capsys):
+    # the fit's volatility series has one value per step of its window
+    out, _ = pipeline
+    cfg = write_config(tmp_path / "config.yaml", out, target_len=T - 10)
+    code = main(["--config", str(cfg), "--out", str(tmp_path), "simulate",
+                 "--fit-report", str(out / "fit_report.json")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "[simulate] error: grid length inconsistent with fitted volatility")
+    assert not (tmp_path / "ensemble").exists()
 
 
 def stage_argvs(cfg, base):

@@ -1,5 +1,5 @@
-"""Transform stack: sea-level correction, differencing, diurnal removal,
-volatility standardization, and the exact round trip."""
+"""Transform stack: the sea-level map, diurnal removal, volatility
+estimation, and the exact round trip of the whole stack."""
 
 import json
 from dataclasses import replace
@@ -16,17 +16,12 @@ from presim.preprocess import (
     DiurnalModel,
     SeaLevelModel,
     TransformStack,
-    VolatilitySeries,
     apply_stack,
-    difference,
     estimate_volatility,
     fit_diurnal,
     fit_sea_level,
     fit_stack,
     invert_stack,
-    standardize,
-    to_sea_level,
-    unstandardize,
 )
 
 T0 = datetime(2005, 10, 1, tzinfo=timezone.utc)
@@ -82,39 +77,26 @@ def test_fit_sea_level_r2_invariant_to_relabeling():
     assert m1.r_squared == pytest.approx(m0.r_squared, abs=1e-12)
 
 
-def test_to_sea_level_values():
+def test_sea_level_ratio_values():
+    # the one elevation map keeps the bits of each form it replaced:
+    # exp(a/H) up to sea level, exp(-a/H) down from it, exp((a-b)/H) between
     m = SeaLevelModel(log_p0=np.log(101.0), scale_height=8310.0)
-    assert to_sea_level(100.0, 0.0, m) == pytest.approx(100.0)
-    m2 = SeaLevelModel(log_p0=0.0, scale_height=8310.0)
-    assert to_sea_level(100.0, 8310.0, m2) == pytest.approx(100.0 * np.e, rel=1e-12)
+    a = np.concatenate([[0.0, 8310.0], np.random.default_rng(1).uniform(-50.0, 3000.0, 500)])
+    assert m.ratio(a).tobytes() == np.exp(a / 8310.0).tobytes()
+    assert m.ratio(0.0, a).tobytes() == np.exp(-a / 8310.0).tobytes()
+    assert m.ratio(a, a[::-1]).tobytes() == np.exp((a - a[::-1]) / 8310.0).tobytes()
+    assert m.ratio(a[7], a[3]) == np.exp((a[7] - a[3]) / 8310.0)
+    assert m.ratio(0.0) == 1.0
+    assert m.ratio(8310.0) == pytest.approx(np.e, rel=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.floats(80, 110), st.floats(0, 3000), st.floats(5000, 12000))
-def test_sea_level_round_trip(value, elev, height):
+@given(st.floats(80, 110), st.floats(0, 3000), st.floats(0, 3000), st.floats(5000, 12000))
+def test_sea_level_round_trip(value, elev, other, height):
     m = SeaLevelModel(log_p0=np.log(101.0), scale_height=height)
-    back = to_sea_level(value, elev, m) * np.exp(-elev / m.scale_height)  # as `invert_stack`
+    back = value * m.ratio(elev) * m.ratio(0.0, elev)  # up as `apply_stack`, down as `invert_stack`
     assert back == pytest.approx(value, rel=1e-12)
-
-
-# -- differencing ---------------------------------------------------------
-
-
-def test_difference_values():
-    assert np.allclose(difference([[1.0, 3.0, 6.0]]), [[2.0, 3.0]])
-
-
-def test_difference_constant_is_zero():
-    assert np.allclose(difference(np.full((2, 5), 7.7)), 0.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-100, 100), min_size=2, max_size=30))
-def test_difference_cumsum_inverse(vals):
-    vals = np.array(vals)
-    d = difference(vals[None, :])[0]
-    rebuilt = np.concatenate([[vals[0]], vals[0] + np.cumsum(d)])
-    assert np.allclose(rebuilt, vals, atol=1e-9)
+    assert value * m.ratio(elev, other) * m.ratio(other, elev) == pytest.approx(value, rel=1e-12)
 
 
 # -- diurnal --------------------------------------------------------------
@@ -199,15 +181,6 @@ def test_estimate_volatility_floors_zero_spread():
     assert np.all(np.isfinite(np.log(vol.values)))  # the floor kept logs finite
 
 
-def test_standardize_round_trip():
-    rng = np.random.default_rng(8)
-    resid = rng.standard_normal((3, 50))
-    vol = VolatilitySeries(values=np.exp(rng.standard_normal(50) * 0.3), spline_df=10.0)
-    a = standardize(resid, vol)
-    assert np.allclose(unstandardize(a, vol), resid, atol=1e-12)
-    assert np.allclose(standardize(vol.values[None, :], vol), 1.0)
-
-
 # -- full stack -----------------------------------------------------------
 
 
@@ -230,6 +203,22 @@ def test_full_stack_round_trip():
         A, stack, grid.elevations, grid.values.mean(axis=1)
     )
     assert np.max(np.abs(back - grid.values)) < 1e-9
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda grid, stack: apply_stack(make_grid(grid.values[1:], grid.elevations[1:]), stack),
+     "grid and stack station counts differ"),
+    (lambda grid, stack: apply_stack(make_grid(grid.values[:, 1:], grid.elevations), stack),
+     "grid length inconsistent with fitted volatility"),
+    (lambda grid, stack: invert_stack(np.zeros((2, grid.n_times - 2)), stack,
+                                      [300.0, 400.0], [97.0, 96.0]),
+     "adjusted field and volatility length mismatch"),
+], ids=["apply_fewer_stations", "apply_shorter_grid", "invert_shorter_field"])
+def test_stack_rejects_a_field_it_was_not_fitted_to(call, message):
+    grid = synthetic_grid()
+    stack = fit_stack(grid, n_harmonics=15, volatility_df=24.0)
+    with pytest.raises(ValidationError, match=message):
+        call(grid, stack)
 
 
 def test_invert_stack_zero_field_constant_level():

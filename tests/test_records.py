@@ -12,7 +12,7 @@ from conftest import random_params
 from presim import condsim, meanfield, synth
 from presim.geometry import SiteGeometry
 from presim.ingest import DataGrid
-from presim.preprocess import apply_stack, fit_stack, to_sea_level
+from presim.preprocess import apply_stack, fit_stack
 from presim.records import Record, replacing
 from presim.spectrum import KnotSet, SpectralModel
 from presim.whittle import FitResult, WhittleObjective, fit_mle, forward_dft, initial_params
@@ -38,7 +38,7 @@ def _cases():
     geometry = SiteGeometry.of(stations)
     obj = WhittleObjective(model, forward_dft(apply_stack(grid, fitted)), geometry)
     _, mean_fields = meanfield.select_model(
-        to_sea_level(fitted.site_means, grid.elevations, fitted.sea_level), geometry)
+        fitted.site_means * fitted.sea_level.ratio(grid.elevations), geometry)
 
     cases = {"knots_720": KnotSet.default(720), "knots_4320": KnotSet.default(4320),
              "params": random_params(model, np.random.default_rng(5))}

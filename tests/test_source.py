@@ -23,6 +23,10 @@ of it.
 
 And every JSON artifact's text comes from `records.json_text`: only it
 and the functions in `OWN_JSON_TEXT` call `json.dumps`.
+
+And the elevation map is spelled once: in src/ and scripts/ only
+`preprocess.SeaLevelModel` and the functions in `OWN_SCALE_HEIGHT` read
+`scale_height`.
 """
 
 import ast
@@ -198,20 +202,26 @@ OWN_JSON_TEXT = {
 }
 
 
+def _scopes(path: Path, tree: ast.Module) -> dict:
+    """node id -> qualified name of the module-level def or method the node is in."""
+    scope = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defs = [(f"{node.name}.{item.name}", item) for item in node.body
+                    if isinstance(item, ast.FunctionDef)]
+        else:
+            defs = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
+        for name, d in defs:
+            scope.update({id(n): f"{path.stem}.{name}" for n in ast.walk(d)})
+    return scope
+
+
 def test_only_the_artifact_text_format_calls_json_dumps():
     # one sorted, indented text for every JSON artifact, spelled once
     own, callers = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _parse(path)
-        scope = {}  # node id -> qualified name of the module-level def or method it is in
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef):
-                defs = [(f"{node.name}.{item.name}", item) for item in node.body
-                        if isinstance(item, ast.FunctionDef)]
-            else:
-                defs = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
-            for name, d in defs:
-                scope.update({id(n): f"{path.stem}.{name}" for n in ast.walk(d)})
+        scope = _scopes(path, tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and _called(node) == "dumps":
                 name = scope.get(id(node), f"{path.stem}.<module>")
@@ -220,3 +230,27 @@ def test_only_the_artifact_text_format_calls_json_dumps():
                     own.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not own, "write a JSON artifact's text with records.json_text:\n" + "\n".join(own)
     assert set(OWN_JSON_TEXT) <= callers, "listed functions that no longer call json.dumps"
+
+
+# function -> why it reads `scale_height` itself instead of `SeaLevelModel.ratio`
+OWN_SCALE_HEIGHT = {
+    "synth.default_stack": "the truth's site means put their scatter inside the exponent, "
+                           "and their bits fix the synthetic inputs' inputs_sha256",
+}
+
+
+def test_only_the_sea_level_model_reads_scale_height():
+    # p(a) exp(a/H) is one decision: every move between elevations goes
+    # through SeaLevelModel.ratio, so no two spellings can round apart
+    own, readers = [], set()
+    for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "scripts").rglob("*.py")]):
+        tree = _parse(path)
+        scope = _scopes(path, tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "scale_height":
+                name = scope.get(id(node), f"{path.stem}.<module>")
+                readers.add(name)
+                if not (name in OWN_SCALE_HEIGHT or name.startswith("preprocess.SeaLevelModel.")):
+                    own.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not own, "move between elevations with SeaLevelModel.ratio:\n" + "\n".join(sorted(own))
+    assert set(OWN_SCALE_HEIGHT) <= readers, "listed functions that no longer read scale_height"
