@@ -25,7 +25,7 @@ from .errors import FormatError, ValidationError
 from .geometry import SiteGeometry, combine
 from .preprocess import TransformStack, invert_stack
 from .records import json_text, replacing
-from .rng import RNG_LAYOUT, STAGE_CONDSIM, STAGE_FIELD_UNCOND, substream
+from .rng import RNG_LAYOUT, STAGE_CONDSIM, substream
 from .spectrum import SpectralModel, SpectralParams
 from .whittle import (
     TWO_PI,
@@ -72,7 +72,6 @@ class ConditionalSampler:
         if observed_field.n_times != plan.T:
             raise ValidationError(f"frequency plan is for T = {plan.T}, "
                                   f"the observed field for T = {observed_field.n_times}")
-        self.n_observed = n
         self.T = plan.T
         self.m = sites.n_sites - n
         self.plan = plan
@@ -105,28 +104,17 @@ class ConditionalSampler:
         # factor of the complex conditional covariance D_p cov D_p*
         self.chols = D_p[:, :, None] * psd_factor(cov) * np.conj(D_p)[:, None, :]
 
-    def draw(self, seed: int, member: int, stage: int = STAGE_CONDSIM) -> SpectralField:
-        """One draw of the target-site one-sided spectral field.
+    def draw(self, rng) -> SpectralField:
+        """One draw of the target-site one-sided spectral field from the generator `rng`.
 
-        One generator per draw, keyed (STAGE_CONDSIM, member) when
-        conditioning and (STAGE_FIELD_UNCOND, stage, member) with zero
-        observed sites; `stage` names what a zero-site draw is for, and a
-        conditional draw is always an ensemble member. The generator gives
-        the high band and then the low band, each a (2, K, m) block of real
+        The caller names the stream (the layout of `presim.rng`). The
+        generator gives the high band and then the low band, each a (2, K, m) block of real
         parts then imaginary parts in frequency order; a real-coefficient
         frequency uses its real part only. The low-band normals are mapped
         through the conditional laws in one stacked product, and the field
         is the low-band rows followed by the high-band rows.
         """
         m, plan = self.m, self.plan
-        if self.n_observed:
-            if stage != STAGE_CONDSIM:
-                raise ValidationError("a conditional draw is an ensemble member; "
-                                      "only zero-site draws take a stage")
-            rng = substream(seed, STAGE_CONDSIM, member)
-        else:
-            rng = substream(seed, STAGE_FIELD_UNCOND, stage, member)
-
         zr, zi = rng.standard_normal((2, len(plan.omega_high), m))
         high = self.sd_high[:, None] * (zr + 1j * zi) / np.sqrt(2.0)
         high[plan.real_high] = self.sd_high[plan.real_high, None] * zr[plan.real_high]
@@ -178,8 +166,10 @@ def run_ensemble(fit: FitResult, stack: TransformStack, observed: SiteGeometry, 
     `targets` are station records (`ingest.StationMeta`) and `observed`
     the geometry of the observed field's sites. mean_draws is a
     (members, m) array of simulated monthly mean pressures (kPa at target
-    elevations) from the mean-field module, one row per member. With
-    vary_params off, every member reuses the MLE. A target at an observed
+    elevations) from the mean-field module, one row per member. A sampler
+    is built at member 0 and, with vary_params on, at every member from its
+    parameter draw; with it off, every member reuses the MLE's. Member k is
+    drawn from the substream (STAGE_CONDSIM, k). A target at an observed
     site is simulated, with a warning, as a copy of that observation.
 
     Writes `pressure.npy`, the (members, targets, T+1) float64 array, and
@@ -216,14 +206,8 @@ def run_ensemble(fit: FitResult, stack: TransformStack, observed: SiteGeometry, 
 
     model = SpectralModel(fit.knots)
     plan = FrequencyPlan(observed_field.n_times, model)
-    floored = False
-    if vary_params:
-        draws, floored = sample_params(fit, count, seed)
-        ridged = 0
-    else:
-        sampler = ConditionalSampler(plan, fit.params_hat, sites, observed_field)
-        ridged = len(sampler.ridge_frequencies)
-
+    draws, floored = sample_params(fit, count, seed) if vary_params else (None, False)
+    ridged = 0
     T = observed_field.n_times
     diurnal = stack.diurnal.predict(T)
     header = {"descr": PRESSURE_DTYPE.str, "fortran_order": False,
@@ -232,11 +216,11 @@ def run_ensemble(fit: FitResult, stack: TransformStack, observed: SiteGeometry, 
         with open(pressure_path, "wb") as fh:
             np.lib.format.write_array_header_1_0(fh, header)
             for k in range(count):
-                if vary_params:
-                    sampler = ConditionalSampler(plan, model.unpack(draws[k]), sites,
-                                                 observed_field)
+                if k == 0 or vary_params:
+                    params = model.unpack(draws[k]) if vary_params else fit.params_hat
+                    sampler = ConditionalSampler(plan, params, sites, observed_field)
                     ridged += len(sampler.ridge_frequencies)
-                A = inverse_dft(sampler.draw(seed, k))
+                A = inverse_dft(sampler.draw(substream(seed, STAGE_CONDSIM, k)))
                 pressure = invert_stack(A, stack, elevations, mean_draws[k], diurnal)
                 fh.write(np.ascontiguousarray(pressure, dtype=PRESSURE_DTYPE))
         manifest = {

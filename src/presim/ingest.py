@@ -307,11 +307,12 @@ def block_average(series: RawSeries, block: int) -> RawSeries:
     """Non-overlapping block means; a trailing partial block is discarded."""
     if block <= 0:
         raise ValueError("block must be >= 1")
-    v = series.values
+    v, sid = series.values, series.station.id
     if np.isnan(v).any():
-        raise ValidationError("block_average requires a complete series")
+        raise ValidationError(f"station {sid}: block_average requires a complete series")
     if len(v) < block:
-        raise ValidationError("series shorter than one block")
+        raise ValidationError(f"station {sid}: {len(v)} values, shorter than one "
+                              f"block of {block}")
     nblocks = len(v) // block
     avg = v[: nblocks * block].reshape(nblocks, block).mean(axis=1)
     return replace(series, values=avg, step_seconds=series.step_seconds * block)
@@ -325,15 +326,6 @@ def assemble_grid(series_list, target_len: int) -> DataGrid:
     """
     if not series_list:
         raise ValidationError("no series to assemble")
-    first = series_list[0]
-    for s in series_list[1:]:
-        if abs(s.step_seconds - first.step_seconds) > 1e-9:
-            raise AlignmentError("series have differing time steps")
-        if s.start_time != first.start_time:
-            raise AlignmentError(
-                f"series start times differ: {s.station.id} at {s.start_time} "
-                f"vs {first.station.id} at {first.start_time}"
-            )
     need = target_len + 1
     for s in series_list:
         if len(s.values) < need:
@@ -342,6 +334,18 @@ def assemble_grid(series_list, target_len: int) -> DataGrid:
             )
         if np.isnan(s.values).any():
             raise ValidationError(f"station {s.station.id}: series incomplete")
+    first = series_list[0]
+    for s in series_list[1:]:
+        if abs(s.step_seconds - first.step_seconds) > 1e-9:
+            raise AlignmentError(
+                f"series have differing time steps: {s.station.id} at "
+                f"{s.step_seconds:g} s vs {first.station.id} at {first.step_seconds:g} s"
+            )
+        if s.start_time != first.start_time:
+            raise AlignmentError(
+                f"series start times differ: {s.station.id} at {s.start_time} "
+                f"vs {first.station.id} at {first.start_time}"
+            )
     values = np.vstack([s.values[:need] for s in series_list])
     return DataGrid(
         stations=[s.station for s in series_list],

@@ -223,32 +223,31 @@ def apply_stack(grid: DataGrid, stack: TransformStack) -> np.ndarray:
 
 def invert_stack(sim_A, stack: TransformStack, target_elevations, sim_means,
                  diurnal=None) -> np.ndarray:
-    """Invert the stack: adjusted field -> pressure levels at target sites.
+    """Invert the stack for one member: adjusted field -> pressure levels at target sites.
 
-    sim_A is m x T, or members x m x T for a whole ensemble, which shares
-    one diurnal cycle; sim_means has the shape of sim_A without its time
-    axis. Returns pressure levels with T+1 columns whose first differences
-    are the reconstructed pressure changes; the integration constant is
-    chosen so the time mean of each series equals the supplied mean value.
+    sim_A is the member's m x T field and sim_means its m mean levels.
+    Returns pressure levels with T+1 columns whose first differences are
+    the reconstructed pressure changes; the integration constant is chosen
+    so the time mean of each series equals the supplied mean value.
     `diurnal` is the cycle `stack.diurnal.predict(T)`, computed here when
-    not given; a caller that inverts members one at a time passes it in.
+    not given; a caller that inverts many members passes it in.
     """
-    sim_A = np.atleast_2d(np.asarray(sim_A, dtype=float))
-    elev = np.atleast_1d(np.asarray(target_elevations, dtype=float))
-    means = np.atleast_1d(np.asarray(sim_means, dtype=float))
-    m, T = sim_A.shape[-2:]
-    if elev.shape != (m,) or means.shape != sim_A.shape[:-1]:
-        raise ValidationError("target elevations/means do not match field shape")
+    sim_A = np.asarray(sim_A, dtype=float)
+    elev = np.asarray(target_elevations, dtype=float)
+    means = np.asarray(sim_means, dtype=float)
+    if sim_A.ndim != 2 or elev.shape != (len(sim_A),) or means.shape != elev.shape:
+        raise ValidationError("target elevations/means do not match the m x T field")
+    m, T = sim_A.shape
     if T != len(stack.volatility.values):
         raise ValidationError("adjusted field and volatility length mismatch")
     # Time-major memory, like the inverse-DFT output: the time mean then sums
     # each series in time order, and that summation order fixes the bits
     # written to pressure.npy.
-    pressure = np.moveaxis(np.zeros((T + 1,) + sim_A.shape[:-1]), 0, -1)
-    levels = pressure[..., 1:]
+    pressure = np.zeros((T + 1, m)).T
+    levels = pressure[:, 1:]
     np.multiply(sim_A, stack.volatility.values, out=levels)
     levels += stack.diurnal.predict(T) if diurnal is None else diurnal
     levels *= stack.sea_level.ratio(0.0, elev)[:, None]
-    np.cumsum(levels, axis=-1, out=levels)
-    pressure += (means - pressure.mean(axis=-1))[..., None]
+    np.cumsum(levels, axis=1, out=levels)
+    pressure += (means - pressure.mean(axis=1))[:, None]
     return pressure

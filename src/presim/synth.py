@@ -27,7 +27,7 @@ from .preprocess import (
     invert_stack,
 )
 from .records import json_text, replacing
-from .rng import RNG_LAYOUT, STAGE_SYNTH, substream
+from .rng import RNG_LAYOUT, STAGE_FIELD_UNCOND, STAGE_SYNTH, substream
 from .spectrum import KnotSet, SpectralModel, SpectralParams
 from .whittle import FrequencyPlan, SpectralField, inverse_dft
 
@@ -129,14 +129,13 @@ def generate(model: SpectralModel, params: SpectralParams, stations: list,
              stack: TransformStack, T: int, seed: int) -> SyntheticTruth:
     """Draw one synthetic realization of the network.
 
-    The field is a conditional draw given zero observed sites, member 0 of
-    the synthetic stage.
+    The field is a conditional draw given zero observed sites, from the
+    substream (STAGE_FIELD_UNCOND, STAGE_SYNTH, 0).
     """
     no_sites = SpectralField(np.zeros((T // 2 + 1, 0)), n_times=T)
     sampler = ConditionalSampler(FrequencyPlan(T, model), params, SiteGeometry.of(stations),
                                  no_sites)
-    field = sampler.draw(seed, 0, stage=STAGE_SYNTH)
-    A = inverse_dft(field)
+    A = inverse_dft(sampler.draw(substream(seed, STAGE_FIELD_UNCOND, STAGE_SYNTH, 0)))
     pressure = invert_stack(A, stack, [s.elevation for s in stations], stack.site_means)
     return SyntheticTruth(
         stations=stations, stack=stack, knots=model.knots, params=params,

@@ -10,6 +10,7 @@ from presim.condsim import ConditionalSampler
 from presim.errors import AlignmentError, FormatError
 from presim.geometry import EARTH_RADIUS_KM, SiteGeometry
 from presim.ingest import RawSeries
+from presim.rng import STAGE_CONDSIM, STAGE_FIELD_UNCOND, substream
 from presim.spectrum import KnotSet, SpectralModel
 from presim.whittle import TWO_PI, FrequencyPlan, SpectralField
 
@@ -172,6 +173,13 @@ def unconditional_sampler(model, params, geometry, T):
     """Sampler of the full field at `geometry`, conditioned on zero sites."""
     return ConditionalSampler(FrequencyPlan(T, model), params, geometry,
                               SpectralField(np.zeros((T // 2 + 1, 0)), n_times=T))
+
+
+def zero_site_stream(seed, member=0):
+    """The generator of a test's zero-site draw, keyed (STAGE_FIELD_UNCOND,
+    STAGE_CONDSIM, member): a key no stage of the pipeline owns, which fixes
+    each test's realization."""
+    return substream(seed, STAGE_FIELD_UNCOND, STAGE_CONDSIM, member)
 
 
 def reference_low_band(sampler, z):

@@ -24,7 +24,7 @@ from presim.preprocess import (
     fit_stack,
     invert_stack,
 )
-from presim.rng import STAGE_SYNTH
+from presim.rng import STAGE_CONDSIM, STAGE_FIELD_UNCOND, STAGE_SYNTH, substream
 from presim.spectrum import KnotSet, SpectralModel, SpectralParams, matern32
 from presim.whittle import (
     TWO_PI,
@@ -34,7 +34,13 @@ from presim.whittle import (
     inverse_dft,
 )
 
-from conftest import cross_spectrum, cross_spectrum_stack, random_params, unconditional_sampler
+from conftest import (
+    cross_spectrum,
+    cross_spectrum_stack,
+    random_params,
+    unconditional_sampler,
+    zero_site_stream,
+)
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -74,7 +80,7 @@ def test_01_frequency_likelihood_matches_exact_density(model, geometry3):
     T = 32
     rng = np.random.default_rng(101)
     gen = random_params(model, rng, scale=0.3)
-    A = inverse_dft(unconditional_sampler(model, gen, geometry3, T).draw(5, 0))
+    A = inverse_dft(unconditional_sampler(model, gen, geometry3, T).draw(zero_site_stream(5)))
     spec = forward_dft(A)
     obj = WhittleObjective(model, spec, geometry3)
 
@@ -102,7 +108,7 @@ def test_02_conditional_simulation_moments(model):
     # two observed sites, then the target
     sites = SiteGeometry(np.array([36.2, 36.5, 36.35]), np.array([-97.2, -96.9, -97.05]))
     obs = SiteGeometry(sites.lats[:2], sites.lons[:2])
-    field = unconditional_sampler(model, params, obs, T).draw(7, 0)
+    field = unconditional_sampler(model, params, obs, T).draw(zero_site_stream(7))
     sampler = ConditionalSampler(FrequencyPlan(field.n_times, model), params, sites, field)
     om = sampler.plan.omega_low
     scale = TWO_PI * T
@@ -119,7 +125,7 @@ def test_02_conditional_simulation_moments(model):
 
     draws = np.empty((N, len(om)), dtype=complex)
     for i in range(N):
-        draws[i] = sampler.draw(seed=11, member=i).coeffs[: len(om), 0]
+        draws[i] = sampler.draw(substream(11, STAGE_CONDSIM, i)).coeffs[: len(om), 0]
 
     ok, lines = True, []
     for j in range(len(om)):
@@ -325,9 +331,10 @@ def test_08_ensemble_calibration_at_held_out_sites(model):
     pass_diff = pass_hourly = 0
     for rep in range(20):
         seed = 1000 + rep
-        A = inverse_dft(full.draw(seed, 0, stage=STAGE_SYNTH))
+        A = inverse_dft(full.draw(substream(seed, STAGE_FIELD_UNCOND, STAGE_SYNTH, 0)))
         sampler = ConditionalSampler(full.plan, params, sites, forward_dft(A[:11]))
-        members = np.stack([inverse_dft(sampler.draw(seed, k)) for k in range(K)])
+        members = np.stack([inverse_dft(sampler.draw(substream(seed, STAGE_CONDSIM, k)))
+                            for k in range(K)])
         ok_diff = ok_hourly = True
         for i in range(2):
             counts = verify.verdicts(

@@ -165,18 +165,20 @@ def test_failed_simulate_leaves_no_partial_ensemble(pipeline, tmp_path, capsys, 
     # a member that fails leaves no partial file, and leaves an earlier
     # complete ensemble in the same directory as it was
     out, cfg = pipeline
-    draw = ConditionalSampler.draw
+    draw, members = ConditionalSampler.draw, []
 
-    def draw_failing_at_member_2(self, seed, member, *args, **kwargs):
-        if member == 2:
+    def draw_failing_at_member_2(self, rng):
+        members.append(len(members))
+        if members[-1] == 2:
             raise ValidationError("draw failed at member 2")
-        return draw(self, seed, member, *args, **kwargs)
+        return draw(self, rng)
 
     monkeypatch.setattr(ConditionalSampler, "draw", draw_failing_at_member_2)
     fresh, earlier = tmp_path / "fresh", tmp_path / "earlier"
     shutil.copytree(out / "ensemble", earlier / "ensemble")
     before = {p.name: p.read_bytes() for p in (earlier / "ensemble").iterdir()}
     for base in (fresh, earlier):
+        members.clear()
         code = main([
             "--config", str(cfg), "--out", str(base),
             "simulate", "--fit-report", str(out / "fit_report.json"),
@@ -623,6 +625,26 @@ def test_station_without_observation_rows_is_rejected(pipeline, tmp_path, capsys
     err = capsys.readouterr().err
     assert f"[{stage}] error: {obs}: no observation rows for stations ['{sid}']" in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("block, message", [
+    (1, "station E05: 1 averages < required 577"),
+    (5, "station E05: 1 values, shorter than one block of 5"),
+])
+def test_station_with_one_observation_row_is_named(pipeline, tmp_path, capsys, block, message):
+    # a one-row station gets a series of one value: the fit names it, where
+    # it once failed on a "differing time steps" or "shorter than one
+    # block" that named no station
+    out, _ = pipeline
+    shutil.copytree(out / "synthetic", tmp_path / "synthetic")
+    obs = tmp_path / "synthetic" / "observations.csv"
+    lines = obs.read_bytes().splitlines(keepends=True)
+    e05 = [l for l in lines if b",E05," in l]
+    obs.write_bytes(b"".join(l for l in lines if l not in e05[1:]))
+    cfg = write_config(tmp_path / "config.yaml", tmp_path, block=block,
+                      target_len=(T + 1) // block - 1)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "fit"]) == 1
+    assert capsys.readouterr().err.startswith(f"[fit] error: {message}")
 
 
 def shifted_observations(tmp_path, out, days):

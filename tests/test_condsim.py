@@ -41,7 +41,13 @@ from presim.whittle import (
     sample_params,
 )
 
-from conftest import cross_spectrum_stack, random_params, reference_low_band, unconditional_sampler
+from conftest import (
+    cross_spectrum_stack,
+    random_params,
+    reference_low_band,
+    unconditional_sampler,
+    zero_site_stream,
+)
 
 
 def fit_const(model, values, basis):
@@ -94,7 +100,7 @@ def conditional_sampler(model, params, observed, targets, field):
 
 def observed_field(model, params, observed, T, seed=0):
     sampler = unconditional_sampler(model, params, observed, T)
-    return sampler.draw(seed, 0)
+    return sampler.draw(zero_site_stream(seed))
 
 
 def check_dense_schur_law(model, params, observed, targets, field, sampler):
@@ -133,7 +139,7 @@ def test_coincident_target_without_nugget_reproduces_observation(model):
     targets = [StationMeta(id="P0", latitude=36.2, longitude=-97.2, elevation=300.0)]
     field = observed_field(model, params, observed, T, seed=1)
     sampler = conditional_sampler(model, params, observed, targets, field)
-    draw = sampler.draw(seed=2, member=0)
+    draw = sampler.draw(substream(2, STAGE_CONDSIM, 0))
     for j, om in enumerate(sampler.plan.omega_low):
         if om >= model.knots.omega0:  # coherence drops to 0 at the cutoff
             continue
@@ -163,9 +169,10 @@ def test_conditional_draw_deterministic(model):
     observed, targets = make_setup()
     field = observed_field(model, params, observed, T, seed=5)
     sampler = conditional_sampler(model, params, observed, targets, field)
-    d1 = sampler.draw(seed=6, member=3)
-    d2 = conditional_sampler(model, params, observed, targets, field).draw(seed=6, member=3)
-    d3 = sampler.draw(seed=6, member=4)
+    d1 = sampler.draw(substream(6, STAGE_CONDSIM, 3))
+    d2 = conditional_sampler(model, params, observed, targets, field).draw(
+        substream(6, STAGE_CONDSIM, 3))
+    d3 = sampler.draw(substream(6, STAGE_CONDSIM, 4))
     assert np.array_equal(d1.coeffs, d2.coeffs)
     assert not np.array_equal(d1.coeffs, d3.coeffs)
 
@@ -176,7 +183,8 @@ def test_conditional_draw_is_real_series(model):
     params = random_params(model, rng)
     observed, targets = make_setup(2)
     field = observed_field(model, params, observed, T, seed=8)
-    draw = conditional_sampler(model, params, observed, targets, field).draw(seed=9, member=0)
+    draw = conditional_sampler(model, params, observed, targets, field).draw(
+        substream(9, STAGE_CONDSIM, 0))
     A = inverse_dft(draw)  # raises if a frequency-0 or Nyquist coefficient is not real
     assert A.shape == (2, T)
     assert np.all(np.isfinite(A))
@@ -190,7 +198,7 @@ def test_ridge_applied_on_singular_observed_block(model):
     field = observed_field(model, params, observed, T, seed=10)
     sampler = conditional_sampler(model, params, observed, targets, field)
     assert len(sampler.ridge_frequencies) > 0
-    draw = sampler.draw(seed=11, member=0)
+    draw = sampler.draw(substream(11, STAGE_CONDSIM, 0))
     assert np.all(np.isfinite(draw.coeffs))
 
     # the stacked build against the dense Schur complement
@@ -288,7 +296,6 @@ def test_unconditional_periodogram_matches_spectrum(model, geometry3):
     rng = np.random.default_rng(12)
     params = random_params(model, rng, scale=0.3)
     sampler = unconditional_sampler(model, params, geometry3, T)
-    assert sampler.n_observed == 0
     assert np.all(sampler.means == 0)
     f = cross_spectrum_stack(model, params, geometry3, sampler.plan.omega_low)
     chols = sampler.chols
@@ -297,7 +304,7 @@ def test_unconditional_periodogram_matches_spectrum(model, geometry3):
     probes = np.linspace(1, T // 2 - 1, 10).astype(int)
     acc = np.zeros(len(probes))
     for k in range(n_members):
-        coeffs = sampler.draw(13, k).coeffs
+        coeffs = sampler.draw(zero_site_stream(13, k)).coeffs
         acc += np.mean(np.abs(coeffs[probes]) ** 2, axis=1)
     avg = acc / n_members
     S = model.eval_S(params, sampler.plan.omegas[probes])
@@ -320,46 +327,50 @@ def field_normals(seed, key, plan, m):
 
 
 def test_zero_site_substream_keys(model, geometry3):
-    # zero observed sites: one generator keyed (STAGE_FIELD_UNCOND, stage,
-    # member); conditioning keys it (STAGE_CONDSIM, member)
+    # a draw takes the high band and then the low band from the generator
+    # it is given; a synthetic truth is the zero-site draw from the stream
+    # (STAGE_FIELD_UNCOND, STAGE_SYNTH, 0), a conditional draw reads its
+    # stream the same way
     T = 40
     params = random_params(model, np.random.default_rng(30), scale=0.3)
     sampler = unconditional_sampler(model, params, geometry3, T)
     plan = sampler.plan
-    for stage in (STAGE_CONDSIM, STAGE_SYNTH):
-        coeffs = sampler.draw(seed=31, member=2, stage=stage).coeffs
-        high, low = field_normals(31, (STAGE_FIELD_UNCOND, stage, 2), plan, 3)
-        assert np.allclose(coeffs[plan.high], sampler.sd_high[:, None] * high, rtol=1e-12)
-        ref = reference_low_band(sampler, low)
-        assert np.allclose(coeffs[plan.low], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    key = (STAGE_FIELD_UNCOND, STAGE_SYNTH, 0)
+    coeffs = sampler.draw(substream(31, *key)).coeffs
+    high, low = field_normals(31, key, plan, 3)
+    assert np.allclose(coeffs[plan.high], sampler.sd_high[:, None] * high, rtol=1e-12)
+    ref = reference_low_band(sampler, low)
+    assert np.allclose(coeffs[plan.low], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    stations = [StationMeta(f"S{i}", lat, lon, 300.0)
+                for i, (lat, lon) in enumerate(zip(geometry3.lats, geometry3.lons))]
+    truth = synth.generate(model, params, stations, tiny_stack(T, 3), T, seed=31)
+    assert truth.adjusted.tobytes() == inverse_dft(sampler.draw(substream(31, *key))).tobytes()
 
     observed, targets = make_setup()
     field = observed_field(model, params, observed, T, seed=32)
     cond = conditional_sampler(model, params, observed, targets, field)
-    coeffs = cond.draw(seed=31, member=2).coeffs
+    coeffs = cond.draw(substream(31, STAGE_CONDSIM, 2)).coeffs
     high, low = field_normals(31, (STAGE_CONDSIM, 2), plan, 1)
     assert np.allclose(coeffs[plan.high], cond.sd_high[:, None] * high, rtol=1e-12)
     ref = reference_low_band(cond, low)
     assert np.allclose(coeffs[plan.low], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-    with pytest.raises(ValidationError, match="ensemble member"):
-        cond.draw(seed=31, member=2, stage=STAGE_SYNTH)
 
 
-def test_each_draw_takes_one_substream(model, geometry3, monkeypatch):
+def test_each_draw_takes_one_substream(model, monkeypatch, tmp_path):
+    # run_ensemble names one stream per member, (STAGE_CONDSIM, k), and
+    # nothing else in condsim takes one
     T = 40
     params = random_params(model, np.random.default_rng(30), scale=0.3)
     observed, targets = make_setup()
-    samplers = (unconditional_sampler(model, params, geometry3, T),
-                ConditionalSampler(FrequencyPlan(T, model), params, joint(observed, targets),
-                                   observed_field(model, params, observed, T, seed=32)))
+    field = observed_field(model, params, observed, T, seed=32)
     keys = []
     monkeypatch.setattr(condsim, "substream",
                         lambda seed, *key: keys.append(key) or substream(seed, *key))
-    for sampler in samplers:
-        for member in range(3):
-            keys.clear()
-            sampler.draw(seed=33, member=member)
-            assert len(keys) == 1
+    for vary in (False, True):
+        keys.clear()
+        simulate(make_fit(model, params), tiny_stack(T, 1), observed, targets, field,
+                 np.full((3, 1), 97.0), vary_params=vary, seed=33, out_dir=tmp_path / str(vary))
+        assert keys == [(STAGE_CONDSIM, k) for k in range(3)]
 
 
 def test_stacked_low_band_matches_per_frequency_reference():
@@ -373,7 +384,7 @@ def test_stacked_low_band_matches_per_frequency_reference():
     plan = sampler.plan
     assert plan.real_low.sum() == 2 and len(plan.omega_high) == 0
     for member in range(4):
-        coeffs = sampler.draw(seed=42, member=member).coeffs
+        coeffs = sampler.draw(substream(42, STAGE_CONDSIM, member)).coeffs
         ref = reference_low_band(sampler, field_normals(42, (STAGE_CONDSIM, member), plan, 2)[1])
         assert np.allclose(coeffs[plan.low], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
@@ -387,10 +398,14 @@ def test_real_coefficient_frequencies_are_real(omega0_j):
     params = random_params(model, np.random.default_rng(43), scale=0.3)
     observed, targets = make_setup(2)
     field = observed_field(model, params, observed, T, seed=44)
-    for sampler in (conditional_sampler(model, params, observed, targets, field),
-                    unconditional_sampler(model, params, joint(observed, targets), T)):
+    for sampler, stream in (
+        (conditional_sampler(model, params, observed, targets, field),
+         lambda k: substream(45, STAGE_CONDSIM, k)),
+        (unconditional_sampler(model, params, joint(observed, targets), T),
+         lambda k: zero_site_stream(45, k)),
+    ):
         for member in range(3):
-            coeffs = sampler.draw(seed=45, member=member).coeffs
+            coeffs = sampler.draw(stream(member)).coeffs
             assert np.all(coeffs[[0, T // 2]].imag == 0.0)
             assert np.all(coeffs[[0, T // 2]].real != 0.0)
 
@@ -470,7 +485,7 @@ def test_draw_with_cutoff_at_pi_has_no_high_band():
     sampler = conditional_sampler(model, params, observed, targets, field)
     assert len(sampler.plan.omega_high) == 0
     assert len(sampler.plan.omega_low) == T // 2 + 1
-    A = inverse_dft(sampler.draw(seed=35, member=0))
+    A = inverse_dft(sampler.draw(substream(35, STAGE_CONDSIM, 0)))
     assert A.shape == (2, T) and np.all(np.isfinite(A))
 
 
@@ -527,7 +542,7 @@ def simulate(fit, stack, observed, targets, field, mean_draws, vary_params, seed
 
 def in_memory_ensemble(fit, stack, observed, targets, field, mean_draws, vary_params, seed):
     """The oracle of a streamed `pressure.npy`: the bytes of `np.save` of the
-    whole ensemble, drawn into one array and inverted at once."""
+    whole ensemble, its members drawn and inverted into one array."""
     model, count = SpectralModel(fit.knots), len(mean_draws)
     plan = FrequencyPlan(field.n_times, model)
     sites = joint(observed, targets)
@@ -536,10 +551,14 @@ def in_memory_ensemble(fit, stack, observed, targets, field, mean_draws, vary_pa
                     for x in sample_params(fit, count, seed)[0]]
     else:
         samplers = [ConditionalSampler(plan, fit.params_hat, sites, field)] * count
-    sim_A = np.stack([inverse_dft(sampler.draw(seed, k)) for k, sampler in enumerate(samplers)])
+    elevations = [s.elevation for s in targets]
+    pressure = np.stack([
+        invert_stack(inverse_dft(sampler.draw(substream(seed, STAGE_CONDSIM, k))), stack,
+                     elevations, mean_draws[k])
+        for k, sampler in enumerate(samplers)
+    ])
     buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(
-        invert_stack(sim_A, stack, [s.elevation for s in targets], mean_draws)))
+    np.save(buf, np.ascontiguousarray(pressure))
     return buf.getvalue()
 
 
@@ -582,7 +601,7 @@ def test_run_ensemble_shares_one_diurnal_cycle(model, monkeypatch, tmp_path):
     mean_draws = 97.0 + 0.01 * rng.standard_normal((4, 2))
     sampler = conditional_sampler(model, params, observed, targets, field)
     members = [
-        member_by_member(inverse_dft(sampler.draw(19, k)), stack, [s.elevation for s in targets],
+        member_by_member(inverse_dft(sampler.draw(substream(19, STAGE_CONDSIM, k))), stack, [s.elevation for s in targets],
                          mean_draws[k])
         for k in range(4)
     ]
@@ -659,6 +678,58 @@ def test_run_ensemble_records_fallbacks(model, tmp_path):
     manifest = json.loads((tmp_path / "ens" / "manifest.json").read_text())
     assert manifest["provenance"]["ridge_frequencies"] == ridged
     assert manifest["provenance"]["hessian_floored"] is True
+
+
+def test_run_ensemble_builds_one_sampler_or_one_per_member(model, monkeypatch, tmp_path):
+    # one build at member 0 with vary_params off, one per member with it
+    # on; the manifest's ridge_frequencies is the sum over the builds
+    observed, targets = coincident_observed_setup()
+    params = nugget_free_params(model)
+    T, count = 24, 3
+    field = observed_field(model, params, observed, T, seed=10)
+    ridges = []
+
+    class CountingSampler(ConditionalSampler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            ridges.append(len(self.ridge_frequencies))
+
+    monkeypatch.setattr(condsim, "ConditionalSampler", CountingSampler)
+    for vary, builds in ((False, 1), (True, count)):
+        ridges.clear()
+        ens, _ = simulate(make_fit(model, params), tiny_stack(T, 1), observed, targets, field,
+                          np.full((count, 1), 97.0), vary_params=vary, seed=27,
+                          out_dir=tmp_path / str(vary))
+        assert len(ridges) == builds and sum(ridges) > 0
+        assert ens["provenance"]["ridge_frequencies"] == sum(ridges)
+
+
+def test_failed_sampler_build_leaves_the_earlier_ensemble(model, monkeypatch, tmp_path):
+    # the build at member 0 fails, or with vary_params on the build at
+    # member 1: the ensemble already in the directory stays as it was
+    T = 24
+    params = random_params(model, np.random.default_rng(36), scale=0.2)
+    observed, targets = make_setup()
+    field = observed_field(model, params, observed, T, seed=1)
+    args = (make_fit(model, params), tiny_stack(T, 1), observed, targets, field,
+            np.full((3, 1), 97.0))
+    simulate(*args, vary_params=False, seed=22, out_dir=tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    builds = []
+
+    class FailingSampler(ConditionalSampler):
+        def __init__(self, *args, **kwargs):
+            builds.append(len(builds))
+            if builds[-1] == fail_at:
+                raise ValidationError(f"build {fail_at} failed")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(condsim, "ConditionalSampler", FailingSampler)
+    for vary, fail_at in ((False, 0), (True, 1)):
+        builds.clear()
+        with pytest.raises(ValidationError, match=f"build {fail_at} failed"):
+            simulate(*args, vary_params=vary, seed=23, out_dir=tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_fit_hash_is_the_fits_with_a_floored_hessian(model, tmp_path):

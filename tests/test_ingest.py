@@ -553,6 +553,15 @@ def test_block_average_rejects_bad_block():
         block_average(make_series([1.0, 2.0]), block=0)
 
 
+@pytest.mark.parametrize("values, message", [
+    ([1.0, np.nan, 3.0], "station X01: block_average requires a complete series"),
+    ([1.0], "station X01: 1 values, shorter than one block of 5"),
+])
+def test_block_average_errors_name_the_station(values, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        block_average(make_series(values), block=5)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.floats(-10, 10), min_size=5, max_size=60),
@@ -596,6 +605,18 @@ def test_assemble_grid_start_time_mismatch():
     )
     with pytest.raises(AlignmentError, match="start times"):
         assemble_grid([a, b], target_len=5)
+
+
+@pytest.mark.parametrize("values, step, error, message", [
+    (np.arange(6.0), 60.0, AlignmentError, "differing time steps: Y01 at 60 s vs X01 at 300 s"),
+    # a one-row station's series has one value and an arbitrary step: the
+    # error is its length, checked before the steps
+    ([1.0], 60.0, ValidationError, "station Y01: 1 averages < required 6"),
+], ids=["step_mismatch", "one_value_series"])
+def test_assemble_grid_errors_name_the_station(values, step, error, message):
+    other = make_series(values, step=step, station=StationMeta("Y01", 36.2, -97.1, 310.0))
+    with pytest.raises(error, match=message):
+        assemble_grid([make_series(np.arange(6.0)), other], target_len=5)
 
 
 def test_assemble_grid_too_short_errors():

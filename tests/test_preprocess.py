@@ -213,7 +213,15 @@ def test_full_stack_round_trip():
     (lambda grid, stack: invert_stack(np.zeros((2, grid.n_times - 2)), stack,
                                       [300.0, 400.0], [97.0, 96.0]),
      "adjusted field and volatility length mismatch"),
-], ids=["apply_fewer_stations", "apply_shorter_grid", "invert_shorter_field"])
+    # one member at a time: an ensemble's members axis is not a field
+    (lambda grid, stack: invert_stack(np.zeros((3, 2, grid.n_times - 1)), stack,
+                                      [300.0, 400.0], np.full((3, 2), 97.0)),
+     "target elevations/means do not match the m x T field"),
+    (lambda grid, stack: invert_stack(np.zeros((2, grid.n_times - 1)), stack,
+                                      [300.0, 400.0], [97.0]),
+     "target elevations/means do not match the m x T field"),
+], ids=["apply_fewer_stations", "apply_shorter_grid", "invert_shorter_field",
+        "invert_members_axis", "invert_fewer_means"])
 def test_stack_rejects_a_field_it_was_not_fitted_to(call, message):
     grid = synthetic_grid()
     stack = fit_stack(grid, n_harmonics=15, volatility_df=24.0)
@@ -254,21 +262,6 @@ def test_invert_stack_anchors_time_mean():
     A = rng.standard_normal((2, grid.n_times - 1))
     out = invert_stack(A, stack, [300.0, 400.0], [97.0, 96.0])
     assert np.allclose(out.mean(axis=1), [97.0, 96.0], atol=1e-10)
-
-
-def test_invert_stack_members_axis_matches_each_member():
-    grid = synthetic_grid()
-    stack = fit_stack(grid, n_harmonics=15, volatility_df=24.0)
-    rng = np.random.default_rng(12)
-    A = rng.standard_normal((3, 2, grid.n_times - 1))
-    means = 97.0 + rng.standard_normal((3, 2))
-    out = invert_stack(A, stack, [300.0, 400.0], means)
-    assert out.shape == (3, 2, grid.n_times)
-    for k in range(3):
-        member = invert_stack(A[k], stack, [300.0, 400.0], means[k])
-        assert out[k].tobytes() == member.tobytes()
-    with pytest.raises(ValidationError, match="means"):
-        invert_stack(A, stack, [300.0, 400.0], means[0])
 
 
 def test_apply_stack_constant_grid_zero_diurnal():

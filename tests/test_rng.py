@@ -7,21 +7,10 @@ from presim import condsim, meanfield, synth, verify, whittle
 from presim.geometry import SiteGeometry
 from presim.ingest import StationMeta
 from presim.preprocess import SeaLevelModel
-from presim.rng import (
-    STAGE_CONDSIM,
-    STAGE_EVAL,
-    STAGE_FIELD_UNCOND,
-    STAGE_MEANFIELD,
-    STAGE_PARAM_DRAW,
-    STAGE_SYNTH,
-    substream,
-)
+from presim.rng import STAGE_CONDSIM, STAGE_SYNTH, substream
 from presim.whittle import FitResult, SpectralField
 
-from conftest import random_params, unconditional_sampler
-
-STAGES = (STAGE_PARAM_DRAW, STAGE_CONDSIM, STAGE_MEANFIELD, STAGE_SYNTH, STAGE_EVAL,
-          STAGE_FIELD_UNCOND)
+from conftest import random_params
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1])
@@ -38,10 +27,10 @@ def test_substream_pads_short_keys_with_zeros():
                           substream(3, STAGE_SYNTH, 0).standard_normal(4))
 
 
-def test_substream_keys_are_pairwise_distinct(model, geometry3, monkeypatch):
-    # each call below is one draw of its own (one seed, member, stage), so
-    # no two of them may share a stream; keys are compared by the state
-    # SeedSequence derives from them
+def test_substream_keys_are_pairwise_distinct(model, geometry3, monkeypatch, tmp_path):
+    # every owner of a stream, run for several seeds: each call below makes
+    # draws of its own, so no two keys may share a stream; keys are
+    # compared by the state SeedSequence derives from them
     keys = []
     for module in (condsim, whittle, meanfield, verify, synth):
         def recording(seed, *key, _module=module.__name__):
@@ -49,13 +38,13 @@ def test_substream_keys_are_pairwise_distinct(model, geometry3, monkeypatch):
             return substream(seed, *key)
         monkeypatch.setattr(module, "substream", recording)
 
-    T, members = 16, range(6)
+    T, count = 16, 6
     params = random_params(model, np.random.default_rng(50), scale=0.3)
-    uncond = unconditional_sampler(model, params, geometry3, T)
+    stations = [StationMeta(f"S{i}", lat, lon, 300.0)
+                for i, (lat, lon) in enumerate(zip(geometry3.lats, geometry3.lons))]
     # the first two sites observed, the third the target
-    cond = condsim.ConditionalSampler(uncond.plan, params, geometry3,
-                                      SpectralField(np.zeros((T // 2 + 1, 2)), n_times=T))
-    target = StationMeta("P0", geometry3.lats[2], geometry3.lons[2], 300.0)
+    observed = SiteGeometry(geometry3.lats[:2], geometry3.lons[:2])
+    field = SpectralField(np.zeros((T // 2 + 1, 2)), n_times=T)
     fit = FitResult(params_hat=params, loglik=0.0, hessian=np.eye(model.n_params),
                     convergence={}, knots=model.knots)
     mf = meanfield.reml_fit(101.0 + 0.05 * np.arange(5.0), SiteGeometry(
@@ -63,14 +52,14 @@ def test_substream_keys_are_pairwise_distinct(model, geometry3, monkeypatch):
     sea = SeaLevelModel(log_p0=np.log(101.0), scale_height=8310.0)
 
     for seed in range(4):
-        for member in members:
-            cond.draw(seed, member)
-            for stage in STAGES:
-                uncond.draw(seed, member, stage=stage)
-        whittle.sample_params(fit, len(members), seed)
-        meanfield.sample_means(mf, [target], sea, len(members), seed)
+        stack = synth.default_stack(T, [300.0] * 3, seed=seed)
+        synth.generate(model, params, stations, stack, T, seed)
+        whittle.sample_params(fit, count, seed)
+        condsim.run_ensemble(fit, stack, observed, stations[2:], field,
+                             np.full((count, 1), 97.0), False, seed, tmp_path / str(seed),
+                             synth.DEFAULT_START, 300.0, {})
+        meanfield.sample_means(mf, stations[2:], sea, count, seed)
         verify.verdicts(np.zeros(T), np.ones((3, T)), seed=seed)
-        synth.default_stack(T, [300.0, 400.0], seed=seed)
 
     assert {k[0] for k in keys} == {"presim.condsim", "presim.whittle", "presim.meanfield",
                                     "presim.verify", "presim.synth"}

@@ -27,6 +27,10 @@ and the functions in `OWN_JSON_TEXT` call `json.dumps`.
 And the elevation map is spelled once: in src/ and scripts/ only
 `preprocess.SeaLevelModel` and the functions in `OWN_SCALE_HEIGHT` read
 `scale_height`.
+
+And each random stream has one owner: every `substream` call in src/
+passes a `STAGE_*` name as its first key, no stage code is the first key
+in two functions, and every stage code of `rng` has its owner.
 """
 
 import ast
@@ -254,3 +258,57 @@ def test_only_the_sea_level_model_reads_scale_height():
                     own.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not own, "move between elevations with SeaLevelModel.ratio:\n" + "\n".join(sorted(own))
     assert set(OWN_SCALE_HEIGHT) <= readers, "listed functions that no longer read scale_height"
+
+
+def _stream_owners(modules) -> tuple:
+    """(faults, {stage name: owner functions}) of the `substream` calls in
+    (path, tree) pairs.
+
+    A fault is a call whose first key is no `STAGE_*` name, or a stage
+    name that is the first key in the calls of two functions.
+    """
+    faults, owners = [], {}
+    for path, tree in modules:
+        scope = _scopes(path, tree)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and _called(node) == "substream"):
+                continue
+            name = scope.get(id(node), f"{path.stem}.<module>")
+            first = node.args[1] if len(node.args) > 1 else None
+            if isinstance(first, ast.Name) and first.id.startswith("STAGE_"):
+                owners.setdefault(first.id, set()).add(name)
+            else:
+                faults.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}: "
+                              "the first key is no STAGE_* name")
+    faults += [f"{stage} is the first key in {', '.join(sorted(names))}"
+               for stage, names in sorted(owners.items()) if len(names) > 1]
+    return faults, owners
+
+
+def _package_trees() -> list:
+    return [(path, _parse(path)) for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def test_each_random_stream_has_one_owner():
+    # the function that makes a generator names its stream: two functions
+    # under one stage code could draw the same numbers
+    faults, owners = _stream_owners(_package_trees())
+    assert not faults, "one owner per random stream:\n" + "\n".join(faults)
+    stages = {target.id for node in _parse(PACKAGE / "rng.py").body
+              if isinstance(node, ast.Assign) for target in node.targets
+              if target.id.startswith("STAGE_")}
+    assert set(owners) == stages, "stage codes without an owner"
+
+
+def test_stream_owner_rule_fails_on_a_planted_second_owner():
+    # leave-one-out members drawn under the ensemble's own stage code, and
+    # a key that names no stage
+    planted = ast.parse("def leave_one_out(seed, k):\n"
+                        "    return substream(seed, STAGE_CONDSIM, k)\n"
+                        "def unnamed(seed):\n"
+                        "    return substream(seed, 2, 0)\n")
+    faults, _ = _stream_owners(_package_trees() + [(PACKAGE / "verify.py", planted)])
+    assert faults == [
+        "src/presim/verify.py:4 verify.unnamed: the first key is no STAGE_* name",
+        "STAGE_CONDSIM is the first key in condsim.run_ensemble, verify.leave_one_out",
+    ]

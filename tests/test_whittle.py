@@ -38,6 +38,7 @@ from conftest import (
     random_params,
     reference_loglik,
     unconditional_sampler,
+    zero_site_stream,
 )
 
 
@@ -534,7 +535,7 @@ def make_synthetic_field(model, geometry, T, seed, scale=0.3):
     rng = np.random.default_rng(seed)
     truth = random_params(model, rng, scale=scale)
     sampler = unconditional_sampler(model, truth, geometry, T)
-    A = inverse_dft(sampler.draw(seed, 0))
+    A = inverse_dft(sampler.draw(zero_site_stream(seed)))
     return truth, forward_dft(A)
 
 
@@ -587,7 +588,8 @@ def fit11(model):
     """(fit, objective) of an 11-site field at T = 2880, fitted from the truth."""
     geo = station_geometry(11)
     truth = default_true_params(model)
-    spec = forward_dft(inverse_dft(unconditional_sampler(model, truth, geo, 2880).draw(1, 0)))
+    spec = forward_dft(inverse_dft(unconditional_sampler(model, truth, geo, 2880).draw(
+        zero_site_stream(1))))
     obj = WhittleObjective(model, spec, geo)
     return fit_mle(obj, truth), obj
 
@@ -727,7 +729,7 @@ def test_fit_reaches_the_scipy_bfgs_optimum(model, geometry3, n_sites, T):
     probes = np.array([1 / 8, 1 / 4, 1 / 2]) * model.knots.omega0
     sampler = unconditional_sampler(model, truth, geo, T)
     for seed in (1, 2):
-        spec = forward_dft(inverse_dft(sampler.draw(seed, 0)))
+        spec = forward_dft(inverse_dft(sampler.draw(zero_site_stream(seed))))
         obj = WhittleObjective(model, spec, geo)
         fit = fit_mle(obj, truth)
         assert fit.convergence["status"] == "converged"
@@ -1020,7 +1022,8 @@ def test_sample_params_floors_a_hessian_singular_to_rounding(model):
     # parameters landed about 2e21 from the MLE
     geo = station_geometry(11)
     truth = default_true_params(model)
-    spec = forward_dft(inverse_dft(unconditional_sampler(model, truth, geo, 577).draw(1, 0)))
+    spec = forward_dft(inverse_dft(unconditional_sampler(model, truth, geo, 577).draw(
+        zero_site_stream(1))))
     fit = fit_mle(WhittleObjective(model, spec, geo), truth)
     vals = fit.hessian_eigenvalues
     assert abs(vals[0]) < model.n_params * np.finfo(float).eps * vals[-1]
