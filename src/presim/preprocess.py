@@ -54,14 +54,11 @@ class DiurnalModel(Record):
 
     period: int  # steps per day
     n_harmonics: int
-    coefficients: np.ndarray | None = None  # zeros when omitted
+    coefficients: np.ndarray
     variance_removed: np.ndarray | None = None  # fitted only: a truth stack has none
 
     def __post_init__(self):
-        if self.coefficients is None:
-            coeffs = np.zeros(2 * self.n_harmonics)
-        else:
-            coeffs = np.asarray(self.coefficients, dtype=float)
+        coeffs = np.asarray(self.coefficients, dtype=float)
         object.__setattr__(self, "coefficients", coeffs)
         if self.period < 2 or self.n_harmonics < 1:
             raise ValidationError("period >= 2 and n_harmonics >= 1 required")
@@ -152,8 +149,7 @@ def fit_diurnal(diffs, period: int, n_harmonics: int) -> DiurnalModel:
     n, T = diffs.shape
     if T < 2 * n_harmonics + 1:
         raise ValidationError("series too short for requested harmonics")
-    model = DiurnalModel(period=period, n_harmonics=n_harmonics)
-    X = model.design(T)
+    X = DiurnalModel(period, n_harmonics, np.zeros(2 * n_harmonics)).design(T)
     mean_series = diffs.mean(axis=0)
     coef, *_ = np.linalg.lstsq(X, mean_series, rcond=None)
     fitted = X @ coef

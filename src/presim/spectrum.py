@@ -7,9 +7,9 @@ At each frequency w the n x n cross-spectral matrix is
 with C the Matern-3/2 correlation, S = S0 + S1 the marginal spectrum,
 beta = log(S1/S0) the logistic split, delta the coherence range in km
 (C takes r = d / |delta|), theta the phase slope and u a unit direction
-vector. delta and theta are identically zero beyond the cutoff
-frequency, where the matrix collapses to S(w) * I (zero cross-site
-coherence).
+vector. The model describes the low band, w <= omega0, at whose end delta
+and theta vanish; in the high band the sites have no cross-site coherence,
+f = S(w) I. `whittle.FrequencyPlan` alone splits the bands.
 
 The phase factor splits into a per-site factor and its conjugate, so
 
@@ -164,10 +164,8 @@ class SpectralModel:
 
     def __init__(self, knots: KnotSet):
         self.knots = knots
-        self.basis_S = ConstrainedBasis("even", knots.s_knots, [1], zero_outside=False)
-        self.basis_beta = ConstrainedBasis(
-            "even", knots.beta_knots, [1, 2], zero_outside=False
-        )
+        self.basis_S = ConstrainedBasis("even", knots.s_knots, [1])
+        self.basis_beta = ConstrainedBasis("even", knots.beta_knots, [1, 2])
         self.basis_delta = ConstrainedBasis("even", knots.delta_knots, [0, 1, 2])
         self.basis_theta = ConstrainedBasis("odd", knots.theta_knots, [0, 1, 2])
 
@@ -212,15 +210,14 @@ class SpectralModel:
         return np.exp(self.basis_S.evaluate(params.s_coeffs, omega))
 
     def eval_delta(self, params: SpectralParams, omega):
-        """Coherence range in km (r = d / |delta|); exactly 0 beyond the cutoff."""
+        """Coherence range in km (r = d / |delta|); 0 at the cutoff."""
         return self.basis_delta.evaluate(params.delta_coeffs, omega)
 
-    def _coherent_share(self, beta, omega):
-        """S1 / S = logistic(beta), and 0 beyond the cutoff."""
-        # logistic(beta) from one exponential that cannot overflow
+    @staticmethod
+    def _coherent_share(beta):
+        """S1 / S = logistic(beta), from one exponential that cannot overflow."""
         e = np.exp(-np.abs(beta))
-        sig = np.where(beta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        return np.where(np.abs(omega) > self.knots.omega0, 0.0, sig)
+        return np.where(beta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     # -- matrix assembly -------------------------------------------------
 
@@ -232,15 +229,15 @@ class SpectralModel:
         )
 
     def cross_spectrum_terms(self, params: SpectralParams, geometry: SiteGeometry,
-                             omegas, designs) -> CrossSpectrumTerms:
+                             designs) -> CrossSpectrumTerms:
         """The real matrices R and phase factors D of the cross-spectral stack.
 
-        `designs` are the matrices of `designs(omegas)`, computed once by
-        callers that evaluate the same frequencies repeatedly.
+        `designs` are the matrices of `designs(omegas)` at low-band frequencies,
+        computed once by callers that evaluate the same frequencies repeatedly.
         """
         B_S, B_beta, B_delta, B_theta = designs
         S = np.exp(B_S @ params.s_coeffs)
-        sig = self._coherent_share(B_beta @ params.beta_coeffs, omegas)
+        sig = self._coherent_share(B_beta @ params.beta_coeffs)
         S1 = S * sig
         S0 = S - S1
         delta = B_delta @ params.delta_coeffs

@@ -113,12 +113,12 @@ class ConstrainedBasis:
         Ordered knot locations starting at 0 and ending at L > 0.
     endpoint_orders : sequence of int
         Derivative orders (0 = value) forced to zero at L.
-    zero_outside : bool
-        If True the function is identically 0 for |w| > L (cutoff
-        behavior); otherwise evaluation is clamped to [-L, L].
+
+    Evaluation is clamped to [-L, L]; which frequencies the model's bases
+    describe is decided by `whittle.FrequencyPlan`, not here.
     """
 
-    def __init__(self, kind, knots, endpoint_orders=(), zero_outside=True):
+    def __init__(self, kind, knots, endpoint_orders):
         if kind not in ("even", "odd"):
             raise ConfigurationError(f"unknown symmetry kind {kind!r}")
         knots = np.asarray(knots, dtype=float)
@@ -127,7 +127,6 @@ class ConstrainedBasis:
         self.kind = kind
         self.knots = knots
         self.cutoff = float(knots[-1])
-        self.zero_outside = zero_outside
 
         # Clamped knot vector: full multiplicity at both ends.
         t = np.concatenate(
@@ -158,20 +157,16 @@ class ConstrainedBasis:
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
         if not len(omega):  # e.g. the empty high band of a cutoff at pi
             return np.zeros((0, self.dimension))
-        a = np.abs(omega)
-        inside = a <= self.cutoff + 1e-12
-        x = np.clip(a, 0.0, self.cutoff)
+        x = np.clip(np.abs(omega), 0.0, self.cutoff)
         G = bspline_basis(self._t, DEGREE, x, order) @ self._null
         if self.kind == "odd" and order == 0:
             G = G * np.sign(omega)[:, None]
-        if self.zero_outside:
-            G = G * inside[:, None]
         return G
 
-    def evaluate(self, coeffs, omega, order=0) -> np.ndarray:
+    def evaluate(self, coeffs, omega) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.dimension,):
             raise ConfigurationError(
                 f"expected {self.dimension} coefficients, got {coeffs.shape}"
             )
-        return self.design(omega, order=order) @ coeffs
+        return self.design(omega) @ coeffs

@@ -97,9 +97,11 @@ class FrequencyPlan:
     Row j is the Fourier frequency w_j = 2 pi j / T, j = 0..floor(T/2),
     with weight 1 except 0.5 at the real-coefficient rows (0 and, for even
     T, the Nyquist). The low band, rows [:K] where w_j <= omega0, carries
-    cross-site coherence; the high band, rows [K:], is diagonal. A cutoff
-    that lands on a Fourier frequency (up to rounding) puts that frequency
-    in the low band. `low` and `high` are the slices of the two bands.
+    cross-site coherence; the high band, rows [K:], is diagonal, f = S I.
+    A cutoff that lands on a Fourier frequency (up to rounding) puts that
+    frequency in the low band. `low` and `high` are the slices of the two
+    bands. The plan is the one owner of this split: the bases and the
+    model evaluate the frequencies they are given, none compares with omega0.
 
     It also holds the designs of `model`: all four at the low band, S's at
     the high band. A fit's objective and start point share one plan, and so
@@ -124,8 +126,7 @@ class FrequencyPlan:
 
     def terms(self, params: SpectralParams, geometry: SiteGeometry) -> CrossSpectrumTerms:
         """The factors of f = D R D* at the low-band frequencies."""
-        return self.model.cross_spectrum_terms(params, geometry, self.omega_low,
-                                               self.designs_low)
+        return self.model.cross_spectrum_terms(params, geometry, self.designs_low)
 
     def S_high(self, params: SpectralParams) -> np.ndarray:
         """The marginal spectrum S at the high-band frequencies."""
@@ -376,6 +377,13 @@ class FitResult(Record):
     hessian: np.ndarray
     convergence: dict
     hessian_eigenvalues: np.ndarray | None = None
+
+    def __post_init__(self):
+        # a value moved between kinds would otherwise shift every unpacked draw
+        for kind, n in SpectralModel(self.knots).dimensions.items():
+            if kind != "u" and getattr(self.params_hat, f"{kind}_coeffs").shape != (n,):
+                raise ValidationError(
+                    f"{kind}_coeffs must have {n} values, one per basis function")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

@@ -56,10 +56,16 @@ def cross_spectrum_stack(model, params, geometry, omegas) -> np.ndarray:
     """Stack of n x n Hermitian cross-spectral matrices f = D R D*, one per frequency.
 
     The complex f that the likelihood and the sampler never form: the
-    oracle for their real-R algebra.
+    oracle for their real-R algebra. Above the cutoff omega0 the sites
+    have no cross-site coherence, f = S I, decided here apart from the
+    frequency plan's split.
     """
-    t = model.cross_spectrum_terms(params, geometry, omegas, model.designs(omegas))
-    return t.D[:, :, None] * t.R * np.conj(t.D)[:, None, :]
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    t = model.cross_spectrum_terms(params, geometry, model.designs(omegas))
+    f = t.D[:, :, None] * t.R * np.conj(t.D)[:, None, :]
+    high = np.abs(omegas) > model.knots.omega0
+    f[high] = model.eval_S(params, omegas[high])[:, None, None] * np.eye(geometry.n_sites)
+    return f
 
 
 def cross_spectrum(model, params, geometry, omega) -> np.ndarray:
@@ -124,7 +130,7 @@ def reference_loglik(obj, params):
     """
     model, geo, plan, n = obj.plan.model, obj.geometry, obj.plan, obj.n
     scale = TWO_PI * obj.T
-    t = model.cross_spectrum_terms(params, geo, plan.omega_low, model.designs(plan.omega_low))
+    t = model.cross_spectrum_terms(params, geo, model.designs(plan.omega_low))
     f = cross_spectrum_stack(model, params, geo, plan.omega_low)
     J = obj.spec.coeffs[plan.low]
     L = np.linalg.cholesky(f)

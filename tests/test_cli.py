@@ -524,6 +524,20 @@ def _stack_value(*path, value):
     return damage
 
 
+def _edited(edit):
+    """A damage applying `edit` to the report's parsed JSON."""
+    def damage(text):
+        report = json.loads(text)
+        edit(report)
+        return json.dumps(report)
+    return damage
+
+
+def _move_s_value_to_beta(report):
+    params = report["fit"]["params"]
+    params["beta_coeffs"].append(params["s_coeffs"].pop())
+
+
 @pytest.mark.parametrize("stage", ["simulate", "evaluate"])
 @pytest.mark.parametrize("damage, message", [
     (lambda text: text[:300], "(JSONDecodeError("),
@@ -544,13 +558,23 @@ def _stack_value(*path, value):
      "(ValidationError('diurnal coefficients must be finite'))"),
     (_stack_value("site_means", 2, value=float("nan")),
      "(ValidationError('site_means must be finite'))"),
+    (_edited(lambda report: report["stack"]["diurnal"].pop("coefficients")),
+     "(KeyError('coefficients'))"),
+    (_edited(lambda report: report["fit"]["params"]["s_coeffs"].pop()),
+     "(ValidationError('s_coeffs must have 8 values, one per basis function'))"),
+    (_edited(_move_s_value_to_beta),
+     "(ValidationError('s_coeffs must have 8 values, one per basis function'))"),
 ], ids=["truncated", "empty_stack", "no_fit", "no_station_ids", "bad_start_time",
         "infinite_scale_height", "zero_scale_height", "nan_log_p0", "infinite_volatility",
-        "nan_diurnal", "nan_site_mean"])
+        "nan_diurnal", "nan_site_mean", "no_diurnal_coefficients", "s_value_dropped",
+        "s_value_moved_to_beta"])
 def test_damaged_fit_report_rejected(pipeline, tmp_path, capsys, stage, damage, message):
     # each ended the stage in a bare JSONDecodeError, KeyError or ValueError
     # traceback, an error naming no file, or (an infinite scale height or
-    # volatility) an ensemble written from the damaged stack
+    # volatility) an ensemble written from the damaged stack; a report
+    # without diurnal coefficients ran with no diurnal cycle, and with
+    # `vary_params` a value moved between coefficient kinds shifted every
+    # member's parameters
     out, cfg = pipeline
     report = tmp_path / "fit_report.json"
     report.write_text(damage((out / "fit_report.json").read_text()))

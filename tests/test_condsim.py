@@ -216,8 +216,7 @@ def ridge_by_failed_solve(model, params, observed, targets, field):
     """
     n, T = observed.n_sites, field.n_times
     plan = FrequencyPlan(T, model)
-    t = model.cross_spectrum_terms(params, joint(observed, targets), plan.omega_low,
-                                   model.designs(plan.omega_low))
+    t = model.cross_spectrum_terms(params, joint(observed, targets), model.designs(plan.omega_low))
     ridged, means, covs = [], [], []
     for k in range(len(t.R)):
         Roo, Rpo, Rpp = t.R[k, :n, :n], t.R[k, n:, :n], t.R[k, n:, n:]

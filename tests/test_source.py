@@ -28,6 +28,10 @@ And the elevation map is spelled once: in src/ and scripts/ only
 `preprocess.SeaLevelModel` and the functions in `OWN_SCALE_HEIGHT` read
 `scale_height`.
 
+And the coherence cutoff has one owner: in src/ only the functions in
+`OWN_CUTOFF` read `omega0`, and of them only `whittle.FrequencyPlan`
+compares a frequency with it.
+
 And each random stream has one owner: every `substream` call in src/
 passes a `STAGE_*` name as its first key, no stage code is the first key
 in two functions, and every stage code of `rng` has its owner.
@@ -258,6 +262,35 @@ def test_only_the_sea_level_model_reads_scale_height():
                     own.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not own, "move between elevations with SeaLevelModel.ratio:\n" + "\n".join(sorted(own))
     assert set(OWN_SCALE_HEIGHT) <= readers, "listed functions that no longer read scale_height"
+
+
+# function -> why it reads `omega0`
+OWN_CUTOFF = {
+    "whittle.FrequencyPlan.__init__": "the one split of the frequencies into the low "
+                                      "(coherent) and high (diagonal) bands",
+    "spectrum.KnotSet.__post_init__": "the knot set's own checks: the coherence knots end "
+                                      "at omega0, which lies in (0, pi]",
+    "synth.default_true_params": "the shapes of the truth's delta, beta and theta curves "
+                                 "over [0, omega0]",
+}
+
+
+def test_only_the_frequency_plan_reads_the_cutoff():
+    # which frequency is coherent is one decision: FrequencyPlan splits the
+    # bands, so no second comparison with its own tolerance can disagree
+    # with the plan at a row that lies within rounding of omega0
+    own, readers = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        scope = _scopes(path, tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "omega0":
+                name = scope.get(id(node), f"{path.stem}.<module>")
+                readers.add(name)
+                if name not in OWN_CUTOFF:
+                    own.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not own, "split the bands with whittle.FrequencyPlan:\n" + "\n".join(sorted(own))
+    assert set(OWN_CUTOFF) <= readers, "listed functions that no longer read omega0"
 
 
 def _stream_owners(modules) -> tuple:

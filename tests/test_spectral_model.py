@@ -59,12 +59,6 @@ def test_endpoint_constraints_vanish(model):
     assert np.max(np.abs(model.basis_S.design([np.pi], order=1))) < 1e-10
 
 
-def test_zero_outside_cutoff(model):
-    om0 = model.knots.omega0
-    for basis in (model.basis_delta, model.basis_theta):
-        assert np.max(np.abs(basis.design([1.1 * om0, -2.0 * om0]))) == 0.0
-
-
 def test_basis_spans_constants_when_allowed(model):
     # S and beta bases include the constant function (only derivative
     # constraints); fit a constant and check exact reproduction
@@ -139,7 +133,7 @@ def test_eval_S_flat_at_pi(model):
 
 def split_S(model, params, omega, geometry):
     """(S0, S1) = (S (1 - sig), S sig) from the cross-spectrum factors."""
-    t = model.cross_spectrum_terms(params, geometry, omega, model.designs(omega))
+    t = model.cross_spectrum_terms(params, geometry, model.designs(omega))
     return t.S * (1.0 - t.sig), t.S * t.sig
 
 
@@ -181,24 +175,6 @@ def test_split_S_low_coherence_bound(model, geometry3):
     assert S1[0] / (S0[0] + S1[0]) == pytest.approx(0.13222, abs=5e-4)
 
 
-def test_split_S_beyond_cutoff_all_diagonal(model, geometry3):
-    rng = np.random.default_rng(4)
-    p = random_params(model, rng)
-    om = np.array([model.knots.omega0 * 1.01, 3.0])
-    S0, S1 = split_S(model, p, om, geometry3)
-    assert np.allclose(S1, 0.0)
-    assert np.allclose(S0, model.eval_S(p, om))
-
-
-def test_eval_delta_theta_outside_cutoff(model):
-    rng = np.random.default_rng(5)
-    p = random_params(model, rng)
-    om0 = model.knots.omega0
-    assert model.eval_delta(p, 1.1 * om0) == 0.0
-    assert model.basis_theta.evaluate(p.theta_coeffs, 1.1 * om0) == 0.0
-    assert model.basis_theta.evaluate(p.theta_coeffs, 0.0) == 0.0
-
-
 def test_eval_delta_smooth_at_cutoff(model):
     rng = np.random.default_rng(6)
     p = random_params(model, rng)
@@ -230,15 +206,6 @@ def test_matern_rejects_negative():
 
 
 # -- cross-spectrum -------------------------------------------------------
-
-
-def test_cross_spectrum_diagonal_beyond_cutoff(model, geometry3):
-    rng = np.random.default_rng(7)
-    p = random_params(model, rng)
-    om = 1.5 * model.knots.omega0
-    f = cross_spectrum(model, p, geometry3, om)
-    S = model.eval_S(p, om)
-    assert np.allclose(f, S * np.eye(3), atol=1e-14)
 
 
 def test_cross_spectrum_vanishing_delta_has_no_coherence(model, geometry3):
@@ -273,7 +240,7 @@ def test_matern_build_equals_guarded_construction_on_default_network(model):
     omegas = np.arange(241) * 2 * np.pi / 2880  # the low band of T = 2880, cutoff included
     rng = np.random.default_rng(21)
     for p in [default_true_params(model)] + [random_params(model, rng) for _ in range(3)]:
-        t = model.cross_spectrum_terms(p, geo, omegas, model.designs(omegas))
+        t = model.cross_spectrum_terms(p, geo, model.designs(omegas))
         assert np.any(t.delta == 0.0) and np.any((t.C > 0) & (t.C < 1))
         assert np.array_equal(t.C, guarded_matern(geo.distances, t.delta))
 
@@ -305,8 +272,7 @@ def test_coincident_sites_are_fully_correlated_at_vanishing_delta(model):
     geo = SiteGeometry(np.array([36.3, 36.3, 36.6]), np.array([-97.1, -97.1, -97.4]))
     p = random_params(model, np.random.default_rng(23))
     B_S, B_beta, B_delta, B_theta = model.designs([0.01, 0.02])
-    t = model.cross_spectrum_terms(p, geo, [0.01, 0.02],
-                                   (B_S, B_beta, np.zeros_like(B_delta), B_theta))
+    t = model.cross_spectrum_terms(p, geo, (B_S, B_beta, np.zeros_like(B_delta), B_theta))
     assert np.array_equal(t.C, np.broadcast_to([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
                                                 [0.0, 0.0, 1.0]], (2, 3, 3)))
 
@@ -340,7 +306,7 @@ def test_cross_spectrum_stack_matches_paper_formula(model):
         f = cross_spectrum_stack(model, p, geo, om)
         assert np.max(np.abs(f - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-        R = model.cross_spectrum_terms(p, geo, om, model.designs(om)).R
+        R = model.cross_spectrum_terms(p, geo, model.designs(om)).R
         assert R.dtype == np.float64
         assert np.array_equal(R, np.swapaxes(R, 1, 2))
 
@@ -356,7 +322,7 @@ def test_phase_factors_equal_the_complex_exponential(model):
         p = random_params(model, rng)
         p = SpectralParams(p.s_coeffs, p.beta_coeffs, p.delta_coeffs,
                            scale * rng.standard_normal(len(p.theta_coeffs)), p.u_angle)
-        t = model.cross_spectrum_terms(p, geo, omegas, model.designs(omegas))
+        t = model.cross_spectrum_terms(p, geo, model.designs(omegas))
         phase = t.theta[:, None] * (geo.positions @ p.u)[None, :]
         assert np.abs(phase).max() > 10.0 * scale
         assert np.array_equal(t.D, np.exp(1j * phase))

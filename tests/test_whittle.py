@@ -212,6 +212,25 @@ def test_frequency_plan_cutoff_on_fourier_frequency_is_low():
     assert len(FrequencyPlan(2880, SpectralModel(KnotSet.default(4320))).omega_high) == 0
 
 
+@pytest.mark.parametrize("omega0_j, T, cutoff_row", [
+    (720, 288, 24), (720, 300, 25), (720, 156, 13),  # 2 pi 25 / 300 is omega0 + 1.1e-16
+    (4320, 26, 13),  # the Nyquist row, pi + 4.4e-16
+])
+def test_frequency_plan_owns_the_cutoff_row(geometry3, omega0_j, T, cutoff_row):
+    # the plan puts the row at the cutoff in the low band, and the model
+    # gives it the coherent share logistic(beta(omega0)), not a share of 0
+    # from a second comparison with omega0
+    model = SpectralModel(KnotSet.default(omega0_j))
+    plan = FrequencyPlan(T, model)
+    assert plan.low == slice(0, cutoff_row + 1)
+    assert plan.omega_low[-1] == pytest.approx(model.knots.omega0, abs=1e-15)
+    assert len(plan.omega_high) == T // 2 - cutoff_row
+    p = random_params(model, np.random.default_rng(61 + T))
+    beta = model.basis_beta.evaluate(p.beta_coeffs, model.knots.omega0)
+    assert plan.terms(p, geometry3).sig[-1] == pytest.approx(1 / (1 + np.exp(-beta[0])),
+                                                              rel=1e-15)
+
+
 # -- likelihood -----------------------------------------------------------
 
 
